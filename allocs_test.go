@@ -2,17 +2,20 @@ package redbud_test
 
 // Allocation ceilings for the hot benchmarks. The zero-alloc audit (PR 8)
 // interned telemetry label keys, pooled RPC request messages, and moved
-// the extent/stripe lookups onto reusable scratch slices; these ceilings
-// keep those wins from silently eroding. Each case executes one full
-// workload run — the same shapes BenchmarkFig6a, BenchmarkCache and
-// BenchmarkFailover iterate — and fails if the allocation count exceeds a
-// ceiling set ~30% above the measured post-audit cost (headroom for GC
-// timing flushing the sync.Pools mid-run). `go test -bench=. -benchmem`
-// reports the same quantity as allocs/op for trend inspection.
+// the extent/stripe lookups onto reusable scratch slices; the metadata path
+// (PR 15) got dense directory state and one block copy per transaction.
+// These ceilings keep those wins from silently eroding. Each case executes
+// one full workload run — the same shapes BenchmarkFig6a, BenchmarkCache,
+// BenchmarkFailover, BenchmarkFig8 and BenchmarkFig9 iterate — and fails
+// if the allocation count exceeds a ceiling set ~30% above the measured
+// cost (headroom for GC timing flushing the sync.Pools mid-run).
+// `go test -bench=. -benchmem` reports the same quantity as allocs/op for
+// trend inspection.
 
 import (
 	"testing"
 
+	"redbud/internal/mdfs"
 	"redbud/internal/pfs"
 	"redbud/internal/workload"
 )
@@ -38,6 +41,14 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := workload.RunFailoverBench(pfs.MiF(6), workload.DefaultFailoverBenchConfig())
 			return err
 		}},
+		{"fig8-normal", 1_850_000, func() error {
+			_, err := workload.RunMetarates(workload.DefaultMetaratesConfig(mdfs.LayoutNormal))
+			return err
+		}},
+		{"fig9", 2_300_000, func() error {
+			_, err := workload.RunAging(workload.DefaultAgingConfig(mdfs.LayoutNormal, 0.8))
+			return err
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -52,7 +63,7 @@ func TestAllocCeilings(t *testing.T) {
 			}
 			t.Logf("%s: %.0f allocs/run (ceiling %.0f)", c.name, allocs, c.ceiling)
 			if allocs > c.ceiling {
-				t.Errorf("%s allocates %.0f objects/run, ceiling %.0f — the zero-alloc audit regressed",
+				t.Errorf("%s allocates %.0f objects/run, ceiling %.0f — an allocation win regressed",
 					c.name, allocs, c.ceiling)
 			}
 		})

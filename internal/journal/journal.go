@@ -26,7 +26,9 @@ import (
 type Record struct {
 	// Block is the home location the data belongs to.
 	Block int64
-	// Data is the new block content.
+	// Data is the new block content. Commit keeps this buffer — it is
+	// what checkpoint and replay hand back — so the caller must not
+	// modify it afterwards.
 	Data []byte
 }
 
@@ -135,7 +137,9 @@ func (j *Journal) PendingRecords() int { return len(j.committed) }
 // Commit durably appends a transaction (its records plus a commit block)
 // to the journal region and returns the simulated cost. If the region
 // cannot hold the transaction, a checkpoint is forced first — exactly the
-// jbd behaviour whose frequency the region size controls.
+// jbd behaviour whose frequency the region size controls. The journal
+// keeps each record's Data buffer but not the records slice, which the
+// caller may reuse.
 func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 	if len(records) == 0 {
 		return 0, nil
@@ -163,10 +167,7 @@ func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 	}
 	if dmg, ok := j.crash.Hit(crashsim.PtJournalAppendCommit, need); ok {
 		if dmg.AllPersisted() {
-			for _, r := range cloneRecords(records) {
-				j.seq++
-				j.committed = append(j.committed, seqRecord{Record: r, seq: j.seq})
-			}
+			j.retain(records)
 		}
 		j.crash.Kill()
 	}
@@ -184,10 +185,7 @@ func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 	}
 	j.head = at
 	j.live += need
-	for _, r := range cloneRecords(records) {
-		j.seq++
-		j.committed = append(j.committed, seqRecord{Record: r, seq: j.seq})
-	}
+	j.retain(records)
 	j.stats.Commits++
 	j.stats.Records += int64(len(records))
 	j.stats.JournalBlocks += need
@@ -254,14 +252,11 @@ func (j *Journal) dedupe() []Record {
 	return out
 }
 
-// cloneRecords deep-copies record payloads so later caller mutations cannot
-// alter journal contents.
-func cloneRecords(records []Record) []Record {
-	out := make([]Record, len(records))
-	for i, r := range records {
-		data := make([]byte, len(r.Data))
-		copy(data, r.Data)
-		out[i] = Record{Block: r.Block, Data: data}
+// retain appends a transaction's records to the committed list, stamping
+// each with its sequence number.
+func (j *Journal) retain(records []Record) {
+	for _, r := range records {
+		j.seq++
+		j.committed = append(j.committed, seqRecord{Record: r, seq: j.seq})
 	}
-	return out
 }

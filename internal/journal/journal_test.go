@@ -107,13 +107,21 @@ func TestReplayReturnsCommittedState(t *testing.T) {
 	}
 }
 
-func TestCommitCopiesPayloads(t *testing.T) {
+// The journal keeps the payload buffers it is handed (the caller gives them
+// up) but not the records slice, which callers reuse between commits.
+func TestCommitKeepsPayloadsNotTheSlice(t *testing.T) {
 	j, _ := newJournal(t, 256, nil)
 	data := []byte{42}
-	j.Commit([]Record{{Block: 7, Data: data}})
-	data[0] = 99
-	if rs := j.Replay(); rs[0].Data[0] != 42 {
-		t.Fatal("journal must deep-copy record payloads")
+	recs := []Record{{Block: 7, Data: data}}
+	j.Commit(recs)
+	recs[0] = Record{Block: 8, Data: []byte{99}}
+	j.Commit(recs)
+	rs := j.Replay()
+	if len(rs) != 2 || rs[0].Block != 7 || rs[0].Data[0] != 42 || rs[1].Block != 8 || rs[1].Data[0] != 99 {
+		t.Fatalf("Replay = %v, want block 7 = 42 and block 8 = 99", rs)
+	}
+	if &rs[0].Data[0] != &data[0] {
+		t.Fatal("journal copied a payload it was given to keep")
 	}
 }
 

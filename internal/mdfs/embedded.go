@@ -168,7 +168,7 @@ func (fs *FS) embMakeRoot() error {
 		dirID:    dirID,
 		parent:   ino,
 		group:    0,
-		entries:  make(map[string]inode.Ino),
+		names:    newNameIndex(0),
 		recBlock: recBlock,
 		recOff:   0,
 	}
@@ -229,7 +229,7 @@ func (fs *FS) embCreate(d *dir, name string, mode inode.Mode) (inode.Ino, error)
 			dirID:    dirID,
 			parent:   d.ino,
 			group:    fs.pickGroup(),
-			entries:  make(map[string]inode.Ino),
+			names:    newNameIndex(0),
 			recBlock: blk,
 			recOff:   off,
 		}
@@ -254,8 +254,7 @@ func (fs *FS) embCreate(d *dir, name string, mode inode.Mode) (inode.Ino, error)
 			return 0, err
 		}
 	}
-	d.entries[name] = ino
-	d.order = append(d.order, name)
+	d.names.add(name, ino, 0)
 	d.files++
 	if err := fs.embTouchDir(d); err != nil {
 		return 0, err
@@ -320,13 +319,7 @@ func (fs *FS) embUnlink(d *dir, name string, ino inode.Ino) error {
 	if err := fs.writeInodeAt(blk, off, rec); err != nil {
 		return err
 	}
-	delete(d.entries, name)
-	for i, n := range d.order {
-		if n == name {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
+	d.names.remove(name)
 	d.freeSlots = append(d.freeSlots, ino.Offset())
 	d.files--
 	if len(d.freeSlots)%fs.cfg.LazyFreeBatch == 0 {
@@ -351,7 +344,7 @@ func (fs *FS) embReaddirCharge(d *dir) {
 // consumes a prefetched buffer, so the sweep costs one large read per
 // content run no matter how small the MDS cache is.
 func (fs *FS) embReaddirPlus(d *dir) ([]inode.Inode, error) {
-	byName := make(map[string]inode.Inode, len(d.entries))
+	byName := make(map[string]inode.Inode, d.names.len())
 	per := fs.geo.InodesPerBlock
 	for _, r := range d.content {
 		for _, buf := range fs.store.ReadRange(r.Start, r.Count) {
@@ -367,8 +360,11 @@ func (fs *FS) embReaddirPlus(d *dir) ([]inode.Inode, error) {
 			}
 		}
 	}
-	out := make([]inode.Inode, 0, len(d.order))
-	for _, name := range d.order {
+	out := make([]inode.Inode, 0, d.names.len())
+	for i, name := range d.names.order {
+		if !d.names.live(i) {
+			continue
+		}
 		rec, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q missing from directory content", ErrNotExist, name)
@@ -439,18 +435,11 @@ func (fs *FS) embRename(src *dir, name string, dst *dir, newName string, ino ino
 		return 0, err
 	}
 	// Tombstone the old record.
-	fs.store.WriteAt(oldBlk, oldOff, make([]byte, recordSize))
-	delete(src.entries, name)
-	for i, n := range src.order {
-		if n == name {
-			src.order = append(src.order[:i], src.order[i+1:]...)
-			break
-		}
-	}
+	fs.store.WriteAt(oldBlk, oldOff, zeroRecord[:])
+	src.names.remove(name)
 	src.freeSlots = append(src.freeSlots, ino.Offset())
 	src.files--
-	dst.entries[newName] = newIno
-	dst.order = append(dst.order, newName)
+	dst.names.add(newName, newIno, 0)
 	dst.files++
 	dst.extentUnits += int64(rec.ExtentCount)
 	src.extentUnits -= int64(rec.ExtentCount)

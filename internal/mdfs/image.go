@@ -214,8 +214,11 @@ func (fs *FS) markReachable() error {
 		if err := mark(d.recBlock); err != nil {
 			return err
 		}
-		for _, name := range d.order {
-			ino := d.entries[name]
+		for i, name := range d.names.order {
+			if !d.names.live(i) {
+				continue
+			}
+			ino := d.names.byName[name].ino
 			if child, ok := fs.dirs[ino]; ok {
 				if err := walk(child); err != nil {
 					return err

@@ -1,17 +1,22 @@
 package mdfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"redbud/internal/alloc"
 	"redbud/internal/crashsim"
 	"redbud/internal/disk"
+	"redbud/internal/extent"
 	"redbud/internal/inode"
 )
 
 // recordSize aliases the inode record size for geometry math.
 const recordSize = inode.RecordSize
+
+// zeroRecord is what a cleared inode record holds; it is only ever read.
+var zeroRecord [recordSize]byte
 
 // direntSize is the fixed size of one directory entry in the normal
 // layout: 8 bytes of inode number, 1 byte of name length, 55 bytes of name.
@@ -100,24 +105,25 @@ func DefaultConfig(layout Layout) Config {
 	}
 }
 
-// dir is the in-memory state of one directory: the namespace index (the
-// paper's in-memory Htree/Btree analogue) plus the location bookkeeping of
-// its on-disk representation.
+// dir is the in-memory state of one directory: the namespace index plus
+// the location bookkeeping of its on-disk representation.
 type dir struct {
-	ino     inode.Ino
-	dirID   uint32 // embedded layout identification; 0 in normal layout
-	parent  inode.Ino
-	group   int64
-	entries map[string]inode.Ino
-	order   []string
+	ino    inode.Ino
+	dirID  uint32 // embedded layout identification; 0 in normal layout
+	parent inode.Ino
+	group  int64
+	names  nameIndex
 
 	// recBlock/recOff locate the directory's own inode record.
 	recBlock int64
 	recOff   int
 
-	// Normal layout: directory-entry blocks.
+	// Normal layout: directory-entry blocks, the same blocks as the
+	// contiguous-run mapping the directory record stores, and which entry
+	// slots are in use.
 	direntBlocks []int64
-	entryLoc     map[string]int // entry index: block*64+slot within dirent area
+	direntMap    []extent.Extent
+	slots        slotBitmap
 
 	// Embedded layout: content extents holding inode records.
 	content     []alloc.Range
@@ -457,6 +463,8 @@ func (fs *FS) freeData(r alloc.Range) error {
 
 // dirtyBlockBitmap journals the block-bitmap words covering the range.
 func (fs *FS) dirtyBlockBitmap(start, count int64) {
+	var stamp [8]byte
+	binary.LittleEndian.PutUint64(stamp[:], uint64(fs.opSeq))
 	for b := start; b < start+count; {
 		g := fs.geo.groupOf(b)
 		if g < 0 {
@@ -467,22 +475,13 @@ func (fs *FS) dirtyBlockBitmap(start, count int64) {
 		word := (b - fs.geo.groupBase(g)) / 64
 		// The byte content mirrors a version stamp; the accounting —
 		// which block is dirtied — is what the experiments measure.
-		fs.store.WriteAt(bbb, int(word%int64(fs.cfg.BlockSize/8))*8, stamp(fs.opSeq))
+		fs.store.WriteAt(bbb, int(word%int64(fs.cfg.BlockSize/8))*8, stamp[:])
 		next := fs.geo.groupBase(g) + (word+1)*64
 		if next > start+count {
 			next = start + count
 		}
 		b = next
 	}
-}
-
-// stamp renders a little-endian int64 for bitmap version bytes.
-func stamp(v int64) []byte {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return b
 }
 
 // readInodeAt reads and decodes the record at (block, off).

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
-	"redbud/internal/alloc"
+	"redbud/internal/extent"
 	"redbud/internal/inode"
 )
 
@@ -55,9 +55,9 @@ func (fs *FS) freeInodeSlot(slot int64) {
 // dirtyInodeBitmap journals one word of a group's inode bitmap.
 func (fs *FS) dirtyInodeBitmap(group, word int64) {
 	blk := fs.geo.inodeBitmapBlock(group)
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, fs.ibitmap[group][word])
-	fs.store.WriteAt(blk, int(word*8)%int(fs.cfg.BlockSize-8), buf)
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], fs.ibitmap[group][word])
+	fs.store.WriteAt(blk, int(word*8%fs.cfg.BlockSize), buf[:])
 }
 
 // normalMakeRoot creates the root directory in the traditional layout.
@@ -72,8 +72,7 @@ func (fs *FS) normalMakeRoot() error {
 		ino:      ino,
 		parent:   ino,
 		group:    0,
-		entries:  make(map[string]inode.Ino),
-		entryLoc: make(map[string]int),
+		names:    newNameIndex(0),
 		recBlock: blk,
 		recOff:   off,
 	}
@@ -94,79 +93,70 @@ func (fs *FS) chargeNormalLookup(d *dir, name string) {
 	if len(d.direntBlocks) == 0 {
 		return
 	}
-	idx, ok := d.entryLoc[name]
-	blkIdx := idx / fs.direntsPerBlock()
+	e, ok := d.names.byName[name]
+	blkIdx := int(e.slot) / fs.direntsPerBlock()
 	if !ok {
 		blkIdx = len(d.direntBlocks) - 1 // negative lookup scans to the end
 	}
 	if fs.cfg.Htree {
-		fs.store.Read(d.direntBlocks[blkIdx])
+		fs.store.charge(d.direntBlocks[blkIdx])
 		return
 	}
 	for i := 0; i <= blkIdx && i < len(d.direntBlocks); i++ {
-		fs.store.Read(d.direntBlocks[i])
+		fs.store.charge(d.direntBlocks[i])
 	}
 }
 
-// appendDirent adds a directory entry, extending the entry area when the
-// last block is full, and returns the entry index.
-func (fs *FS) appendDirent(d *dir, name string, ino inode.Ino) (int, error) {
+// addDirentBlock records a block appended to the directory's entry area,
+// keeping the mapping current: it changes only here.
+func (d *dir) addDirentBlock(blk int64) {
+	logical := int64(len(d.direntBlocks))
+	d.direntBlocks = append(d.direntBlocks, blk)
+	if n := len(d.direntMap); n > 0 && d.direntMap[n-1].Physical+d.direntMap[n-1].Count == blk {
+		d.direntMap[n-1].Count++
+		return
+	}
+	d.direntMap = append(d.direntMap, extent.Extent{Logical: logical, Physical: blk, Count: 1})
+}
+
+// appendDirent adds a directory entry in the lowest free slot — reusing a
+// hole left by a deletion before growing the directory — extending the
+// entry area by one block when every slot is taken.
+func (fs *FS) appendDirent(d *dir, name string, ino inode.Ino) error {
 	per := fs.direntsPerBlock()
-	idx := -1
-	// Reuse a hole left by a deletion before growing the directory.
-	if len(d.entryLoc) < len(d.direntBlocks)*per {
-		used := make(map[int]bool, len(d.entryLoc))
-		for _, i := range d.entryLoc {
-			used[i] = true
-		}
-		for i := 0; i < len(d.direntBlocks)*per; i++ {
-			if !used[i] {
-				idx = i
-				break
-			}
-		}
-	}
+	idx := d.slots.lowestClear(len(d.direntBlocks) * per)
 	if idx < 0 {
-		idx = len(d.entryLoc)
-		if idx/per >= len(d.direntBlocks) {
-			goal := fs.groupGoal(d)
-			if n := len(d.direntBlocks); n > 0 {
-				goal = d.direntBlocks[n-1] + 1
-			}
-			runs, err := fs.allocData(goal, 1)
-			if err != nil {
-				return 0, err
-			}
-			d.direntBlocks = append(d.direntBlocks, runs[0].Start)
+		idx = len(d.direntBlocks) * per
+		goal := fs.groupGoal(d)
+		if n := len(d.direntBlocks); n > 0 {
+			goal = d.direntBlocks[n-1] + 1
 		}
+		runs, err := fs.allocData(goal, 1)
+		if err != nil {
+			return err
+		}
+		d.addDirentBlock(runs[0].Start)
 	}
-	blk := d.direntBlocks[idx/per]
-	off := (idx % per) * direntSize
-	ent := make([]byte, direntSize)
+	var ent [direntSize]byte
 	binary.LittleEndian.PutUint64(ent[0:], uint64(ino))
 	ent[8] = byte(len(name))
 	copy(ent[9:], name)
-	fs.store.WriteAt(blk, off, ent)
-	d.entries[name] = ino
-	d.entryLoc[name] = idx
-	d.order = append(d.order, name)
-	return idx, nil
+	fs.store.WriteAt(d.direntBlocks[idx/per], (idx%per)*direntSize, ent[:])
+	d.slots.set(idx)
+	d.names.add(name, ino, idx)
+	return nil
 }
 
-// clearDirent removes an entry's on-disk record.
+// clearDirent removes an entry and zeroes its on-disk record.
 func (fs *FS) clearDirent(d *dir, name string) {
-	idx := d.entryLoc[name]
-	per := fs.direntsPerBlock()
-	blk := d.direntBlocks[idx/per]
-	fs.store.WriteAt(blk, (idx%per)*direntSize, make([]byte, direntSize))
-	delete(d.entries, name)
-	delete(d.entryLoc, name)
-	for i, n := range d.order {
-		if n == name {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
+	e, ok := d.names.remove(name)
+	if !ok {
+		return
 	}
+	idx, per := int(e.slot), fs.direntsPerBlock()
+	var zero [direntSize]byte
+	fs.store.WriteAt(d.direntBlocks[idx/per], (idx%per)*direntSize, zero[:])
+	d.slots.clear(idx)
 }
 
 // touchDirRecord updates the directory's own inode (size, mtime) after a
@@ -177,25 +167,11 @@ func (fs *FS) touchDirRecord(d *dir) error {
 		return err
 	}
 	rec.MTime = fs.opSeq
-	rec.Size = int64(len(d.entries)) * direntSize
-	runs := blocksToRuns(d.direntBlocks)
-	if _, err := fs.writeMapping(rec, runsToExtents(runs), fs.groupGoal(d)); err != nil {
+	rec.Size = int64(d.names.len()) * direntSize
+	if _, err := fs.writeMapping(rec, d.direntMap, fs.groupGoal(d)); err != nil {
 		return err
 	}
 	return fs.writeInodeAt(d.recBlock, d.recOff, rec)
-}
-
-// blocksToRuns compacts a block list into contiguous runs.
-func blocksToRuns(blocks []int64) []alloc.Range {
-	var out []alloc.Range
-	for _, b := range blocks {
-		if n := len(out); n > 0 && out[n-1].End() == b {
-			out[n-1].Count++
-			continue
-		}
-		out = append(out, alloc.Range{Start: b, Count: 1})
-	}
-	return out
 }
 
 // normalCreate implements Create for the traditional layout.
@@ -214,7 +190,11 @@ func (fs *FS) normalCreate(d *dir, name string, mode inode.Mode) (inode.Ino, err
 	if err := fs.writeInodeAt(blk, off, rec); err != nil {
 		return 0, err
 	}
-	if _, err := fs.appendDirent(d, name, ino); err != nil {
+	if err := fs.appendDirent(d, name, ino); err != nil {
+		// Out of space for another entry block: give the inode back, or
+		// the next commit persists a slot and a record nothing references.
+		fs.freeInodeSlot(slot)
+		fs.store.WriteAt(blk, off, zeroRecord[:])
 		return 0, err
 	}
 	if err := fs.touchDirRecord(d); err != nil {
@@ -225,8 +205,7 @@ func (fs *FS) normalCreate(d *dir, name string, mode inode.Mode) (inode.Ino, err
 			ino:      ino,
 			parent:   d.ino,
 			group:    fs.pickGroup(),
-			entries:  make(map[string]inode.Ino),
-			entryLoc: make(map[string]int),
+			names:    newNameIndex(0),
 			recBlock: blk,
 			recOff:   off,
 		}
@@ -247,7 +226,7 @@ func (fs *FS) normalUnlink(d *dir, name string, ino inode.Ino) error {
 		return err
 	}
 	fs.clearDirent(d, name)
-	fs.writeInodeAt(blk, off, &inode.Inode{}) // clear the record
+	fs.store.WriteAt(blk, off, zeroRecord[:]) // clear the record
 	fs.freeInodeSlot(int64(ino))
 	return fs.touchDirRecord(d)
 }
@@ -267,8 +246,8 @@ func (fs *FS) normalStat(ino inode.Ino) (*inode.Inode, error) {
 
 // normalReaddirCharge reads the whole directory-entry area.
 func (fs *FS) normalReaddirCharge(d *dir) {
-	for _, run := range blocksToRuns(d.direntBlocks) {
-		fs.store.ReadRange(run.Start, run.Count)
+	for _, run := range d.direntMap {
+		fs.store.ReadRange(run.Physical, run.Count)
 	}
 }
 
@@ -278,10 +257,12 @@ func (fs *FS) normalReaddirCharge(d *dir) {
 // metadata operations.
 func (fs *FS) normalReaddirPlus(d *dir) ([]inode.Inode, error) {
 	fs.normalReaddirCharge(d)
-	out := make([]inode.Inode, 0, len(d.order))
-	for _, name := range d.order {
-		ino := d.entries[name]
-		blk, off := fs.geo.slotLocation(int64(ino))
+	out := make([]inode.Inode, 0, d.names.len())
+	for i, name := range d.names.order {
+		if !d.names.live(i) {
+			continue
+		}
+		blk, off := fs.geo.slotLocation(int64(d.names.byName[name].ino))
 		rec, err := fs.readInodeAt(blk, off)
 		if err != nil {
 			return nil, err

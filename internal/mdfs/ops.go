@@ -52,7 +52,7 @@ func (fs *FS) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, ok := d.entries[name]; ok {
+	if _, ok := d.names.byName[name]; ok {
 		return 0, fmt.Errorf("%w: %q", ErrExist, name)
 	}
 	var ino inode.Ino
@@ -74,7 +74,7 @@ func (fs *FS) Create(parent inode.Ino, name string) (inode.Ino, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, ok := d.entries[name]; ok {
+	if _, ok := d.names.byName[name]; ok {
 		return 0, fmt.Errorf("%w: %q", ErrExist, name)
 	}
 	var ino inode.Ino
@@ -97,7 +97,8 @@ func (fs *FS) Lookup(parent inode.Ino, name string) (inode.Ino, error) {
 		return 0, err
 	}
 	fs.stats.Lookups++
-	ino, ok := d.entries[name]
+	e, ok := d.names.byName[name]
+	ino := e.ino
 	if fs.cfg.Layout == LayoutEmbedded {
 		if ok {
 			if _, blk, _, err := fs.embLocate(ino); err == nil {
@@ -191,10 +192,11 @@ func (fs *FS) Unlink(parent inode.Ino, name string) error {
 	if err != nil {
 		return err
 	}
-	ino, ok := d.entries[name]
+	e, ok := d.names.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotExist, name)
 	}
+	ino := e.ino
 	if _, isDir := fs.dirs[ino]; isDir {
 		return fmt.Errorf("%w: %q", ErrIsDir, name)
 	}
@@ -217,15 +219,16 @@ func (fs *FS) Rmdir(parent inode.Ino, name string) error {
 	if err != nil {
 		return err
 	}
-	ino, ok := d.entries[name]
+	e, ok := d.names.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotExist, name)
 	}
+	ino := e.ino
 	child, isDir := fs.dirs[ino]
 	if !isDir {
 		return fmt.Errorf("%w: %q", ErrNotDir, name)
 	}
-	if len(child.entries) != 0 {
+	if child.names.len() != 0 {
 		return fmt.Errorf("%w: %q", ErrNotEmpty, name)
 	}
 	fs.stats.Unlinks++
@@ -270,7 +273,7 @@ func (fs *FS) Readdir(parent inode.Ino) ([]string, error) {
 	} else {
 		fs.normalReaddirCharge(d)
 	}
-	return append([]string(nil), d.order...), nil
+	return d.names.names(), nil
 }
 
 // ReaddirPlus is the aggregated readdir+stat (readdirplus): it returns the
@@ -300,11 +303,12 @@ func (fs *FS) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newN
 	if err != nil {
 		return 0, err
 	}
-	ino, ok := src.entries[name]
+	e, ok := src.names.byName[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotExist, name)
 	}
-	if _, ok := dst.entries[newName]; ok {
+	ino := e.ino
+	if _, ok := dst.names.byName[newName]; ok {
 		return 0, fmt.Errorf("%w: %q", ErrExist, newName)
 	}
 	fs.stats.Renames++
@@ -314,7 +318,7 @@ func (fs *FS) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newN
 	} else {
 		fs.chargeNormalLookup(src, name)
 		fs.clearDirent(src, name)
-		if _, err = fs.appendDirent(dst, newName, ino); err == nil {
+		if err = fs.appendDirent(dst, newName, ino); err == nil {
 			if err = fs.touchDirRecord(src); err == nil {
 				err = fs.touchDirRecord(dst)
 			}
@@ -436,5 +440,5 @@ func (fs *FS) Entries(parent inode.Ino) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(d.entries), nil
+	return d.names.len(), nil
 }

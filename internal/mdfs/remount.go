@@ -74,14 +74,15 @@ func (fs *FS) loadDir(rec *inode.Inode, ino inode.Ino, recBlk int64, recOff int)
 	d := &dir{
 		ino:      ino,
 		dirID:    rec.DirID,
-		entries:  make(map[string]inode.Ino),
-		entryLoc: make(map[string]int),
 		recBlock: recBlk,
 		recOff:   recOff,
 	}
 	runs := extentsToRuns(fs.readMapping(rec))
+	// The record's Size says how many names to expect; believe it only as
+	// far as the mapped blocks could hold them.
 	if fs.cfg.Layout == LayoutEmbedded {
 		d.content = runs
+		d.names = newNameIndex(int(min(rec.Size, int64(d.capSlots(fs.geo.InodesPerBlock)))))
 		d.extentUnits = int64(rec.Aux)
 		if g := fs.geo.groupOf(recBlk); g >= 0 {
 			d.group = g
@@ -94,9 +95,10 @@ func (fs *FS) loadDir(rec *inode.Inode, ino inode.Ino, recBlk int64, recOff int)
 	} else {
 		for _, r := range runs {
 			for b := r.Start; b < r.End(); b++ {
-				d.direntBlocks = append(d.direntBlocks, b)
+				d.addDirentBlock(b)
 			}
 		}
+		d.names = newNameIndex(int(min(rec.Size/direntSize, int64(len(d.direntBlocks)*fs.direntsPerBlock()))))
 		if int64(ino) < fs.geo.Groups*fs.geo.InodesPerGroup {
 			d.group = int64(ino) / fs.geo.InodesPerGroup
 			fs.markSlotUsed(int64(ino))
@@ -131,8 +133,7 @@ func (fs *FS) loadEmbeddedEntries(d *dir) error {
 					continue
 				}
 				maxUsed = int64(cur)
-				d.entries[rec.Name] = rec.Ino
-				d.order = append(d.order, rec.Name)
+				d.names.add(rec.Name, rec.Ino, 0)
 				d.files++
 				if rec.IsDir() {
 					blk := r.Start + int64(bi)
@@ -172,9 +173,8 @@ func (fs *FS) loadNormalEntries(d *dir) error {
 			}
 			nameLen := int(ent[8])
 			name := string(ent[9 : 9+nameLen])
-			d.entries[name] = ino
-			d.entryLoc[name] = bi*per + i
-			d.order = append(d.order, name)
+			d.names.add(name, ino, bi*per+i)
+			d.slots.set(bi*per + i)
 			fs.markSlotUsed(int64(ino))
 			recBlk, recOff := fs.geo.slotLocation(int64(ino))
 			rec, err := fs.readInodeAt(recBlk, recOff)

@@ -12,7 +12,6 @@
 package mdfs
 
 import (
-	"container/list"
 	"fmt"
 
 	"redbud/internal/crashsim"
@@ -39,6 +38,18 @@ type StoreStats struct {
 // disk model, mutations are journaled and written home at checkpoints.
 // Store is not safe for concurrent use; the owning FS serializes operations
 // the way a single MDS thread pool with a namespace lock would.
+//
+// Buffer ownership: the store owns every block buffer. A buffer in txn
+// belongs to the open transaction and is mutated in place by Write and
+// WriteAt — one copy of a block per transaction, however many sub-block
+// updates it takes. Commit hands the buffer to the journal and to dirty,
+// and from then on nobody writes to it again: dirty and home buffers (and
+// the shared zero block) are immutable, which is what lets the journal,
+// the overlays and every reader share them without copying. Slices
+// returned by Read, ReadRange and StoreView.Read alias these buffers and
+// are read-only; one that aliases a transaction buffer also sees the
+// transaction's later writes, so callers decode what they read before
+// they write the same block.
 type Store struct {
 	d         *disk.Disk
 	sched     *iosched.Elevator
@@ -47,11 +58,11 @@ type Store struct {
 	home  map[int64][]byte
 	dirty map[int64][]byte
 	txn   map[int64][]byte
-	order []int64 // txn insertion order
+	order []int64          // txn insertion order
+	recs  []journal.Record // Commit's scratch; the journal does not keep it
+	zero  []byte           // what a never-written block reads as
 
-	cache    map[int64]*list.Element
-	lru      *list.List
-	cacheCap int
+	cache blockLRU
 
 	jnl   *journal.Journal
 	stats StoreStats
@@ -75,9 +86,8 @@ func NewStore(d *disk.Disk, journalStart, journalBlocks int64, cacheCap int, que
 		home:      make(map[int64][]byte),
 		dirty:     make(map[int64][]byte),
 		txn:       make(map[int64][]byte),
-		cache:     make(map[int64]*list.Element),
-		lru:       list.New(),
-		cacheCap:  cacheCap,
+		zero:      make([]byte, d.Config().BlockSize),
+		cache:     newBlockLRU(cacheCap),
 	}
 	s.jnl = journal.New(d, journalStart, journalBlocks, s.applyCheckpoint)
 	return s
@@ -109,54 +119,45 @@ func (s *Store) DirtyBlocks() int { return len(s.dirty) }
 func (s *Store) BlockSize() int { return s.blockSize }
 
 // content returns the current bytes of a block: transaction overlay first,
-// then the committed overlay, then home. The result aliases internal state;
-// callers treat it as read-only and copy before mutating.
+// then the committed overlay, then home, then the shared zero block for a
+// block never written anywhere. The result aliases internal state and is
+// read-only.
 func (s *Store) content(blk int64) []byte {
 	if b, ok := s.txn[blk]; ok {
 		return b
 	}
+	b, _ := s.committed(blk)
+	return b
+}
+
+// committed returns a block's bytes as of the last commit, and whether it
+// has been written at all.
+func (s *Store) committed(blk int64) ([]byte, bool) {
 	if b, ok := s.dirty[blk]; ok {
-		return b
+		return b, true
 	}
 	if b, ok := s.home[blk]; ok {
-		return b
+		return b, true
 	}
-	return make([]byte, s.blockSize)
+	return s.zero, false
 }
 
-// touch marks a block cache-resident, evicting the coldest block if the
-// cache is full.
-func (s *Store) touch(blk int64) {
-	if e, ok := s.cache[blk]; ok {
-		s.lru.MoveToFront(e)
+// charge accounts one logical block read: a cache hit, or a disk read that
+// makes the block resident.
+func (s *Store) charge(blk int64) {
+	s.stats.Reads++
+	if s.cache.touch(blk) {
+		s.stats.CacheHits++
 		return
 	}
-	s.cache[blk] = s.lru.PushFront(blk)
-	for s.lru.Len() > s.cacheCap {
-		old := s.lru.Back()
-		s.lru.Remove(old)
-		delete(s.cache, old.Value.(int64))
-	}
-}
-
-// cached reports whether the block is memory-resident.
-func (s *Store) cached(blk int64) bool {
-	_, ok := s.cache[blk]
-	return ok
+	s.d.Access(blk, 1, false)
+	s.stats.DiskReads++
 }
 
 // Read returns the content of one block, charging a disk read on a cache
 // miss.
 func (s *Store) Read(blk int64) []byte {
-	s.stats.Reads++
-	if s.cached(blk) {
-		s.stats.CacheHits++
-		s.touch(blk)
-		return s.content(blk)
-	}
-	s.d.Access(blk, 1, false)
-	s.stats.DiskReads++
-	s.touch(blk)
+	s.charge(blk)
 	return s.content(blk)
 }
 
@@ -177,13 +178,12 @@ func (s *Store) ReadRange(blk, count int64) [][]byte {
 	}
 	for b := blk; b < blk+count; b++ {
 		s.stats.Reads++
-		if s.cached(b) {
+		if s.cache.touch(b) {
 			s.stats.CacheHits++
 			flush(b)
 		} else if runStart < 0 {
 			runStart = b
 		}
-		s.touch(b)
 		out = append(out, s.content(b))
 	}
 	flush(blk + count)
@@ -196,14 +196,13 @@ func (s *Store) Write(blk int64, data []byte) {
 	if len(data) != s.blockSize {
 		panic(fmt.Sprintf("mdfs: write of %d bytes to block %d, want %d", len(data), blk, s.blockSize))
 	}
-	if _, ok := s.txn[blk]; !ok {
-		s.order = append(s.order, blk)
+	if buf, ok := s.txn[blk]; ok {
+		copy(buf, data)
+	} else {
+		s.join(blk, data)
 	}
-	buf := make([]byte, s.blockSize)
-	copy(buf, data)
-	s.txn[blk] = buf
 	s.stats.TxnWrites++
-	s.touch(blk)
+	s.cache.touch(blk)
 }
 
 // WriteAt updates a byte range within one block, reading the current
@@ -215,17 +214,30 @@ func (s *Store) WriteAt(blk int64, off int, data []byte) {
 	if off < 0 || off+len(data) > s.blockSize {
 		panic(fmt.Sprintf("mdfs: WriteAt [%d,+%d) outside block", off, len(data)))
 	}
-	var cur []byte
-	if s.known(blk) {
-		cur = s.Read(blk)
+	buf, ok := s.txn[blk]
+	if ok {
+		s.charge(blk)
 	} else {
-		cur = s.content(blk)
-		s.touch(blk)
+		cur, known := s.committed(blk)
+		if known {
+			s.charge(blk)
+		} else {
+			s.cache.touch(blk)
+		}
+		buf = s.join(blk, cur)
 	}
-	buf := make([]byte, s.blockSize)
-	copy(buf, cur)
 	copy(buf[off:], data)
-	s.Write(blk, buf)
+	s.stats.TxnWrites++
+}
+
+// join adds blk to the open transaction with a buffer of its own holding a
+// copy of content — the one block copy the transaction pays for blk.
+func (s *Store) join(blk int64, content []byte) []byte {
+	// append, unlike make, does not zero what it is about to overwrite.
+	buf := append([]byte(nil), content...)
+	s.txn[blk] = buf
+	s.order = append(s.order, blk)
+	return buf
 }
 
 // Forget discards a freed block's contents everywhere but the running
@@ -237,43 +249,29 @@ func (s *Store) Forget(blk int64) {
 	delete(s.home, blk)
 	delete(s.dirty, blk)
 	delete(s.txn, blk) // a pending write to a freed block is void too
-	if e, ok := s.cache[blk]; ok {
-		s.lru.Remove(e)
-		delete(s.cache, blk)
-	}
+	s.cache.remove(blk)
 	s.jnl.Revoke(blk)
 }
 
-// known reports whether the block holds data anywhere (transaction,
-// committed overlay, or home).
-func (s *Store) known(blk int64) bool {
-	if _, ok := s.txn[blk]; ok {
-		return true
-	}
-	if _, ok := s.dirty[blk]; ok {
-		return true
-	}
-	_, ok := s.home[blk]
-	return ok
-}
-
 // Commit journals the current transaction. The home blocks are written
-// later, at checkpoint time.
+// later, at checkpoint time. The transaction's buffers pass to the journal
+// and the committed overlay, and are immutable from here on.
 func (s *Store) Commit() error {
 	if len(s.order) == 0 {
 		return nil
 	}
-	records := make([]journal.Record, 0, len(s.order))
+	records := s.recs[:0]
 	for _, blk := range s.order {
-		data, ok := s.txn[blk]
-		if !ok {
-			continue // written then freed within this transaction
+		// Blocks written then freed within this transaction carry no
+		// data; a nil overlay entry would shadow home and corrupt saved
+		// images.
+		if data, ok := s.txn[blk]; ok {
+			records = append(records, journal.Record{Block: blk, Data: data})
 		}
-		records = append(records, journal.Record{Block: blk, Data: data})
 	}
+	s.recs = records
 	if len(records) == 0 {
-		s.txn = make(map[int64][]byte)
-		s.order = nil
+		s.endTxn()
 		return nil
 	}
 	// Crash point: the transaction is assembled in memory and nothing has
@@ -285,23 +283,21 @@ func (s *Store) Commit() error {
 	if _, err := s.jnl.Commit(records); err != nil {
 		return err
 	}
-	for _, blk := range s.order {
-		// Skip blocks written then freed within this transaction: they
-		// carry no data, and a nil overlay entry would shadow home and
-		// corrupt saved images.
-		if data, ok := s.txn[blk]; ok {
-			s.dirty[blk] = data
-		}
+	for _, r := range records {
+		s.dirty[r.Block] = r.Data
 	}
-	s.txn = make(map[int64][]byte)
-	s.order = nil
+	s.endTxn()
 	return nil
 }
 
 // Abort discards the current transaction.
-func (s *Store) Abort() {
-	s.txn = make(map[int64][]byte)
-	s.order = nil
+func (s *Store) Abort() { s.endTxn() }
+
+// endTxn empties the transaction overlay, keeping its storage for the next
+// transaction.
+func (s *Store) endTxn() {
+	clear(s.txn)
+	s.order = s.order[:0]
 }
 
 // Checkpoint forces the journaled updates to their home locations.
@@ -348,49 +344,32 @@ func (s *Store) applyCheckpoint(records []journal.Record) sim.Ns {
 // scan stage is the intended consumer, which per pFSCK runs on wall-clock
 // host parallelism rather than the simulated device.
 type StoreView struct {
-	s    *Store
-	zero []byte
+	s *Store
 }
 
 // View returns a read-only view of the store's current contents.
 func (s *Store) View() *StoreView {
-	return &StoreView{s: s, zero: make([]byte, s.blockSize)}
+	return &StoreView{s: s}
 }
 
 // Read returns the block's current bytes. The result aliases store state
 // (or a shared zero block for never-written blocks); callers must treat
 // it as read-only.
-func (v *StoreView) Read(blk int64) []byte {
-	if b, ok := v.s.txn[blk]; ok {
-		return b
-	}
-	if b, ok := v.s.dirty[blk]; ok {
-		return b
-	}
-	if b, ok := v.s.home[blk]; ok {
-		return b
-	}
-	return v.zero
-}
+func (v *StoreView) Read(blk int64) []byte { return v.s.content(blk) }
 
 // DropCaches empties the block cache without touching any state — the
 // between-phases cache flush of a benchmark harness (echo 3 >
 // /proc/sys/vm/drop_caches).
-func (s *Store) DropCaches() {
-	s.cache = make(map[int64]*list.Element)
-	s.lru = list.New()
-}
+func (s *Store) DropCaches() { s.cache.reset() }
 
 // Crash simulates a power failure: the page cache and the uncommitted
 // transaction vanish; home and the journal survive. Recover replays the
 // journal into the committed overlay, which is how the next mount would see
 // the file system.
 func (s *Store) Crash() {
-	s.txn = make(map[int64][]byte)
-	s.order = nil
+	s.endTxn()
 	s.dirty = make(map[int64][]byte)
-	s.cache = make(map[int64]*list.Element)
-	s.lru = list.New()
+	s.cache.reset()
 }
 
 // Recover replays committed journal records after a Crash.

@@ -147,3 +147,115 @@ func TestStoreForgetVoidsContent(t *testing.T) {
 		t.Fatal("forgotten block resurrected by replay")
 	}
 }
+
+// The tests below pin the buffer-ownership rule: transaction buffers belong
+// to the store and are mutated in place; once committed a buffer is shared
+// with the journal and the overlays and never written again.
+
+func TestStoreTxnCoalescesSubBlockWrites(t *testing.T) {
+	s := newStore(t, 8)
+	s.WriteAt(8000, 0, []byte{1, 2})
+	s.WriteAt(8000, 100, []byte{3, 4})
+	before := s.Journal().Stats().Records
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Journal().Stats().Records - before; got != 1 {
+		t.Fatalf("two WriteAts to one block journaled %d records, want 1", got)
+	}
+	recs := s.Journal().Replay()
+	if len(recs) != 1 || recs[0].Block != 8000 {
+		t.Fatalf("Replay = %v", recs)
+	}
+	if d := recs[0].Data; d[0] != 1 || d[1] != 2 || d[100] != 3 || d[101] != 4 {
+		t.Fatal("the journal record does not carry both updates")
+	}
+}
+
+func TestStoreCommittedBuffersImmutable(t *testing.T) {
+	s := newStore(t, 8)
+	const blk = 8100
+	s.Write(blk, blockOf(s, 1))
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// The block now lives in the committed overlay and the journal.
+	viaRead, viaView := s.Read(blk), s.View().Read(blk)
+	s.WriteAt(blk, 0, []byte{9})
+	s.Write(blk, blockOf(s, 7))
+	if viaRead[0] != 1 || viaView[0] != 1 {
+		t.Fatal("a later transaction wrote into a committed buffer")
+	}
+	if recs := s.Journal().Replay(); recs[0].Data[0] != 1 {
+		t.Fatal("a later transaction wrote into a journal record")
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s.Checkpoint()
+	// And now in home.
+	viaRead, viaView = s.Read(blk), s.View().Read(blk)
+	if viaRead[0] != 7 {
+		t.Fatalf("home content = %d, want 7", viaRead[0])
+	}
+	s.WriteAt(blk, 0, []byte{5})
+	if viaRead[0] != 7 || viaView[0] != 7 {
+		t.Fatal("a later transaction wrote into a home buffer")
+	}
+	// A never-written block reads as the shared zero block; writing the
+	// block must not disturb it either.
+	zero := s.Read(8101)
+	s.WriteAt(8101, 3, []byte{1})
+	if zero[3] != 0 || s.Read(8102)[3] != 0 {
+		t.Fatal("a write reached the shared zero block")
+	}
+}
+
+func TestStoreAbortRestoresContent(t *testing.T) {
+	s := newStore(t, 8)
+	s.Write(8200, blockOf(s, 4))
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s.WriteAt(8200, 0, []byte{8, 8})
+	s.WriteAt(8201, 0, []byte{8})
+	s.Abort()
+	if got := s.Read(8200); got[0] != 4 || got[1] != 4 {
+		t.Fatal("Abort did not restore the committed content")
+	}
+	if got := s.Read(8201); got[0] != 0 {
+		t.Fatal("Abort left a block that was only ever written in the aborted transaction")
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Journal().PendingRecords() != 1 {
+		t.Fatalf("aborted writes reached the journal: %d pending records, want 1", s.Journal().PendingRecords())
+	}
+}
+
+func TestStoreWriteThenForgetLeavesNoOverlay(t *testing.T) {
+	s := newStore(t, 8)
+	s.WriteAt(8300, 0, []byte{1})
+	s.Write(8301, blockOf(s, 2))
+	s.Forget(8300)
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.dirty[8300]; ok {
+		t.Fatal("a block written then freed within the transaction left an overlay entry")
+	}
+	if s.DirtyBlocks() != 1 {
+		t.Fatalf("DirtyBlocks = %d, want 1", s.DirtyBlocks())
+	}
+	// Freed and rewritten within one transaction: the second write stands.
+	s.Write(8302, blockOf(s, 3))
+	s.Forget(8302)
+	s.WriteAt(8302, 0, []byte{6})
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Read(8302); got[0] != 6 || got[1] != 0 {
+		t.Fatalf("rewritten block = [%d %d ...], want [6 0 ...]", got[0], got[1])
+	}
+}
