@@ -41,9 +41,8 @@ benchtest:
 # crash-consistent metadata image saved after a defrag-style rewrite
 # (exit 2: journal replay repaired it), an offline check of an image
 # populated through a client-cached mount (the flush barriers wrote all
-# of its metadata; exit 0: clean), an fsck determinism pair on a
-# defrag-aged image (serial vs -fsck-workers 8 reports cmp'd
-# byte-identical), a small crash-point sweep run twice to
+# of its metadata; exit 0: clean), an offline check of a defrag-aged
+# image (exit 0: clean), a small crash-point sweep run twice to
 # guard report determinism, a trace replay under injected message loss
 # proving every op completes through the rpc retry path, and the failover
 # benchmark (an OST blackholed mid-write under 3-way replication: zero
@@ -64,9 +63,7 @@ smoke:
 	"$$dir/miffsck" gen -cache -dirs 2 -files 48 "$$dir/cfs.img" && \
 	"$$dir/miffsck" check "$$dir/cfs.img" && \
 	"$$dir/miffsck" gen -defrag "$$dir/aged.img" && \
-	"$$dir/miffsck" check -fsck-workers 1 "$$dir/aged.img" > "$$dir/fsck1.txt" && \
-	"$$dir/miffsck" check -fsck-workers 8 "$$dir/aged.img" > "$$dir/fsck8.txt" && \
-	cmp "$$dir/fsck1.txt" "$$dir/fsck8.txt" && \
+	"$$dir/miffsck" check "$$dir/aged.img" && \
 	"$$dir/miffsck" sweep -points journal.append.commit,mdfs.checkpoint.home,ost.flush.media,ost.migrate.free,repair.copy.media,cache.sync.flush > "$$dir/sw1.txt" && \
 	"$$dir/miffsck" sweep -points journal.append.commit,mdfs.checkpoint.home,ost.flush.media,ost.migrate.free,repair.copy.media,cache.sync.flush > "$$dir/sw2.txt" && \
 	cmp "$$dir/sw1.txt" "$$dir/sw2.txt" && \
@@ -77,13 +74,12 @@ smoke:
 
 # racesmoke reruns the determinism-sensitive smoke legs on race-built
 # binaries with GORACE=halt_on_error=1: the telemetry-identity pair (two
-# identical runs must produce byte-identical snapshots while the parallel
-# clock domains are active), the full crash-point sweep (every registered
-# point crashed, recovered — journal replay, remount, scrub, repair drain
-# — and verified, with the recovery path under the race detector), the
-# parallel fsck walker on a defrag-aged image (8 scan goroutines under
-# the race detector), and a critical-path walk over a span log. A data
-# race aborts the run instead of scrolling past.
+# identical runs must produce byte-identical snapshots), the full
+# crash-point sweep (every registered point crashed, recovered — journal
+# replay, remount, scrub, repair drain — and verified, with the recovery
+# path under the race detector), the fsck walker on a defrag-aged image,
+# and a critical-path walk over a span log. A data race aborts the run
+# instead of scrolling past.
 racesmoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -race -o "$$dir" ./cmd/mifbench ./cmd/miftrace ./cmd/miffsck && \
@@ -92,7 +88,7 @@ racesmoke:
 	cmp "$$dir/t1.json" "$$dir/t2.json" && \
 	GORACE=halt_on_error=1 "$$dir/miffsck" sweep > /dev/null && \
 	GORACE=halt_on_error=1 "$$dir/miffsck" gen -defrag "$$dir/aged.img" > /dev/null && \
-	GORACE=halt_on_error=1 "$$dir/miffsck" check -fsck-workers 8 "$$dir/aged.img" > /dev/null && \
+	GORACE=halt_on_error=1 "$$dir/miffsck" check "$$dir/aged.img" > /dev/null && \
 	GORACE=halt_on_error=1 "$$dir/mifbench" -scale 0.25 -spans "$$dir/s.json" fig6a > /dev/null && \
 	GORACE=halt_on_error=1 "$$dir/miftrace" critpath "$$dir/s.json" > /dev/null && \
 	echo "racesmoke: ok"

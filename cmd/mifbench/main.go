@@ -65,10 +65,6 @@ var (
 	benchTracer    *telemetry.Tracer
 	phaseSnaps     []phaseSnapshot
 	wantPhaseSnaps bool
-	// fsckWorkers is the -fsck-workers flag: the scan-stage pool width for
-	// every recovery metadata fsck (reports are byte-identical at any
-	// width, so this never changes experiment results).
-	fsckWorkers int
 )
 
 // phaseSnapshot is the per-experiment telemetry record written by
@@ -101,7 +97,6 @@ func main() {
 	traceOut := flag.String("trace", "", "record request spans and write Chrome trace_event JSON to this file")
 	spansOut := flag.String("spans", "", "record request spans and write the raw span log (for miftrace critpath) to this file")
 	benchJSON := flag.String("bench-json", "", "write a benchsnap performance snapshot (BENCH_*.json) to this file")
-	flag.IntVar(&fsckWorkers, "fsck-workers", 1, "scan-stage worker-pool width for recovery metadata fscks (crashsweep)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()

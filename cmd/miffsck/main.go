@@ -4,9 +4,8 @@
 // Usage:
 //
 //	miffsck gen [-layout embedded|normal] [-dirs N] [-files N] [-defrag] [-cache] [-journal-only] [-corrupt kind] <out.img>
-//	miffsck check [-fsck-workers N] <image.img>
-//	miffsck sweep [-seed N] [-points a,b,...] [-fsck-workers N]
-//	miffsck bench [-workers 1,2,4,8] [-runs N] [-json out.json] <image.img>
+//	miffsck check <image.img>
+//	miffsck sweep [-seed N] [-points a,b,...]
 //
 // gen formats a file system, populates it (creates, layouts, deletions,
 // renames), and saves the durable state; with -defrag every surviving
@@ -22,13 +21,8 @@
 // system is damaged on disk (mdfs.InjectCorruption — cycle, dup-claim,
 // size-over, table-orphan, ...) so the image exercises a specific fsck
 // finding class. check loads an image, replays its journal overlay,
-// walks the namespace from the superblock (a pool of -fsck-workers scan
-// goroutines; the report is byte-identical at any width), and reports
-// every structural inconsistency.
-//
-// bench times the scan/resolve fsck pipeline on a loaded image across a
-// list of worker counts, verifies every width reproduces the serial
-// report, and optionally writes the wall-clock curve as JSON.
+// walks the namespace from the superblock, and reports every structural
+// inconsistency.
 //
 // sweep runs the systematic crash-point sweep (internal/crashsim driven
 // by the internal/workload crashsweep scenario): one power-fail run per
@@ -72,15 +66,13 @@ func main() {
 		os.Exit(check(os.Args[2:]))
 	case "sweep":
 		os.Exit(sweep(os.Args[2:]))
-	case "bench":
-		os.Exit(bench(os.Args[2:]))
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: miffsck {gen|check|sweep|bench} [flags] [image]")
+	fmt.Fprintln(os.Stderr, "usage: miffsck {gen|check|sweep} [flags] [image]")
 	os.Exit(2)
 }
 
@@ -280,7 +272,6 @@ func genCached(layout mdfs.Layout, dirs, files int, journalOnly bool, out string
 // 2 repaired (journal replay re-applied committed records, then clean).
 func check(args []string) int {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	workers := fs.Int("fsck-workers", 1, "scan-stage worker-pool width (report is byte-identical at any width)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
@@ -297,7 +288,7 @@ func check(args []string) int {
 		return 1
 	}
 	repaired := m.Store().DirtyBlocks()
-	report := m.FsckWith(mdfs.FsckOptions{Workers: *workers})
+	report := m.Fsck()
 	fmt.Printf("%s: %d directories, %d files, %d reachable metadata blocks\n",
 		fs.Arg(0), report.Dirs, report.Files, report.ReachableBlocks)
 	for _, a := range report.Advisories {

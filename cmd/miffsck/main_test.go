@@ -73,33 +73,21 @@ func TestSweepExitCode(t *testing.T) {
 }
 
 // TestCheckCorruptImageFindings covers the new finding classes end to
-// end through the CLI: gen -corrupt plants the damage, check must exit 1
-// under both serial and parallel walkers.
+// end through the CLI: gen -corrupt plants the damage, check must exit 1.
 func TestCheckCorruptImageFindings(t *testing.T) {
 	dir := t.TempDir()
 	for _, kind := range []string{"cycle", "dup-claim", "size-over", "table-orphan"} {
 		img := filepath.Join(dir, kind+".img")
 		genImage(t, img, "-corrupt", kind)
 		if got := check([]string{img}); got != 1 {
-			t.Fatalf("%s image: serial check exit %d, want 1", kind, got)
-		}
-		if got := check([]string{"-fsck-workers", "8", img}); got != 1 {
-			t.Fatalf("%s image: parallel check exit %d, want 1", kind, got)
+			t.Fatalf("%s image: check exit %d, want 1", kind, got)
 		}
 	}
 	// The normal layout expresses the cycle differently (a planted
 	// dirent); cover it too.
 	img := filepath.Join(dir, "cycle-normal.img")
 	genImage(t, img, "-layout", "normal", "-corrupt", "cycle")
-	if got := check([]string{"-fsck-workers", "4", img}); got != 1 {
+	if got := check([]string{img}); got != 1 {
 		t.Fatalf("normal-layout cycle image: exit %d, want 1", got)
-	}
-}
-
-// TestSweepFsckWorkersFlag runs a small sweep with the parallel checker
-// threaded through recovery: the result contract must be unchanged.
-func TestSweepFsckWorkersFlag(t *testing.T) {
-	if got := sweep([]string{"-points", "cache.sync.flush", "-fsck-workers", "8"}); got != 0 {
-		t.Fatalf("parallel-fsck sweep: exit %d, want 0", got)
 	}
 }

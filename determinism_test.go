@@ -1,19 +1,15 @@
 package redbud_test
 
-// Determinism guards for the parallel clock domains. The simulator fans
-// data-path RPCs out to one goroutine per OST (see internal/sim.Domain and
-// DESIGN.md §13), so these tests pin the property the design promises:
-// the simulated results — every telemetry metric, byte for byte — are
-// identical whether the Go scheduler runs the domains on one core or many,
-// and fault-injected runs (which fall back to the serial path to keep
-// their shared RNG draw order) replay exactly under both settings.
+// Determinism guards. A mount is single-threaded, so the same seed giving
+// the same bytes is a property of the code (TestInternalIsSingleThreaded
+// keeps it one); these tests pin its visible half — every telemetry metric
+// of a repeated run, byte for byte, with and without the seeded RPC fault
+// injector.
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
-	"redbud/internal/core"
 	"redbud/internal/pfs"
 	"redbud/internal/rpc"
 	"redbud/internal/telemetry"
@@ -41,114 +37,34 @@ func microSnapshot(t *testing.T, mutate func(*pfs.Config)) []byte {
 	return buf.Bytes()
 }
 
-// withGOMAXPROCS runs fn under the given scheduler width.
-func withGOMAXPROCS(n int, fn func() []byte) []byte {
-	prev := runtime.GOMAXPROCS(n)
-	defer runtime.GOMAXPROCS(prev)
-	return fn()
-}
-
-// forceParallel and forceSerial pin the mount's fan-out path regardless of
-// how many cores the host schedules on.
-func forceParallel(cfg *pfs.Config) { on := true; cfg.ParallelDomains = &on }
-func forceSerial(cfg *pfs.Config)   { off := false; cfg.ParallelDomains = &off }
-
-// TestTelemetryIdenticalSerialVsParallel is the heart of the clock-domain
-// determinism argument: the registry document of a run whose data-path
-// RPCs fan out across the per-OST domain goroutines must be byte-identical
-// to the same run executed on the serial index-order loop.
-func TestTelemetryIdenticalSerialVsParallel(t *testing.T) {
-	serial := microSnapshot(t, forceSerial)
-	parallel := microSnapshot(t, forceParallel)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("telemetry diverges between serial and parallel paths: %d bytes vs %d bytes",
-			len(serial), len(parallel))
+// TestTelemetryIdenticalRepeated runs the workload twice: the registry
+// documents must be byte-identical.
+func TestTelemetryIdenticalRepeated(t *testing.T) {
+	a := microSnapshot(t, nil)
+	b := microSnapshot(t, nil)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("telemetry diverges between identical runs: %d bytes vs %d bytes", len(a), len(b))
 	}
-	if len(serial) == 0 {
+	if len(a) == 0 {
 		t.Fatal("empty telemetry snapshot: the workload did not instrument")
 	}
 }
 
-// TestTelemetryIdenticalAcrossGOMAXPROCS is the in-process version of the
-// smoke telemetry-identity guard: the parallel-path document must be
-// byte-identical between GOMAXPROCS=1 (domains interleave on one core)
-// and GOMAXPROCS=NumCPU (domains genuinely overlap). Run under -race in
-// `make ci`, this also proves the domain rendezvous publishes every
-// per-OST result safely.
-func TestTelemetryIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	one := withGOMAXPROCS(1, func() []byte { return microSnapshot(t, forceParallel) })
-	all := withGOMAXPROCS(runtime.NumCPU(), func() []byte { return microSnapshot(t, forceParallel) })
-	if !bytes.Equal(one, all) {
-		t.Fatalf("telemetry diverges across GOMAXPROCS: %d bytes vs %d bytes",
-			len(one), len(all))
-	}
-}
-
-// TestTelemetryIdenticalRepeatedParallel re-runs the forced-parallel
-// workload twice: the domains' execution order differs run to run, the
-// simulated results must not.
-func TestTelemetryIdenticalRepeatedParallel(t *testing.T) {
-	a := microSnapshot(t, forceParallel)
-	b := microSnapshot(t, forceParallel)
-	if !bytes.Equal(a, b) {
-		t.Fatal("telemetry diverges between identical parallel runs")
-	}
-}
-
-// TestFaultInjectionDeterministicAcrossGOMAXPROCS seeds the RPC fault
-// injector — whose presence must force the serial data path even when the
-// config asks for parallel domains, because every fault decision is one
-// draw from a shared sequential RNG — and checks the full registry
-// document (fault events, retry counters, replay hits included) replays
-// byte-identically under both scheduler widths.
-func TestFaultInjectionDeterministicAcrossGOMAXPROCS(t *testing.T) {
+// TestFaultInjectionDeterministic seeds the RPC fault injector — every
+// fault decision is one draw from a shared sequential RNG — and checks the
+// full registry document (fault events, retry counters, replay hits
+// included) replays byte-identically.
+func TestFaultInjectionDeterministic(t *testing.T) {
 	faulty := func(cfg *pfs.Config) {
-		forceParallel(cfg) // must lose to the fault injector's serial requirement
 		cfg.RPC.Fault = &rpc.FaultConfig{
 			Seed: 42,
 			Data: rpc.FaultRates{Drop: 0.02, RespDrop: 0.02, Error: 0.01},
 			Meta: rpc.FaultRates{Drop: 0.01},
 		}
 	}
-	serial := withGOMAXPROCS(1, func() []byte { return microSnapshot(t, faulty) })
-	parallel := withGOMAXPROCS(runtime.NumCPU(), func() []byte { return microSnapshot(t, faulty) })
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("fault-injected telemetry diverges across GOMAXPROCS")
-	}
-}
-
-// TestDomainFoldMatchesDataBusyMax pins the clock-domain semantics: after
-// a parallel-eligible workload, the coordinator domain clock — the folded
-// maximum of the per-OST timelines at the last rendezvous — equals the
-// mount-level elapsed-time figure DataBusyMax computes from the same
-// device counters.
-func TestDomainFoldMatchesDataBusyMax(t *testing.T) {
-	cfg := fig6FS(pfs.PolicyOnDemand)
-	forceParallel(&cfg)
-	fs, err := pfs.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	root := fs.Root()
-	h, err := fs.Create(root, "fold.dat", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := core.StreamID{Client: 1, PID: 1}
-	for i := int64(0); i < 64; i++ {
-		if err := h.Write(stream, i*64, 64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fs.Flush()
-	if got, want := fs.DomainTime(), fs.DataBusyMax(); got != want {
-		t.Fatalf("domain fold = %d ns, DataBusyMax = %d ns", got, want)
-	}
-	if fs.DomainTime() == 0 {
-		t.Fatal("domain clock never advanced: parallel fan-out did not run")
+	a := microSnapshot(t, faulty)
+	b := microSnapshot(t, faulty)
+	if !bytes.Equal(a, b) {
+		t.Fatal("fault-injected telemetry diverges between identical runs")
 	}
 }

@@ -150,6 +150,11 @@ func (p *Static) fallocateLocked(goal int64) error {
 	}
 	out, err := allocRun(p.src, 0, 0, p.sizeBlocks, goal, nil)
 	if err != nil {
+		// All or nothing: the runs taken before the source ran dry were never
+		// handed to the caller, so nobody else can free them.
+		for _, pl := range out {
+			_ = p.src.Free(alloc.Range{Start: pl.Physical, Count: pl.Count})
+		}
 		return err
 	}
 	for i := range out {

@@ -12,13 +12,14 @@ import (
 
 // Fsck is organized as a pFSCK-style two-stage pipeline:
 //
-//   - a scan stage — a goroutine pool walking the namespace from the root
-//     record plus one task per block group (allocator occupancy, inode
-//     bitmaps) and one for the global directory table — emits typed claims
-//     (block ownership, inode references, parent→child directory edges,
-//     degree sums) through a read-only store view; the scan runs on
-//     wall-clock host parallelism and never touches the simulated disk;
-//   - a serial resolution stage merges the claim sets and derives every
+//   - a scan stage — one loop over a work list of directories, seeded with
+//     the root record and grown as subdirectories are discovered, then one
+//     task per block group (allocator occupancy, inode bitmaps) and one
+//     for the global directory table — emits typed claims (block
+//     ownership, inode references, parent→child directory edges, degree
+//     sums) through a read-only store view and never touches the
+//     simulated disk;
+//   - a resolution stage merges the claim sets and derives every
 //     cross-task finding: duplicate block ownership, reachable-but-
 //     unallocated blocks, allocated-but-unreachable blocks (leaks),
 //     orphaned inodes and directory-table entries, and directory
@@ -27,20 +28,18 @@ import (
 // Determinism: scan tasks record findings locally; the resolution stage
 // sorts results, claims, and edges by on-disk location before deriving
 // findings, and the final problem and advisory lists are sorted before
-// the report is returned — so the report is byte-identical for any worker
-// count and any goroutine interleaving. Fsck must only be called between
-// operations (the store quiescent), the same contract Remount has.
+// the report is returned — so the report does not depend on the order the
+// scan visited anything in. Fsck must only be called between operations
+// (the store quiescent), the same contract Remount has.
 
-// FsckOptions tunes a check. The zero value is a serial, untelemetered
-// scan — exactly what Fsck() runs.
+// FsckOptions tunes a check. The zero value is an untelemetered scan —
+// exactly what Fsck() runs.
 type FsckOptions struct {
-	// Workers is the scan-stage goroutine-pool size; values below 2 run
-	// the pipeline serially (one task at a time, same code path, same
-	// report).
+	// Workers is ignored: the scan is one loop. The field stays only until
+	// bench/, which sets it, can be edited.
 	Workers int
-	// Metrics, when set, receives layer=fsck counters (scan tasks, blocks
-	// scanned, claims, findings) and gauges (configured workers, peak
-	// pool occupancy). All except the occupancy peak are deterministic.
+	// Metrics, when set, receives the layer=fsck counters (scan tasks,
+	// blocks scanned, claims, findings), all deterministic.
 	Metrics *telemetry.Registry
 	// Trace, when set, records per-stage fsck spans (scan, resolve).
 	Trace *telemetry.Tracer
@@ -92,56 +91,23 @@ func (r *FsckReport) problemf(format string, args ...interface{}) {
 //     and every set bit is referenced by some dirent (else orphaned).
 func (fs *FS) Fsck() *FsckReport { return fs.FsckWith(FsckOptions{}) }
 
-// FsckWith runs the check with explicit worker-pool and telemetry
-// options. The report is byte-identical for every worker count.
+// FsckWith runs the check with explicit telemetry options.
 func (fs *FS) FsckWith(opt FsckOptions) *FsckReport {
 	r := &FsckReport{}
-	view := fs.store.View()
-	sb := view.Read(0)
-	le := binary.LittleEndian
-	if le.Uint32(sb[offSMagic:]) != superMagic {
-		r.problemf("superblock: bad magic %#x", le.Uint32(sb[offSMagic:]))
-		return r
-	}
-	if Layout(le.Uint32(sb[offSLayout:])) != fs.cfg.Layout {
-		r.problemf("superblock: layout mismatch")
-		return r
-	}
-	rootBlk := int64(le.Uint64(sb[offSRootBlk:]))
-	rootOff := int(le.Uint64(sb[offSRootOff:]))
-	rootIno := inode.Ino(le.Uint64(sb[offSRootIno:]))
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	w := newFsckWalker(fs, view, workers, recKey{rootBlk, rootOff})
-	rec, err := w.inodeAt(rootBlk, rootOff)
-	if err != nil {
-		r.problemf("root record: %v", err)
-		return r
-	}
-	if !rec.IsDir() {
-		r.problemf("root record is not a directory (mode %d)", rec.Mode)
+	w, rec := fs.fsckRoot(r)
+	if w == nil {
 		return r
 	}
 
 	span := opt.Trace.Start("fsck", "fsck", 0)
 	scan := opt.Trace.Start("fsck", "scan", span.ID())
-	w.visit(w.rootKey, rec, rootIno)
-	for g := int64(0); g < fs.geo.Groups; g++ {
-		g := g
-		w.spawn(func() { w.scanGroup(g) })
-	}
-	if fs.cfg.Layout == LayoutEmbedded {
-		w.spawn(func() { w.scanTable() })
-	}
-	w.wg.Wait()
-	scan.AnnotateInt("tasks", w.tasks.Load())
-	scan.AnnotateInt("blocks", w.blocks.Load())
+	w.scan(rec)
+	scan.AnnotateInt("tasks", w.tasks)
+	scan.AnnotateInt("blocks", w.blocks)
 	scan.End()
 
 	resolve := opt.Trace.Start("fsck", "resolve", span.ID())
-	fs.fsckResolve(r, w, rootIno)
+	fs.fsckResolve(r, w)
 	resolve.End()
 	span.AnnotateInt("dirs", int64(r.Dirs))
 	span.AnnotateInt("problems", int64(len(r.Problems)))
@@ -150,15 +116,11 @@ func (fs *FS) FsckWith(opt FsckOptions) *FsckReport {
 	if m := opt.Metrics; m != nil {
 		labels := telemetry.Labels{"layer": "fsck"}
 		m.Counter("fsck_runs", labels).Inc()
-		m.Counter("fsck_scan_tasks", labels).Add(w.tasks.Load())
-		m.Counter("fsck_blocks_scanned", labels).Add(w.blocks.Load())
+		m.Counter("fsck_scan_tasks", labels).Add(w.tasks)
+		m.Counter("fsck_blocks_scanned", labels).Add(w.blocks)
 		m.Counter("fsck_claims", labels).Add(w.claimed)
 		m.Counter("fsck_problems", labels).Add(int64(len(r.Problems)))
 		m.Counter("fsck_advisories", labels).Add(int64(len(r.Advisories)))
-		m.Gauge("fsck_workers", labels).Set(int64(workers))
-		// Scheduling-dependent (like wall_ns): deterministic only for a
-		// serial scan. Kept out of every determinism-guarded comparison.
-		m.Gauge("fsck_occupancy_peak", labels).Set(w.peak.Load())
 		h := m.Histogram("fsck_task_blocks", labels)
 		for _, d := range w.dirs { // sorted by fsckResolve: deterministic
 			h.Observe(d.blocks)
@@ -167,10 +129,46 @@ func (fs *FS) FsckWith(opt FsckOptions) *FsckReport {
 	return r
 }
 
-// fsckResolve is the serial cross-task resolution stage: it merges the
-// scan results deterministically and derives every finding that needs
+// fsckRoot validates the superblock and the root record and returns the
+// walker to scan from them, or nil — the finding is in r — when there is
+// no root to walk from.
+func (fs *FS) fsckRoot(r *FsckReport) (*fsckWalker, *inode.Inode) {
+	view := fs.store.View()
+	sb := view.Read(0)
+	le := binary.LittleEndian
+	if le.Uint32(sb[offSMagic:]) != superMagic {
+		r.problemf("superblock: bad magic %#x", le.Uint32(sb[offSMagic:]))
+		return nil, nil
+	}
+	if Layout(le.Uint32(sb[offSLayout:])) != fs.cfg.Layout {
+		r.problemf("superblock: layout mismatch")
+		return nil, nil
+	}
+	rootBlk := int64(le.Uint64(sb[offSRootBlk:]))
+	rootOff := int(le.Uint64(sb[offSRootOff:]))
+	w := &fsckWalker{
+		fs:      fs,
+		view:    view,
+		rootKey: recKey{rootBlk, rootOff},
+		rootIno: inode.Ino(le.Uint64(sb[offSRootIno:])),
+		visited: make(map[recKey]bool),
+	}
+	rec, err := w.inodeAt(rootBlk, rootOff)
+	if err != nil {
+		r.problemf("root record: %v", err)
+		return nil, nil
+	}
+	if !rec.IsDir() {
+		r.problemf("root record is not a directory (mode %d)", rec.Mode)
+		return nil, nil
+	}
+	return w, rec
+}
+
+// fsckResolve is the cross-task resolution stage: it merges the scan
+// results in an order of its own and derives every finding that needs
 // more than one task's view.
-func (fs *FS) fsckResolve(r *FsckReport, w *fsckWalker, rootIno inode.Ino) {
+func (fs *FS) fsckResolve(r *FsckReport, w *fsckWalker) {
 	sort.Slice(w.dirs, func(i, j int) bool { return w.dirs[i].key.less(w.dirs[j].key) })
 	sort.Slice(w.groups, func(i, j int) bool { return w.groups[i].group < w.groups[j].group })
 
@@ -179,7 +177,7 @@ func (fs *FS) fsckResolve(r *FsckReport, w *fsckWalker, rootIno inode.Ino) {
 	var edges []fsckEdge
 	refs := map[int64]bool{0: true} // reserved slot, never a dirent target
 	if fs.cfg.Layout == LayoutNormal {
-		refs[int64(rootIno)] = true
+		refs[int64(w.rootIno)] = true
 	}
 	dirIDs := map[uint32][]string{}
 	r.Dirs = len(w.dirs)

@@ -9,6 +9,7 @@ import (
 
 	"redbud/internal/extent"
 	"redbud/internal/inode"
+	"redbud/internal/sim"
 )
 
 // populate builds a small namespace with files, mappings, deletions, and a
@@ -249,23 +250,25 @@ func TestFsckCycleSurvivesImageRoundTrip(t *testing.T) {
 	})
 }
 
+// fsckCorruptionCases lists every InjectCorruption kind with the layouts
+// that can express it and the finding class fsck must report for it.
+var fsckCorruptionCases = []struct {
+	kind    string
+	layouts []Layout
+	want    string
+}{
+	{"cycle", []Layout{LayoutNormal, LayoutEmbedded}, "cycle"},
+	{"leak", []Layout{LayoutNormal, LayoutEmbedded}, "leaked"},
+	{"dup-claim", []Layout{LayoutNormal, LayoutEmbedded}, "claimed by both"},
+	{"bitmap-orphan", []Layout{LayoutNormal}, "orphan"},
+	{"table-orphan", []Layout{LayoutEmbedded}, "orphan"},
+	{"size-over", []Layout{LayoutEmbedded}, "stale over-count"},
+}
+
 // TestFsckCorruptionSuite is the table-driven corrupted-image suite: each
-// corruption kind must yield its specific finding class, under both the
-// serial and the parallel walker, with byte-identical reports.
+// corruption kind must yield its specific finding class.
 func TestFsckCorruptionSuite(t *testing.T) {
-	cases := []struct {
-		kind    string
-		layouts []Layout
-		want    string
-	}{
-		{"cycle", []Layout{LayoutNormal, LayoutEmbedded}, "cycle"},
-		{"leak", []Layout{LayoutNormal, LayoutEmbedded}, "leaked"},
-		{"dup-claim", []Layout{LayoutNormal, LayoutEmbedded}, "claimed by both"},
-		{"bitmap-orphan", []Layout{LayoutNormal}, "orphan"},
-		{"table-orphan", []Layout{LayoutEmbedded}, "orphan"},
-		{"size-over", []Layout{LayoutEmbedded}, "stale over-count"},
-	}
-	for _, tc := range cases {
+	for _, tc := range fsckCorruptionCases {
 		for _, layout := range tc.layouts {
 			t.Run(tc.kind+"/"+layout.String(), func(t *testing.T) {
 				fs := newFS(t, layout)
@@ -273,29 +276,37 @@ func TestFsckCorruptionSuite(t *testing.T) {
 				if err := fs.InjectCorruption(tc.kind); err != nil {
 					t.Fatal(err)
 				}
-				serial := fs.FsckWith(FsckOptions{Workers: 1})
-				if !hasFinding(serial.Problems, tc.want) {
-					t.Fatalf("serial fsck: no %q finding in:\n%v", tc.want, serial.Problems)
-				}
-				parallel := fs.FsckWith(FsckOptions{Workers: 8})
-				if !reflect.DeepEqual(serial.Problems, parallel.Problems) {
-					t.Fatalf("parallel report diverges from serial:\nserial:   %v\nparallel: %v",
-						serial.Problems, parallel.Problems)
-				}
-				if !reflect.DeepEqual(serial.Advisories, parallel.Advisories) {
-					t.Fatalf("parallel advisories diverge from serial:\nserial:   %v\nparallel: %v",
-						serial.Advisories, parallel.Advisories)
+				if report := fs.Fsck(); !hasFinding(report.Problems, tc.want) {
+					t.Fatalf("no %q finding in:\n%v", tc.want, report.Problems)
 				}
 			})
 		}
 	}
 }
 
-// TestFsckParallelMatchesSerial checks full-report parity on a healthy
-// aged namespace at several worker widths. Under `go test -race` this is
-// also the data-race check on the parallel walker.
-func TestFsckParallelMatchesSerial(t *testing.T) {
-	bothLayouts(t, func(t *testing.T, fs *FS) {
+// TestFsckResolveOrderIndependent pins the property the report's
+// determinism rests on: the resolution stage derives the same report from
+// the scan's results whatever order they arrive in. The scan runs once;
+// its directory, group and table results are then resolved again under
+// several seeded shuffles — on a clean aged namespace and on every
+// corruption kind the layout can express.
+func TestFsckResolveOrderIndependent(t *testing.T) {
+	for _, layout := range []Layout{LayoutNormal, LayoutEmbedded} {
+		t.Run(layout.String(), func(t *testing.T) { resolveOrderIndependent(t, layout) })
+	}
+}
+
+func resolveOrderIndependent(t *testing.T, layout Layout) {
+	kinds := []string{""} // the clean namespace
+	for _, tc := range fsckCorruptionCases {
+		for _, l := range tc.layouts {
+			if l == layout {
+				kinds = append(kinds, tc.kind)
+			}
+		}
+	}
+	for _, kind := range kinds {
+		fs := newFS(t, layout)
 		populate(t, fs)
 		// Age the namespace further: more directories across groups.
 		for i := 0; i < 8; i++ {
@@ -312,17 +323,37 @@ func TestFsckParallelMatchesSerial(t *testing.T) {
 		if err := fs.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		serial := fs.FsckWith(FsckOptions{Workers: 1})
-		if !serial.Clean() {
-			t.Fatalf("serial fsck not clean:\n%v", serial.Problems)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			par := fs.FsckWith(FsckOptions{Workers: workers})
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("workers=%d report diverges:\nserial:   %+v\nparallel: %+v", workers, serial, par)
+		if kind != "" {
+			if err := fs.InjectCorruption(kind); err != nil {
+				t.Fatal(err)
 			}
 		}
-	})
+		want := fs.Fsck()
+		if kind == "" && !want.Clean() {
+			t.Fatalf("aged namespace not clean:\n%v", want.Problems)
+		}
+		w, rec := fs.fsckRoot(&FsckReport{})
+		if w == nil {
+			t.Fatalf("%q: no root to scan from", kind)
+		}
+		w.scan(rec)
+		for seed := uint64(1); seed <= 5; seed++ {
+			rng := sim.NewRand(seed)
+			shuffled := *w
+			shuffled.dirs = append([]*fsckDirResult(nil), w.dirs...)
+			shuffled.groups = append([]*fsckGroupResult(nil), w.groups...)
+			shuffled.table = append([]fsckTableEntry(nil), w.table...)
+			rng.Shuffle(len(shuffled.dirs), reflect.Swapper(shuffled.dirs))
+			rng.Shuffle(len(shuffled.groups), reflect.Swapper(shuffled.groups))
+			rng.Shuffle(len(shuffled.table), reflect.Swapper(shuffled.table))
+			got := &FsckReport{}
+			fs.fsckResolve(got, &shuffled)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%q, shuffle seed %d: report depends on scan order:\nwant: %+v\ngot:  %+v",
+					kind, seed, want, got)
+			}
+		}
+	}
 }
 
 // TestFsckLeakReclaimedByRebuild proves the recovery contract: the leak
@@ -347,21 +378,4 @@ func TestFsckLeakReclaimedByRebuild(t *testing.T) {
 			t.Fatalf("fsck still dirty after allocator rebuild:\n%v", report.Problems)
 		}
 	})
-}
-
-// TestFsckReportDeterministic runs the parallel checker repeatedly and
-// demands identical reports — the worker-interleaving guarantee.
-func TestFsckReportDeterministic(t *testing.T) {
-	fs := newFS(t, LayoutEmbedded)
-	populate(t, fs)
-	if err := fs.InjectCorruption("dup-claim"); err != nil {
-		t.Fatal(err)
-	}
-	first := fs.FsckWith(FsckOptions{Workers: 8})
-	for i := 0; i < 10; i++ {
-		again := fs.FsckWith(FsckOptions{Workers: 8})
-		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("run %d diverged:\nfirst: %+v\nagain: %+v", i, first, again)
-		}
-	}
 }

@@ -3,8 +3,6 @@ package mdfs
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"redbud/internal/alloc"
 	"redbud/internal/extent"
@@ -13,8 +11,8 @@ import (
 
 // The fsck scan stage. Every task reads through the charge-free StoreView
 // (plus the read-only in-memory allocator and inode bitmaps), records its
-// findings locally, and appends its result under one mutex; nothing here
-// orders anything — determinism is entirely the resolution stage's job.
+// findings locally, and appends its result; the resolution stage relies on
+// nothing about the order they arrive in.
 
 // recKey addresses an inode record by its physical location. It is the
 // identity the walker deduplicates directories on: two dirents reaching
@@ -83,80 +81,65 @@ type fsckTableEntry struct {
 	self   inode.Ino
 }
 
-// fsckWalker coordinates the scan stage: a bounded goroutine pool over
-// dynamically discovered tasks, with a first-wins visited set keyed by
-// record location so a cyclic or cross-linked dirent graph schedules
-// every directory exactly once and always terminates.
+// fsckDirTask is one directory waiting on the work list.
+type fsckDirTask struct {
+	key recKey
+	rec *inode.Inode
+	ino inode.Ino
+}
+
+// fsckWalker is the scan stage: a work list of dynamically discovered
+// directories, with a first-wins visited set keyed by record location so a
+// cyclic or cross-linked dirent graph lists every directory exactly once
+// and always terminates.
 type fsckWalker struct {
 	fs      *FS
 	view    *StoreView
 	rootKey recKey
+	rootIno inode.Ino
 
-	sem chan struct{}
-	wg  sync.WaitGroup
-
-	tasks   atomic.Int64
-	blocks  atomic.Int64
-	running atomic.Int64
-	peak    atomic.Int64
+	tasks   int64
+	blocks  int64
 	claimed int64 // set by the resolution stage
 
-	mu      sync.Mutex
 	visited map[recKey]bool
+	pending []fsckDirTask
 	dirs    []*fsckDirResult
 	groups  []*fsckGroupResult
 	table   []fsckTableEntry
 }
 
-func newFsckWalker(fs *FS, view *StoreView, workers int, root recKey) *fsckWalker {
-	return &fsckWalker{
-		fs:      fs,
-		view:    view,
-		rootKey: root,
-		sem:     make(chan struct{}, workers),
-		visited: make(map[recKey]bool),
+// scan walks the namespace from the root record, then snapshots every
+// block group and, in the embedded layout, the global directory table.
+func (w *fsckWalker) scan(root *inode.Inode) {
+	w.visit(w.rootKey, root, w.rootIno)
+	for i := 0; i < len(w.pending); i++ { // scanDir appends what it discovers
+		t := w.pending[i]
+		w.scanDir(t.key, t.rec, t.ino)
+	}
+	for g := int64(0); g < w.fs.geo.Groups; g++ {
+		w.scanGroup(g)
+	}
+	if w.fs.cfg.Layout == LayoutEmbedded {
+		w.scanTable()
 	}
 }
 
-// spawn schedules one scan task on the pool.
-func (w *fsckWalker) spawn(fn func()) {
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		w.sem <- struct{}{}
-		cur := w.running.Add(1)
-		for {
-			p := w.peak.Load()
-			if cur <= p || w.peak.CompareAndSwap(p, cur) {
-				break
-			}
-		}
-		fn()
-		w.running.Add(-1)
-		<-w.sem
-	}()
-}
-
-// visit schedules a directory scan unless its record was already claimed
-// by another path — the re-entry case the resolution stage reports from
-// the edge multiset instead of recursing into.
+// visit lists a directory for scanning unless its record was already
+// claimed by another path — the re-entry case the resolution stage reports
+// from the edge multiset instead of recursing into.
 func (w *fsckWalker) visit(key recKey, rec *inode.Inode, ino inode.Ino) {
-	w.mu.Lock()
-	seen := w.visited[key]
-	if !seen {
-		w.visited[key] = true
-	}
-	w.mu.Unlock()
-	if seen {
+	if w.visited[key] {
 		return
 	}
-	w.spawn(func() { w.scanDir(key, rec, ino) })
+	w.visited[key] = true
+	w.pending = append(w.pending, fsckDirTask{key, rec, ino})
 }
 
 // scanDir checks one directory: its own mapping and spill chain, then the
 // layout-specific content walk.
 func (w *fsckWalker) scanDir(key recKey, rec *inode.Inode, ino inode.Ino) {
-	w.tasks.Add(1)
+	w.tasks++
 	fs := w.fs
 	res := &fsckDirResult{key: key, dirID: rec.DirID}
 	name := rec.Name
@@ -188,10 +171,8 @@ func (w *fsckWalker) scanDir(key recKey, rec *inode.Inode, ino inode.Ino) {
 	} else {
 		w.scanNormal(res, rec, ino, runs)
 	}
-	w.blocks.Add(res.blocks)
-	w.mu.Lock()
+	w.blocks += res.blocks
 	w.dirs = append(w.dirs, res)
-	w.mu.Unlock()
 }
 
 // scanEmbedded walks an embedded directory's content records.
@@ -333,7 +314,7 @@ func (w *fsckWalker) scanNormal(res *fsckDirResult, dirRec *inode.Inode, dirIno 
 // only — the fixed metadata regions are format-time reservations) and,
 // in the normal layout, its inode-bitmap bits.
 func (w *fsckWalker) scanGroup(g int64) {
-	w.tasks.Add(1)
+	w.tasks++
 	fs := w.fs
 	res := &fsckGroupResult{group: g}
 	res.allocated = fs.alloc.AllocatedRunsIn(fs.geo.dataStart(g), fs.geo.groupEnd(g))
@@ -354,22 +335,18 @@ func (w *fsckWalker) scanGroup(g int64) {
 			}
 		}
 	}
-	w.mu.Lock()
 	w.groups = append(w.groups, res)
-	w.mu.Unlock()
 }
 
 // scanTable enumerates the live entries of the global directory table
 // (embedded layout) for the resolution stage's orphan check.
 func (w *fsckWalker) scanTable() {
-	w.tasks.Add(1)
+	w.tasks++
 	fs := w.fs
 	per := int(fs.cfg.BlockSize) / tableEntrySize
-	var entries []fsckTableEntry
-	var blocks int64
 	for blk := fs.geo.TableStart; blk < fs.geo.TableStart+fs.geo.TableBlocks; blk++ {
 		buf := w.view.Read(blk)
-		blocks++
+		w.blocks++
 		for i := 0; i < per; i++ {
 			off := i * tableEntrySize
 			parent := inode.Ino(binary.LittleEndian.Uint64(buf[off:]))
@@ -377,17 +354,13 @@ func (w *fsckWalker) scanTable() {
 			if self == 0 {
 				continue
 			}
-			entries = append(entries, fsckTableEntry{
+			w.table = append(w.table, fsckTableEntry{
 				dirID:  uint32(int(blk-fs.geo.TableStart)*per + i),
 				parent: parent,
 				self:   self,
 			})
 		}
 	}
-	w.blocks.Add(blocks)
-	w.mu.Lock()
-	w.table = entries
-	w.mu.Unlock()
 }
 
 // inodeAt reads and decodes a record through the view.

@@ -83,7 +83,6 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 	}
 	rep.MdsReclaimed = reclaimed
 	rep.Mdfs = fs.mds.FS().FsckWith(mdfs.FsckOptions{
-		Workers: fs.cfg.FsckWorkers,
 		Metrics: fs.cfg.Metrics,
 		Trace:   fs.tracer,
 	})

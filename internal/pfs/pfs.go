@@ -11,7 +11,6 @@ package pfs
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"redbud/internal/cache"
@@ -113,13 +112,6 @@ type Config struct {
 	// internal/crashsim). Nil — the default — leaves every hot path on its
 	// nil-receiver fast path.
 	Crash *crashsim.Injector
-	// ParallelDomains overrides the clock-domain fan-out decision. Nil
-	// (auto) runs data-path RPCs on per-OST domain goroutines when the
-	// process has more than one scheduler core and falls back to the serial
-	// loop on a single core, where rendezvous costs outweigh any overlap.
-	// The simulated results are byte-identical either way — the override
-	// exists so tests can pin one path regardless of host width.
-	ParallelDomains *bool
 	// Metrics, when set, instruments the mount into the registry at New
 	// time (labeled with the configuration Name). Multiple mounts may share
 	// one registry; their counters sum.
@@ -127,10 +119,6 @@ type Config struct {
 	// Trace, when set, records per-layer request spans on the tracer's
 	// simulated timeline for every operation on the mount.
 	Trace *telemetry.Tracer
-	// FsckWorkers sets the scan-stage worker-pool width for the parallel
-	// metadata fsck that CrashRecover runs after journal replay. Zero or
-	// one means serial; the report is byte-identical at any width.
-	FsckWorkers int
 }
 
 // MiF returns the full MiF system: on-demand preallocation and embedded
@@ -208,29 +196,8 @@ type FS struct {
 	files   map[inode.Ino]*file
 	nextObj uint64
 
-	// domains are the per-OST clock domains: one worker goroutine per IO
-	// server, each owning that server's disk and fabric link and advancing a
-	// local sim.Clock, rendezvousing into domClk at RPC fan-out boundaries.
-	// They are spun up lazily by the first eligible fan-out (mounts that
-	// trace, replicate, or fault-inject never start them) and torn down by
-	// Close or, as a backstop, the garbage collector.
-	domains *sim.Group
-	domClk  *sim.Clock
-	// Prebuilt domain task bodies, allocated once with the domains so hot
-	// fan-outs submit value tasks without closure allocations. fanFn is the
-	// current window's forEachOSTLocked callback, published to the workers
-	// by the task-channel send and cleared after the rendezvous.
-	taskFan      func(*sim.Clock, sim.Task) error
-	taskWrite    func(*sim.Clock, sim.Task) error
-	taskRead     func(*sim.Clock, sim.Task) error
-	taskExtCount func(*sim.Clock, sim.Task) error
-	fanFn        func(i int) error
-
-	// Reusable fan-out scratch. All three are only touched under fs.mu by
-	// the coordinator; per-OST slots of extScratch/closeScratch are written
-	// by domain tasks (one slot per domain, ordered by the rendezvous).
+	// Reusable fan-out scratch, only touched under fs.mu.
 	stripeScratch []stripePiece
-	extScratch    []int
 	closeScratch  [][]extent.Extent
 
 	// tracer records per-operation spans; writeHist/readHist observe each
@@ -548,102 +515,6 @@ func (fs *FS) policyFactory() ost.PolicyFactory {
 	}
 }
 
-// parallelLocked reports whether data-path fan-out may run on the clock
-// domains. Parallel execution must be unobservable in every simulated
-// metric, so it is disabled whenever shared cross-OST state would make
-// ordering visible: a tracer (one shared timeline and span sequence), a
-// replica manager (shared placement and repair state), a fault injector
-// (one shared RNG whose draw order is the fault schedule), or a crash
-// injector (one shared hit counter whose order IS the crash point). A
-// single-OST
-// stripe has nothing to overlap. Past those hard requirements the decision
-// is a performance heuristic — overlap only helps with real cores under
-// the scheduler — which Config.ParallelDomains can pin for tests. Callers
-// hold fs.mu.
-func (fs *FS) parallelLocked() bool {
-	if fs.tracer != nil || fs.rep != nil || fs.cfg.RPC.Fault != nil || fs.cfg.Crash != nil || len(fs.osts) < 2 {
-		return false
-	}
-	if fs.cfg.ParallelDomains != nil {
-		return *fs.cfg.ParallelDomains
-	}
-	return runtime.GOMAXPROCS(0) > 1
-}
-
-// domainsLocked lazily starts the per-OST clock domains. Callers hold fs.mu.
-func (fs *FS) domainsLocked() *sim.Group {
-	if fs.domains == nil {
-		// The coordinator clock lives outside FS so the domain workers keep
-		// only it and the group reachable — letting the collector finalize an
-		// abandoned mount and reap the workers.
-		fs.domClk = new(sim.Clock)
-		fs.domains = sim.NewGroup(fs.domClk, len(fs.osts))
-		fs.taskFan = func(clk *sim.Clock, t sim.Task) error {
-			if err := fs.fanFn(t.Index); err != nil {
-				return err
-			}
-			clk.AdvanceTo(fs.ostBusy(t.Index))
-			return nil
-		}
-		fs.taskWrite = func(clk *sim.Clock, t sim.Task) error {
-			f := t.Ptr.(*file)
-			stream := core.StreamID{Client: uint32(t.Aux >> 32), PID: uint32(t.Aux)}
-			if err := fs.ostc[t.Index].Write(f.objects[t.Index], stream, t.A, t.B); err != nil {
-				return err
-			}
-			clk.AdvanceTo(fs.ostBusy(t.Index))
-			return nil
-		}
-		fs.taskRead = func(clk *sim.Clock, t sim.Task) error {
-			f := t.Ptr.(*file)
-			if err := fs.ostc[t.Index].Read(f.objects[t.Index], t.A, t.B); err != nil {
-				return err
-			}
-			clk.AdvanceTo(fs.ostBusy(t.Index))
-			return nil
-		}
-		fs.taskExtCount = func(clk *sim.Clock, t sim.Task) error {
-			f := t.Ptr.(*file)
-			n, err := fs.ostc[t.Index].ExtentCount(f.objects[t.Index])
-			if err != nil {
-				return err
-			}
-			fs.extScratch[t.Index] = n
-			clk.AdvanceTo(fs.ostBusy(t.Index))
-			return nil
-		}
-		runtime.SetFinalizer(fs, (*FS).Close)
-	}
-	return fs.domains
-}
-
-// Close releases the mount's background resources — the clock-domain
-// workers, if any fan-out started them. The mount must be idle. Close is
-// idempotent, and a closed mount remains usable (a later fan-out simply
-// restarts the domains).
-func (fs *FS) Close() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.domains != nil {
-		fs.domains.Close()
-		fs.domains = nil
-		fs.domClk = nil
-		runtime.SetFinalizer(fs, nil)
-	}
-}
-
-// DomainTime returns the coordinator clock-domain time: the folded maximum
-// of the per-OST timelines as of the last rendezvous, or zero when no
-// parallel fan-out has run.
-func (fs *FS) DomainTime() sim.Ns {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.domClk == nil {
-		return 0
-	}
-	return fs.domClk.Now()
-}
-
 // ostBusy returns OST i's device timeline: the longer of its disk and its
 // FibreChannel link busy time (they pipeline).
 func (fs *FS) ostBusy(i int) sim.Ns {
@@ -654,32 +525,15 @@ func (fs *FS) ostBusy(i int) sim.Ns {
 	return b
 }
 
-// forEachOSTLocked runs fn(i) once per IO server: concurrently on the
-// clock domains when the mount is eligible, in index order otherwise. Each
-// parallel task advances its domain clock to its OST's device timeline
-// before the rendezvous folds them into the coordinator clock. Error
-// semantics differ by design: the serial path stops at the first failing
-// OST, the parallel path runs every OST and reports the lowest-indexed
-// failure — on the fault-free mounts eligible for parallelism, data-path
-// RPCs only fail on usage errors, where the distinction is immaterial.
-// Callers hold fs.mu.
+// forEachOSTLocked runs fn(i) once per IO server in index order, stopping
+// at the first failing OST. Callers hold fs.mu.
 func (fs *FS) forEachOSTLocked(fn func(i int) error) error {
-	if !fs.parallelLocked() {
-		for i := range fs.osts {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	g := fs.domainsLocked()
-	fs.fanFn = fn
 	for i := range fs.osts {
-		g.Submit(i, sim.Task{Fn: fs.taskFan})
+		if err := fn(i); err != nil {
+			return err
+		}
 	}
-	err := g.Rendezvous()
-	fs.fanFn = nil
-	return err
+	return nil
 }
 
 // Mkdir creates a directory.
@@ -712,27 +566,34 @@ func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File
 		return &File{fs: fs, f: f, parent: parent, name: name}, nil
 	}
 	perOST := fs.componentSizeHint(sizeHintBlocks)
-	// Object IDs are assigned serially by the coordinator (the MDS-side
-	// counter), then the object creations fan out.
+	// Object IDs come from the MDS-side counter, one per OST in index order.
 	for range fs.ostc {
 		fs.nextObj++
 		f.objects = append(f.objects, ost.ObjectID(fs.nextObj))
 	}
-	if err := fs.forEachOSTLocked(func(i int) error {
+	err = fs.forEachOSTLocked(func(i int) error {
 		return fs.ostc[i].CreateObject(f.objects[i], perOST)
-	}); err != nil {
-		return nil, err
-	}
-	if fs.cfg.Policy == PolicyStatic && sizeHintBlocks > 0 {
-		if err := fs.forEachOSTLocked(func(i int) error {
+	})
+	if err == nil && fs.cfg.Policy == PolicyStatic && sizeHintBlocks > 0 {
+		err = fs.forEachOSTLocked(func(i int) error {
 			n := fs.componentBlocks(sizeHintBlocks, i)
 			if n == 0 {
 				return nil
 			}
 			return fs.ostc[i].Fallocate(f.objects[i], core.StreamID{}, n)
-		}); err != nil {
-			return nil, err
+		})
+	}
+	if err != nil {
+		// A failed create undoes itself, best effort: without this the name
+		// stays linked to an inode the mount cannot open, re-create or
+		// delete, and the objects made before the failing OST keep their
+		// space for the life of the mount. OSTs past the failing one report
+		// an unknown object, which is the state wanted.
+		for i := range fs.ostc {
+			_ = fs.ostc[i].Delete(f.objects[i])
 		}
+		_ = fs.mdsc.Unlink(parent, name)
+		return nil, err
 	}
 	fs.files[ino] = f
 	return &File{fs: fs, f: f, parent: parent, name: name}, nil
@@ -958,29 +819,12 @@ func (fs *FS) totalExtentsLocked(f *file) (int, error) {
 	if fs.rep != nil {
 		return fs.repTotalExtentsLocked(f)
 	}
-	if fs.extScratch == nil {
-		fs.extScratch = make([]int, len(fs.ostc))
-	}
-	counts := fs.extScratch
-	if fs.parallelLocked() {
-		g := fs.domainsLocked()
-		for i := range fs.osts {
-			g.Submit(i, sim.Task{Fn: fs.taskExtCount, Ptr: f})
-		}
-		if err := g.Rendezvous(); err != nil {
+	total := 0
+	for i := range fs.ostc {
+		n, err := fs.ostc[i].ExtentCount(f.objects[i])
+		if err != nil {
 			return 0, err
 		}
-	} else {
-		for i := range fs.ostc {
-			n, err := fs.ostc[i].ExtentCount(f.objects[i])
-			if err != nil {
-				return 0, err
-			}
-			counts[i] = n
-		}
-	}
-	total := 0
-	for _, n := range counts {
 		total += n
 	}
 	return total, nil
@@ -1039,20 +883,9 @@ func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64
 	}
 	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
 	fs.stripeScratch = pieces
-	if fs.parallelLocked() {
-		g := fs.domainsLocked()
-		aux := uint64(stream.Client)<<32 | uint64(stream.PID)
-		for _, p := range pieces {
-			g.Submit(p.ostIdx, sim.Task{Fn: fs.taskWrite, A: p.logical, B: p.count, Aux: aux, Ptr: f})
-		}
-		if err := g.Rendezvous(); err != nil {
+	for _, p := range pieces {
+		if err := fs.ostc[p.ostIdx].Write(f.objects[p.ostIdx], stream, p.logical, p.count); err != nil {
 			return err
-		}
-	} else {
-		for _, p := range pieces {
-			if err := fs.ostc[p.ostIdx].Write(f.objects[p.ostIdx], stream, p.logical, p.count); err != nil {
-				return err
-			}
 		}
 	}
 	after, err := fs.totalExtentsLocked(f)
@@ -1109,13 +942,6 @@ func (fs *FS) readThroughLocked(f *file, blk, count int64) error {
 	}
 	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
 	fs.stripeScratch = pieces
-	if fs.parallelLocked() {
-		g := fs.domainsLocked()
-		for _, p := range pieces {
-			g.Submit(p.ostIdx, sim.Task{Fn: fs.taskRead, A: p.logical, B: p.count, Ptr: f})
-		}
-		return g.Rendezvous()
-	}
 	for _, p := range pieces {
 		if err := fs.ostc[p.ostIdx].Read(f.objects[p.ostIdx], p.logical, p.count); err != nil {
 			return err
@@ -1212,8 +1038,6 @@ func (h *File) Close() error {
 	}); err != nil {
 		return err
 	}
-	// The layout summary aggregates in stripe-index order after the
-	// rendezvous, so parallel closes record exactly what serial ones do.
 	var layout []extent.Extent
 	for i, exts := range perOST {
 		perOST[i] = nil

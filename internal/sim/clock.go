@@ -27,11 +27,6 @@ const (
 type Clock struct {
 	mu  sync.Mutex
 	now Ns
-	// domains counts the live clock domains folding into this clock (see
-	// NewGroup). While any are attached, Reset panics: rewinding the fold
-	// point of concurrently advancing timelines would silently corrupt
-	// rendezvous ordering.
-	domains int
 }
 
 // Now returns the current simulated time.
@@ -68,33 +63,11 @@ func (c *Clock) AdvanceTo(t Ns) Ns {
 }
 
 // Reset rewinds the clock to time zero. Only test and benchmark harnesses
-// should call Reset, between independent runs. Reset panics while clock
-// domains are attached (Close their Group first): a reset mid-parallel-run
-// would rewind the rendezvous fold point under live timelines.
+// should call Reset, between independent runs.
 func (c *Clock) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.domains > 0 {
-		panic(fmt.Sprintf("sim: Clock.Reset with %d live domains attached", c.domains))
-	}
 	c.now = 0
-}
-
-// attachDomains registers n live domains folding into this clock.
-func (c *Clock) attachDomains(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.domains += n
-}
-
-// detachDomains unregisters n domains.
-func (c *Clock) detachDomains(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.domains -= n
-	if c.domains < 0 {
-		panic("sim: detachDomains below zero")
-	}
 }
 
 // Seconds converts a simulated duration to floating-point seconds.

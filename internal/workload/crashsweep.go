@@ -6,7 +6,6 @@ import (
 	"redbud/internal/cache"
 	"redbud/internal/core"
 	"redbud/internal/crashsim"
-	"redbud/internal/mdfs"
 	"redbud/internal/pfs"
 	"redbud/internal/replica"
 	"redbud/internal/rpc"
@@ -28,10 +27,6 @@ type CrashSweepConfig struct {
 	Points []string
 	// Metrics, when set, receives layer=crash telemetry.
 	Metrics *telemetry.Registry
-	// FsckWorkers is the scan-stage worker-pool width for every metadata
-	// fsck the sweep runs (recovery and baseline verification). Zero or
-	// one means serial; reports are byte-identical at any width.
-	FsckWorkers int
 }
 
 // DefaultCrashSweepConfig returns the full-registry sweep shape.
@@ -79,7 +74,6 @@ func (t *crashTarget) crashSweepMount(in *crashsim.Injector) error {
 	fsCfg.RPC.Retry = &rpc.RetryPolicy{TimeoutNs: 2 * sim.Millisecond, MaxRetries: 2}
 	fsCfg.Crash = in
 	fsCfg.Metrics = t.reg
-	fsCfg.FsckWorkers = t.cfg.FsckWorkers
 	fs, err := pfs.New(fsCfg)
 	if err != nil {
 		return err
@@ -279,7 +273,7 @@ func (t *crashTarget) Verify() []string {
 			v = append(v, "repair drain did not restore full redundancy")
 		}
 	} else {
-		if rep := fs.MDS().FS().FsckWith(mdfs.FsckOptions{Workers: t.cfg.FsckWorkers}); !rep.Clean() {
+		if rep := fs.MDS().FS().Fsck(); !rep.Clean() {
 			for _, p := range rep.Problems {
 				v = append(v, "mdfs: "+p)
 			}

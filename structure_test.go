@@ -1,0 +1,83 @@
+package redbud_test
+
+// Structural guards: properties of the source tree that the other tests
+// assume and that `go build ./... && go test ./...` would otherwise not
+// notice breaking.
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestInternalIsSingleThreaded is what makes "same seed, same bytes on any
+// host" a property of the code: no package under internal/ starts a
+// goroutine or looks at the host's width, so nothing there can order work
+// differently on different machines. Mutexes are allowed — tests call one
+// mount from many goroutines. cmd/ is deliberately out of scope: an
+// experiment-level worker pool over independent mounts (ROADMAP item 1b)
+// would live there.
+func TestInternalIsSingleThreaded(t *testing.T) {
+	banned := map[string]bool{"GOMAXPROCS": true, "NumCPU": true, "SetFinalizer": true}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		runtimeName := ""
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "runtime" {
+				runtimeName = "runtime"
+				if imp.Name != nil {
+					runtimeName = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: go statement under internal/", fset.Position(n.Pos()))
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == runtimeName && banned[n.Sel.Name] {
+					t.Errorf("%s: runtime.%s under internal/", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBenchModuleVets builds bench/ — the benchmark BENCHMARK.json
+// declares, a module of its own that `./...` from the root does not reach
+// — so a signature change under internal/ that stops it compiling fails
+// tier-1 instead of waiting for `make benchtest`.
+func TestBenchModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go tool on another module")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goTool, "vet", ".")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in bench/: %v\n%s", err, out)
+	}
+}
