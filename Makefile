@@ -1,8 +1,8 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
 # build, the test suite under the race detector, the benchmark module's
-# own vet and tests, the end-to-end smoke run of the CLI tools, and a
-# benchmark-snapshot drift check against the committed baseline.
-# `make bench` regenerates the local snapshot at full scale.
+# own vet and tests, the end-to-end smoke run of the CLI tools, and the
+# exact comparison of every experiment's simulated metrics against the
+# committed BENCH.json. `make bench` rewrites that file.
 
 GO ?= go
 
@@ -93,25 +93,20 @@ racesmoke:
 	GORACE=halt_on_error=1 "$$dir/miftrace" critpath "$$dir/s.json" > /dev/null && \
 	echo "racesmoke: ok"
 
-# bench regenerates the full-scale performance snapshot as BENCH_pr8.json,
-# the committed record of the parallel-domains/zero-alloc work. Run it on a
-# quiet machine (simulated metrics are deterministic; only wall_ns varies
-# run to run).
+# bench rewrites BENCH.json, the committed full-scale snapshot of all
+# twelve experiments. Run it in the PR that moves a simulated quantity and
+# commit the result: the file's diff is the drift report. Simulated metrics
+# are deterministic; only wall_ns, created_wall and host vary run to run.
 bench:
-	$(GO) run ./cmd/mifbench -bench-json BENCH_pr8.json all
+	$(GO) run ./cmd/mifbench -bench-json BENCH.json all
 
-# benchcheck has two legs. Leg 1 replays the fig6a experiment and compares
-# per-metric drift against the committed seed snapshot's fig6a record (the
-# other experiments are reported as missing, which is informational). The
-# simulator is deterministic, so simulated metrics should show zero drift;
-# this leg is warn-only so a legitimate perf change can land together with
-# its baseline refresh without a chicken-and-egg failure. Leg 2 diffs the
-# two committed snapshots — BENCH_seed.json versus BENCH_pr8.json — as a
-# strict gate: the optimization PR must show zero simulated-metric drift,
-# and the wall-clock table reports the measured speedup per experiment.
+# benchcheck reruns every experiment and fails on any simulated metric
+# that differs from BENCH.json in either direction, or on an experiment
+# present on one side only; the wall-clock table it prints is a report,
+# not a gate. `go test ./cmd/mifbench` runs the same comparison over the
+# six cheap experiments.
 benchcheck:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir" ./cmd/mifbench && \
-	"$$dir/mifbench" -bench-json "$$dir/b.json" fig6a > /dev/null && \
-	"$$dir/mifbench" compare -warn-only BENCH_seed.json "$$dir/b.json" && \
-	"$$dir/mifbench" compare -wall BENCH_seed.json BENCH_pr8.json
+	"$$dir/mifbench" -bench-json "$$dir/b.json" all > /dev/null && \
+	"$$dir/mifbench" compare BENCH.json "$$dir/b.json"

@@ -19,55 +19,61 @@ var (
 )
 
 // runCompare implements the `mifbench compare <old> <new>` subcommand:
-// diff two BENCH_*.json snapshots against per-metric tolerances. Exits 1
-// when a regression exceeds tolerance (unless -warn-only), 2 on usage or
-// read errors.
-func runCompare(args []string) {
+// diff the simulated content of two BENCH.json snapshots exactly, then
+// report the wall clock beside the hosts it was measured on. Returns 1
+// when any simulated metric differs or an experiment is on one side only,
+// 2 on usage errors and on inputs that cannot be compared.
+func runCompare(args []string) int {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mifbench compare [-tolerance frac] [-warn-only] [-wall] [-v] <old.json> <new.json>\n")
+		fmt.Fprintf(os.Stderr, "usage: mifbench compare [-v] <old.json> <new.json>\n")
 		fs.PrintDefaults()
 	}
-	tol := fs.Float64("tolerance", benchsnap.DefaultTolerance,
-		"allowed relative drift before a metric regresses (cost metrics fail only upward)")
-	warn := fs.Bool("warn-only", false, "report regressions but always exit 0")
 	verbose := fs.Bool("v", false, "list every drifted metric, not just the largest")
-	wall := fs.Bool("wall", false, "append a per-experiment wall-clock delta table (informational)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
-	old := readSnapshot(fs.Arg(0))
-	cur := readSnapshot(fs.Arg(1))
-	res := benchsnap.Compare(old, cur, benchsnap.Options{Tolerance: *tol, WarnOnly: *warn})
-	if err := res.WriteText(os.Stdout, *verbose); err != nil {
+	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "mifbench compare: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
-	if *wall {
-		if err := benchsnap.WriteWallTable(os.Stdout, benchsnap.WallDeltas(old, cur)); err != nil {
-			fmt.Fprintf(os.Stderr, "mifbench compare: %v\n", err)
-			os.Exit(2)
-		}
+	old, err := readSnapshot(fs.Arg(0))
+	if err != nil {
+		return fail(err)
 	}
-	if res.Failed {
-		os.Exit(1)
+	cur, err := readSnapshot(fs.Arg(1))
+	if err != nil {
+		return fail(err)
 	}
+	res, err := benchsnap.Compare(old, cur)
+	if err != nil {
+		return fail(err)
+	}
+	if err := res.WriteText(os.Stdout, *verbose); err != nil {
+		return fail(err)
+	}
+	fmt.Printf("host old: %v\nhost new: %v\n", old.Host, cur.Host)
+	if err := benchsnap.WriteWallTable(os.Stdout, benchsnap.WallDeltas(old, cur)); err != nil {
+		return fail(err)
+	}
+	if res.Failed() {
+		return 1
+	}
+	return 0
 }
 
-// readSnapshot loads one snapshot file, exiting on failure.
-func readSnapshot(path string) *benchsnap.Snapshot {
+// readSnapshot loads one snapshot file.
+func readSnapshot(path string) (*benchsnap.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mifbench compare: %v\n", err)
-		os.Exit(2)
+		return nil, err
 	}
 	defer f.Close()
 	s, err := benchsnap.Read(f)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mifbench compare: %s: %v\n", path, err)
-		os.Exit(2)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return s
+	return s, nil
 }

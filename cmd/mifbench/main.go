@@ -31,18 +31,20 @@
 // the same spans are written in the raw redbud-spans/1 log format that
 // `miftrace critpath` and `miftrace spans` consume.
 //
-// With -bench-json <file>, the run emits a schema-versioned performance
-// snapshot (see internal/benchsnap): one record per experiment holding
+// With -bench-json <file>, the run emits a schema-versioned snapshot (see
+// internal/benchsnap): the host, and one record per experiment holding
 // wall-clock and simulated totals, every counter, per-layer latency
-// percentiles, time-series curves, and structured-event totals. The
-// registry feeding it is recreated at each phase boundary so records are
-// per-experiment (combining with -telemetry therefore turns its snapshots
-// into per-phase deltas too). Compare two snapshots with
+// percentiles, and structured-event totals. The registry feeding it is
+// recreated at each phase boundary so records are per-experiment
+// (combining with -telemetry therefore turns its snapshots into per-phase
+// deltas too). Compare two snapshots with
 //
-//	mifbench compare [-tolerance frac] [-warn-only] [-wall] [-v] <old> <new>
+//	mifbench compare [-v] <old> <new>
 //
-// which classifies each metric (volatile wall clock / cost / invariant),
-// reports drift, and exits non-zero on regressions beyond tolerance.
+// which exits 1 when any simulated metric differs in either direction or
+// an experiment is on one side only, and reports the wall clock without
+// judging it. The committed BENCH.json is the baseline: a change that
+// moves a simulated quantity refreshes it (`make bench`) in the same PR.
 package main
 
 import (
@@ -51,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"redbud/internal/benchsnap"
 	"redbud/internal/pfs"
@@ -83,24 +86,34 @@ func instrumented(cfg pfs.Config) pfs.Config {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		runCompare(os.Args[2:])
-		return
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is the whole command: it returns the exit status instead of
+// exiting so a test can drive it in-process, and starts from a clean
+// session so it can be called more than once.
+func run(args []string) int {
+	if len(args) > 0 && args[0] == "compare" {
+		return runCompare(args[1:])
 	}
-	flag.Usage = func() {
+	benchReg, benchTracer, phaseSnaps, wantPhaseSnaps = nil, nil, nil, false
+	benchSnap, benchResetSpans = nil, false
+
+	fs := flag.NewFlagSet("mifbench", flag.ExitOnError)
+	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: mifbench [flags] {fig6a|fig6b|fig7|table1|fig8|fig9|fig10|ablation|defrag|cache|failover|crashsweep|all}\n")
-		fmt.Fprintf(os.Stderr, "       mifbench compare [-tolerance frac] [-warn-only] [-wall] [-v] <old.json> <new.json>\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "       mifbench compare [-v] <old.json> <new.json>\n")
+		fs.PrintDefaults()
 	}
-	scale := flag.Float64("scale", 1.0, "workload scale factor (file sizes, file counts)")
-	telemetryOut := flag.String("telemetry", "", "write per-phase metrics-registry snapshots (JSON) to this file")
-	traceOut := flag.String("trace", "", "record request spans and write Chrome trace_event JSON to this file")
-	spansOut := flag.String("spans", "", "record request spans and write the raw span log (for miftrace critpath) to this file")
-	benchJSON := flag.String("bench-json", "", "write a benchsnap performance snapshot (BENCH_*.json) to this file")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	scale := fs.Float64("scale", 1.0, "workload scale factor (file sizes, file counts)")
+	telemetryOut := fs.String("telemetry", "", "write per-phase metrics-registry snapshots (JSON) to this file")
+	traceOut := fs.String("trace", "", "record request spans and write Chrome trace_event JSON to this file")
+	spansOut := fs.String("spans", "", "record request spans and write the raw span log (for miftrace critpath) to this file")
+	benchJSON := fs.String("bench-json", "", "write a benchsnap snapshot (BENCH.json) to this file")
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
 	if *telemetryOut != "" {
 		benchReg = telemetry.NewRegistry()
@@ -109,9 +122,16 @@ func main() {
 	if *traceOut != "" || *spansOut != "" {
 		benchTracer = telemetry.NewTracer(nil)
 	}
-	exp := flag.Arg(0)
+	exp := fs.Arg(0)
 	if *benchJSON != "" {
 		benchSnap = benchsnap.New(exp, *scale)
+		benchSnap.Host = &benchsnap.Host{
+			GoVersion:  runtime.Version(),
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			NumCPU:     runtime.NumCPU(),
+		}
 		// The snapshot needs the simulated clock and per-op durations, so
 		// a tracer is always attached; when nothing else wants the spans
 		// themselves, they are discarded at each phase boundary.
@@ -137,33 +157,41 @@ func main() {
 	var order = []string{"fig6a", "fig6b", "fig7", "table1", "fig8", "fig9", "fig10", "ablation", "defrag", "cache", "failover", "crashsweep"}
 	if exp != "all" {
 		if _, ok := runners[exp]; !ok {
-			flag.Usage()
-			os.Exit(2)
+			fs.Usage()
+			return 2
 		}
 		order = []string{exp}
 	}
 	for _, name := range order {
 		if err := runPhase(name, runners[name], *scale); err != nil {
 			fmt.Fprintf(os.Stderr, "mifbench %s: %v\n", name, err)
-			os.Exit(1)
+			return 1
 		}
 	}
-	if *telemetryOut != "" {
-		writeOutput(*telemetryOut, func(w io.Writer) error {
+	// A nil tracer or snapshot has an empty path and is skipped.
+	outputs := []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{*telemetryOut, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(phaseSnaps)
-		})
+		}},
+		{*traceOut, benchTracer.WriteChromeTrace},
+		{*spansOut, benchTracer.WriteSpanLog},
+		{*benchJSON, benchSnap.Write},
 	}
-	if *traceOut != "" {
-		writeOutput(*traceOut, benchTracer.WriteChromeTrace)
+	for _, o := range outputs {
+		if o.path == "" {
+			continue
+		}
+		if err := writeOutput(o.path, o.write); err != nil {
+			fmt.Fprintf(os.Stderr, "mifbench: %v\n", err)
+			return 1
+		}
 	}
-	if *spansOut != "" {
-		writeOutput(*spansOut, benchTracer.WriteSpanLog)
-	}
-	if benchSnap != nil {
-		writeOutput(*benchJSON, benchSnap.Write)
-	}
+	return 0
 }
 
 // runPhase runs one experiment, bracketed by a phase marker on the trace
@@ -194,21 +222,20 @@ func runPhase(name string, fn func(float64) error, scale float64) error {
 	return nil
 }
 
-// writeOutput writes one exporter's output to path, exiting on failure.
-func writeOutput(path string, write func(w io.Writer) error) {
+// writeOutput writes one exporter's output to path.
+func writeOutput(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mifbench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if err := write(f); err != nil {
-		fmt.Fprintf(os.Stderr, "mifbench: write %s: %v\n", path, err)
-		os.Exit(1)
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "mifbench: close %s: %v\n", path, err)
-		os.Exit(1)
+		return fmt.Errorf("close %s: %w", path, err)
 	}
+	return nil
 }
 
 // header prints an experiment banner.

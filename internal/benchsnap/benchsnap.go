@@ -1,17 +1,18 @@
-// Package benchsnap defines the BENCH_*.json performance-snapshot format
-// and the regression comparison over it — the repository's perf
-// trajectory. Every mifbench run can emit a schema-versioned snapshot
-// (one record per experiment: wall-clock and simulated totals, the full
-// counter set, per-layer latency percentiles, time-series curves, and
-// structured-event totals), and `mifbench compare` diffs two snapshots
-// against per-metric tolerances so later PRs are judged against a
-// committed baseline instead of anecdotes.
+// Package benchsnap defines the BENCH.json snapshot format and the exact
+// comparison over it. Every mifbench run can emit a schema-versioned
+// snapshot (one record per experiment: wall-clock and simulated totals,
+// the full counter set, per-layer latency percentiles, and
+// structured-event totals; the time-series curves stay in `mifbench
+// -telemetry`), and `mifbench compare` diffs two snapshots: the committed
+// BENCH.json pins every simulated quantity, so a change that moves one
+// has to refresh the file, and that file's diff is the drift report.
 //
-// Determinism contract: everything in a snapshot except the wall-clock
-// fields (Snapshot.CreatedWall, Experiment.WallNs) is derived from the
-// simulated clock and deterministic counters, so two identical-seed runs
-// produce byte-identical snapshots modulo those fields. StripVolatile
-// zeroes them for byte comparison; Compare never fails on them.
+// Determinism contract: everything in a snapshot except the volatile
+// fields (Snapshot.CreatedWall, Snapshot.Host, Experiment.WallNs) is
+// derived from the simulated clock and deterministic counters, so two
+// identical-seed runs produce byte-identical snapshots modulo those
+// fields. StripVolatile clears them for byte comparison; Compare never
+// looks at them.
 package benchsnap
 
 import (
@@ -28,9 +29,9 @@ import (
 )
 
 // SchemaVersion tags snapshot documents; Read rejects other versions.
-const SchemaVersion = "redbud-bench/1"
+const SchemaVersion = "redbud-bench/2"
 
-// Snapshot is one BENCH_*.json document: a named benchmark run at a given
+// Snapshot is one BENCH.json document: a named benchmark run at a given
 // workload scale, one Experiment per mifbench phase.
 type Snapshot struct {
 	Schema string `json:"schema"`
@@ -38,9 +39,30 @@ type Snapshot struct {
 	Name string `json:"name"`
 	// CreatedWall is the wall-clock creation time (RFC 3339). Volatile:
 	// excluded from comparison and from StripVolatile'd output.
-	CreatedWall string       `json:"created_wall,omitempty"`
+	CreatedWall string `json:"created_wall,omitempty"`
+	// Host is the machine the wall-clock fields were measured on, filled
+	// in by the command that ran the experiments. Volatile.
+	Host        *Host        `json:"host,omitempty"`
 	Scale       float64      `json:"scale"`
 	Experiments []Experiment `json:"experiments"`
+}
+
+// Host records what WallNs depends on besides the code.
+type Host struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+}
+
+// String renders the host on one line; a snapshot without one (stripped,
+// or built by a test) prints as "not recorded".
+func (h *Host) String() string {
+	if h == nil {
+		return "not recorded"
+	}
+	return fmt.Sprintf("%s %s/%s GOMAXPROCS=%d NumCPU=%d", h.GoVersion, h.GOOS, h.GOARCH, h.GOMAXPROCS, h.NumCPU)
 }
 
 // Experiment is one benchmark phase's record.
@@ -56,9 +78,6 @@ type Experiment struct {
 	// Layers is the per-layer latency decomposition: all *_ns histograms
 	// of one layer merged sample-exactly, summarized as percentiles.
 	Layers []LayerLatency `json:"layers,omitempty"`
-	// Series holds the windowed time-series curves (throughput and
-	// fragmentation over simulated time).
-	Series []SeriesExport `json:"series,omitempty"`
 	// Events holds the structured-event totals by layer/kind.
 	Events []telemetry.EventCount `json:"events,omitempty"`
 }
@@ -74,15 +93,6 @@ type LayerLatency struct {
 	MaxNs  int64   `json:"max_ns"`
 }
 
-// SeriesExport is one exported time-series curve.
-type SeriesExport struct {
-	Name     string                   `json:"name"` // "name{labels}"
-	WindowNs sim.Ns                   `json:"window_ns"`
-	StartNs  sim.Ns                   `json:"start_ns"`
-	Buckets  []telemetry.SeriesBucket `json:"buckets"`
-	Dropped  int64                    `json:"dropped,omitempty"`
-}
-
 // New builds an empty snapshot stamped with the current wall clock.
 func New(name string, scale float64) *Snapshot {
 	return &Snapshot{
@@ -93,10 +103,12 @@ func New(name string, scale float64) *Snapshot {
 	}
 }
 
-// StripVolatile zeroes the wall-clock fields, leaving only deterministic
-// content — after it, two identical-seed runs marshal byte-identically.
+// StripVolatile clears the wall-clock fields and the host, leaving only
+// deterministic content — after it, two identical-seed runs marshal
+// byte-identically.
 func (s *Snapshot) StripVolatile() {
 	s.CreatedWall = ""
+	s.Host = nil
 	for i := range s.Experiments {
 		s.Experiments[i].WallNs = 0
 	}
@@ -109,7 +121,8 @@ func (s *Snapshot) Write(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Read parses and validates a snapshot document.
+// Read parses and validates a snapshot document. Experiments are matched
+// by name, so a document that names one twice is rejected.
 func Read(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
@@ -117,6 +130,13 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 	if s.Schema != SchemaVersion {
 		return nil, fmt.Errorf("benchsnap: snapshot schema %q, want %q", s.Schema, SchemaVersion)
+	}
+	seen := make(map[string]bool, len(s.Experiments))
+	for _, e := range s.Experiments {
+		if seen[e.Name] {
+			return nil, fmt.Errorf("benchsnap: experiment %q recorded twice", e.Name)
+		}
+		seen[e.Name] = true
 	}
 	return &s, nil
 }
@@ -161,13 +181,7 @@ func (c *Collector) Finish(name string) Experiment {
 		case m.Hist != nil:
 			// folded into Layers below, sample-exactly
 		case m.Series != nil:
-			exp.Series = append(exp.Series, SeriesExport{
-				Name:     m.Name + "{" + m.Labels + "}",
-				WindowNs: m.Series.WindowNs,
-				StartNs:  m.Series.StartNs,
-				Buckets:  m.Series.Buckets,
-				Dropped:  m.Series.Dropped,
-			})
+			// curves are not part of the record
 		default:
 			counters[m.Name+"{"+m.Labels+"}"] = m.Value
 		}

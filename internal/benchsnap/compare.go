@@ -3,110 +3,39 @@ package benchsnap
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
-	"strings"
 )
 
-// Metric classes drive the comparison semantics.
-type Class string
-
-// Classes:
-//
-//   - ClassVolatile metrics (wall clock) never fail a comparison; drift is
-//     reported at warn level only.
-//   - ClassCost metrics (simulated time, latency percentiles, positioning
-//     and RPC counts) regress only when they grow beyond tolerance —
-//     getting faster is an improvement, not a failure.
-//   - ClassInvariant metrics (everything else: block counts, extents,
-//     gauges) regress when they drift beyond tolerance in either
-//     direction — an unexplained change in work done is a behavior
-//     change the trajectory should flag.
-const (
-	ClassVolatile  Class = "volatile"
-	ClassCost      Class = "cost"
-	ClassInvariant Class = "invariant"
-)
-
-// costMetrics name the counter prefixes whose growth is a regression.
-var costMetrics = []string{
-	"disk_positionings", "disk_requests", "rpc_calls", "rpc_errors",
-	"rpc_retries", "rpc_timeouts", "rpc_exhausted", "mds_rpcs",
-	"mds_cpu_ns", "net_bytes",
-	// Replication costs: amplification, failure handling, and repair work
-	// are all budgeted — unexpected growth is a regression.
-	"replica_fanout_writes", "replica_skipped_writes", "replica_failovers",
-	"replica_ost_down_events", "replica_repair_blocks", "replica_repair_slices",
-}
-
-// Classify assigns a metric key (e.g. "sim_ns", "layer/rpc/p99_ns",
-// "counter/disk_positionings{layer=disk}") to its comparison class.
-func Classify(key string) Class {
-	switch {
-	case key == "wall_ns":
-		return ClassVolatile
-	case key == "sim_ns", strings.HasPrefix(key, "layer/"):
-		return ClassCost
-	}
-	if name, ok := strings.CutPrefix(key, "counter/"); ok {
-		for _, c := range costMetrics {
-			if strings.HasPrefix(name, c) {
-				return ClassCost
-			}
-		}
-	}
-	return ClassInvariant
-}
-
-// Options tunes a comparison.
-type Options struct {
-	// Tolerance is the allowed relative drift before a non-volatile
-	// metric regresses (0.05 = 5%). Negative means "use the default".
-	Tolerance float64
-	// WarnOnly downgrades every regression to a warning: Result.Failed
-	// stays false. The CI trajectory leg starts here so wall-clock noise
-	// and intentional perf changes never block a build.
-	WarnOnly bool
-}
-
-// DefaultTolerance is the relative drift allowed by default.
-const DefaultTolerance = 0.05
-
-// Delta is one metric's movement between two snapshots.
+// Delta is one simulated metric that differs between two snapshots.
 type Delta struct {
 	Experiment string  `json:"experiment"`
 	Metric     string  `json:"metric"`
-	Class      Class   `json:"class"`
 	Old        float64 `json:"old"`
 	New        float64 `json:"new"`
 	// Frac is (new-old)/old, or ±1 when old is zero and new is not.
 	Frac float64 `json:"frac"`
-	// Regression marks drift beyond tolerance in the failing direction
-	// for the metric's class (never set for volatile metrics).
-	Regression bool `json:"regression"`
 }
 
 // Result is a full comparison.
 type Result struct {
+	// Deltas lists every simulated metric whose value, or whose presence,
+	// differs — "zero simulated-metric drift" means it is empty.
 	Deltas []Delta
 	// Missing lists experiments present in only one snapshot.
 	Missing []string
-	// SimMetrics and SimDrifted count the deterministic (non-volatile)
-	// metrics compared and how many moved at all — "zero simulated-metric
-	// drift" on identical runs means SimDrifted == 0.
+	// SimMetrics counts the simulated metrics compared.
 	SimMetrics int
-	SimDrifted int
-	// Regressions counts deltas flagged as regressions; Failed is true
-	// when Regressions > 0 and the comparison was not warn-only.
-	Regressions int
-	Failed      bool
 }
 
-// flatten renders one experiment as comparable key → value pairs.
+// Failed reports whether the snapshots differ in anything simulated: a
+// metric that moved in either direction, or an experiment on one side only.
+func (r Result) Failed() bool { return len(r.Deltas) > 0 || len(r.Missing) > 0 }
+
+// flatten renders one experiment's simulated content as comparable
+// key → value pairs. WallNs is left out: WallDeltas reports it.
 func flatten(e Experiment) map[string]float64 {
-	out := map[string]float64{
-		"wall_ns": float64(e.WallNs),
-		"sim_ns":  float64(e.SimNs),
-	}
+	out := map[string]float64{"sim_ns": float64(e.SimNs)}
 	for k, v := range e.Counters {
 		out["counter/"+k] = float64(v)
 	}
@@ -125,12 +54,12 @@ func flatten(e Experiment) map[string]float64 {
 	return out
 }
 
-// Compare diffs two snapshots. Experiments are matched by name; metrics
-// present on only one side are treated as drifting from zero.
-func Compare(old, new *Snapshot, opt Options) Result {
-	tol := opt.Tolerance
-	if tol < 0 {
-		tol = DefaultTolerance
+// Compare diffs the simulated content of two snapshots exactly.
+// Experiments are matched by name. Snapshots taken at different workload
+// scales measure different work and are refused.
+func Compare(old, new *Snapshot) (Result, error) {
+	if old.Scale != new.Scale {
+		return Result{}, fmt.Errorf("snapshots taken at different -scale (%g vs %g)", old.Scale, new.Scale)
 	}
 	var res Result
 
@@ -138,18 +67,16 @@ func Compare(old, new *Snapshot, opt Options) Result {
 	for _, e := range old.Experiments {
 		oldExps[e.Name] = e
 	}
-	newExps := make(map[string]Experiment, len(new.Experiments))
+	newExps := make(map[string]bool, len(new.Experiments))
 	for _, e := range new.Experiments {
-		newExps[e.Name] = e
-	}
-	for name := range oldExps {
-		if _, ok := newExps[name]; !ok {
-			res.Missing = append(res.Missing, name+" (old only)")
+		newExps[e.Name] = true
+		if _, ok := oldExps[e.Name]; !ok {
+			res.Missing = append(res.Missing, e.Name+" (new only)")
 		}
 	}
-	for name := range newExps {
-		if _, ok := oldExps[name]; !ok {
-			res.Missing = append(res.Missing, name+" (new only)")
+	for name := range oldExps {
+		if !newExps[name] {
+			res.Missing = append(res.Missing, name+" (old only)")
 		}
 	}
 	sort.Strings(res.Missing)
@@ -161,24 +88,20 @@ func Compare(old, new *Snapshot, opt Options) Result {
 		}
 		ov, nv := flatten(oe), flatten(ne)
 		keys := make([]string, 0, len(ov))
-		seen := make(map[string]bool, len(ov))
 		for k := range ov {
 			keys = append(keys, k)
-			seen[k] = true
 		}
 		for k := range nv {
-			if !seen[k] {
+			if _, ok := ov[k]; !ok {
 				keys = append(keys, k)
 			}
 		}
 		sort.Strings(keys)
+		res.SimMetrics += len(keys)
 		for _, k := range keys {
-			o, n := ov[k], nv[k]
-			class := Classify(k)
-			if class != ClassVolatile {
-				res.SimMetrics++
-			}
-			if o == n {
+			o, inOld := ov[k]
+			n, inNew := nv[k]
+			if inOld == inNew && o == n {
 				continue
 			}
 			var frac float64
@@ -187,29 +110,13 @@ func Compare(old, new *Snapshot, opt Options) Result {
 				frac = (n - o) / o
 			case n > 0:
 				frac = 1
-			default:
+			case n < 0:
 				frac = -1
 			}
-			d := Delta{Experiment: ne.Name, Metric: k, Class: class, Old: o, New: n, Frac: frac}
-			switch class {
-			case ClassVolatile:
-				// reported, never failing
-			case ClassCost:
-				d.Regression = frac > tol
-			default:
-				d.Regression = frac > tol || frac < -tol
-			}
-			if class != ClassVolatile {
-				res.SimDrifted++
-			}
-			if d.Regression {
-				res.Regressions++
-			}
-			res.Deltas = append(res.Deltas, d)
+			res.Deltas = append(res.Deltas, Delta{Experiment: ne.Name, Metric: k, Old: o, New: n, Frac: frac})
 		}
 	}
-	res.Failed = res.Regressions > 0 && !opt.WarnOnly
-	return res
+	return res, nil
 }
 
 // WallDelta is one experiment's wall-clock movement between two snapshots.
@@ -270,68 +177,41 @@ func WriteWallTable(w io.Writer, deltas []WallDelta) error {
 	return err
 }
 
-// WriteText renders the comparison: regressions first, then the largest
-// drifts, then the summary line.
+// WriteText renders the comparison: experiments on one side only, then
+// the largest drifts, then the summary line.
 func (r Result) WriteText(w io.Writer, verbose bool) error {
 	for _, m := range r.Missing {
 		if _, err := fmt.Fprintf(w, "missing: experiment %s\n", m); err != nil {
 			return err
 		}
 	}
-	shown := 0
 	order := append([]Delta(nil), r.Deltas...)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Regression != order[j].Regression {
-			return order[i].Regression
-		}
-		ai, aj := order[i].Frac, order[j].Frac
-		if ai < 0 {
-			ai = -ai
-		}
-		if aj < 0 {
-			aj = -aj
-		}
-		if ai != aj {
-			return ai > aj
-		}
-		if order[i].Experiment != order[j].Experiment {
-			return order[i].Experiment < order[j].Experiment
-		}
-		return order[i].Metric < order[j].Metric
+	sort.SliceStable(order, func(i, j int) bool {
+		return math.Abs(order[i].Frac) > math.Abs(order[j].Frac)
 	})
 	const maxQuiet = 20
+	if !verbose && len(order) > maxQuiet {
+		order = order[:maxQuiet]
+	}
 	for _, d := range order {
-		if !verbose && !d.Regression && shown >= maxQuiet {
-			break
-		}
-		tag := "drift"
-		if d.Regression {
-			tag = "REGRESSION"
-		} else if d.Class == ClassVolatile {
-			tag = "wall"
-		}
-		if _, err := fmt.Fprintf(w, "%-10s %-10s %-46s %14.0f -> %14.0f  %+7.1f%%\n",
-			tag, d.Experiment, d.Metric, d.Old, d.New, 100*d.Frac); err != nil {
+		if _, err := fmt.Fprintf(w, "drift      %-10s %-46s %14.0f -> %14.0f  %+7.1f%%\n",
+			d.Experiment, d.Metric, d.Old, d.New, 100*d.Frac); err != nil {
 			return err
 		}
-		shown++
 	}
-	if !verbose && len(order) > shown {
-		if _, err := fmt.Fprintf(w, "... %d more drifts (use -v to list all)\n", len(order)-shown); err != nil {
+	if len(r.Deltas) > len(order) {
+		if _, err := fmt.Fprintf(w, "... %d more drifts (use -v to list all)\n", len(r.Deltas)-len(order)); err != nil {
 			return err
 		}
 	}
 	drift := "zero simulated-metric drift"
-	if r.SimDrifted > 0 {
-		drift = fmt.Sprintf("%d of %d simulated metrics drifted", r.SimDrifted, r.SimMetrics)
+	if len(r.Deltas) > 0 {
+		drift = fmt.Sprintf("%d of %d simulated metrics drifted", len(r.Deltas), r.SimMetrics)
 	}
 	verdict := "ok"
-	switch {
-	case r.Failed:
+	if r.Failed() {
 		verdict = "FAIL"
-	case r.Regressions > 0:
-		verdict = "warn"
 	}
-	_, err := fmt.Fprintf(w, "compare: %s; %d regressions beyond tolerance; %s\n", drift, r.Regressions, verdict)
+	_, err := fmt.Fprintf(w, "compare: %s; experiments on one side only: %d; %s\n", drift, len(r.Missing), verdict)
 	return err
 }

@@ -560,6 +560,9 @@ func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File
 	f := &file{ino: ino, sizeHint: sizeHintBlocks}
 	if fs.rep != nil {
 		if err := fs.repCreateLocked(f); err != nil {
+			// It removed its objects and replica state; the name goes
+			// too, for the reason given on the unreplicated path below.
+			_ = fs.mdsc.Unlink(parent, name)
 			return nil, err
 		}
 		fs.files[ino] = f

@@ -7,6 +7,7 @@ import (
 
 	"redbud/internal/core"
 	"redbud/internal/mdfs"
+	"redbud/internal/replica"
 	"redbud/internal/sim"
 )
 
@@ -246,36 +247,50 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // TestFailedCreateUndoesItself declares a file larger than the volume on a
-// static-policy mount: the fallocate runs out of space, and the create
-// must leave nothing behind — no name, no objects, no allocated blocks —
-// so the same name can be created again.
+// static-policy mount, unreplicated and 2-way replicated: the fallocate
+// runs out of space, and the create must leave nothing behind — no name,
+// no objects, no allocated blocks, no replica state — so the same name can
+// be created again.
 func TestFailedCreateUndoesItself(t *testing.T) {
-	cfg := MiF(4).WithPolicy(PolicyStatic)
-	fs, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := fs.Root()
-	if _, err := fs.Create(root, "big", 2*int64(cfg.OSTs)*cfg.OST.Blocks); err == nil {
-		t.Fatal("create larger than the volume succeeded")
-	}
-	if _, err := fs.MDS().FS().Lookup(root, "big"); !errors.Is(err, mdfs.ErrNotExist) {
-		t.Fatalf("lookup after failed create: %v, want ErrNotExist", err)
-	}
-	for i := 0; i < fs.OSTs(); i++ {
-		srv := fs.OST(i)
-		if n, used := srv.ObjectCount(), srv.UsedBlocks(); n != 0 || used != 0 {
-			t.Fatalf("OST %d keeps %d objects, %d blocks after failed create", i, n, used)
-		}
-		if rep := srv.CheckConsistency(); !rep.Clean() {
-			t.Fatalf("OST %d inconsistent after failed create: %v", i, rep.Problems)
-		}
-	}
-	f, err := fs.Create(root, "big", 1024)
-	if err != nil {
-		t.Fatalf("re-create after failed create: %v", err)
-	}
-	if err := f.Write(core.StreamID{Client: 1, PID: 1}, 0, 1024); err != nil {
-		t.Fatal(err)
+	for _, rf := range []int{1, 2} {
+		t.Run(fmt.Sprintf("RF%d", rf), func(t *testing.T) {
+			cfg := MiF(4).WithPolicy(PolicyStatic)
+			if rf > 1 {
+				cfg.Replication = &replica.Config{RF: rf}
+			}
+			fs, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := fs.Root()
+			if _, err := fs.Create(root, "big", 2*int64(cfg.OSTs)*cfg.OST.Blocks); err == nil {
+				t.Fatal("create larger than the volume succeeded")
+			}
+			if _, err := fs.MDS().FS().Lookup(root, "big"); !errors.Is(err, mdfs.ErrNotExist) {
+				t.Fatalf("lookup after failed create: %v, want ErrNotExist", err)
+			}
+			if report := fs.MDS().FS().Fsck(); !report.Clean() {
+				t.Fatalf("MDS fsck after failed create: %v", report)
+			}
+			for i := 0; i < fs.OSTs(); i++ {
+				srv := fs.OST(i)
+				if n, used := srv.ObjectCount(), srv.UsedBlocks(); n != 0 || used != 0 {
+					t.Fatalf("OST %d keeps %d objects, %d blocks after failed create", i, n, used)
+				}
+				if rep := srv.CheckConsistency(); !rep.Clean() {
+					t.Fatalf("OST %d inconsistent after failed create: %v", i, rep.Problems)
+				}
+			}
+			if rep := fs.Replication(); rep != nil && rep.Components() != 0 {
+				t.Fatalf("replica manager keeps %d components after failed create", rep.Components())
+			}
+			f, err := fs.Create(root, "big", 1024)
+			if err != nil {
+				t.Fatalf("re-create after failed create: %v", err)
+			}
+			if err := f.Write(core.StreamID{Client: 1, PID: 1}, 0, 1024); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -61,8 +61,27 @@ func (fs *FS) repPlaceInputsLocked() []replica.PlaceInput {
 // objects are created on every placed server. A server that fails its
 // create is marked down and its copy starts stale (the repair engine will
 // build it); the create succeeds as long as each component has at least one
-// live copy. Callers hold fs.mu.
-func (fs *FS) repCreateLocked(f *file) error {
+// live copy. A create that fails undoes what it did here, best effort:
+// every object id it handed out is deleted on every reachable server (one
+// that never saw the id reports an unknown object, which is the state
+// wanted) and the manager forgets the file, so nothing keeps space or
+// repair state for an inode the caller is about to unlink. Callers hold
+// fs.mu.
+func (fs *FS) repCreateLocked(f *file) (err error) {
+	first := fs.nextObj + 1
+	defer func() {
+		if err == nil {
+			return
+		}
+		for id := first; id <= fs.nextObj; id++ {
+			for r := range fs.ostc {
+				if !fs.rep.Down(r) {
+					_ = fs.ostc[r].Delete(ost.ObjectID(id))
+				}
+			}
+		}
+		fs.rep.Remove(f.ino)
+	}()
 	comps := len(fs.osts)
 	sets, err := fs.mdsc.PlaceReplicas(f.ino, comps, fs.rep.RF(), fs.repPlaceInputsLocked())
 	if err != nil {

@@ -48,28 +48,6 @@ func (c *Clock) Advance(d Ns) Ns {
 	return c.now
 }
 
-// AdvanceTo moves the clock forward to instant t if t is later than the
-// current time; otherwise the clock is unchanged. It returns the resulting
-// time. AdvanceTo is how parallel device timelines are folded into one
-// elapsed-time figure: the caller advances to the max of the component
-// completion times.
-func (c *Clock) AdvanceTo(t Ns) Ns {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}
-
-// Reset rewinds the clock to time zero. Only test and benchmark harnesses
-// should call Reset, between independent runs.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-}
-
 // Seconds converts a simulated duration to floating-point seconds.
 func Seconds(d Ns) float64 { return float64(d) / float64(Second) }
 

@@ -8,7 +8,7 @@ import (
 
 // Series defaults. A 100 ms window over 4096 buckets covers ~410 s of
 // simulated time per registry — longer than any single mifbench phase —
-// while keeping a snapshot small enough to embed in BENCH_*.json.
+// while keeping a snapshot small enough to export with `mifbench -telemetry`.
 const (
 	DefaultSeriesWindow  sim.Ns = 100 * sim.Millisecond
 	DefaultSeriesBuckets        = 4096
