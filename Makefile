@@ -1,8 +1,9 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
 # build, the test suite under the race detector, the benchmark module's
 # own vet and tests, the end-to-end smoke run of the CLI tools, and the
-# exact comparison of every experiment's simulated metrics against the
-# committed BENCH.json. `make bench` rewrites that file.
+# exact comparison of every experiment's simulated metrics and result
+# cells against the committed BENCH.json. `make bench` rewrites that file
+# and the generated blocks of EXPERIMENTS.md.
 
 GO ?= go
 
@@ -94,15 +95,18 @@ racesmoke:
 	echo "racesmoke: ok"
 
 # bench rewrites BENCH.json, the committed full-scale snapshot of all
-# twelve experiments. Run it in the PR that moves a simulated quantity and
-# commit the result: the file's diff is the drift report. Simulated metrics
-# are deterministic; only wall_ns, created_wall and host vary run to run.
+# twelve experiments, then EXPERIMENTS.md's generated blocks (result
+# tables and ✔/◐/✘ verdict lines) from it. Run it in the PR that moves a
+# simulated quantity and commit both: the diffs are the drift report.
+# Simulated metrics are deterministic; only wall_ns, created_wall and host
+# vary run to run.
 bench:
 	$(GO) run ./cmd/mifbench -bench-json BENCH.json all
+	$(GO) run ./cmd/mifbench report BENCH.json EXPERIMENTS.md
 
-# benchcheck reruns every experiment and fails on any simulated metric
-# that differs from BENCH.json in either direction, or on an experiment
-# present on one side only; the wall-clock table it prints is a report,
+# benchcheck reruns every experiment and fails on any simulated metric or
+# result cell that differs from BENCH.json in either direction, or on an
+# experiment present on one side only; the wall-clock table it prints is a report,
 # not a gate. `go test ./cmd/mifbench` runs the same comparison over the
 # six cheap experiments.
 benchcheck:

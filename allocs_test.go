@@ -5,16 +5,17 @@ package redbud_test
 // the extent/stripe lookups onto reusable scratch slices; the metadata path
 // (PR 15) got dense directory state and one block copy per transaction.
 // These ceilings keep those wins from silently eroding. Each case executes
-// one full workload run — the same shapes BenchmarkFig6a, BenchmarkCache,
-// BenchmarkFailover, BenchmarkFig8 and BenchmarkFig9 iterate — and fails
-// if the allocation count exceeds a ceiling set ~30% above the measured
-// cost (headroom for GC timing flushing the sync.Pools mid-run).
-// `go test -bench=. -benchmem` reports the same quantity as allocs/op for
-// trend inspection.
+// one full workload run — one arm of the fig6a, cache, failover, fig8 and
+// fig9 experiments, on the catalogue's mounts — and fails if the
+// allocation count exceeds a ceiling set ~30% above the measured cost
+// (headroom for GC timing flushing the sync.Pools mid-run).
+// `go test -bench Experiment -benchmem` reports allocs/op per whole
+// experiment for trend inspection.
 
 import (
 	"testing"
 
+	"redbud/internal/experiment"
 	"redbud/internal/mdfs"
 	"redbud/internal/pfs"
 	"redbud/internal/workload"
@@ -30,7 +31,7 @@ func TestAllocCeilings(t *testing.T) {
 		run     func() error
 	}{
 		{"fig6a", 10_500, func() error {
-			_, err := workload.RunMicro(fig6FS(pfs.PolicyOnDemand), workload.DefaultMicroConfig(8))
+			_, err := workload.RunMicro(experiment.Fig6FS(pfs.PolicyOnDemand), workload.DefaultMicroConfig(8))
 			return err
 		}},
 		{"cache", 20_000, func() error {

@@ -1,409 +1,25 @@
 package redbud_test
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design knobs DESIGN.md calls out. The metrics
-// that matter are *simulated* (MB/s of the modeled disks, extent counts,
-// disk requests); they are attached to each benchmark via ReportMetric, so
-// `go test -bench=. -benchmem` regenerates the paper's numbers alongside
-// the harness cost.
+// The host-cost hook: one sub-benchmark per catalogue entry, running the
+// same function `mifbench <name>` runs at full scale, so
+// `go test -bench 'Experiment/fig9' -benchmem -cpuprofile cpu.out` says
+// what an experiment costs the host. The simulated numbers are not
+// reported here: BENCH.json records them and tier-1 pins them.
 
 import (
-	"fmt"
 	"testing"
 
-	"redbud/internal/mdfs"
-	"redbud/internal/pfs"
-	"redbud/internal/workload"
+	"redbud/internal/experiment"
 )
 
-// fig6FS is the 5-disk micro-benchmark mount.
-func fig6FS(policy pfs.PolicyKind) pfs.Config {
-	cfg := pfs.MiF(5).WithPolicy(policy)
-	cfg.ReservationWindow = 2048
-	return cfg
-}
-
-// fig7FS is the 8-disk macro-benchmark mount.
-func fig7FS(policy pfs.PolicyKind) pfs.Config {
-	cfg := pfs.MiF(8).WithPolicy(policy)
-	cfg.ReservationWindow = 2048
-	return cfg
-}
-
-// BenchmarkFig6a regenerates Figure 6(a): micro-benchmark phase-2
-// throughput per policy and stream count.
-func BenchmarkFig6a(b *testing.B) {
-	for _, clients := range []int{8, 12, 16} {
-		for _, policy := range []pfs.PolicyKind{pfs.PolicyReservation, pfs.PolicyStatic, pfs.PolicyOnDemand} {
-			b.Run(fmt.Sprintf("streams=%d/%s", clients*4, policy), func(b *testing.B) {
-				var last workload.MicroResult
-				for i := 0; i < b.N; i++ {
-					res, err := workload.RunMicro(fig6FS(policy), workload.DefaultMicroConfig(clients))
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(last.ReadMBps, "sim-read-MB/s")
-				b.ReportMetric(float64(last.Extents), "extents")
-			})
-		}
-	}
-}
-
-// BenchmarkFig6b regenerates Figure 6(b): the impact of the allocation
-// size at 32 processes.
-func BenchmarkFig6b(b *testing.B) {
-	for _, req := range []int64{1, 4, 16} {
-		for _, policy := range []pfs.PolicyKind{pfs.PolicyReservation, pfs.PolicyOnDemand} {
-			b.Run(fmt.Sprintf("alloc=%dKiB/%s", req*4, policy), func(b *testing.B) {
-				var last workload.MicroResult
-				for i := 0; i < b.N; i++ {
-					cfg := fig6FS(policy)
-					cfg.ReservationWindow = req * 16
-					mc := workload.DefaultMicroConfig(8)
-					mc.RequestBlocks = req
-					res, err := workload.RunMicro(cfg, mc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(last.ReadMBps, "sim-read-MB/s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates Figure 7: IOR and BTIO, collective and
-// non-collective, per policy.
-func BenchmarkFig7(b *testing.B) {
-	for _, app := range []string{"IOR", "BTIO"} {
-		for _, collective := range []bool{false, true} {
-			for _, policy := range []pfs.PolicyKind{pfs.PolicyReservation, pfs.PolicyOnDemand} {
-				name := fmt.Sprintf("%s/collective=%v/%s", app, collective, policy)
-				b.Run(name, func(b *testing.B) {
-					var last workload.MacroResult
-					for i := 0; i < b.N; i++ {
-						var res workload.MacroResult
-						var err error
-						if app == "IOR" {
-							ic := workload.DefaultIORConfig(64)
-							ic.Collective = collective
-							res, err = workload.RunIOR(fig7FS(policy), ic)
-						} else {
-							bc := workload.DefaultBTIOConfig(64)
-							bc.Collective = collective
-							res, err = workload.RunBTIO(fig7FS(policy), bc)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-						last = res
-					}
-					b.ReportMetric(last.Throughput, "sim-MB/s")
-					b.ReportMetric(float64(last.Extents), "extents")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates Table I: segment counts and MDS CPU
-// utilization per policy (non-collective, with interference traffic).
-func BenchmarkTable1(b *testing.B) {
-	for _, policy := range []pfs.PolicyKind{pfs.PolicyVanilla, pfs.PolicyReservation, pfs.PolicyOnDemand} {
-		for _, app := range []string{"IOR", "BTIO"} {
-			b.Run(fmt.Sprintf("%s/%s", policy, app), func(b *testing.B) {
-				var last workload.MacroResult
-				for i := 0; i < b.N; i++ {
-					var res workload.MacroResult
-					var err error
-					if app == "IOR" {
-						ic := workload.DefaultIORConfig(64)
-						ic.Interference = true
-						res, err = workload.RunIOR(fig7FS(policy), ic)
-					} else {
-						res, err = workload.RunBTIO(fig7FS(policy), workload.DefaultBTIOConfig(64))
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(float64(last.Extents), "segments")
-				b.ReportMetric(last.MDSCPU, "mds-cpu-%")
-			})
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates Figure 8: the Metarates workloads per MDS
-// configuration.
-func BenchmarkFig8(b *testing.B) {
-	systems := []struct {
-		name   string
-		layout mdfs.Layout
-		htree  bool
-	}{
-		{"normal", mdfs.LayoutNormal, false},
-		{"lustre-like", mdfs.LayoutNormal, true},
-		{"embedded", mdfs.LayoutEmbedded, false},
-	}
-	for _, sys := range systems {
-		b.Run(sys.name, func(b *testing.B) {
-			var last workload.MetaratesResult
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiment.All {
+		b.Run(e.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := workload.DefaultMetaratesConfig(sys.layout)
-				cfg.Htree = sys.htree
-				res, err := workload.RunMetarates(cfg)
-				if err != nil {
+				if _, err := e.Run(experiment.Env{Scale: 1}); err != nil {
 					b.Fatal(err)
 				}
-				last = res
 			}
-			b.ReportMetric(last.Create.OpsPerSec, "create-ops/s")
-			b.ReportMetric(last.Utime.OpsPerSec, "utime-ops/s")
-			b.ReportMetric(last.Readdir.OpsPerSec, "readdir-ops/s")
-			b.ReportMetric(last.Delete.OpsPerSec, "delete-ops/s")
-			b.ReportMetric(float64(last.Readdir.DiskRequests), "readdir-req")
-		})
-	}
-}
-
-// BenchmarkFig9 regenerates Figure 9: aging impact on creation and
-// deletion.
-func BenchmarkFig9(b *testing.B) {
-	for _, layout := range []mdfs.Layout{mdfs.LayoutNormal, mdfs.LayoutEmbedded} {
-		for _, util := range []float64{0.1, 0.8} {
-			b.Run(fmt.Sprintf("%s/util=%.0f%%", layout, util*100), func(b *testing.B) {
-				var last workload.AgingResult
-				for i := 0; i < b.N; i++ {
-					res, err := workload.RunAging(workload.DefaultAgingConfig(layout, util))
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(last.CreatePerSec, "create-ops/s")
-				b.ReportMetric(last.DeletePerSec, "delete-ops/s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig10 regenerates Figure 10: PostMark and the application mix.
-func BenchmarkFig10(b *testing.B) {
-	configs := []func(int) pfs.Config{pfs.RedbudOrig, pfs.MiF}
-	for _, mk := range configs {
-		name := mk(4).Name
-		b.Run("PostMark/"+name, func(b *testing.B) {
-			var last workload.AppResult
-			for i := 0; i < b.N; i++ {
-				res, err := workload.RunPostMark(mk(4), workload.DefaultPostMarkConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(float64(last.Elapsed)/1e9, "sim-seconds")
-		})
-		b.Run("KernelTree/"+name, func(b *testing.B) {
-			var last workload.KernelTreeResult
-			for i := 0; i < b.N; i++ {
-				res, err := workload.RunKernelTree(mk(4), workload.DefaultKernelTreeConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(float64(last.Tar.Elapsed)/1e9, "tar-s")
-			b.ReportMetric(float64(last.Make.Elapsed)/1e9, "make-s")
-			b.ReportMetric(float64(last.MakeClean.Elapsed)/1e9, "clean-s")
-		})
-	}
-}
-
-// BenchmarkCache measures the client-cache experiment (both profiles'
-// off/on arms, the same sequence `mifbench cache` runs).
-func BenchmarkCache(b *testing.B) {
-	for _, mk := range []func(int) pfs.Config{
-		func(n int) pfs.Config { return pfs.MiF(n).WithPolicy(pfs.PolicyVanilla) },
-		pfs.MiF,
-	} {
-		cfg := mk(5)
-		b.Run(cfg.Name, func(b *testing.B) {
-			var last workload.CacheBenchResult
-			for i := 0; i < b.N; i++ {
-				res, err := workload.RunCacheBench(mk(5), workload.DefaultCacheBenchConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(float64(last.On.WriteRPCs), "write-rpcs")
-			b.ReportMetric(last.On.Pass2MBps, "sim-reread-MB/s")
-		})
-	}
-}
-
-// BenchmarkFailover measures the replication experiment: 3-way-replicated
-// writes with one OST blackholed midway, read-back under steering, and the
-// background re-replication drain.
-func BenchmarkFailover(b *testing.B) {
-	var last workload.FailoverBenchResult
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunFailoverBench(pfs.MiF(6), workload.DefaultFailoverBenchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.WriteMBps, "sim-write-MB/s")
-	b.ReportMetric(float64(last.Stats.Failovers), "failovers")
-}
-
-// BenchmarkAblationWindowScale sweeps the on-demand window growth factor.
-func BenchmarkAblationWindowScale(b *testing.B) {
-	for _, scale := range []int64{2, 4, 8} {
-		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
-			var last workload.MicroResult
-			for i := 0; i < b.N; i++ {
-				cfg := fig6FS(pfs.PolicyOnDemand)
-				cfg.OnDemand.Scale = scale
-				res, err := workload.RunMicro(cfg, workload.DefaultMicroConfig(16))
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.ReadMBps, "sim-read-MB/s")
-			b.ReportMetric(float64(last.Extents), "extents")
-		})
-	}
-}
-
-// BenchmarkAblationMaxPrealloc sweeps max_preallocation_size.
-func BenchmarkAblationMaxPrealloc(b *testing.B) {
-	for _, capBlocks := range []int64{64, 512, 2048, 8192} {
-		b.Run(fmt.Sprintf("cap=%dKiB", capBlocks*4), func(b *testing.B) {
-			var last workload.MicroResult
-			for i := 0; i < b.N; i++ {
-				cfg := fig6FS(pfs.PolicyOnDemand)
-				cfg.OnDemand.MaxPreallocBlocks = capBlocks
-				res, err := workload.RunMicro(cfg, workload.DefaultMicroConfig(16))
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.ReadMBps, "sim-read-MB/s")
-			b.ReportMetric(float64(last.Extents), "extents")
-		})
-	}
-}
-
-// BenchmarkAblationMissThreshold sweeps the random-stream shutoff.
-func BenchmarkAblationMissThreshold(b *testing.B) {
-	for _, th := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("threshold=%d", th), func(b *testing.B) {
-			var last workload.MicroResult
-			for i := 0; i < b.N; i++ {
-				cfg := fig6FS(pfs.PolicyOnDemand)
-				cfg.OnDemand.MissThreshold = th
-				res, err := workload.RunMicro(cfg, workload.DefaultMicroConfig(16))
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.ReadMBps, "sim-read-MB/s")
-		})
-	}
-}
-
-// BenchmarkAblationSpill compares embedded directories with and without
-// spill-block preallocation for fragmented files.
-func BenchmarkAblationSpill(b *testing.B) {
-	for _, degree := range []float64{1e9, 4} { // effectively-off vs paper default
-		name := "prealloc=on"
-		if degree > 1e6 {
-			name = "prealloc=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last workload.MetaratesResult
-			for i := 0; i < b.N; i++ {
-				cfg := workload.DefaultMetaratesConfig(mdfs.LayoutEmbedded)
-				cfg.Clients = 4
-				cfg.FilesPerDir = 1500
-				cfg.SpillDegree = degree
-				res, err := workload.RunMetarates(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Create.OpsPerSec, "create-ops/s")
-		})
-	}
-}
-
-// BenchmarkAblationDelayedAlloc compares delayed allocation (ext4/XFS
-// style, §2 related work) against on-demand preallocation as the fsync
-// interval shrinks — the paper's argument that delayed allocation "does
-// not fit application with explicit sync requests well" while on-demand
-// needs no buffering assumption.
-func BenchmarkAblationDelayedAlloc(b *testing.B) {
-	for _, fsyncEvery := range []int64{0, 64, 4} {
-		for _, delayed := range []bool{true, false} {
-			name := fmt.Sprintf("fsync=%d/", fsyncEvery)
-			if delayed {
-				name += "delayed-alloc"
-			} else {
-				name += "on-demand"
-			}
-			b.Run(name, func(b *testing.B) {
-				var extents int
-				var mbps float64
-				for i := 0; i < b.N; i++ {
-					cfg := fig6FS(pfs.PolicyOnDemand)
-					if delayed {
-						cfg = fig6FS(pfs.PolicyVanilla)
-						cfg.OST.DelayedAllocation = true
-					}
-					e, m, err := workload.RunSyncPressure(cfg, fsyncEvery)
-					if err != nil {
-						b.Fatal(err)
-					}
-					extents, mbps = e, m
-				}
-				b.ReportMetric(float64(extents), "extents")
-				b.ReportMetric(mbps, "sim-read-MB/s")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationElevator sweeps the elevator reorder window on the
-// reservation layout's read path.
-func BenchmarkAblationElevator(b *testing.B) {
-	for _, depth := range []int{1, 16, 64, 0} {
-		name := fmt.Sprintf("window=%d", depth)
-		if depth == 0 {
-			name = "window=unbounded"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last workload.MicroResult
-			for i := 0; i < b.N; i++ {
-				cfg := fig6FS(pfs.PolicyReservation)
-				cfg.OST.QueueDepth = depth
-				res, err := workload.RunMicro(cfg, workload.DefaultMicroConfig(16))
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.ReadMBps, "sim-read-MB/s")
 		})
 	}
 }

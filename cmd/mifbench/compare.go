@@ -3,27 +3,18 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"redbud/internal/benchsnap"
 )
 
-// Benchmark-snapshot session state. With -bench-json, benchSnap collects
-// one benchsnap.Experiment per phase; benchResetSpans marks that the
-// session's tracer exists only to time the snapshot (no -trace/-spans
-// output), so its span buffer can be discarded at each phase boundary to
-// bound memory — Reset keeps the clock running.
-var (
-	benchSnap       *benchsnap.Snapshot
-	benchResetSpans bool
-)
-
 // runCompare implements the `mifbench compare <old> <new>` subcommand:
 // diff the simulated content of two BENCH.json snapshots exactly, then
 // report the wall clock beside the hosts it was measured on. Returns 1
-// when any simulated metric differs or an experiment is on one side only,
-// 2 on usage errors and on inputs that cannot be compared.
-func runCompare(args []string) int {
+// when any simulated metric or result cell differs or an experiment is on
+// one side only, 2 on usage errors and on inputs that cannot be compared.
+func runCompare(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: mifbench compare [-v] <old.json> <new.json>\n")
@@ -51,11 +42,11 @@ func runCompare(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	if err := res.WriteText(os.Stdout, *verbose); err != nil {
+	if err := res.WriteText(stdout, *verbose); err != nil {
 		return fail(err)
 	}
-	fmt.Printf("host old: %v\nhost new: %v\n", old.Host, cur.Host)
-	if err := benchsnap.WriteWallTable(os.Stdout, benchsnap.WallDeltas(old, cur)); err != nil {
+	fmt.Fprintf(stdout, "host old: %v\nhost new: %v\n", old.Host, cur.Host)
+	if err := benchsnap.WriteWallTable(stdout, benchsnap.WallDeltas(old, cur)); err != nil {
 		return fail(err)
 	}
 	if res.Failed() {

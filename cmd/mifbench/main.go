@@ -1,25 +1,16 @@
 // Command mifbench regenerates every table and figure of the MiF paper's
-// evaluation against the simulated Redbud parallel file system.
+// evaluation against the simulated Redbud parallel file system. It holds
+// no experiment of its own: it parses flags, loops over the catalogue in
+// internal/experiment, prints each experiment's result tables, and
+// collects the artifacts below.
 //
 // Usage:
 //
-//	mifbench [flags] <experiment>
+//	mifbench [flags] <experiment>|all
+//	mifbench compare [-v] <old.json> <new.json>
+//	mifbench report <BENCH.json> <EXPERIMENTS.md>
 //
-// Experiments:
-//
-//	fig6a    micro-benchmark throughput vs stream count (Figure 6a)
-//	fig6b    micro-benchmark throughput vs allocation size (Figure 6b)
-//	fig7     IOR and BTIO macro-benchmarks (Figure 7)
-//	table1   segment counts and MDS CPU utilization (Table I)
-//	fig8     Metarates metadata workloads (Figure 8)
-//	fig9     file system aging impact (Figure 9)
-//	fig10    PostMark and applications (Figure 10)
-//	ablation design-choice sweeps beyond the paper
-//	defrag   online-defragmentation recovery after aging
-//	cache    client block cache off vs on (write-back aggregation, re-reads)
-//	failover OST crash under replication (steering + re-replication)
-//	crashsweep power-fail injection at every registered crash point
-//	all      everything above in order
+// Run it without arguments for the experiment list.
 //
 // With -telemetry <file>, every data-path mount is instrumented into a
 // shared metrics registry and a per-phase snapshot (one entry per
@@ -33,18 +24,20 @@
 //
 // With -bench-json <file>, the run emits a schema-versioned snapshot (see
 // internal/benchsnap): the host, and one record per experiment holding
-// wall-clock and simulated totals, every counter, per-layer latency
-// percentiles, and structured-event totals. The registry feeding it is
-// recreated at each phase boundary so records are per-experiment
-// (combining with -telemetry therefore turns its snapshots into per-phase
-// deltas too). Compare two snapshots with
+// wall-clock and simulated totals, the result tables it printed, every
+// counter, per-layer latency percentiles, and structured-event totals.
+// The registry feeding it is recreated at each phase boundary so records
+// are per-experiment (combining with -telemetry therefore turns its
+// snapshots into per-phase deltas too).
 //
-//	mifbench compare [-v] <old> <new>
-//
-// which exits 1 when any simulated metric differs in either direction or
-// an experiment is on one side only, and reports the wall clock without
-// judging it. The committed BENCH.json is the baseline: a change that
-// moves a simulated quantity refreshes it (`make bench`) in the same PR.
+// compare exits 1 when any simulated metric or result cell differs in
+// either direction or an experiment is on one side only, and reports the
+// wall clock without judging it. The committed BENCH.json is the
+// baseline: a change that moves a simulated quantity refreshes it (`make
+// bench`) in the same PR. report rewrites the generated blocks of
+// EXPERIMENTS.md — result tables and the ✔/◐/✘ verdict of each
+// paper-reported shape (experiment.Shapes) — from a snapshot's results,
+// leaving the hand-written text between blocks alone.
 package main
 
 import (
@@ -54,20 +47,11 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 
 	"redbud/internal/benchsnap"
-	"redbud/internal/pfs"
+	"redbud/internal/experiment"
 	"redbud/internal/telemetry"
-)
-
-// benchReg and benchTracer, when non-nil, are attached to every mount the
-// experiments build (via instrumented); phaseSnaps accumulates one registry
-// snapshot per completed experiment when -telemetry asked for them.
-var (
-	benchReg       *telemetry.Registry
-	benchTracer    *telemetry.Tracer
-	phaseSnaps     []phaseSnapshot
-	wantPhaseSnaps bool
 )
 
 // phaseSnapshot is the per-experiment telemetry record written by
@@ -77,32 +61,39 @@ type phaseSnapshot struct {
 	Metrics []telemetry.MetricSnapshot `json:"metrics"`
 }
 
-// instrumented applies the session-wide telemetry attachments to one mount
-// configuration. With neither flag set it is the identity.
-func instrumented(cfg pfs.Config) pfs.Config {
-	cfg.Metrics = benchReg
-	cfg.Trace = benchTracer
-	return cfg
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func main() {
-	os.Exit(run(os.Args[1:]))
+// experimentNames lists the catalogue for the usage line.
+func experimentNames() []string {
+	names := make([]string, len(experiment.All))
+	for i, e := range experiment.All {
+		names[i] = e.Name
+	}
+	return names
 }
 
 // run is the whole command: it returns the exit status instead of
-// exiting so a test can drive it in-process, and starts from a clean
-// session so it can be called more than once.
-func run(args []string) int {
-	if len(args) > 0 && args[0] == "compare" {
-		return runCompare(args[1:])
+// exiting and prints results to stdout, so a test can drive it
+// in-process.
+func run(args []string, stdout io.Writer) int {
+	if len(args) > 0 {
+		switch args[0] {
+		case "compare":
+			return runCompare(args[1:], stdout)
+		case "report":
+			return runReport(args[1:], stdout)
+		}
 	}
-	benchReg, benchTracer, phaseSnaps, wantPhaseSnaps = nil, nil, nil, false
-	benchSnap, benchResetSpans = nil, false
-
 	fs := flag.NewFlagSet("mifbench", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mifbench [flags] {fig6a|fig6b|fig7|table1|fig8|fig9|fig10|ablation|defrag|cache|failover|crashsweep|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: mifbench [flags] {%s|all}\n", strings.Join(experimentNames(), "|"))
 		fmt.Fprintf(os.Stderr, "       mifbench compare [-v] <old.json> <new.json>\n")
+		fmt.Fprintf(os.Stderr, "       mifbench report <BENCH.json> <EXPERIMENTS.md>\n")
+		for _, e := range experiment.All {
+			fmt.Fprintf(os.Stderr, "  %-10s %s\n", e.Name, e.Summary)
+		}
 		fs.PrintDefaults()
 	}
 	scale := fs.Float64("scale", 1.0, "workload scale factor (file sizes, file counts)")
@@ -115,17 +106,42 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
+	selected := experiment.All
+	if name := fs.Arg(0); name != "all" {
+		selected = nil
+		for _, e := range experiment.All {
+			if e.Name == name {
+				selected = []experiment.Experiment{e}
+			}
+		}
+		if selected == nil {
+			fs.Usage()
+			return 2
+		}
+	}
+
+	// reg and tracer, when non-nil, are attached to every mount the
+	// experiments build.
+	var (
+		reg        *telemetry.Registry
+		tracer     *telemetry.Tracer
+		phaseSnaps []phaseSnapshot
+		snap       *benchsnap.Snapshot
+		// resetSpans marks that the tracer exists only to time the
+		// snapshot (no -trace/-spans output), so its span buffer is
+		// discarded at each phase boundary to bound memory — Reset keeps
+		// the clock running.
+		resetSpans bool
+	)
 	if *telemetryOut != "" {
-		benchReg = telemetry.NewRegistry()
-		wantPhaseSnaps = true
+		reg = telemetry.NewRegistry()
 	}
 	if *traceOut != "" || *spansOut != "" {
-		benchTracer = telemetry.NewTracer(nil)
+		tracer = telemetry.NewTracer(nil)
 	}
-	exp := fs.Arg(0)
 	if *benchJSON != "" {
-		benchSnap = benchsnap.New(exp, *scale)
-		benchSnap.Host = &benchsnap.Host{
+		snap = benchsnap.New(fs.Arg(0), *scale)
+		snap.Host = &benchsnap.Host{
 			GoVersion:  runtime.Version(),
 			GOOS:       runtime.GOOS,
 			GOARCH:     runtime.GOARCH,
@@ -133,41 +149,47 @@ func run(args []string) int {
 			NumCPU:     runtime.NumCPU(),
 		}
 		// The snapshot needs the simulated clock and per-op durations, so
-		// a tracer is always attached; when nothing else wants the spans
-		// themselves, they are discarded at each phase boundary.
-		if benchTracer == nil {
-			benchTracer = telemetry.NewTracer(nil)
-			benchResetSpans = true
+		// a tracer is always attached.
+		if tracer == nil {
+			tracer = telemetry.NewTracer(nil)
+			resetSpans = true
 		}
 	}
-	runners := map[string]func(float64) error{
-		"fig6a":      runFig6a,
-		"fig6b":      runFig6b,
-		"fig7":       runFig7,
-		"table1":     runTable1,
-		"fig8":       runFig8,
-		"fig9":       runFig9,
-		"fig10":      runFig10,
-		"ablation":   runAblation,
-		"defrag":     runDefrag,
-		"cache":      runCache,
-		"failover":   runFailover,
-		"crashsweep": runCrashSweep,
-	}
-	var order = []string{"fig6a", "fig6b", "fig7", "table1", "fig8", "fig9", "fig10", "ablation", "defrag", "cache", "failover", "crashsweep"}
-	if exp != "all" {
-		if _, ok := runners[exp]; !ok {
-			fs.Usage()
-			return 2
+
+	// Each experiment is bracketed by a phase marker on the trace
+	// timeline and followed by a registry snapshot. With -bench-json the
+	// registry is recreated per phase (records are per-experiment state)
+	// and a benchsnap collector brackets the run.
+	for _, e := range selected {
+		if snap != nil {
+			reg = telemetry.NewRegistry()
 		}
-		order = []string{exp}
-	}
-	for _, name := range order {
-		if err := runPhase(name, runners[name], *scale); err != nil {
-			fmt.Fprintf(os.Stderr, "mifbench %s: %v\n", name, err)
+		tracer.Mark("phase", e.Name)
+		var col *benchsnap.Collector
+		if snap != nil {
+			col = benchsnap.StartExperiment(reg, tracer)
+		}
+		tables, err := e.Run(experiment.Env{Scale: *scale, Metrics: reg, Trace: tracer})
+		if err == nil {
+			err = experiment.WriteText(stdout, tables)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mifbench %s: %v\n", e.Name, err)
 			return 1
 		}
+		if *telemetryOut != "" {
+			phaseSnaps = append(phaseSnaps, phaseSnapshot{Phase: e.Name, Metrics: reg.Snapshot()})
+		}
+		if col != nil {
+			rec := col.Finish(e.Name)
+			rec.Results = tables
+			snap.Experiments = append(snap.Experiments, rec)
+			if resetSpans {
+				tracer.Reset()
+			}
+		}
 	}
+
 	// A nil tracer or snapshot has an empty path and is skipped.
 	outputs := []struct {
 		path  string
@@ -178,9 +200,9 @@ func run(args []string) int {
 			enc.SetIndent("", "  ")
 			return enc.Encode(phaseSnaps)
 		}},
-		{*traceOut, benchTracer.WriteChromeTrace},
-		{*spansOut, benchTracer.WriteSpanLog},
-		{*benchJSON, benchSnap.Write},
+		{*traceOut, tracer.WriteChromeTrace},
+		{*spansOut, tracer.WriteSpanLog},
+		{*benchJSON, snap.Write},
 	}
 	for _, o := range outputs {
 		if o.path == "" {
@@ -192,34 +214,6 @@ func run(args []string) int {
 		}
 	}
 	return 0
-}
-
-// runPhase runs one experiment, bracketed by a phase marker on the trace
-// timeline and followed by a registry snapshot. With -bench-json the
-// registry is recreated per phase (records are per-experiment state) and
-// a benchsnap collector brackets the run.
-func runPhase(name string, fn func(float64) error, scale float64) error {
-	if benchSnap != nil {
-		benchReg = telemetry.NewRegistry()
-	}
-	benchTracer.Mark("phase", name)
-	var col *benchsnap.Collector
-	if benchSnap != nil {
-		col = benchsnap.StartExperiment(benchReg, benchTracer)
-	}
-	if err := fn(scale); err != nil {
-		return err
-	}
-	if wantPhaseSnaps {
-		phaseSnaps = append(phaseSnaps, phaseSnapshot{Phase: name, Metrics: benchReg.Snapshot()})
-	}
-	if col != nil {
-		benchSnap.Experiments = append(benchSnap.Experiments, col.Finish(name))
-		if benchResetSpans {
-			benchTracer.Reset()
-		}
-	}
-	return nil
 }
 
 // writeOutput writes one exporter's output to path.
@@ -236,9 +230,4 @@ func writeOutput(path string, write func(w io.Writer) error) error {
 		return fmt.Errorf("close %s: %w", path, err)
 	}
 	return nil
-}
-
-// header prints an experiment banner.
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"testing"
 
+	"redbud/internal/experiment"
 	"redbud/internal/pfs"
 	"redbud/internal/rpc"
 	"redbud/internal/telemetry"
@@ -22,7 +23,7 @@ import (
 func microSnapshot(t *testing.T, mutate func(*pfs.Config)) []byte {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	cfg := fig6FS(pfs.PolicyOnDemand)
+	cfg := experiment.Fig6FS(pfs.PolicyOnDemand)
 	cfg.Metrics = reg
 	if mutate != nil {
 		mutate(&cfg)

@@ -5,7 +5,7 @@
 // parallel file system" (ICPP 2011).
 //
 // The library lives under internal/ (see DESIGN.md for the system
-// inventory); cmd/mifbench regenerates every figure and table of the
-// paper's evaluation, and bench_test.go exposes the same experiments as Go
-// benchmarks.
+// inventory); internal/experiment defines every figure and table of the
+// paper's evaluation once, cmd/mifbench prints and records them, and
+// bench_test.go times the same definitions on the host.
 package redbud

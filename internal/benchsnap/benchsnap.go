@@ -1,11 +1,13 @@
 // Package benchsnap defines the BENCH.json snapshot format and the exact
 // comparison over it. Every mifbench run can emit a schema-versioned
 // snapshot (one record per experiment: wall-clock and simulated totals,
-// the full counter set, per-layer latency percentiles, and
-// structured-event totals; the time-series curves stay in `mifbench
-// -telemetry`), and `mifbench compare` diffs two snapshots: the committed
-// BENCH.json pins every simulated quantity, so a change that moves one
-// has to refresh the file, and that file's diff is the drift report.
+// the result tables the experiment printed, the full counter set,
+// per-layer latency percentiles, and structured-event totals; the
+// time-series curves stay in `mifbench -telemetry`), and `mifbench
+// compare` diffs two snapshots: the committed BENCH.json pins every
+// simulated quantity — the paper's headline numbers included — so a
+// change that moves one has to refresh the file, and that file's diff is
+// the drift report.
 //
 // Determinism contract: everything in a snapshot except the volatile
 // fields (Snapshot.CreatedWall, Snapshot.Host, Experiment.WallNs) is
@@ -23,13 +25,14 @@ import (
 	"strings"
 	"time"
 
+	"redbud/internal/experiment"
 	"redbud/internal/sim"
 	"redbud/internal/stats"
 	"redbud/internal/telemetry"
 )
 
 // SchemaVersion tags snapshot documents; Read rejects other versions.
-const SchemaVersion = "redbud-bench/2"
+const SchemaVersion = "redbud-bench/3"
 
 // Snapshot is one BENCH.json document: a named benchmark run at a given
 // workload scale, one Experiment per mifbench phase.
@@ -72,6 +75,10 @@ type Experiment struct {
 	WallNs int64 `json:"wall_ns"`
 	// SimNs is the simulated time the phase advanced the trace clock by.
 	SimNs sim.Ns `json:"sim_ns"`
+	// Results holds the experiment's result tables — the numbers mifbench
+	// prints and EXPERIMENTS.md reports — filled in by the command that
+	// ran the experiment.
+	Results []experiment.Table `json:"results,omitempty"`
 	// Counters holds every scalar metric (counters and gauges) keyed
 	// "name{labels}" in the registry's canonical form.
 	Counters map[string]int64 `json:"counters,omitempty"`
@@ -121,8 +128,9 @@ func (s *Snapshot) Write(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Read parses and validates a snapshot document. Experiments are matched
-// by name, so a document that names one twice is rejected.
+// Read parses and validates a snapshot document. Experiments, result
+// tables, rows and columns are matched by name, so a document that names
+// one twice is rejected, as is a row whose width is not its table's.
 func Read(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
@@ -137,6 +145,16 @@ func Read(r io.Reader) (*Snapshot, error) {
 			return nil, fmt.Errorf("benchsnap: experiment %q recorded twice", e.Name)
 		}
 		seen[e.Name] = true
+		tables := make(map[string]bool, len(e.Results))
+		for _, t := range e.Results {
+			if tables[t.ID] {
+				return nil, fmt.Errorf("benchsnap: experiment %q: result table %q recorded twice", e.Name, t.ID)
+			}
+			tables[t.ID] = true
+			if err := t.Check(); err != nil {
+				return nil, fmt.Errorf("benchsnap: experiment %q: %w", e.Name, err)
+			}
+		}
 	}
 	return &s, nil
 }

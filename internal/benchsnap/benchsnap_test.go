@@ -6,9 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"redbud/internal/experiment"
 	"redbud/internal/sim"
 	"redbud/internal/telemetry"
 )
@@ -38,6 +41,24 @@ func syntheticRun(name string) Experiment {
 	}
 	reg.Events().Emit(tracer.Now(), "rpc", "retry", "obj-write")
 	return col.Finish(name)
+}
+
+// syntheticResults is one hand-built result table, as mifbench attaches
+// to a record.
+func syntheticResults() []experiment.Table {
+	return []experiment.Table{{
+		ID: "fig6a", Title: "Figure 6(a)", Label: "streams",
+		Columns: []experiment.Column{
+			{Name: "reservation", Unit: "MB/s", Decimals: 1},
+			{Name: "on-demand", Unit: "MB/s", Decimals: 1},
+			{Name: "od/res gain", Unit: "%", Signed: true},
+		},
+		Rows: []experiment.Row{
+			{Label: "32", Values: []float64{49.75, 162.03125, 225.69}},
+			{Label: "48", Values: []float64{43, 120.125, 179.36}},
+		},
+		Notes: []string{"paper: on-demand beats reservation"},
+	}}
 }
 
 func TestCollectorRecord(t *testing.T) {
@@ -82,7 +103,9 @@ func TestDeterminismModuloWallClock(t *testing.T) {
 
 func TestGoldenSchema(t *testing.T) {
 	snap := New("golden", 0.5)
-	snap.Experiments = append(snap.Experiments, syntheticRun("fig6a"))
+	rec := syntheticRun("fig6a")
+	rec.Results = syntheticResults()
+	snap.Experiments = append(snap.Experiments, rec)
 	snap.StripVolatile()
 	var buf bytes.Buffer
 	if err := snap.Write(&buf); err != nil {
@@ -111,17 +134,46 @@ func TestGoldenSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Schema != SchemaVersion || len(rt.Experiments) != 1 {
+	if rt.Schema != SchemaVersion || len(rt.Experiments) != 1 || !reflect.DeepEqual(rt.Experiments[0].Results, syntheticResults()) {
 		t.Fatalf("round-trip = %+v", rt)
 	}
 }
 
+// previousSchema is a document of the format before result tables.
+const previousSchema = `{"schema":"redbud-bench/2","name":"all","scale":1,"experiments":[{"name":"fig6a","wall_ns":1,"sim_ns":2}]}`
+
 func TestReadRejectsWrongSchema(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte(`{"schema":"redbud-bench/999"}`))); err == nil {
-		t.Fatal("foreign schema version must be rejected")
+	_, err := Read(strings.NewReader(previousSchema))
+	if err == nil || !strings.Contains(err.Error(), `"redbud-bench/2"`) || !strings.Contains(err.Error(), `"`+SchemaVersion+`"`) {
+		t.Fatalf("previous schema version must be rejected naming both versions, got %v", err)
 	}
-	if _, err := Read(bytes.NewReader([]byte(`not json`))); err == nil {
+	if _, err := Read(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("malformed input must be rejected")
+	}
+}
+
+// TestReadRejectsMalformedResults: cells are addressed by table, row and
+// column name, so a document that repeats one, or whose row is not as
+// wide as its header, cannot be compared and is refused.
+func TestReadRejectsMalformedResults(t *testing.T) {
+	doc := func(results string) string {
+		return `{"schema":"` + SchemaVersion + `","name":"t","scale":1,"experiments":[{"name":"fig6a","wall_ns":0,"sim_ns":1,"results":[` + results + `]}]}`
+	}
+	const table = `{"id":"fig6a","title":"t","label":"streams","columns":[{"name":"a"},{"name":"b"}],"rows":[{"label":"32","values":[1,2]}]}`
+	for _, tc := range []struct{ name, results, wantErr string }{
+		{"well-formed", table, ""},
+		{"table twice", table + "," + table, `result table "fig6a" recorded twice`},
+		{"row twice", strings.Replace(table, `{"label":"32","values":[1,2]}`, `{"label":"32","values":[1,2]},{"label":"32","values":[3,4]}`, 1), "result fig6a/32: row recorded twice"},
+		{"column twice", strings.Replace(table, `{"name":"b"}`, `{"name":"a"}`, 1), `column "a" declared twice`},
+		{"short row", strings.Replace(table, `[1,2]`, `[1]`, 1), "result fig6a/32: 1 values for 2 columns"},
+	} {
+		_, err := Read(strings.NewReader(doc(tc.results)))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
@@ -133,8 +185,10 @@ func FuzzRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(golden)
+	f.Add(golden) // the current schema, with a results table
+	f.Add([]byte(previousSchema))
 	f.Add(golden[:len(golden)/2])
+	f.Add(bytes.Replace(golden, []byte(`"label": "48"`), []byte(`"label": "32"`), 1))
 	f.Add(bytes.Replace(golden, []byte(`"experiments": [`), []byte(`"experiments": [{"name": "fig6a"},`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))

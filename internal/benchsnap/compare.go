@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Delta is one simulated metric that differs between two snapshots.
@@ -50,6 +51,13 @@ func flatten(e Experiment) map[string]float64 {
 	}
 	for _, ev := range e.Events {
 		out["event/"+ev.Layer+"/"+ev.Kind] = float64(ev.Count)
+	}
+	for _, t := range e.Results {
+		for _, r := range t.Rows {
+			for i, v := range r.Values {
+				out["result/"+t.ID+"/"+r.Label+"/"+t.Columns[i].Name] = v
+			}
+		}
 	}
 	return out
 }
@@ -194,8 +202,10 @@ func (r Result) WriteText(w io.Writer, verbose bool) error {
 		order = order[:maxQuiet]
 	}
 	for _, d := range order {
-		if _, err := fmt.Fprintf(w, "drift      %-10s %-46s %14.0f -> %14.0f  %+7.1f%%\n",
-			d.Experiment, d.Metric, d.Old, d.New, 100*d.Frac); err != nil {
+		// Shortest exact form: counters print as integers, and a result
+		// cell that moved in its last digit shows that digit.
+		if _, err := fmt.Fprintf(w, "drift      %-10s %-46s %14s -> %14s  %+7.1f%%\n",
+			d.Experiment, d.Metric, strconv.FormatFloat(d.Old, 'f', -1, 64), strconv.FormatFloat(d.New, 'f', -1, 64), 100*d.Frac); err != nil {
 			return err
 		}
 	}

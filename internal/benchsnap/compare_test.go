@@ -2,9 +2,11 @@ package benchsnap
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"redbud/internal/experiment"
 	"redbud/internal/telemetry"
 )
 
@@ -63,8 +65,10 @@ func TestCompareExact(t *testing.T) {
 		s.Host = &Host{GoVersion: "go1.24.0", GOMAXPROCS: 2, NumCPU: 2}
 		s.Experiments[0].Layers = []LayerLatency{{Layer: "disk", Count: 10, P50Ns: 400, P99Ns: 1000}}
 		s.Experiments[0].Events = []telemetry.EventCount{{Layer: "rpc", Kind: "retry", Count: 3}}
+		s.Experiments[0].Results = syntheticResults()
 		return s
 	}
+	results := func(s *Snapshot) *experiment.Table { return &s.Experiments[0].Results[0] }
 	for _, tc := range []struct {
 		name   string
 		change func(s *Snapshot)
@@ -78,6 +82,24 @@ func TestCompareExact(t *testing.T) {
 		{"layer percentile up", func(s *Snapshot) { s.Experiments[0].Layers[0].P99Ns *= 2 }, "layer/disk/p99_ns"},
 		{"layer percentile down", func(s *Snapshot) { s.Experiments[0].Layers[0].P50Ns /= 2 }, "layer/disk/p50_ns"},
 		{"event total", func(s *Snapshot) { s.Experiments[0].Events[0].Count++ }, "event/rpc/retry"},
+		{"result cell, last ulp", func(s *Snapshot) {
+			v := &results(s).Rows[0].Values[1]
+			*v = math.Nextafter(*v, math.Inf(1))
+		}, "result/fig6a/32/on-demand"},
+		{"result row on one side only", func(s *Snapshot) { results(s).Rows = results(s).Rows[:1] }, "result/fig6a/48/reservation"},
+		{"result column on one side only", func(s *Snapshot) {
+			t := results(s)
+			t.Columns = t.Columns[:2]
+			for i := range t.Rows {
+				t.Rows[i].Values = t.Rows[i].Values[:2]
+			}
+		}, "result/fig6a/32/od/res gain"},
+		{"result table on one side only", func(s *Snapshot) { s.Experiments[0].Results = nil }, "result/fig6a/48/on-demand"},
+		{"result rows reordered", func(s *Snapshot) {
+			r := results(s).Rows
+			r[0], r[1] = r[1], r[0]
+		}, ""},
+		{"result title and notes reworded", func(s *Snapshot) { results(s).Title, results(s).Notes = "reworded", nil }, ""},
 		{"experiment on the new side only", func(s *Snapshot) {
 			s.Experiments = append(s.Experiments, Experiment{Name: "fig7"})
 		}, "fig7 (new only)"},

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"redbud/internal/pfs"
@@ -173,4 +174,32 @@ func fig7Config(policy pfs.PolicyKind) pfs.Config {
 	cfg := pfs.MiF(8).WithPolicy(policy)
 	cfg.ReservationWindow = 2048
 	return cfg
+}
+
+// TestMixedStreamDeterministicAndBounded: the mixed-stream run has no seed,
+// so two runs must agree exactly; on-demand preallocation must not
+// fragment the sequential region more than no preallocation does, and the
+// throughput is finite (sim.MBps reports 0, not +Inf, over zero time).
+func TestMixedStreamDeterministicAndBounded(t *testing.T) {
+	a, err := RunMixedStream(fig6Config(pfs.PolicyOnDemand))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunMixedStream(fig6Config(pfs.PolicyOnDemand))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatalf("identical runs differ: %+v vs %+v", a, b)
+	}
+	vanilla, err := RunMixedStream(fig6Config(pfs.PolicyVanilla))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Extents > vanilla.Extents {
+		t.Fatalf("on-demand extents %d exceed the vanilla arm's %d", a.Extents, vanilla.Extents)
+	}
+	if a.ReadMBps <= 0 || math.IsInf(a.ReadMBps, 0) {
+		t.Fatalf("read throughput %v", a.ReadMBps)
+	}
 }

@@ -27,9 +27,6 @@ type MetaratesConfig struct {
 	Layout mdfs.Layout
 	// Htree enables the ext4-style name index (the Lustre baseline).
 	Htree bool
-	// SpillDegree overrides the embedded layout's fragmentation-degree
-	// threshold when non-zero (ablation hook).
-	SpillDegree float64
 	// Seed drives the client interleaving.
 	Seed uint64
 	// Metrics, when set, receives the MDS server's telemetry (labeled by
@@ -91,9 +88,6 @@ func RunMetarates(cfg MetaratesConfig) (MetaratesResult, error) {
 	mcfg := mds.DefaultConfig(cfg.Layout)
 	mcfg.FS.SyncWrites = true
 	mcfg.FS.Htree = cfg.Htree
-	if cfg.SpillDegree != 0 {
-		mcfg.FS.SpillDegree = cfg.SpillDegree
-	}
 	srv, err := mds.New(mcfg)
 	if err != nil {
 		return MetaratesResult{}, err
