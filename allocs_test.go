@@ -8,7 +8,8 @@ package redbud_test
 // one full workload run — one arm of the fig6a, cache, failover, fig8 and
 // fig9 experiments, on the catalogue's mounts — and fails if the
 // allocation count exceeds a ceiling set ~30% above the measured cost
-// (headroom for GC timing flushing the sync.Pools mid-run).
+// (headroom for GC timing flushing the sync.Pools mid-run; failover's is
+// tighter, see there).
 // `go test -bench Experiment -benchmem` reports allocs/op per whole
 // experiment for trend inspection.
 
@@ -38,7 +39,10 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := workload.RunCacheBench(pfs.MiF(5), workload.DefaultCacheBenchConfig())
 			return err
 		}},
-		{"failover", 33_000, func() error {
+		// 23,969 measured (24,446 while the replicated write and read built a
+		// piece list, and the read a load closure, per operation) + 5 %; the
+		// count moves by under 60 between runs.
+		{"failover", 25_170, func() error {
 			_, err := workload.RunFailoverBench(pfs.MiF(6), workload.DefaultFailoverBenchConfig())
 			return err
 		}},

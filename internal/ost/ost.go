@@ -395,6 +395,11 @@ func (s *Server) ensureMappedLocked(o *object, stream core.StreamID, logical, co
 		}
 		placements, err := o.policy.Place(stream, pos, gapEnd-pos, o.goal)
 		if err != nil {
+			// Place hands back the runs it took before the source ran dry
+			// together with the error. They are allocated: the object gets
+			// them (mapped, unwritten) so its truncate or delete frees them.
+			// The caller needs the placement error, not a mapping one.
+			_ = s.insertPlacementsLocked(o, placements)
 			return fmt.Errorf("ost%d: place object %d [%d,+%d): %w", s.id, o.id, pos, gapEnd-pos, err)
 		}
 		if err := s.insertPlacementsLocked(o, placements); err != nil {

@@ -1,9 +1,11 @@
 package ost
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"redbud/internal/alloc"
 	"redbud/internal/core"
 	"redbud/internal/sim"
 )
@@ -288,5 +290,58 @@ func TestDeleteAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedPlaceLeaksNoBlocks fills a small volume until a write runs out
+// of space halfway through its allocation: the runs the policy took before
+// the allocator ran dry must end up owned by the object, so that deleting
+// every object returns the volume to empty.
+func TestFailedPlaceLeaksNoBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		factory PolicyFactory
+	}{
+		{"vanilla", vanillaFactory},
+		{"reservation", reservationFactory},
+		{"on-demand", onDemandFactory},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Blocks = 4096
+			cfg.GroupBlocks = 1024
+			s := NewServer(0, cfg)
+			for id := ObjectID(1); id <= 2; id++ {
+				if err := s.CreateObject(id, tc.factory, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Two interleaved writers, then one file goes: free space is
+			// left in pieces, so the big write below allocates in several
+			// runs before it hits the end.
+			for i := int64(0); i < 128; i++ {
+				for id := ObjectID(1); id <= 2; id++ {
+					if err := s.Write(id, core.StreamID{Client: uint32(id), PID: 1}, i*8, 8); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := s.Delete(1); err != nil {
+				t.Fatal(err)
+			}
+			err := s.Write(2, core.StreamID{Client: 2, PID: 1}, 1024, 4000)
+			if !errors.Is(err, alloc.ErrNoSpace) {
+				t.Fatalf("oversized write: %v, want ErrNoSpace", err)
+			}
+			if err := s.Delete(2); err != nil {
+				t.Fatal(err)
+			}
+			if n, used := s.ObjectCount(), s.UsedBlocks(); n != 0 || used != 0 {
+				t.Fatalf("%d objects, %d blocks still allocated after deleting everything", n, used)
+			}
+			if rep := s.CheckConsistency(); !rep.Clean() {
+				t.Fatalf("inconsistent after failed write: %v", rep.Problems)
+			}
+		})
 	}
 }

@@ -102,8 +102,9 @@ type Config struct {
 	// N-way replica set: writes fan out to all live copies, reads steer to
 	// the least-loaded one (failing over on RPC errors), and a background
 	// re-replication engine restores redundancy after an OST crash. Nil or
-	// RF <= 1 keeps the mount on the unreplicated path, byte-identical to
-	// runs without this field.
+	// RF <= 1 runs the same data path over sets of one — the stripe-aligned
+	// server alone, no replica manager — byte-identical to runs without
+	// this field (TestRF1PathIsByteIdentical).
 	Replication *replica.Config
 	// Crash, when set, attaches a crash-point injector to the mount: the
 	// journal, metadata checkpoint, IO-server write/flush/truncate/migrate
@@ -192,13 +193,18 @@ type FS struct {
 	ostc    []*rpc.OSTClient
 	defrag  *defrag.Engine   // online defragmentation, one controller per OST
 	cache   *cache.Cache     // client block cache, nil on write-through mounts
-	rep     *replica.Manager // replica table, nil on unreplicated mounts
+	rep     *replica.Manager // replica table, nil at RF <= 1
 	files   map[inode.Ino]*file
 	nextObj uint64
 
 	// Reusable fan-out scratch, only touched under fs.mu.
 	stripeScratch []stripePiece
-	closeScratch  [][]extent.Extent
+	// selfSets[c] and selfMembers[c] are component c's set of one — the
+	// stripe-aligned server alone — which the set helpers (replica.go)
+	// answer with at RF <= 1; load is a replicated mount's steering signal.
+	selfSets    [][]int
+	selfMembers [][]replica.MemberState
+	load        func(ost int) sim.Ns
 
 	// tracer records per-operation spans; writeHist/readHist observe each
 	// client operation's simulated duration (the trace clock's advance over
@@ -250,6 +256,8 @@ func New(cfg Config) (*FS, error) {
 		addr := ostAddr(i)
 		fs.conn.Register(addr, rpc.NewOSTEndpoint(addr, osrv, factory), fs.fabric.Link(i))
 		fs.ostc = append(fs.ostc, rpc.NewOSTClient(fs.conn, addr, cfg.OST.Disk.BlockSize))
+		fs.selfSets = append(fs.selfSets, []int{i})
+		fs.selfMembers = append(fs.selfMembers, []replica.MemberState{{OST: i}})
 	}
 	dc := defrag.DefaultConfig()
 	if cfg.Defrag != nil {
@@ -265,6 +273,7 @@ func New(cfg Config) (*FS, error) {
 				cfg.Replication.RF, cfg.OSTs)
 		}
 		fs.rep = replica.NewManager(*cfg.Replication, cfg.OSTs)
+		fs.load = func(i int) sim.Ns { return fs.osts[i].Disk().Stats().BusyNs }
 		// The repair throttle meters against the same simulated-time
 		// currency the defrag mover uses: accumulated device busy time.
 		fs.rep.SetTimeSource(func() sim.Ns {
@@ -396,8 +405,8 @@ func (fs *FS) Defrag() *defrag.Engine { return fs.defrag }
 // write-through (the default).
 func (fs *FS) Cache() *cache.Cache { return fs.cache }
 
-// Replication returns the replica manager, or nil when the mount runs
-// unreplicated (the default).
+// Replication returns the replica manager, or nil when every replica set
+// is a set of one (RF <= 1, the default) and there is nothing to manage.
 func (fs *FS) Replication() *replica.Manager { return fs.rep }
 
 // cacheStore adapts the mount into the cache's backing store. Its methods
@@ -525,17 +534,6 @@ func (fs *FS) ostBusy(i int) sim.Ns {
 	return b
 }
 
-// forEachOSTLocked runs fn(i) once per IO server in index order, stopping
-// at the first failing OST. Callers hold fs.mu.
-func (fs *FS) forEachOSTLocked(fn func(i int) error) error {
-	for i := range fs.osts {
-		if err := fn(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
 	fs.mu.Lock()
@@ -558,43 +556,9 @@ func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File
 		return nil, err
 	}
 	f := &file{ino: ino, sizeHint: sizeHintBlocks}
-	if fs.rep != nil {
-		if err := fs.repCreateLocked(f); err != nil {
-			// It removed its objects and replica state; the name goes
-			// too, for the reason given on the unreplicated path below.
-			_ = fs.mdsc.Unlink(parent, name)
-			return nil, err
-		}
-		fs.files[ino] = f
-		return &File{fs: fs, f: f, parent: parent, name: name}, nil
-	}
-	perOST := fs.componentSizeHint(sizeHintBlocks)
-	// Object IDs come from the MDS-side counter, one per OST in index order.
-	for range fs.ostc {
-		fs.nextObj++
-		f.objects = append(f.objects, ost.ObjectID(fs.nextObj))
-	}
-	err = fs.forEachOSTLocked(func(i int) error {
-		return fs.ostc[i].CreateObject(f.objects[i], perOST)
-	})
-	if err == nil && fs.cfg.Policy == PolicyStatic && sizeHintBlocks > 0 {
-		err = fs.forEachOSTLocked(func(i int) error {
-			n := fs.componentBlocks(sizeHintBlocks, i)
-			if n == 0 {
-				return nil
-			}
-			return fs.ostc[i].Fallocate(f.objects[i], core.StreamID{}, n)
-		})
-	}
-	if err != nil {
-		// A failed create undoes itself, best effort: without this the name
-		// stays linked to an inode the mount cannot open, re-create or
-		// delete, and the objects made before the failing OST keep their
-		// space for the life of the mount. OSTs past the failing one report
-		// an unknown object, which is the state wanted.
-		for i := range fs.ostc {
-			_ = fs.ostc[i].Delete(f.objects[i])
-		}
+	if err := fs.createObjectsLocked(f); err != nil {
+		// It removed its objects and replica state; the name goes too, or it
+		// stays linked to an inode the mount cannot open, re-create or delete.
 		_ = fs.mdsc.Unlink(parent, name)
 		return nil, err
 	}
@@ -648,17 +612,16 @@ func (fs *FS) Delete(parent inode.Ino, name string) error {
 	if err := fs.flushFileLocked(f, "delete-barrier", sp); err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		if err := fs.repDeleteLocked(f); err != nil {
-			return err
-		}
-	} else {
-		if err := fs.forEachOSTLocked(func(i int) error {
-			return fs.ostc[i].Delete(f.objects[i])
+	// Copies on down servers are orphaned (the revived server's object is
+	// garbage the simulator tolerates).
+	for c := range f.objects {
+		if err := fs.eachMemberLocked(f, c, false, func(r int, obj ost.ObjectID) error {
+			return fs.ostc[r].Delete(obj)
 		}); err != nil {
 			return err
 		}
 	}
+	fs.forgetLocked(f)
 	if fs.cache != nil {
 		fs.cache.Drop(cache.FileID(ino))
 	}
@@ -700,14 +663,9 @@ type stripePiece struct {
 	count   int64
 }
 
-// stripeRange splits a file-logical range into component pieces.
-func (fs *FS) stripeRange(blk, count int64) []stripePiece {
-	return fs.appendStripeRange(nil, blk, count)
-}
-
-// appendStripeRange is stripeRange appending into dst, so the write/read
-// hot paths can reuse one scratch slice per mount instead of allocating a
-// piece list per operation.
+// appendStripeRange splits a file-logical range into component pieces,
+// appending into dst so the write/read hot paths can reuse one scratch slice
+// per mount instead of allocating a piece list per operation.
 func (fs *FS) appendStripeRange(dst []stripePiece, blk, count int64) []stripePiece {
 	out := dst
 	n := int64(len(fs.osts))
@@ -742,13 +700,12 @@ func (fs *FS) appendStripeRange(dst []stripePiece, blk, count int64) []stripePie
 func (fs *FS) Flush() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	_ = fs.forEachOSTLocked(func(i int) error {
-		if fs.rep != nil && fs.rep.Down(i) {
-			return nil // no point paying retry timeouts on a suspected server
+	for i := range fs.ostc {
+		if fs.downLocked(i) {
+			continue // no point paying retry timeouts on a suspected server
 		}
 		_, _ = fs.ostc[i].Flush()
-		return nil
-	})
+	}
 }
 
 // Sync flushes the IO servers and the metadata server. On cached mounts
@@ -818,17 +775,26 @@ func (fs *FS) TotalExtents(f *File) (int, error) {
 	return fs.totalExtentsLocked(f.f)
 }
 
+// totalExtentsLocked sums the segment counts over one clean replica per
+// component, failing over like a read when a pick turns out to be
+// unreachable. Callers hold fs.mu.
 func (fs *FS) totalExtentsLocked(f *file) (int, error) {
-	if fs.rep != nil {
-		return fs.repTotalExtentsLocked(f)
-	}
 	total := 0
-	for i := range fs.ostc {
-		n, err := fs.ostc[i].ExtentCount(f.objects[i])
-		if err != nil {
-			return 0, err
+	for c := range f.objects {
+		for {
+			r, obj, ok := fs.bookReplicaLocked(f, c)
+			if !ok {
+				return 0, fmt.Errorf("pfs: no readable replica for component %d", c)
+			}
+			n, err := fs.ostc[r].ExtentCount(obj)
+			if err == nil {
+				total += n
+				break
+			}
+			if !fs.failoverLocked(err, f, c, r) {
+				return 0, err
+			}
 		}
-		total += n
 	}
 	return total, nil
 }
@@ -875,11 +841,11 @@ func (h *File) Write(stream core.StreamID, blk, count int64) error {
 
 // writeThroughLocked stores count blocks at file-logical block blk across
 // the stripe — the uncached write path, also the cache's write-back target.
-// Callers hold fs.mu.
+// Each stripe piece fans out to every live replica of its component. One
+// whose write fails at the transport layer is marked down and stale rather
+// than failing the client write; the write errors only when a piece gets no
+// acknowledgement at all. Callers hold fs.mu.
 func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64) error {
-	if fs.rep != nil {
-		return fs.repWriteLocked(f, stream, blk, count)
-	}
 	before, err := fs.totalExtentsLocked(f)
 	if err != nil {
 		return err
@@ -887,8 +853,23 @@ func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64
 	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
 	fs.stripeScratch = pieces
 	for _, p := range pieces {
-		if err := fs.ostc[p.ostIdx].Write(f.objects[p.ostIdx], stream, p.logical, p.count); err != nil {
+		obj, targets, err := fs.writeTargetsLocked(f, p.ostIdx)
+		if err != nil {
 			return err
+		}
+		acks := 0
+		for _, r := range targets {
+			if err := fs.ostc[r].Write(obj, stream, p.logical, p.count); err != nil {
+				if fs.staleLocked(err, f, p.ostIdx, r) {
+					continue
+				}
+				return err
+			}
+			acks++
+		}
+		if acks == 0 {
+			return fmt.Errorf("pfs: write [%d,+%d): no live replica for component %d",
+				blk, count, p.ostIdx)
 		}
 	}
 	after, err := fs.totalExtentsLocked(f)
@@ -937,24 +918,37 @@ func (h *File) Read(blk, count int64) error {
 }
 
 // readThroughLocked fetches count blocks at file-logical block blk across
-// the stripe — the uncached read path, also the cache's fetch target.
-// Callers hold fs.mu.
+// the stripe — the uncached read path, also the cache's fetch target. Each
+// stripe piece is served by one steered replica: the least-loaded clean
+// live copy, retried on the next-best copy when the pick fails at the
+// transport layer. Callers hold fs.mu.
 func (fs *FS) readThroughLocked(f *file, blk, count int64) error {
-	if fs.rep != nil {
-		return fs.repReadLocked(f, blk, count)
-	}
 	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
 	fs.stripeScratch = pieces
 	for _, p := range pieces {
-		if err := fs.ostc[p.ostIdx].Read(f.objects[p.ostIdx], p.logical, p.count); err != nil {
-			return err
+		var tried []int
+		for {
+			r, obj, ok := fs.steerReadLocked(f, p.ostIdx, tried)
+			if !ok {
+				return fmt.Errorf("pfs: read [%d,+%d): no readable replica for component %d",
+					blk, count, p.ostIdx)
+			}
+			err := fs.ostc[r].Read(obj, p.logical, p.count)
+			if err == nil {
+				break
+			}
+			if !fs.failoverLocked(err, f, p.ostIdx, r) {
+				return err
+			}
+			tried = append(tried, r)
 		}
 	}
 	return nil
 }
 
 // Truncate cuts the file to sizeBlocks, freeing the mappings beyond the
-// boundary on every IO server.
+// boundary on every live copy of every component; members on down servers
+// miss the mutation and go stale.
 func (h *File) Truncate(sizeBlocks int64) error {
 	if sizeBlocks < 0 {
 		return fmt.Errorf("pfs: invalid truncate to %d", sizeBlocks)
@@ -969,13 +963,10 @@ func (h *File) Truncate(sizeBlocks int64) error {
 	if err := fs.flushFileLocked(h.f, "truncate-barrier", sp); err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		if err := fs.repTruncateLocked(h.f, sizeBlocks); err != nil {
-			return err
-		}
-	} else {
-		if err := fs.forEachOSTLocked(func(i int) error {
-			return fs.ostc[i].Truncate(h.f.objects[i], fs.componentBlocks(sizeBlocks, i))
+	for c := range h.f.objects {
+		n := fs.componentBlocks(sizeBlocks, c)
+		if err := fs.eachMemberLocked(h.f, c, true, func(r int, obj ost.ObjectID) error {
+			return fs.ostc[r].Truncate(obj, n)
 		}); err != nil {
 			return err
 		}
@@ -987,8 +978,10 @@ func (h *File) Truncate(sizeBlocks int64) error {
 }
 
 // Fsync forces the file's buffered writes (under delayed allocation) and
-// queued device I/O to storage on every IO server — the explicit sync
-// whose frequency decides whether delayed allocation can coalesce.
+// queued device I/O to storage on every live copy — the explicit sync
+// whose frequency decides whether delayed allocation can coalesce. Skipping
+// a down server is harmless: its copy is already stale for the writes being
+// forced.
 func (h *File) Fsync() error {
 	fs := h.fs
 	fs.mu.Lock()
@@ -1000,16 +993,19 @@ func (h *File) Fsync() error {
 	if err := fs.flushFileLocked(h.f, "fsync-barrier", sp); err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		return fs.repFsyncLocked(h.f)
+	for c := range h.f.objects {
+		if err := fs.eachMemberLocked(h.f, c, false, func(r int, obj ost.ObjectID) error {
+			return fs.ostc[r].Fsync(obj)
+		}); err != nil {
+			return err
+		}
 	}
-	return fs.forEachOSTLocked(func(i int) error {
-		return fs.ostc[i].Fsync(h.f.objects[i])
-	})
+	return nil
 }
 
-// Close releases the file's temporary reservations and records its layout
-// summary at the MDS.
+// Close releases the file's temporary reservations on every live copy and
+// records its layout summary at the MDS from one clean replica per
+// component.
 func (h *File) Close() error {
 	fs := h.fs
 	fs.mu.Lock()
@@ -1021,43 +1017,39 @@ func (h *File) Close() error {
 	if err := fs.flushFileLocked(h.f, "close-barrier", sp); err != nil {
 		return err
 	}
-	if fs.rep != nil {
-		return fs.repCloseLocked(h.f)
-	}
-	if fs.closeScratch == nil {
-		fs.closeScratch = make([][]extent.Extent, len(fs.ostc))
-	}
-	perOST := fs.closeScratch
-	if err := fs.forEachOSTLocked(func(i int) error {
-		if err := fs.ostc[i].CloseObject(h.f.objects[i]); err != nil {
-			return err
-		}
-		exts, err := fs.ostc[i].Extents(h.f.objects[i])
-		if err != nil {
-			return err
-		}
-		perOST[i] = exts
-		return nil
-	}); err != nil {
-		return err
-	}
 	var layout []extent.Extent
-	for i, exts := range perOST {
-		perOST[i] = nil
-		// The MDS records a bounded per-component summary that fits
-		// the inode tail in the common case ("in most cases, the
-		// file layout mapping is stuffed in the inode"); the full
-		// maps stay at the servers.
-		if len(exts) > 0 && len(layout) < extent.InlineSummary {
-			layout = append(layout, extent.Extent{
-				Logical:  int64(i),
-				Physical: exts[0].Physical,
-				Count:    exts[0].Count,
-			})
+	for c := range h.f.objects {
+		if err := fs.eachMemberLocked(h.f, c, false, func(r int, obj ost.ObjectID) error {
+			return fs.ostc[r].CloseObject(obj)
+		}); err != nil {
+			return err
 		}
-		h.f.extents += len(exts)
+		for {
+			r, obj, ok := fs.bookReplicaLocked(h.f, c)
+			if !ok {
+				break // fully degraded component: no summary contribution
+			}
+			exts, err := fs.ostc[r].Extents(obj)
+			if err != nil {
+				if fs.failoverLocked(err, h.f, c, r) {
+					continue
+				}
+				return err
+			}
+			// The MDS records a bounded per-component summary that fits
+			// the inode tail in the common case ("in most cases, the
+			// file layout mapping is stuffed in the inode"); the full
+			// maps stay at the servers.
+			if len(exts) > 0 && len(layout) < extent.InlineSummary {
+				layout = append(layout, extent.Extent{
+					Logical:  int64(c),
+					Physical: exts[0].Physical,
+					Count:    exts[0].Count,
+				})
+			}
+			h.f.extents += len(exts)
+			break
+		}
 	}
-	all := make([]extent.Extent, 0, len(layout))
-	all = append(all, layout...)
-	return fs.mdsc.SetLayout(h.f.ino, all)
+	return fs.mdsc.SetLayout(h.f.ino, layout)
 }

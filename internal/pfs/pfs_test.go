@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"redbud/internal/alloc"
 	"redbud/internal/core"
 	"redbud/internal/mdfs"
 	"redbud/internal/replica"
@@ -84,7 +85,7 @@ func TestStripeRangeMath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Range spanning several stripe units with an unaligned head.
-	pieces := fs.stripeRange(10, 60) // stripe unit 16, 3 OSTs
+	pieces := fs.appendStripeRange(nil, 10, 60) // stripe unit 16, 3 OSTs
 	var total int64
 	for _, p := range pieces {
 		if p.count <= 0 {
@@ -292,5 +293,56 @@ func TestFailedCreateUndoesItself(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestFailedWriteLeaksNoBlocks is the IO-server ENOSPC leak seen through
+// the mount, at RF 1 and RF 2 over the same body: two interleaved writers
+// on small volumes, one file deleted, then a write that runs out of space
+// partway through its allocation. Deleting what is left must empty every
+// server.
+func TestFailedWriteLeaksNoBlocks(t *testing.T) {
+	for _, policy := range []PolicyKind{PolicyVanilla, PolicyReservation, PolicyOnDemand} {
+		for _, rf := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/RF%d", policy, rf), func(t *testing.T) {
+				cfg := MiF(2).WithPolicy(policy)
+				cfg.OST.Blocks = 4096
+				cfg.OST.GroupBlocks = 1024
+				cfg.ReservationWindow = 256
+				// One stripe unit holds the whole test, so the write that
+				// fails reaches its server as a single request.
+				cfg.StripeBlocks = 8192
+				cfg.Replication = &replica.Config{RF: rf}
+				fs, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root := fs.Root()
+				var files [2]*File
+				for i, name := range []string{"a", "b"} {
+					if files[i], err = fs.Create(root, name, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for blk := int64(0); blk < 512; blk += 8 {
+					for i, f := range files {
+						if err := f.Write(core.StreamID{Client: uint32(i), PID: 1}, blk, 8); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := fs.Delete(root, "a"); err != nil {
+					t.Fatal(err)
+				}
+				err = files[1].Write(core.StreamID{Client: 1, PID: 1}, 512, 4000)
+				if !errors.Is(err, alloc.ErrNoSpace) {
+					t.Fatalf("oversized write: %v, want ErrNoSpace", err)
+				}
+				if err := fs.Delete(root, "b"); err != nil {
+					t.Fatal(err)
+				}
+				requireEmpty(t, fs)
+			})
+		}
 	}
 }

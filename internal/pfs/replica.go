@@ -1,13 +1,17 @@
 package pfs
 
-// This file is the replicated data path of the mount: every branch the
-// unreplicated code takes through one OST per stripe piece, taken here
-// through a component's replica set instead. Writes fan out to all live
-// copies (all-replicas-ack: every live member must acknowledge, members on
-// down servers are skipped and marked stale), reads steer to the
-// least-loaded clean copy and fail over on transport errors, and the
-// repair loop executes the plans the replica manager produces. The manager
-// itself issues no RPCs — the lock order stays fs.mu, then manager.mu.
+// This file is where the mount's one data path meets replication. Every
+// file operation in pfs.go is written once, as a loop over the replica set
+// of each stripe component, and the set helpers below are the only places on
+// that path that ask whether a replica manager exists. With one (RF > 1)
+// they answer from it: writes fan out to all live copies (every live member
+// must acknowledge; members on down servers are skipped and marked stale),
+// reads steer to the least-loaded clean copy and fail over on transport
+// errors. Without one, every set is the stripe-aligned server alone, taken
+// from the file's own object list and a per-mount table: nothing is
+// allocated, nothing is ever suspected, and an RPC error is returned exactly
+// as it came. Object creation, OST crash/revive and the repair loop follow.
+// The manager issues no RPCs — the lock order stays fs.mu, then manager.mu.
 
 import (
 	"errors"
@@ -15,11 +19,9 @@ import (
 
 	"redbud/internal/core"
 	"redbud/internal/crashsim"
-	"redbud/internal/extent"
 	"redbud/internal/ost"
 	"redbud/internal/replica"
 	"redbud/internal/rpc"
-	"redbud/internal/sim"
 )
 
 // repairStream is the write-stream identity of re-replication copies, kept
@@ -39,6 +41,123 @@ func repSuspect(err error) bool {
 	return errors.As(err, &re) && re.Kind != rpc.KindBadRequest
 }
 
+// writeTargetsLocked returns component c's object and the servers a write
+// fans out to: every live member, stale included (members skipped because
+// their server is down go stale). Callers hold fs.mu.
+func (fs *FS) writeTargetsLocked(f *file, c int) (ost.ObjectID, []int, error) {
+	if fs.rep == nil {
+		return f.objects[c], fs.selfSets[c], nil
+	}
+	return fs.rep.WriteTargets(f.ino, c)
+}
+
+// membersLocked returns component c's object and per-member state, for the
+// maintenance loop. Callers hold fs.mu.
+func (fs *FS) membersLocked(f *file, c int) ([]replica.MemberState, ost.ObjectID, bool) {
+	if fs.rep == nil {
+		return fs.selfMembers[c], f.objects[c], true
+	}
+	return fs.rep.Members(f.ino, c)
+}
+
+// bookReplicaLocked returns component c's first clean live member — the
+// pick for bookkeeping queries (extent counts, layout summaries), which do
+// not perturb the steering counters. Callers hold fs.mu.
+func (fs *FS) bookReplicaLocked(f *file, c int) (int, ost.ObjectID, bool) {
+	if fs.rep == nil {
+		return c, f.objects[c], true
+	}
+	return fs.rep.ReadReplica(f.ino, c)
+}
+
+// steerReadLocked picks the member a read piece of component c goes to: the
+// least-loaded clean live one not yet tried. Callers hold fs.mu.
+func (fs *FS) steerReadLocked(f *file, c int, tried []int) (int, ost.ObjectID, bool) {
+	if fs.rep == nil {
+		return c, f.objects[c], true
+	}
+	return fs.rep.SteerRead(f.ino, c, tried, fs.load)
+}
+
+// downLocked reports whether server i is currently suspected dead. Callers
+// hold fs.mu.
+func (fs *FS) downLocked(i int) bool { return fs.rep != nil && fs.rep.Down(i) }
+
+// suspectLocked is the failure detector: an error that is transport-level
+// evidence against server r marks it down and reports true — the caller
+// carries on with the rest of the set. Anything else, and every error on a
+// mount without a manager (a set of one has no rest), reports false and is
+// the caller's to return as it came. Callers hold fs.mu.
+func (fs *FS) suspectLocked(err error, r int) bool {
+	if fs.rep == nil || !repSuspect(err) {
+		return false
+	}
+	fs.rep.MarkDown(r)
+	return true
+}
+
+// staleLocked is suspectLocked for a failed mutation: the copy on r missed
+// it and is excluded from reads until repaired. Callers hold fs.mu.
+func (fs *FS) staleLocked(err error, f *file, c, r int) bool {
+	if !fs.suspectLocked(err, r) {
+		return false
+	}
+	fs.rep.MarkStale(f.ino, c, r)
+	return true
+}
+
+// failoverLocked is suspectLocked for a failed query: the caller retries
+// component c on another member. Callers hold fs.mu.
+func (fs *FS) failoverLocked(err error, f *file, c, r int) bool {
+	if !fs.suspectLocked(err, r) {
+		return false
+	}
+	fs.rep.NoteFailover(f.ino, c, r)
+	return true
+}
+
+// forgetLocked drops the replica state of a file whose objects are gone.
+// Callers hold fs.mu.
+func (fs *FS) forgetLocked(f *file) {
+	if fs.rep != nil {
+		fs.rep.Remove(f.ino)
+	}
+}
+
+// eachMemberLocked runs op on every live copy of component c — the loop
+// under truncate, fsync, close, delete and the create-time fallocate.
+// Members on down servers are skipped, and a transport failure marks the
+// server down instead of failing the operation; with missed set (the op
+// mutates data) either leaves the copy stale. One rule for application
+// errors: from a clean member it is returned, from a stale member it is
+// ignored — a stale member created while its server was down never got the
+// object, and stays stale for the repair engine. Callers hold fs.mu.
+func (fs *FS) eachMemberLocked(f *file, c int, missed bool, op func(r int, obj ost.ObjectID) error) error {
+	members, obj, ok := fs.membersLocked(f, c)
+	if !ok {
+		return nil
+	}
+	for _, m := range members {
+		if !m.Down {
+			err := op(m.OST, obj)
+			if err == nil {
+				continue
+			}
+			if !fs.suspectLocked(err, m.OST) {
+				if m.Stale {
+					continue
+				}
+				return err
+			}
+		}
+		// The server is down, or just proved to be: its copy missed this.
+		if missed {
+			fs.rep.MarkStale(f.ino, c, m.OST)
+		}
+	}
+	return nil
+}
+
 // repPlaceInputsLocked gathers the per-OST capacity/load observations the
 // spread policy scores: the allocator's free-space gauge, the device's
 // accumulated busy time, and the client's current suspicion of the server.
@@ -56,49 +175,52 @@ func (fs *FS) repPlaceInputsLocked() []replica.PlaceInput {
 	return in
 }
 
-// repCreateLocked creates a replicated file: the MDS places one replica set
-// per stripe component from the client's observations, then the component
-// objects are created on every placed server. A server that fails its
-// create is marked down and its copy starts stale (the repair engine will
-// build it); the create succeeds as long as each component has at least one
-// live copy. A create that fails undoes what it did here, best effort:
-// every object id it handed out is deleted on every reachable server (one
-// that never saw the id reports an unknown object, which is the state
-// wanted) and the manager forgets the file, so nothing keeps space or
-// repair state for an inode the caller is about to unlink. Callers hold
-// fs.mu.
-func (fs *FS) repCreateLocked(f *file) (err error) {
-	first := fs.nextObj + 1
+// createObjectsLocked gives a new file its objects: one id per stripe
+// component from the MDS-side counter, taken up front in index order, then
+// each component's object created on every server of its set — the sets the
+// MDS places from the client's observations on a replicated mount, the
+// stripe-aligned server alone otherwise. A server that fails its create at
+// the transport is marked down and its copy starts stale (the repair engine
+// will build it); the create succeeds as long as each component has at
+// least one live copy. A create that fails undoes what it did here, best
+// effort: each id is deleted on the reachable members of its set (one that
+// never saw the id reports an unknown object, which is the state wanted)
+// and the manager forgets the file, so nothing keeps space or repair state
+// for an inode the caller is about to unlink. Callers hold fs.mu.
+func (fs *FS) createObjectsLocked(f *file) (err error) {
+	sets := fs.selfSets
+	if fs.rep != nil {
+		sets, err = fs.mdsc.PlaceReplicas(f.ino, len(fs.osts), fs.rep.RF(), fs.repPlaceInputsLocked())
+		if err != nil {
+			return err
+		}
+	}
+	for range fs.ostc {
+		fs.nextObj++
+		f.objects = append(f.objects, ost.ObjectID(fs.nextObj))
+	}
 	defer func() {
 		if err == nil {
 			return
 		}
-		for id := first; id <= fs.nextObj; id++ {
-			for r := range fs.ostc {
-				if !fs.rep.Down(r) {
-					_ = fs.ostc[r].Delete(ost.ObjectID(id))
+		for c, obj := range f.objects {
+			for _, r := range sets[c] {
+				if !fs.downLocked(r) {
+					_ = fs.ostc[r].Delete(obj)
 				}
 			}
 		}
-		fs.rep.Remove(f.ino)
+		fs.forgetLocked(f)
 	}()
-	comps := len(fs.osts)
-	sets, err := fs.mdsc.PlaceReplicas(f.ino, comps, fs.rep.RF(), fs.repPlaceInputsLocked())
-	if err != nil {
-		return err
-	}
 	perOST := fs.componentSizeHint(f.sizeHint)
-	for c, set := range sets {
-		id := ost.ObjectID(fs.nextObj + 1)
-		fs.nextObj++
+	for c, obj := range f.objects {
 		acks := 0
-		for _, r := range set {
-			if fs.rep.Down(r) {
+		for _, r := range sets[c] {
+			if fs.downLocked(r) {
 				continue
 			}
-			if err := fs.ostc[r].CreateObject(id, perOST); err != nil {
-				if repSuspect(err) {
-					fs.rep.MarkDown(r)
+			if err := fs.ostc[r].CreateObject(obj, perOST); err != nil {
+				if fs.suspectLocked(err, r) {
 					continue
 				}
 				return err
@@ -108,254 +230,23 @@ func (fs *FS) repCreateLocked(f *file) (err error) {
 		if acks == 0 {
 			return fmt.Errorf("pfs: create: no live replica for component %d", c)
 		}
-		f.objects = append(f.objects, id)
-		fs.rep.Add(f.ino, c, id, set)
+		if fs.rep != nil {
+			fs.rep.Add(f.ino, c, obj, sets[c])
+		}
 	}
 	if fs.cfg.Policy == PolicyStatic && f.sizeHint > 0 {
-		for c := range sets {
+		for c := range f.objects {
 			n := fs.componentBlocks(f.sizeHint, c)
 			if n == 0 {
 				continue
 			}
-			members, obj, _ := fs.rep.Members(f.ino, c)
-			for _, m := range members {
-				if m.Down || m.Stale {
-					continue
-				}
-				if err := fs.ostc[m.OST].Fallocate(obj, core.StreamID{}, n); err != nil {
-					if repSuspect(err) {
-						fs.rep.MarkDown(m.OST)
-						fs.rep.MarkStale(f.ino, c, m.OST)
-						continue
-					}
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// repWriteLocked fans each stripe piece out to every live replica of its
-// component. A replica whose write fails at the transport layer is marked
-// down and stale rather than failing the client write; the write errors
-// only when a piece gets no acknowledgement at all. Callers hold fs.mu.
-func (fs *FS) repWriteLocked(f *file, stream core.StreamID, blk, count int64) error {
-	before, err := fs.repTotalExtentsLocked(f)
-	if err != nil {
-		return err
-	}
-	for _, p := range fs.stripeRange(blk, count) {
-		obj, targets, err := fs.rep.WriteTargets(f.ino, p.ostIdx)
-		if err != nil {
-			return err
-		}
-		acks := 0
-		for _, r := range targets {
-			if err := fs.ostc[r].Write(obj, stream, p.logical, p.count); err != nil {
-				if repSuspect(err) {
-					fs.rep.MarkDown(r)
-					fs.rep.MarkStale(f.ino, p.ostIdx, r)
-					continue
-				}
+			if err := fs.eachMemberLocked(f, c, true, func(r int, obj ost.ObjectID) error {
+				return fs.ostc[r].Fallocate(obj, core.StreamID{}, n)
+			}); err != nil {
 				return err
 			}
-			acks++
-		}
-		if acks == 0 {
-			return fmt.Errorf("pfs: write [%d,+%d): no live replica for component %d",
-				blk, count, p.ostIdx)
 		}
 	}
-	after, err := fs.repTotalExtentsLocked(f)
-	if err != nil {
-		return err
-	}
-	// Same mapping-churn charge as the unreplicated path: units inserted or
-	// merged plus the indexing term.
-	churn := after - before
-	if churn < 0 {
-		churn = -churn
-	}
-	if err := fs.mdsc.NoteExtentChurn(churn + 1 + after/1024); err != nil {
-		return err
-	}
-	f.extents = after
-	fs.extentSeries.Set(fs.tracer.Now(), int64(after))
-	return nil
-}
-
-// repReadLocked serves each stripe piece from one steered replica: the
-// least-loaded clean live copy, retried on the next-best copy when the pick
-// fails at the transport layer. Callers hold fs.mu.
-func (fs *FS) repReadLocked(f *file, blk, count int64) error {
-	load := func(i int) sim.Ns { return fs.osts[i].Disk().Stats().BusyNs }
-	for _, p := range fs.stripeRange(blk, count) {
-		var tried []int
-		for {
-			r, obj, ok := fs.rep.SteerRead(f.ino, p.ostIdx, tried, load)
-			if !ok {
-				return fmt.Errorf("pfs: read [%d,+%d): no readable replica for component %d",
-					blk, count, p.ostIdx)
-			}
-			err := fs.ostc[r].Read(obj, p.logical, p.count)
-			if err == nil {
-				break
-			}
-			if !repSuspect(err) {
-				return err
-			}
-			fs.rep.MarkDown(r)
-			fs.rep.NoteFailover(f.ino, p.ostIdx, r)
-			tried = append(tried, r)
-		}
-	}
-	return nil
-}
-
-// repTotalExtentsLocked sums the file's segment counts over one clean
-// replica per component, failing over like a read when a pick turns out to
-// be unreachable. Callers hold fs.mu.
-func (fs *FS) repTotalExtentsLocked(f *file) (int, error) {
-	total := 0
-	for c := range f.objects {
-		for {
-			r, obj, ok := fs.rep.ReadReplica(f.ino, c)
-			if !ok {
-				return 0, fmt.Errorf("pfs: no readable replica for component %d", c)
-			}
-			n, err := fs.ostc[r].ExtentCount(obj)
-			if err == nil {
-				total += n
-				break
-			}
-			if !repSuspect(err) {
-				return 0, err
-			}
-			fs.rep.MarkDown(r)
-			fs.rep.NoteFailover(f.ino, c, r)
-		}
-	}
-	return total, nil
-}
-
-// repTruncateLocked truncates every live copy of every component; members
-// on down servers miss the mutation and go stale. An application error is
-// tolerated — a stale member created while its server was down never got
-// the object, and stays stale for the repair engine. Callers hold fs.mu.
-func (fs *FS) repTruncateLocked(f *file, sizeBlocks int64) error {
-	for c := range f.objects {
-		members, obj, ok := fs.rep.Members(f.ino, c)
-		if !ok {
-			continue
-		}
-		for _, m := range members {
-			if m.Down {
-				fs.rep.MarkStale(f.ino, c, m.OST)
-				continue
-			}
-			if err := fs.ostc[m.OST].Truncate(obj, fs.componentBlocks(sizeBlocks, c)); err != nil {
-				if repSuspect(err) {
-					fs.rep.MarkDown(m.OST)
-					fs.rep.MarkStale(f.ino, c, m.OST)
-				}
-				continue
-			}
-		}
-	}
-	return nil
-}
-
-// repFsyncLocked forces buffered writes on every live copy. Skipping a down
-// server is harmless — its copy is already stale for the writes being
-// forced — and application errors (no object on a stale member) likewise.
-// Callers hold fs.mu.
-func (fs *FS) repFsyncLocked(f *file) error {
-	for c := range f.objects {
-		members, obj, ok := fs.rep.Members(f.ino, c)
-		if !ok {
-			continue
-		}
-		for _, m := range members {
-			if m.Down {
-				continue
-			}
-			if err := fs.ostc[m.OST].Fsync(obj); err != nil && repSuspect(err) {
-				fs.rep.MarkDown(m.OST)
-			}
-		}
-	}
-	return nil
-}
-
-// repCloseLocked releases reservations on every live copy and records the
-// layout summary at the MDS from one clean replica per component, like the
-// unreplicated close. Callers hold fs.mu.
-func (fs *FS) repCloseLocked(f *file) error {
-	var layout []extent.Extent
-	for c := range f.objects {
-		members, obj, ok := fs.rep.Members(f.ino, c)
-		if !ok {
-			continue
-		}
-		for _, m := range members {
-			if m.Down {
-				continue
-			}
-			if err := fs.ostc[m.OST].CloseObject(obj); err != nil && repSuspect(err) {
-				fs.rep.MarkDown(m.OST)
-			}
-		}
-		for {
-			r, robj, ok := fs.rep.ReadReplica(f.ino, c)
-			if !ok {
-				break // fully degraded component: no summary contribution
-			}
-			exts, err := fs.ostc[r].Extents(robj)
-			if err != nil {
-				if repSuspect(err) {
-					fs.rep.MarkDown(r)
-					fs.rep.NoteFailover(f.ino, c, r)
-					continue
-				}
-				return err
-			}
-			if len(exts) > 0 && len(layout) < extent.InlineSummary {
-				layout = append(layout, extent.Extent{
-					Logical:  int64(c),
-					Physical: exts[0].Physical,
-					Count:    exts[0].Count,
-				})
-			}
-			f.extents += len(exts)
-			break
-		}
-	}
-	all := make([]extent.Extent, 0, len(layout))
-	all = append(all, layout...)
-	return fs.mdsc.SetLayout(f.ino, all)
-}
-
-// repDeleteLocked removes every reachable copy of the file's objects.
-// Copies on down servers are orphaned (the revived server's object is
-// garbage the simulator tolerates); application errors mean the copy never
-// existed. Callers hold fs.mu.
-func (fs *FS) repDeleteLocked(f *file) error {
-	for c := range f.objects {
-		members, obj, ok := fs.rep.Members(f.ino, c)
-		if !ok {
-			continue
-		}
-		for _, m := range members {
-			if m.Down {
-				continue
-			}
-			if err := fs.ostc[m.OST].Delete(obj); err != nil && repSuspect(err) {
-				fs.rep.MarkDown(m.OST)
-			}
-		}
-	}
-	fs.rep.Remove(f.ino)
 	return nil
 }
 
@@ -435,15 +326,13 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 		}
 		runs, err := fs.ostc[jd.Src].WrittenRuns(jd.Obj)
 		if err != nil {
-			if repSuspect(err) {
-				fs.rep.MarkDown(jd.Src)
+			if fs.suspectLocked(err, jd.Src) {
 				return true, nil // progress: learned the source is dead
 			}
 			return false, err
 		}
 		if err := fs.repPrepareDstLocked(jd); err != nil {
-			if repSuspect(err) {
-				fs.rep.MarkDown(jd.Dst)
+			if fs.suspectLocked(err, jd.Dst) {
 				return true, nil
 			}
 			return false, err
@@ -468,16 +357,14 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 	}
 	if err := fs.ostc[jd.Src].Read(jd.Obj, slice.Start, slice.Count); err != nil {
 		fs.rep.AbortJob()
-		if repSuspect(err) {
-			fs.rep.MarkDown(jd.Src)
+		if fs.suspectLocked(err, jd.Src) {
 			return true, nil
 		}
 		return false, err
 	}
 	if err := fs.ostc[jd.Dst].Write(jd.Obj, repairStream, slice.Start, slice.Count); err != nil {
 		fs.rep.AbortJob()
-		if repSuspect(err) {
-			fs.rep.MarkDown(jd.Dst)
+		if fs.suspectLocked(err, jd.Dst) {
 			return true, nil
 		}
 		return false, err

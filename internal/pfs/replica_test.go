@@ -3,6 +3,8 @@ package pfs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"redbud/internal/core"
@@ -256,40 +258,78 @@ func TestReviveClearsSuspicionAndCatchesUp(t *testing.T) {
 	}
 }
 
-// TestRF1PathIsByteIdentical is the compatibility guard: a mount configured
-// with Replication RF=1 must run the legacy unreplicated code and produce
-// exactly the telemetry (metrics and simulated clock) of a mount with no
-// replication config at all.
+// runDataPathScript drives every file operation of the data path once on a
+// fresh mount of cfg — create (with a size hint on the static policy, which
+// fallocates it), write, extent count, read, truncate, fsync, close, reopen,
+// read, delete — and returns what the client saw: one line per observation.
+// The mount comes back with both files deleted.
+func runDataPathScript(t *testing.T, cfg Config) (*FS, []string) {
+	t.Helper()
+	fs, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []string
+	must := func(op string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+	}
+	var hint int64
+	if cfg.Policy == PolicyStatic {
+		hint = 256
+	}
+	stream := core.StreamID{Client: 1, PID: 1}
+	for _, name := range []string{"a.dat", "b.dat"} {
+		f, err := fs.Create(fs.Root(), name, hint)
+		must("create", err)
+		for i := int64(0); i < 16; i++ {
+			must("write", f.Write(stream, i*16, 16))
+		}
+		fs.Flush()
+		n, err := fs.TotalExtents(f)
+		must("extents", err)
+		// How many segments there are is the servers' business — it moves
+		// with what shares their disks, so with the set size; that there are
+		// some is the client's.
+		seen = append(seen, fmt.Sprintf("%s: has extents after writes %v", name, n > 0))
+		must("read", f.Read(0, 256))
+		must("truncate", f.Truncate(128))
+		must("fsync", f.Fsync())
+		must("close", f.Close())
+		h, err := fs.Open(fs.Root(), name)
+		must("reopen", err)
+		must("read after reopen", h.Read(0, 128))
+		n, err = fs.TotalExtents(h)
+		must("extents", err)
+		seen = append(seen, fmt.Sprintf("%s: ino match %v, has extents after truncate %v, read past it fails %v",
+			name, h.Ino() == f.Ino(), n > 0, h.Read(128, 128) != nil))
+	}
+	for _, name := range []string{"a.dat", "b.dat"} {
+		must("delete", fs.Delete(fs.Root(), name))
+		_, err := fs.Open(fs.Root(), name)
+		seen = append(seen, fmt.Sprintf("%s: open after delete fails %v", name, err != nil))
+	}
+	return fs, seen
+}
+
+// TestRF1PathIsByteIdentical is the identity guard of the one data path: a
+// mount configured with Replication RF=1 runs every operation over sets of
+// one without a replica manager, and must produce exactly the telemetry
+// (full registry and simulated clock) of a mount with no replication config
+// at all.
 func TestRF1PathIsByteIdentical(t *testing.T) {
-	run := func(rc *replica.Config) ([]byte, sim.Ns) {
-		cfg := MiF(4)
+	run := func(policy PolicyKind, rc *replica.Config) ([]byte, sim.Ns) {
+		cfg := MiF(4).WithPolicy(policy)
 		cfg.Replication = rc
 		reg := telemetry.NewRegistry()
 		tr := telemetry.NewTracer(nil)
 		cfg.Metrics = reg
-		fs, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs.SetTracer(tr)
-		stream := core.StreamID{Client: 1, PID: 1}
-		for _, name := range []string{"a.dat", "b.dat"} {
-			f, err := fs.Create(fs.Root(), name, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := int64(0); i < 16; i++ {
-				if err := f.Write(stream, i*16, 16); err != nil {
-					t.Fatal(err)
-				}
-			}
-			fs.Flush()
-			if err := f.Read(0, 256); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+		cfg.Trace = tr
+		fs, _ := runDataPathScript(t, cfg)
+		if fs.Replication() != nil {
+			t.Fatal("RF <= 1 mount carries a replica manager")
 		}
 		snap, err := json.Marshal(reg.Snapshot())
 		if err != nil {
@@ -297,13 +337,61 @@ func TestRF1PathIsByteIdentical(t *testing.T) {
 		}
 		return snap, tr.Now()
 	}
-	baseSnap, baseNow := run(nil)
-	rf1Snap, rf1Now := run(&replica.Config{RF: 1})
-	if baseNow != rf1Now {
-		t.Fatalf("simulated clocks diverged: %d vs %d ns", baseNow, rf1Now)
+	for _, policy := range []PolicyKind{PolicyOnDemand, PolicyStatic} {
+		baseSnap, baseNow := run(policy, nil)
+		rf1Snap, rf1Now := run(policy, &replica.Config{RF: 1})
+		if baseNow != rf1Now {
+			t.Fatalf("%v: simulated clocks diverged: %d vs %d ns", policy, baseNow, rf1Now)
+		}
+		if !bytes.Equal(baseSnap, rf1Snap) {
+			t.Fatalf("%v: RF=1 telemetry diverged from the unreplicated mount:\n%s\nvs\n%s",
+				policy, baseSnap, rf1Snap)
+		}
 	}
-	if !bytes.Equal(baseSnap, rf1Snap) {
-		t.Fatalf("RF=1 telemetry diverged from the unreplicated mount:\n%s\nvs\n%s",
-			baseSnap, rf1Snap)
+}
+
+// TestDataPathSameAtEveryRF runs the same script at every replication
+// factor: the client must see the same thing whatever the set size, and once
+// the files are deleted nothing may be left anywhere — no object, no
+// allocated block, no replica state.
+func TestDataPathSameAtEveryRF(t *testing.T) {
+	for _, policy := range []PolicyKind{PolicyOnDemand, PolicyStatic} {
+		var want []string
+		for _, rc := range []*replica.Config{nil, {RF: 1}, {RF: 2}, {RF: 3}} {
+			name := fmt.Sprintf("%v/unreplicated", policy)
+			if rc != nil {
+				name = fmt.Sprintf("%v/RF%d", policy, rc.RF)
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := MiF(4).WithPolicy(policy)
+				cfg.Replication = rc
+				fs, seen := runDataPathScript(t, cfg)
+				if want == nil {
+					want = seen
+				}
+				if !reflect.DeepEqual(seen, want) {
+					t.Fatalf("client-visible results differ from the unreplicated mount:\n%q\nvs\n%q", seen, want)
+				}
+				requireEmpty(t, fs)
+			})
+		}
+	}
+}
+
+// requireEmpty asserts that nothing is left on any IO server or in the
+// replica manager of a mount whose files were all deleted.
+func requireEmpty(t *testing.T, fs *FS) {
+	t.Helper()
+	for i := 0; i < fs.OSTs(); i++ {
+		srv := fs.OST(i)
+		if n, used := srv.ObjectCount(), srv.UsedBlocks(); n != 0 || used != 0 {
+			t.Fatalf("OST %d keeps %d objects, %d blocks", i, n, used)
+		}
+		if rep := srv.CheckConsistency(); !rep.Clean() {
+			t.Fatalf("OST %d inconsistent: %v", i, rep.Problems)
+		}
+	}
+	if rep := fs.Replication(); rep != nil && rep.Components() != 0 {
+		t.Fatalf("replica manager keeps %d components", rep.Components())
 	}
 }

@@ -36,7 +36,7 @@ func TestStripeRangePartitionsExactly(t *testing.T) {
 		got := make(map[int64]loc)
 		perOST := make([]int64, osts)
 		next := blk
-		for _, p := range fs.stripeRange(blk, count) {
+		for _, p := range fs.appendStripeRange(nil, blk, count) {
 			if p.count <= 0 {
 				t.Fatalf("trial %d (su=%d osts=%d [%d,+%d)): empty piece %+v",
 					trial, su, osts, blk, count, p)
@@ -76,7 +76,7 @@ func TestStripeRangePartitionsExactly(t *testing.T) {
 		total := blk + count
 		wholeFile := stripeFixture(su, osts)
 		fromRange := make([]int64, osts)
-		for _, p := range wholeFile.stripeRange(0, total) {
+		for _, p := range wholeFile.appendStripeRange(nil, 0, total) {
 			fromRange[p.ostIdx] += p.count
 		}
 		var sum int64

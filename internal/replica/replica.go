@@ -43,8 +43,9 @@ import (
 // Config tunes replication. The zero value is invalid; start from
 // DefaultConfig.
 type Config struct {
-	// RF is the replication factor: copies per stripe component. 1 keeps
-	// the mount on the unreplicated path.
+	// RF is the replication factor: copies per stripe component. At 1 every
+	// set is the stripe-aligned server alone and the mount builds no Manager
+	// — same data path, sets of one.
 	RF int
 	// SliceBlocks is the largest number of blocks one repair step copies —
 	// the preemption granularity, as in the defrag mover.
@@ -506,7 +507,7 @@ func (m *Manager) SteerRead(ino inode.Ino, c int, tried []int, load func(int) si
 }
 
 // MemberState describes one replica-set member for inspection and for the
-// mount's per-replica maintenance loops (fsync, truncate, close).
+// mount's per-replica maintenance loop (truncate, fsync, close, delete).
 type MemberState struct {
 	OST   int
 	Down  bool

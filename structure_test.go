@@ -62,6 +62,65 @@ func TestInternalIsSingleThreaded(t *testing.T) {
 	}
 }
 
+// TestPfsHasOneDataPath keeps the replicated/unreplicated fork from growing
+// back: every file operation in internal/pfs is one body over replica sets,
+// and whether a replica manager exists is asked only by the set helpers it
+// goes through, by object creation, and by the mount plumbing around the
+// data path — never by an operation itself.
+func TestPfsHasOneDataPath(t *testing.T) {
+	mayAsk := map[string]bool{
+		// the set helpers (internal/pfs/replica.go)
+		"writeTargetsLocked": true, "membersLocked": true, "bookReplicaLocked": true,
+		"steerReadLocked": true, "downLocked": true, "suspectLocked": true, "forgetLocked": true,
+		// object creation: placement and registration of the sets
+		"createObjectsLocked": true,
+		// mount plumbing, failure injection, repair and recovery
+		"Instrument": true, "SetTracer": true, "Open": true,
+		"ReviveOST": true, "RepairStep": true, "CrashRecover": true,
+	}
+	files, err := filepath.Glob("internal/pfs/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || mayAsk[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				cmp, ok := n.(*ast.BinaryExpr)
+				if !ok || (cmp.Op != token.EQL && cmp.Op != token.NEQ) {
+					return true
+				}
+				if isRepField(cmp.X) && isNil(cmp.Y) || isNil(cmp.X) && isRepField(cmp.Y) {
+					t.Errorf("%s: %s tests whether the mount is replicated; go through a set helper",
+						fset.Position(cmp.Pos()), fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
+func isRepField(e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "rep"
+}
+
+func isNil(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
+}
+
 // TestBenchModuleVets builds bench/ — the benchmark BENCHMARK.json
 // declares, a module of its own that `./...` from the root does not reach
 // — so a signature change under internal/ that stops it compiling fails
