@@ -31,11 +31,12 @@
 // line. The layer=cache metrics appear in `stats`.
 //
 // With -rf N (N > 1), every stripe component carries an N-way replica set:
-// writes fan out to all live copies, reads steer to the least-loaded one,
-// and `crash`/`revive` blackhole and restore an IO server. `repair` drains
-// the background re-replication engine, `replicas <path>` prints a file's
-// per-component replica sets, and `report` adds per-OST placement and
-// replica-state lines. The layer=replica metrics appear in `stats`.
+// writes fan out to all live copies and reads steer to the least-loaded
+// one; `repair` drains the background re-replication engine, `replicas
+// <path>` prints a file's per-component replica sets, and `report` adds
+// per-OST placement and replica-state lines. The layer=replica metrics
+// appear in `stats`. `crash`/`revive` blackhole and restore an IO server on
+// any mount — unreplicated, its data is unreachable until the revive.
 //
 // Every mount is instrumented into a telemetry registry; `stats` dumps the
 // live registry (counters, gauges, per-layer latency histograms, time
@@ -82,7 +83,7 @@ func main() {
 	layout := flag.String("layout", "embedded", "directory layout: normal|embedded")
 	osts := flag.Int("osts", 4, "number of IO servers")
 	cacheOn := flag.Bool("cache", false, "mount with the client-side block cache (default tuning)")
-	rf := flag.Int("rf", 1, "replication factor: N-way replica sets when > 1 (enables crash/revive/repair/replicas)")
+	rf := flag.Int("rf", 1, "replication factor: N-way replica sets when > 1 (enables repair/replicas)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the session to this file")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -90,48 +91,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := pfs.MiF(*osts)
-	switch *policy {
-	case "vanilla":
-		cfg = cfg.WithPolicy(pfs.PolicyVanilla)
-	case "reservation":
-		cfg = cfg.WithPolicy(pfs.PolicyReservation)
-	case "on-demand":
-		cfg = cfg.WithPolicy(pfs.PolicyOnDemand)
-	case "static":
-		cfg = cfg.WithPolicy(pfs.PolicyStatic)
-	default:
-		log.Fatalf("unknown policy %q", *policy)
+	cfg, err := mountConfig(*policy, *layout, *osts, *cacheOn, *rf)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *layout == "normal" {
-		base := pfs.RedbudOrig(*osts)
-		cfg.MDS = base.MDS
-	}
-	cfg.Name = fmt.Sprintf("%s/%s", *policy, *layout)
-	if *cacheOn {
-		cc := cache.DefaultConfig()
-		cfg.Cache = &cc
-		cfg.Name += "+cache"
-	}
-	if *rf > 1 {
-		rc := replica.DefaultConfig()
-		rc.RF = *rf
-		cfg.Replication = &rc
-		// crash/revive need the fault transport; zero rates keep the wire
-		// fault-free otherwise.
-		cfg.RPC.Fault = &rpc.FaultConfig{Seed: 1}
-		cfg.RPC.Retry = &rpc.RetryPolicy{TimeoutNs: 2 * sim.Millisecond, MaxRetries: 2}
-		cfg.Name += fmt.Sprintf("+rf%d", *rf)
-	}
-
-	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
-	// The session is always traced: `report` feeds the spans through the
-	// critical-path analyzer for its per-layer breakdown line. -trace
-	// only decides whether the spans are also written out.
-	tr := telemetry.NewTracer(nil)
-	cfg.Trace = tr
-
 	fs, err := pfs.New(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -148,7 +111,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	if err := run(fs, reg, tr, in, os.Stdout); err != nil {
+	if err := run(fs, cfg.Metrics, cfg.Trace, in, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 	if *traceOut != "" {
@@ -156,13 +119,45 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tr.WriteChromeTrace(f); err != nil {
+		if err := cfg.Trace.WriteChromeTrace(f); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 	}
+}
+
+// mountConfig builds the session's mount from the flag values. The mount
+// is always instrumented into a fresh registry and always traced: `report`
+// feeds the spans through the critical-path analyzer for its per-layer
+// breakdown line, and -trace only decides whether the spans are also
+// written out.
+func mountConfig(policy, layout string, osts int, cacheOn bool, rf int) (pfs.Config, error) {
+	kind, err := pfs.ParsePolicy(policy)
+	if err != nil {
+		return pfs.Config{}, err
+	}
+	cfg := pfs.MiF(osts).WithPolicy(kind)
+	if layout == "normal" {
+		cfg.MDS = pfs.RedbudOrig(osts).MDS
+	}
+	cfg.Name = fmt.Sprintf("%s/%s", policy, layout)
+	if cacheOn {
+		cc := cache.DefaultConfig()
+		cfg.Cache = &cc
+		cfg.Name += "+cache"
+	}
+	if rf > 1 {
+		rc := replica.DefaultConfig()
+		rc.RF = rf
+		cfg.Replication = &rc
+		cfg.RPC.Retry = &rpc.RetryPolicy{TimeoutNs: 2 * sim.Millisecond, MaxRetries: 2}
+		cfg.Name += fmt.Sprintf("+rf%d", rf)
+	}
+	cfg.Metrics = telemetry.NewRegistry()
+	cfg.Trace = telemetry.NewTracer(nil)
+	return cfg, nil
 }
 
 // session tracks open handles by path.

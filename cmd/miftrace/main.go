@@ -117,13 +117,9 @@ func replay(args []string) {
 		log.Fatal(err)
 	}
 
-	kinds := map[string]pfs.PolicyKind{
-		"vanilla": pfs.PolicyVanilla, "reservation": pfs.PolicyReservation,
-		"on-demand": pfs.PolicyOnDemand, "static": pfs.PolicyStatic,
-	}
-	kind, ok := kinds[*policy]
-	if !ok {
-		log.Fatalf("unknown policy %q", *policy)
+	kind, err := pfs.ParsePolicy(*policy)
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg := pfs.MiF(*osts).WithPolicy(kind)
 	reg := telemetry.NewRegistry()

@@ -10,7 +10,7 @@ package pfs
 //  3. every IO server rolls its volatile write queue back to what the
 //     media held (ost.PowerFail) and scrubs — demoting torn blocks,
 //     reclaiming leaked and orphaned space;
-//  4. the transport and client suspicion are reset (all servers reboot);
+//  4. blackholes and client suspicion are reset (all servers reboot);
 //  5. the client cache reboots empty;
 //  6. on replicated mounts, staleness is re-derived from durable state —
 //     the manager's stale bits died with the client, but each member's
@@ -97,14 +97,10 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 		rep.Scrubs = append(rep.Scrubs, sr)
 	}
 
-	// 4. Every server rebooted; the transport delivers again and the
+	// 4. Every server rebooted; the connection delivers again and the
 	// client's suspicion resets (stale copies stay stale until repaired).
-	if ft := fs.conn.Fault(); ft != nil {
-		for i := range fs.osts {
-			if ft.Crashed(ostAddr(i)) {
-				ft.Revive(ostAddr(i))
-			}
-		}
+	for i := range fs.osts {
+		fs.conn.Revive(ostAddr(i))
 	}
 	if fs.rep != nil {
 		for i := range fs.osts {

@@ -11,6 +11,7 @@ package pfs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"redbud/internal/cache"
@@ -31,10 +32,10 @@ import (
 )
 
 // mdsAddr is the metadata server's address on a single-MDS mount's
-// transport.
+// connection.
 const mdsAddr = "mds"
 
-// ostAddr names IO server i on the mount's transport.
+// ostAddr names IO server i on the mount's connection.
 func ostAddr(i int) string { return fmt.Sprintf("ost%d", i) }
 
 // PolicyKind selects the data-placement policy applied at the IO servers.
@@ -48,20 +49,31 @@ const (
 	PolicyStatic
 )
 
+// policyNames is the one name table behind String and ParsePolicy.
+var policyNames = [...]string{
+	PolicyVanilla:     "vanilla",
+	PolicyReservation: "reservation",
+	PolicyOnDemand:    "on-demand",
+	PolicyStatic:      "static",
+}
+
 // String names the policy for benchmark tables.
 func (p PolicyKind) String() string {
-	switch p {
-	case PolicyVanilla:
-		return "vanilla"
-	case PolicyReservation:
-		return "reservation"
-	case PolicyOnDemand:
-		return "on-demand"
-	case PolicyStatic:
-		return "static"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
+	return fmt.Sprintf("policy(%d)", int(p))
+}
+
+// ParsePolicy returns the policy String names, or an error listing the
+// known names.
+func ParsePolicy(name string) (PolicyKind, error) {
+	for p, n := range policyNames {
+		if n == name {
+			return PolicyKind(p), nil
+		}
+	}
+	return 0, fmt.Errorf("pfs: unknown policy %q (want one of %s)", name, strings.Join(policyNames[:], ", "))
 }
 
 // Config describes one Redbud mount.
@@ -88,9 +100,10 @@ type Config struct {
 	// engine every mount carries (defrag.DefaultConfig otherwise). The
 	// engine is passive until driven through FS.Defrag.
 	Defrag *defrag.Config
-	// RPC selects the client↔server transport stack: the retry policy
+	// RPC configures the client↔server connection: the retry policy
 	// and, when Fault is set, deterministic fault injection. The zero
-	// value is the default fault-free transport.
+	// value is the default fault-free connection; OST crashes
+	// (CrashOST) work either way.
 	RPC rpc.ClientConfig
 	// Cache, when set, mounts a client-side block cache between the file
 	// operations and the RPC clients: re-reads of cached blocks cost no
@@ -177,7 +190,7 @@ type file struct {
 
 // FS is one mounted Redbud instance. All client↔server traffic flows
 // through the rpc connection: typed messages to per-server endpoints over
-// a transport that charges the GbE metadata link and the per-OST
+// a connection that charges the GbE metadata link and the per-OST
 // FibreChannel fabric. The server handles (mds, osts) remain only for
 // measurement and for the server-local defragmentation engine.
 type FS struct {
@@ -188,7 +201,7 @@ type FS struct {
 	osts    []*ost.Server
 	mdsLink *netsim.Link   // GbE path from clients to the MDS
 	fabric  *netsim.Fabric // per-OST FibreChannel data paths
-	conn    *rpc.Conn      // transport stack: retry → faults → network
+	conn    *rpc.Conn      // one call path: retry, blackholes, faults, wire
 	mdsc    *rpc.MDSClient
 	ostc    []*rpc.OSTClient
 	defrag  *defrag.Engine   // online defragmentation, one controller per OST

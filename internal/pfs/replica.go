@@ -250,25 +250,21 @@ func (fs *FS) createObjectsLocked(f *file) (err error) {
 	return nil
 }
 
-// CrashOST blackholes IO server i at the transport: every RPC to it is
-// dropped until ReviveOST, so clients discover the crash through their own
-// timeouts. Requires the mount to run with a fault transport (Config.RPC.
-// Fault).
+// CrashOST blackholes IO server i on the mount's connection: every RPC to
+// it is dropped until ReviveOST, so clients discover the crash through
+// their own timeouts. Works on every mount, with or without Config.RPC.
+// Fault.
 func (fs *FS) CrashOST(i int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if i < 0 || i >= len(fs.osts) {
 		return fmt.Errorf("pfs: no OST %d", i)
 	}
-	ft := fs.conn.Fault()
-	if ft == nil {
-		return fmt.Errorf("pfs: mount has no fault transport (set Config.RPC.Fault)")
-	}
-	ft.Crash(ostAddr(i))
+	fs.conn.Crash(ostAddr(i))
 	return nil
 }
 
-// ReviveOST restores a crashed IO server: the transport resumes delivery,
+// ReviveOST restores a crashed IO server: the connection resumes delivery,
 // the server reboots (volatile buffers and reservations lost, durable state
 // kept), and the replica manager clears its suspicion — stale copies stay
 // stale until repaired.
@@ -278,11 +274,7 @@ func (fs *FS) ReviveOST(i int) error {
 	if i < 0 || i >= len(fs.osts) {
 		return fmt.Errorf("pfs: no OST %d", i)
 	}
-	ft := fs.conn.Fault()
-	if ft == nil {
-		return fmt.Errorf("pfs: mount has no fault transport (set Config.RPC.Fault)")
-	}
-	ft.Revive(ostAddr(i))
+	fs.conn.Revive(ostAddr(i))
 	fs.osts[i].Restart()
 	if fs.rep != nil {
 		fs.rep.MarkUp(i)

@@ -14,16 +14,15 @@ import (
 	"redbud/internal/telemetry"
 )
 
-// newReplicated mounts a MiF config with n OSTs, rf-way replication, a
-// fault transport (so OSTs can crash), and a short retry budget (so a dead
-// server is detected in a couple of simulated timeouts, not eight).
+// newReplicated mounts a MiF config with n OSTs, rf-way replication, and a
+// short retry budget (so a dead server is detected in a couple of simulated
+// timeouts, not eight). No fault injector: CrashOST works on every mount.
 func newReplicated(t *testing.T, n, rf int) *FS {
 	t.Helper()
 	cfg := MiF(n)
 	rc := replica.DefaultConfig()
 	rc.RF = rf
 	cfg.Replication = &rc
-	cfg.RPC.Fault = &rpc.FaultConfig{Seed: 1}
 	cfg.RPC.Retry = &rpc.RetryPolicy{TimeoutNs: 2 * sim.Millisecond, MaxRetries: 2}
 	fs, err := New(cfg)
 	if err != nil {

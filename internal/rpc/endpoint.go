@@ -6,7 +6,7 @@ import "redbud/internal/telemetry"
 // into the server it wraps. Endpoints are serialized by the caller (the
 // PFS mount or MDS cluster lock), like the servers they front.
 type Endpoint interface {
-	// Addr is the endpoint's address on the transport.
+	// Addr is the endpoint's address on the connection.
 	Addr() string
 	// Serve executes one request. xid is the client-assigned transaction
 	// ID: a retried xid whose original execution completed is answered

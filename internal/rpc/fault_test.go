@@ -3,31 +3,24 @@ package rpc
 import (
 	"errors"
 	"testing"
-
-	"redbud/internal/telemetry"
 )
 
 // TestManualCrashBlackholesEndpoint drives the crash/revive API the
-// failover tooling uses: a crashed endpoint drops every request (a wall of
-// timeouts, not sporadic loss), never auto-revives, and serves again the
-// moment it is revived.
+// failover tooling uses, on a connection with no fault injector: a crashed
+// endpoint drops every request (a wall of timeouts, not sporadic loss),
+// never revives by itself, and serves again the moment it is revived.
 func TestManualCrashBlackholesEndpoint(t *testing.T) {
 	srv := newMDS(t)
-	fault := FaultConfig{Seed: 1}
 	policy := RetryPolicy{MaxRetries: 2}
-	conn := NewConn(ClientConfig{Fault: &fault, Retry: &policy})
+	conn := NewConn(ClientConfig{Retry: &policy})
 	conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
 	cl := NewMDSClient(conn, "mds")
-	ft := conn.Fault()
-	if ft == nil {
-		t.Fatal("fault-configured conn must expose its injector")
-	}
 
 	if _, err := cl.Create(srv.Root(), "before"); err != nil {
 		t.Fatal(err)
 	}
-	ft.Crash("mds")
-	if !ft.Crashed("mds") {
+	conn.Crash("mds")
+	if !conn.Crashed("mds") {
 		t.Fatal("Crash must mark the endpoint blackholed")
 	}
 	for i := 0; i < 8; i++ {
@@ -37,61 +30,14 @@ func TestManualCrashBlackholesEndpoint(t *testing.T) {
 			t.Fatalf("call %d to crashed endpoint: err = %v, want exhausted KindTimeout", i, err)
 		}
 	}
-	if ft.Crashed("mds") != true {
-		t.Fatal("manual crash must never auto-revive")
+	if !conn.Crashed("mds") {
+		t.Fatal("a crash must never revive by itself")
 	}
 	if got := srv.Stats().RPCs; got != 1 {
 		t.Fatalf("server executed %d RPCs, want 1 (nothing during the outage)", got)
 	}
-	ft.Revive("mds")
+	conn.Revive("mds")
 	if _, err := cl.Create(srv.Root(), "after"); err != nil {
 		t.Fatalf("revived endpoint failed: %v", err)
-	}
-}
-
-// TestScheduledCrashRevivesDeterministically exercises a CrashPlan with a
-// seeded outage length: the endpoint goes dark after the armed number of
-// transport attempts, drops a run of calls drawn from the seeded RNG, and
-// comes back on its own — with the whole timeline a pure function of the
-// config and the call sequence.
-func TestScheduledCrashRevivesDeterministically(t *testing.T) {
-	run := func() (created int64, timeouts int64, blackholes int64) {
-		srv := newMDS(t)
-		reg := telemetry.NewRegistry()
-		fault := FaultConfig{
-			Seed:         5,
-			Crashes:      []CrashPlan{{Addr: "mds", AfterCalls: 4}},
-			MaxDownCalls: 8,
-		}
-		policy := RetryPolicy{MaxRetries: 16} // enough budget to ride out the outage
-		conn := NewConn(ClientConfig{Fault: &fault, Retry: &policy})
-		conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
-		conn.Instrument(reg, telemetry.Labels{"layer": "rpc"})
-		cl := NewMDSClient(conn, "mds")
-		for i := 0; i < 16; i++ {
-			if _, err := cl.Create(srv.Root(), "f"+string(rune('a'+i))); err != nil {
-				t.Fatalf("create %d: scheduled outage must be survivable: %v", i, err)
-			}
-		}
-		if conn.Fault().Crashed("mds") {
-			t.Fatal("scheduled outage must have revived by itself")
-		}
-		return srv.Stats().RPCs, counterValue(reg, "rpc_timeouts", ""),
-			counterValue(reg, "rpc_faults", "blackhole")
-	}
-	c1, t1, b1 := run()
-	c2, t2, b2 := run()
-	if c1 != 16 {
-		t.Fatalf("server executed %d RPCs, want all 16 logical creates", c1)
-	}
-	if b1 == 0 || t1 == 0 {
-		t.Fatalf("outage left no trace: %d blackholed attempts, %d timeouts", b1, t1)
-	}
-	if b1 > 8 {
-		t.Fatalf("outage dropped %d attempts, exceeding MaxDownCalls=8", b1)
-	}
-	if c1 != c2 || t1 != t2 || b1 != b2 {
-		t.Fatalf("identical runs diverged: rpcs %d/%d timeouts %d/%d blackholes %d/%d",
-			c1, c2, t1, t2, b1, b2)
 	}
 }

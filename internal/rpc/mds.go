@@ -20,7 +20,7 @@ func NewMDSEndpoint(addr string, srv *mds.Server) *MDSEndpoint {
 	return &MDSEndpoint{addr: addr, srv: srv, cache: newReplayCache()}
 }
 
-// Addr is the endpoint's address on the transport.
+// Addr is the endpoint's address on the connection.
 func (e *MDSEndpoint) Addr() string { return e.addr }
 
 // Server exposes the wrapped server for measurement.

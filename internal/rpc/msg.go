@@ -14,7 +14,7 @@ import (
 // occupies on its network plane: metadata messages report whole 512-byte
 // cells (header included), data messages report the payload they carry (or
 // zero for the descriptor/ack direction), control messages report zero.
-// The transport skips the link entirely for zero-size messages.
+// The connection skips the link entirely for zero-size messages.
 type Msg interface {
 	WireSize() int64
 }

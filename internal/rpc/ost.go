@@ -26,7 +26,7 @@ func NewOSTEndpoint(addr string, srv *ost.Server, factory ost.PolicyFactory) *OS
 	return &OSTEndpoint{addr: addr, srv: srv, factory: factory, cache: newReplayCache()}
 }
 
-// Addr is the endpoint's address on the transport.
+// Addr is the endpoint's address on the connection.
 func (e *OSTEndpoint) Addr() string { return e.addr }
 
 // Server exposes the wrapped server for measurement.

@@ -2,8 +2,8 @@ package rpc
 
 import "sync"
 
-// Request pooling. Request messages are never retained by the stack: the
-// transports read them, the endpoints dispatch on them, and the replay
+// Request pooling. Request messages are never retained by the connection:
+// Conn.Call reads them, the endpoints dispatch on them, and the replay
 // caches record only responses — so a client helper can return its request
 // to a pool the moment Call returns. Responses are NOT poolable: every
 // executed (xid → response) pair lives in the endpoint's replay cache, and
@@ -23,7 +23,7 @@ func (rp *reqPool[T]) get() *T {
 	return new(T)
 }
 
-// put recycles a request the stack has finished with.
+// put recycles a request the connection has finished with.
 func (rp *reqPool[T]) put(x *T) {
 	rp.p.Put(x)
 }

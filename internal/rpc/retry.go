@@ -52,87 +52,26 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// RetryTransport re-sends lost or transiently failed exchanges with
-// exponential backoff over simulated time.
-type RetryTransport struct {
-	next   Transport
-	policy RetryPolicy
-	sh     *shared
-}
-
-// NewRetryTransport wraps next with the policy (zero-valued fields take
-// the defaults; MaxRetries < 0 — see NoRetries — means no re-sends).
-func NewRetryTransport(next Transport, policy RetryPolicy) *RetryTransport {
+// withDefaults fills the zero-valued fields from DefaultRetryPolicy and
+// resolves the NoRetries sentinel (MaxRetries < 0) to zero re-sends.
+func (p RetryPolicy) withDefaults() RetryPolicy {
 	def := DefaultRetryPolicy()
-	if policy.TimeoutNs <= 0 {
-		policy.TimeoutNs = def.TimeoutNs
+	if p.TimeoutNs <= 0 {
+		p.TimeoutNs = def.TimeoutNs
 	}
-	if policy.MaxRetries == 0 {
-		policy.MaxRetries = def.MaxRetries
-	} else if policy.MaxRetries < 0 {
-		policy.MaxRetries = 0
+	if p.MaxRetries == 0 {
+		p.MaxRetries = def.MaxRetries
+	} else if p.MaxRetries < 0 {
+		p.MaxRetries = 0
 	}
-	if policy.BackoffNs <= 0 {
-		policy.BackoffNs = def.BackoffNs
+	if p.BackoffNs <= 0 {
+		p.BackoffNs = def.BackoffNs
 	}
-	if policy.BackoffFactor < 1 {
-		policy.BackoffFactor = def.BackoffFactor
+	if p.BackoffFactor < 1 {
+		p.BackoffFactor = def.BackoffFactor
 	}
-	if policy.MaxBackoffNs <= 0 {
-		policy.MaxBackoffNs = def.MaxBackoffNs
+	if p.MaxBackoffNs <= 0 {
+		p.MaxBackoffNs = def.MaxBackoffNs
 	}
-	return &RetryTransport{next: next, policy: policy, sh: joinStack(next)}
-}
-
-// sharedState exposes the stack state to decorators.
-func (t *RetryTransport) sharedState() *shared { return t.sh }
-
-// Call runs the retry loop. Drops charge the full timeout before the
-// re-send; transient errors re-send after the backoff alone. When the
-// retry budget runs out the call fails with KindTimeout (loss) or
-// KindUnavailable (persistent transient failure).
-func (t *RetryTransport) Call(addr string, xid uint64, req Request) (Msg, error) {
-	p := t.policy
-	backoff := p.BackoffNs
-	for attempt := 0; ; attempt++ {
-		resp, err := t.next.Call(addr, xid, req)
-		if err == nil {
-			if attempt > 0 {
-				t.sh.m.recovery(t.sh.tracer.Now(), req.RPCOp())
-			}
-			return resp, nil
-		}
-		kind := KindUnavailable
-		var cause error
-		if _, lost := err.(*dropError); lost {
-			// The message vanished: the client finds out by waiting out
-			// the RPC timeout. There is no inspectable cause — the client
-			// learned nothing beyond its own clock.
-			t.sh.advance(p.TimeoutNs)
-			t.sh.m.timeout(t.sh.tracer.Now(), req.RPCOp())
-			kind = KindTimeout
-		} else if re, ok := err.(*Error); !ok || !re.Transient() {
-			// Application errors and non-retriable RPC failures pass
-			// through.
-			return resp, err
-		} else {
-			cause = re
-		}
-		if attempt >= p.MaxRetries {
-			t.sh.m.exhaust(t.sh.tracer.Now(), req.RPCOp())
-			return nil, &ExhaustedError{
-				Op:       req.RPCOp(),
-				Addr:     addr,
-				Kind:     kind,
-				Attempts: attempt + 1,
-				Cause:    cause,
-			}
-		}
-		t.sh.m.retry(t.sh.tracer.Now(), req.RPCOp())
-		t.sh.advance(backoff)
-		backoff = sim.Ns(float64(backoff) * p.BackoffFactor)
-		if backoff > p.MaxBackoffNs {
-			backoff = p.MaxBackoffNs
-		}
-	}
+	return p
 }

@@ -3,26 +3,30 @@
 // stat, utime, unlink, rename, readdir, readdirplus, open-getlayout,
 // setlayout) and every client↔OST operation (object create/delete/close,
 // extent write/read, truncate, flush, fsync) is a typed request/response
-// pair dispatched through a Transport to a per-server Endpoint — the only
-// path from the PFS client into mds.Server and ost.Server.
+// pair sent through a Conn to a per-server Endpoint — the only path from the
+// PFS client into mds.Server and ost.Server.
 //
-// The seam is what direct method calls could never express:
+// The seam is what direct method calls could never express. Conn.Call is
+// the whole client side, one loop over attempts:
 //
-//   - Network charging lives in the transport, not the callees: a
-//     NetTransport charges each message's modeled wire size to the server's
-//     netsim link (GbE for the MDS, the per-client FibreChannel fabric for
-//     OSTs) and folds the cost into the simulated trace timeline.
-//   - FaultTransport injects seeded, deterministic message drops, transient
-//     errors, and delays per op class.
-//   - RetryTransport is the client-side timeout/retry policy: a lost
-//     message costs the caller the RPC timeout on the simulated clock, then
-//     is retried with exponential backoff.
+//   - Network charging lives in the connection, not the callees: each
+//     message's modeled wire size is charged to the server's netsim link
+//     (GbE for the MDS, the per-client FibreChannel fabric for OSTs) and
+//     folded into the simulated trace timeline.
+//   - Crash blackholes one route until Revive: every attempt toward it is
+//     lost, with or without a fault injector.
+//   - With ClientConfig.Fault set, each attempt draws seeded, deterministic
+//     variates for message drops, transient errors, and delays per op
+//     class.
+//   - The retry policy is the client-side timeout: a lost message costs the
+//     caller the RPC timeout on the simulated clock, then is retried with
+//     exponential backoff.
 //   - Endpoints keep a duplicate-request (replay) cache keyed by the
 //     client-assigned XID, so a retry of an executed-but-unacknowledged
 //     request returns the recorded response instead of re-executing — the
 //     classic NFS-style reply cache that makes non-idempotent ops (create,
 //     rename) safe under response loss.
-//   - The whole stack publishes layer=rpc telemetry: per-op call counters
+//   - The connection publishes layer=rpc telemetry: per-op call counters
 //     and latency histograms, retry/timeout counters, fault counters, and
 //     per-endpoint replay-cache hits, plus "rpc" spans nested between the
 //     client operation span and the server-side spans.
@@ -168,19 +172,3 @@ func (e *Error) Error() string {
 
 // Transient reports whether a retry may succeed.
 func (e *Error) Transient() bool { return e.Kind == KindUnavailable }
-
-// dropError is the fault layer's internal signal that a message was lost in
-// transit. The retry layer converts it into a charged timeout; it never
-// escapes a Conn call (exhausted retries surface as *ExhaustedError with
-// KindTimeout).
-type dropError struct {
-	response bool // the response was lost (the server executed the request)
-}
-
-// Error renders the loss for debugging.
-func (e *dropError) Error() string {
-	if e.response {
-		return "rpc: response dropped"
-	}
-	return "rpc: request dropped"
-}

@@ -58,10 +58,9 @@ type crashTarget struct {
 }
 
 // crashSweepMount builds the run's mount: 3 IO servers, 2-way replication
-// (which also forces the serial data path the injector requires), a fault
-// transport for the crash/revive control plane, a short retry policy so
-// the blackhole phase doesn't dominate, and a client cache so the barrier
-// points are live.
+// (which also forces the serial data path the injector requires), a short
+// retry policy so the blackhole phase doesn't dominate, and a client cache
+// so the barrier points are live. OST crashes need no fault injector.
 func (t *crashTarget) crashSweepMount(in *crashsim.Injector) error {
 	rep := replica.DefaultConfig()
 	rep.RF = 2
@@ -70,7 +69,6 @@ func (t *crashTarget) crashSweepMount(in *crashsim.Injector) error {
 	fsCfg.Name = "crashsweep"
 	fsCfg.Replication = &rep
 	fsCfg.Cache = &cacheCfg
-	fsCfg.RPC.Fault = &rpc.FaultConfig{Seed: t.cfg.Seed}
 	fsCfg.RPC.Retry = &rpc.RetryPolicy{TimeoutNs: 2 * sim.Millisecond, MaxRetries: 2}
 	fsCfg.Crash = in
 	fsCfg.Metrics = t.reg

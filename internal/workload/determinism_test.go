@@ -11,8 +11,8 @@ import (
 )
 
 // TestFaultyRunReplaysByteIdentically is the determinism guard: two runs
-// of the same experiment, same seed, with the retry/fault transport
-// spliced in, must produce byte-identical telemetry. Every source of
+// of the same experiment, same seed, with the fault injector mounted,
+// must produce byte-identical telemetry. Every source of
 // randomness — arrival jitter and fault injection alike — draws from
 // seeded sim RNGs, never from global math/rand state.
 func TestFaultyRunReplaysByteIdentically(t *testing.T) {

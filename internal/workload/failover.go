@@ -27,9 +27,6 @@ type FailoverBenchConfig struct {
 	Replication replica.Config
 	// CrashOST is the server blackholed when the write phase is half done.
 	CrashOST int
-	// Seed seeds the mount's fault transport (the crash itself is manual,
-	// but the transport's RNG must be pinned for determinism).
-	Seed uint64
 }
 
 // DefaultFailoverBenchConfig returns the evaluation shape: 4 files of 4 MiB
@@ -41,7 +38,6 @@ func DefaultFailoverBenchConfig() FailoverBenchConfig {
 		RequestBlocks: 16,
 		Replication:   replica.DefaultConfig(),
 		CrashOST:      1,
-		Seed:          42,
 	}
 }
 
@@ -69,9 +65,10 @@ type FailoverBenchResult struct {
 }
 
 // RunFailoverBench executes the failover experiment on fsCfg. The mount is
-// reconfigured for the run: the replica manager from cfg.Replication, a
-// fault transport (for the crash/revive control plane), and a short retry
-// policy so discovery timeouts don't dominate the degraded phase.
+// reconfigured for the run: the replica manager from cfg.Replication and a
+// short retry policy so discovery timeouts don't dominate the degraded
+// phase. The crash is a blackhole on the mount's connection, so fsCfg.RPC.
+// Fault stays whatever the caller set (nil: no injected loss).
 func RunFailoverBench(fsCfg pfs.Config, cfg FailoverBenchConfig) (FailoverBenchResult, error) {
 	var res FailoverBenchResult
 	if cfg.Files <= 0 || cfg.FileBlocks <= 0 || cfg.RequestBlocks <= 0 {
@@ -82,9 +79,6 @@ func RunFailoverBench(fsCfg pfs.Config, cfg FailoverBenchConfig) (FailoverBenchR
 	}
 	rep := cfg.Replication
 	fsCfg.Replication = &rep
-	if fsCfg.RPC.Fault == nil {
-		fsCfg.RPC.Fault = &rpc.FaultConfig{Seed: cfg.Seed}
-	}
 	if fsCfg.RPC.Retry == nil {
 		fsCfg.RPC.Retry = &rpc.RetryPolicy{TimeoutNs: 2 * sim.Millisecond, MaxRetries: 2}
 	}

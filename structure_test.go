@@ -111,6 +111,59 @@ func TestPfsHasOneDataPath(t *testing.T) {
 	}
 }
 
+// TestRPCHasOneCallPath keeps the transport decorator stack from growing
+// back: in internal/rpc the only method named Call is Conn.Call — retry,
+// blackholes, fault draws and the wire are one loop — and no interface
+// declares Call for a second implementation to slot in behind.
+func TestRPCHasOneCallPath(t *testing.T) {
+	files, err := filepath.Glob("internal/rpc/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Name.Name == "Call" && recvName(n.Recv.List[0].Type) != "Conn" {
+					t.Errorf("%s: %s.Call is a second call path; fold it into Conn.Call",
+						fset.Position(n.Pos()), recvName(n.Recv.List[0].Type))
+				}
+			case *ast.TypeSpec:
+				if it, ok := n.Type.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, name := range m.Names {
+							if name.Name == "Call" {
+								t.Errorf("%s: interface %s declares Call; Conn.Call is the only call path",
+									fset.Position(n.Pos()), n.Name.Name)
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// recvName is the type name of a method receiver, pointer or not.
+func recvName(e ast.Expr) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
 func isRepField(e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "rep"
