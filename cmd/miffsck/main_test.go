@@ -56,6 +56,23 @@ func TestCheckExitCodeContract(t *testing.T) {
 		t.Fatalf("corrupt image: exit %d, want 1", got)
 	}
 
+	// Point the superblock's root record (the int64 at superblock offset
+	// 8) past the end of the device. Loading it used to panic, and a
+	// panicking Go program exits 2 — the code for "repaired".
+	damaged := filepath.Join(dir, "damaged.img")
+	genImage(t, damaged)
+	img, err = os.ReadFile(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(img[76+8:], 1<<40)
+	if err := os.WriteFile(damaged, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := check([]string{damaged}); got != 1 {
+		t.Fatalf("damaged image: exit %d, want 1", got)
+	}
+
 	if got := check([]string{filepath.Join(dir, "missing.img")}); got != 1 {
 		t.Fatalf("unreadable image: exit %d, want 1", got)
 	}

@@ -334,9 +334,9 @@ func (a *Allocator) AppendAllocatedRuns(dst []Range) []Range {
 
 // AllocatedRunsIn returns every maximal run of allocated blocks
 // intersected with [lo, hi), sorted by start — the per-block-group
-// enumeration the parallel fsck's reverse (leak) pass diffs against the
-// reachable claim set. The whole window is walked under one lock, so a
-// concurrent caller sees a consistent snapshot of the region.
+// enumeration mdfs fsck's leak check diffs against the reachable blocks.
+// The whole window is walked under one lock, so a concurrent caller sees
+// a consistent snapshot of the region.
 func (a *Allocator) AllocatedRunsIn(lo, hi int64) []Range {
 	if lo < 0 {
 		lo = 0

@@ -76,18 +76,18 @@ func (fs *FS) subdirs() []*dir {
 // contentRuns returns the directory's content runs regardless of layout
 // (dirent blocks expressed as single-block runs in the normal layout).
 func (fs *FS) contentRuns(d *dir) []extent.Extent {
-	rec, err := fs.readInodeAt(d.recBlock, d.recOff)
+	rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
 	if err != nil {
 		return nil
 	}
-	return fs.readMapping(rec)
+	return fs.readMapping(fs.store, rec)
 }
 
 // redirectMapping rewrites the victim directory's on-disk layout mapping
 // to the given extents, dropping any spill chain from the record (the
 // chain blocks stay allocated — more damage, which fsck must tolerate).
 func (fs *FS) redirectMapping(d *dir, exts []extent.Extent) error {
-	rec, err := fs.readInodeAt(d.recBlock, d.recOff)
+	rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func (fs *FS) corruptCycle() error {
 	for _, blk := range victim.direntBlocks {
 		buf := fs.store.Read(blk)
 		for i := 0; i < per; i++ {
-			if binary.LittleEndian.Uint64(buf[i*direntSize:]) != 0 {
+			if ino, _, _ := dirent(buf, i); ino != 0 {
 				continue
 			}
 			ent := make([]byte, direntSize)
@@ -178,7 +178,7 @@ func (fs *FS) corruptSizeOver() error {
 		return fmt.Errorf("mdfs: size-over corruption needs at least one subdirectory")
 	}
 	victim := subs[0]
-	rec, err := fs.readInodeAt(victim.recBlock, victim.recOff)
+	rec, err := fs.inodeAt(fs.store, victim.recBlock, victim.recOff)
 	if err != nil {
 		return err
 	}

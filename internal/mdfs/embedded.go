@@ -41,21 +41,6 @@ func (fs *FS) writeTableEntry(dirID uint32, parent, self inode.Ino) error {
 	return nil
 }
 
-// readTableEntry reads a directory-table record, charging the block read.
-func (fs *FS) readTableEntry(dirID uint32) (parent, self inode.Ino, err error) {
-	blk, off := fs.tableLocation(dirID)
-	if blk >= fs.geo.TableStart+fs.geo.TableBlocks {
-		return 0, 0, fmt.Errorf("mdfs: directory id %d outside table", dirID)
-	}
-	buf := fs.store.Read(blk)
-	parent = inode.Ino(binary.LittleEndian.Uint64(buf[off:]))
-	self = inode.Ino(binary.LittleEndian.Uint64(buf[off+8:]))
-	if self == 0 {
-		return 0, 0, fmt.Errorf("%w: directory id %d", ErrNotExist, dirID)
-	}
-	return parent, self, nil
-}
-
 // slotLocation maps an embedded slot to its content block and offset.
 func (d *dir) slotLocation(slot uint32, inodesPerBlock int64) (int64, int, error) {
 	blkIdx := int64(slot) / inodesPerBlock
@@ -130,7 +115,7 @@ func (fs *FS) embAllocSlot(d *dir) (uint32, error) {
 // (and its spill blocks) on every namespace operation would dirty extra
 // blocks per op for nothing.
 func (fs *FS) embTouchDir(d *dir) error {
-	rec, err := fs.readInodeAt(d.recBlock, d.recOff)
+	rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
 	if err != nil {
 		return err
 	}
@@ -276,13 +261,13 @@ func (fs *FS) embLocate(ino inode.Ino) (*dir, int64, int, error) {
 // entry and the inode are the same record.
 func (fs *FS) embStat(ino inode.Ino) (*inode.Inode, error) {
 	if ino == fs.root {
-		return fs.readInodeAt(fs.dirs[fs.root].recBlock, fs.dirs[fs.root].recOff)
+		return fs.inodeAt(fs.store, fs.dirs[fs.root].recBlock, fs.dirs[fs.root].recOff)
 	}
 	_, blk, off, err := fs.embLocate(ino)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := fs.readInodeAt(blk, off)
+	rec, err := fs.inodeAt(fs.store, blk, off)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +288,7 @@ func (fs *FS) embUnlink(d *dir, name string, ino inode.Ino) error {
 	if err != nil {
 		return err
 	}
-	rec, err := fs.readInodeAt(blk, off)
+	rec, err := fs.inodeAt(fs.store, blk, off)
 	if err != nil {
 		return err
 	}
@@ -383,9 +368,12 @@ func (fs *FS) embLocateByNumber(ino inode.Ino) (*inode.Inode, error) {
 	dirID := ino.DirID()
 	var chain []inode.Ino
 	for {
-		parent, self, err := fs.readTableEntry(dirID)
+		parent, self, err := fs.tableEntry(fs.store, dirID)
 		if err != nil {
 			return nil, err
+		}
+		if self == 0 {
+			return nil, fmt.Errorf("%w: directory id %d", ErrNotExist, dirID)
 		}
 		chain = append(chain, self)
 		if self == parent || self == fs.root {
@@ -414,7 +402,7 @@ func (fs *FS) embRename(src *dir, name string, dst *dir, newName string, ino ino
 	if err != nil {
 		return 0, err
 	}
-	rec, err := fs.readInodeAt(oldBlk, oldOff)
+	rec, err := fs.inodeAt(fs.store, oldBlk, oldOff)
 	if err != nil {
 		return 0, err
 	}

@@ -3,18 +3,18 @@ package mdfs
 import (
 	"bytes"
 	"fmt"
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"redbud/internal/extent"
 	"redbud/internal/inode"
-	"redbud/internal/sim"
 )
 
 // populate builds a small namespace with files, mappings, deletions, and a
 // subdirectory.
-func populate(t *testing.T, fs *FS) {
+func populate(t testing.TB, fs *FS) {
 	t.Helper()
 	d, err := fs.Mkdir(fs.Root(), "proj")
 	if err != nil {
@@ -102,7 +102,7 @@ func TestFsckDetectsBadSuperblock(t *testing.T) {
 }
 
 // mustLookup is a test helper.
-func mustLookup(t *testing.T, fs *FS, dir inode.Ino, name string) inode.Ino {
+func mustLookup(t testing.TB, fs *FS, dir inode.Ino, name string) inode.Ino {
 	t.Helper()
 	ino, err := fs.Lookup(dir, name)
 	if err != nil {
@@ -208,8 +208,8 @@ func hasFinding(problems []string, substr string) bool {
 
 // TestFsckCycleTerminates is the headline regression: a dirent graph that
 // re-enters itself must yield a cycle finding, not unbounded recursion.
-// Before the scan/resolve split, fsckDir recursed through dirents with no
-// visited set and this test would hang.
+// The walk enters each directory record once, on the first link to reach
+// it; without that guard it recursed around the cycle and this test hung.
 func TestFsckCycleTerminates(t *testing.T) {
 	bothLayouts(t, func(t *testing.T, fs *FS) {
 		populate(t, fs)
@@ -284,74 +284,92 @@ func TestFsckCorruptionSuite(t *testing.T) {
 	}
 }
 
-// TestFsckResolveOrderIndependent pins the property the report's
-// determinism rests on: the resolution stage derives the same report from
-// the scan's results whatever order they arrive in. The scan runs once;
-// its directory, group and table results are then resolved again under
-// several seeded shuffles — on a clean aged namespace and on every
-// corruption kind the layout can express.
-func TestFsckResolveOrderIndependent(t *testing.T) {
-	for _, layout := range []Layout{LayoutNormal, LayoutEmbedded} {
-		t.Run(layout.String(), func(t *testing.T) { resolveOrderIndependent(t, layout) })
-	}
-}
-
-func resolveOrderIndependent(t *testing.T, layout Layout) {
-	kinds := []string{""} // the clean namespace
-	for _, tc := range fsckCorruptionCases {
-		for _, l := range tc.layouts {
-			if l == layout {
-				kinds = append(kinds, tc.kind)
+// agedFS is populate's namespace aged further — eight more directories,
+// spread across allocation groups — and synced, then damaged by one
+// corruption kind unless kind is empty.
+func agedFS(t *testing.T, layout Layout, kind string) *FS {
+	t.Helper()
+	fs := newFS(t, layout)
+	populate(t, fs)
+	for i := 0; i < 8; i++ {
+		d, err := fs.Mkdir(fs.Root(), fmt.Sprintf("d%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 12; j++ {
+			if _, err := fs.Create(d, fmt.Sprintf("g%02d", j)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	for _, kind := range kinds {
-		fs := newFS(t, layout)
-		populate(t, fs)
-		// Age the namespace further: more directories across groups.
-		for i := 0; i < 8; i++ {
-			d, err := fs.Mkdir(fs.Root(), fmt.Sprintf("d%02d", i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < 12; j++ {
-				if _, err := fs.Create(d, fmt.Sprintf("g%02d", j)); err != nil {
-					t.Fatal(err)
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if kind != "" {
+		if err := fs.InjectCorruption(kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fs
+}
+
+// fsckGoldenText renders the full report — counts, problems, advisories —
+// for the clean aged namespace and for every corruption kind on every
+// layout that can express it.
+func fsckGoldenText(t *testing.T) string {
+	var b strings.Builder
+	for _, layout := range []Layout{LayoutNormal, LayoutEmbedded} {
+		kinds := []string{""}
+		for _, tc := range fsckCorruptionCases {
+			for _, l := range tc.layouts {
+				if l == layout {
+					kinds = append(kinds, tc.kind)
 				}
 			}
 		}
-		if err := fs.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if kind != "" {
-			if err := fs.InjectCorruption(kind); err != nil {
-				t.Fatal(err)
+		for _, kind := range kinds {
+			r := agedFS(t, layout, kind).Fsck()
+			name := kind
+			if name == "" {
+				name = "clean"
+			}
+			fmt.Fprintf(&b, "== %s/%s: %d dirs, %d files, %d reachable blocks\n",
+				name, layout, r.Dirs, r.Files, r.ReachableBlocks)
+			for _, p := range r.Problems {
+				fmt.Fprintf(&b, "problem: %s\n", p)
+			}
+			for _, a := range r.Advisories {
+				fmt.Fprintf(&b, "advisory: %s\n", a)
 			}
 		}
-		want := fs.Fsck()
-		if kind == "" && !want.Clean() {
-			t.Fatalf("aged namespace not clean:\n%v", want.Problems)
+	}
+	return b.String()
+}
+
+// TestFsckReportGolden pins every line of the report, on the clean aged
+// namespace and on each corruption kind, to testdata captured from the
+// checker before it became one walk: the findings, the pairing in each
+// duplicate-claim and re-entry line, and the order of the final lists.
+func TestFsckReportGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "fsck_reports.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fsckGoldenText(t)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
 		}
-		w, rec := fs.fsckRoot(&FsckReport{})
-		if w == nil {
-			t.Fatalf("%q: no root to scan from", kind)
+		if i < len(wl) {
+			w = wl[i]
 		}
-		w.scan(rec)
-		for seed := uint64(1); seed <= 5; seed++ {
-			rng := sim.NewRand(seed)
-			shuffled := *w
-			shuffled.dirs = append([]*fsckDirResult(nil), w.dirs...)
-			shuffled.groups = append([]*fsckGroupResult(nil), w.groups...)
-			shuffled.table = append([]fsckTableEntry(nil), w.table...)
-			rng.Shuffle(len(shuffled.dirs), reflect.Swapper(shuffled.dirs))
-			rng.Shuffle(len(shuffled.groups), reflect.Swapper(shuffled.groups))
-			rng.Shuffle(len(shuffled.table), reflect.Swapper(shuffled.table))
-			got := &FsckReport{}
-			fs.fsckResolve(got, &shuffled)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%q, shuffle seed %d: report depends on scan order:\nwant: %+v\ngot:  %+v",
-					kind, seed, want, got)
-			}
+		if g != w {
+			t.Fatalf("report differs from testdata at line %d:\ngot:  %s\nwant: %s", i+1, g, w)
 		}
 	}
 }

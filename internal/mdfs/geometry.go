@@ -120,6 +120,9 @@ func (g Geometry) groupOf(b int64) int64 {
 	return gi
 }
 
+// hasSlot reports whether slot numbers a normal-layout inode-table slot.
+func (g Geometry) hasSlot(slot int64) bool { return slot >= 0 && slot < g.Groups*g.InodesPerGroup }
+
 // slotLocation maps a normal-layout inode slot to its inode-table block and
 // byte offset.
 func (g Geometry) slotLocation(slot int64) (block int64, off int) {

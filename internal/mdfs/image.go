@@ -98,7 +98,11 @@ func LoadImage(r io.Reader) (*FS, error) {
 	if v := le.Uint32(hdr[4:]); v != imageVersion {
 		return nil, fmt.Errorf("mdfs: unsupported image version %d", v)
 	}
-	cfg := DefaultConfig(Layout(le.Uint32(hdr[8:])))
+	layout := Layout(le.Uint32(hdr[8:]))
+	if layout != LayoutNormal && layout != LayoutEmbedded {
+		return nil, fmt.Errorf("mdfs: unknown image layout %d", layout)
+	}
+	cfg := DefaultConfig(layout)
 	for _, p := range []*int64{&cfg.Blocks, &cfg.BlockSize, &cfg.JournalBlocks,
 		&cfg.TableBlocks, &cfg.GroupBlocks, &cfg.InodesPerGroup} {
 		if err := binary.Read(br, le, p); err != nil {
@@ -229,20 +233,20 @@ func (fs *FS) markReachable() error {
 			if err != nil {
 				continue
 			}
-			rec, err := fs.readInodeAt(loc.blk, loc.off)
+			rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
 			if err != nil {
 				continue
 			}
-			for _, spill := range fs.spillChain(rec) {
+			for _, spill := range fs.spillChain(fs.store, rec) {
 				if err := mark(spill); err != nil {
 					return err
 				}
 			}
 		}
 		// The directory record's own spill blocks.
-		rec, err := fs.readInodeAt(d.recBlock, d.recOff)
+		rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
 		if err == nil {
-			for _, spill := range fs.spillChain(rec) {
+			for _, spill := range fs.spillChain(fs.store, rec) {
 				if err := mark(spill); err != nil {
 					return err
 				}

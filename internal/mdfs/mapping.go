@@ -54,26 +54,6 @@ func decodeExtent(buf []byte) extent.Extent {
 	}
 }
 
-// spillChain returns the record's existing spill blocks in order: the
-// inode's slots, then each block's next pointers.
-func (fs *FS) spillChain(rec *inode.Inode) []int64 {
-	var chain []int64
-	seen := map[int64]bool{}
-	var follow func(blk int64)
-	follow = func(blk int64) {
-		for blk != 0 && !seen[blk] {
-			seen[blk] = true
-			chain = append(chain, blk)
-			buf := fs.store.Read(blk)
-			blk = int64(binary.LittleEndian.Uint64(buf[4:]))
-		}
-	}
-	for _, s := range rec.Spill {
-		follow(s)
-	}
-	return chain
-}
-
 // writeMapping stores a layout mapping into the record: the head inline,
 // the overflow in the spill chain. spillGoal hints where new spill blocks
 // should land — the directory content end (embedded) or the group's data
@@ -90,7 +70,7 @@ func (fs *FS) writeMapping(rec *inode.Inode, exts []extent.Extent, spillGoal int
 
 	perSpill := fs.extentsPerSpill()
 	needed := (len(rest) + perSpill - 1) / perSpill
-	chain := fs.spillChain(rec)
+	chain := fs.spillChain(fs.store, rec)
 	var allocated []alloc.Range
 	// Grow the chain as needed, each link near the goal (or the previous
 	// link, keeping the chain physically clustered).
@@ -144,31 +124,9 @@ func (fs *FS) writeMapping(rec *inode.Inode, exts []extent.Extent, spillGoal int
 	return allocated, nil
 }
 
-// readMapping loads the full layout mapping: the inline head plus the
-// spill chain, charging the block reads.
-func (fs *FS) readMapping(rec *inode.Inode) []extent.Extent {
-	out := append([]extent.Extent(nil), rec.Inline...)
-	remaining := int(rec.ExtentCount) - len(rec.Inline)
-	for _, blk := range fs.spillChain(rec) {
-		if remaining <= 0 {
-			break
-		}
-		buf := fs.store.Read(blk)
-		n := int(binary.LittleEndian.Uint32(buf[0:]))
-		if max := fs.extentsPerSpill(); n > max {
-			n = max
-		}
-		for i := 0; i < n && remaining > 0; i++ {
-			out = append(out, decodeExtent(buf[spillHeader+i*extentBytes:]))
-			remaining--
-		}
-	}
-	return out
-}
-
 // freeSpill releases the record's whole spill chain.
 func (fs *FS) freeSpill(rec *inode.Inode) error {
-	for _, blk := range fs.spillChain(rec) {
+	for _, blk := range fs.spillChain(fs.store, rec) {
 		if err := fs.freeData(alloc.Range{Start: blk, Count: 1}); err != nil {
 			return err
 		}
@@ -185,15 +143,6 @@ func runsToExtents(runs []alloc.Range) []extent.Extent {
 	for _, r := range runs {
 		out = append(out, extent.Extent{Logical: logical, Physical: r.Start, Count: r.Count})
 		logical += r.Count
-	}
-	return out
-}
-
-// extentsToRuns extracts the physical runs of a mapping.
-func extentsToRuns(exts []extent.Extent) []alloc.Range {
-	out := make([]alloc.Range, 0, len(exts))
-	for _, e := range exts {
-		out = append(out, alloc.Range{Start: e.Physical, Count: e.Count})
 	}
 	return out
 }

@@ -484,12 +484,6 @@ func (fs *FS) dirtyBlockBitmap(start, count int64) {
 	}
 }
 
-// readInodeAt reads and decodes the record at (block, off).
-func (fs *FS) readInodeAt(block int64, off int) (*inode.Inode, error) {
-	buf := fs.store.Read(block)
-	return inode.Unmarshal(buf[off : off+recordSize])
-}
-
 // writeInodeAt encodes and journals the record at (block, off).
 func (fs *FS) writeInodeAt(block int64, off int, n *inode.Inode) error {
 	buf, err := n.Marshal()

@@ -2,9 +2,11 @@ package mdfs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 
+	"redbud/internal/alloc"
 	"redbud/internal/extent"
 	"redbud/internal/inode"
 )
@@ -108,7 +110,8 @@ func (fs *FS) chargeNormalLookup(d *dir, name string) {
 }
 
 // addDirentBlock records a block appended to the directory's entry area,
-// keeping the mapping current: it changes only here.
+// keeping the mapping current: it changes only here and in
+// dropDirentBlock.
 func (d *dir) addDirentBlock(blk int64) {
 	logical := int64(len(d.direntBlocks))
 	d.direntBlocks = append(d.direntBlocks, blk)
@@ -117,6 +120,18 @@ func (d *dir) addDirentBlock(blk int64) {
 		return
 	}
 	d.direntMap = append(d.direntMap, extent.Extent{Logical: logical, Physical: blk, Count: 1})
+}
+
+// dropDirentBlock undoes the last addDirentBlock and frees the block.
+func (fs *FS) dropDirentBlock(d *dir) error {
+	n := len(d.direntBlocks) - 1
+	blk := d.direntBlocks[n]
+	d.direntBlocks = d.direntBlocks[:n]
+	last := len(d.direntMap) - 1
+	if d.direntMap[last].Count--; d.direntMap[last].Count == 0 {
+		d.direntMap = d.direntMap[:last]
+	}
+	return fs.freeData(alloc.Range{Start: blk, Count: 1})
 }
 
 // appendDirent adds a directory entry in the lowest free slot — reusing a
@@ -162,7 +177,7 @@ func (fs *FS) clearDirent(d *dir, name string) {
 // touchDirRecord updates the directory's own inode (size, mtime) after a
 // namespace mutation and persists the entry-area mapping.
 func (fs *FS) touchDirRecord(d *dir) error {
-	rec, err := fs.readInodeAt(d.recBlock, d.recOff)
+	rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
 	if err != nil {
 		return err
 	}
@@ -190,14 +205,24 @@ func (fs *FS) normalCreate(d *dir, name string, mode inode.Mode) (inode.Ino, err
 	if err := fs.writeInodeAt(blk, off, rec); err != nil {
 		return 0, err
 	}
-	if err := fs.appendDirent(d, name, ino); err != nil {
-		// Out of space for another entry block: give the inode back, or
-		// the next commit persists a slot and a record nothing references.
+	blocks := len(d.direntBlocks)
+	err = fs.appendDirent(d, name, ino)
+	if err == nil {
+		if err = fs.touchDirRecord(d); err != nil {
+			// The record cannot map the grown entry area (no space for
+			// a spill block): take the entry back, and the entry block
+			// it opened.
+			fs.clearDirent(d, name)
+			if len(d.direntBlocks) > blocks {
+				err = errors.Join(err, fs.dropDirentBlock(d))
+			}
+		}
+	}
+	if err != nil {
+		// Give the inode back too, or the next commit persists a slot and
+		// a record nothing references.
 		fs.freeInodeSlot(slot)
 		fs.store.WriteAt(blk, off, zeroRecord[:])
-		return 0, err
-	}
-	if err := fs.touchDirRecord(d); err != nil {
 		return 0, err
 	}
 	if mode == inode.ModeDir {
@@ -218,7 +243,7 @@ func (fs *FS) normalCreate(d *dir, name string, mode inode.Mode) (inode.Ino, err
 // normalUnlink implements Unlink for the traditional layout.
 func (fs *FS) normalUnlink(d *dir, name string, ino inode.Ino) error {
 	blk, off := fs.geo.slotLocation(int64(ino))
-	rec, err := fs.readInodeAt(blk, off)
+	rec, err := fs.inodeAt(fs.store, blk, off)
 	if err != nil {
 		return err
 	}
@@ -234,7 +259,7 @@ func (fs *FS) normalUnlink(d *dir, name string, ino inode.Ino) error {
 // normalStat locates and reads an inode record by number.
 func (fs *FS) normalStat(ino inode.Ino) (*inode.Inode, error) {
 	blk, off := fs.geo.slotLocation(int64(ino))
-	rec, err := fs.readInodeAt(blk, off)
+	rec, err := fs.inodeAt(fs.store, blk, off)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +288,7 @@ func (fs *FS) normalReaddirPlus(d *dir) ([]inode.Inode, error) {
 			continue
 		}
 		blk, off := fs.geo.slotLocation(int64(d.names.byName[name].ino))
-		rec, err := fs.readInodeAt(blk, off)
+		rec, err := fs.inodeAt(fs.store, blk, off)
 		if err != nil {
 			return nil, err
 		}

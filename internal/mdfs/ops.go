@@ -155,7 +155,7 @@ func (fs *FS) Utime(ino inode.Ino) error {
 	if err != nil {
 		return err
 	}
-	rec, err := fs.readInodeAt(loc.blk, loc.off)
+	rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
 	if err != nil {
 		return err
 	}
@@ -341,7 +341,7 @@ func (fs *FS) SetLayout(ino inode.Ino, exts []extent.Extent) error {
 	if err != nil {
 		return err
 	}
-	rec, err := fs.readInodeAt(loc.blk, loc.off)
+	rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
 	if err != nil {
 		return err
 	}
@@ -396,14 +396,14 @@ func (fs *FS) GetLayout(ino inode.Ino) ([]extent.Extent, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := fs.readInodeAt(loc.blk, loc.off)
+	rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
 	if err != nil {
 		return nil, err
 	}
 	if rec.Mode != inode.ModeFile {
 		return nil, fmt.Errorf("%w: GetLayout on %v", ErrIsDir, ino)
 	}
-	return fs.readMapping(rec), nil
+	return fs.readMapping(fs.store, rec), nil
 }
 
 // LocateInode resolves an arbitrary inode number to its record the way a

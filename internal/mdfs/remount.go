@@ -1,7 +1,6 @@
 package mdfs
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"redbud/internal/inode"
@@ -13,18 +12,11 @@ import (
 // reconstructs every directory's index, slot accounting, and — in the
 // normal layout — the inode bitmaps.
 func (fs *FS) Remount() error {
-	sb := fs.store.Read(0)
-	le := binary.LittleEndian
-	if le.Uint32(sb[offSMagic:]) != superMagic {
-		return fmt.Errorf("mdfs: bad superblock magic")
+	sr, rec, err := fs.readSuper(fs.store)
+	if err != nil {
+		return fmt.Errorf("mdfs: %w", err)
 	}
-	if Layout(le.Uint32(sb[offSLayout:])) != fs.cfg.Layout {
-		return fmt.Errorf("mdfs: superblock layout mismatch")
-	}
-	rootBlk := int64(le.Uint64(sb[offSRootBlk:]))
-	rootOff := int(le.Uint64(sb[offSRootOff:]))
-	rootIno := inode.Ino(le.Uint64(sb[offSRootIno:]))
-	fs.nextDir = le.Uint32(sb[offSNextDir:])
+	fs.nextDir = sr.nextDir
 
 	fs.dirs = make(map[inode.Ino]*dir)
 	fs.dirsByID = make(map[uint32]*dir)
@@ -42,27 +34,21 @@ func (fs *FS) Remount() error {
 		fs.inodeFree[0]--
 	}
 
-	rec, err := fs.readInodeAt(rootBlk, rootOff)
+	fs.root = sr.ino
+	root, err := fs.loadDir(rec, sr.ino, sr.key.blk, sr.key.off)
 	if err != nil {
 		return err
 	}
-	if !rec.IsDir() {
-		return fmt.Errorf("mdfs: root record is not a directory")
-	}
-	fs.root = rootIno
-	root, err := fs.loadDir(rec, rootIno, rootBlk, rootOff)
-	if err != nil {
-		return err
-	}
-	root.parent = rootIno
+	root.parent = sr.ino
 	return nil
 }
 
 // loadDir reconstructs one directory (and recursively its subdirectories)
 // from its on-disk record. A record location reached twice — a directory
 // cycle or cross-link, possible only on corrupted state — is loaded once
-// and otherwise ignored: mount must terminate on arbitrary damage, and
-// the cycle itself is fsck's to report.
+// and otherwise ignored, and content runs outside the device are skipped:
+// mount must terminate on arbitrary damage, and the damage itself is
+// fsck's to report.
 func (fs *FS) loadDir(rec *inode.Inode, ino inode.Ino, recBlk int64, recOff int) (*dir, error) {
 	if fs.remountSeen != nil {
 		key := recKey{blk: recBlk, off: recOff}
@@ -77,7 +63,7 @@ func (fs *FS) loadDir(rec *inode.Inode, ino inode.Ino, recBlk int64, recOff int)
 		recBlock: recBlk,
 		recOff:   recOff,
 	}
-	runs := extentsToRuns(fs.readMapping(rec))
+	runs, _ := fs.dirRuns(fs.store, rec)
 	// The record's Size says how many names to expect; believe it only as
 	// far as the mapped blocks could hold them.
 	if fs.cfg.Layout == LayoutEmbedded {
@@ -99,7 +85,7 @@ func (fs *FS) loadDir(rec *inode.Inode, ino inode.Ino, recBlk int64, recOff int)
 			}
 		}
 		d.names = newNameIndex(int(min(rec.Size/direntSize, int64(len(d.direntBlocks)*fs.direntsPerBlock()))))
-		if int64(ino) < fs.geo.Groups*fs.geo.InodesPerGroup {
+		if fs.geo.hasSlot(int64(ino)) {
 			d.group = int64(ino) / fs.geo.InodesPerGroup
 			fs.markSlotUsed(int64(ino))
 		}
@@ -166,18 +152,21 @@ func (fs *FS) loadNormalEntries(d *dir) error {
 	for bi, blk := range d.direntBlocks {
 		buf := fs.store.Read(blk)
 		for i := 0; i < per; i++ {
-			ent := buf[i*direntSize : (i+1)*direntSize]
-			ino := inode.Ino(binary.LittleEndian.Uint64(ent[0:]))
+			ino, name, err := dirent(buf, i)
+			if err != nil {
+				return fmt.Errorf("mdfs: dir %v: %w", d.ino, err)
+			}
 			if ino == 0 {
 				continue
 			}
-			nameLen := int(ent[8])
-			name := string(ent[9 : 9+nameLen])
+			if !fs.geo.hasSlot(int64(ino)) {
+				return fmt.Errorf("mdfs: dirent %q: inode %d outside inode tables", name, int64(ino))
+			}
 			d.names.add(name, ino, bi*per+i)
 			d.slots.set(bi*per + i)
 			fs.markSlotUsed(int64(ino))
 			recBlk, recOff := fs.geo.slotLocation(int64(ino))
-			rec, err := fs.readInodeAt(recBlk, recOff)
+			rec, err := fs.inodeAt(fs.store, recBlk, recOff)
 			if err != nil {
 				return err
 			}

@@ -339,10 +339,8 @@ func (s *Store) applyCheckpoint(records []journal.Record) sim.Ns {
 // contents. It resolves blocks with the same precedence Read uses
 // (transaction overlay, committed overlay, home) but performs no
 // accounting at all: no LRU traffic, no stats, no simulated-disk charge.
-// Reads through a view are safe from multiple goroutines as long as the
-// store itself is quiescent (no writes in flight) — the parallel fsck
-// scan stage is the intended consumer, which per pFSCK runs on wall-clock
-// host parallelism rather than the simulated device.
+// Fsck reads through one, so checking a mount never moves its simulated
+// metrics; the store must be quiescent (no writes in flight) meanwhile.
 type StoreView struct {
 	s *Store
 }

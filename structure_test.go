@@ -153,6 +153,66 @@ func TestRPCHasOneCallPath(t *testing.T) {
 	}
 }
 
+// TestMdfsDecodesOnce keeps every reader of the metadata image — the
+// operations, Remount, RebuildAllocator and fsck — on one set of
+// decoders: in internal/mdfs each on-disk structure is decoded by exactly
+// one function, whatever its receiver. A decoder is known by its name with
+// a leading "read" or "decode" dropped, so a second copy of one under
+// another receiver — a checker's own bounds-checked mirror of the mount's
+// decoder — fails here instead of drifting apart from the first.
+func TestMdfsDecodesOnce(t *testing.T) {
+	structures := []struct{ key, what string }{
+		{"super", "the superblock root"},
+		{"inodeAt", "an inode record at a location"},
+		{"mapping", "a layout mapping"},
+		{"spillChain", "a spill chain"},
+		{"dirent", "a directory entry"},
+		{"tableEntry", "a directory-table entry"},
+	}
+	files, err := filepath.Glob("internal/mdfs/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoders := map[string][]string{}
+	for _, s := range structures {
+		decoders[s.key] = nil
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			key := strings.TrimPrefix(strings.TrimPrefix(fn.Name.Name, "read"), "decode")
+			if key == "" {
+				continue
+			}
+			key = strings.ToLower(key[:1]) + key[1:]
+			if _, ok := decoders[key]; !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				name = recvName(fn.Recv.List[0].Type) + "." + name
+			}
+			decoders[key] = append(decoders[key], name)
+		}
+	}
+	for _, s := range structures {
+		if got := decoders[s.key]; len(got) != 1 {
+			t.Errorf("%s is decoded by %d functions, want 1: %s", s.what, len(got), strings.Join(got, ", "))
+		}
+	}
+}
+
 // recvName is the type name of a method receiver, pointer or not.
 func recvName(e ast.Expr) string {
 	if star, ok := e.(*ast.StarExpr); ok {
