@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"redbud/internal/alloc"
@@ -256,6 +257,50 @@ func TestOnDemandCloseReleasesReservations(t *testing.T) {
 	// Current windows persist: allocated blocks are untouched.
 	if src.FreeBlocks() == src.Total() {
 		t.Fatal("persistent preallocations must survive Close")
+	}
+}
+
+// failingConvert is an allocator whose ConvertReserved fails once ok
+// conversions have succeeded.
+type failingConvert struct {
+	*alloc.Allocator
+	ok int
+}
+
+var errConvert = errors.New("injected ConvertReserved failure")
+
+func (s *failingConvert) ConvertReserved(owner alloc.Owner, r alloc.Range) error {
+	if s.ok == 0 {
+		return errConvert
+	}
+	s.ok--
+	return s.Allocator.ConvertReserved(owner, r)
+}
+
+// TestOnDemandFailedPromotionReturnsPlacedRuns: a Place that promotes one
+// window and then fails promoting the next must hand back the window it
+// already took together with the error — the caller owns and frees it.
+func TestOnDemandFailedPromotionReturnsPlacedRuns(t *testing.T) {
+	src := &failingConvert{Allocator: newSrc(), ok: 1}
+	p := NewOnDemand(src, OnDemandConfig{Scale: 4, MaxPreallocBlocks: 2048, MissThreshold: 4})
+	s := StreamID{Client: 1, PID: 1}
+	// The first extend allocates [0,4) and reserves the window [4,20).
+	placed := place(t, p, s, 0, 4, 0)
+	// [4,44) promotes [4,20), reserves [20,84), and fails promoting that.
+	out, err := p.Place(s, 4, 40, 0)
+	if !errors.Is(err, errConvert) {
+		t.Fatalf("err = %v, want the injected conversion failure", err)
+	}
+	if len(out) != 1 || out[0].Logical != 4 || out[0].Count != 16 || !out[0].Preallocated {
+		t.Fatalf("placements returned with the error = %+v, want the promoted window [4,+16)", out)
+	}
+	for _, pl := range append(placed, out...) {
+		if err := src.Free(alloc.Range{Start: pl.Physical, Count: pl.Count}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if used := src.Total() - src.FreeBlocks(); used != 0 {
+		t.Fatalf("%d blocks still allocated after freeing every placement", used)
 	}
 }
 

@@ -175,7 +175,7 @@ func (p *OnDemand) placeOnce(st *streamState, out []Placement, logical, count, g
 		// preallocation.
 		st.misses = 0
 		if err := p.promoteLocked(st); err != nil {
-			return nil, 0, err
+			return out, 0, err
 		}
 		n := count
 		if rem := st.cur.LogicalEnd() - logical; rem < n {

@@ -121,25 +121,6 @@ func TestStatsAddSub(t *testing.T) {
 	}
 }
 
-func TestArrayParallelism(t *testing.T) {
-	a := NewArray(DefaultConfig(), 4, 1<<18)
-	for i := 0; i < 4; i++ {
-		a.Disk(i).Access(0, 1024, true)
-	}
-	sum := a.Stats().BusyNs
-	max := a.MaxBusy()
-	if max >= sum {
-		t.Fatalf("MaxBusy (%d) should be < summed busy (%d) with 4 parallel disks", max, sum)
-	}
-	if got := sum / max; got < 3 {
-		t.Fatalf("4 equal-load disks should have sum/max close to 4, got %d", got)
-	}
-	a.ResetStats()
-	if a.Stats().BusyNs != 0 {
-		t.Fatal("ResetStats should zero counters")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {

@@ -152,6 +152,13 @@ func (fs *FS) appendDirent(d *dir, name string, ino inode.Ino) error {
 		}
 		d.addDirentBlock(runs[0].Start)
 	}
+	fs.putDirent(d, idx, name, ino)
+	return nil
+}
+
+// putDirent writes an entry into slot idx and indexes it.
+func (fs *FS) putDirent(d *dir, idx int, name string, ino inode.Ino) {
+	per := fs.direntsPerBlock()
 	var ent [direntSize]byte
 	binary.LittleEndian.PutUint64(ent[0:], uint64(ino))
 	ent[8] = byte(len(name))
@@ -159,7 +166,6 @@ func (fs *FS) appendDirent(d *dir, name string, ino inode.Ino) error {
 	fs.store.WriteAt(d.direntBlocks[idx/per], (idx%per)*direntSize, ent[:])
 	d.slots.set(idx)
 	d.names.add(name, ino, idx)
-	return nil
 }
 
 // clearDirent removes an entry and zeroes its on-disk record.
@@ -254,6 +260,36 @@ func (fs *FS) normalUnlink(d *dir, name string, ino inode.Ino) error {
 	fs.store.WriteAt(blk, off, zeroRecord[:]) // clear the record
 	fs.freeInodeSlot(int64(ino))
 	return fs.touchDirRecord(d)
+}
+
+// normalRename implements Rename for the traditional layout: the entry
+// moves, the inode number stays. A failure takes back the new entry and
+// any entry block it opened, and puts the old entry back in its slot.
+func (fs *FS) normalRename(src *dir, name string, dst *dir, newName string, e entry) error {
+	fs.chargeNormalLookup(src, name)
+	fs.clearDirent(src, name)
+	blocks := len(dst.direntBlocks)
+	srcTouched := false
+	err := fs.appendDirent(dst, newName, e.ino)
+	if err == nil {
+		if err = fs.touchDirRecord(src); err == nil {
+			srcTouched = true
+			err = fs.touchDirRecord(dst)
+		}
+	}
+	if err == nil {
+		return nil
+	}
+	fs.clearDirent(dst, newName) // a no-op when appendDirent failed
+	if len(dst.direntBlocks) > blocks {
+		err = errors.Join(err, fs.dropDirentBlock(dst))
+	}
+	fs.putDirent(src, int(e.slot), name, e.ino)
+	if srcTouched {
+		// The source record was written without the entry.
+		err = errors.Join(err, fs.touchDirRecord(src))
+	}
+	return err
 }
 
 // normalStat locates and reads an inode record by number.

@@ -59,13 +59,14 @@ func TestCreateOutOfSpaceLeaksNoInode(t *testing.T) {
 	}
 }
 
-// TestCreateSpillFailureLeavesNoEntry runs a device out of space exactly
-// when a create's entry block becomes the root's fifth entry extent, so
-// appendDirent succeeds and touchDirRecord then finds no block for the
-// mapping's spill. The create must take back everything it did — the
-// entry, the entry block, the inode slot and the record — and a retry
-// must succeed once space is freed.
-func TestCreateSpillFailureLeavesNoEntry(t *testing.T) {
+// newSpillEdge builds a normal-layout device one block from full whose
+// root has four full entry blocks, each an extent of its own: the next
+// entry the root takes opens a fifth extent, which appendDirent can place
+// but touchDirRecord then finds no block for the mapping's spill. It
+// returns the device and directory a, which holds "big" (two spill
+// blocks) and three blocks of entries a0-000….
+func newSpillEdge(t *testing.T) (*FS, inode.Ino) {
+	t.Helper()
 	const data = 11 // data-area blocks
 	cfg := DefaultConfig(LayoutNormal)
 	cfg.JournalBlocks = 256
@@ -113,8 +114,17 @@ func TestCreateSpillFailureLeavesNoEntry(t *testing.T) {
 		t.Fatalf("root entry area has %d extents, want %d", n, inode.InlineExtents)
 	}
 	if free := fs.alloc.FreeBlocks(); free != 1 {
-		t.Fatalf("%d free blocks before the failing create, want 1", free)
+		t.Fatalf("%d free blocks before the failing op, want 1", free)
 	}
+	return fs, a
+}
+
+// TestCreateSpillFailureLeavesNoEntry runs newSpillEdge's device out of
+// space with a create. The create must take back everything it did — the
+// entry, the entry block, the inode slot and the record — and a retry
+// must succeed once space is freed.
+func TestCreateSpillFailureLeavesNoEntry(t *testing.T) {
+	fs, a := newSpillEdge(t)
 	inodesFree := fs.inodeFree[0]
 
 	if _, err := fs.Create(fs.Root(), "spills"); err == nil {
@@ -149,6 +159,33 @@ func TestCreateSpillFailureLeavesNoEntry(t *testing.T) {
 	}
 	if rep := fs.Fsck(); !rep.Clean() {
 		t.Fatalf("fsck after the retry: %v", rep.Problems)
+	}
+}
+
+// TestRenameSpillFailureRestoresEntry runs newSpillEdge's device out of
+// space with a rename into the root. The rename must put the entry back
+// under its old name and give back the entry block it opened.
+func TestRenameSpillFailureRestoresEntry(t *testing.T) {
+	fs, a := newSpillEdge(t)
+	used := fs.alloc.Total() - fs.alloc.FreeBlocks()
+
+	if _, err := fs.Rename(a, "a0-000", fs.Root(), "moved"); err == nil {
+		t.Fatal("rename needing a fifth extent and a spill block succeeded on a full device")
+	}
+	if _, err := fs.Lookup(a, "a0-000"); err != nil {
+		t.Fatalf("source entry after the failed rename: %v", err)
+	}
+	if _, err := fs.Lookup(fs.Root(), "moved"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("destination lookup after the failed rename: %v, want ErrNotExist", err)
+	}
+	if got := fs.alloc.Total() - fs.alloc.FreeBlocks(); got != used {
+		t.Fatalf("failed rename moved the used count from %d to %d", used, got)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := fs.Fsck(); !rep.Clean() {
+		t.Fatalf("fsck after the failed rename: %v", rep.Problems)
 	}
 }
 

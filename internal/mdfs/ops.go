@@ -316,13 +316,7 @@ func (fs *FS) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newN
 	if fs.cfg.Layout == LayoutEmbedded {
 		newIno, err = fs.embRename(src, name, dst, newName, ino)
 	} else {
-		fs.chargeNormalLookup(src, name)
-		fs.clearDirent(src, name)
-		if err = fs.appendDirent(dst, newName, ino); err == nil {
-			if err = fs.touchDirRecord(src); err == nil {
-				err = fs.touchDirRecord(dst)
-			}
-		}
+		err = fs.normalRename(src, name, dst, newName, e)
 		newIno = ino
 	}
 	if err != nil {
@@ -432,6 +426,18 @@ func (fs *FS) FragDegree(parent inode.Ino) (float64, error) {
 		return 0, err
 	}
 	return d.fragDegree(), nil
+}
+
+// Child answers name's inode number from the in-memory directory index,
+// charging nothing: it is for server bookkeeping riding an operation that
+// pays its own reads.
+func (fs *FS) Child(parent inode.Ino, name string) (inode.Ino, bool) {
+	d, err := fs.dirOf(parent)
+	if err != nil {
+		return 0, false
+	}
+	e, ok := d.names.byName[name]
+	return e.ino, ok
 }
 
 // Entries returns the number of entries in a directory.

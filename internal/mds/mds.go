@@ -159,12 +159,6 @@ func (s *Server) Lookup(parent inode.Ino, name string) (inode.Ino, error) {
 	return s.fs.Lookup(parent, name)
 }
 
-// Stat reads an inode.
-func (s *Server) Stat(ino inode.Ino) (inode.Inode, error) {
-	s.rpc("stat")
-	return s.fs.Stat(ino)
-}
-
 // StatName resolves and reads an inode — the readdir-stat pair's unit.
 func (s *Server) StatName(parent inode.Ino, name string) (inode.Inode, error) {
 	s.rpc("stat-name")
@@ -177,10 +171,18 @@ func (s *Server) Utime(ino inode.Ino) error {
 	return s.fs.Utime(ino)
 }
 
-// Unlink removes a file.
+// Unlink removes a file, and on a replicated mount its replica layout.
 func (s *Server) Unlink(parent inode.Ino, name string) error {
 	s.rpc("unlink")
-	return s.fs.Unlink(parent, name)
+	var ino inode.Ino
+	if s.replicaSets != nil {
+		ino, _ = s.fs.Child(parent, name)
+	}
+	if err := s.fs.Unlink(parent, name); err != nil {
+		return err
+	}
+	delete(s.replicaSets, ino)
+	return nil
 }
 
 // Rmdir removes an empty directory.
@@ -193,12 +195,6 @@ func (s *Server) Rmdir(parent inode.Ino, name string) error {
 func (s *Server) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newName string) (inode.Ino, error) {
 	s.rpc("rename")
 	return s.fs.Rename(srcParent, name, dstParent, newName)
-}
-
-// Readdir lists a directory.
-func (s *Server) Readdir(parent inode.Ino) ([]string, error) {
-	s.rpc("readdir")
-	return s.fs.Readdir(parent)
 }
 
 // ReaddirPlus is the aggregated readdir+stat: "a readdirplus extension is

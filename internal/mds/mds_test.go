@@ -148,7 +148,7 @@ func TestRenameThroughServer(t *testing.T) {
 		if layout == mdfs.LayoutEmbedded && newIno == ino {
 			t.Fatal("embedded rename must change the inode number")
 		}
-		if _, err := s.Stat(newIno); err != nil {
+		if _, err := s.FS().Stat(newIno); err != nil {
 			t.Fatal(err)
 		}
 	}

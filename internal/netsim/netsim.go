@@ -86,12 +86,6 @@ func (l *Link) Transfer(bytes int64) sim.Ns {
 	return cost
 }
 
-// RoundTrip charges a request/response pair (request header + payload out,
-// response header + payload back) and returns its duration.
-func (l *Link) RoundTrip(outBytes, backBytes int64) sim.Ns {
-	return l.Transfer(outBytes) + l.Transfer(backBytes)
-}
-
 // Stats returns a snapshot of the counters.
 func (l *Link) Stats() Stats {
 	l.mu.Lock()

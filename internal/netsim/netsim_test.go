@@ -30,43 +30,6 @@ func TestZeroPayloadCostsLatency(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	l := NewLink(GbE())
-	rt := l.RoundTrip(1024, 64)
-	if rt <= 2*GbE().LatencyNs {
-		t.Fatalf("round trip %d ns should exceed two latencies", rt)
-	}
-	if l.Stats().Messages != 2 {
-		t.Fatalf("round trip should be two messages, got %d", l.Stats().Messages)
-	}
-}
-
-func TestRoundTripAsymmetricSizes(t *testing.T) {
-	// A round trip with asymmetric legs costs exactly two latencies plus
-	// each direction's own serialization time — the model behind metadata
-	// cells (512 each way) and one-way data payloads (payload/0).
-	cfg := Config{LatencyNs: 100 * sim.Microsecond, BytesPerSec: 100e6}
-	l := NewLink(cfg)
-	const out, back = 1 << 20, 512
-	got := l.RoundTrip(out, back)
-	want := 2*cfg.LatencyNs +
-		sim.Ns(float64(out)/cfg.BytesPerSec*float64(sim.Second)) +
-		sim.Ns(float64(back)/cfg.BytesPerSec*float64(sim.Second))
-	if got < want-sim.Microsecond || got > want+sim.Microsecond {
-		t.Fatalf("RoundTrip(%d, %d) = %d ns, want ~%d", out, back, got, want)
-	}
-	st := l.Stats()
-	if st.Messages != 2 || st.Bytes != out+back {
-		t.Fatalf("stats = %+v, want 2 messages / %d bytes", st, out+back)
-	}
-	// Reversing the legs costs the same total: direction only decides
-	// which leg pays the serialization.
-	l2 := NewLink(cfg)
-	if rev := l2.RoundTrip(back, out); rev != got {
-		t.Fatalf("reversed legs cost %d ns, forward %d ns", rev, got)
-	}
-}
-
 func TestFabricLinksAreIsolated(t *testing.T) {
 	// Each client owns a point-to-point link: traffic on one link must
 	// not appear in any other's counters.

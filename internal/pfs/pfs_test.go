@@ -213,7 +213,7 @@ func TestManyFilesNamespace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names, _ := fs.MDS().Readdir(dir)
+	names, _ := fs.MDS().FS().Readdir(dir)
 	if len(names) != 40 {
 		t.Fatalf("Readdir after deletes = %d names, want 40", len(names))
 	}
@@ -284,6 +284,21 @@ func TestFailedCreateUndoesItself(t *testing.T) {
 			}
 			if rep := fs.Replication(); rep != nil && rep.Components() != 0 {
 				t.Fatalf("replica manager keeps %d components after failed create", rep.Components())
+			}
+			if rf > 1 {
+				// The failed create's undo unlinked its name, which drops the
+				// MDS replica layout too. A directory reuses its last freed
+				// slot first, so a bare metadata create gets that inode back.
+				probe, err := fs.MDS().FS().Create(root, "probe")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sets, err := fs.MDS().GetReplicaLayout(probe); err == nil {
+					t.Fatalf("failed create left replica layout %v at the MDS", sets)
+				}
+				if err := fs.MDS().FS().Unlink(root, "probe"); err != nil {
+					t.Fatal(err)
+				}
 			}
 			f, err := fs.Create(root, "big", 1024)
 			if err != nil {

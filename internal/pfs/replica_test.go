@@ -86,6 +86,29 @@ func TestReplicatedWriteFanoutAndReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeleteDropsReplicaLayout: deleting a replicated file unlinks it at
+// the MDS, and the unlink takes the file's replica layout with it — the
+// table used to keep an entry for every inode that ever had one.
+func TestDeleteDropsReplicaLayout(t *testing.T) {
+	fs := newReplicated(t, 4, 2)
+	f, err := fs.Create(fs.Root(), "gone.dat", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(core.StreamID{Client: 1, PID: 1}, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.MDS().GetReplicaLayout(f.Ino()); err != nil {
+		t.Fatalf("live file has no replica layout: %v", err)
+	}
+	if err := fs.Delete(fs.Root(), "gone.dat"); err != nil {
+		t.Fatal(err)
+	}
+	if sets, err := fs.MDS().GetReplicaLayout(f.Ino()); err == nil {
+		t.Fatalf("deleted file keeps its replica layout %v", sets)
+	}
+}
+
 // TestSteeringNeverSelectsDownReplica crashes an OST and reads the whole
 // file twice: the first pass discovers the crash through its own timeout and
 // fails over; once the server is suspected, steering must not route a single

@@ -4,7 +4,7 @@ import "redbud/internal/telemetry"
 
 // Endpoint is one server's dispatcher: the only path from the RPC layer
 // into the server it wraps. Endpoints are serialized by the caller (the
-// PFS mount or MDS cluster lock), like the servers they front.
+// PFS mount lock), like the servers they front.
 type Endpoint interface {
 	// Addr is the endpoint's address on the connection.
 	Addr() string

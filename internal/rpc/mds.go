@@ -57,52 +57,12 @@ func (e *MDSEndpoint) dispatch(req Request) (Msg, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LookupResp{Ino: ino, Resolved: e.srv.FS().Resolve(ino)}, nil
-	case *StatReq:
-		rec, err := e.srv.Stat(m.Ino)
-		if err != nil {
-			return nil, err
-		}
-		return &StatResp{Inode: rec}, nil
-	case *StatNameReq:
-		rec, err := e.srv.StatName(m.Parent, m.Name)
-		if err != nil {
-			return nil, err
-		}
-		return &StatNameResp{Inode: rec}, nil
-	case *UtimeReq:
-		if err := e.srv.Utime(m.Ino); err != nil {
-			return nil, err
-		}
-		return &UtimeResp{}, nil
+		return &LookupResp{Resolved: e.srv.FS().Resolve(ino)}, nil
 	case *UnlinkReq:
 		if err := e.srv.Unlink(m.Parent, m.Name); err != nil {
 			return nil, err
 		}
 		return &UnlinkResp{}, nil
-	case *RmdirReq:
-		if err := e.srv.Rmdir(m.Parent, m.Name); err != nil {
-			return nil, err
-		}
-		return &RmdirResp{}, nil
-	case *RenameReq:
-		ino, err := e.srv.Rename(m.SrcParent, m.Name, m.DstParent, m.NewName)
-		if err != nil {
-			return nil, err
-		}
-		return &RenameResp{Ino: ino}, nil
-	case *ReaddirReq:
-		names, err := e.srv.Readdir(m.Parent)
-		if err != nil {
-			return nil, err
-		}
-		return &ReaddirResp{Names: names}, nil
-	case *ReaddirPlusReq:
-		recs, err := e.srv.ReaddirPlus(m.Parent)
-		if err != nil {
-			return nil, err
-		}
-		return &ReaddirPlusResp{Entries: recs}, nil
 	case *OpenGetLayoutReq:
 		ino, layout, err := e.srv.OpenGetLayout(m.Parent, m.Name)
 		if err != nil {
@@ -177,15 +137,6 @@ func (c *MDSClient) Create(parent inode.Ino, name string) (inode.Ino, error) {
 	return resp.Ino, nil
 }
 
-// Lookup resolves a name.
-func (c *MDSClient) Lookup(parent inode.Ino, name string) (inode.Ino, error) {
-	resp, err := call[*LookupResp](c.conn, c.addr, &LookupReq{Parent: parent, Name: name})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Ino, nil
-}
-
 // LookupResolved resolves a name and follows MDS-internal relocations to
 // the inode's current identity.
 func (c *MDSClient) LookupResolved(parent inode.Ino, name string) (inode.Ino, error) {
@@ -196,69 +147,10 @@ func (c *MDSClient) LookupResolved(parent inode.Ino, name string) (inode.Ino, er
 	return resp.Resolved, nil
 }
 
-// Stat reads an inode.
-func (c *MDSClient) Stat(ino inode.Ino) (inode.Inode, error) {
-	resp, err := call[*StatResp](c.conn, c.addr, &StatReq{Ino: ino})
-	if err != nil {
-		return inode.Inode{}, err
-	}
-	return resp.Inode, nil
-}
-
-// StatName resolves and reads an inode.
-func (c *MDSClient) StatName(parent inode.Ino, name string) (inode.Inode, error) {
-	resp, err := call[*StatNameResp](c.conn, c.addr, &StatNameReq{Parent: parent, Name: name})
-	if err != nil {
-		return inode.Inode{}, err
-	}
-	return resp.Inode, nil
-}
-
-// Utime updates an mtime.
-func (c *MDSClient) Utime(ino inode.Ino) error {
-	_, err := call[*UtimeResp](c.conn, c.addr, &UtimeReq{Ino: ino})
-	return err
-}
-
 // Unlink removes a file.
 func (c *MDSClient) Unlink(parent inode.Ino, name string) error {
 	_, err := call[*UnlinkResp](c.conn, c.addr, &UnlinkReq{Parent: parent, Name: name})
 	return err
-}
-
-// Rmdir removes an empty directory.
-func (c *MDSClient) Rmdir(parent inode.Ino, name string) error {
-	_, err := call[*RmdirResp](c.conn, c.addr, &RmdirReq{Parent: parent, Name: name})
-	return err
-}
-
-// Rename moves an entry.
-func (c *MDSClient) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newName string) (inode.Ino, error) {
-	resp, err := call[*RenameResp](c.conn, c.addr, &RenameReq{
-		SrcParent: srcParent, Name: name, DstParent: dstParent, NewName: newName,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Ino, nil
-}
-
-// Readdir lists a directory.
-func (c *MDSClient) Readdir(parent inode.Ino) ([]string, error) {
-	resp, err := call[*ReaddirResp](c.conn, c.addr, &ReaddirReq{Parent: parent})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
-}
-
-// ReaddirPlus fetches a whole directory with inode contents.
-func (c *MDSClient) ReaddirPlus(parent inode.Ino) ([]inode.Inode, error) {
-	resp, err := call[*ReaddirPlusResp](c.conn, c.addr, &ReaddirPlusReq{Parent: parent})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
 }
 
 // OpenGetLayout opens a file and acquires its layout summary.

@@ -42,12 +42,6 @@ const (
 	// extentBytes encodes one layout extent (logical, physical, count,
 	// flags).
 	extentBytes = 32
-	// inodeBytes encodes one stat record (a full inode with its inline
-	// layout summary).
-	inodeBytes = 128
-	// direntBytes is the fixed part of one directory entry (ino + name
-	// length); the name itself is counted separately.
-	direntBytes = 8
 	// streamBytes encodes a write-stream identity (client, PID).
 	streamBytes = 8
 	// placeInputBytes encodes one OST's placement telemetry (index, free
@@ -62,15 +56,6 @@ const (
 func cells(body int64) int64 {
 	n := headerBytes + body
 	return (n + CellBytes - 1) / CellBytes * CellBytes
-}
-
-// namesBytes sizes a directory-entry name list.
-func namesBytes(names []string) int64 {
-	var n int64
-	for _, name := range names {
-		n += direntBytes + int64(len(name))
-	}
-	return n
 }
 
 // errWireSize is the response size of a failed request: a metadata status
@@ -137,74 +122,16 @@ func (*LookupReq) RPCOp() Op { return OpLookup }
 // WireSize models the encoded request.
 func (m *LookupReq) WireSize() int64 { return cells(inoBytes + int64(len(m.Name))) }
 
-// LookupResp returns the entry's inode. Resolved follows the MDS-internal
-// relocation map (embedded-directory migrations) to the inode's current
-// identity — the server resolves it so clients never chase relocations
-// with extra round trips.
+// LookupResp returns the entry's inode, resolved through the MDS-internal
+// relocation map (embedded-directory migrations) to its current identity
+// — the server resolves it so clients never chase relocations with extra
+// round trips.
 type LookupResp struct {
-	Ino      inode.Ino
 	Resolved inode.Ino
 }
 
 // WireSize models the encoded response.
-func (*LookupResp) WireSize() int64 { return cells(2 * inoBytes) }
-
-// StatReq reads an inode.
-type StatReq struct {
-	Ino inode.Ino
-}
-
-// RPCOp names the op.
-func (*StatReq) RPCOp() Op { return OpStat }
-
-// WireSize models the encoded request.
-func (*StatReq) WireSize() int64 { return cells(inoBytes) }
-
-// StatResp carries the inode record.
-type StatResp struct {
-	Inode inode.Inode
-}
-
-// WireSize models the encoded response.
-func (*StatResp) WireSize() int64 { return cells(inodeBytes) }
-
-// StatNameReq resolves and reads an inode in one request — the
-// readdir-stat pair's unit.
-type StatNameReq struct {
-	Parent inode.Ino
-	Name   string
-}
-
-// RPCOp names the op.
-func (*StatNameReq) RPCOp() Op { return OpStatName }
-
-// WireSize models the encoded request.
-func (m *StatNameReq) WireSize() int64 { return cells(inoBytes + int64(len(m.Name))) }
-
-// StatNameResp carries the inode record.
-type StatNameResp struct {
-	Inode inode.Inode
-}
-
-// WireSize models the encoded response.
-func (*StatNameResp) WireSize() int64 { return cells(inodeBytes) }
-
-// UtimeReq updates an mtime.
-type UtimeReq struct {
-	Ino inode.Ino
-}
-
-// RPCOp names the op.
-func (*UtimeReq) RPCOp() Op { return OpUtime }
-
-// WireSize models the encoded request.
-func (*UtimeReq) WireSize() int64 { return cells(inoBytes) }
-
-// UtimeResp acknowledges the update.
-type UtimeResp struct{}
-
-// WireSize models the encoded response.
-func (*UtimeResp) WireSize() int64 { return cells(0) }
+func (*LookupResp) WireSize() int64 { return cells(inoBytes) }
 
 // UnlinkReq removes a file entry.
 type UnlinkReq struct {
@@ -223,89 +150,6 @@ type UnlinkResp struct{}
 
 // WireSize models the encoded response.
 func (*UnlinkResp) WireSize() int64 { return cells(0) }
-
-// RmdirReq removes an empty directory.
-type RmdirReq struct {
-	Parent inode.Ino
-	Name   string
-}
-
-// RPCOp names the op.
-func (*RmdirReq) RPCOp() Op { return OpRmdir }
-
-// WireSize models the encoded request.
-func (m *RmdirReq) WireSize() int64 { return cells(inoBytes + int64(len(m.Name))) }
-
-// RmdirResp acknowledges the removal.
-type RmdirResp struct{}
-
-// WireSize models the encoded response.
-func (*RmdirResp) WireSize() int64 { return cells(0) }
-
-// RenameReq moves an entry.
-type RenameReq struct {
-	SrcParent inode.Ino
-	Name      string
-	DstParent inode.Ino
-	NewName   string
-}
-
-// RPCOp names the op.
-func (*RenameReq) RPCOp() Op { return OpRename }
-
-// WireSize models the encoded request.
-func (m *RenameReq) WireSize() int64 {
-	return cells(2*inoBytes + int64(len(m.Name)) + int64(len(m.NewName)))
-}
-
-// RenameResp returns the entry's (possibly relocated) inode.
-type RenameResp struct {
-	Ino inode.Ino
-}
-
-// WireSize models the encoded response.
-func (*RenameResp) WireSize() int64 { return cells(inoBytes) }
-
-// ReaddirReq lists a directory's names.
-type ReaddirReq struct {
-	Parent inode.Ino
-}
-
-// RPCOp names the op.
-func (*ReaddirReq) RPCOp() Op { return OpReaddir }
-
-// WireSize models the encoded request.
-func (*ReaddirReq) WireSize() int64 { return cells(inoBytes) }
-
-// ReaddirResp carries the entry names; its wire size grows with the
-// listing.
-type ReaddirResp struct {
-	Names []string
-}
-
-// WireSize models the encoded response.
-func (m *ReaddirResp) WireSize() int64 { return cells(namesBytes(m.Names)) }
-
-// ReaddirPlusReq fetches a whole directory with inode contents in a single
-// MDS request.
-type ReaddirPlusReq struct {
-	Parent inode.Ino
-}
-
-// RPCOp names the op.
-func (*ReaddirPlusReq) RPCOp() Op { return OpReaddirPlus }
-
-// WireSize models the encoded request.
-func (*ReaddirPlusReq) WireSize() int64 { return cells(inoBytes) }
-
-// ReaddirPlusResp carries the full stat records; its wire size grows with
-// the listing.
-type ReaddirPlusResp struct {
-	Entries []inode.Inode
-}
-
-// WireSize models the encoded response.
-func (m *ReaddirPlusResp) WireSize() int64 { return cells(int64(len(m.Entries)) * inodeBytes) }
 
 // OpenGetLayoutReq opens a file and acquires its layout in one request.
 type OpenGetLayoutReq struct {

@@ -1,10 +1,11 @@
 // Package rpc is the explicit message boundary between Redbud clients and
-// the metadata/data servers. Every client↔MDS operation (create, lookup,
-// stat, utime, unlink, rename, readdir, readdirplus, open-getlayout,
-// setlayout) and every client↔OST operation (object create/delete/close,
-// extent write/read, truncate, flush, fsync) is a typed request/response
-// pair sent through a Conn to a per-server Endpoint — the only path from the
-// PFS client into mds.Server and ost.Server.
+// the metadata/data servers. Every client↔MDS operation the mount sends
+// (mkdir, create, lookup, unlink, open-getlayout, setlayout, sync,
+// extent-churn, and the replica layout's place/get/set) and every
+// client↔OST operation (object create/fallocate/delete/close, extent
+// write/read, truncate, flush, fsync, extent queries, written runs) is a
+// typed request/response pair sent through a Conn to a per-server Endpoint
+// — the only path from the PFS client into mds.Server and ost.Server.
 //
 // The seam is what direct method calls could never express. Conn.Call is
 // the whole client side, one loop over attempts:
@@ -25,7 +26,7 @@
 //     client-assigned XID, so a retry of an executed-but-unacknowledged
 //     request returns the recorded response instead of re-executing — the
 //     classic NFS-style reply cache that makes non-idempotent ops (create,
-//     rename) safe under response loss.
+//     unlink) safe under response loss.
 //   - The connection publishes layer=rpc telemetry: per-op call counters
 //     and latency histograms, retry/timeout counters, fault counters, and
 //     per-endpoint replay-cache hits, plus "rpc" spans nested between the
@@ -35,7 +36,7 @@
 // control network: a message's size is its 64-byte header plus encoded body,
 // rounded up to whole cells — so every common metadata RPC costs exactly one
 // 512-byte cell each way, matching the fixed-size RPC model the evaluation
-// was calibrated with, while bulk responses (large readdirplus listings)
+// was calibrated with, while bulk messages (long layouts and replica sets)
 // grow with their payload. Data-plane messages model DMA bursts: the
 // payload-bearing direction (the request of a write, the response of a read)
 // carries exactly the payload bytes, and descriptors/acks are piggybacked on
@@ -84,14 +85,7 @@ const (
 	OpMkdir         Op = "mkdir"
 	OpCreate        Op = "create"
 	OpLookup        Op = "lookup"
-	OpStat          Op = "stat"
-	OpStatName      Op = "stat-name"
-	OpUtime         Op = "utime"
 	OpUnlink        Op = "unlink"
-	OpRmdir         Op = "rmdir"
-	OpRename        Op = "rename"
-	OpReaddir       Op = "readdir"
-	OpReaddirPlus   Op = "readdirplus"
 	OpOpenGetLayout Op = "open-getlayout"
 	OpSetLayout     Op = "setlayout"
 	// OpMDSSync flushes the metadata journal; it rides the storage control
@@ -132,9 +126,8 @@ const (
 // Class returns the op's network plane.
 func (o Op) Class() Class {
 	switch o {
-	case OpMkdir, OpCreate, OpLookup, OpStat, OpStatName, OpUtime, OpUnlink,
-		OpRmdir, OpRename, OpReaddir, OpReaddirPlus, OpOpenGetLayout,
-		OpSetLayout, OpPlaceReplicas, OpGetReplicaLayout, OpSetReplicaLayout:
+	case OpMkdir, OpCreate, OpLookup, OpUnlink, OpOpenGetLayout, OpSetLayout,
+		OpPlaceReplicas, OpGetReplicaLayout, OpSetReplicaLayout:
 		return ClassMeta
 	case OpObjWrite, OpObjRead:
 		return ClassData

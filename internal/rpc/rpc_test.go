@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"redbud/internal/core"
-	"redbud/internal/inode"
+	"redbud/internal/extent"
 	"redbud/internal/mdfs"
 	"redbud/internal/mds"
 	"redbud/internal/netsim"
@@ -44,23 +44,21 @@ func TestMetaMessagesRideSingleCells(t *testing.T) {
 		&MkdirReq{Parent: 1, Name: "dir"}, &MkdirResp{},
 		&CreateReq{Parent: 1, Name: "checkpoint.0001"}, &CreateResp{},
 		&LookupReq{Parent: 1, Name: "a"}, &LookupResp{},
-		&StatReq{}, &StatResp{},
-		&UtimeReq{}, &UtimeResp{},
 		&UnlinkReq{Parent: 1, Name: "a"}, &UnlinkResp{},
-		&RenameReq{Name: "a", NewName: "b"}, &RenameResp{},
-		&OpenGetLayoutReq{Parent: 1, Name: "a"}, &SetLayoutResp{},
+		&OpenGetLayoutReq{Parent: 1, Name: "a"}, &OpenGetLayoutResp{},
+		&SetLayoutReq{Ino: 1}, &SetLayoutResp{},
 	}
 	for _, m := range msgs {
 		if got := m.WireSize(); got != CellBytes {
 			t.Errorf("%T wire size = %d, want one %d-byte cell", m, got, CellBytes)
 		}
 	}
-	// Bulk listings grow beyond the single cell.
-	if got := (&ReaddirPlusResp{Entries: make([]inode.Inode, 100)}).WireSize(); got <= CellBytes {
-		t.Errorf("100-entry readdirplus wire size = %d, want > one cell", got)
-	}
-	if got := (&ReaddirPlusResp{}).WireSize(); got != CellBytes {
-		t.Errorf("empty readdirplus wire size = %d, want one cell", got)
+	// Bulk layouts grow beyond the single cell.
+	long := make([]extent.Extent, 100)
+	for _, m := range []Msg{&SetLayoutReq{Ino: 1, Layout: long}, &OpenGetLayoutResp{Ino: 1, Layout: long}} {
+		if got := m.WireSize(); got <= CellBytes {
+			t.Errorf("100-extent %T wire size = %d, want > one cell", m, got)
+		}
 	}
 }
 
@@ -305,7 +303,7 @@ func TestApplicationErrorsPassThroughWithoutRetry(t *testing.T) {
 	conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
 	conn.Instrument(reg, telemetry.Labels{"layer": "rpc"})
 	cl := NewMDSClient(conn, "mds")
-	if _, err := cl.Lookup(srv.Root(), "missing"); err == nil {
+	if _, err := cl.LookupResolved(srv.Root(), "missing"); err == nil {
 		t.Fatal("lookup of a missing name must fail")
 	} else if _, isRPC := err.(*Error); isRPC {
 		t.Fatalf("application error surfaced as rpc error: %v", err)

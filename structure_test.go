@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -151,6 +152,86 @@ func TestRPCHasOneCallPath(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// TestRPCCatalogueIsSent keeps the RPC catalogue equal to what the mount
+// sends: every exported method of the typed clients (bar Addr) is called by
+// non-test internal/pfs code on fs.mdsc or fs.ostc[…], and every method
+// called there exists. A client method nothing sends is a wire model no
+// experiment runs.
+func TestRPCCatalogueIsSent(t *testing.T) {
+	clients := map[string]string{"MDSClient": "mdsc", "OSTClient": "ostc"}
+	declared := map[string]map[string]bool{"mdsc": {}, "ostc": {}}
+	sent := map[string]map[string]bool{"mdsc": {}, "ostc": {}}
+	fset := token.NewFileSet()
+	parse := func(pattern string, visit func(*ast.File)) {
+		files, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visit(file)
+		}
+	}
+	parse("internal/rpc/*.go", func(file *ast.File) {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() || fn.Name.Name == "Addr" {
+				continue
+			}
+			if field, ok := clients[recvName(fn.Recv.List[0].Type)]; ok {
+				declared[field][fn.Name.Name] = true
+			}
+		}
+	})
+	parse("internal/pfs/*.go", func(file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			method, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			recv := method.X
+			if idx, ok := recv.(*ast.IndexExpr); ok {
+				recv = idx.X
+			}
+			if field, ok := recv.(*ast.SelectorExpr); ok && sent[field.Sel.Name] != nil {
+				sent[field.Sel.Name][method.Sel.Name] = true
+			}
+			return true
+		})
+	})
+	for client, field := range clients {
+		for _, name := range sortedKeys(declared[field]) {
+			if !sent[field][name] {
+				t.Errorf("%s.%s is never sent by internal/pfs; delete it with its op", client, name)
+			}
+		}
+		for _, name := range sortedKeys(sent[field]) {
+			if !declared[field][name] {
+				t.Errorf("internal/pfs calls fs.%s.%s, which %s does not declare", field, name, client)
+			}
+		}
+	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestMdfsDecodesOnce keeps every reader of the metadata image — the
