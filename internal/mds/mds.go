@@ -64,7 +64,7 @@ type Server struct {
 	// rpcHist, when attached, observes the modeled service cost (CPU) of
 	// every RPC. tracer records per-RPC spans on the simulated timeline;
 	// traceParent is the span of the request currently being serviced
-	// (the rpc endpoint sets it, serialized under the mount lock like
+	// (the rpc connection sets it, serialized under the mount lock like
 	// every other MDS access).
 	rpcHist     *telemetry.Histogram
 	tracer      *telemetry.Tracer

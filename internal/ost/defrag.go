@@ -307,7 +307,8 @@ func (r *CheckReport) problemf(format string, args ...interface{}) {
 // invariants, the OST-side analogue of miffsck: extent maps well-formed;
 // every mapped block allocated in the bitmap, inside its object's owned
 // set, and mapped by no other object; every written block carrying the
-// data that was stored at its logical address. It is how the crash-safety
+// data that was stored at its logical address; the allocator's used count
+// equal to the blocks the objects own. It is how the crash-safety
 // of the migration ordering is verified: after CopyRange without
 // FreeMigrated the walk must stay clean, with the old blocks reported as
 // leaks.
@@ -321,6 +322,7 @@ func (s *Server) CheckConsistency() CheckReport {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	owner := make(map[int64]ObjectID)
+	var ownedBlocks int64
 	for _, id := range ids {
 		o := s.objects[id]
 		rep.Objects++
@@ -356,11 +358,17 @@ func (s *Server) CheckConsistency() CheckReport {
 		}
 		rep.MappedBlocks += mapped
 		rep.LeakedBlocks += o.owned.Blocks() - mapped
+		ownedBlocks += o.owned.Blocks()
 		for _, r := range o.owned.Ranges() {
 			if !s.alloc.Allocated(r) {
 				rep.problemf("object %d: owned range [%d,+%d) not allocated in bitmap", id, r.Start, r.Count)
 			}
 		}
+	}
+	// Every allocated block belongs to an object: reservations are soft and
+	// never touch the bitmap, so the allocator's used count is Σ owned.
+	if used := s.cfg.Blocks - s.alloc.FreeBlocks(); used != ownedBlocks {
+		rep.problemf("allocator counts %d used blocks, objects own %d", used, ownedBlocks)
 	}
 	return rep
 }

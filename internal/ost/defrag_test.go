@@ -1,6 +1,7 @@
 package ost
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -140,6 +141,25 @@ func TestCopyRangeCrashSafety(t *testing.T) {
 	}
 	if err := s.Read(1, 0, 64); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckConsistencyCountsUnownedBlocks: a block allocated in the bitmap
+// behind every object's back is mapped and owned by nothing, so only the
+// used-count comparison can see it — and the report must name the gap.
+func TestCheckConsistencyCountsUnownedBlocks(t *testing.T) {
+	s := fragmentTwo(t, 4, 4)
+	if rep := s.CheckConsistency(); !rep.Clean() {
+		t.Fatalf("fresh server: %v", rep.Problems)
+	}
+	used := s.UsedBlocks()
+	if _, got, err := s.Allocator().AllocNear(1<<40, 0, 1); err != nil || got != 1 {
+		t.Fatalf("AllocNear = %d, %v; want one block", got, err)
+	}
+	rep := s.CheckConsistency()
+	want := fmt.Sprintf("allocator counts %d used blocks, objects own %d", used+1, used)
+	if len(rep.Problems) != 1 || rep.Problems[0] != want {
+		t.Fatalf("problems = %q, want [%q]", rep.Problems, want)
 	}
 }
 

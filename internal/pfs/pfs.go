@@ -189,8 +189,8 @@ type file struct {
 }
 
 // FS is one mounted Redbud instance. All client↔server traffic flows
-// through the rpc connection: typed messages to per-server endpoints over
-// a connection that charges the GbE metadata link and the per-OST
+// through the rpc clients: one method per op, each one call on a
+// connection that charges the GbE metadata link and the per-OST
 // FibreChannel fabric. The server handles (mds, osts) remain only for
 // measurement and for the server-local defragmentation engine.
 type FS struct {
@@ -262,13 +262,11 @@ func New(cfg Config) (*FS, error) {
 			osrv.SetCrashInjector(cfg.Crash)
 		}
 	}
-	fs.conn.Register(mdsAddr, rpc.NewMDSEndpoint(mdsAddr, srv), fs.mdsLink)
-	fs.mdsc = rpc.NewMDSClient(fs.conn, mdsAddr)
+	fs.mdsc = rpc.NewMDSClient(fs.conn, mdsAddr, srv, fs.mdsLink)
 	factory := fs.policyFactory()
 	for i, osrv := range fs.osts {
-		addr := ostAddr(i)
-		fs.conn.Register(addr, rpc.NewOSTEndpoint(addr, osrv, factory), fs.fabric.Link(i))
-		fs.ostc = append(fs.ostc, rpc.NewOSTClient(fs.conn, addr, cfg.OST.Disk.BlockSize))
+		fs.ostc = append(fs.ostc, rpc.NewOSTClient(fs.conn, ostAddr(i), osrv, factory,
+			fs.fabric.Link(i), cfg.OST.Disk.BlockSize))
 		fs.selfSets = append(fs.selfSets, []int{i})
 		fs.selfMembers = append(fs.selfMembers, []replica.MemberState{{OST: i}})
 	}
@@ -845,7 +843,12 @@ func (h *File) Write(stream core.StreamID, blk, count int64) error {
 // Each stripe piece fans out to every live replica of its component. One
 // whose write fails at the transport layer is marked down and stale rather
 // than failing the client write; the write errors only when a piece gets no
-// acknowledgement at all. Callers hold fs.mu.
+// acknowledgement at all. Application errors follow eachMemberLocked's
+// rule: a stale member's is ignored (created while its server was down, it
+// may never have got the object) and it stays stale for repair; a clean
+// member's fails the write, after every member that already took the piece
+// is marked stale — the client is told the piece failed, so no copy holding
+// it may be read as current. Callers hold fs.mu.
 func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64) error {
 	before, err := fs.totalExtentsLocked(f)
 	if err != nil {
@@ -859,10 +862,13 @@ func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64
 			return err
 		}
 		acks := 0
-		for _, r := range targets {
+		for i, r := range targets {
 			if err := fs.ostc[r].Write(obj, stream, p.logical, p.count); err != nil {
-				if fs.staleLocked(err, f, p.ostIdx, r) {
+				if fs.staleLocked(err, f, p.ostIdx, r) || fs.memberStaleLocked(f, p.ostIdx, r) {
 					continue
+				}
+				for _, took := range targets[:i] { // empty in a set of one
+					fs.rep.MarkStale(f.ino, p.ostIdx, took)
 				}
 				return err
 			}

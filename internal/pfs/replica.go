@@ -38,7 +38,7 @@ func repSuspect(err error) bool {
 		return true
 	}
 	var re *rpc.Error
-	return errors.As(err, &re) && re.Kind != rpc.KindBadRequest
+	return errors.As(err, &re)
 }
 
 // writeTargetsLocked returns component c's object and the servers a write
@@ -77,6 +77,18 @@ func (fs *FS) steerReadLocked(f *file, c int, tried []int) (int, ost.ObjectID, b
 		return c, f.objects[c], true
 	}
 	return fs.rep.SteerRead(f.ino, c, tried, fs.load)
+}
+
+// memberStaleLocked reports whether server r's copy of component c is
+// stale. Callers hold fs.mu.
+func (fs *FS) memberStaleLocked(f *file, c, r int) bool {
+	members, _, _ := fs.membersLocked(f, c)
+	for _, m := range members {
+		if m.OST == r {
+			return m.Stale
+		}
+	}
+	return false
 }
 
 // downLocked reports whether server i is currently suspected dead. Callers

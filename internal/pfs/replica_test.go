@@ -280,6 +280,80 @@ func TestReviveClearsSuspicionAndCatchesUp(t *testing.T) {
 	}
 }
 
+// memberStale reports whether server r's copy of component c of f is stale.
+func memberStale(t *testing.T, fs *FS, f *File, c, r int) bool {
+	t.Helper()
+	members, _, ok := fs.Replication().Members(f.Ino(), c)
+	if !ok {
+		t.Fatalf("component %d has no replica state", c)
+	}
+	for _, m := range members {
+		if m.OST == r {
+			return m.Stale
+		}
+	}
+	t.Fatalf("ost%d is no member of component %d", r, c)
+	return false
+}
+
+// TestWriteIgnoresStaleMemberWithoutObject: a file created while ost1 was
+// down has no object there, and after the revive its stale copy answers
+// every write with "no such object". The write goes through on the clean
+// copy, the stale one stays stale, and repair builds it.
+func TestWriteIgnoresStaleMemberWithoutObject(t *testing.T) {
+	fs := newReplicated(t, 2, 2)
+	if err := fs.CrashOST(1); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create(fs.Root(), "late.dat", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReviveOST(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(core.StreamID{Client: 1, PID: 1}, 0, 1); err != nil {
+		t.Fatalf("write with a stale member lacking the object: %v", err)
+	}
+	if !memberStale(t, fs, f, 0, 1) {
+		t.Fatal("ost1's copy missed the write but is not stale")
+	}
+	if err := fs.RepairDrain(); err != nil {
+		t.Fatal(err)
+	}
+	if !fs.Replication().FullyReplicated() {
+		t.Fatalf("repair left %d components under-replicated", fs.Replication().UnderReplicated())
+	}
+	if err := f.Read(0, 1); err != nil {
+		t.Fatalf("read-back after repair: %v", err)
+	}
+}
+
+// TestWriteErrorStalesMembersThatTookThePiece: when a clean member refuses
+// a piece with an application error, the write fails — and the member that
+// already took the piece is marked stale, since the client was told the
+// piece did not land.
+func TestWriteErrorStalesMembersThatTookThePiece(t *testing.T) {
+	fs := newReplicated(t, 2, 2)
+	f, err := fs.Create(fs.Root(), "torn.dat", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, obj, ok := fs.Replication().ReplicaSet(f.Ino(), 0)
+	if !ok || len(set) != 2 {
+		t.Fatalf("component 0: set %v ok=%v, want 2 members", set, ok)
+	}
+	if err := fs.OST(set[1]).Delete(obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(core.StreamID{Client: 1, PID: 1}, 0, 1); err == nil {
+		t.Fatal("write to a clean member without the object succeeded")
+	}
+	if !memberStale(t, fs, f, 0, set[0]) {
+		t.Fatalf("ost%d took the piece of a failed write but is still clean", set[0])
+	}
+}
+
 // runDataPathScript drives every file operation of the data path once on a
 // fresh mount of cfg — create (with a size hint on the static policy, which
 // fallocates it), write, extent count, read, truncate, fsync, close, reopen,

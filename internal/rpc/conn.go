@@ -18,21 +18,28 @@ type ClientConfig struct {
 	Fault *FaultConfig
 }
 
-// route is one registered endpoint, the network link that reaches it, and
-// its blackhole flag.
-type route struct {
-	ep   Endpoint
-	link *netsim.Link
-	down atomic.Bool
+// server is what a route needs of the server behind it: the hook that nests
+// the server's own spans under the rpc span while it serves.
+type server interface {
+	SetTraceParent(id telemetry.SpanID)
 }
 
-// Conn is one client's connection: the registered routes, the retry policy,
-// the optional fault injector, and the XID allocator that gives every
-// logical call a transaction identity reused across its retries — the key
-// the endpoints' replay caches deduplicate on. The tracer whose clock the
-// connection advances (wire transfers, injected delays, retry timeouts)
-// and the layer=rpc metrics sink are plain fields; with neither attached
-// every advance and every count is a no-op.
+// route is one server on the connection: the server, the network link that
+// reaches it, its blackhole flag, and the replay cache in front of it.
+type route struct {
+	srv   server
+	link  *netsim.Link
+	down  atomic.Bool
+	cache *replayCache
+}
+
+// Conn is one client's connection: the routes its clients registered, the
+// retry policy, the optional fault injector, and the XID allocator that
+// gives every logical call a transaction identity reused across its
+// retries — the key the routes' replay caches deduplicate on. The tracer
+// whose clock the connection advances (wire transfers, injected delays,
+// retry timeouts) and the layer=rpc metrics sink are plain fields; with
+// neither attached every advance and every count is a no-op.
 type Conn struct {
 	policy      RetryPolicy
 	fault       *injector // nil on fault-free connections
@@ -43,7 +50,8 @@ type Conn struct {
 	nextXID     atomic.Uint64
 }
 
-// NewConn builds a connection per the config; Register adds endpoints.
+// NewConn builds a connection per the config; NewMDSClient and
+// NewOSTClient add its routes.
 func NewConn(cfg ClientConfig) *Conn {
 	var policy RetryPolicy
 	if cfg.Retry != nil {
@@ -56,11 +64,10 @@ func NewConn(cfg ClientConfig) *Conn {
 	return c
 }
 
-// Register routes addr to an endpoint over the given link. A nil link
-// means the endpoint is reached for free (tests); wire charging is
-// skipped.
-func (c *Conn) Register(addr string, ep Endpoint, link *netsim.Link) {
-	c.routes[addr] = &route{ep: ep, link: link}
+// register routes addr to a server over the given link. A nil link means
+// the server is reached for free (tests); wire charging is skipped.
+func (c *Conn) register(addr string, srv server, link *netsim.Link) {
+	c.routes[addr] = &route{srv: srv, link: link, cache: newReplayCache()}
 }
 
 // SetTracer attaches (or with nil detaches) the span tracer the connection
@@ -74,13 +81,13 @@ func (c *Conn) SetTraceParent(id telemetry.SpanID) { c.traceParent = id }
 
 // Instrument publishes the layer=rpc metrics: per-op call counters and
 // latency histograms, retry/timeout/recovery counters, fault counters,
-// and per-endpoint replay-cache hits.
+// and per-route replay-cache hits.
 func (c *Conn) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 	c.m = newMetrics(reg, labels)
 	for addr, rt := range c.routes {
-		ep := rt.ep
+		cache := rt.cache
 		reg.CounterFunc("rpc_replay_hits", labels.With("addr", addr),
-			func() int64 { return ep.ReplayHits() })
+			func() int64 { return cache.hits })
 	}
 }
 
@@ -108,23 +115,27 @@ func (c *Conn) Crashed(addr string) bool {
 }
 
 // Call sends one logical request: it allocates the XID and runs the retry
-// loop, every attempt reusing the XID. A lost message charges the full
-// timeout before the re-send; a transient error re-sends after the backoff
-// alone. When the retry budget runs out the call fails with KindTimeout
-// (loss) or KindUnavailable (persistent transient failure). Server
-// application errors are never retried.
-func (c *Conn) Call(addr string, req Request) (Msg, error) {
+// loop, every attempt reusing the XID. reqSize is the request leg's wire
+// size; exec runs the server call at most once — a retry of an executed
+// XID is answered from the route's replay cache — keeps its results in the
+// caller's variables, and returns the response leg's wire size (a failed
+// call's response is sized by its class instead). A lost message charges
+// the full timeout before the re-send; a transient error re-sends after
+// the backoff alone. When the retry budget runs out the call fails with
+// KindTimeout (loss) or KindUnavailable (persistent transient failure).
+// Server application errors are never retried. exec is only called, never
+// kept, so the caller's closure stays on its stack.
+func (c *Conn) Call(addr string, op Op, reqSize int64, exec func() (respSize int64, err error)) error {
 	xid := c.nextXID.Add(1)
-	op := req.RPCOp()
 	p := c.policy
 	backoff := p.BackoffNs
 	for attempt := 0; ; attempt++ {
-		resp, lost, err := c.attempt(addr, xid, op, req)
+		lost, err := c.attempt(addr, xid, op, reqSize, exec)
 		if !lost && err == nil {
 			if attempt > 0 {
 				c.m.recovery(c.tracer.Now(), op)
 			}
-			return resp, nil
+			return nil
 		}
 		kind := KindTimeout
 		var cause error
@@ -137,13 +148,13 @@ func (c *Conn) Call(addr string, req Request) (Msg, error) {
 		} else if re, ok := err.(*Error); !ok || !re.Transient() {
 			// Application errors and non-retriable RPC failures pass
 			// through.
-			return resp, err
+			return err
 		} else {
 			kind, cause = KindUnavailable, re
 		}
 		if attempt >= p.MaxRetries {
 			c.m.exhaust(c.tracer.Now(), op)
-			return nil, &ExhaustedError{Op: op, Addr: addr, Kind: kind, Attempts: attempt + 1, Cause: cause}
+			return &ExhaustedError{Op: op, Addr: addr, Kind: kind, Attempts: attempt + 1, Cause: cause}
 		}
 		c.m.retry(c.tracer.Now(), op)
 		c.tracer.Advance(backoff)
@@ -160,11 +171,11 @@ func (c *Conn) Call(addr string, req Request) (Msg, error) {
 // optional delay on exchanges that reach the server. lost reports a
 // dropped request or response, which the client learns of only by timing
 // out.
-func (c *Conn) attempt(addr string, xid uint64, op Op, req Request) (resp Msg, lost bool, err error) {
+func (c *Conn) attempt(addr string, xid uint64, op Op, reqSize int64, exec func() (int64, error)) (lost bool, err error) {
 	rt := c.routes[addr]
 	if rt != nil && rt.down.Load() {
 		c.m.fault(c.tracer.Now(), "blackhole", op)
-		return nil, true, nil
+		return true, nil
 	}
 	var r FaultRates // zero without an injector: response loss never fires
 	var respDrop float64
@@ -174,11 +185,11 @@ func (c *Conn) attempt(addr string, xid uint64, op Op, req Request) (resp Msg, l
 		drop, respDrop, errp, delayp, delayFrac = c.fault.draw()
 		if drop < r.Drop {
 			c.m.fault(c.tracer.Now(), "drop", op)
-			return nil, true, nil
+			return true, nil
 		}
 		if errp < r.Error {
 			c.m.fault(c.tracer.Now(), "error", op)
-			return nil, false, &Error{Op: op, Addr: addr, Kind: KindUnavailable}
+			return false, &Error{Op: op, Addr: addr, Kind: KindUnavailable}
 		}
 		if delayp < r.Delay && r.MaxDelayNs > 0 {
 			c.m.fault(c.tracer.Now(), "delay", op)
@@ -186,20 +197,20 @@ func (c *Conn) attempt(addr string, xid uint64, op Op, req Request) (resp Msg, l
 		}
 	}
 	if rt == nil {
-		return nil, false, &Error{Op: op, Addr: addr, Kind: KindUnavailable}
+		return false, &Error{Op: op, Addr: addr, Kind: KindUnavailable}
 	}
-	resp, err = c.exchange(rt, addr, xid, op, req)
+	err = c.exchange(rt, addr, xid, op, reqSize, exec)
 	if err == nil && respDrop < r.RespDrop {
 		c.m.fault(c.tracer.Now(), "resp-drop", op)
-		return nil, true, nil
+		return true, nil
 	}
-	return resp, false, err
+	return false, err
 }
 
-// exchange puts one request/response pair on the wire: request leg,
-// endpoint dispatch through its replay cache (server spans nested under
+// exchange puts one request/response pair on the wire: request leg, the
+// server call through the route's replay cache (server spans nested under
 // the "rpc" span), response leg.
-func (c *Conn) exchange(rt *route, addr string, xid uint64, op Op, req Request) (Msg, error) {
+func (c *Conn) exchange(rt *route, addr string, xid uint64, op Op, reqSize int64, exec func() (int64, error)) error {
 	var sp telemetry.ActiveSpan
 	var begin sim.Ns
 	parent := c.traceParent
@@ -208,14 +219,13 @@ func (c *Conn) exchange(rt *route, addr string, xid uint64, op Op, req Request) 
 		sp.Annotate("addr", addr)
 		begin = tr.Now()
 		parent = sp.ID()
-		rt.ep.SetTraceParent(parent)
-		defer rt.ep.SetTraceParent(0)
+		rt.srv.SetTraceParent(parent)
+		defer rt.srv.SetTraceParent(0)
 	}
-	c.transfer(rt.link, req.WireSize(), parent)
-	resp, err := rt.ep.Serve(xid, req)
-	respSize := errWireSize(op)
-	if err == nil && resp != nil {
-		respSize = resp.WireSize()
+	c.transfer(rt.link, reqSize, parent)
+	respSize, err := rt.cache.serve(xid, exec)
+	if err != nil {
+		respSize = errRespSize(op)
 	}
 	c.transfer(rt.link, respSize, parent)
 	dur := sim.Ns(-1)
@@ -224,7 +234,7 @@ func (c *Conn) exchange(rt *route, addr string, xid uint64, op Op, req Request) 
 		sp.End()
 	}
 	c.m.call(op, dur, err != nil)
-	return resp, err
+	return err
 }
 
 // transfer charges one message leg to the link, recording a "net" span
@@ -243,19 +253,4 @@ func (c *Conn) transfer(link *netsim.Link, bytes int64, parent telemetry.SpanID)
 	c.tracer.Advance(cost)
 	sp.AnnotateInt("bytes", int64(bytes))
 	sp.End()
-}
-
-// call is the typed client helper: it narrows the response or fails with
-// KindBadRequest on a protocol mismatch.
-func call[T Msg](c *Conn, addr string, req Request) (T, error) {
-	var zero T
-	resp, err := c.Call(addr, req)
-	if err != nil {
-		return zero, err
-	}
-	out, ok := resp.(T)
-	if !ok {
-		return zero, &Error{Op: req.RPCOp(), Addr: addr, Kind: KindBadRequest}
-	}
-	return out, nil
 }

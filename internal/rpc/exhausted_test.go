@@ -17,8 +17,7 @@ func TestExhaustedErrorWrapsLastTransientCause(t *testing.T) {
 	fault := FaultConfig{Seed: 3, Meta: FaultRates{Error: 1}}
 	policy := RetryPolicy{MaxRetries: 2}
 	conn := NewConn(ClientConfig{Fault: &fault, Retry: &policy})
-	conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
-	cl := NewMDSClient(conn, "mds")
+	cl := NewMDSClient(conn, "mds", srv, nil)
 
 	_, err := cl.Create(srv.Root(), "doomed")
 	if !errors.Is(err, ErrRetriesExhausted) {
@@ -54,8 +53,7 @@ func TestExhaustedErrorLossHasNoCause(t *testing.T) {
 	fault := FaultConfig{Seed: 3, Meta: FaultRates{Drop: 1}}
 	policy := RetryPolicy{MaxRetries: 1}
 	conn := NewConn(ClientConfig{Fault: &fault, Retry: &policy})
-	conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
-	cl := NewMDSClient(conn, "mds")
+	cl := NewMDSClient(conn, "mds", srv, nil)
 
 	_, err := cl.Create(srv.Root(), "lost")
 	var ex *ExhaustedError

@@ -12,7 +12,7 @@ type FaultRates struct {
 	// server (the server never executes it).
 	Drop float64
 	// RespDrop is the probability the response is lost after the server
-	// executed the request — the case the endpoints' replay cache exists
+	// executed the request — the case the routes' replay caches exist
 	// for.
 	RespDrop float64
 	// Error is the probability of a transient server/transport failure

@@ -13,8 +13,7 @@ func TestManualCrashBlackholesEndpoint(t *testing.T) {
 	srv := newMDS(t)
 	policy := RetryPolicy{MaxRetries: 2}
 	conn := NewConn(ClientConfig{Retry: &policy})
-	conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
-	cl := NewMDSClient(conn, "mds")
+	cl := NewMDSClient(conn, "mds", srv, nil)
 
 	if _, err := cl.Create(srv.Root(), "before"); err != nil {
 		t.Fatal(err)

@@ -4,210 +4,151 @@ import (
 	"redbud/internal/extent"
 	"redbud/internal/inode"
 	"redbud/internal/mds"
+	"redbud/internal/netsim"
 	"redbud/internal/replica"
-	"redbud/internal/telemetry"
 )
 
-// MDSEndpoint dispatches the metadata op catalog into one mds.Server.
-type MDSEndpoint struct {
-	addr  string
-	srv   *mds.Server
-	cache *replayCache
-}
-
-// NewMDSEndpoint wraps a metadata server.
-func NewMDSEndpoint(addr string, srv *mds.Server) *MDSEndpoint {
-	return &MDSEndpoint{addr: addr, srv: srv, cache: newReplayCache()}
-}
-
-// Addr is the endpoint's address on the connection.
-func (e *MDSEndpoint) Addr() string { return e.addr }
-
-// Server exposes the wrapped server for measurement.
-func (e *MDSEndpoint) Server() *mds.Server { return e.srv }
-
-// SetTraceParent declares the span the server's spans nest under.
-func (e *MDSEndpoint) SetTraceParent(id telemetry.SpanID) { e.srv.SetTraceParent(id) }
-
-// ReplayHits reports requests answered from the replay cache.
-func (e *MDSEndpoint) ReplayHits() int64 { return e.cache.hits }
-
-// Serve executes one request through the replay cache.
-func (e *MDSEndpoint) Serve(xid uint64, req Request) (Msg, error) {
-	return e.cache.serveCached(xid, func() (Msg, error) { return e.dispatch(req) })
-}
-
-// dispatch routes a request to the server method implementing its op.
-func (e *MDSEndpoint) dispatch(req Request) (Msg, error) {
-	switch m := req.(type) {
-	case *MkdirReq:
-		ino, err := e.srv.Mkdir(m.Parent, m.Name)
-		if err != nil {
-			return nil, err
-		}
-		return &MkdirResp{Ino: ino}, nil
-	case *CreateReq:
-		ino, err := e.srv.Create(m.Parent, m.Name)
-		if err != nil {
-			return nil, err
-		}
-		return &CreateResp{Ino: ino}, nil
-	case *LookupReq:
-		ino, err := e.srv.Lookup(m.Parent, m.Name)
-		if err != nil {
-			return nil, err
-		}
-		return &LookupResp{Resolved: e.srv.FS().Resolve(ino)}, nil
-	case *UnlinkReq:
-		if err := e.srv.Unlink(m.Parent, m.Name); err != nil {
-			return nil, err
-		}
-		return &UnlinkResp{}, nil
-	case *OpenGetLayoutReq:
-		ino, layout, err := e.srv.OpenGetLayout(m.Parent, m.Name)
-		if err != nil {
-			return nil, err
-		}
-		return &OpenGetLayoutResp{Ino: ino, Layout: layout}, nil
-	case *SetLayoutReq:
-		if err := e.srv.SetLayout(m.Ino, m.Layout); err != nil {
-			return nil, err
-		}
-		return &SetLayoutResp{}, nil
-	case *MDSSyncReq:
-		if err := e.srv.Sync(); err != nil {
-			return nil, err
-		}
-		return &MDSSyncResp{}, nil
-	case *ExtentChurnReq:
-		e.srv.NoteExtentChurn(m.Units)
-		return &ExtentChurnResp{}, nil
-	case *PlaceReplicasReq:
-		sets, err := e.srv.PlaceReplicas(m.Ino, m.Comps, m.RF, m.Inputs)
-		if err != nil {
-			return nil, err
-		}
-		return &PlaceReplicasResp{Sets: sets}, nil
-	case *GetReplicaLayoutReq:
-		sets, err := e.srv.GetReplicaLayout(m.Ino)
-		if err != nil {
-			return nil, err
-		}
-		return &GetReplicaLayoutResp{Sets: sets}, nil
-	case *SetReplicaLayoutReq:
-		if err := e.srv.SetReplicaLayout(m.Ino, m.Comp, m.Replicas); err != nil {
-			return nil, err
-		}
-		return &SetReplicaLayoutResp{}, nil
-	default:
-		return nil, &Error{Op: req.RPCOp(), Addr: e.addr, Kind: KindBadRequest}
-	}
-}
-
-// MDSClient is the typed client of one metadata endpoint; its methods
-// mirror the mds.Server surface the mount consumes.
+// MDSClient is the client of one metadata server; its methods mirror the
+// mds.Server surface the mount consumes. Each method is one Conn.Call:
+// the request and response legs ride the GbE control network in whole
+// 512-byte cells, and the server call runs inside the closure.
 type MDSClient struct {
 	conn *Conn
 	addr string
+	srv  *mds.Server
 }
 
-// NewMDSClient binds a client to an address on the connection.
-func NewMDSClient(conn *Conn, addr string) *MDSClient {
-	return &MDSClient{conn: conn, addr: addr}
+// NewMDSClient routes addr to the metadata server over link on the
+// connection and binds a client to it.
+func NewMDSClient(conn *Conn, addr string, srv *mds.Server, link *netsim.Link) *MDSClient {
+	conn.register(addr, srv, link)
+	return &MDSClient{conn: conn, addr: addr, srv: srv}
 }
 
-// Addr returns the endpoint address the client calls.
-func (c *MDSClient) Addr() string { return c.addr }
+// nameCells sizes a request naming an entry: the parent inode and the name.
+func nameCells(name string) int64 { return cells(inoBytes + int64(len(name))) }
+
+// layoutCells sizes a message carrying an inode and its layout.
+func layoutCells(layout []extent.Extent) int64 {
+	return cells(inoBytes + int64(len(layout))*extentBytes)
+}
+
+// setsCells sizes a message carrying a file's replica sets.
+func setsCells(sets [][]int) int64 {
+	var n int64
+	for _, s := range sets {
+		n += int64(len(s))
+	}
+	return cells(n * replicaIdxBytes)
+}
 
 // Mkdir creates a directory.
 func (c *MDSClient) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
-	resp, err := call[*MkdirResp](c.conn, c.addr, &MkdirReq{Parent: parent, Name: name})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Ino, nil
+	var ino inode.Ino
+	err := c.conn.Call(c.addr, OpMkdir, nameCells(name), func() (n int64, err error) {
+		ino, err = c.srv.Mkdir(parent, name)
+		return cells(inoBytes), err
+	})
+	return ino, err
 }
 
 // Create creates a file.
 func (c *MDSClient) Create(parent inode.Ino, name string) (inode.Ino, error) {
-	resp, err := call[*CreateResp](c.conn, c.addr, &CreateReq{Parent: parent, Name: name})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Ino, nil
+	var ino inode.Ino
+	err := c.conn.Call(c.addr, OpCreate, nameCells(name), func() (n int64, err error) {
+		ino, err = c.srv.Create(parent, name)
+		return cells(inoBytes), err
+	})
+	return ino, err
 }
 
-// LookupResolved resolves a name and follows MDS-internal relocations to
-// the inode's current identity.
+// LookupResolved resolves a name and follows MDS-internal relocations
+// (embedded-directory migrations) to the inode's current identity — the
+// server resolves it so clients never chase relocations with extra round
+// trips.
 func (c *MDSClient) LookupResolved(parent inode.Ino, name string) (inode.Ino, error) {
-	resp, err := call[*LookupResp](c.conn, c.addr, &LookupReq{Parent: parent, Name: name})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Resolved, nil
+	var ino inode.Ino
+	err := c.conn.Call(c.addr, OpLookup, nameCells(name), func() (n int64, err error) {
+		ino, err = c.srv.Lookup(parent, name)
+		if err == nil {
+			ino = c.srv.FS().Resolve(ino)
+		}
+		return cells(inoBytes), err
+	})
+	return ino, err
 }
 
 // Unlink removes a file.
 func (c *MDSClient) Unlink(parent inode.Ino, name string) error {
-	_, err := call[*UnlinkResp](c.conn, c.addr, &UnlinkReq{Parent: parent, Name: name})
-	return err
+	return c.conn.Call(c.addr, OpUnlink, nameCells(name), func() (int64, error) {
+		return cells(0), c.srv.Unlink(parent, name)
+	})
 }
 
-// OpenGetLayout opens a file and acquires its layout summary.
+// OpenGetLayout opens a file and acquires its layout summary in one
+// request.
 func (c *MDSClient) OpenGetLayout(parent inode.Ino, name string) (inode.Ino, []extent.Extent, error) {
-	resp, err := call[*OpenGetLayoutResp](c.conn, c.addr, &OpenGetLayoutReq{Parent: parent, Name: name})
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.Ino, resp.Layout, nil
+	var ino inode.Ino
+	var layout []extent.Extent
+	err := c.conn.Call(c.addr, OpOpenGetLayout, nameCells(name), func() (n int64, err error) {
+		ino, layout, err = c.srv.OpenGetLayout(parent, name)
+		return layoutCells(layout), err
+	})
+	return ino, layout, err
 }
 
-// SetLayout records a file's data placement.
+// SetLayout records a file's data placement as reported by the IO servers.
 func (c *MDSClient) SetLayout(ino inode.Ino, layout []extent.Extent) error {
-	_, err := call[*SetLayoutResp](c.conn, c.addr, &SetLayoutReq{Ino: ino, Layout: layout})
-	return err
+	return c.conn.Call(c.addr, OpSetLayout, layoutCells(layout), func() (int64, error) {
+		return cells(0), c.srv.SetLayout(ino, layout)
+	})
 }
 
-// NoteExtentChurn reports mapping churn from a data phase.
+// NoteExtentChurn reports mapping churn from a data phase; it piggybacks
+// on data-plane completions.
 func (c *MDSClient) NoteExtentChurn(units int) error {
-	req := extentChurnReqPool.get()
-	req.Units = units
-	_, err := call[*ExtentChurnResp](c.conn, c.addr, req)
-	extentChurnReqPool.put(req)
-	return err
+	return c.conn.Call(c.addr, OpExtentChurn, 0, func() (int64, error) {
+		c.srv.NoteExtentChurn(units)
+		return 0, nil
+	})
 }
 
-// Sync flushes the metadata file system.
+// Sync flushes the metadata file system (control plane).
 func (c *MDSClient) Sync() error {
-	_, err := call[*MDSSyncResp](c.conn, c.addr, &MDSSyncReq{})
-	return err
+	return c.conn.Call(c.addr, OpMDSSync, 0, func() (int64, error) {
+		return 0, c.srv.Sync()
+	})
 }
 
-// PlaceReplicas asks the MDS to place a file's replica sets from the
-// client's capacity/load observations.
+// PlaceReplicas asks the MDS to place RF replicas for each of a file's
+// comps stripe components. The client ships its per-OST capacity/load
+// observations (and which servers it currently suspects dead) so the MDS
+// scores targets without a server-to-server gossip plane.
 func (c *MDSClient) PlaceReplicas(ino inode.Ino, comps, rf int, in []replica.PlaceInput) ([][]int, error) {
-	resp, err := call[*PlaceReplicasResp](c.conn, c.addr, &PlaceReplicasReq{
-		Ino: ino, Comps: comps, RF: rf, Inputs: in,
+	var sets [][]int
+	reqSize := cells(inoBytes + 2*i64Bytes + int64(len(in))*placeInputBytes)
+	err := c.conn.Call(c.addr, OpPlaceReplicas, reqSize, func() (n int64, err error) {
+		sets, err = c.srv.PlaceReplicas(ino, comps, rf, in)
+		return setsCells(sets), err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Sets, nil
+	return sets, err
 }
 
-// GetReplicaLayout fetches a file's replica sets.
+// GetReplicaLayout fetches a file's replica sets at open.
 func (c *MDSClient) GetReplicaLayout(ino inode.Ino) ([][]int, error) {
-	resp, err := call[*GetReplicaLayoutResp](c.conn, c.addr, &GetReplicaLayoutReq{Ino: ino})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Sets, nil
+	var sets [][]int
+	err := c.conn.Call(c.addr, OpGetReplicaLayout, cells(inoBytes), func() (n int64, err error) {
+		sets, err = c.srv.GetReplicaLayout(ino)
+		return setsCells(sets), err
+	})
+	return sets, err
 }
 
-// SetReplicaLayout updates one component's replica set after a repair.
+// SetReplicaLayout updates one component's replica set after a
+// re-replication completes.
 func (c *MDSClient) SetReplicaLayout(ino inode.Ino, comp int, replicas []int) error {
-	_, err := call[*SetReplicaLayoutResp](c.conn, c.addr, &SetReplicaLayoutReq{
-		Ino: ino, Comp: comp, Replicas: replicas,
+	reqSize := cells(inoBytes + i64Bytes + int64(len(replicas))*replicaIdxBytes)
+	return c.conn.Call(c.addr, OpSetReplicaLayout, reqSize, func() (int64, error) {
+		return cells(0), c.srv.SetReplicaLayout(ino, comp, replicas)
 	})
-	return err
 }

@@ -4,238 +4,132 @@ import (
 	"redbud/internal/alloc"
 	"redbud/internal/core"
 	"redbud/internal/extent"
+	"redbud/internal/netsim"
 	"redbud/internal/ost"
 	"redbud/internal/sim"
-	"redbud/internal/telemetry"
 )
 
-// OSTEndpoint dispatches the object op catalog into one ost.Server. The
-// placement policy applied to newly created objects is endpoint
-// configuration (one factory per mount), mirroring how a real IO server
-// runs the allocator its volume was formatted with.
-type OSTEndpoint struct {
-	addr    string
-	srv     *ost.Server
-	factory ost.PolicyFactory
-	cache   *replayCache
-}
-
-// NewOSTEndpoint wraps an IO server with the placement policy new objects
-// use.
-func NewOSTEndpoint(addr string, srv *ost.Server, factory ost.PolicyFactory) *OSTEndpoint {
-	return &OSTEndpoint{addr: addr, srv: srv, factory: factory, cache: newReplayCache()}
-}
-
-// Addr is the endpoint's address on the connection.
-func (e *OSTEndpoint) Addr() string { return e.addr }
-
-// Server exposes the wrapped server for measurement.
-func (e *OSTEndpoint) Server() *ost.Server { return e.srv }
-
-// SetTraceParent declares the span the server's spans nest under.
-func (e *OSTEndpoint) SetTraceParent(id telemetry.SpanID) { e.srv.SetTraceParent(id) }
-
-// ReplayHits reports requests answered from the replay cache.
-func (e *OSTEndpoint) ReplayHits() int64 { return e.cache.hits }
-
-// Serve executes one request through the replay cache.
-func (e *OSTEndpoint) Serve(xid uint64, req Request) (Msg, error) {
-	return e.cache.serveCached(xid, func() (Msg, error) { return e.dispatch(req) })
-}
-
-// dispatch routes a request to the server method implementing its op.
-func (e *OSTEndpoint) dispatch(req Request) (Msg, error) {
-	switch m := req.(type) {
-	case *ObjCreateReq:
-		if err := e.srv.CreateObject(m.ID, e.factory, m.SizeHint); err != nil {
-			return nil, err
-		}
-		return &ObjCreateResp{}, nil
-	case *ObjFallocateReq:
-		if err := e.srv.Fallocate(m.ID, m.Stream, m.SizeBlocks); err != nil {
-			return nil, err
-		}
-		return &ObjFallocateResp{}, nil
-	case *ObjWriteReq:
-		if err := e.srv.Write(m.ID, m.Stream, m.Logical, m.Count); err != nil {
-			return nil, err
-		}
-		return &ObjWriteResp{}, nil
-	case *ObjReadReq:
-		if err := e.srv.Read(m.ID, m.Logical, m.Count); err != nil {
-			return nil, err
-		}
-		return &ObjReadResp{Payload: m.Payload}, nil
-	case *ObjTruncateReq:
-		if err := e.srv.Truncate(m.ID, m.NewSize); err != nil {
-			return nil, err
-		}
-		return &ObjTruncateResp{}, nil
-	case *ObjFsyncReq:
-		if err := e.srv.Fsync(m.ID); err != nil {
-			return nil, err
-		}
-		return &ObjFsyncResp{}, nil
-	case *ObjFlushReq:
-		return &ObjFlushResp{Dur: e.srv.Flush()}, nil
-	case *ObjDeleteReq:
-		if err := e.srv.Delete(m.ID); err != nil {
-			return nil, err
-		}
-		return &ObjDeleteResp{}, nil
-	case *ObjCloseReq:
-		if err := e.srv.CloseObject(m.ID); err != nil {
-			return nil, err
-		}
-		return &ObjCloseResp{}, nil
-	case *ObjExtCountReq:
-		n, err := e.srv.ExtentCount(m.ID)
-		if err != nil {
-			return nil, err
-		}
-		return extCountResp(n), nil
-	case *ObjExtentsReq:
-		exts, err := e.srv.Extents(m.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &ObjExtentsResp{Extents: exts}, nil
-	case *ObjWrittenRunsReq:
-		runs, err := e.srv.WrittenRuns(m.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &ObjWrittenRunsResp{Runs: runs}, nil
-	default:
-		return nil, &Error{Op: req.RPCOp(), Addr: e.addr, Kind: KindBadRequest}
-	}
-}
-
-// OSTClient is the typed client of one IO-server endpoint. It knows the
-// volume's block size so data ops can size their DMA payloads.
+// OSTClient is the client of one IO server. Each method is one Conn.Call:
+// data ops model DMA bursts on the FibreChannel link — a write's request
+// and a read's response carry exactly the payload, the volume's block size
+// times the block count — and everything else is piggybacked control
+// traffic at zero wire cost. The placement policy applied to newly created
+// objects is server-side configuration (one factory per mount), mirroring
+// how a real IO server runs the allocator its volume was formatted with.
 type OSTClient struct {
 	conn       *Conn
 	addr       string
+	srv        *ost.Server
+	factory    ost.PolicyFactory
 	blockBytes int64
 }
 
-// NewOSTClient binds a client to an address on the connection.
-func NewOSTClient(conn *Conn, addr string, blockBytes int64) *OSTClient {
-	return &OSTClient{conn: conn, addr: addr, blockBytes: blockBytes}
+// NewOSTClient routes addr to the IO server over link on the connection
+// and binds a client to it; factory is the placement policy new objects
+// use, blockBytes sizes the data payloads.
+func NewOSTClient(conn *Conn, addr string, srv *ost.Server, factory ost.PolicyFactory, link *netsim.Link, blockBytes int64) *OSTClient {
+	conn.register(addr, srv, link)
+	return &OSTClient{conn: conn, addr: addr, srv: srv, factory: factory, blockBytes: blockBytes}
 }
 
-// Addr returns the endpoint address the client calls.
-func (c *OSTClient) Addr() string { return c.addr }
-
-// CreateObject creates an object under the endpoint's placement policy.
+// CreateObject creates an object under the server's placement policy.
 func (c *OSTClient) CreateObject(id ost.ObjectID, sizeHint int64) error {
-	req := objCreateReqPool.get()
-	*req = ObjCreateReq{ID: id, SizeHint: sizeHint}
-	_, err := call[*ObjCreateResp](c.conn, c.addr, req)
-	objCreateReqPool.put(req)
-	return err
-}
-
-// Fallocate preallocates an object's blocks.
-func (c *OSTClient) Fallocate(id ost.ObjectID, stream core.StreamID, sizeBlocks int64) error {
-	_, err := call[*ObjFallocateResp](c.conn, c.addr, &ObjFallocateReq{
-		ID: id, Stream: stream, SizeBlocks: sizeBlocks,
+	return c.conn.Call(c.addr, OpObjCreate, 0, func() (int64, error) {
+		return 0, c.srv.CreateObject(id, c.factory, sizeHint)
 	})
-	return err
 }
 
-// Write stores count component-logical blocks, paying the payload's data
-// transfer.
+// Fallocate preallocates an object's blocks (static layout).
+func (c *OSTClient) Fallocate(id ost.ObjectID, stream core.StreamID, sizeBlocks int64) error {
+	return c.conn.Call(c.addr, OpObjFallocate, 0, func() (int64, error) {
+		return 0, c.srv.Fallocate(id, stream, sizeBlocks)
+	})
+}
+
+// Write stores count component-logical blocks; the request carries the
+// payload, the ack is free.
 func (c *OSTClient) Write(id ost.ObjectID, stream core.StreamID, logical, count int64) error {
-	req := objWriteReqPool.get()
-	*req = ObjWriteReq{
-		ID: id, Stream: stream, Logical: logical, Count: count,
-		Payload: count * c.blockBytes,
-	}
-	_, err := call[*ObjWriteResp](c.conn, c.addr, req)
-	objWriteReqPool.put(req)
-	return err
+	return c.conn.Call(c.addr, OpObjWrite, count*c.blockBytes, func() (int64, error) {
+		return 0, c.srv.Write(id, stream, logical, count)
+	})
 }
 
-// Read fetches count component-logical blocks, paying the payload's data
-// transfer on the response.
+// Read fetches count component-logical blocks; the descriptor is free, the
+// response carries the payload.
 func (c *OSTClient) Read(id ost.ObjectID, logical, count int64) error {
-	req := objReadReqPool.get()
-	*req = ObjReadReq{
-		ID: id, Logical: logical, Count: count, Payload: count * c.blockBytes,
-	}
-	_, err := call[*ObjReadResp](c.conn, c.addr, req)
-	objReadReqPool.put(req)
-	return err
+	return c.conn.Call(c.addr, OpObjRead, 0, func() (int64, error) {
+		return count * c.blockBytes, c.srv.Read(id, logical, count)
+	})
 }
 
 // Truncate cuts an object to newSize blocks.
 func (c *OSTClient) Truncate(id ost.ObjectID, newSize int64) error {
-	_, err := call[*ObjTruncateResp](c.conn, c.addr, &ObjTruncateReq{ID: id, NewSize: newSize})
-	return err
+	return c.conn.Call(c.addr, OpObjTruncate, 0, func() (int64, error) {
+		return 0, c.srv.Truncate(id, newSize)
+	})
 }
 
-// Fsync forces an object's buffered writes and queued device I/O.
+// Fsync forces an object's buffered writes and queued device I/O to
+// storage.
 func (c *OSTClient) Fsync(id ost.ObjectID) error {
-	req := objFsyncReqPool.get()
-	*req = ObjFsyncReq{ID: id}
-	_, err := call[*ObjFsyncResp](c.conn, c.addr, req)
-	objFsyncReqPool.put(req)
-	return err
+	return c.conn.Call(c.addr, OpObjFsync, 0, func() (int64, error) {
+		return 0, c.srv.Fsync(id)
+	})
 }
 
 // Flush forces all queued device requests, returning the simulated device
 // time.
 func (c *OSTClient) Flush() (sim.Ns, error) {
-	resp, err := call[*ObjFlushResp](c.conn, c.addr, &ObjFlushReq{})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Dur, nil
+	var dur sim.Ns
+	err := c.conn.Call(c.addr, OpObjFlush, 0, func() (int64, error) {
+		dur = c.srv.Flush()
+		return 0, nil
+	})
+	return dur, err
 }
 
 // Delete removes an object and frees its blocks.
 func (c *OSTClient) Delete(id ost.ObjectID) error {
-	_, err := call[*ObjDeleteResp](c.conn, c.addr, &ObjDeleteReq{ID: id})
-	return err
+	return c.conn.Call(c.addr, OpObjDelete, 0, func() (int64, error) {
+		return 0, c.srv.Delete(id)
+	})
 }
 
 // CloseObject releases an object's temporary reservations.
 func (c *OSTClient) CloseObject(id ost.ObjectID) error {
-	req := objCloseReqPool.get()
-	*req = ObjCloseReq{ID: id}
-	_, err := call[*ObjCloseResp](c.conn, c.addr, req)
-	objCloseReqPool.put(req)
-	return err
+	return c.conn.Call(c.addr, OpObjClose, 0, func() (int64, error) {
+		return 0, c.srv.CloseObject(id)
+	})
 }
 
 // ExtentCount returns an object's extent count.
 func (c *OSTClient) ExtentCount(id ost.ObjectID) (int, error) {
-	req := objExtCountReqPool.get()
-	*req = ObjExtCountReq{ID: id}
-	resp, err := call[*ObjExtCountResp](c.conn, c.addr, req)
-	objExtCountReqPool.put(req)
-	if err != nil {
+	var count int
+	err := c.conn.Call(c.addr, OpObjExtCount, 0, func() (n int64, err error) {
+		count, err = c.srv.ExtentCount(id)
 		return 0, err
-	}
-	return resp.Count, nil
+	})
+	return count, err
 }
 
 // Extents returns an object's extent list.
 func (c *OSTClient) Extents(id ost.ObjectID) ([]extent.Extent, error) {
-	resp, err := call[*ObjExtentsResp](c.conn, c.addr, &ObjExtentsReq{ID: id})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Extents, nil
+	var exts []extent.Extent
+	err := c.conn.Call(c.addr, OpObjExtents, 0, func() (n int64, err error) {
+		exts, err = c.srv.Extents(id)
+		return 0, err
+	})
+	return exts, err
 }
 
 // WrittenRuns returns the maximal runs of written logical blocks — the
-// repair engine's copy manifest.
+// repair engine's copy manifest (holes and preallocated-but-unwritten
+// space are skipped; they carry no data).
 func (c *OSTClient) WrittenRuns(id ost.ObjectID) ([]alloc.Range, error) {
-	resp, err := call[*ObjWrittenRunsResp](c.conn, c.addr, &ObjWrittenRunsReq{ID: id})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Runs, nil
+	var runs []alloc.Range
+	err := c.conn.Call(c.addr, OpObjWrittenRuns, 0, func() (n int64, err error) {
+		runs, err = c.srv.WrittenRuns(id)
+		return 0, err
+	})
+	return runs, err
 }

@@ -1,25 +1,5 @@
 package rpc
 
-import "redbud/internal/telemetry"
-
-// Endpoint is one server's dispatcher: the only path from the RPC layer
-// into the server it wraps. Endpoints are serialized by the caller (the
-// PFS mount lock), like the servers they front.
-type Endpoint interface {
-	// Addr is the endpoint's address on the connection.
-	Addr() string
-	// Serve executes one request. xid is the client-assigned transaction
-	// ID: a retried xid whose original execution completed is answered
-	// from the replay cache without re-executing.
-	Serve(xid uint64, req Request) (Msg, error)
-	// SetTraceParent declares the span under which the server's own spans
-	// nest while serving; zero clears it.
-	SetTraceParent(id telemetry.SpanID)
-	// ReplayHits reports how many requests were answered from the replay
-	// cache.
-	ReplayHits() int64
-}
-
 // replayCacheSize bounds the duplicate-request cache. Retries arrive
 // within a handful of calls of the original, so a small FIFO window is
 // plenty; production DRCs are similarly bounded.
@@ -27,9 +7,9 @@ const replayCacheSize = 1024
 
 // replayEntry is one executed request's recorded outcome.
 type replayEntry struct {
-	xid  uint64
-	resp Msg
-	err  error
+	xid      uint64
+	respSize int64
+	err      error
 }
 
 // replayCache is the NFS-style duplicate request cache: it records every
@@ -37,8 +17,8 @@ type replayEntry struct {
 // lost returns the original outcome instead of re-executing a
 // non-idempotent operation.
 //
-// The connection assigns xids from one monotone counter, so the xids an
-// endpoint records are strictly increasing: a never-seen request always
+// The connection assigns xids from one monotone counter, so the xids a
+// route records are strictly increasing: a never-seen request always
 // carries xid > lastXid, and the hot path is a single compare plus a ring
 // write — no map. Only a retransmission (xid ≤ lastXid, rare by
 // construction) scans the ring, newest entry first; retries reuse a
@@ -75,8 +55,8 @@ func (c *replayCache) lookup(xid uint64) (replayEntry, bool) {
 
 // record stores an executed request's outcome, evicting the oldest entry
 // at capacity.
-func (c *replayCache) record(xid uint64, resp Msg, err error) {
-	e := replayEntry{xid: xid, resp: resp, err: err}
+func (c *replayCache) record(xid uint64, respSize int64, err error) {
+	e := replayEntry{xid: xid, respSize: respSize, err: err}
 	if c.n == replayCacheSize {
 		// Full: the tail slot coincides with the head slot, so evicting the
 		// oldest and enqueuing the newest is one overwrite plus a rotate.
@@ -94,12 +74,14 @@ func (c *replayCache) record(xid uint64, resp Msg, err error) {
 	}
 }
 
-// serveCached wraps a dispatch function with the replay cache.
-func (c *replayCache) serveCached(xid uint64, dispatch func() (Msg, error)) (Msg, error) {
+// serve runs exec once per xid: a recorded xid is answered from its
+// record, anything else executes and is recorded. exec is only called,
+// never kept, so the caller's closure does not escape.
+func (c *replayCache) serve(xid uint64, exec func() (int64, error)) (int64, error) {
 	if e, ok := c.lookup(xid); ok {
-		return e.resp, e.err
+		return e.respSize, e.err
 	}
-	resp, err := dispatch()
-	c.record(xid, resp, err)
-	return resp, err
+	respSize, err := exec()
+	c.record(xid, respSize, err)
+	return respSize, err
 }

@@ -1,19 +1,21 @@
-// Package rpc is the explicit message boundary between Redbud clients and
-// the metadata/data servers. Every client↔MDS operation the mount sends
-// (mkdir, create, lookup, unlink, open-getlayout, setlayout, sync,
-// extent-churn, and the replica layout's place/get/set) and every
-// client↔OST operation (object create/fallocate/delete/close, extent
-// write/read, truncate, flush, fsync, extent queries, written runs) is a
-// typed request/response pair sent through a Conn to a per-server Endpoint
-// — the only path from the PFS client into mds.Server and ost.Server.
+// Package rpc is the boundary between Redbud clients and the metadata/data
+// servers. Every client↔MDS operation the mount sends (mkdir, create,
+// lookup, unlink, open-getlayout, setlayout, sync, extent-churn, and the
+// replica layout's place/get/set) and every client↔OST operation (object
+// create/fallocate/delete/close, extent write/read, truncate, flush, fsync,
+// extent queries, written runs) is one method of MDSClient or OSTClient:
+// the method sizes its request, and hands Conn.Call a closure that runs the
+// server call, keeps its results and returns the response size. Nothing is
+// encoded — the wire model needs only the sizes — and Conn.Call is the only
+// path from the PFS client into mds.Server and ost.Server.
 //
 // The seam is what direct method calls could never express. Conn.Call is
 // the whole client side, one loop over attempts:
 //
-//   - Network charging lives in the connection, not the callees: each
-//     message's modeled wire size is charged to the server's netsim link
-//     (GbE for the MDS, the per-client FibreChannel fabric for OSTs) and
-//     folded into the simulated trace timeline.
+//   - Network charging lives in the connection, not the callees: each leg's
+//     modeled wire size is charged to the server's netsim link (GbE for the
+//     MDS, the per-client FibreChannel fabric for OSTs) and folded into the
+//     simulated trace timeline.
 //   - Crash blackholes one route until Revive: every attempt toward it is
 //     lost, with or without a fault injector.
 //   - With ClientConfig.Fault set, each attempt draws seeded, deterministic
@@ -22,14 +24,16 @@
 //   - The retry policy is the client-side timeout: a lost message costs the
 //     caller the RPC timeout on the simulated clock, then is retried with
 //     exponential backoff.
-//   - Endpoints keep a duplicate-request (replay) cache keyed by the
-//     client-assigned XID, so a retry of an executed-but-unacknowledged
-//     request returns the recorded response instead of re-executing — the
-//     classic NFS-style reply cache that makes non-idempotent ops (create,
-//     unlink) safe under response loss.
+//   - Each route keeps a duplicate-request (replay) cache keyed by the
+//     client-assigned XID and recording the outcome (response size and
+//     error), so a retry of an executed-but-unacknowledged request is
+//     answered from the record instead of re-executing — the classic
+//     NFS-style reply cache that makes non-idempotent ops (create, unlink)
+//     safe under response loss. The results the one execution wrote stay
+//     with the caller, because retries never leave the one Call.
 //   - The connection publishes layer=rpc telemetry: per-op call counters
 //     and latency histograms, retry/timeout counters, fault counters, and
-//     per-endpoint replay-cache hits, plus "rpc" spans nested between the
+//     per-route replay-cache hits, plus "rpc" spans nested between the
 //     client operation span and the server-side spans.
 //
 // Wire-size model. Metadata messages ride fixed 512-byte cells on the GbE
@@ -47,6 +51,46 @@
 package rpc
 
 import "fmt"
+
+// Encoded-field sizes of the modeled wire format.
+const (
+	// headerBytes is the fixed per-message envelope: op, xid, addresses,
+	// status.
+	headerBytes = 64
+	// CellBytes is the metadata plane's transfer granularity; every
+	// metadata message is rounded up to whole cells, so the common
+	// single-cell RPC costs exactly 512 bytes each way.
+	CellBytes = 512
+	// inoBytes encodes an inode number.
+	inoBytes = 8
+	// i64Bytes encodes a block count, offset, or size field.
+	i64Bytes = 8
+	// extentBytes encodes one layout extent (logical, physical, count,
+	// flags).
+	extentBytes = 32
+	// placeInputBytes encodes one OST's placement telemetry (index, free
+	// blocks, busy time, liveness flag).
+	placeInputBytes = 24
+	// replicaIdxBytes encodes one replica-set member (an OST index).
+	replicaIdxBytes = 4
+)
+
+// cells rounds a message body up to whole metadata cells, envelope
+// included.
+func cells(body int64) int64 {
+	n := headerBytes + body
+	return (n + CellBytes - 1) / CellBytes * CellBytes
+}
+
+// errRespSize is the response size of a failed request: a metadata status
+// cell, or nothing on the data/control planes (failures there ride the
+// piggybacked completion).
+func errRespSize(op Op) int64 {
+	if op.Class() == ClassMeta {
+		return cells(0)
+	}
+	return 0
+}
 
 // Class groups ops by the network plane and charge model they use.
 type Class int
@@ -147,8 +191,6 @@ const (
 	KindTimeout ErrKind = "timeout"
 	// KindUnavailable: a transient transport/server failure, retriable.
 	KindUnavailable ErrKind = "unavailable"
-	// KindBadRequest: the endpoint does not serve this message type.
-	KindBadRequest ErrKind = "bad-request"
 )
 
 // Error is an RPC-layer failure.

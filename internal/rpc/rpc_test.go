@@ -7,6 +7,7 @@ import (
 
 	"redbud/internal/core"
 	"redbud/internal/extent"
+	"redbud/internal/inode"
 	"redbud/internal/mdfs"
 	"redbud/internal/mds"
 	"redbud/internal/netsim"
@@ -39,90 +40,94 @@ func counterValue(reg *telemetry.Registry, name, labelPart string) int64 {
 	return total
 }
 
+// TestMetaMessagesRideSingleCells drives the metadata client over a GbE
+// link: every common metadata RPC charges one 512-byte cell each way, and
+// only a bulk layout grows past it.
 func TestMetaMessagesRideSingleCells(t *testing.T) {
-	msgs := []Msg{
-		&MkdirReq{Parent: 1, Name: "dir"}, &MkdirResp{},
-		&CreateReq{Parent: 1, Name: "checkpoint.0001"}, &CreateResp{},
-		&LookupReq{Parent: 1, Name: "a"}, &LookupResp{},
-		&UnlinkReq{Parent: 1, Name: "a"}, &UnlinkResp{},
-		&OpenGetLayoutReq{Parent: 1, Name: "a"}, &OpenGetLayoutResp{},
-		&SetLayoutReq{Ino: 1}, &SetLayoutResp{},
-	}
-	for _, m := range msgs {
-		if got := m.WireSize(); got != CellBytes {
-			t.Errorf("%T wire size = %d, want one %d-byte cell", m, got, CellBytes)
-		}
-	}
-	// Bulk layouts grow beyond the single cell.
-	long := make([]extent.Extent, 100)
-	for _, m := range []Msg{&SetLayoutReq{Ino: 1, Layout: long}, &OpenGetLayoutResp{Ino: 1, Layout: long}} {
-		if got := m.WireSize(); got <= CellBytes {
-			t.Errorf("100-extent %T wire size = %d, want > one cell", m, got)
-		}
-	}
-}
-
-func TestDataMessagesChargePayloadOneWay(t *testing.T) {
-	w := &ObjWriteReq{Count: 64, Payload: 64 * 4096}
-	if w.WireSize() != 64*4096 {
-		t.Errorf("write request carries %d bytes, want payload %d", w.WireSize(), 64*4096)
-	}
-	if (&ObjWriteResp{}).WireSize() != 0 {
-		t.Error("write ack must be free")
-	}
-	if (&ObjReadReq{Payload: 4096}).WireSize() != 0 {
-		t.Error("read descriptor must be free")
-	}
-	if got := (&ObjReadResp{Payload: 4096}).WireSize(); got != 4096 {
-		t.Errorf("read response carries %d bytes, want payload 4096", got)
-	}
-	for _, m := range []Msg{
-		&ObjCreateReq{}, &ObjFlushReq{}, &ObjFsyncReq{}, &ObjTruncateReq{},
-		&ObjDeleteReq{}, &ObjCloseReq{}, &ObjExtCountReq{}, &ObjExtentsReq{},
-		&MDSSyncReq{}, &ExtentChurnReq{Units: 10},
-	} {
-		if m.WireSize() != 0 {
-			t.Errorf("%T is control plane, wire size must be 0", m)
-		}
-	}
-}
-
-func TestReplayCacheMakesRetriesIdempotent(t *testing.T) {
 	srv := newMDS(t)
-	ep := NewMDSEndpoint("mds", srv)
-	req := &CreateReq{Parent: srv.Root(), Name: "once"}
-	first, err := ep.Serve(42, req)
-	if err != nil {
-		t.Fatal(err)
+	link := netsim.NewLink(netsim.GbE())
+	cl := NewMDSClient(NewConn(ClientConfig{}), "mds", srv, link)
+	root := srv.Root()
+	// charged runs one call and returns the messages and bytes it moved.
+	charged := func(op string, call func() error) (int64, int64) {
+		t.Helper()
+		before := link.Stats()
+		if err := call(); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		st := link.Stats()
+		return st.Messages - before.Messages, st.Bytes - before.Bytes
 	}
-	again, err := ep.Serve(42, req)
-	if err != nil {
-		t.Fatal(err)
+	oneCell := func(op string, call func() error) {
+		t.Helper()
+		if msgs, bytes := charged(op, call); msgs != 2 || bytes != 2*CellBytes {
+			t.Errorf("%s charged %d messages / %d bytes, want 2 / %d", op, msgs, bytes, 2*CellBytes)
+		}
 	}
-	if first.(*CreateResp).Ino != again.(*CreateResp).Ino {
-		t.Fatal("replayed create returned a different inode")
+	var ino inode.Ino
+	oneCell("mkdir", func() (err error) { _, err = cl.Mkdir(root, "dir"); return err })
+	oneCell("create", func() (err error) { ino, err = cl.Create(root, "checkpoint.0001"); return err })
+	oneCell("lookup", func() (err error) { _, err = cl.LookupResolved(root, "checkpoint.0001"); return err })
+	oneCell("setlayout", func() error { return cl.SetLayout(ino, nil) })
+	oneCell("open-getlayout", func() (err error) { _, _, err = cl.OpenGetLayout(root, "checkpoint.0001"); return err })
+	// A 100-extent layout grows past one cell: the setlayout request and
+	// the open-getlayout response carry it.
+	long := make([]extent.Extent, 100)
+	for i := range long {
+		long[i] = extent.Extent{Logical: int64(2 * i), Physical: int64(4 * i), Count: 1}
 	}
-	if got := srv.Stats().RPCs; got != 1 {
-		t.Fatalf("server executed %d RPCs, want 1 (replay must not re-execute)", got)
+	if _, bytes := charged("bulk setlayout", func() error { return cl.SetLayout(ino, long) }); bytes <= 2*CellBytes {
+		t.Errorf("100-extent setlayout charged %d bytes, want > %d", bytes, 2*CellBytes)
 	}
-	if ep.ReplayHits() != 1 {
-		t.Fatalf("replay hits = %d, want 1", ep.ReplayHits())
+	var layout []extent.Extent
+	if _, bytes := charged("bulk open-getlayout", func() (err error) {
+		_, layout, err = cl.OpenGetLayout(root, "checkpoint.0001")
+		return err
+	}); len(layout) != len(long) || bytes <= 2*CellBytes {
+		t.Errorf("open-getlayout of %d extents charged %d bytes, want 100 extents and > %d",
+			len(layout), bytes, 2*CellBytes)
 	}
-	// A fresh xid executes for real.
-	if _, err := ep.Serve(43, &CreateReq{Parent: srv.Root(), Name: "twice"}); err != nil {
-		t.Fatal(err)
+	oneCell("unlink", func() error { return cl.Unlink(root, "checkpoint.0001") })
+}
+
+// TestReplayCacheMakesRetriesIdempotent: the cache runs exec once per xid
+// and answers a repeat from the record — the response size and the error
+// the one execution returned — counting the hit.
+func TestReplayCacheMakesRetriesIdempotent(t *testing.T) {
+	c := newReplayCache()
+	execs := 0
+	exec := func(size int64, err error) func() (int64, error) {
+		return func() (int64, error) {
+			execs++
+			return size, err
+		}
 	}
-	if got := srv.Stats().RPCs; got != 2 {
-		t.Fatalf("server executed %d RPCs, want 2", got)
+	for i := 0; i < 2; i++ {
+		if size, err := c.serve(42, exec(CellBytes, nil)); size != CellBytes || err != nil {
+			t.Fatalf("serve %d of xid 42 = %d, %v; want %d, nil", i, size, err, CellBytes)
+		}
+	}
+	if execs != 1 || c.hits != 1 {
+		t.Fatalf("xid 42 served twice: %d executions, %d hits; want 1, 1", execs, c.hits)
+	}
+	// A failed execution is recorded as it came, and a repeat gets it back
+	// without running again — even if the new attempt would succeed.
+	failed := errors.New("no such entry")
+	if _, err := c.serve(43, exec(0, failed)); err != failed {
+		t.Fatalf("serve xid 43 = %v, want %v", err, failed)
+	}
+	if size, err := c.serve(43, exec(CellBytes, nil)); size != 0 || err != failed {
+		t.Fatalf("replayed xid 43 = %d, %v; want the recorded 0, %v", size, err, failed)
+	}
+	if execs != 2 || c.hits != 2 {
+		t.Fatalf("after xid 43: %d executions, %d hits; want 2, 2", execs, c.hits)
 	}
 }
 
 func TestNetTransportChargesLinkPerDirection(t *testing.T) {
 	srv := newMDS(t)
 	link := netsim.NewLink(netsim.GbE())
-	conn := NewConn(ClientConfig{})
-	conn.Register("mds", NewMDSEndpoint("mds", srv), link)
-	cl := NewMDSClient(conn, "mds")
+	cl := NewMDSClient(NewConn(ClientConfig{}), "mds", srv, link)
 	if _, err := cl.Create(srv.Root(), "f"); err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +145,83 @@ func TestNetTransportChargesLinkPerDirection(t *testing.T) {
 	}
 }
 
+// TestDataMessagesChargePayloadOneWay: a write's request and a read's
+// response carry exactly the payload, their other legs are free, and every
+// control op moves no link bytes at all.
+func TestDataMessagesChargePayloadOneWay(t *testing.T) {
+	srv := ost.NewServer(0, ost.DefaultConfig())
+	link := netsim.NewLink(netsim.FC400())
+	cl := NewOSTClient(NewConn(ClientConfig{}), "ost0", srv, vanillaFactory, link, 4096)
+	stream := core.StreamID{Client: 1, PID: 1}
+
+	// A write to a missing object fails at the server, after its request
+	// leg crossed: the payload rides the request, the refusal is free.
+	if err := cl.Write(9, stream, 0, 64); err == nil {
+		t.Fatal("write to a missing object must fail")
+	}
+	st := link.Stats()
+	if st.Messages != 1 || st.Bytes != 64*4096 {
+		t.Fatalf("write request charged %d msgs / %d bytes, want 1 / payload %d", st.Messages, st.Bytes, 64*4096)
+	}
+	// A read of a missing object moves nothing: the descriptor is free, and
+	// with no payload to return neither is the response.
+	if err := cl.Read(9, 0, 1); err == nil {
+		t.Fatal("read of a missing object must fail")
+	}
+	if got := link.Stats(); got != st {
+		t.Fatalf("read descriptor must be free, moved link stats %+v -> %+v", st, got)
+	}
+	if err := cl.CreateObject(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Write(1, stream, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	st = link.Stats()
+	if err := cl.Read(1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := link.Stats(); got.Messages-st.Messages != 1 || got.Bytes-st.Bytes != 4096 {
+		t.Fatalf("read response charged %d msgs / %d bytes, want 1 / payload 4096",
+			got.Messages-st.Messages, got.Bytes-st.Bytes)
+	}
+	st = link.Stats()
+	// The MDS client rides the same link, so a byte its control ops moved
+	// would show.
+	mdsc := NewMDSClient(cl.conn, "mds", newMDS(t), link)
+	for _, c := range []struct {
+		op   string
+		call func() error
+	}{
+		{"create", func() error { return cl.CreateObject(2, 0) }},
+		{"fallocate", func() error { return cl.Fallocate(2, stream, 8) }},
+		{"fsync", func() error { return cl.Fsync(1) }},
+		{"truncate", func() error { return cl.Truncate(1, 0) }},
+		{"close", func() error { return cl.CloseObject(1) }},
+		{"extent-count", func() (err error) { _, err = cl.ExtentCount(2); return err }},
+		{"extents", func() (err error) { _, err = cl.Extents(2); return err }},
+		{"written-runs", func() (err error) { _, err = cl.WrittenRuns(2); return err }},
+		{"flush", func() (err error) { _, err = cl.Flush(); return err }},
+		{"delete", func() error { return cl.Delete(2) }},
+		{"mds-sync", mdsc.Sync},
+		{"extent-churn", func() error { return mdsc.NoteExtentChurn(10) }},
+	} {
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.op, err)
+		}
+		if got := link.Stats(); got != st {
+			t.Fatalf("%s is control plane, moved link stats %+v -> %+v", c.op, st, got)
+		}
+	}
+}
+
+// TestOSTDataPathChargesPayload drives a 64-block write and read-back
+// over a FibreChannel link: each moves the payload once.
 func TestOSTDataPathChargesPayload(t *testing.T) {
 	srv := ost.NewServer(0, ost.DefaultConfig())
 	link := netsim.NewLink(netsim.FC400())
-	conn := NewConn(ClientConfig{})
-	conn.Register("ost0", NewOSTEndpoint("ost0", srv, vanillaFactory), link)
 	blockSize := ost.DefaultConfig().Disk.BlockSize
-	cl := NewOSTClient(conn, "ost0", blockSize)
+	cl := NewOSTClient(NewConn(ClientConfig{}), "ost0", srv, vanillaFactory, link, blockSize)
 
 	if err := cl.CreateObject(1, 0); err != nil {
 		t.Fatal(err)
@@ -190,10 +265,9 @@ func TestTimedOutRPCRetriedToCompletion(t *testing.T) {
 	tr := telemetry.NewTracer(nil)
 	fault := UniformFaults(7, 0.5)
 	conn := NewConn(ClientConfig{Fault: &fault})
-	conn.Register("mds", NewMDSEndpoint("mds", srv), netsim.NewLink(netsim.GbE()))
+	cl := NewMDSClient(conn, "mds", srv, netsim.NewLink(netsim.GbE()))
 	conn.SetTracer(tr)
 	conn.Instrument(reg, telemetry.Labels{"layer": "rpc"})
-	cl := NewMDSClient(conn, "mds")
 
 	for i := 0; i < 32; i++ {
 		name := "f" + string(rune('a'+i%26)) + string(rune('a'+i/26))
@@ -238,8 +312,7 @@ func TestRetryExhaustionSurfacesTimeout(t *testing.T) {
 	fault := FaultConfig{Seed: 1, Meta: FaultRates{Drop: 1}}
 	policy := RetryPolicy{MaxRetries: 2}
 	conn := NewConn(ClientConfig{Fault: &fault, Retry: &policy})
-	conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
-	cl := NewMDSClient(conn, "mds")
+	cl := NewMDSClient(conn, "mds", srv, nil)
 	_, err := cl.Create(srv.Root(), "doomed")
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) || ex.Kind != KindTimeout {
@@ -267,9 +340,8 @@ func TestNoRetryPolicyFailsOnFirstDrop(t *testing.T) {
 	fault := FaultConfig{Seed: 1, Meta: FaultRates{Drop: 1}}
 	policy := NoRetryPolicy()
 	conn := NewConn(ClientConfig{Fault: &fault, Retry: &policy})
-	conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
+	cl := NewMDSClient(conn, "mds", srv, nil)
 	conn.Instrument(reg, telemetry.Labels{"layer": "rpc"})
-	cl := NewMDSClient(conn, "mds")
 	_, err := cl.Create(srv.Root(), "dropped")
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) || ex.Kind != KindTimeout {
@@ -290,8 +362,7 @@ func TestNoRetryPolicyFailsOnFirstDrop(t *testing.T) {
 	// The explicit sentinel works without the constructor too.
 	policy2 := RetryPolicy{MaxRetries: NoRetries}
 	conn2 := NewConn(ClientConfig{Fault: &fault, Retry: &policy2})
-	conn2.Register("mds", NewMDSEndpoint("mds", srv), nil)
-	if _, err := NewMDSClient(conn2, "mds").Create(srv.Root(), "dropped2"); err == nil {
+	if _, err := NewMDSClient(conn2, "mds", srv, nil).Create(srv.Root(), "dropped2"); err == nil {
 		t.Fatal("sentinel MaxRetries policy must fail on the first drop")
 	}
 }
@@ -300,9 +371,8 @@ func TestApplicationErrorsPassThroughWithoutRetry(t *testing.T) {
 	srv := newMDS(t)
 	reg := telemetry.NewRegistry()
 	conn := NewConn(ClientConfig{})
-	conn.Register("mds", NewMDSEndpoint("mds", srv), nil)
+	cl := NewMDSClient(conn, "mds", srv, nil)
 	conn.Instrument(reg, telemetry.Labels{"layer": "rpc"})
-	cl := NewMDSClient(conn, "mds")
 	if _, err := cl.LookupResolved(srv.Root(), "missing"); err == nil {
 		t.Fatal("lookup of a missing name must fail")
 	} else if _, isRPC := err.(*Error); isRPC {
@@ -323,9 +393,8 @@ func TestFaultInjectionIsDeterministic(t *testing.T) {
 		link := netsim.NewLink(netsim.GbE())
 		fault := UniformFaults(99, 0.3)
 		conn := NewConn(ClientConfig{Fault: &fault})
-		conn.Register("mds", NewMDSEndpoint("mds", srv), link)
+		cl := NewMDSClient(conn, "mds", srv, link)
 		conn.Instrument(reg, telemetry.Labels{"layer": "rpc"})
-		cl := NewMDSClient(conn, "mds")
 		for i := 0; i < 64; i++ {
 			if _, err := cl.Create(srv.Root(), "f"+string(rune('0'+i%10))+string(rune('a'+i/10))); err != nil {
 				t.Fatal(err)

@@ -112,15 +112,22 @@ func TestPfsHasOneDataPath(t *testing.T) {
 	}
 }
 
-// TestRPCHasOneCallPath keeps the transport decorator stack from growing
-// back: in internal/rpc the only method named Call is Conn.Call — retry,
-// blackholes, fault draws and the wire are one loop — and no interface
-// declares Call for a second implementation to slot in behind.
+// TestRPCHasOneCallPath keeps the transport decorator stack and the message
+// catalogue from growing back: in internal/rpc the only method named Call is
+// Conn.Call — retry, blackholes, fault draws and the wire are one loop — no
+// interface declares Call for a second implementation to slot in behind,
+// and no type declares WireSize or RPCOp, the marks of a request/response
+// message type. Every exported method of the two clients makes exactly one
+// c.conn.Call, and touches c.srv only inside the function literal it passes
+// there: the clients hold server pointers, and a server call outside that
+// closure would skip the wire model.
 func TestRPCHasOneCallPath(t *testing.T) {
 	files, err := filepath.Glob("internal/rpc/*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
+	messageMethods := map[string]bool{"WireSize": true, "RPCOp": true}
+	clients := map[string]bool{"MDSClient": true, "OSTClient": true}
 	fset := token.NewFileSet()
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
@@ -133,17 +140,28 @@ func TestRPCHasOneCallPath(t *testing.T) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Recv != nil && n.Name.Name == "Call" && recvName(n.Recv.List[0].Type) != "Conn" {
+				if n.Recv == nil {
+					return true
+				}
+				recv := recvName(n.Recv.List[0].Type)
+				if n.Name.Name == "Call" && recv != "Conn" {
 					t.Errorf("%s: %s.Call is a second call path; fold it into Conn.Call",
-						fset.Position(n.Pos()), recvName(n.Recv.List[0].Type))
+						fset.Position(n.Pos()), recv)
+				}
+				if messageMethods[n.Name.Name] {
+					t.Errorf("%s: %s declares %s; a call is a client method, not a message type",
+						fset.Position(n.Pos()), recv, n.Name.Name)
+				}
+				if clients[recv] && n.Name.IsExported() {
+					checkClientMethod(t, fset, recv, n)
 				}
 			case *ast.TypeSpec:
 				if it, ok := n.Type.(*ast.InterfaceType); ok {
 					for _, m := range it.Methods.List {
 						for _, name := range m.Names {
-							if name.Name == "Call" {
-								t.Errorf("%s: interface %s declares Call; Conn.Call is the only call path",
-									fset.Position(n.Pos()), n.Name.Name)
+							if name.Name == "Call" || messageMethods[name.Name] {
+								t.Errorf("%s: interface %s declares %s; Conn.Call is the only call path",
+									fset.Position(n.Pos()), n.Name.Name, name.Name)
 							}
 						}
 					}
@@ -154,8 +172,53 @@ func TestRPCHasOneCallPath(t *testing.T) {
 	}
 }
 
+// checkClientMethod requires one c.conn.Call in a client method, with every
+// c.srv inside the function literal passed to it.
+func checkClientMethod(t *testing.T, fset *token.FileSet, recv string, fn *ast.FuncDecl) {
+	t.Helper()
+	isSel := func(e ast.Expr, x, sel string) bool {
+		s, ok := e.(*ast.SelectorExpr)
+		if !ok || s.Sel.Name != sel {
+			return false
+		}
+		id, ok := s.X.(*ast.Ident)
+		return ok && id.Name == x
+	}
+	calls := 0
+	var inside *ast.FuncLit // the closure passed to the one c.conn.Call
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if s, ok := call.Fun.(*ast.SelectorExpr); ok && s.Sel.Name == "Call" && isSel(s.X, "c", "conn") {
+			calls++
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					inside = lit
+				}
+			}
+		}
+		return true
+	})
+	if calls != 1 {
+		t.Errorf("%s: %s.%s makes %d c.conn.Call calls, want exactly 1",
+			fset.Position(fn.Pos()), recv, fn.Name.Name, calls)
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if n == nil || n == inside {
+			return false
+		}
+		if e, ok := n.(ast.Expr); ok && isSel(e, "c", "srv") {
+			t.Errorf("%s: %s.%s uses c.srv outside the closure it passes to c.conn.Call",
+				fset.Position(n.Pos()), recv, fn.Name.Name)
+		}
+		return true
+	})
+}
+
 // TestRPCCatalogueIsSent keeps the RPC catalogue equal to what the mount
-// sends: every exported method of the typed clients (bar Addr) is called by
+// sends: every exported method of the clients is called by
 // non-test internal/pfs code on fs.mdsc or fs.ostc[…], and every method
 // called there exists. A client method nothing sends is a wire model no
 // experiment runs.
@@ -183,7 +246,7 @@ func TestRPCCatalogueIsSent(t *testing.T) {
 	parse("internal/rpc/*.go", func(file *ast.File) {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || !fn.Name.IsExported() || fn.Name.Name == "Addr" {
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
 				continue
 			}
 			if field, ok := clients[recvName(fn.Recv.List[0].Type)]; ok {
