@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 )
 
 // ErrNoSpace is returned when no free block satisfying the request exists.
@@ -43,10 +42,8 @@ type reservation struct {
 	owner Owner
 }
 
-// Allocator manages the free space of one device. All methods are safe for
-// concurrent use.
+// Allocator manages the free space of one device.
 type Allocator struct {
-	mu        sync.Mutex
 	total     int64
 	groupSize int64
 	words     []uint64 // bit set => block allocated
@@ -92,32 +89,26 @@ func (a *Allocator) Groups() int { return len(a.groupFree) }
 // FreeBlocks returns the number of unallocated blocks (reserved blocks
 // count as free: reservations are soft).
 func (a *Allocator) FreeBlocks() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.free
 }
 
 // GroupFree returns the free-block count of group g.
 func (a *Allocator) GroupFree(g int) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.groupFree[g]
 }
 
 // Utilization returns the allocated fraction of the device in [0, 1].
 func (a *Allocator) Utilization() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return float64(a.total-a.free) / float64(a.total)
 }
 
-// isSet reports whether block b is allocated. Callers hold a.mu.
+// isSet reports whether block b is allocated.
 func (a *Allocator) isSet(b int64) bool {
 	return a.words[b>>6]&(1<<(uint(b)&63)) != 0
 }
 
-// setRange marks [start, start+count) allocated. Callers hold a.mu and must
-// have verified the range is free.
+// setRange marks [start, start+count) allocated. Callers must have
+// verified the range is free.
 func (a *Allocator) setRange(start, count int64) {
 	for b := start; b < start+count; b++ {
 		a.words[b>>6] |= 1 << (uint(b) & 63)
@@ -126,8 +117,8 @@ func (a *Allocator) setRange(start, count int64) {
 	a.free -= count
 }
 
-// clearRange marks [start, start+count) free. Callers hold a.mu and must
-// have verified the range is allocated.
+// clearRange marks [start, start+count) free. Callers must have verified
+// the range is allocated.
 func (a *Allocator) clearRange(start, count int64) {
 	for b := start; b < start+count; b++ {
 		a.words[b>>6] &^= 1 << (uint(b) & 63)
@@ -136,8 +127,8 @@ func (a *Allocator) clearRange(start, count int64) {
 	a.free += count
 }
 
-// nextFree returns the first free block >= from, or total if none. Callers
-// hold a.mu. The scan skips fully-allocated words.
+// nextFree returns the first free block >= from, or total if none. The
+// scan skips fully-allocated words.
 func (a *Allocator) nextFree(from int64) int64 {
 	if from < 0 {
 		from = 0
@@ -159,7 +150,7 @@ func (a *Allocator) nextFree(from int64) int64 {
 }
 
 // runLen returns the length of the free run starting at block b, capped at
-// max. Callers hold a.mu.
+// max.
 func (a *Allocator) runLen(b, max int64) int64 {
 	var n int64
 	for n < max && b+n < a.total && !a.isSet(b+n) {
@@ -169,8 +160,7 @@ func (a *Allocator) runLen(b, max int64) int64 {
 }
 
 // reservedSpan returns, for block b, the end of a reservation by an owner
-// other than owner covering b, or 0 if b is not foreign-reserved. Callers
-// hold a.mu.
+// other than owner covering b, or 0 if b is not foreign-reserved.
 func (a *Allocator) reservedSpan(owner Owner, b int64) int64 {
 	i := sort.Search(len(a.resv), func(i int) bool { return a.resv[i].End() > b })
 	if i < len(a.resv) && a.resv[i].Start <= b && a.resv[i].owner != owner {
@@ -180,7 +170,7 @@ func (a *Allocator) reservedSpan(owner Owner, b int64) int64 {
 }
 
 // foreignResvBefore returns the start of the first reservation by another
-// owner in [b, limit), or limit if none. Callers hold a.mu.
+// owner in [b, limit), or limit if none.
 func (a *Allocator) foreignResvBefore(owner Owner, b, limit int64) int64 {
 	i := sort.Search(len(a.resv), func(i int) bool { return a.resv[i].End() > b })
 	for ; i < len(a.resv); i++ {
@@ -210,16 +200,14 @@ func (a *Allocator) AllocNear(owner Owner, goal, want int64) (start, got int64, 
 	if goal < 0 || goal >= a.total {
 		goal = 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.free == 0 {
 		return 0, 0, ErrNoSpace
 	}
-	if s, n := a.searchLocked(owner, goal, a.total, want); n > 0 {
+	if s, n := a.search(owner, goal, a.total, want); n > 0 {
 		a.setRange(s, n)
 		return s, n, nil
 	}
-	if s, n := a.searchLocked(owner, 0, goal, want); n > 0 {
+	if s, n := a.search(owner, 0, goal, want); n > 0 {
 		a.setRange(s, n)
 		return s, n, nil
 	}
@@ -229,10 +217,10 @@ func (a *Allocator) AllocNear(owner Owner, goal, want int64) (start, got int64, 
 	return 0, 0, ErrNoSpace
 }
 
-// searchLocked finds the first free run in [from, limit) that is not
+// search finds the first free run in [from, limit) that is not
 // reserved by a foreign owner, returning its start and length (capped at
-// want). A zero length means no run was found. Callers hold a.mu.
-func (a *Allocator) searchLocked(owner Owner, from, limit, want int64) (int64, int64) {
+// want). A zero length means no run was found.
+func (a *Allocator) search(owner Owner, from, limit, want int64) (int64, int64) {
 	b := from
 	for b < limit {
 		b = a.nextFree(b)
@@ -267,8 +255,6 @@ func (a *Allocator) AllocExact(owner Owner, r Range) error {
 	if r.Start < 0 || r.Count <= 0 || r.End() > a.total {
 		return fmt.Errorf("alloc: AllocExact range [%d,+%d) out of device [0,%d)", r.Start, r.Count, a.total)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for b := r.Start; b < r.End(); b++ {
 		if a.isSet(b) {
 			return fmt.Errorf("alloc: block %d already allocated", b)
@@ -287,8 +273,6 @@ func (a *Allocator) Free(r Range) error {
 	if r.Start < 0 || r.Count <= 0 || r.End() > a.total {
 		return fmt.Errorf("alloc: Free range [%d,+%d) out of device [0,%d)", r.Start, r.Count, a.total)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for b := r.Start; b < r.End(); b++ {
 		if !a.isSet(b) {
 			return fmt.Errorf("alloc: double free of block %d", b)
@@ -303,8 +287,6 @@ func (a *Allocator) Free(r Range) error {
 // enumeration a post-crash scrub diffs against the per-object owned sets
 // to find orphaned allocations (claimed in the bitmap, owned by nobody).
 func (a *Allocator) AppendAllocatedRuns(dst []Range) []Range {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	start := int64(-1)
 	for w, word := range a.words {
 		if word == 0 {
@@ -335,8 +317,6 @@ func (a *Allocator) AppendAllocatedRuns(dst []Range) []Range {
 // AllocatedRunsIn returns every maximal run of allocated blocks
 // intersected with [lo, hi), sorted by start — the per-block-group
 // enumeration mdfs fsck's leak check diffs against the reachable blocks.
-// The whole window is walked under one lock, so a concurrent caller sees
-// a consistent snapshot of the region.
 func (a *Allocator) AllocatedRunsIn(lo, hi int64) []Range {
 	if lo < 0 {
 		lo = 0
@@ -347,8 +327,6 @@ func (a *Allocator) AllocatedRunsIn(lo, hi int64) []Range {
 	if lo >= hi {
 		return nil
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var out []Range
 	start := int64(-1)
 	for b := lo; b < hi; b++ {
@@ -372,8 +350,6 @@ func (a *Allocator) Allocated(r Range) bool {
 	if r.Start < 0 || r.Count <= 0 || r.End() > a.total {
 		return false
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for b := r.Start; b < r.End(); b++ {
 		if !a.isSet(b) {
 			return false

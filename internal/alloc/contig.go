@@ -36,8 +36,6 @@ type ContigStats struct {
 // that is still free on disk. The scan is O(total/64) word-skipping, cheap
 // at simulation scale; telemetry collectors call it at snapshot time only.
 func (a *Allocator) FreeContig() ContigStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var st ContigStats
 	st.FreeBlocks = a.free
 	b := int64(0)

@@ -16,8 +16,6 @@ func (a *Allocator) Reserve(owner Owner, r Range) error {
 	if r.Start < 0 || r.Count <= 0 || r.End() > a.total {
 		return fmt.Errorf("alloc: Reserve range [%d,+%d) out of device [0,%d)", r.Start, r.Count, a.total)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for b := r.Start; b < r.End(); b++ {
 		if a.isSet(b) {
 			return fmt.Errorf("alloc: Reserve over allocated block %d", b)
@@ -49,13 +47,11 @@ func (a *Allocator) ReserveNear(owner Owner, goal, want int64) (Range, error) {
 	if goal < 0 || goal >= a.total {
 		goal = 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	// A reservation must avoid every existing reservation, so search with
 	// owner 0 semantics: all reservations are foreign.
-	s, n := a.searchLocked(0, goal, a.total, want)
+	s, n := a.search(0, goal, a.total, want)
 	if n == 0 {
-		s, n = a.searchLocked(0, 0, goal, want)
+		s, n = a.search(0, 0, goal, want)
 	}
 	if n == 0 {
 		return Range{}, ErrNoSpace
@@ -72,8 +68,6 @@ func (a *Allocator) ReserveNear(owner Owner, goal, want int64) (Range, error) {
 // overlaps. Blocks the owner already converted with AllocExact are
 // unaffected (reservations and the bitmap are independent).
 func (a *Allocator) Unreserve(owner Owner, r Range) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := a.resv[:0]
 	for _, res := range a.resv {
 		if res.owner != owner || res.End() <= r.Start || res.Start >= r.End() {
@@ -94,8 +88,6 @@ func (a *Allocator) Unreserve(owner Owner, r Range) {
 // UnreserveAll drops every reservation held by owner. Policies call it when
 // a stream is reclassified as random or its file is closed.
 func (a *Allocator) UnreserveAll(owner Owner) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := a.resv[:0]
 	for _, res := range a.resv {
 		if res.owner != owner {
@@ -110,17 +102,8 @@ func (a *Allocator) UnreserveAll(owner Owner) {
 // reservation is dropped. This is the current-window promotion of the MiF
 // on-demand algorithm.
 func (a *Allocator) ConvertReserved(owner Owner, r Range) error {
-	a.mu.Lock()
-	held := false
 	i := sort.Search(len(a.resv), func(i int) bool { return a.resv[i].End() > r.Start })
-	if i < len(a.resv) {
-		res := a.resv[i]
-		if res.owner == owner && res.Start <= r.Start && res.End() >= r.End() {
-			held = true
-		}
-	}
-	a.mu.Unlock()
-	if !held {
+	if i == len(a.resv) || a.resv[i].owner != owner || a.resv[i].Start > r.Start || a.resv[i].End() < r.End() {
 		return fmt.Errorf("alloc: ConvertReserved range [%d,+%d) not reserved by owner %d", r.Start, r.Count, owner)
 	}
 	a.Unreserve(owner, r)
@@ -130,8 +113,6 @@ func (a *Allocator) ConvertReserved(owner Owner, r Range) error {
 // Reservations returns the owner's reserved ranges, sorted by start. It is
 // a diagnostic and test hook.
 func (a *Allocator) Reservations(owner Owner) []Range {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var out []Range
 	for _, res := range a.resv {
 		if res.owner == owner {
@@ -144,8 +125,6 @@ func (a *Allocator) Reservations(owner Owner) []Range {
 // ReservedBlocks returns the total number of reserved blocks across all
 // owners.
 func (a *Allocator) ReservedBlocks() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var n int64
 	for _, res := range a.resv {
 		n += res.Count

@@ -33,7 +33,6 @@ package cache
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"redbud/internal/alloc"
 	"redbud/internal/core"
@@ -163,14 +162,11 @@ type fileState struct {
 	run     int64
 }
 
-// Cache is one mount's client block cache. All methods are safe for
-// concurrent use; the PFS layer additionally serializes them under the
-// mount lock, which keeps BackingStore callbacks serialized too.
+// Cache is one mount's client block cache.
 type Cache struct {
 	cfg   Config
 	store BackingStore
 
-	mu    sync.Mutex
 	files map[FileID]*fileState
 	total int64 // cached blocks
 	dirty int64 // dirty blocks
@@ -184,10 +180,10 @@ type Cache struct {
 	// size in blocks — the aggregation-factor histogram.
 	wbHist *telemetry.Histogram
 	// events, when attached, records structured eviction events stamped
-	// with now() (the mount's simulated clock; absent a clock they land
+	// with clock() (the mount's simulated clock; absent a clock they land
 	// at time zero).
 	events *telemetry.EventLog
-	now    func() sim.Ns
+	clock  func() sim.Ns
 }
 
 // New builds a cache over the backing store. Zero config fields take
@@ -205,8 +201,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of the counters with the gauges filled in.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := c.st
 	st.DirtyBlocks = c.dirty
 	st.CachedBlocks = c.total
@@ -217,10 +211,8 @@ func (c *Cache) Stats() Stats {
 // counters, the dirty- and cached-block gauges, the coalesced-write size
 // histogram, and the readahead issued/used/wasted counters.
 func (c *Cache) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	c.mu.Lock()
 	c.wbHist = reg.Histogram("cache_writeback_blocks", labels)
 	c.events = reg.Events()
-	c.mu.Unlock()
 	reg.CounterFunc("cache_hit_blocks", labels, func() int64 { return c.Stats().HitBlocks })
 	reg.CounterFunc("cache_miss_blocks", labels, func() int64 { return c.Stats().MissBlocks })
 	reg.CounterFunc("cache_evicted_blocks", labels, func() int64 { return c.Stats().EvictedBlocks })
@@ -238,8 +230,6 @@ func (c *Cache) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 // counters, instrumentation, and configuration survive (they model the
 // observer, not the machine).
 func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.files = make(map[FileID]*fileState)
 	c.total = 0
 	c.dirty = 0
@@ -250,22 +240,17 @@ func (c *Cache) Reset() {
 // SetClock attaches the simulated-time source that stamps the cache's
 // structured events (the PFS layer passes its tracer's Now). A nil fn
 // detaches it.
-func (c *Cache) SetClock(fn func() sim.Ns) {
-	c.mu.Lock()
-	c.now = fn
-	c.mu.Unlock()
-}
+func (c *Cache) SetClock(fn func() sim.Ns) { c.clock = fn }
 
-// nowLocked returns the current simulated time, or 0 with no clock
-// attached. Callers hold c.mu.
-func (c *Cache) nowLocked() sim.Ns {
-	if c.now == nil {
+// now returns the current simulated time, or 0 with no clock attached.
+func (c *Cache) now() sim.Ns {
+	if c.clock == nil {
 		return 0
 	}
-	return c.now()
+	return c.clock()
 }
 
-// file returns (creating on demand) the per-file state. Callers hold c.mu.
+// file returns (creating on demand) the per-file state.
 func (c *Cache) file(f FileID) *fileState {
 	fs := c.files[f]
 	if fs == nil {
@@ -277,7 +262,7 @@ func (c *Cache) file(f FileID) *fileState {
 
 // --- intrusive list plumbing -------------------------------------------
 
-// lruUnlink removes b from the recency list. Callers hold c.mu.
+// lruUnlink removes b from the recency list.
 func (c *Cache) lruUnlink(b *block) {
 	if b.lruPrev != nil {
 		b.lruPrev.lruNext = b.lruNext
@@ -292,7 +277,7 @@ func (c *Cache) lruUnlink(b *block) {
 	b.lruPrev, b.lruNext = nil, nil
 }
 
-// lruPush inserts b at the most-recent end. Callers hold c.mu.
+// lruPush inserts b at the most-recent end.
 func (c *Cache) lruPush(b *block) {
 	b.lruNext = c.lruHead
 	if c.lruHead != nil {
@@ -304,7 +289,7 @@ func (c *Cache) lruPush(b *block) {
 	}
 }
 
-// touch moves b to the most-recent end. Callers hold c.mu.
+// touch moves b to the most-recent end.
 func (c *Cache) touch(b *block) {
 	if c.lruHead == b {
 		return
@@ -313,7 +298,7 @@ func (c *Cache) touch(b *block) {
 	c.lruPush(b)
 }
 
-// dirtyUnlink removes b from the dirty FIFO. Callers hold c.mu.
+// dirtyUnlink removes b from the dirty FIFO.
 func (c *Cache) dirtyUnlink(b *block) {
 	if b.dirtyPrev != nil {
 		b.dirtyPrev.dirtyNext = b.dirtyNext
@@ -328,8 +313,7 @@ func (c *Cache) dirtyUnlink(b *block) {
 	b.dirtyPrev, b.dirtyNext = nil, nil
 }
 
-// dirtyAppend queues b at the newest end of the dirty FIFO. Callers hold
-// c.mu.
+// dirtyAppend queues b at the newest end of the dirty FIFO.
 func (c *Cache) dirtyAppend(b *block) {
 	b.dirtyPrev = c.dirtyTail
 	if c.dirtyTail != nil {
@@ -341,7 +325,7 @@ func (c *Cache) dirtyAppend(b *block) {
 	}
 }
 
-// drop removes b from every structure. Callers hold c.mu.
+// drop removes b from every structure.
 func (c *Cache) drop(b *block) {
 	if b.prefetched {
 		b.prefetched = false
@@ -368,8 +352,6 @@ func (c *Cache) Write(f FileID, stream core.StreamID, blk, count int64) error {
 	if blk < 0 || count <= 0 {
 		return fmt.Errorf("cache: invalid write [%d,+%d)", blk, count)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	fs := c.file(f)
 	for i := int64(0); i < count; i++ {
 		l := blk + i
@@ -400,45 +382,44 @@ func (c *Cache) Write(f FileID, stream core.StreamID, blk, count int64) error {
 		c.dirty++
 	}
 	fs.written.Add(alloc.Range{Start: blk, Count: count})
-	if err := c.enforceHighWaterLocked(); err != nil {
+	if err := c.enforceHighWater(); err != nil {
 		return err
 	}
-	return c.enforceCapacityLocked()
+	return c.enforceCapacity()
 }
 
-// enforceHighWaterLocked writes back oldest dirty runs until the dirty
-// gauge is at or under the high-water mark. Callers hold c.mu.
-func (c *Cache) enforceHighWaterLocked() error {
+// enforceHighWater writes back oldest dirty runs until the dirty
+// gauge is at or under the high-water mark.
+func (c *Cache) enforceHighWater() error {
 	for c.dirty > c.cfg.DirtyHighWater && c.dirtyHead != nil {
-		if err := c.writeBackRunLocked(c.dirtyHead); err != nil {
+		if err := c.writeBackRun(c.dirtyHead); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// enforceCapacityLocked evicts least-recently-used blocks until the cache
-// fits, writing back any dirty victim's run first. Callers hold c.mu.
-func (c *Cache) enforceCapacityLocked() error {
+// enforceCapacity evicts least-recently-used blocks until the cache
+// fits, writing back any dirty victim's run first.
+func (c *Cache) enforceCapacity() error {
 	for c.total > c.cfg.CapacityBlocks && c.lruTail != nil {
 		victim := c.lruTail
 		if victim.dirty {
-			if err := c.writeBackRunLocked(victim); err != nil {
+			if err := c.writeBackRun(victim); err != nil {
 				return err
 			}
 		}
-		c.events.Emit(c.nowLocked(), "cache", "evict", fmt.Sprintf("file %d blk %d", victim.f, victim.blk))
+		c.events.Emit(c.now(), "cache", "evict", fmt.Sprintf("file %d blk %d", victim.f, victim.blk))
 		c.drop(victim)
 		c.st.EvictedBlocks++
 	}
 	return nil
 }
 
-// writeBackRunLocked flushes the maximal contiguous dirty run containing
+// writeBackRun flushes the maximal contiguous dirty run containing
 // b as one coalesced WriteBack call, then marks the run clean (the blocks
-// stay cached). The run's stream is the trigger block's writer. Callers
-// hold c.mu.
-func (c *Cache) writeBackRunLocked(b *block) error {
+// stay cached). The run's stream is the trigger block's writer.
+func (c *Cache) writeBackRun(b *block) error {
 	fs := c.files[b.f]
 	lo, hi := b.blk, b.blk+1
 	for {
@@ -485,8 +466,6 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 	if blk < 0 || count <= 0 {
 		return fmt.Errorf("cache: invalid read [%d,+%d)", blk, count)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	fs := c.file(f)
 
 	// Sequential-stream detection: a read continuing where the previous
@@ -572,14 +551,13 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 		}
 	}
 	c.st.ReadaheadIssued += issued
-	return c.enforceCapacityLocked()
+	return c.enforceCapacity()
 }
 
 // --- barriers and invalidation ----------------------------------------
 
-// dirtyRunsLocked returns f's dirty blocks coalesced into sorted runs.
-// Callers hold c.mu.
-func (c *Cache) dirtyRunsLocked(fs *fileState) []span {
+// dirtyRuns returns f's dirty blocks coalesced into sorted runs.
+func (c *Cache) dirtyRuns(fs *fileState) []span {
 	var dirty []int64
 	for l, b := range fs.blocks {
 		if b.dirty {
@@ -602,20 +580,18 @@ func (c *Cache) dirtyRunsLocked(fs *fileState) []span {
 // back (coalesced into maximal runs, in ascending order). The PFS layer
 // calls it on Fsync, Close, Truncate, and Delete.
 func (c *Cache) FlushFile(f FileID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.st.FlushBarriers++
-	return c.flushFileLocked(f)
+	return c.flushFile(f)
 }
 
-// flushFileLocked implements FlushFile. Callers hold c.mu.
-func (c *Cache) flushFileLocked(f FileID) error {
+// flushFile writes back every dirty run of f, in ascending order.
+func (c *Cache) flushFile(f FileID) error {
 	fs := c.files[f]
 	if fs == nil {
 		return nil
 	}
-	for _, r := range c.dirtyRunsLocked(fs) {
-		if err := c.writeBackRunLocked(fs.blocks[r.start]); err != nil {
+	for _, r := range c.dirtyRuns(fs) {
+		if err := c.writeBackRun(fs.blocks[r.start]); err != nil {
 			return err
 		}
 	}
@@ -626,8 +602,6 @@ func (c *Cache) flushFileLocked(f FileID) error {
 // written back, files in ascending FileID order. The PFS layer calls it
 // on Sync.
 func (c *Cache) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.st.FlushBarriers++
 	ids := make([]FileID, 0, len(c.files))
 	for f := range c.files {
@@ -635,7 +609,7 @@ func (c *Cache) Flush() error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, f := range ids {
-		if err := c.flushFileLocked(f); err != nil {
+		if err := c.flushFile(f); err != nil {
 			return err
 		}
 	}
@@ -647,8 +621,6 @@ func (c *Cache) Flush() error {
 // written back after the file shrinks. The PFS layer flushes f first (the
 // barrier), then truncates the servers, then calls this.
 func (c *Cache) Truncate(f FileID, newSize int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	fs := c.files[f]
 	if fs == nil {
 		return
@@ -674,8 +646,6 @@ func (c *Cache) Truncate(f FileID, newSize int64) {
 // back. The PFS layer calls it after deleting the file's objects (the
 // preceding flush barrier has already drained the dirty set).
 func (c *Cache) Drop(f FileID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	fs := c.files[f]
 	if fs == nil {
 		return

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"redbud/internal/alloc"
-)
+import "redbud/internal/alloc"
 
 // Reservation is the traditional per-inode reservation baseline used by
 // ext4, GPFS and CXFS-style allocators: one window per *file*, shared by
@@ -17,7 +13,6 @@ type Reservation struct {
 	// this parameter ("the allocation size").
 	windowBlocks int64
 
-	mu      sync.Mutex
 	owner   alloc.Owner
 	window  alloc.Range // remaining reserved, unconsumed range
 	opened  bool
@@ -41,8 +36,6 @@ func (p *Reservation) Place(_ StreamID, logical, count, goal int64) ([]Placement
 	if count <= 0 || logical < 0 {
 		return nil, errInvalidRange(logical, count)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := p.scratch[:0]
 	for count > 0 {
 		if p.window.Count == 0 {
@@ -79,8 +72,6 @@ func (p *Reservation) Place(_ StreamID, logical, count, goal int64) ([]Placement
 
 // Close implements Policy, releasing the unconsumed window.
 func (p *Reservation) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.window.Count > 0 {
 		p.src.Unreserve(p.owner, p.window)
 		p.window = alloc.Range{}
@@ -120,7 +111,6 @@ type Static struct {
 	src        BlockSource
 	sizeBlocks int64
 
-	mu      sync.Mutex
 	placed  []Placement // the fallocated runs, logical-ordered
 	scratch []Placement // reused result buffer; valid until the next Place
 }
@@ -139,12 +129,6 @@ func (p *Static) Name() string { return "static" }
 // Fallocate performs the up-front allocation near goal. It is idempotent;
 // Place calls it implicitly on first use.
 func (p *Static) Fallocate(goal int64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fallocateLocked(goal)
-}
-
-func (p *Static) fallocateLocked(goal int64) error {
 	if p.placed != nil {
 		return nil
 	}
@@ -173,9 +157,7 @@ func (p *Static) Place(_ StreamID, logical, count, goal int64) ([]Placement, err
 	if logical+count > p.sizeBlocks {
 		return nil, &InvalidRangeError{Logical: logical, Count: count}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.fallocateLocked(goal); err != nil {
+	if err := p.Fallocate(goal); err != nil {
 		return nil, err
 	}
 	out := p.scratch[:0]
@@ -205,8 +187,6 @@ func (p *Static) Place(_ StreamID, logical, count, goal int64) ([]Placement, err
 
 // Placed returns the fallocated runs; it is a test and reporting hook.
 func (p *Static) Placed() []Placement {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]Placement, len(p.placed))
 	copy(out, p.placed)
 	return out

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"redbud/internal/alloc"
 )
@@ -62,14 +61,12 @@ type streamState struct {
 }
 
 // OnDemand is the MiF on-demand preallocation policy for one file
-// component. It is safe for concurrent use: the file allocator "maintains
-// both windows for each stream and any write workloads from different
-// streams are thus not interleaved".
+// component: the file allocator "maintains both windows for each stream and
+// any write workloads from different streams are thus not interleaved".
 type OnDemand struct {
 	cfg OnDemandConfig
 	src BlockSource
 
-	mu      sync.Mutex
 	streams map[StreamID]*streamState
 	stats   OnDemandStats
 	scratch []Placement // reused result buffer; valid until the next Place
@@ -96,15 +93,11 @@ func (p *OnDemand) Name() string { return "on-demand" }
 
 // Stats returns a snapshot of the trigger counters.
 func (p *OnDemand) Stats() OnDemandStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stats
 }
 
 // Streams returns the number of streams the policy has seen.
 func (p *OnDemand) Streams() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return len(p.streams)
 }
 
@@ -115,9 +108,6 @@ func (p *OnDemand) Place(stream StreamID, logical, count, goal int64) ([]Placeme
 	if count <= 0 || logical < 0 {
 		return nil, errInvalidRange(logical, count)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-
 	st, ok := p.streams[stream]
 	if !ok {
 		st = &streamState{owner: nextOwner()}
@@ -147,8 +137,7 @@ func (p *OnDemand) Place(stream StreamID, logical, count, goal int64) ([]Placeme
 
 // placeOnce handles the largest prefix of [logical, logical+count) that
 // falls into a single trigger case, appending the placements to out and
-// returning it plus the number of logical blocks consumed. Callers hold
-// p.mu.
+// returning it plus the number of logical blocks consumed.
 func (p *OnDemand) placeOnce(st *streamState, out []Placement, logical, count, goal int64) ([]Placement, int64, error) {
 	// Case 1: inside the current window — previous preallocation covers
 	// the write; neither trigger hits.
@@ -174,7 +163,7 @@ func (p *OnDemand) placeOnce(st *streamState, out []Placement, logical, count, g
 		// bursty-but-sequential pattern (BTIO cells) keeps its
 		// preallocation.
 		st.misses = 0
-		if err := p.promoteLocked(st); err != nil {
+		if err := p.promote(st); err != nil {
 			return out, 0, err
 		}
 		n := count
@@ -219,14 +208,13 @@ func (p *OnDemand) placeOnce(st *streamState, out []Placement, logical, count, g
 	last := out[len(out)-1]
 	st.cur = Window{Disk: last.Physical, Logical: last.Logical, Len: last.Count}
 	st.winSize = p.clampWindow(count * p.cfg.Scale)
-	p.reserveSeqLocked(st)
+	p.reserveSeq(st)
 	return out, count, nil
 }
 
-// promoteLocked converts the sequential window into the current window
+// promote converts the sequential window into the current window
 // (persisting its blocks) and reserves the next, larger sequential window.
-// Callers hold p.mu.
-func (p *OnDemand) promoteLocked(st *streamState) error {
+func (p *OnDemand) promote(st *streamState) error {
 	if err := p.src.ConvertReserved(st.owner, st.seqRange); err != nil {
 		return err
 	}
@@ -235,16 +223,16 @@ func (p *OnDemand) promoteLocked(st *streamState) error {
 	st.seq = Window{}
 	st.seqRange = alloc.Range{}
 	st.winSize = p.clampWindow(st.winSize * p.cfg.Scale)
-	p.reserveSeqLocked(st)
+	p.reserveSeq(st)
 	return nil
 }
 
-// reserveSeqLocked opens a new sequential window of st.winSize blocks,
+// reserveSeq opens a new sequential window of st.winSize blocks,
 // logically continuing the current window and physically as near its end as
 // the free space allows. A failed reservation (device full) leaves the
 // stream with no sequential window; subsequent writes fall back to plain
-// allocation via layout_miss. Callers hold p.mu.
-func (p *OnDemand) reserveSeqLocked(st *streamState) {
+// allocation via layout_miss.
+func (p *OnDemand) reserveSeq(st *streamState) {
 	r, err := p.src.ReserveNear(st.owner, st.cur.DiskEnd(), st.winSize)
 	if err != nil {
 		st.seq = Window{}
@@ -270,10 +258,8 @@ func (p *OnDemand) clampWindow(n int64) int64 {
 // reservation. Current windows persist — their blocks are allocated on
 // disk and survive reboots by design.
 func (p *OnDemand) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	// Deterministic release order keeps simulated allocator traces
-	// reproducible under concurrent closes.
+	// reproducible: map iteration order is random.
 	ids := make([]StreamID, 0, len(p.streams))
 	for id := range p.streams {
 		ids = append(ids, id)

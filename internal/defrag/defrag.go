@@ -25,7 +25,6 @@ package defrag
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"redbud/internal/alloc"
@@ -183,15 +182,13 @@ const defragOwnerBase alloc.Owner = 1 << 40
 // ownerSeq hands out process-unique defrag owners.
 var ownerSeq atomic.Uint64
 
-// Controller drives defragmentation of one IO server. All methods are safe
-// for concurrent use with each other and with foreground traffic on the
-// server.
+// Controller drives defragmentation of one IO server, between and
+// interleaved with the foreground operations on it.
 type Controller struct {
 	srv   *ost.Server
 	cfg   Config
 	owner alloc.Owner
 
-	mu      sync.Mutex
 	plans   []*plan
 	tokens  float64
 	lastNs  sim.Ns
@@ -225,41 +222,31 @@ func (c *Controller) Server() *ost.Server { return c.srv }
 
 // SetTimeSource replaces the throttle's simulated-time source.
 func (c *Controller) SetTimeSource(fn func() sim.Ns) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.timeSrc = fn
 }
 
 // SetTracer attaches (or with nil detaches) the span tracer; scan passes
 // and migration slices are recorded as "defrag" spans.
 func (c *Controller) SetTracer(t *telemetry.Tracer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.tracer = t
 }
 
 // Stats returns a snapshot of the controller counters.
 func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.stats
 }
 
 // Pending returns the number of plans not yet completed.
 func (c *Controller) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.plans)
 }
 
 // Instrument publishes the controller's counters, the pending-plan gauge,
 // and a per-slice device-time histogram into the registry.
 func (c *Controller) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	c.mu.Lock()
 	c.sliceHist = reg.Histogram("defrag_slice_ns", labels)
 	c.events = reg.Events()
 	c.evDetail = "ost " + labels["ost"]
-	c.mu.Unlock()
 	reg.CounterFunc("defrag_blocks_moved", labels, func() int64 { return c.Stats().BlocksMoved })
 	reg.CounterFunc("defrag_objects_migrated", labels, func() int64 { return c.Stats().ObjectsMigrated })
 	reg.CounterFunc("defrag_slices", labels, func() int64 { return c.Stats().Slices })
@@ -274,18 +261,14 @@ func (c *Controller) Instrument(reg *telemetry.Registry, labels telemetry.Labels
 // list: everything scoring above the threshold, best first (ties broken by
 // object ID for determinism).
 func (c *Controller) Scan() []Candidate {
-	c.mu.Lock()
-	cfg := c.cfg
-	t := c.tracer
-	c.mu.Unlock()
-	sp := t.Start("defrag", "scan", 0)
+	sp := c.tracer.Start("defrag", "scan", 0)
 	var out []Candidate
 	for _, r := range c.srv.FragReportAll() {
-		if r.Extents < cfg.MinExtents {
+		if r.Extents < c.cfg.MinExtents {
 			continue
 		}
 		sc := Score(r)
-		if sc <= cfg.MinScore {
+		if sc <= c.cfg.MinScore {
 			continue
 		}
 		out = append(out, Candidate{Report: r, Score: sc})
@@ -296,13 +279,11 @@ func (c *Controller) Scan() []Candidate {
 		}
 		return out[i].Report.Object < out[j].Report.Object
 	})
-	if cfg.MaxObjectsPerPass > 0 && len(out) > cfg.MaxObjectsPerPass {
-		out = out[:cfg.MaxObjectsPerPass]
+	if c.cfg.MaxObjectsPerPass > 0 && len(out) > c.cfg.MaxObjectsPerPass {
+		out = out[:c.cfg.MaxObjectsPerPass]
 	}
-	c.mu.Lock()
 	c.stats.Scans++
 	c.stats.Candidates += int64(len(out))
-	c.mu.Unlock()
 	sp.AnnotateInt("candidates", int64(len(out)))
 	sp.End()
 	return out
@@ -325,15 +306,11 @@ func (c *Controller) ScanAndPlan() int {
 // Candidates that cannot improve (free space too fragmented to beat the
 // current layout) are skipped and their reservations rolled back.
 func (c *Controller) planOne(cand Candidate) bool {
-	c.mu.Lock()
-	cfg := c.cfg
 	for _, p := range c.plans {
 		if p.object == cand.Report.Object {
-			c.mu.Unlock()
 			return false // already planned
 		}
 	}
-	c.mu.Unlock()
 
 	need := cand.Report.MappedBlocks
 	// Aim at the largest free run: that is where a contiguous home is.
@@ -343,9 +320,7 @@ func (c *Controller) planOne(cand Candidate) bool {
 		for _, r := range dst {
 			c.srv.Allocator().Unreserve(c.owner, r)
 		}
-		c.mu.Lock()
 		c.stats.Skipped++
-		c.mu.Unlock()
 		return false
 	}
 	for need > 0 {
@@ -353,7 +328,7 @@ func (c *Controller) planOne(cand Candidate) bool {
 		if err != nil {
 			return abort()
 		}
-		if r.Count < cfg.MinDestRun && r.Count < need {
+		if r.Count < c.cfg.MinDestRun && r.Count < need {
 			c.srv.Allocator().Unreserve(c.owner, r)
 			return abort()
 		}
@@ -366,14 +341,12 @@ func (c *Controller) planOne(cand Candidate) bool {
 	if len(dst) >= cand.Report.Extents {
 		return abort()
 	}
-	c.mu.Lock()
 	c.plans = append(c.plans, &plan{
 		object:        cand.Report.Object,
 		dst:           dst,
 		extentsBefore: cand.Report.Extents,
 	})
 	c.stats.Planned++
-	c.mu.Unlock()
 	return true
 }
 
@@ -389,9 +362,7 @@ func (c *Controller) Step() (int64, error) { return c.step(false) }
 // foreground yield — the drain mode used by batch tools, which must
 // terminate even when no foreground traffic advances simulated time.
 func (c *Controller) step(force bool) (int64, error) {
-	c.mu.Lock()
 	if len(c.plans) == 0 {
-		c.mu.Unlock()
 		return 0, nil
 	}
 	p := c.plans[0]
@@ -399,23 +370,16 @@ func (c *Controller) step(force bool) (int64, error) {
 		if c.srv.PendingRequests() > 0 {
 			c.stats.Preempted++
 			c.events.Emit(c.tracer.Now(), "defrag", "preempt", c.evDetail)
-			c.mu.Unlock()
 			return 0, nil
 		}
-		if !c.takeTokensLocked() {
+		if !c.takeTokens() {
 			c.stats.Throttled++
-			c.mu.Unlock()
 			return 0, nil
 		}
 	}
-	cfg := c.cfg
-	t := c.tracer
-	c.mu.Unlock()
 
-	moved, cost, done, err := c.moveSlice(p, cfg, t)
+	moved, cost, done, err := c.moveSlice(p)
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stats.BlocksMoved += moved
 	c.stats.MoveNs += cost
 	if moved > 0 {
@@ -425,22 +389,22 @@ func (c *Controller) step(force bool) (int64, error) {
 		}
 	}
 	// Refund unused budget: tokens were taken for a full slice.
-	if !force && cfg.RateBlocksPerSec > 0 {
-		c.tokens += float64(cfg.SliceBlocks - moved)
-		if c.tokens > float64(cfg.BurstBlocks) {
-			c.tokens = float64(cfg.BurstBlocks)
+	if !force && c.cfg.RateBlocksPerSec > 0 {
+		c.tokens += float64(c.cfg.SliceBlocks - moved)
+		if c.tokens > float64(c.cfg.BurstBlocks) {
+			c.tokens = float64(c.cfg.BurstBlocks)
 		}
 	}
 	if done || err != nil {
-		c.finishPlanLocked(p, err == nil)
+		c.finishPlan(p, err == nil)
 	}
 	return moved, err
 }
 
-// takeTokensLocked refills the bucket from the simulated clock and takes
-// one slice worth of tokens, reporting whether the step may run. A zero
-// rate always passes. Callers hold c.mu.
-func (c *Controller) takeTokensLocked() bool {
+// takeTokens refills the bucket from the simulated clock and takes one
+// slice worth of tokens, reporting whether the step may run. A zero rate
+// always passes.
+func (c *Controller) takeTokens() bool {
 	if c.cfg.RateBlocksPerSec <= 0 {
 		return true
 	}
@@ -462,7 +426,7 @@ func (c *Controller) takeTokensLocked() bool {
 // moveSlice migrates up to one slice of plan p and reports the blocks
 // moved, the device cost, and whether the plan is finished. A vanished
 // object (deleted under live traffic) finishes the plan without error.
-func (c *Controller) moveSlice(p *plan, cfg Config, t *telemetry.Tracer) (int64, sim.Ns, bool, error) {
+func (c *Controller) moveSlice(p *plan) (int64, sim.Ns, bool, error) {
 	run, ok, err := c.srv.NextMappedExtent(p.object, p.cursor)
 	if err != nil {
 		return 0, 0, true, nil // object gone: abandon quietly
@@ -471,15 +435,15 @@ func (c *Controller) moveSlice(p *plan, cfg Config, t *telemetry.Tracer) (int64,
 		return 0, 0, true, nil // nothing left to move, or capacity spent
 	}
 	n := run.Count
-	if n > cfg.SliceBlocks {
-		n = cfg.SliceBlocks
+	if n > c.cfg.SliceBlocks {
+		n = c.cfg.SliceBlocks
 	}
 	if left := p.dst[p.dstIdx].Count - p.dstOff; n > left {
 		n = left
 	}
 	dst := alloc.Range{Start: p.dst[p.dstIdx].Start + p.dstOff, Count: n}
 
-	sp := t.Start("defrag", "slice", 0)
+	sp := c.tracer.Start("defrag", "slice", 0)
 	sp.AnnotateInt("object", int64(p.object))
 	sp.AnnotateInt("blocks", int64(n))
 	cost, old, err := c.srv.CopyRange(p.object, c.owner, run.Logical, n, dst)
@@ -500,9 +464,9 @@ func (c *Controller) moveSlice(p *plan, cfg Config, t *telemetry.Tracer) (int64,
 	return n, cost, done, nil
 }
 
-// finishPlanLocked retires the head plan: leftover destination space is
-// unreserved and the migration outcome recorded. Callers hold c.mu.
-func (c *Controller) finishPlanLocked(p *plan, migrated bool) {
+// finishPlan retires the head plan: leftover destination space is
+// unreserved and the migration outcome recorded.
+func (c *Controller) finishPlan(p *plan, migrated bool) {
 	if len(c.plans) > 0 && c.plans[0] == p {
 		c.plans = c.plans[1:]
 	}
@@ -542,10 +506,8 @@ func (c *Controller) Drain() error {
 
 // Abort drops every queued plan, rolling back their reservations.
 func (c *Controller) Abort() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for len(c.plans) > 0 {
-		c.finishPlanLocked(c.plans[0], false)
+		c.finishPlan(c.plans[0], false)
 	}
 }
 

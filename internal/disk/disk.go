@@ -13,7 +13,6 @@ package disk
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"redbud/internal/sim"
 	"redbud/internal/telemetry"
@@ -125,11 +124,9 @@ func (s Stats) Sub(o Stats) Stats {
 	return s
 }
 
-// Disk is one simulated rotational disk. All methods are safe for
-// concurrent use; concurrent requests are serialized, which models a single
-// spindle servicing one request at a time.
+// Disk is one simulated rotational disk. Requests are serviced one at a
+// time, which models a single spindle.
 type Disk struct {
-	mu      sync.Mutex
 	cfg     Config
 	nblocks int64
 	head    int64
@@ -168,23 +165,17 @@ func (d *Disk) NBlocks() int64 { return d.nblocks }
 
 // Head returns the current head position (the block after the last access).
 func (d *Disk) Head() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.head
 }
 
 // Stats returns a snapshot of the accumulated counters.
 func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.stats
 }
 
 // ResetStats zeroes the counters without moving the head. Benchmark phases
 // use it to measure each phase independently.
 func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.stats = Stats{}
 }
 
@@ -194,9 +185,7 @@ func (d *Disk) ResetStats() {
 // registry's counter values track them (including resets, since collectors
 // read the live counters at snapshot time).
 func (d *Disk) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	d.mu.Lock()
 	d.serviceHist = reg.Histogram("disk_service_ns", labels)
-	d.mu.Unlock()
 	reg.CounterFunc("disk_requests", labels, func() int64 { return d.Stats().Requests })
 	reg.CounterFunc("disk_positionings", labels, func() int64 { return d.Stats().Positionings })
 	reg.CounterFunc("disk_near_switches", labels, func() int64 { return d.Stats().NearSwitches })
@@ -219,10 +208,7 @@ func (d *Disk) Access(start, count int64, write bool) sim.Ns {
 	if start < 0 || count <= 0 || start+count > d.nblocks {
 		panic(fmt.Sprintf("disk: access [%d,+%d) outside device of %d blocks", start, count, d.nblocks))
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	cost := d.positionCostLocked(start)
+	cost := d.positionCost(start)
 	cost += count * d.nsPerBlock
 
 	d.stats.Requests++
@@ -239,9 +225,9 @@ func (d *Disk) Access(start, count int64, write bool) sim.Ns {
 	return cost
 }
 
-// positionCostLocked computes and accounts the head-movement cost of
-// starting a transfer at block start. Callers must hold d.mu.
-func (d *Disk) positionCostLocked(start int64) sim.Ns {
+// positionCost computes and accounts the head-movement cost of
+// starting a transfer at block start.
+func (d *Disk) positionCost(start int64) sim.Ns {
 	dist := start - d.head
 	if dist < 0 {
 		dist = -dist
@@ -270,9 +256,7 @@ func (d *Disk) SeekTo(start int64) sim.Ns {
 	if start < 0 || start >= d.nblocks {
 		panic(fmt.Sprintf("disk: seek to %d outside device of %d blocks", start, d.nblocks))
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cost := d.positionCostLocked(start)
+	cost := d.positionCost(start)
 	d.stats.BusyNs += cost
 	d.head = start
 	if d.serviceHist != nil {

@@ -12,7 +12,6 @@ package iosched
 
 import (
 	"sort"
-	"sync"
 
 	"redbud/internal/disk"
 	"redbud/internal/sim"
@@ -54,8 +53,7 @@ func (s Stats) Sub(o Stats) Stats {
 // Elevator sorts batches of outstanding requests by start block and merges
 // physically adjacent requests of the same direction before dispatching them
 // to a disk. The queue window bounds how many outstanding requests the
-// scheduler may reorder at once, like a real device queue. All methods are
-// safe for concurrent use.
+// scheduler may reorder at once, like a real device queue.
 type Elevator struct {
 	// QueueDepth is the reorder window. Requests are scheduled in
 	// consecutive windows of this many requests; a window of 1 disables
@@ -63,7 +61,6 @@ type Elevator struct {
 	// read at Schedule time; set it before submitting work.
 	QueueDepth int
 
-	mu    sync.Mutex
 	stats Stats
 
 	// batchHist, when attached, observes the submitted size of every
@@ -78,30 +75,23 @@ func NewElevator(queueDepth int) *Elevator {
 	return &Elevator{QueueDepth: queueDepth}
 }
 
-// Stats returns a defensive snapshot of the scheduler counters, taken under
-// the elevator's lock — the same snapshot semantics as disk.Disk.Stats, so
-// per-phase deltas (snapshot, run, snapshot, Sub) work identically across
-// both layers.
+// Stats returns a snapshot of the scheduler counters — the same snapshot
+// semantics as disk.Disk.Stats, so per-phase deltas (snapshot, run,
+// snapshot, Sub) work identically across both layers.
 func (e *Elevator) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.stats
 }
 
 // ResetStats zeroes the scheduler counters for a new measurement phase,
 // mirroring disk.Disk.ResetStats.
 func (e *Elevator) ResetStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.stats = Stats{}
 }
 
 // Instrument publishes the scheduler counters into the registry and
 // attaches a batch-size histogram observed on every Schedule call.
 func (e *Elevator) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	e.mu.Lock()
 	e.batchHist = reg.Histogram("iosched_batch_requests", labels)
-	e.mu.Unlock()
 	reg.CounterFunc("iosched_submitted", labels, func() int64 { return e.Stats().Submitted })
 	reg.CounterFunc("iosched_dispatched", labels, func() int64 { return e.Stats().Dispatched })
 	reg.CounterFunc("iosched_merged", labels, func() int64 { return e.Stats().Merged })
@@ -110,17 +100,13 @@ func (e *Elevator) Instrument(reg *telemetry.Registry, labels telemetry.Labels) 
 // SetTracer attaches (or with nil detaches) the span tracer used by
 // RunTraced.
 func (e *Elevator) SetTracer(t *telemetry.Tracer) {
-	e.mu.Lock()
 	e.tracer = t
-	e.mu.Unlock()
 }
 
 // Schedule returns the dispatch order for a batch of outstanding requests:
 // sorted by start block within each queue window, with physically adjacent
 // same-direction requests merged. The input slice is not modified.
 func (e *Elevator) Schedule(reqs []Request) []Request {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.stats.Submitted += int64(len(reqs))
 	if e.batchHist != nil {
 		e.batchHist.Observe(int64(len(reqs)))
@@ -194,9 +180,7 @@ func (e *Elevator) Run(d *disk.Disk, reqs []Request) sim.Ns {
 // block-layer interception the paper measures with, reproduced on the
 // simulated timeline. Without a tracer it is exactly Run.
 func (e *Elevator) RunTraced(d *disk.Disk, reqs []Request, parent telemetry.SpanID) sim.Ns {
-	e.mu.Lock()
 	t := e.tracer
-	e.mu.Unlock()
 	if t == nil {
 		var total sim.Ns
 		for _, r := range e.Schedule(reqs) {

@@ -14,7 +14,6 @@ package netsim
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"redbud/internal/sim"
 	"redbud/internal/telemetry"
@@ -45,9 +44,8 @@ type Stats struct {
 	BusyNs   sim.Ns
 }
 
-// Link is one network path. All methods are safe for concurrent use.
+// Link is one network path.
 type Link struct {
-	mu    sync.Mutex
 	cfg   Config
 	stats Stats
 
@@ -74,38 +72,29 @@ func (l *Link) Transfer(bytes int64) sim.Ns {
 		bytes = 0
 	}
 	cost := l.cfg.LatencyNs + sim.Ns(float64(bytes)/l.cfg.BytesPerSec*float64(sim.Second))
-	l.mu.Lock()
 	l.stats.Messages++
 	l.stats.Bytes += bytes
 	l.stats.BusyNs += cost
-	hist := l.transferHist
-	l.mu.Unlock()
-	if hist != nil {
-		hist.Observe(cost)
+	if l.transferHist != nil {
+		l.transferHist.Observe(cost)
 	}
 	return cost
 }
 
 // Stats returns a snapshot of the counters.
 func (l *Link) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.stats
 }
 
 // Reset zeroes the counters for a new measurement phase.
 func (l *Link) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.stats = Stats{}
 }
 
 // Instrument publishes the link counters into the registry under the given
 // labels and attaches a per-transfer latency histogram.
 func (l *Link) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	l.mu.Lock()
 	l.transferHist = reg.Histogram("net_transfer_ns", labels)
-	l.mu.Unlock()
 	reg.CounterFunc("net_messages", labels, func() int64 { return l.Stats().Messages })
 	reg.CounterFunc("net_bytes", labels, func() int64 { return l.Stats().Bytes })
 	reg.CounterFunc("net_busy_ns", labels, func() int64 { return l.Stats().BusyNs })

@@ -53,14 +53,12 @@ type flushDamage struct {
 // SetCrashInjector attaches the sweep's injector; the write path starts
 // recording pre-images so a PowerFail can roll unpersisted writes back.
 func (s *Server) SetCrashInjector(in *crashsim.Injector) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.crash = in
 }
 
-// recordPreImageLocked captures one block's durable state before the
-// write path updates it. Callers hold s.mu and have checked s.crash.
-func (s *Server) recordPreImageLocked(o *object, phys, logical int64) {
+// recordPreImage captures one block's durable state before the
+// write path updates it. Callers have checked s.crash.
+func (s *Server) recordPreImage(o *object, phys, logical int64) {
 	s.preimg = append(s.preimg, writePreImage{
 		phys:       phys,
 		oldSlot:    s.tags.slotAt(phys),
@@ -70,11 +68,11 @@ func (s *Server) recordPreImageLocked(o *object, phys, logical int64) {
 	})
 }
 
-// planFlushDamageLocked resolves a damage plan against the queued write
+// planFlushDamage resolves a damage plan against the queued write
 // blocks, in submission order, at the moment the armed flush point fired.
 // Tags still hold their enqueue-time values here, so the misdirected
 // payload's tag is read off the source block before any rollback.
-func (s *Server) planFlushDamageLocked(dmg disk.Damage) {
+func (s *Server) planFlushDamage(dmg disk.Damage) {
 	fd := &flushDamage{persisted: make(map[int64]bool)}
 	var order []int64
 	for _, r := range s.queue {
@@ -96,8 +94,8 @@ func (s *Server) planFlushDamageLocked(dmg disk.Damage) {
 	s.flushCrash = fd
 }
 
-// sortedObjectIDsLocked returns the object ids in deterministic order.
-func (s *Server) sortedObjectIDsLocked() []ObjectID {
+// sortedObjectIDs returns the object ids in deterministic order.
+func (s *Server) sortedObjectIDs() []ObjectID {
 	ids := make([]ObjectID, 0, len(s.objects))
 	for id := range s.objects {
 		ids = append(ids, id)
@@ -113,8 +111,6 @@ func (s *Server) sortedObjectIDsLocked() []ObjectID {
 // prefetch cache, soft reservations — is dropped. The recovery sequence
 // calls it before Scrub.
 func (s *Server) PowerFail() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	fd := s.flushCrash
 	// Roll back unpersisted enqueued writes, newest first, so duplicate
 	// writes to one block unwind to the oldest pre-image.
@@ -141,7 +137,7 @@ func (s *Server) PowerFail() {
 	s.buffered = nil
 	s.bufferedBlocks = 0
 	s.prefetched = alloc.RangeSet{}
-	for _, id := range s.sortedObjectIDsLocked() {
+	for _, id := range s.sortedObjectIDs() {
 		o := s.objects[id]
 		o.policy.Close() // releases soft reservations
 		o.policy = o.factory(s.alloc, 0)
@@ -175,11 +171,9 @@ type ScrubReport struct {
 // (owned-but-unmapped) and orphaned (allocated-but-unowned) blocks. After
 // a clean Scrub, CheckConsistency reports no problems and zero leaks.
 func (s *Server) Scrub() (ScrubReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	rep := ScrubReport{OST: s.id, Damaged: make(map[ObjectID][]alloc.Range)}
 	ownedAll := alloc.RangeSet{}
-	for _, id := range s.sortedObjectIDsLocked() {
+	for _, id := range s.sortedObjectIDs() {
 		o := s.objects[id]
 		// Demote written blocks whose tags were torn away.
 		for _, e := range o.extents.Extents() {

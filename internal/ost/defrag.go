@@ -27,7 +27,7 @@ import (
 // CheckConsistency is the fsck-style verifier of exactly that invariant.
 
 // FragReport is the fragmentation summary of one object, everything the
-// defrag scanner (and `mifctl report`) needs in a single locked call.
+// defrag scanner (and `mifctl report`) needs in a single call.
 type FragReport struct {
 	// Object names the reported object.
 	Object ObjectID
@@ -52,8 +52,8 @@ type FragReport struct {
 	Degree float64
 }
 
-// fragReportLocked builds the report for one object. Callers hold s.mu.
-func (s *Server) fragReportLocked(o *object) FragReport {
+// fragReport builds the report for one object.
+func (s *Server) fragReport(o *object) FragReport {
 	r := FragReport{
 		Object:       o.id,
 		Extents:      o.extents.Len(),
@@ -83,23 +83,19 @@ func (s *Server) fragReportLocked(o *object) FragReport {
 
 // FragReport returns the fragmentation summary of one object.
 func (s *Server) FragReport(id ObjectID) (FragReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return FragReport{}, err
 	}
-	return s.fragReportLocked(o), nil
+	return s.fragReport(o), nil
 }
 
 // FragReportAll returns the fragmentation summary of every object on the
 // server, sorted by object ID for deterministic scans.
 func (s *Server) FragReportAll() []FragReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]FragReport, 0, len(s.objects))
 	for _, o := range s.objects {
-		out = append(out, s.fragReportLocked(o))
+		out = append(out, s.fragReport(o))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Object < out[j].Object })
 	return out
@@ -110,8 +106,6 @@ func (s *Server) FragReportAll() []FragReport {
 // nothing further is mapped. The mover walks objects with it one slice at
 // a time, so a concurrent truncate or extend is picked up between slices.
 func (s *Server) NextMappedExtent(id ObjectID, from int64) (extent.Extent, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return extent.Extent{}, false, err
@@ -124,8 +118,6 @@ func (s *Server) NextMappedExtent(id ObjectID, from int64) (extent.Extent, bool,
 // but not yet flushed. The defrag mover checks it to yield to foreground
 // traffic.
 func (s *Server) PendingRequests() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.queue)
 }
 
@@ -146,19 +138,17 @@ func (s *Server) CopyRange(id ObjectID, owner alloc.Owner, logical, count int64,
 		return 0, nil, fmt.Errorf("ost%d: migrate destination [%d,+%d) does not match range length %d",
 			s.id, dst.Start, dst.Count, count)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp, prev := s.startOpLocked("migrate")
+	sp, prev := s.startOp("migrate")
 	sp.AnnotateInt("object", int64(id))
 	sp.AnnotateInt("blocks", int64(count))
-	defer s.endOpLocked(sp, prev)
+	defer s.endOp(sp, prev)
 	o, err := s.object(id)
 	if err != nil {
 		return 0, nil, err
 	}
 	// Buffered writes of the object must be placed first, or the copy
 	// would miss data that logically precedes it.
-	if err := s.flushObjectLocked(o); err != nil {
+	if err := s.flushObject(o); err != nil {
 		return 0, nil, err
 	}
 	old := o.extents.LookupRange(logical, count)
@@ -248,8 +238,6 @@ func (s *Server) CopyRange(id ObjectID, owner alloc.Owner, logical, count int64,
 // physical extents are released to the allocator, dropped from the
 // object's owned set and the prefetch cache, and their data tags cleared.
 func (s *Server) FreeMigrated(id ObjectID, old []extent.Extent) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return err
@@ -313,17 +301,10 @@ func (r *CheckReport) problemf(format string, args ...interface{}) {
 // FreeMigrated the walk must stay clean, with the old blocks reported as
 // leaks.
 func (s *Server) CheckConsistency() CheckReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var rep CheckReport
-	ids := make([]ObjectID, 0, len(s.objects))
-	for id := range s.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	owner := make(map[int64]ObjectID)
 	var ownedBlocks int64
-	for _, id := range ids {
+	for _, id := range s.sortedObjectIDs() {
 		o := s.objects[id]
 		rep.Objects++
 		if err := o.extents.Validate(); err != nil {

@@ -29,9 +29,8 @@ type bufWrite struct {
 	count   int64
 }
 
-// bufferWriteLocked queues a write under delayed allocation. Callers hold
-// s.mu.
-func (s *Server) bufferWriteLocked(o *object, stream core.StreamID, logical, count int64) {
+// bufferWrite queues a write under delayed allocation.
+func (s *Server) bufferWrite(o *object, stream core.StreamID, logical, count int64) {
 	if s.buffered == nil {
 		s.buffered = make(map[ObjectID][]bufWrite)
 	}
@@ -39,11 +38,11 @@ func (s *Server) bufferWriteLocked(o *object, stream core.StreamID, logical, cou
 	s.bufferedBlocks += count
 }
 
-// flushObjectLocked allocates and writes an object's buffered ranges:
+// flushObject allocates and writes an object's buffered ranges:
 // the buffered writes are coalesced into maximal logical runs per stream,
 // each placed with one policy call — the "single request" delayed
-// allocation combines many block allocations into. Callers hold s.mu.
-func (s *Server) flushObjectLocked(o *object) error {
+// allocation combines many block allocations into.
+func (s *Server) flushObject(o *object) error {
 	buf := s.buffered[o.id]
 	if len(buf) == 0 {
 		return nil
@@ -67,16 +66,15 @@ func (s *Server) flushObjectLocked(o *object) error {
 		runs = append(runs, w)
 	}
 	for _, r := range runs {
-		if err := s.writeThroughLocked(o, r.stream, r.logical, r.count); err != nil {
+		if err := s.writeThrough(o, r.stream, r.logical, r.count); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// flushAllBuffersLocked flushes every object's buffered writes. Callers
-// hold s.mu.
-func (s *Server) flushAllBuffersLocked() error {
+// flushAllBuffers flushes every object's buffered writes.
+func (s *Server) flushAllBuffers() error {
 	// Deterministic order for reproducible simulations.
 	ids := make([]ObjectID, 0, len(s.buffered))
 	for id := range s.buffered {
@@ -90,7 +88,7 @@ func (s *Server) flushAllBuffersLocked() error {
 			// dropped them already.
 			continue
 		}
-		if err := s.flushObjectLocked(o); err != nil {
+		if err := s.flushObject(o); err != nil {
 			return err
 		}
 	}
@@ -101,10 +99,8 @@ func (s *Server) flushAllBuffersLocked() error {
 // queued to the device, then flushes the device queue — the explicit sync
 // that defeats delayed allocation's coalescing.
 func (s *Server) Fsync(id ObjectID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp, prev := s.startOpLocked("fsync")
-	defer s.endOpLocked(sp, prev)
+	sp, prev := s.startOp("fsync")
+	defer s.endOp(sp, prev)
 	o, err := s.object(id)
 	if err != nil {
 		return err
@@ -115,35 +111,32 @@ func (s *Server) Fsync(id ObjectID) error {
 	if _, ok := s.crash.Hit(crashsim.PtOstFsyncBarrier, s.bufferedBlocks); ok {
 		s.crash.Kill()
 	}
-	if err := s.flushObjectLocked(o); err != nil {
+	if err := s.flushObject(o); err != nil {
 		return err
 	}
-	s.flushLocked()
+	s.flush()
 	return nil
 }
 
 // BufferedBlocks reports the blocks currently buffered under delayed
 // allocation, a test hook.
 func (s *Server) BufferedBlocks() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.bufferedBlocks
 }
 
-// dropBuffersLocked discards an object's buffered writes (used by Delete).
-// Callers hold s.mu.
-func (s *Server) dropBuffersLocked(id ObjectID) {
+// dropBuffers discards an object's buffered writes (used by Delete).
+func (s *Server) dropBuffers(id ObjectID) {
 	for _, w := range s.buffered[id] {
 		s.bufferedBlocks -= w.count
 	}
 	delete(s.buffered, id)
 }
 
-// checkBufferPressureLocked flushes all buffers when the writeback
-// threshold is exceeded. Callers hold s.mu.
-func (s *Server) checkBufferPressureLocked() error {
+// checkBufferPressure flushes all buffers when the writeback
+// threshold is exceeded.
+func (s *Server) checkBufferPressure() error {
 	if s.cfg.DelayedFlushBlocks > 0 && s.bufferedBlocks >= s.cfg.DelayedFlushBlocks {
-		return s.flushAllBuffersLocked()
+		return s.flushAllBuffers()
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ package ost
 
 import (
 	"fmt"
-	"sync"
 
 	"redbud/internal/alloc"
 	"redbud/internal/core"
@@ -105,12 +104,11 @@ type object struct {
 	goal    int64
 }
 
-// Server is one IO server. All methods are safe for concurrent use.
+// Server is one IO server.
 type Server struct {
 	id  int
 	cfg Config
 
-	mu           sync.Mutex
 	disk         *disk.Disk
 	sched        *iosched.Elevator
 	alloc        *alloc.Allocator
@@ -126,8 +124,8 @@ type Server struct {
 	buffered       map[ObjectID][]bufWrite
 	bufferedBlocks int64
 
-	// Per-request scratch buffers, reused under mu so the per-block hot
-	// paths resolve extent ranges without allocating. lrScratch backs the
+	// Per-request scratch buffers, reused across requests so the per-block
+	// hot paths resolve extent ranges without allocating. lrScratch backs the
 	// top-level range resolution of one write/read; innerScratch backs the
 	// nested lookups beneath it (gap probing while mapping, readahead
 	// containment) whose results are consumed before the next nested call;
@@ -139,7 +137,7 @@ type Server struct {
 	// flushHist, when attached, observes the device cost of every queue
 	// flush. tracer records client-operation spans; traceParent is the PFS
 	// operation span currently being serviced, and curSpan the OST op span
-	// that any flush it triggers nests under (both manipulated under mu).
+	// that any flush it triggers nests under.
 	flushHist   *telemetry.Histogram
 	tracer      *telemetry.Tracer
 	traceParent telemetry.SpanID
@@ -189,29 +187,15 @@ func (s *Server) Scheduler() *iosched.Elevator { return s.sched }
 
 // Instrument publishes the server's queue and prefetch state into the
 // registry and recursively instruments the disk and the elevator it owns.
-// Gauges read the live queue under the server lock at snapshot time.
+// Gauges read the live queue at snapshot time.
 func (s *Server) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	s.mu.Lock()
 	s.flushHist = reg.Histogram("ost_flush_ns", labels)
-	s.mu.Unlock()
 	s.disk.Instrument(reg, labels.With("layer", "disk"))
 	s.sched.Instrument(reg, labels.With("layer", "iosched"))
 	s.alloc.Instrument(reg, labels.With("layer", "alloc"))
-	reg.GaugeFunc("ost_queue_requests", labels, func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return int64(len(s.queue))
-	})
-	reg.GaugeFunc("ost_pending_read_blocks", labels, func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.pendingRead
-	})
-	reg.GaugeFunc("ost_pending_write_blocks", labels, func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.pendingWrite
-	})
+	reg.GaugeFunc("ost_queue_requests", labels, func() int64 { return int64(len(s.queue)) })
+	reg.GaugeFunc("ost_pending_read_blocks", labels, func() int64 { return s.pendingRead })
+	reg.GaugeFunc("ost_pending_write_blocks", labels, func() int64 { return s.pendingWrite })
 	reg.GaugeFunc("ost_buffered_blocks", labels, func() int64 { return s.BufferedBlocks() })
 	reg.GaugeFunc("ost_objects", labels, func() int64 { return s.ObjectCount() })
 	reg.CounterFunc("ost_prefetch_hit_blocks", labels, func() int64 { return s.PrefetchHits() })
@@ -220,26 +204,20 @@ func (s *Server) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 // SetTracer attaches (or with nil detaches) the span tracer, propagating it
 // to the elevator so dispatches and per-request disk accesses are traced.
 func (s *Server) SetTracer(t *telemetry.Tracer) {
-	s.mu.Lock()
 	s.tracer = t
-	s.mu.Unlock()
 	s.sched.SetTracer(t)
 }
 
 // SetTraceParent declares the client-operation span under which subsequent
-// OST operations nest; zero clears it. The PFS mount sets it under its own
-// lock before issuing each operation.
-func (s *Server) SetTraceParent(id telemetry.SpanID) {
-	s.mu.Lock()
-	s.traceParent = id
-	s.mu.Unlock()
-}
+// OST operations nest; zero clears it. The PFS mount sets it before issuing
+// each operation.
+func (s *Server) SetTraceParent(id telemetry.SpanID) { s.traceParent = id }
 
-// startOpLocked opens an "ost" span for one client operation and makes it
+// startOp opens an "ost" span for one client operation and makes it
 // the parent of any device flush the operation triggers, returning the span
 // and the previous flush parent to restore. Safe (and a no-op) without a
-// tracer. Callers hold s.mu.
-func (s *Server) startOpLocked(name string) (telemetry.ActiveSpan, telemetry.SpanID) {
+// tracer.
+func (s *Server) startOp(name string) (telemetry.ActiveSpan, telemetry.SpanID) {
 	sp := s.tracer.Start("ost", name, s.traceParent)
 	sp.AnnotateInt("ost", int64(s.id))
 	prev := s.curSpan
@@ -247,9 +225,9 @@ func (s *Server) startOpLocked(name string) (telemetry.ActiveSpan, telemetry.Spa
 	return sp, prev
 }
 
-// endOpLocked closes an operation span opened by startOpLocked and restores
-// the previous flush parent. Callers hold s.mu.
-func (s *Server) endOpLocked(sp telemetry.ActiveSpan, prev telemetry.SpanID) {
+// endOp closes an operation span opened by startOp and restores
+// the previous flush parent.
+func (s *Server) endOp(sp telemetry.ActiveSpan, prev telemetry.SpanID) {
 	s.curSpan = prev
 	sp.End()
 }
@@ -257,8 +235,6 @@ func (s *Server) endOpLocked(sp telemetry.ActiveSpan, prev telemetry.SpanID) {
 // CreateObject registers a new object whose blocks will be placed by the
 // policy the factory builds. Creating an existing object is an error.
 func (s *Server) CreateObject(id ObjectID, factory PolicyFactory, sizeHint int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.objects[id]; ok {
 		return fmt.Errorf("ost%d: object %d already exists", s.id, id)
 	}
@@ -282,9 +258,7 @@ func (s *Server) CreateObject(id ObjectID, factory PolicyFactory, sizeHint int64
 // write buffers and the prefetch cache are discarded, and each object gets
 // a fresh policy whose streams start from layout misses.
 func (s *Server) Restart() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked() // a clean shutdown; crash loss is modeled by callers dropping buffers first
+	s.flush() // a clean shutdown; crash loss is modeled by callers dropping buffers first
 	ids := make([]ObjectID, 0, len(s.objects))
 	for id := range s.objects {
 		ids = append(ids, id)
@@ -300,7 +274,7 @@ func (s *Server) Restart() {
 	s.prefetchHits = 0
 }
 
-// object looks up an object, locked.
+// object looks up an object.
 func (s *Server) object(id ObjectID) (*object, error) {
 	o, ok := s.objects[id]
 	if !ok {
@@ -316,21 +290,19 @@ func (s *Server) Write(id ObjectID, stream core.StreamID, logical, count int64) 
 	if logical < 0 || count <= 0 {
 		return fmt.Errorf("ost%d: invalid write [%d,+%d)", s.id, logical, count)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp, prev := s.startOpLocked("write")
+	sp, prev := s.startOp("write")
 	sp.AnnotateInt("object", int64(id))
 	sp.AnnotateInt("blocks", int64(count))
-	defer s.endOpLocked(sp, prev)
+	defer s.endOp(sp, prev)
 	o, err := s.object(id)
 	if err != nil {
 		return err
 	}
 	if s.cfg.DelayedAllocation {
-		s.bufferWriteLocked(o, stream, logical, count)
-		err = s.checkBufferPressureLocked()
+		s.bufferWrite(o, stream, logical, count)
+		err = s.checkBufferPressure()
 	} else {
-		err = s.writeThroughLocked(o, stream, logical, count)
+		err = s.writeThrough(o, stream, logical, count)
 	}
 	if err != nil {
 		return err
@@ -344,23 +316,23 @@ func (s *Server) Write(id ObjectID, stream core.StreamID, logical, count int64) 
 	return nil
 }
 
-// writeThroughLocked allocates (through the policy) and queues the device
-// writes for one write. Callers hold s.mu.
-func (s *Server) writeThroughLocked(o *object, stream core.StreamID, logical, count int64) error {
-	if err := s.ensureMappedLocked(o, stream, logical, count); err != nil {
+// writeThrough allocates (through the policy) and queues the device
+// writes for one write.
+func (s *Server) writeThrough(o *object, stream core.StreamID, logical, count int64) error {
+	if err := s.ensureMapped(o, stream, logical, count); err != nil {
 		return err
 	}
 	s.lrScratch = o.extents.AppendRange(s.lrScratch[:0], logical, count)
 	for _, e := range s.lrScratch {
-		// Pre-images must be recorded before enqueue: enqueueLocked can
+		// Pre-images must be recorded before enqueue: enqueue can
 		// cross the queue-depth threshold and trigger a flush, and the
 		// flush fire point resolves damage against the queue it sees.
 		if s.crash != nil {
 			for i := int64(0); i < e.Count; i++ {
-				s.recordPreImageLocked(o, e.Physical+i, e.Logical+i)
+				s.recordPreImage(o, e.Physical+i, e.Logical+i)
 			}
 		}
-		s.enqueueLocked(iosched.Request{Start: e.Physical, Count: e.Count, Write: true})
+		s.enqueue(iosched.Request{Start: e.Physical, Count: e.Count, Write: true})
 		for i := int64(0); i < e.Count; i++ {
 			s.tags.set(e.Physical+i, o.id, e.Logical+i)
 		}
@@ -369,14 +341,14 @@ func (s *Server) writeThroughLocked(o *object, stream core.StreamID, logical, co
 	return nil
 }
 
-// ensureMappedLocked allocates and maps any unmapped blocks of the logical
-// range. Callers hold s.mu.
-func (s *Server) ensureMappedLocked(o *object, stream core.StreamID, logical, count int64) error {
+// ensureMapped allocates and maps any unmapped blocks of the logical
+// range.
+func (s *Server) ensureMapped(o *object, stream core.StreamID, logical, count int64) error {
 	end := logical + count
 	pos := logical
 	for pos < end {
 		// covered is consumed before the next nested lookup (Place and
-		// insertPlacementsLocked reuse the same scratch).
+		// insertPlacements reuse the same scratch).
 		covered := o.extents.AppendRange(s.innerScratch[:0], pos, end-pos)
 		s.innerScratch = covered
 		gapEnd := end
@@ -393,10 +365,10 @@ func (s *Server) ensureMappedLocked(o *object, stream core.StreamID, logical, co
 			// together with the error. They are allocated: the object gets
 			// them (mapped, unwritten) so its truncate or delete frees them.
 			// The caller needs the placement error, not a mapping one.
-			_ = s.insertPlacementsLocked(o, placements)
+			_ = s.insertPlacements(o, placements)
 			return fmt.Errorf("ost%d: place object %d [%d,+%d): %w", s.id, o.id, pos, gapEnd-pos, err)
 		}
-		if err := s.insertPlacementsLocked(o, placements); err != nil {
+		if err := s.insertPlacements(o, placements); err != nil {
 			return err
 		}
 		pos = gapEnd
@@ -404,11 +376,11 @@ func (s *Server) ensureMappedLocked(o *object, stream core.StreamID, logical, co
 	return nil
 }
 
-// insertPlacementsLocked folds placements into the object's extent map,
+// insertPlacements folds placements into the object's extent map,
 // clipping any sub-ranges that are already mapped (promoted windows may
 // cover blocks another stream mapped first), and records the physical
-// space in the owned set. Callers hold s.mu.
-func (s *Server) insertPlacementsLocked(o *object, placements []core.Placement) error {
+// space in the owned set.
+func (s *Server) insertPlacements(o *object, placements []core.Placement) error {
 	for _, pl := range placements {
 		o.owned.Add(alloc.Range{Start: pl.Physical, Count: pl.Count})
 		logical, count := pl.Logical, pl.Count
@@ -453,26 +425,24 @@ func (s *Server) Read(id ObjectID, logical, count int64) error {
 	if logical < 0 || count <= 0 {
 		return fmt.Errorf("ost%d: invalid read [%d,+%d)", s.id, logical, count)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp, prev := s.startOpLocked("read")
+	sp, prev := s.startOp("read")
 	sp.AnnotateInt("object", int64(id))
 	sp.AnnotateInt("blocks", int64(count))
-	defer s.endOpLocked(sp, prev)
+	defer s.endOp(sp, prev)
 	o, err := s.object(id)
 	if err != nil {
 		return err
 	}
 	// Read-after-write consistency under delayed allocation: the
 	// object's buffered writes must be allocated first.
-	if err := s.flushObjectLocked(o); err != nil {
+	if err := s.flushObject(o); err != nil {
 		return err
 	}
 	s.lrScratch = o.extents.AppendRange(s.lrScratch[:0], logical, count)
 	var mapped int64
 	for _, e := range s.lrScratch {
 		mapped += e.Count
-		s.readWithPrefetchLocked(o, e)
+		s.readWithPrefetch(o, e)
 		for i := int64(0); i < e.Count; i++ {
 			l := e.Logical + i
 			if !o.written.has(l) {
@@ -499,8 +469,6 @@ func (s *Server) Fallocate(id ObjectID, stream core.StreamID, sizeBlocks int64) 
 	if sizeBlocks <= 0 {
 		return fmt.Errorf("ost%d: invalid fallocate size %d", s.id, sizeBlocks)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return err
@@ -509,22 +477,20 @@ func (s *Server) Fallocate(id ObjectID, stream core.StreamID, sizeBlocks int64) 
 		if err := st.Fallocate(o.goal); err != nil {
 			return err
 		}
-		return s.insertPlacementsLocked(o, st.Placed())
+		return s.insertPlacements(o, st.Placed())
 	}
-	return s.ensureMappedLocked(o, stream, 0, sizeBlocks)
+	return s.ensureMapped(o, stream, 0, sizeBlocks)
 }
 
 // Delete removes the object, freeing every physical block it owned
 // (mapped, preallocated, or leaked by clipped promotions) and dropping its
 // temporary reservations.
 func (s *Server) Delete(id ObjectID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return err
 	}
-	s.dropBuffersLocked(id)
+	s.dropBuffers(id)
 	o.policy.Close()
 	for _, r := range o.owned.Ranges() {
 		if err := s.alloc.Free(r); err != nil {
@@ -544,14 +510,12 @@ func (s *Server) Truncate(id ObjectID, newSize int64) error {
 	if newSize < 0 {
 		return fmt.Errorf("ost%d: invalid truncate to %d", s.id, newSize)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return err
 	}
 	// Buffered writes beyond the boundary would resurrect the tail.
-	if err := s.flushObjectLocked(o); err != nil {
+	if err := s.flushObject(o); err != nil {
 		return err
 	}
 	const maxLogical = int64(1) << 40
@@ -595,8 +559,6 @@ func (s *Server) Truncate(id ObjectID, newSize int64) error {
 // CloseObject releases the object's temporary reservations (sequential
 // windows); persistent preallocations stay. It models file close.
 func (s *Server) CloseObject(id ObjectID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return err
@@ -610,8 +572,6 @@ func (s *Server) CloseObject(id ObjectID) error {
 // (holes and preallocated-but-unwritten space carry no data and are
 // skipped).
 func (s *Server) WrittenRuns(id ObjectID) ([]alloc.Range, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return nil, err
@@ -621,8 +581,6 @@ func (s *Server) WrittenRuns(id ObjectID) ([]alloc.Range, error) {
 
 // ObjectCount returns the number of objects resident on the server.
 func (s *Server) ObjectCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return int64(len(s.objects))
 }
 
@@ -633,8 +591,6 @@ func (s *Server) UsedBlocks() int64 {
 
 // ExtentCount returns the object's segment count (Table I's currency).
 func (s *Server) ExtentCount(id ObjectID) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return 0, err
@@ -644,8 +600,6 @@ func (s *Server) ExtentCount(id ObjectID) (int, error) {
 
 // Extents returns a copy of the object's extent list.
 func (s *Server) Extents(id ObjectID) ([]extent.Extent, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return nil, err
@@ -655,8 +609,6 @@ func (s *Server) Extents(id ObjectID) ([]extent.Extent, error) {
 
 // OwnedBlocks returns the number of physical blocks the object holds.
 func (s *Server) OwnedBlocks(id ObjectID) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o, err := s.object(id)
 	if err != nil {
 		return 0, err
@@ -664,14 +616,13 @@ func (s *Server) OwnedBlocks(id ObjectID) (int64, error) {
 	return o.owned.Blocks(), nil
 }
 
-// readWithPrefetchLocked services one mapped read piece with per-reader
+// readWithPrefetch services one mapped read piece with per-reader
 // readahead: sub-ranges already prefetched are served from memory; the
 // rest is fetched with the request extended through the containing
 // physical extent up to the readahead window. Contiguous layouts therefore
 // read in few large requests, while fragmented extents bound every request
 // at their own length — the mechanism behind the paper's phase-2 numbers.
-// Callers hold s.mu.
-func (s *Server) readWithPrefetchLocked(o *object, e extent.Extent) {
+func (s *Server) readWithPrefetch(o *object, e extent.Extent) {
 	if s.cfg.PrefetchCacheBlocks > 0 && s.prefetched.Blocks() > s.cfg.PrefetchCacheBlocks {
 		// Epoch eviction: the cache is full; start a new epoch.
 		s.prefetched = alloc.RangeSet{}
@@ -693,7 +644,7 @@ func (s *Server) readWithPrefetchLocked(o *object, e extent.Extent) {
 				n = cont[0].Count
 			}
 		}
-		s.enqueueLocked(iosched.Request{Start: g.Start, Count: n, Write: false})
+		s.enqueue(iosched.Request{Start: g.Start, Count: n, Write: false})
 		s.prefetched.Add(alloc.Range{Start: g.Start, Count: n})
 	}
 }
@@ -701,15 +652,13 @@ func (s *Server) readWithPrefetchLocked(o *object, e extent.Extent) {
 // PrefetchHits returns the number of read blocks served from the prefetch
 // cache.
 func (s *Server) PrefetchHits() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.prefetchHits
 }
 
-// enqueueLocked appends a device request, flushing the queue when the
+// enqueue appends a device request, flushing the queue when the
 // pending read volume reaches the synchronous-read bound or the pending
-// write volume reaches the writeback bound. Callers hold s.mu.
-func (s *Server) enqueueLocked(r iosched.Request) {
+// write volume reaches the writeback bound.
+func (s *Server) enqueue(r iosched.Request) {
 	s.queue = append(s.queue, r)
 	if r.Write {
 		s.pendingWrite += r.Count
@@ -717,13 +666,12 @@ func (s *Server) enqueueLocked(r iosched.Request) {
 		s.pendingRead += r.Count
 	}
 	if s.pendingRead >= s.cfg.BatchBlocks || s.pendingWrite >= s.cfg.WriteBatchBlocks {
-		s.flushLocked()
+		s.flush()
 	}
 }
 
-// flushLocked drains the device queue through the elevator. Callers hold
-// s.mu.
-func (s *Server) flushLocked() sim.Ns {
+// flush drains the device queue through the elevator.
+func (s *Server) flush() sim.Ns {
 	if len(s.queue) == 0 {
 		return 0
 	}
@@ -739,7 +687,7 @@ func (s *Server) flushLocked() sim.Ns {
 			}
 		}
 		if dmg, ok := s.crash.Hit(crashsim.PtOstFlushMedia, n); ok {
-			s.planFlushDamageLocked(dmg)
+			s.planFlushDamage(dmg)
 			s.crash.Kill()
 		}
 	}
@@ -762,14 +710,12 @@ func (s *Server) flushLocked() sim.Ns {
 // device requests to storage, returning the device service time. Benchmark
 // phases call it at phase boundaries.
 func (s *Server) Flush() sim.Ns {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp, prev := s.startOpLocked("flush")
-	defer s.endOpLocked(sp, prev)
-	if err := s.flushAllBuffersLocked(); err != nil {
+	sp, prev := s.startOp("flush")
+	defer s.endOp(sp, prev)
+	if err := s.flushAllBuffers(); err != nil {
 		// Allocation failure at writeback time is a data-loss class
 		// error; surface loudly in the simulation.
 		panic(err)
 	}
-	return s.flushLocked()
+	return s.flush()
 }

@@ -69,9 +69,7 @@ func TestRestartDropsDelallocBuffers(t *testing.T) {
 	// A crash-restart without fsync loses buffered-only data — the
 	// delayed-allocation risk the paper alludes to. Model the crash by
 	// dropping buffers before the restart.
-	s.mu.Lock()
-	s.dropBuffersLocked(1)
-	s.mu.Unlock()
+	s.dropBuffers(1)
 	s.Restart()
 	if s.BufferedBlocks() != 0 {
 		t.Fatal("buffers must not survive restart")

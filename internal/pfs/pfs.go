@@ -193,6 +193,15 @@ type file struct {
 // connection that charges the GbE metadata link and the per-OST
 // FibreChannel fabric. The server handles (mds, osts) remain only for
 // measurement and for the server-local defragmentation engine.
+//
+// FS is the only type whose methods may be called from several goroutines:
+// mu is the one lock of the simulation. Everything below it — rpc, cache,
+// replica, ost, defrag, core, alloc, iosched, disk, netsim, mds — belongs
+// to this mount, holds no lock of its own, and is reached either under mu
+// or by one goroutine driving a component directly. The accessors that
+// hand out inner objects (MDS, OST, Cache, Defrag, Replication, Fabric) and
+// a registry's snapshot-time collectors are for use between operations. A
+// method named …Locked is called with mu held.
 type FS struct {
 	cfg Config
 
@@ -311,13 +320,13 @@ func New(cfg Config) (*FS, error) {
 // distinguished by a "layer" label on top of the given base labels.
 func (fs *FS) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	pl := labels.With("layer", "pfs")
 	fs.writeHist = reg.Histogram("pfs_write_ns", pl)
 	fs.readHist = reg.Histogram("pfs_read_ns", pl)
 	fs.writeSeries = reg.Series("pfs_write_blocks", pl, 0, 0)
 	fs.readSeries = reg.Series("pfs_read_blocks", pl, 0, 0)
 	fs.extentSeries = reg.Series("pfs_file_extents", pl, 0, 0)
-	fs.mu.Unlock()
 	fs.conn.Instrument(reg, labels.With("layer", "rpc"))
 	fs.mds.Instrument(reg, labels.With("layer", "mds"))
 	fs.mdsLink.Instrument(reg, labels.With("layer", "net").With("link", "mds"))
@@ -417,8 +426,7 @@ func (fs *FS) Replication() *replica.Manager { return fs.rep }
 // cacheStore adapts the mount into the cache's backing store. Its methods
 // only run inside cache calls made while fs.mu is held (every cache entry
 // point in this package holds it), so they use the *Locked paths directly
-// and never re-enter the cache — the lock order is fs.mu, then cache.mu,
-// and the write-back/fetch callbacks stay strictly below both.
+// and never re-enter the cache.
 type cacheStore struct{ fs *FS }
 
 // WriteBack flushes one coalesced dirty run through the regular striped
@@ -736,6 +744,8 @@ func (fs *FS) Sync() error {
 // component's timeline is the longer of its disk and its FibreChannel
 // link (they pipeline).
 func (fs *FS) DataBusyMax() sim.Ns {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	var max sim.Ns
 	for i := range fs.osts {
 		if b := fs.ostBusy(i); b > max {
@@ -750,6 +760,8 @@ func (fs *FS) Fabric() *netsim.Fabric { return fs.fabric }
 
 // DataStats returns the summed IO-server disk counters.
 func (fs *FS) DataStats() disk.Stats {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	var total disk.Stats
 	for _, srv := range fs.osts {
 		total = total.Add(srv.Disk().Stats())
@@ -760,6 +772,8 @@ func (fs *FS) DataStats() disk.Stats {
 // ResetDataStats zeroes the IO-server disk and network counters for a new
 // phase.
 func (fs *FS) ResetDataStats() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	for _, srv := range fs.osts {
 		srv.Disk().ResetStats()
 	}
@@ -813,12 +827,25 @@ func (h *File) Ino() inode.Ino { return h.f.ino }
 // tooling.
 func (h *File) ObjectID(i int) ost.ObjectID { return h.f.objects[i] }
 
+// checkRange rejects a file range that is empty, starts below zero, or ends
+// past the mount's data capacity (OSTs × OST.Blocks): no object can address
+// such a range, and its end may not even fit in an int64.
+func (fs *FS) checkRange(op string, blk, count int64) error {
+	if count <= 0 || blk < 0 {
+		return fmt.Errorf("pfs: invalid %s [%d,+%d)", op, blk, count)
+	}
+	if capacity := int64(len(fs.osts)) * fs.cfg.OST.Blocks; count > capacity || blk > capacity-count {
+		return fmt.Errorf("pfs: %s [%d,+%d) ends past the mount's %d data blocks", op, blk, count, capacity)
+	}
+	return nil
+}
+
 // Write stores count blocks at file-logical block blk on behalf of stream.
 func (h *File) Write(stream core.StreamID, blk, count int64) error {
-	if count <= 0 || blk < 0 {
-		return fmt.Errorf("pfs: invalid write [%d,+%d)", blk, count)
-	}
 	fs := h.fs
+	if err := fs.checkRange("write", blk, count); err != nil {
+		return err
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	sp := fs.startOpLocked("write")
@@ -901,10 +928,10 @@ func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64
 
 // Read fetches count blocks at file-logical block blk.
 func (h *File) Read(blk, count int64) error {
-	if count <= 0 || blk < 0 {
-		return fmt.Errorf("pfs: invalid read [%d,+%d)", blk, count)
-	}
 	fs := h.fs
+	if err := fs.checkRange("read", blk, count); err != nil {
+		return err
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	sp := fs.startOpLocked("read")

@@ -3,13 +3,18 @@ package pfs
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"testing"
 
 	"redbud/internal/alloc"
+	"redbud/internal/cache"
 	"redbud/internal/core"
 	"redbud/internal/mdfs"
 	"redbud/internal/replica"
+	"redbud/internal/rpc"
 	"redbud/internal/sim"
+	"redbud/internal/telemetry"
 )
 
 func newMiF(t *testing.T, osts int) *FS {
@@ -219,30 +224,118 @@ func TestManyFilesNamespace(t *testing.T) {
 	}
 }
 
+// TestConcurrentClients sends goroutine clients through one mount — run
+// under -race. fs.mu is the only lock on the simulation path, so the
+// decorated mount (client cache, 2-way replication, seeded message loss, a
+// registry and a tracer) is what shows every layer beneath it is reached
+// only under that lock, export included.
 func TestConcurrentClients(t *testing.T) {
-	// Goroutine clients hammer one mount; run under -race in CI.
-	fs := newMiF(t, 4)
-	f, _ := fs.Create(fs.Root(), "conc", 0)
-	done := make(chan error, 8)
-	for c := 0; c < 8; c++ {
-		go func(c int) {
-			stream := core.StreamID{Client: uint32(c), PID: 1}
-			for i := int64(0); i < 128; i += 8 {
-				if err := f.Write(stream, int64(c)*128+i, 8); err != nil {
-					done <- err
-					return
+	decorated := func() Config {
+		cfg := MiF(4)
+		ccfg := cache.DefaultConfig()
+		ccfg.CapacityBlocks = 256
+		ccfg.DirtyHighWater = 64
+		cfg.Cache = &ccfg
+		rc := replica.DefaultConfig()
+		rc.RF = 2
+		cfg.Replication = &rc
+		faults := rpc.UniformFaults(7, 0.01)
+		cfg.RPC = rpc.ClientConfig{Fault: &faults}
+		cfg.Metrics = telemetry.NewRegistry()
+		cfg.Trace = telemetry.NewTracer(nil)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"MiF4", MiF(4)},
+		{"Decorated", decorated()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := fs.Create(fs.Root(), "conc", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const clients, region = 8, 128
+			done := make(chan error, clients)
+			for c := 0; c < clients; c++ {
+				go func(c int) {
+					stream := core.StreamID{Client: uint32(c), PID: 1}
+					base := int64(c) * region
+					for i := int64(0); i < region; i += 8 {
+						if err := f.Write(stream, base+i, 8); err != nil {
+							done <- err
+							return
+						}
+					}
+					if err := f.Fsync(); err != nil {
+						done <- err
+						return
+					}
+					done <- f.Read(base, region)
+				}(c)
+			}
+			for c := 0; c < clients; c++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
 				}
 			}
-			done <- nil
-		}(c)
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Read(0, clients*region); err != nil {
+				t.Fatal(err)
+			}
+			if reg := tc.cfg.Metrics; reg != nil {
+				if err := reg.WriteJSON(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tr := tc.cfg.Trace; tr != nil {
+				if err := tr.WriteSpanLog(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
-	for c := 0; c < 8; c++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+}
+
+// TestRangePastCapacityIsRejected: a write or read whose end overflows
+// int64, or lies past what the mount's objects can address (OSTs ×
+// OST.Blocks), is an error — not a panic in the OST's written-block bitmap,
+// nor a bitmap grown in proportion to the offset — and the mount keeps
+// working after it.
+func TestRangePastCapacityIsRejected(t *testing.T) {
+	fs := newMiF(t, 4)
+	f, err := fs.Create(fs.Root(), "far", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := int64(fs.OSTs()) * fs.Config().OST.Blocks
+	stream := core.StreamID{Client: 1, PID: 1}
+	for _, r := range []struct{ blk, count int64 }{
+		{math.MaxInt64, 1},
+		{1, math.MaxInt64},
+		{capacity, 1},
+		{capacity - 4, 8},
+		{1 << 50, 8},
+	} {
+		if err := f.Write(stream, r.blk, r.count); err == nil {
+			t.Errorf("Write [%d,+%d) succeeded past %d blocks", r.blk, r.count, capacity)
+		}
+		if err := f.Read(r.blk, r.count); err == nil {
+			t.Errorf("Read [%d,+%d) succeeded past %d blocks", r.blk, r.count, capacity)
 		}
 	}
-	fs.Flush()
-	if err := f.Read(0, 8*128); err != nil {
+	if err := f.Write(stream, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Read(0, 64); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,7 @@ package pfs
 // from the file's own object list and a per-mount table: nothing is
 // allocated, nothing is ever suspected, and an RPC error is returned exactly
 // as it came. Object creation, OST crash/revive and the repair loop follow.
-// The manager issues no RPCs — the lock order stays fs.mu, then manager.mu.
+// The manager issues no RPCs and never calls back into the mount.
 
 import (
 	"errors"

@@ -78,14 +78,12 @@ type RepairDone struct {
 // skipped — a later crash/revive can unblock them. ok is false when no
 // repair is possible (or one is already running).
 func (m *Manager) PlanRepair(in []PlaceInput) (JobDesc, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.job != nil {
 		return JobDesc{}, false
 	}
 	for _, k := range m.order {
 		c := m.comps[k]
-		if m.cleanLiveLocked(c) >= m.cfg.RF {
+		if m.cleanLive(c) >= m.cfg.RF {
 			continue
 		}
 		src := -1
@@ -134,8 +132,6 @@ func (m *Manager) PlanRepair(in []PlaceInput) (JobDesc, bool) {
 // StartJob arms the planned job with the source's written runs (the copy
 // manifest the mount fetched over the wire).
 func (m *Manager) StartJob(jd JobDesc, runs []alloc.Range) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.job = &job{desc: jd, runs: runs}
 	m.stats.RepairsStarted++
 	var blocks int64
@@ -148,15 +144,11 @@ func (m *Manager) StartJob(jd JobDesc, runs []alloc.Range) {
 
 // JobActive reports whether a repair is in flight.
 func (m *Manager) JobActive() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.job != nil
 }
 
 // JobDescActive returns the in-flight job's plan.
 func (m *Manager) JobDescActive() (JobDesc, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.job == nil {
 		return JobDesc{}, false
 	}
@@ -165,8 +157,6 @@ func (m *Manager) JobDescActive() (JobDesc, bool) {
 
 // JobRemaining returns the blocks the in-flight job still has to copy.
 func (m *Manager) JobRemaining() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.job == nil {
 		return 0
 	}
@@ -177,8 +167,6 @@ func (m *Manager) JobRemaining() int64 {
 // component stays under-replicated and a later PlanRepair picks a new
 // route.
 func (m *Manager) AbortJob() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.job = nil
 }
 
@@ -188,8 +176,6 @@ func (m *Manager) AbortJob() {
 // bucket is dry (throttled). force bypasses preemption and throttle — the
 // drain mode batch tools use. The returned range is component-logical.
 func (m *Manager) NextSlice(force bool, pending int) (alloc.Range, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.job == nil || m.job.remaining() == 0 {
 		return alloc.Range{}, false
 	}
@@ -203,7 +189,7 @@ func (m *Manager) NextSlice(force bool, pending int) (alloc.Range, bool) {
 			m.stats.Preempted++
 			return alloc.Range{}, false
 		}
-		if !m.takeTokensLocked(n) {
+		if !m.takeTokens(n) {
 			m.stats.Throttled++
 			return alloc.Range{}, false
 		}
@@ -211,9 +197,9 @@ func (m *Manager) NextSlice(force bool, pending int) (alloc.Range, bool) {
 	return alloc.Range{Start: run.Start + m.job.off, Count: n}, true
 }
 
-// takeTokensLocked refills the bucket from the simulated-time source and
+// takeTokens refills the bucket from the simulated-time source and
 // takes n tokens, reporting whether the budget allowed it.
-func (m *Manager) takeTokensLocked(n int64) bool {
+func (m *Manager) takeTokens(n int64) bool {
 	if m.cfg.RateBlocksPerSec <= 0 {
 		return true
 	}
@@ -234,8 +220,6 @@ func (m *Manager) takeTokensLocked(n int64) bool {
 
 // AdvanceJob commits n copied blocks and moves the cursor.
 func (m *Manager) AdvanceJob(n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.job == nil {
 		return
 	}
@@ -253,8 +237,6 @@ func (m *Manager) AdvanceJob(n int64) {
 // clean member per the plan's Replace mode, and the caller pushes the new
 // set to the MDS when SetChanged.
 func (m *Manager) FinishJob() RepairDone {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.job == nil {
 		return RepairDone{}
 	}
@@ -284,6 +266,6 @@ func (m *Manager) FinishJob() RepairDone {
 	m.stats.RepairsDone++
 	m.events.Emit(m.now(), "replica", "repair-done",
 		fmt.Sprintf("ino=%d comp=%d ost%d->ost%d %d blocks", uint64(jd.Key.Ino), jd.Key.Comp, jd.Src, jd.Dst, moved))
-	m.recountLocked()
+	m.recount()
 	return done
 }

@@ -9,9 +9,7 @@
 // (which replicas to write, which single replica to read), reports what it
 // observed (an endpoint timing out, a copy skipped because its OST is
 // down), and drives the repair loop it plans. This keeps the manager
-// deterministic and trivially testable, and keeps the lock order one-way:
-// the mount lock is always taken first, the manager lock strictly inside
-// it, and the manager never calls back up.
+// deterministic and trivially testable: it never calls back up.
 //
 // Replica-set semantics. A component's set lists the OSTs that hold (or
 // should hold) its object. Each member is clean, stale, or down:
@@ -32,7 +30,6 @@ package replica
 
 import (
 	"fmt"
-	"sync"
 
 	"redbud/internal/inode"
 	"redbud/internal/ost"
@@ -192,15 +189,11 @@ type Stats struct {
 	Throttled int64
 }
 
-// Manager is the client-side replica table of one mount. Every method is
-// safe for concurrent use, but the mount serializes operational calls
-// under its own lock anyway; the manager lock exists for the registry's
-// gauge snapshots.
+// Manager is the client-side replica table of one mount.
 type Manager struct {
 	cfg Config
 	n   int
 
-	mu        sync.Mutex
 	down      []bool
 	downCount int64
 	comps     map[Key]*comp
@@ -237,8 +230,6 @@ func (m *Manager) RF() int { return m.cfg.RF }
 
 // SetClock points event timestamps at the mount's trace clock.
 func (m *Manager) SetClock(fn func() sim.Ns) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if fn == nil {
 		fn = func() sim.Ns { return 0 }
 	}
@@ -249,17 +240,13 @@ func (m *Manager) SetClock(fn func() sim.Ns) {
 // refills against (the mount wires the summed device busy time, the same
 // currency the defrag throttle uses).
 func (m *Manager) SetTimeSource(fn func() sim.Ns) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.timeSrc = fn
 }
 
 // Instrument publishes the layer=replica metrics and routes events into
 // the registry's event log.
 func (m *Manager) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	m.mu.Lock()
 	m.events = reg.Events()
-	m.mu.Unlock()
 	reg.GaugeFunc("replica_under_replicated", labels, m.UnderReplicated)
 	reg.GaugeFunc("replica_osts_down", labels, m.DownCount)
 	reg.CounterFunc("replica_fanout_writes", labels, func() int64 { return m.Stats().FanoutWrites })
@@ -281,23 +268,17 @@ func (m *Manager) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.stats
 }
 
 // SteeredReads returns how many read pieces steering routed to OST i.
 func (m *Manager) SteeredReads(i int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.steered[i]
 }
 
 // UnderReplicated returns the number of components with fewer clean live
 // copies than the replication factor.
 func (m *Manager) UnderReplicated() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.underRepl
 }
 
@@ -306,30 +287,22 @@ func (m *Manager) FullyReplicated() bool { return m.UnderReplicated() == 0 }
 
 // Down reports whether OST i is currently suspected dead.
 func (m *Manager) Down(i int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.down[i]
 }
 
 // DownCount returns how many OSTs are currently suspected dead.
 func (m *Manager) DownCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.downCount
 }
 
 // Components returns the number of tracked components.
 func (m *Manager) Components() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.comps)
 }
 
 // ReplicaSet returns a component's replica OSTs and object, for tests and
 // inspection tooling.
 func (m *Manager) ReplicaSet(ino inode.Ino, c int) ([]int, ost.ObjectID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	cp, ok := m.comps[Key{Ino: ino, Comp: c}]
 	if !ok {
 		return nil, 0, false
@@ -337,8 +310,8 @@ func (m *Manager) ReplicaSet(ino inode.Ino, c int) ([]int, ost.ObjectID, bool) {
 	return append([]int(nil), cp.replicas...), cp.obj, true
 }
 
-// cleanLiveLocked counts a component's readable copies.
-func (m *Manager) cleanLiveLocked(c *comp) int {
+// cleanLive counts a component's readable copies.
+func (m *Manager) cleanLive(c *comp) int {
 	n := 0
 	for _, r := range c.replicas {
 		if !m.down[r] && !c.stale[r] {
@@ -348,13 +321,13 @@ func (m *Manager) cleanLiveLocked(c *comp) int {
 	return n
 }
 
-// recountLocked recomputes the under-replicated gauge and emits its
+// recount recomputes the under-replicated gauge and emits its
 // transition events.
-func (m *Manager) recountLocked() {
+func (m *Manager) recount() {
 	var cnt int64
 	for _, k := range m.order {
 		c := m.comps[k]
-		if m.cleanLiveLocked(c) < m.cfg.RF {
+		if m.cleanLive(c) < m.cfg.RF {
 			cnt++
 		}
 	}
@@ -370,8 +343,6 @@ func (m *Manager) recountLocked() {
 // Add registers a freshly created component. Members down at create time
 // hold no object yet and start stale (the repair engine will build them).
 func (m *Manager) Add(ino inode.Ino, c int, obj ost.ObjectID, replicas []int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	cp := &comp{obj: obj, replicas: append([]int(nil), replicas...), stale: make(map[int]bool)}
 	for _, r := range cp.replicas {
 		if m.down[r] {
@@ -381,14 +352,12 @@ func (m *Manager) Add(ino inode.Ino, c int, obj ost.ObjectID, replicas []int) {
 	k := Key{Ino: ino, Comp: c}
 	m.comps[k] = cp
 	m.order = append(m.order, k)
-	m.recountLocked()
+	m.recount()
 }
 
 // Remove forgets every component of a deleted file, aborting any repair
 // running against it.
 func (m *Manager) Remove(ino inode.Ino) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.job != nil && m.job.desc.Key.Ino == ino {
 		m.job = nil
 	}
@@ -401,15 +370,13 @@ func (m *Manager) Remove(ino inode.Ino) {
 		kept = append(kept, k)
 	}
 	m.order = kept
-	m.recountLocked()
+	m.recount()
 }
 
 // WriteTargets returns the component's object and the replicas a write
 // should fan out to: every live member, stale included. Members skipped
 // because their OST is down go (or stay) stale.
 func (m *Manager) WriteTargets(ino inode.Ino, c int) (ost.ObjectID, []int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	cp, ok := m.comps[Key{Ino: ino, Comp: c}]
 	if !ok {
 		return 0, nil, fmt.Errorf("replica: unknown component ino=%d comp=%d", uint64(ino), c)
@@ -431,7 +398,7 @@ func (m *Manager) WriteTargets(ino inode.Ino, c int) (ost.ObjectID, []int, error
 		m.stats.FanoutWrites += int64(len(targets) - 1)
 	}
 	if changed {
-		m.recountLocked()
+		m.recount()
 	}
 	return cp.obj, targets, nil
 }
@@ -439,21 +406,17 @@ func (m *Manager) WriteTargets(ino inode.Ino, c int) (ost.ObjectID, []int, error
 // MarkStale records that replica r of the component missed a write (its
 // own write attempt failed); it is excluded from reads until repaired.
 func (m *Manager) MarkStale(ino inode.Ino, c, r int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	cp, ok := m.comps[Key{Ino: ino, Comp: c}]
 	if !ok || cp.stale[r] {
 		return
 	}
 	cp.stale[r] = true
-	m.recountLocked()
+	m.recount()
 }
 
 // MarkDown records transport-level suspicion of OST i: every read steers
 // away from it and every write skips it until MarkUp.
 func (m *Manager) MarkDown(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.down[i] {
 		return
 	}
@@ -461,29 +424,25 @@ func (m *Manager) MarkDown(i int) {
 	m.downCount++
 	m.stats.OSTDownEvents++
 	m.events.Emit(m.now(), "replica", "ost-down", fmt.Sprintf("ost%d unreachable", i))
-	m.recountLocked()
+	m.recount()
 }
 
 // MarkUp clears the suspicion after an explicit revive. Copies that went
 // stale while the server was away stay stale until repaired.
 func (m *Manager) MarkUp(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if !m.down[i] {
 		return
 	}
 	m.down[i] = false
 	m.downCount--
 	m.events.Emit(m.now(), "replica", "ost-up", fmt.Sprintf("ost%d revived", i))
-	m.recountLocked()
+	m.recount()
 }
 
 // SteerRead picks the replica a read piece should go to: the live, clean,
 // not-yet-tried member whose device has accumulated the least busy time
 // (ties to the lowest index). ok is false when no readable copy remains.
 func (m *Manager) SteerRead(ino inode.Ino, c int, tried []int, load func(int) sim.Ns) (int, ost.ObjectID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	cp, ok := m.comps[Key{Ino: ino, Comp: c}]
 	if !ok {
 		return 0, 0, false
@@ -516,8 +475,6 @@ type MemberState struct {
 
 // Members returns the component's object and per-member state.
 func (m *Manager) Members(ino inode.Ino, c int) ([]MemberState, ost.ObjectID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	cp, ok := m.comps[Key{Ino: ino, Comp: c}]
 	if !ok {
 		return nil, 0, false
@@ -533,8 +490,6 @@ func (m *Manager) Members(ino inode.Ino, c int) ([]MemberState, ost.ObjectID, bo
 // for bookkeeping queries (extent counts, layout summaries) that should
 // not perturb the steering counters. ok is false when none is readable.
 func (m *Manager) ReadReplica(ino inode.Ino, c int) (int, ost.ObjectID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	cp, ok := m.comps[Key{Ino: ino, Comp: c}]
 	if !ok {
 		return 0, 0, false
@@ -549,8 +504,6 @@ func (m *Manager) ReadReplica(ino inode.Ino, c int) (int, ost.ObjectID, bool) {
 
 // NoteFailover records a read abandoning replica r after an RPC failure.
 func (m *Manager) NoteFailover(ino inode.Ino, c, r int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.stats.Failovers++
 	m.events.Emit(m.now(), "replica", "failover",
 		fmt.Sprintf("read ino=%d comp=%d away from ost%d", uint64(ino), c, r))

@@ -1,8 +1,6 @@
 package rpc
 
 import (
-	"sync/atomic"
-
 	"redbud/internal/netsim"
 	"redbud/internal/sim"
 	"redbud/internal/telemetry"
@@ -29,7 +27,7 @@ type server interface {
 type route struct {
 	srv   server
 	link  *netsim.Link
-	down  atomic.Bool
+	down  bool
 	cache *replayCache
 }
 
@@ -47,7 +45,7 @@ type Conn struct {
 	m           *metrics
 	traceParent telemetry.SpanID
 	routes      map[string]*route
-	nextXID     atomic.Uint64
+	nextXID     uint64
 }
 
 // NewConn builds a connection per the config; NewMDSClient and
@@ -96,7 +94,7 @@ func (c *Conn) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 // timeouts rather than sporadic loss — until Revive.
 func (c *Conn) Crash(addr string) {
 	if rt := c.routes[addr]; rt != nil {
-		rt.down.Store(true)
+		rt.down = true
 	}
 }
 
@@ -104,14 +102,14 @@ func (c *Conn) Crash(addr string) {
 // semantics; the connection only reopens the path.
 func (c *Conn) Revive(addr string) {
 	if rt := c.routes[addr]; rt != nil {
-		rt.down.Store(false)
+		rt.down = false
 	}
 }
 
 // Crashed reports whether addr is currently blackholed.
 func (c *Conn) Crashed(addr string) bool {
 	rt := c.routes[addr]
-	return rt != nil && rt.down.Load()
+	return rt != nil && rt.down
 }
 
 // Call sends one logical request: it allocates the XID and runs the retry
@@ -126,7 +124,8 @@ func (c *Conn) Crashed(addr string) bool {
 // Server application errors are never retried. exec is only called, never
 // kept, so the caller's closure stays on its stack.
 func (c *Conn) Call(addr string, op Op, reqSize int64, exec func() (respSize int64, err error)) error {
-	xid := c.nextXID.Add(1)
+	c.nextXID++
+	xid := c.nextXID
 	p := c.policy
 	backoff := p.BackoffNs
 	for attempt := 0; ; attempt++ {
@@ -173,7 +172,7 @@ func (c *Conn) Call(addr string, op Op, reqSize int64, exec func() (respSize int
 // out.
 func (c *Conn) attempt(addr string, xid uint64, op Op, reqSize int64, exec func() (int64, error)) (lost bool, err error) {
 	rt := c.routes[addr]
-	if rt != nil && rt.down.Load() {
+	if rt != nil && rt.down {
 		c.m.fault(c.tracer.Now(), "blackhole", op)
 		return true, nil
 	}

@@ -1,10 +1,6 @@
 package rpc
 
-import (
-	"sync"
-
-	"redbud/internal/sim"
-)
+import "redbud/internal/sim"
 
 // FaultRates are the per-op-class injection probabilities.
 type FaultRates struct {
@@ -60,16 +56,10 @@ func (c *FaultConfig) rates(cl Class) FaultRates {
 // so the fault sequence depends only on the attempt sequence.
 type injector struct {
 	cfg FaultConfig
-
-	mu  sync.Mutex
 	rng *sim.Rand
 }
 
-// draw samples the per-attempt variates under the lock (calls are
-// serialized by the mount, but the lock keeps the injector safe under the
-// race detector's eyes too).
+// draw samples the per-attempt variates, always five and in this order.
 func (in *injector) draw() (drop, respDrop, errp, delayp, delayFrac float64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.rng.Float64(), in.rng.Float64(), in.rng.Float64(), in.rng.Float64(), in.rng.Float64()
 }

@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -112,7 +113,8 @@ func parseLine(text string) (Op, error) {
 	}
 }
 
-// parseRange parses and validates a (blk, count) pair.
+// parseRange parses and validates a (blk, count) pair: a non-empty range
+// from a non-negative block whose end fits in an int64.
 func parseRange(blkS, countS string) (int64, int64, error) {
 	blk, err := strconv.ParseInt(blkS, 10, 64)
 	if err != nil {
@@ -122,7 +124,7 @@ func parseRange(blkS, countS string) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("bad count %q", countS)
 	}
-	if blk < 0 || count <= 0 {
+	if blk < 0 || count <= 0 || count > math.MaxInt64-blk {
 		return 0, 0, fmt.Errorf("invalid range [%d,+%d)", blk, count)
 	}
 	return blk, count, nil

@@ -55,6 +55,8 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"R 5",
 		"R a b",
 		"W a.b 1 1",
+		"W 1.1 9223372036854775807 1",
+		"R 1 9223372036854775807",
 	} {
 		if _, err := Read(strings.NewReader(bad)); err == nil {
 			t.Errorf("line %q should be rejected", bad)
@@ -146,4 +148,51 @@ func TestGenerateRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzRead feeds arbitrary bytes to the trace parser: it never panics,
+// every op it accepts is a non-empty range whose end fits in an int64 (the
+// replayer sizes its file from the largest end), and writing the accepted
+// ops back out reads back the same ops.
+func FuzzRead(f *testing.F) {
+	for _, pattern := range []string{"shared", "strided", "random"} {
+		ops, err := Generate(GenConfig{Pattern: pattern, Streams: 4, RegionBlocks: 32, RequestBlocks: 8, ReadBack: true, Seed: 5})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, ops); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("# header\n\nW 1.2 10 4\n  \nR 0 8\n"))
+	f.Add([]byte("W 1.1 9223372036854775807 1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, op := range ops {
+			if op.Blk < 0 || op.Count <= 0 || op.Blk+op.Count <= op.Blk {
+				t.Fatalf("accepted %+v", op)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, ops); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written ops: %v", err)
+		}
+		if len(again) != len(ops) {
+			t.Fatalf("read back %d ops, want %d", len(again), len(ops))
+		}
+		for i := range ops {
+			if again[i] != ops[i] {
+				t.Fatalf("op %d read back %+v, want %+v", i, again[i], ops[i])
+			}
+		}
+	})
 }

@@ -21,10 +21,10 @@ import (
 // TestInternalIsSingleThreaded is what makes "same seed, same bytes on any
 // host" a property of the code: no package under internal/ starts a
 // goroutine or looks at the host's width, so nothing there can order work
-// differently on different machines. Mutexes are allowed — tests call one
-// mount from many goroutines. cmd/ is deliberately out of scope: an
-// experiment-level worker pool over independent mounts (ROADMAP item 1b)
-// would live there.
+// differently on different machines. Tests still call one mount from many
+// goroutines, which is what pfs.FS's one mutex is for; TestOneLock keeps it
+// the only one. cmd/ is deliberately out of scope: an experiment-level
+// worker pool over independent mounts (ROADMAP item 1b) would live there.
 func TestInternalIsSingleThreaded(t *testing.T) {
 	banned := map[string]bool{"GOMAXPROCS": true, "NumCPU": true, "SetFinalizer": true}
 	fset := token.NewFileSet()
@@ -56,6 +56,132 @@ func TestInternalIsSingleThreaded(t *testing.T) {
 			}
 			return true
 		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneLock keeps pfs.FS's mutex the only lock on the simulation path:
+// under internal/ a struct field or package variable of a sync.Mutex,
+// sync.RWMutex or sync/atomic type is allowed only as pfs.FS.mu, inside the
+// export boundary (internal/telemetry and the sim.Clock a tracer owns), or
+// as one of the process-wide owner counters. Everything below the mount
+// belongs to it and is reached under fs.mu or by one goroutine, so a second
+// lock would guard nothing; and a helper named …Locked, which in
+// internal/pfs means "called with fs.mu held", means nothing anywhere else.
+func TestOneLock(t *testing.T) {
+	allowed := map[string]bool{"pfs.FS.mu": true, "core.ownerSeq": true, "defrag.ownerSeq": true}
+	under := func(pkg, dir string) bool { return pkg == dir || strings.HasPrefix(pkg, dir+"/") }
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		pkg := filepath.ToSlash(filepath.Dir(strings.TrimPrefix(path, "internal"+string(filepath.Separator))))
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		imported := map[string]string{} // local name -> "sync" or "sync/atomic"
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p != "sync" && p != "sync/atomic" {
+				continue
+			}
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = p
+		}
+		// lockType names e's type when it is a mutex or an atomic, else "".
+		lockType := func(e ast.Expr) string {
+			if star, ok := e.(*ast.StarExpr); ok {
+				e = star.X
+			}
+			if idx, ok := e.(*ast.IndexExpr); ok { // atomic.Pointer[T]
+				e = idx.X
+			}
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return ""
+			}
+			x, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return ""
+			}
+			switch imported[x.Name] {
+			case "sync":
+				if sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex" {
+					return "sync." + sel.Sel.Name
+				}
+			case "sync/atomic":
+				return "atomic." + sel.Sel.Name
+			}
+			return ""
+		}
+		report := func(pos token.Pos, name, typ string) {
+			if !allowed[name] && !under(pkg, "telemetry") && !under(pkg, "sim") {
+				t.Errorf("%s: %s has type %s; pfs.FS.mu is the one lock of a mount", fset.Position(pos), name, typ)
+			}
+		}
+		base := pkg[strings.LastIndex(pkg, "/")+1:]
+		for _, decl := range file.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if strings.HasSuffix(decl.Name.Name, "Locked") && pkg != "pfs" && !under(pkg, "telemetry") {
+					name := base + "." + decl.Name.Name
+					if decl.Recv != nil {
+						name = base + "." + recvName(decl.Recv.List[0].Type) + "." + decl.Name.Name
+					}
+					t.Errorf("%s: %s is named …Locked outside internal/pfs, where there is no lock to hold",
+						fset.Position(decl.Pos()), name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						st, ok := spec.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, field := range st.Fields.List {
+							typ := lockType(field.Type)
+							if typ == "" {
+								continue
+							}
+							if len(field.Names) == 0 { // embedded
+								report(field.Pos(), base+"."+spec.Name.Name+"."+typ[strings.Index(typ, ".")+1:], typ)
+							}
+							for _, n := range field.Names {
+								report(n.Pos(), base+"."+spec.Name.Name+"."+n.Name, typ)
+							}
+						}
+					case *ast.ValueSpec:
+						if decl.Tok != token.VAR {
+							continue
+						}
+						typ := ""
+						if spec.Type != nil {
+							typ = lockType(spec.Type)
+						}
+						for _, v := range spec.Values {
+							if lit, ok := v.(*ast.CompositeLit); ok && typ == "" {
+								typ = lockType(lit.Type)
+							}
+						}
+						if typ == "" {
+							continue
+						}
+						for _, n := range spec.Names {
+							report(n.Pos(), base+"."+n.Name, typ)
+						}
+					}
+				}
+			}
+		}
 		return nil
 	})
 	if err != nil {
