@@ -9,9 +9,9 @@ package redbud_test
 // eroding. Each case executes one full workload run — one arm of the fig6a,
 // cache, failover, fig8 and fig9 experiments, on the catalogue's mounts, and
 // the fig6a arm again with a registry and tracer attached — and fails if
-// the allocation count exceeds its ceiling: measured + 5 % for the fig6a
-// arms and failover, whose counts are stable to ±1 between runs, ~30 %
-// above the measured cost for the rest.
+// the allocation count exceeds its ceiling: measured + 5 % for the fig6a,
+// cache and failover arms, whose counts are stable to a few allocations
+// between runs, ~30 % above the measured cost for the rest.
 // `go test -bench Experiment -benchmem` reports allocs/op per whole
 // experiment for trend inspection.
 
@@ -50,7 +50,9 @@ func TestAllocCeilings(t *testing.T) {
 			cfg.Trace.Spans()
 			return err
 		}},
-		{"cache", 20_000, func() error {
+		// 5,755 measured (14,124 while every cached block was a heap object
+		// and every eviction formatted an event detail nothing read).
+		{"cache", 6_040, func() error {
 			_, err := workload.RunCacheBench(pfs.MiF(5), workload.DefaultCacheBenchConfig())
 			return err
 		}},

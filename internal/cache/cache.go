@@ -10,7 +10,7 @@
 //
 //   - an LRU of clean block ranges: re-reads cost zero RPCs and zero disk
 //     time;
-//   - a dirty map with write-back aggregation: adjacent dirty blocks flush
+//   - a dirty set with write-back aggregation: adjacent dirty blocks flush
 //     as one coalesced write RPC, bounded by a configurable dirty-block
 //     high-water mark (oldest runs written back first);
 //   - a sequential-stream detector driving an adaptive readahead window:
@@ -24,10 +24,14 @@
 //
 // The cache holds no user data — the simulation tracks placement and
 // time, not bytes — only per-block residency and dirtiness, which is all
-// the RPC/disk cost model needs. All decisions (write-back victim order,
-// eviction order, readahead extension) are deterministic: LRU and dirty
-// queues are intrusive lists and no map is iterated unsorted, so seeded
-// runs replay byte-identically.
+// the RPC/disk cost model needs. Every cached block is one node of a
+// single slab; the LRU list, the dirty FIFO and the free list link nodes
+// by index, and each file maps its logical blocks to nodes through a dense
+// index, so a warm cache allocates and hashes nothing per block. All
+// decisions (write-back victim order, eviction order, readahead extension)
+// are deterministic: the queues are lists, per-file walks go in ascending
+// block order, and no map is iterated unsorted, so seeded runs replay
+// byte-identically.
 package cache
 
 import (
@@ -134,24 +138,30 @@ type Stats struct {
 	CachedBlocks int64
 }
 
-// block is one cached block: LRU and dirty-queue linkage plus state.
-type block struct {
-	f   FileID
-	blk int64
+// node is one cached block in Cache.nodes. nodes[0] is the sentinel of
+// both lists: its lruNext is the most recently used node and its lruPrev
+// the least; its dirtyNext is the oldest dirty node and its dirtyPrev the
+// newest. Free nodes chain through lruNext from Cache.free.
+type node struct {
+	file *fileState
+	blk  int64
+
+	stream core.StreamID // writer, valid while dirty
+
+	lruPrev, lruNext     int32
+	dirtyPrev, dirtyNext int32
 
 	dirty      bool
-	stream     core.StreamID // writer, valid while dirty
-	prefetched bool          // brought in by readahead, not yet referenced
-
-	// lruPrev/lruNext form the recency list (head = most recent).
-	lruPrev, lruNext *block
-	// dirtyPrev/dirtyNext form the dirty FIFO (head = oldest).
-	dirtyPrev, dirtyNext *block
+	prefetched bool // brought in by readahead, not yet referenced
 }
 
 // fileState is the per-file cache state.
 type fileState struct {
-	blocks map[int64]*block
+	id FileID
+	// idx maps a logical block to its node, 0 when the block is not
+	// cached. It grows on demand to the highest block cached; the PFS
+	// layer bounds that by the mount's data capacity.
+	idx []int32
 	// written tracks logical ranges known to exist on the servers (every
 	// range written through this cache). Readahead never extends outside
 	// it, so a prefetch cannot read a hole.
@@ -162,17 +172,33 @@ type fileState struct {
 	run     int64
 }
 
+// at returns the node caching block l, or 0.
+func (fs *fileState) at(l int64) int32 {
+	if l < int64(len(fs.idx)) {
+		return fs.idx[l]
+	}
+	return 0
+}
+
+// grow extends the index to cover blocks below end.
+func (fs *fileState) grow(end int64) {
+	if n := int64(len(fs.idx)); end > n {
+		fs.idx = append(fs.idx, make([]int32, end-n)...)
+	}
+}
+
 // Cache is one mount's client block cache.
 type Cache struct {
 	cfg   Config
 	store BackingStore
 
 	files map[FileID]*fileState
+	nodes []node
+	free  int32 // head of the free-node chain, 0 when empty
 	total int64 // cached blocks
 	dirty int64 // dirty blocks
 
-	lruHead, lruTail     *block // recency list
-	dirtyHead, dirtyTail *block // dirty FIFO, oldest at head
+	misses []span // Read's scratch
 
 	st Stats
 
@@ -193,6 +219,7 @@ func New(cfg Config, store BackingStore) *Cache {
 		cfg:   cfg.withDefaults(),
 		store: store,
 		files: make(map[FileID]*fileState),
+		nodes: make([]node, 1),
 	}
 }
 
@@ -231,10 +258,11 @@ func (c *Cache) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 // observer, not the machine).
 func (c *Cache) Reset() {
 	c.files = make(map[FileID]*fileState)
+	clear(c.nodes)
+	c.nodes = c.nodes[:1]
+	c.free = 0
 	c.total = 0
 	c.dirty = 0
-	c.lruHead, c.lruTail = nil, nil
-	c.dirtyHead, c.dirtyTail = nil, nil
 }
 
 // SetClock attaches the simulated-time source that stamps the cache's
@@ -254,93 +282,91 @@ func (c *Cache) now() sim.Ns {
 func (c *Cache) file(f FileID) *fileState {
 	fs := c.files[f]
 	if fs == nil {
-		fs = &fileState{blocks: make(map[int64]*block)}
+		fs = &fileState{id: f}
 		c.files[f] = fs
 	}
 	return fs
 }
 
-// --- intrusive list plumbing -------------------------------------------
+// --- node slab and list plumbing --------------------------------------
 
-// lruUnlink removes b from the recency list.
-func (c *Cache) lruUnlink(b *block) {
-	if b.lruPrev != nil {
-		b.lruPrev.lruNext = b.lruNext
-	} else if c.lruHead == b {
-		c.lruHead = b.lruNext
+// insert caches block l of fs (its index already covers l) as a clean,
+// most-recently-used node and returns the node.
+func (c *Cache) insert(fs *fileState, l int64) int32 {
+	i := c.free
+	if i != 0 {
+		c.free = c.nodes[i].lruNext
+	} else {
+		c.nodes = append(c.nodes, node{})
+		i = int32(len(c.nodes) - 1)
 	}
-	if b.lruNext != nil {
-		b.lruNext.lruPrev = b.lruPrev
-	} else if c.lruTail == b {
-		c.lruTail = b.lruPrev
-	}
-	b.lruPrev, b.lruNext = nil, nil
+	c.nodes[i] = node{file: fs, blk: l}
+	fs.idx[l] = i
+	c.lruPush(i)
+	c.total++
+	return i
 }
 
-// lruPush inserts b at the most-recent end.
-func (c *Cache) lruPush(b *block) {
-	b.lruNext = c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.lruPrev = b
-	}
-	c.lruHead = b
-	if c.lruTail == nil {
-		c.lruTail = b
-	}
+// lruUnlink removes node i from the recency list.
+func (c *Cache) lruUnlink(i int32) {
+	n := &c.nodes[i]
+	c.nodes[n.lruPrev].lruNext = n.lruNext
+	c.nodes[n.lruNext].lruPrev = n.lruPrev
 }
 
-// touch moves b to the most-recent end.
-func (c *Cache) touch(b *block) {
-	if c.lruHead == b {
+// lruPush inserts node i at the most-recent end.
+func (c *Cache) lruPush(i int32) {
+	first := c.nodes[0].lruNext
+	c.nodes[i].lruPrev, c.nodes[i].lruNext = 0, first
+	c.nodes[first].lruPrev = i
+	c.nodes[0].lruNext = i
+}
+
+// touch moves node i to the most-recent end.
+func (c *Cache) touch(i int32) {
+	if c.nodes[0].lruNext == i {
 		return
 	}
-	c.lruUnlink(b)
-	c.lruPush(b)
+	c.lruUnlink(i)
+	c.lruPush(i)
 }
 
-// dirtyUnlink removes b from the dirty FIFO.
-func (c *Cache) dirtyUnlink(b *block) {
-	if b.dirtyPrev != nil {
-		b.dirtyPrev.dirtyNext = b.dirtyNext
-	} else if c.dirtyHead == b {
-		c.dirtyHead = b.dirtyNext
-	}
-	if b.dirtyNext != nil {
-		b.dirtyNext.dirtyPrev = b.dirtyPrev
-	} else if c.dirtyTail == b {
-		c.dirtyTail = b.dirtyPrev
-	}
-	b.dirtyPrev, b.dirtyNext = nil, nil
+// dirtyUnlink removes node i from the dirty FIFO.
+func (c *Cache) dirtyUnlink(i int32) {
+	n := &c.nodes[i]
+	c.nodes[n.dirtyPrev].dirtyNext = n.dirtyNext
+	c.nodes[n.dirtyNext].dirtyPrev = n.dirtyPrev
 }
 
-// dirtyAppend queues b at the newest end of the dirty FIFO.
-func (c *Cache) dirtyAppend(b *block) {
-	b.dirtyPrev = c.dirtyTail
-	if c.dirtyTail != nil {
-		c.dirtyTail.dirtyNext = b
-	}
-	c.dirtyTail = b
-	if c.dirtyHead == nil {
-		c.dirtyHead = b
-	}
+// dirtyAppend queues node i at the newest end of the dirty FIFO.
+func (c *Cache) dirtyAppend(i int32) {
+	last := c.nodes[0].dirtyPrev
+	c.nodes[i].dirtyPrev, c.nodes[i].dirtyNext = last, 0
+	c.nodes[last].dirtyNext = i
+	c.nodes[0].dirtyPrev = i
 }
 
-// drop removes b from every structure.
-func (c *Cache) drop(b *block) {
-	if b.prefetched {
-		b.prefetched = false
+// drop removes node i from every structure and frees it.
+func (c *Cache) drop(i int32) {
+	n := &c.nodes[i]
+	if n.prefetched {
 		c.st.ReadaheadWasted++
 	}
-	if b.dirty {
-		b.dirty = false
-		c.dirtyUnlink(b)
+	if n.dirty {
+		c.dirtyUnlink(i)
 		c.dirty--
 	}
-	c.lruUnlink(b)
-	if fs := c.files[b.f]; fs != nil {
-		delete(fs.blocks, b.blk)
-	}
+	c.lruUnlink(i)
+	n.file.idx[n.blk] = 0
+	*n = node{lruNext: c.free}
+	c.free = i
 	c.total--
+}
+
+// dirtyAt reports whether block l of fs is cached dirty.
+func (c *Cache) dirtyAt(fs *fileState, l int64) bool {
+	i := fs.at(l)
+	return i != 0 && c.nodes[i].dirty
 }
 
 // --- write path --------------------------------------------------------
@@ -353,32 +379,31 @@ func (c *Cache) Write(f FileID, stream core.StreamID, blk, count int64) error {
 		return fmt.Errorf("cache: invalid write [%d,+%d)", blk, count)
 	}
 	fs := c.file(f)
-	for i := int64(0); i < count; i++ {
-		l := blk + i
-		b := fs.blocks[l]
-		if b == nil {
-			b = &block{f: f, blk: l}
-			fs.blocks[l] = b
-			c.lruPush(b)
-			c.total++
+	fs.grow(blk + count)
+	for l := blk; l < blk+count; l++ {
+		i := fs.idx[l]
+		if i == 0 {
+			i = c.insert(fs, l)
 		} else {
-			c.touch(b)
-			if b.prefetched {
+			c.touch(i)
+			n := &c.nodes[i]
+			if n.prefetched {
 				// Overwritten before ever being read: the prefetch
 				// was wasted.
-				b.prefetched = false
+				n.prefetched = false
 				c.st.ReadaheadWasted++
 			}
-			if b.dirty {
+			if n.dirty {
 				// Re-dirtied blocks keep their FIFO position; the run
 				// they belong to is still queued.
-				b.stream = stream
+				n.stream = stream
 				continue
 			}
 		}
-		b.dirty = true
-		b.stream = stream
-		c.dirtyAppend(b)
+		n := &c.nodes[i]
+		n.dirty = true
+		n.stream = stream
+		c.dirtyAppend(i)
 		c.dirty++
 	}
 	fs.written.Add(alloc.Range{Start: blk, Count: count})
@@ -391,8 +416,8 @@ func (c *Cache) Write(f FileID, stream core.StreamID, blk, count int64) error {
 // enforceHighWater writes back oldest dirty runs until the dirty
 // gauge is at or under the high-water mark.
 func (c *Cache) enforceHighWater() error {
-	for c.dirty > c.cfg.DirtyHighWater && c.dirtyHead != nil {
-		if err := c.writeBackRun(c.dirtyHead); err != nil {
+	for c.dirty > c.cfg.DirtyHighWater && c.nodes[0].dirtyNext != 0 {
+		if err := c.writeBackRun(c.nodes[0].dirtyNext); err != nil {
 			return err
 		}
 	}
@@ -402,47 +427,43 @@ func (c *Cache) enforceHighWater() error {
 // enforceCapacity evicts least-recently-used blocks until the cache
 // fits, writing back any dirty victim's run first.
 func (c *Cache) enforceCapacity() error {
-	for c.total > c.cfg.CapacityBlocks && c.lruTail != nil {
-		victim := c.lruTail
-		if victim.dirty {
+	for c.total > c.cfg.CapacityBlocks && c.nodes[0].lruPrev != 0 {
+		victim := c.nodes[0].lruPrev
+		if c.nodes[victim].dirty {
 			if err := c.writeBackRun(victim); err != nil {
 				return err
 			}
 		}
-		c.events.Emit(c.now(), "cache", "evict", fmt.Sprintf("file %d blk %d", victim.f, victim.blk))
+		if c.events != nil {
+			v := &c.nodes[victim]
+			c.events.Emit(c.now(), "cache", "evict", fmt.Sprintf("file %d blk %d", v.file.id, v.blk))
+		}
 		c.drop(victim)
 		c.st.EvictedBlocks++
 	}
 	return nil
 }
 
-// writeBackRun flushes the maximal contiguous dirty run containing
-// b as one coalesced WriteBack call, then marks the run clean (the blocks
+// writeBackRun flushes the maximal contiguous dirty run containing node
+// i as one coalesced WriteBack call, then marks the run clean (the blocks
 // stay cached). The run's stream is the trigger block's writer.
-func (c *Cache) writeBackRun(b *block) error {
-	fs := c.files[b.f]
-	lo, hi := b.blk, b.blk+1
-	for {
-		prev := fs.blocks[lo-1]
-		if prev == nil || !prev.dirty {
-			break
-		}
+func (c *Cache) writeBackRun(i int32) error {
+	n := &c.nodes[i]
+	fs := n.file
+	lo, hi := n.blk, n.blk+1
+	for lo > 0 && c.dirtyAt(fs, lo-1) {
 		lo--
 	}
-	for {
-		next := fs.blocks[hi]
-		if next == nil || !next.dirty {
-			break
-		}
+	for c.dirtyAt(fs, hi) {
 		hi++
 	}
-	if err := c.store.WriteBack(b.f, b.stream, lo, hi-lo); err != nil {
+	if err := c.store.WriteBack(fs.id, n.stream, lo, hi-lo); err != nil {
 		return err
 	}
 	for l := lo; l < hi; l++ {
-		rb := fs.blocks[l]
-		rb.dirty = false
-		c.dirtyUnlink(rb)
+		j := fs.idx[l]
+		c.nodes[j].dirty = false
+		c.dirtyUnlink(j)
 		c.dirty--
 	}
 	c.st.Writebacks++
@@ -487,16 +508,15 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 	}
 
 	// Classify the requested range into hits and missing runs.
-	var misses []span
-	for i := int64(0); i < count; i++ {
-		l := blk + i
-		if b := fs.blocks[l]; b != nil {
+	misses := c.misses[:0]
+	for l := blk; l < blk+count; l++ {
+		if i := fs.at(l); i != 0 {
 			c.st.HitBlocks++
-			if b.prefetched {
-				b.prefetched = false
+			if n := &c.nodes[i]; n.prefetched {
+				n.prefetched = false
 				c.st.ReadaheadUsed++
 			}
-			c.touch(b)
+			c.touch(i)
 			continue
 		}
 		c.st.MissBlocks++
@@ -516,7 +536,7 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 		if n := len(misses); n > 0 && misses[n-1].start+misses[n-1].count == blk+count {
 			// The request missed right up to its end: grow that run.
 			for l := blk + count; l < blk+count+window; l++ {
-				if fs.blocks[l] != nil || !fs.written.Contains(alloc.Range{Start: l, Count: 1}) {
+				if fs.at(l) != 0 || !fs.written.Contains(alloc.Range{Start: l, Count: 1}) {
 					break
 				}
 				misses[n-1].count++
@@ -524,7 +544,7 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 			}
 		} else {
 			for l := ext.start; l < ext.start+window; l++ {
-				if fs.blocks[l] != nil || !fs.written.Contains(alloc.Range{Start: l, Count: 1}) {
+				if fs.at(l) != 0 || !fs.written.Contains(alloc.Range{Start: l, Count: 1}) {
 					break
 				}
 				ext.count++
@@ -535,19 +555,20 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 			}
 		}
 	}
+	c.misses = misses
 
+	if n := len(misses); n > 0 {
+		fs.grow(misses[n-1].start + misses[n-1].count)
+	}
 	for _, m := range misses {
 		if err := c.store.Fetch(f, m.start, m.count); err != nil {
 			return err
 		}
 		for l := m.start; l < m.start+m.count; l++ {
-			b := &block{f: f, blk: l}
+			i := c.insert(fs, l)
 			if l >= blk+count {
-				b.prefetched = true
+				c.nodes[i].prefetched = true
 			}
-			fs.blocks[l] = b
-			c.lruPush(b)
-			c.total++
 		}
 	}
 	c.st.ReadaheadIssued += issued
@@ -555,26 +576,6 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 }
 
 // --- barriers and invalidation ----------------------------------------
-
-// dirtyRuns returns f's dirty blocks coalesced into sorted runs.
-func (c *Cache) dirtyRuns(fs *fileState) []span {
-	var dirty []int64
-	for l, b := range fs.blocks {
-		if b.dirty {
-			dirty = append(dirty, l)
-		}
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	var runs []span
-	for _, l := range dirty {
-		if n := len(runs); n > 0 && runs[n-1].start+runs[n-1].count == l {
-			runs[n-1].count++
-		} else {
-			runs = append(runs, span{start: l, count: 1})
-		}
-	}
-	return runs
-}
 
 // FlushFile is the per-file barrier: every dirty block of f is written
 // back (coalesced into maximal runs, in ascending order). The PFS layer
@@ -584,15 +585,19 @@ func (c *Cache) FlushFile(f FileID) error {
 	return c.flushFile(f)
 }
 
-// flushFile writes back every dirty run of f, in ascending order.
+// flushFile writes back every dirty run of f, in ascending order: the
+// walk meets each run at its lowest block, and the write-back leaves the
+// rest of the run clean.
 func (c *Cache) flushFile(f FileID) error {
 	fs := c.files[f]
 	if fs == nil {
 		return nil
 	}
-	for _, r := range c.dirtyRuns(fs) {
-		if err := c.writeBackRun(fs.blocks[r.start]); err != nil {
-			return err
+	for _, i := range fs.idx {
+		if i != 0 && c.nodes[i].dirty {
+			if err := c.writeBackRun(i); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -625,15 +630,14 @@ func (c *Cache) Truncate(f FileID, newSize int64) {
 	if fs == nil {
 		return
 	}
-	var tail []int64
-	for l := range fs.blocks {
-		if l >= newSize {
-			tail = append(tail, l)
+	if newSize < int64(len(fs.idx)) {
+		keep := max(newSize, 0)
+		for _, i := range fs.idx[keep:] {
+			if i != 0 {
+				c.drop(i)
+			}
 		}
-	}
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-	for _, l := range tail {
-		c.drop(fs.blocks[l])
+		fs.idx = fs.idx[:keep]
 	}
 	const maxLogical = int64(1) << 40
 	fs.written.Remove(alloc.Range{Start: newSize, Count: maxLogical - newSize})
@@ -650,13 +654,10 @@ func (c *Cache) Drop(f FileID) {
 	if fs == nil {
 		return
 	}
-	var all []int64
-	for l := range fs.blocks {
-		all = append(all, l)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	for _, l := range all {
-		c.drop(fs.blocks[l])
+	for _, i := range fs.idx {
+		if i != 0 {
+			c.drop(i)
+		}
 	}
 	delete(c.files, f)
 }

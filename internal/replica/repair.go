@@ -138,8 +138,10 @@ func (m *Manager) StartJob(jd JobDesc, runs []alloc.Range) {
 	for _, r := range runs {
 		blocks += r.Count
 	}
-	m.events.Emit(m.now(), "replica", "repair-start",
-		fmt.Sprintf("ino=%d comp=%d ost%d->ost%d %d blocks", uint64(jd.Key.Ino), jd.Key.Comp, jd.Src, jd.Dst, blocks))
+	if m.events != nil {
+		m.events.Emit(m.now(), "replica", "repair-start",
+			fmt.Sprintf("ino=%d comp=%d ost%d->ost%d %d blocks", uint64(jd.Key.Ino), jd.Key.Comp, jd.Src, jd.Dst, blocks))
+	}
 }
 
 // JobActive reports whether a repair is in flight.
@@ -264,8 +266,10 @@ func (m *Manager) FinishJob() RepairDone {
 	}
 	done.Replicas = append([]int(nil), c.replicas...)
 	m.stats.RepairsDone++
-	m.events.Emit(m.now(), "replica", "repair-done",
-		fmt.Sprintf("ino=%d comp=%d ost%d->ost%d %d blocks", uint64(jd.Key.Ino), jd.Key.Comp, jd.Src, jd.Dst, moved))
-	m.recount()
+	if m.events != nil {
+		m.events.Emit(m.now(), "replica", "repair-done",
+			fmt.Sprintf("ino=%d comp=%d ost%d->ost%d %d blocks", uint64(jd.Key.Ino), jd.Key.Comp, jd.Src, jd.Dst, moved))
+	}
+	m.reassess(c)
 	return done
 }

@@ -160,6 +160,7 @@ type comp struct {
 	obj      ost.ObjectID
 	replicas []int
 	stale    map[int]bool
+	below    bool // counted in Manager.underRepl
 }
 
 // Stats are the manager's counters, all monotonic.
@@ -198,7 +199,7 @@ type Manager struct {
 	downCount int64
 	comps     map[Key]*comp
 	order     []Key // insertion order: files are created in ino order
-	underRepl int64
+	underRepl int64 // components with below set
 	job       *job
 	stats     Stats
 	steered   []int64 // per-OST reads routed there by steering
@@ -321,22 +322,48 @@ func (m *Manager) cleanLive(c *comp) int {
 	return n
 }
 
-// recount recomputes the under-replicated gauge and emits its
-// transition events.
-func (m *Manager) recount() {
-	var cnt int64
-	for _, k := range m.order {
-		c := m.comps[k]
-		if m.cleanLive(c) < m.cfg.RF {
-			cnt++
-		}
+// setBelow records whether component c is under-replicated, keeping the
+// count of those that are.
+func (m *Manager) setBelow(c *comp, below bool) {
+	if below == c.below {
+		return
 	}
+	c.below = below
+	if below {
+		m.underRepl++
+	} else {
+		m.underRepl--
+	}
+}
+
+// reassess re-evaluates one component's health and emits the count's
+// transition. Every call that changes a component's members, staleness or
+// presence reassesses just that component; only a server going down or up
+// touches them all (recount).
+func (m *Manager) reassess(c *comp) {
 	prev := m.underRepl
-	m.underRepl = cnt
-	if prev == 0 && cnt > 0 {
-		m.events.Emit(m.now(), "replica", "under-replicated", fmt.Sprintf("%d components below rf=%d", cnt, m.cfg.RF))
-	} else if prev > 0 && cnt == 0 {
-		m.events.Emit(m.now(), "replica", "redundancy-restored", fmt.Sprintf("all components back at rf=%d", m.cfg.RF))
+	m.setBelow(c, m.cleanLive(c) < m.cfg.RF)
+	m.noteTransition(prev)
+}
+
+// recount re-evaluates every component, then emits the count's transition.
+func (m *Manager) recount() {
+	prev := m.underRepl
+	for _, c := range m.comps {
+		m.setBelow(c, m.cleanLive(c) < m.cfg.RF)
+	}
+	m.noteTransition(prev)
+}
+
+// noteTransition emits the event for the under-replicated count leaving or
+// returning to zero since it was prev.
+func (m *Manager) noteTransition(prev int64) {
+	if m.events != nil {
+		if cnt := m.underRepl; prev == 0 && cnt > 0 {
+			m.events.Emit(m.now(), "replica", "under-replicated", fmt.Sprintf("%d components below rf=%d", cnt, m.cfg.RF))
+		} else if prev > 0 && cnt == 0 {
+			m.events.Emit(m.now(), "replica", "redundancy-restored", fmt.Sprintf("all components back at rf=%d", m.cfg.RF))
+		}
 	}
 }
 
@@ -352,7 +379,7 @@ func (m *Manager) Add(ino inode.Ino, c int, obj ost.ObjectID, replicas []int) {
 	k := Key{Ino: ino, Comp: c}
 	m.comps[k] = cp
 	m.order = append(m.order, k)
-	m.recount()
+	m.reassess(cp)
 }
 
 // Remove forgets every component of a deleted file, aborting any repair
@@ -361,16 +388,18 @@ func (m *Manager) Remove(ino inode.Ino) {
 	if m.job != nil && m.job.desc.Key.Ino == ino {
 		m.job = nil
 	}
+	prev := m.underRepl
 	kept := m.order[:0]
 	for _, k := range m.order {
 		if k.Ino == ino {
+			m.setBelow(m.comps[k], false)
 			delete(m.comps, k)
 			continue
 		}
 		kept = append(kept, k)
 	}
 	m.order = kept
-	m.recount()
+	m.noteTransition(prev)
 }
 
 // WriteTargets returns the component's object and the replicas a write
@@ -398,7 +427,7 @@ func (m *Manager) WriteTargets(ino inode.Ino, c int) (ost.ObjectID, []int, error
 		m.stats.FanoutWrites += int64(len(targets) - 1)
 	}
 	if changed {
-		m.recount()
+		m.reassess(cp)
 	}
 	return cp.obj, targets, nil
 }
@@ -411,7 +440,7 @@ func (m *Manager) MarkStale(ino inode.Ino, c, r int) {
 		return
 	}
 	cp.stale[r] = true
-	m.recount()
+	m.reassess(cp)
 }
 
 // MarkDown records transport-level suspicion of OST i: every read steers
@@ -423,7 +452,9 @@ func (m *Manager) MarkDown(i int) {
 	m.down[i] = true
 	m.downCount++
 	m.stats.OSTDownEvents++
-	m.events.Emit(m.now(), "replica", "ost-down", fmt.Sprintf("ost%d unreachable", i))
+	if m.events != nil {
+		m.events.Emit(m.now(), "replica", "ost-down", fmt.Sprintf("ost%d unreachable", i))
+	}
 	m.recount()
 }
 
@@ -435,7 +466,9 @@ func (m *Manager) MarkUp(i int) {
 	}
 	m.down[i] = false
 	m.downCount--
-	m.events.Emit(m.now(), "replica", "ost-up", fmt.Sprintf("ost%d revived", i))
+	if m.events != nil {
+		m.events.Emit(m.now(), "replica", "ost-up", fmt.Sprintf("ost%d revived", i))
+	}
 	m.recount()
 }
 
@@ -505,8 +538,10 @@ func (m *Manager) ReadReplica(ino inode.Ino, c int) (int, ost.ObjectID, bool) {
 // NoteFailover records a read abandoning replica r after an RPC failure.
 func (m *Manager) NoteFailover(ino inode.Ino, c, r int) {
 	m.stats.Failovers++
-	m.events.Emit(m.now(), "replica", "failover",
-		fmt.Sprintf("read ino=%d comp=%d away from ost%d", uint64(ino), c, r))
+	if m.events != nil {
+		m.events.Emit(m.now(), "replica", "failover",
+			fmt.Sprintf("read ino=%d comp=%d away from ost%d", uint64(ino), c, r))
+	}
 }
 
 // contains reports whether s holds v (replica sets are tiny).

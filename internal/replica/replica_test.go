@@ -1,10 +1,16 @@
 package replica
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"redbud/internal/alloc"
+	"redbud/internal/inode"
+	"redbud/internal/ost"
 	"redbud/internal/sim"
+	"redbud/internal/telemetry"
 )
 
 // evenInputs returns n equal-looking live servers.
@@ -221,5 +227,141 @@ func TestRemoveAbortsJobAndForgetsFile(t *testing.T) {
 	}
 	if m.Components() != 1 || m.UnderReplicated() != 0 {
 		t.Fatalf("components %d under %d", m.Components(), m.UnderReplicated())
+	}
+}
+
+// TestUnderReplicatedMatchesRecount drives the manager through seeded
+// sequences of every call that can change a component's health. After each
+// call UnderReplicated must equal a count from scratch over the
+// components, and the health events in the attached log must be exactly
+// those a reference recounting from scratch after every call would emit.
+func TestUnderReplicatedMatchesRecount(t *testing.T) {
+	const n, rf, ops = 5, 3, 4000
+	for seed := uint64(1); seed <= 3; seed++ {
+		m := NewManager(Config{RF: rf, SliceBlocks: 8}, n)
+		var tick sim.Ns
+		m.SetClock(func() sim.Ns { return tick })
+		m.events = telemetry.NewEventLog(1 << 20)
+		rng := rand.New(rand.NewPCG(seed, 11))
+
+		var inos []inode.Ino
+		comps := map[inode.Ino]int{}
+		next := inode.Ino(1)
+		pickKey := func() (inode.Ino, int, bool) {
+			if len(inos) == 0 {
+				return 0, 0, false
+			}
+			ino := inos[rng.IntN(len(inos))]
+			return ino, rng.IntN(comps[ino]), true
+		}
+		// check runs after every manager call: the count against a recount
+		// from scratch, and the reference's event for its transition.
+		var want []telemetry.EventRecord
+		var refCount int64
+		check := func(desc string) {
+			var scratch int64
+			for _, c := range m.comps {
+				if m.cleanLive(c) < rf {
+					scratch++
+				}
+			}
+			if got := m.UnderReplicated(); got != scratch {
+				t.Fatalf("seed %d at %d, %s: UnderReplicated = %d, recount %d", seed, tick, desc, got, scratch)
+			}
+			if refCount == 0 && scratch > 0 {
+				want = append(want, telemetry.EventRecord{At: tick, Layer: "replica", Kind: "under-replicated",
+					Detail: fmt.Sprintf("%d components below rf=%d", scratch, rf)})
+			} else if refCount > 0 && scratch == 0 {
+				want = append(want, telemetry.EventRecord{At: tick, Layer: "replica", Kind: "redundancy-restored",
+					Detail: fmt.Sprintf("all components back at rf=%d", rf)})
+			}
+			refCount = scratch
+			tick++
+		}
+		remove := func(ino inode.Ino) {
+			m.Remove(ino)
+			check(fmt.Sprintf("Remove(%d)", ino))
+			delete(comps, ino)
+			for i, x := range inos {
+				if x == ino {
+					inos = append(inos[:i], inos[i+1:]...)
+					break
+				}
+			}
+		}
+
+		for op := 0; op < ops; op++ {
+			switch k := rng.IntN(100); {
+			case k < 12:
+				ino := next
+				next++
+				nc := 1 + rng.IntN(3)
+				for c := 0; c < nc; c++ {
+					set := rng.Perm(n)[:rf]
+					if rng.IntN(4) == 0 {
+						set = set[:1+rng.IntN(rf)] // a degraded create
+					}
+					m.Add(ino, c, ost.ObjectID(ino)*8+ost.ObjectID(c), set)
+					check(fmt.Sprintf("Add(%d, %d, %v)", ino, c, set))
+				}
+				inos = append(inos, ino)
+				comps[ino] = nc
+			case k < 24:
+				if len(inos) > 0 {
+					remove(inos[rng.IntN(len(inos))])
+				}
+			case k < 40:
+				if ino, c, ok := pickKey(); ok {
+					if _, _, err := m.WriteTargets(ino, c); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("WriteTargets(%d, %d)", ino, c))
+				}
+			case k < 46:
+				if ino, c, ok := pickKey(); ok {
+					r := rng.IntN(n)
+					m.MarkStale(ino, c, r)
+					check(fmt.Sprintf("MarkStale(%d, %d, %d)", ino, c, r))
+				}
+			case k < 51:
+				i := rng.IntN(n)
+				m.MarkDown(i)
+				check(fmt.Sprintf("MarkDown(%d)", i))
+			case k < 60:
+				i := rng.IntN(n)
+				m.MarkUp(i)
+				check(fmt.Sprintf("MarkUp(%d)", i))
+			default:
+				in := evenInputs(n)
+				for i := range in {
+					in[i].Down = m.Down(i)
+				}
+				jd, ok := m.PlanRepair(in)
+				if !ok {
+					continue
+				}
+				m.StartJob(jd, []alloc.Range{{Start: 0, Count: 8}})
+				m.AdvanceJob(8)
+				if rng.IntN(10) == 0 {
+					remove(jd.Key.Ino) // deleted mid-repair
+				}
+				m.FinishJob()
+				check(fmt.Sprintf("FinishJob(%+v)", jd))
+			}
+		}
+
+		var got []telemetry.EventRecord
+		for _, e := range m.events.Records() {
+			if e.Kind == "under-replicated" || e.Kind == "redundancy-restored" {
+				got = append(got, e)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: health events differ from the recounting reference:\n got %v\nwant %v", seed, got, want)
+		}
+		if len(want) < 10 || m.Stats().RepairsDone == 0 {
+			t.Fatalf("seed %d: %d health transitions, %d repairs: the sequence barely moved the count",
+				seed, len(want), m.Stats().RepairsDone)
+		}
 	}
 }

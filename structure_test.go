@@ -8,6 +8,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -481,6 +482,98 @@ func TestMdfsDecodesOnce(t *testing.T) {
 			t.Errorf("%s is decoded by %d functions, want 1: %s", s.what, len(got), strings.Join(got, ", "))
 		}
 	}
+}
+
+// TestEventDetailsFormatOnlyWhenObserved makes "untraced runs skip fmt
+// entirely" a checked rule: under internal/, a call x.Emit(…) whose detail
+// argument calls into fmt must sit in the body of an if whose condition
+// tests x != nil. EventLog.Emit is nil-safe, so without the test the detail
+// string is built and thrown away on every unobserved event — a million
+// times a pass on the cached data path.
+func TestEventDetailsFormatOnlyWhenObserved(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fmtName := ""
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "fmt" {
+				fmtName = "fmt"
+				if imp.Name != nil {
+					fmtName = imp.Name.Name
+				}
+			}
+		}
+		if fmtName == "" {
+			return nil
+		}
+		callsFmt := func(e ast.Expr) bool {
+			found := false
+			ast.Inspect(e, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == fmtName {
+							found = true
+						}
+					}
+				}
+				return !found
+			})
+			return found
+		}
+		var stack []ast.Node
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 4 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Emit" || !callsFmt(call.Args[3]) {
+				return true
+			}
+			log := types.ExprString(sel.X)
+			for i := len(stack) - 2; i >= 0; i-- {
+				if ifs, ok := stack[i].(*ast.IfStmt); ok && testsNotNil(ifs.Cond, log) &&
+					ifs.Body.Pos() <= call.Pos() && call.End() <= ifs.Body.End() {
+					return true
+				}
+			}
+			t.Errorf("%s: %s.Emit formats its detail with fmt outside an `if %s != nil` test",
+				fset.Position(call.Pos()), log, log)
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testsNotNil reports whether cond, or one of its && conjuncts, is
+// `expr != nil` for the expression printed as expr.
+func testsNotNil(cond ast.Expr, expr string) bool {
+	switch c := cond.(type) {
+	case *ast.ParenExpr:
+		return testsNotNil(c.X, expr)
+	case *ast.BinaryExpr:
+		switch c.Op {
+		case token.LAND:
+			return testsNotNil(c.X, expr) || testsNotNil(c.Y, expr)
+		case token.NEQ:
+			return types.ExprString(c.X) == expr && isNil(c.Y) || isNil(c.X) && types.ExprString(c.Y) == expr
+		}
+	}
+	return false
 }
 
 // recvName is the type name of a method receiver, pointer or not.
