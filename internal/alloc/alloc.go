@@ -50,6 +50,7 @@ type Allocator struct {
 	free      int64
 	groupFree []int64
 	resv      []reservation // sorted by Start, non-overlapping
+	owners    Owner         // the last owner NewOwner handed out
 }
 
 // New creates an allocator for a device of total blocks divided into

@@ -5,6 +5,15 @@ import (
 	"sort"
 )
 
+// NewOwner returns an owner no earlier call on this allocator returned:
+// every policy stream and defrag controller drawing its reservations from
+// the allocator takes one, so their windows can never collide. The
+// sequence starts at 1 for each allocator and depends on nothing else.
+func (a *Allocator) NewOwner() Owner {
+	a.owners++
+	return a.owners
+}
+
 // Reserve claims the free range r for owner as a soft reservation: the
 // blocks stay free in the bitmap but other owners' searches skip them. The
 // range must be entirely free and not intersect any existing reservation

@@ -24,7 +24,7 @@ func NewReservation(src BlockSource, windowBlocks int64) *Reservation {
 	if windowBlocks < 1 {
 		panic("core: Reservation window must be >= 1 block")
 	}
-	return &Reservation{src: src, windowBlocks: windowBlocks, owner: nextOwner()}
+	return &Reservation{src: src, windowBlocks: windowBlocks, owner: src.NewOwner()}
 }
 
 // Name implements Policy.

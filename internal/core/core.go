@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"redbud/internal/alloc"
 )
@@ -87,6 +86,7 @@ type BlockSource interface {
 	UnreserveAll(owner alloc.Owner)
 	ConvertReserved(owner alloc.Owner, r alloc.Range) error
 	Free(r alloc.Range) error
+	NewOwner() alloc.Owner
 }
 
 var _ BlockSource = (*alloc.Allocator)(nil)
@@ -107,15 +107,6 @@ type Policy interface {
 	// Persistently preallocated blocks stay allocated, as the paper
 	// requires ("persistent across reboots").
 	Close()
-}
-
-// ownerSeq hands out process-unique reservation owners so the windows of
-// distinct (file, stream) pairs can never collide in the allocator.
-var ownerSeq atomic.Uint64
-
-// nextOwner returns a fresh reservation owner.
-func nextOwner() alloc.Owner {
-	return alloc.Owner(ownerSeq.Add(1))
 }
 
 // allocRun allocates exactly count blocks near goal, in as few contiguous

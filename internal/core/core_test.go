@@ -397,3 +397,28 @@ func TestPlaceRejectsInvalidRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnersArePerAllocator: a policy's reservation owners come from the
+// allocator it draws on, so two identical policies over two fresh
+// allocators are handed the same owners, however many the process handed
+// out before.
+func TestOwnersArePerAllocator(t *testing.T) {
+	owners := func() []alloc.Owner {
+		src := newSrc()
+		res := NewReservation(src, 64)
+		od := NewOnDemand(src, DefaultOnDemandConfig())
+		out := []alloc.Owner{res.owner}
+		for c := uint32(0); c < 3; c++ {
+			s := StreamID{Client: c, PID: 1}
+			place(t, od, s, int64(c)*8, 8, 0)
+			out = append(out, od.streams[s].owner)
+		}
+		return out
+	}
+	first, second := owners(), owners()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("owners of the first policies %v, of the identical second ones %v", first, second)
+		}
+	}
+}

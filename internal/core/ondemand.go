@@ -110,7 +110,7 @@ func (p *OnDemand) Place(stream StreamID, logical, count, goal int64) ([]Placeme
 	}
 	st, ok := p.streams[stream]
 	if !ok {
-		st = &streamState{owner: nextOwner()}
+		st = &streamState{owner: p.src.NewOwner()}
 		p.streams[stream] = st
 	}
 

@@ -14,9 +14,8 @@
 // byte-for-byte. When the armed point reaches its configured occurrence,
 // Hit draws a deterministic damage plan for the in-flight burst; the
 // caller applies the plan to its durable state and calls Kill, which
-// panics with a *Crash. The mount's one lock is released by a deferred
-// unlock, so the sweep driver recovers the panic and the mount is left
-// holding exactly the state a power failure would leave.
+// panics with a *Crash. The sweep driver recovers the panic, and the mount
+// is left holding exactly the state a power failure would leave.
 package crashsim
 
 import (

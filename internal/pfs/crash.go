@@ -57,8 +57,6 @@ func (r *RecoveryReport) Clean() bool {
 // It must only be called between operations — never with an FS call on the
 // stack — and leaves the mount serving requests again.
 func (fs *FS) CrashRecover() (*RecoveryReport, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	rep := &RecoveryReport{}
 
 	// 1. The repair coordinator's in-flight job died with the client.
@@ -116,15 +114,12 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 	// 6. Re-derive replica staleness from durable coverage and repair.
 	rep.RepairedOK = true
 	if fs.rep != nil {
-		n, err := fs.remarkStaleLocked()
+		n, err := fs.remarkStale()
 		if err != nil {
 			return rep, err
 		}
 		rep.StaleMarked = n
-		fs.mu.Unlock()
-		err = fs.RepairDrain()
-		fs.mu.Lock()
-		if err != nil {
+		if err := fs.RepairDrain(); err != nil {
 			return rep, fmt.Errorf("pfs: recovery repair: %w", err)
 		}
 		rep.RepairedOK = fs.rep.FullyReplicated()
@@ -132,14 +127,13 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// remarkStaleLocked re-derives which replica members are behind. The
+// remarkStale re-derives which replica members are behind. The
 // manager's stale bits are client state and died in the crash; what
 // survives is each member's written bitmap on its server. A member whose
 // durable written coverage does not contain the member union is behind —
 // it missed writes (it was down, or the crash tore its copy and the scrub
-// demoted blocks) — and is marked stale for the repair engine. Callers
-// hold fs.mu.
-func (fs *FS) remarkStaleLocked() (int, error) {
+// demoted blocks) — and is marked stale for the repair engine.
+func (fs *FS) remarkStale() (int, error) {
 	inos := make([]inode.Ino, 0, len(fs.files))
 	for ino := range fs.files {
 		inos = append(inos, ino)

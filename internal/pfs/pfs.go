@@ -12,7 +12,6 @@ package pfs
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"redbud/internal/cache"
 	"redbud/internal/core"
@@ -194,18 +193,16 @@ type file struct {
 // FibreChannel fabric. The server handles (mds, osts) remain only for
 // measurement and for the server-local defragmentation engine.
 //
-// FS is the only type whose methods may be called from several goroutines:
-// mu is the one lock of the simulation. Everything below it — rpc, cache,
-// replica, ost, defrag, core, alloc, iosched, disk, netsim, mds — belongs
-// to this mount, holds no lock of its own, and is reached either under mu
-// or by one goroutine driving a component directly. The accessors that
-// hand out inner objects (MDS, OST, Cache, Defrag, Replication, Fabric) and
-// a registry's snapshot-time collectors are for use between operations. A
-// method named …Locked is called with mu held.
+// An FS is not safe for concurrent use, like a bufio.Writer, and neither is
+// anything under internal/: a process drives its mounts, and the registries
+// and tracers they report into, from one goroutine. The paper's concurrent
+// clients and ranks are streams interleaved on the simulated timeline, not
+// goroutines. Everything below the mount — rpc, cache, replica, ost,
+// defrag, core, alloc, iosched, disk, netsim, mds — belongs to it and holds
+// no lock.
 type FS struct {
 	cfg Config
 
-	mu      sync.Mutex
 	mds     *mds.Server
 	osts    []*ost.Server
 	mdsLink *netsim.Link   // GbE path from clients to the MDS
@@ -219,7 +216,7 @@ type FS struct {
 	files   map[inode.Ino]*file
 	nextObj uint64
 
-	// Reusable fan-out scratch, only touched under fs.mu.
+	// Reusable fan-out scratch.
 	stripeScratch []stripePiece
 	// selfSets[c] and selfMembers[c] are component c's set of one — the
 	// stripe-aligned server alone — which the set helpers (replica.go)
@@ -319,8 +316,6 @@ func New(cfg Config) (*FS, error) {
 // elevator), and the FibreChannel data fabric. Each component's metrics are
 // distinguished by a "layer" label on top of the given base labels.
 func (fs *FS) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	pl := labels.With("layer", "pfs")
 	fs.writeHist = reg.Histogram("pfs_write_ns", pl)
 	fs.readHist = reg.Histogram("pfs_read_ns", pl)
@@ -346,8 +341,6 @@ func (fs *FS) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 // SetTracer attaches (or with nil detaches) the span tracer to the mount
 // and every server beneath it.
 func (fs *FS) SetTracer(t *telemetry.Tracer) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.tracer = t
 	fs.conn.SetTracer(t)
 	fs.mds.SetTracer(t)
@@ -367,32 +360,28 @@ func (fs *FS) SetTracer(t *telemetry.Tracer) {
 
 // Tracer returns the attached tracer (nil when tracing is off).
 func (fs *FS) Tracer() *telemetry.Tracer {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.tracer
 }
 
-// startOpLocked opens the root "pfs" span of one client operation and
-// points the rpc connection at it, so every rpc span (and the server and
-// network spans beneath) nests underneath. Callers hold fs.mu; a nil
-// tracer makes the whole chain a no-op.
-func (fs *FS) startOpLocked(name string) telemetry.ActiveSpan {
+// startOp opens the root "pfs" span of one client operation and points the
+// rpc connection at it, so every rpc span (and the server and network spans
+// beneath) nests underneath. A nil tracer makes the whole chain a no-op.
+func (fs *FS) startOp(name string) telemetry.ActiveSpan {
 	sp := fs.tracer.Start("pfs", name, 0)
 	fs.conn.SetTraceParent(sp.ID())
 	return sp
 }
 
-// endOpLocked closes an operation span and clears the connection's trace
-// parent. Callers hold fs.mu.
-func (fs *FS) endOpLocked(sp telemetry.ActiveSpan) {
+// endOp closes an operation span and clears the connection's trace parent.
+func (fs *FS) endOp(sp telemetry.ActiveSpan) {
 	fs.conn.SetTraceParent(0)
 	sp.End()
 }
 
-// observeOpLocked records one operation's simulated duration — the trace
+// observeOp records one operation's simulated duration — the trace
 // clock's advance since begin — into the histogram. Without a tracer there
-// is no per-op timeline, so nothing is observed. Callers hold fs.mu.
-func (fs *FS) observeOpLocked(h *telemetry.Histogram, begin sim.Ns) {
+// is no per-op timeline, so nothing is observed.
+func (fs *FS) observeOp(h *telemetry.Histogram, begin sim.Ns) {
 	if h != nil && fs.tracer != nil {
 		h.Observe(fs.tracer.Now() - begin)
 	}
@@ -424,9 +413,8 @@ func (fs *FS) Cache() *cache.Cache { return fs.cache }
 func (fs *FS) Replication() *replica.Manager { return fs.rep }
 
 // cacheStore adapts the mount into the cache's backing store. Its methods
-// only run inside cache calls made while fs.mu is held (every cache entry
-// point in this package holds it), so they use the *Locked paths directly
-// and never re-enter the cache.
+// only run inside cache calls a file operation makes, so they take the
+// uncached paths directly and never re-enter the cache.
 type cacheStore struct{ fs *FS }
 
 // WriteBack flushes one coalesced dirty run through the regular striped
@@ -442,7 +430,7 @@ func (s cacheStore) WriteBack(f cache.FileID, stream core.StreamID, blk, count i
 	if _, ok := s.fs.cfg.Crash.Hit(crashsim.PtCacheWriteback, count); ok {
 		s.fs.cfg.Crash.Kill()
 	}
-	return s.fs.writeThroughLocked(fl, stream, blk, count)
+	return s.fs.writeThrough(fl, stream, blk, count)
 }
 
 // Fetch reads one missing (possibly readahead-extended) run through the
@@ -452,29 +440,29 @@ func (s cacheStore) Fetch(f cache.FileID, blk, count int64) error {
 	if !ok {
 		return fmt.Errorf("pfs: fetch for unknown inode %d", uint64(f))
 	}
-	return s.fs.readThroughLocked(fl, blk, count)
+	return s.fs.readThrough(fl, blk, count)
 }
 
-// cacheSpanLocked opens the "cache" span of one cached operation under the
+// cacheSpan opens the "cache" span of one cached operation under the
 // pfs op span and points the rpc connection at it, so any write-back or
-// fetch RPCs nest pfs → cache → rpc. Callers hold fs.mu.
-func (fs *FS) cacheSpanLocked(name string, op telemetry.ActiveSpan) telemetry.ActiveSpan {
+// fetch RPCs nest pfs → cache → rpc.
+func (fs *FS) cacheSpan(name string, op telemetry.ActiveSpan) telemetry.ActiveSpan {
 	sp := fs.tracer.Start("cache", name, op.ID())
 	fs.conn.SetTraceParent(sp.ID())
 	return sp
 }
 
-// endCacheSpanLocked closes a cache span and restores the rpc connection's
-// trace parent to the enclosing op span. Callers hold fs.mu.
-func (fs *FS) endCacheSpanLocked(sp, op telemetry.ActiveSpan) {
+// endCacheSpan closes a cache span and restores the rpc connection's
+// trace parent to the enclosing op span.
+func (fs *FS) endCacheSpan(sp, op telemetry.ActiveSpan) {
 	fs.conn.SetTraceParent(op.ID())
 	sp.End()
 }
 
-// flushFileLocked is the per-file barrier on cached mounts: every dirty
+// flushFile is the per-file barrier on cached mounts: every dirty
 // block of f is written back before the caller's own RPCs proceed. A
-// write-through mount has nothing to do. Callers hold fs.mu.
-func (fs *FS) flushFileLocked(f *file, name string, op telemetry.ActiveSpan) error {
+// write-through mount has nothing to do.
+func (fs *FS) flushFile(f *file, name string, op telemetry.ActiveSpan) error {
 	if fs.cache == nil {
 		return nil
 	}
@@ -483,9 +471,9 @@ func (fs *FS) flushFileLocked(f *file, name string, op telemetry.ActiveSpan) err
 	if _, ok := fs.cfg.Crash.Hit(crashsim.PtCacheBarrierFlush, 0); ok {
 		fs.cfg.Crash.Kill()
 	}
-	sp := fs.cacheSpanLocked(name, op)
+	sp := fs.cacheSpan(name, op)
 	err := fs.cache.FlushFile(cache.FileID(f.ino))
-	fs.endCacheSpanLocked(sp, op)
+	fs.endCacheSpan(sp, op)
 	if err != nil {
 		return err
 	}
@@ -543,10 +531,8 @@ func (fs *FS) ostBusy(i int) sim.Ns {
 
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("mkdir")
-	defer fs.endOpLocked(sp)
+	sp := fs.startOp("mkdir")
+	defer fs.endOp(sp)
 	return fs.mdsc.Mkdir(parent, name)
 }
 
@@ -554,16 +540,14 @@ func (fs *FS) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
 // declares the expected file size (in file-system blocks); the static
 // policy fallocates it, other policies ignore it.
 func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("create")
-	defer fs.endOpLocked(sp)
+	sp := fs.startOp("create")
+	defer fs.endOp(sp)
 	ino, err := fs.mdsc.Create(parent, name)
 	if err != nil {
 		return nil, err
 	}
 	f := &file{ino: ino, sizeHint: sizeHintBlocks}
-	if err := fs.createObjectsLocked(f); err != nil {
+	if err := fs.createObjects(f); err != nil {
 		// It removed its objects and replica state; the name goes too, or it
 		// stays linked to an inode the mount cannot open, re-create or delete.
 		_ = fs.mdsc.Unlink(parent, name)
@@ -575,10 +559,8 @@ func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File
 
 // Open opens an existing file with the aggregated open+getlayout request.
 func (fs *FS) Open(parent inode.Ino, name string) (*File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("open")
-	defer fs.endOpLocked(sp)
+	sp := fs.startOp("open")
+	defer fs.endOp(sp)
 	ino, _, err := fs.mdsc.OpenGetLayout(parent, name)
 	if err != nil {
 		return nil, err
@@ -599,10 +581,8 @@ func (fs *FS) Open(parent inode.Ino, name string) (*File, error) {
 
 // Delete removes a file: its MDS entry and its OST objects.
 func (fs *FS) Delete(parent inode.Ino, name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("delete")
-	defer fs.endOpLocked(sp)
+	sp := fs.startOp("delete")
+	defer fs.endOp(sp)
 	ino, err := fs.mdsc.LookupResolved(parent, name)
 	if err != nil {
 		return err
@@ -616,19 +596,19 @@ func (fs *FS) Delete(parent inode.Ino, name string) error {
 	}
 	// Delete is a flush barrier: dirty blocks drain before the objects go
 	// away, then the cache forgets the file entirely.
-	if err := fs.flushFileLocked(f, "delete-barrier", sp); err != nil {
+	if err := fs.flushFile(f, "delete-barrier", sp); err != nil {
 		return err
 	}
 	// Copies on down servers are orphaned (the revived server's object is
 	// garbage the simulator tolerates).
 	for c := range f.objects {
-		if err := fs.eachMemberLocked(f, c, false, func(r int, obj ost.ObjectID) error {
+		if err := fs.eachMember(f, c, false, func(r int, obj ost.ObjectID) error {
 			return fs.ostc[r].Delete(obj)
 		}); err != nil {
 			return err
 		}
 	}
-	fs.forgetLocked(f)
+	fs.forget(f)
 	if fs.cache != nil {
 		fs.cache.Drop(cache.FileID(ino))
 	}
@@ -705,10 +685,8 @@ func (fs *FS) appendStripeRange(dst []stripePiece, blk, count int64) []stripePie
 // are advisory — a flush RPC lost beyond the retry budget is dropped, not
 // surfaced (the queued requests drain with the next forced flush).
 func (fs *FS) Flush() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	for i := range fs.ostc {
-		if fs.downLocked(i) {
+		if fs.down(i) {
 			continue // no point paying retry timeouts on a suspected server
 		}
 		_, _ = fs.ostc[i].Flush()
@@ -719,23 +697,17 @@ func (fs *FS) Flush() {
 // it is the mount-wide flush barrier: every file's dirty blocks are
 // written back before the servers are forced.
 func (fs *FS) Sync() error {
-	fs.mu.Lock()
 	if fs.cache != nil {
 		// Crash point: power fails at the start of the mount-wide flush
 		// barrier, with every file's dirty blocks still client-side.
 		if _, ok := fs.cfg.Crash.Hit(crashsim.PtCacheSyncFlush, 0); ok {
-			fs.mu.Unlock()
 			fs.cfg.Crash.Kill()
 		}
 		if err := fs.cache.Flush(); err != nil {
-			fs.mu.Unlock()
 			return err
 		}
 	}
-	fs.mu.Unlock()
 	fs.Flush()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.mdsc.Sync()
 }
 
@@ -744,8 +716,6 @@ func (fs *FS) Sync() error {
 // component's timeline is the longer of its disk and its FibreChannel
 // link (they pipeline).
 func (fs *FS) DataBusyMax() sim.Ns {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	var max sim.Ns
 	for i := range fs.osts {
 		if b := fs.ostBusy(i); b > max {
@@ -760,8 +730,6 @@ func (fs *FS) Fabric() *netsim.Fabric { return fs.fabric }
 
 // DataStats returns the summed IO-server disk counters.
 func (fs *FS) DataStats() disk.Stats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	var total disk.Stats
 	for _, srv := range fs.osts {
 		total = total.Add(srv.Disk().Stats())
@@ -772,8 +740,6 @@ func (fs *FS) DataStats() disk.Stats {
 // ResetDataStats zeroes the IO-server disk and network counters for a new
 // phase.
 func (fs *FS) ResetDataStats() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	for _, srv := range fs.osts {
 		srv.Disk().ResetStats()
 	}
@@ -783,19 +749,17 @@ func (fs *FS) ResetDataStats() {
 // TotalExtents returns a file's segment count summed over its stripe
 // components — the paper's Table I metric.
 func (fs *FS) TotalExtents(f *File) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.totalExtentsLocked(f.f)
+	return fs.totalExtents(f.f)
 }
 
-// totalExtentsLocked sums the segment counts over one clean replica per
+// totalExtents sums the segment counts over one clean replica per
 // component, failing over like a read when a pick turns out to be
-// unreachable. Callers hold fs.mu.
-func (fs *FS) totalExtentsLocked(f *file) (int, error) {
+// unreachable.
+func (fs *FS) totalExtents(f *file) (int, error) {
 	total := 0
 	for c := range f.objects {
 		for {
-			r, obj, ok := fs.bookReplicaLocked(f, c)
+			r, obj, ok := fs.bookReplica(f, c)
 			if !ok {
 				return 0, fmt.Errorf("pfs: no readable replica for component %d", c)
 			}
@@ -804,7 +768,7 @@ func (fs *FS) totalExtentsLocked(f *file) (int, error) {
 				total += n
 				break
 			}
-			if !fs.failoverLocked(err, f, c, r) {
+			if !fs.failover(err, f, c, r) {
 				return 0, err
 			}
 		}
@@ -846,52 +810,50 @@ func (h *File) Write(stream core.StreamID, blk, count int64) error {
 	if err := fs.checkRange("write", blk, count); err != nil {
 		return err
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("write")
+	sp := fs.startOp("write")
 	sp.AnnotateInt("blocks", int64(count))
 	begin := fs.tracer.Now()
 	defer func() {
-		fs.observeOpLocked(fs.writeHist, begin)
+		fs.observeOp(fs.writeHist, begin)
 		fs.writeSeries.Add(fs.tracer.Now(), count)
-		fs.endOpLocked(sp)
+		fs.endOp(sp)
 	}()
 	if fs.cache != nil {
-		csp := fs.cacheSpanLocked("write", sp)
+		csp := fs.cacheSpan("write", sp)
 		err := fs.cache.Write(cache.FileID(h.f.ino), stream, blk, count)
-		fs.endCacheSpanLocked(csp, sp)
+		fs.endCacheSpan(csp, sp)
 		return err
 	}
-	return fs.writeThroughLocked(h.f, stream, blk, count)
+	return fs.writeThrough(h.f, stream, blk, count)
 }
 
-// writeThroughLocked stores count blocks at file-logical block blk across
+// writeThrough stores count blocks at file-logical block blk across
 // the stripe — the uncached write path, also the cache's write-back target.
 // Each stripe piece fans out to every live replica of its component. One
 // whose write fails at the transport layer is marked down and stale rather
 // than failing the client write; the write errors only when a piece gets no
-// acknowledgement at all. Application errors follow eachMemberLocked's
+// acknowledgement at all. Application errors follow eachMember's
 // rule: a stale member's is ignored (created while its server was down, it
 // may never have got the object) and it stays stale for repair; a clean
 // member's fails the write, after every member that already took the piece
 // is marked stale — the client is told the piece failed, so no copy holding
-// it may be read as current. Callers hold fs.mu.
-func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64) error {
-	before, err := fs.totalExtentsLocked(f)
+// it may be read as current.
+func (fs *FS) writeThrough(f *file, stream core.StreamID, blk, count int64) error {
+	before, err := fs.totalExtents(f)
 	if err != nil {
 		return err
 	}
 	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
 	fs.stripeScratch = pieces
 	for _, p := range pieces {
-		obj, targets, err := fs.writeTargetsLocked(f, p.ostIdx)
+		obj, targets, err := fs.writeTargets(f, p.ostIdx)
 		if err != nil {
 			return err
 		}
 		acks := 0
 		for i, r := range targets {
 			if err := fs.ostc[r].Write(obj, stream, p.logical, p.count); err != nil {
-				if fs.staleLocked(err, f, p.ostIdx, r) || fs.memberStaleLocked(f, p.ostIdx, r) {
+				if fs.stale(err, f, p.ostIdx, r) || fs.memberStale(f, p.ostIdx, r) {
 					continue
 				}
 				for _, took := range targets[:i] { // empty in a set of one
@@ -906,7 +868,7 @@ func (fs *FS) writeThroughLocked(f *file, stream core.StreamID, blk, count int64
 				blk, count, p.ostIdx)
 		}
 	}
-	after, err := fs.totalExtentsLocked(f)
+	after, err := fs.totalExtents(f)
 	if err != nil {
 		return err
 	}
@@ -932,37 +894,35 @@ func (h *File) Read(blk, count int64) error {
 	if err := fs.checkRange("read", blk, count); err != nil {
 		return err
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("read")
+	sp := fs.startOp("read")
 	sp.AnnotateInt("blocks", int64(count))
 	begin := fs.tracer.Now()
 	defer func() {
-		fs.observeOpLocked(fs.readHist, begin)
+		fs.observeOp(fs.readHist, begin)
 		fs.readSeries.Add(fs.tracer.Now(), count)
-		fs.endOpLocked(sp)
+		fs.endOp(sp)
 	}()
 	if fs.cache != nil {
-		csp := fs.cacheSpanLocked("read", sp)
+		csp := fs.cacheSpan("read", sp)
 		err := fs.cache.Read(cache.FileID(h.f.ino), blk, count)
-		fs.endCacheSpanLocked(csp, sp)
+		fs.endCacheSpan(csp, sp)
 		return err
 	}
-	return fs.readThroughLocked(h.f, blk, count)
+	return fs.readThrough(h.f, blk, count)
 }
 
-// readThroughLocked fetches count blocks at file-logical block blk across
+// readThrough fetches count blocks at file-logical block blk across
 // the stripe — the uncached read path, also the cache's fetch target. Each
 // stripe piece is served by one steered replica: the least-loaded clean
 // live copy, retried on the next-best copy when the pick fails at the
-// transport layer. Callers hold fs.mu.
-func (fs *FS) readThroughLocked(f *file, blk, count int64) error {
+// transport layer.
+func (fs *FS) readThrough(f *file, blk, count int64) error {
 	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
 	fs.stripeScratch = pieces
 	for _, p := range pieces {
 		var tried []int
 		for {
-			r, obj, ok := fs.steerReadLocked(f, p.ostIdx, tried)
+			r, obj, ok := fs.steerRead(f, p.ostIdx, tried)
 			if !ok {
 				return fmt.Errorf("pfs: read [%d,+%d): no readable replica for component %d",
 					blk, count, p.ostIdx)
@@ -971,7 +931,7 @@ func (fs *FS) readThroughLocked(f *file, blk, count int64) error {
 			if err == nil {
 				break
 			}
-			if !fs.failoverLocked(err, f, p.ostIdx, r) {
+			if !fs.failover(err, f, p.ostIdx, r) {
 				return err
 			}
 			tried = append(tried, r)
@@ -988,18 +948,16 @@ func (h *File) Truncate(sizeBlocks int64) error {
 		return fmt.Errorf("pfs: invalid truncate to %d", sizeBlocks)
 	}
 	fs := h.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("truncate")
-	defer fs.endOpLocked(sp)
+	sp := fs.startOp("truncate")
+	defer fs.endOp(sp)
 	// Truncate is a flush barrier: dirty blocks drain first, then the
 	// servers shrink, then the cache drops the now-stale tail.
-	if err := fs.flushFileLocked(h.f, "truncate-barrier", sp); err != nil {
+	if err := fs.flushFile(h.f, "truncate-barrier", sp); err != nil {
 		return err
 	}
 	for c := range h.f.objects {
 		n := fs.componentBlocks(sizeBlocks, c)
-		if err := fs.eachMemberLocked(h.f, c, true, func(r int, obj ost.ObjectID) error {
+		if err := fs.eachMember(h.f, c, true, func(r int, obj ost.ObjectID) error {
 			return fs.ostc[r].Truncate(obj, n)
 		}); err != nil {
 			return err
@@ -1018,17 +976,15 @@ func (h *File) Truncate(sizeBlocks int64) error {
 // forced.
 func (h *File) Fsync() error {
 	fs := h.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("fsync")
-	defer fs.endOpLocked(sp)
+	sp := fs.startOp("fsync")
+	defer fs.endOp(sp)
 	// Fsync is a flush barrier: every cached dirty block reaches the
 	// servers before their own buffers are forced.
-	if err := fs.flushFileLocked(h.f, "fsync-barrier", sp); err != nil {
+	if err := fs.flushFile(h.f, "fsync-barrier", sp); err != nil {
 		return err
 	}
 	for c := range h.f.objects {
-		if err := fs.eachMemberLocked(h.f, c, false, func(r int, obj ost.ObjectID) error {
+		if err := fs.eachMember(h.f, c, false, func(r int, obj ost.ObjectID) error {
 			return fs.ostc[r].Fsync(obj)
 		}); err != nil {
 			return err
@@ -1042,30 +998,28 @@ func (h *File) Fsync() error {
 // component.
 func (h *File) Close() error {
 	fs := h.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sp := fs.startOpLocked("close")
-	defer fs.endOpLocked(sp)
+	sp := fs.startOp("close")
+	defer fs.endOp(sp)
 	// Close is a flush barrier: the layout summary recorded at the MDS
 	// must describe the data as the servers hold it.
-	if err := fs.flushFileLocked(h.f, "close-barrier", sp); err != nil {
+	if err := fs.flushFile(h.f, "close-barrier", sp); err != nil {
 		return err
 	}
 	var layout []extent.Extent
 	for c := range h.f.objects {
-		if err := fs.eachMemberLocked(h.f, c, false, func(r int, obj ost.ObjectID) error {
+		if err := fs.eachMember(h.f, c, false, func(r int, obj ost.ObjectID) error {
 			return fs.ostc[r].CloseObject(obj)
 		}); err != nil {
 			return err
 		}
 		for {
-			r, obj, ok := fs.bookReplicaLocked(h.f, c)
+			r, obj, ok := fs.bookReplica(h.f, c)
 			if !ok {
 				break // fully degraded component: no summary contribution
 			}
 			exts, err := fs.ostc[r].Extents(obj)
 			if err != nil {
-				if fs.failoverLocked(err, h.f, c, r) {
+				if fs.failover(err, h.f, c, r) {
 					continue
 				}
 				return err

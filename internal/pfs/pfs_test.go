@@ -224,11 +224,11 @@ func TestManyFilesNamespace(t *testing.T) {
 	}
 }
 
-// TestConcurrentClients sends goroutine clients through one mount — run
-// under -race. fs.mu is the only lock on the simulation path, so the
-// decorated mount (client cache, 2-way replication, seeded message loss, a
-// registry and a tracer) is what shows every layer beneath it is reached
-// only under that lock, export included.
+// TestConcurrentClients interleaves eight client streams round-robin through
+// one mount, the way the workloads model concurrent clients: on the
+// simulated timeline, from one goroutine. The decorated mount (client
+// cache, 2-way replication, seeded message loss, a registry and a tracer)
+// takes every layer beneath it through the interleaving, export included.
 func TestConcurrentClients(t *testing.T) {
 	decorated := func() Config {
 		cfg := MiF(4)
@@ -262,26 +262,19 @@ func TestConcurrentClients(t *testing.T) {
 				t.Fatal(err)
 			}
 			const clients, region = 8, 128
-			done := make(chan error, clients)
-			for c := 0; c < clients; c++ {
-				go func(c int) {
+			for i := int64(0); i < region; i += 8 {
+				for c := 0; c < clients; c++ {
 					stream := core.StreamID{Client: uint32(c), PID: 1}
-					base := int64(c) * region
-					for i := int64(0); i < region; i += 8 {
-						if err := f.Write(stream, base+i, 8); err != nil {
-							done <- err
-							return
-						}
+					if err := f.Write(stream, int64(c)*region+i, 8); err != nil {
+						t.Fatal(err)
 					}
-					if err := f.Fsync(); err != nil {
-						done <- err
-						return
-					}
-					done <- f.Read(base, region)
-				}(c)
+				}
 			}
 			for c := 0; c < clients; c++ {
-				if err := <-done; err != nil {
+				if err := f.Fsync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Read(int64(c)*region, region); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -41,48 +41,47 @@ func repSuspect(err error) bool {
 	return errors.As(err, &re)
 }
 
-// writeTargetsLocked returns component c's object and the servers a write
+// writeTargets returns component c's object and the servers a write
 // fans out to: every live member, stale included (members skipped because
-// their server is down go stale). Callers hold fs.mu.
-func (fs *FS) writeTargetsLocked(f *file, c int) (ost.ObjectID, []int, error) {
+// their server is down go stale).
+func (fs *FS) writeTargets(f *file, c int) (ost.ObjectID, []int, error) {
 	if fs.rep == nil {
 		return f.objects[c], fs.selfSets[c], nil
 	}
 	return fs.rep.WriteTargets(f.ino, c)
 }
 
-// membersLocked returns component c's object and per-member state, for the
-// maintenance loop. Callers hold fs.mu.
-func (fs *FS) membersLocked(f *file, c int) ([]replica.MemberState, ost.ObjectID, bool) {
+// members returns component c's object and per-member state, for the
+// maintenance loop.
+func (fs *FS) members(f *file, c int) ([]replica.MemberState, ost.ObjectID, bool) {
 	if fs.rep == nil {
 		return fs.selfMembers[c], f.objects[c], true
 	}
 	return fs.rep.Members(f.ino, c)
 }
 
-// bookReplicaLocked returns component c's first clean live member — the
+// bookReplica returns component c's first clean live member — the
 // pick for bookkeeping queries (extent counts, layout summaries), which do
-// not perturb the steering counters. Callers hold fs.mu.
-func (fs *FS) bookReplicaLocked(f *file, c int) (int, ost.ObjectID, bool) {
+// not perturb the steering counters.
+func (fs *FS) bookReplica(f *file, c int) (int, ost.ObjectID, bool) {
 	if fs.rep == nil {
 		return c, f.objects[c], true
 	}
 	return fs.rep.ReadReplica(f.ino, c)
 }
 
-// steerReadLocked picks the member a read piece of component c goes to: the
-// least-loaded clean live one not yet tried. Callers hold fs.mu.
-func (fs *FS) steerReadLocked(f *file, c int, tried []int) (int, ost.ObjectID, bool) {
+// steerRead picks the member a read piece of component c goes to: the
+// least-loaded clean live one not yet tried.
+func (fs *FS) steerRead(f *file, c int, tried []int) (int, ost.ObjectID, bool) {
 	if fs.rep == nil {
 		return c, f.objects[c], true
 	}
 	return fs.rep.SteerRead(f.ino, c, tried, fs.load)
 }
 
-// memberStaleLocked reports whether server r's copy of component c is
-// stale. Callers hold fs.mu.
-func (fs *FS) memberStaleLocked(f *file, c, r int) bool {
-	members, _, _ := fs.membersLocked(f, c)
+// memberStale reports whether server r's copy of component c is stale.
+func (fs *FS) memberStale(f *file, c, r int) bool {
+	members, _, _ := fs.members(f, c)
 	for _, m := range members {
 		if m.OST == r {
 			return m.Stale
@@ -91,16 +90,15 @@ func (fs *FS) memberStaleLocked(f *file, c, r int) bool {
 	return false
 }
 
-// downLocked reports whether server i is currently suspected dead. Callers
-// hold fs.mu.
-func (fs *FS) downLocked(i int) bool { return fs.rep != nil && fs.rep.Down(i) }
+// down reports whether server i is currently suspected dead.
+func (fs *FS) down(i int) bool { return fs.rep != nil && fs.rep.Down(i) }
 
-// suspectLocked is the failure detector: an error that is transport-level
+// suspect is the failure detector: an error that is transport-level
 // evidence against server r marks it down and reports true — the caller
 // carries on with the rest of the set. Anything else, and every error on a
 // mount without a manager (a set of one has no rest), reports false and is
-// the caller's to return as it came. Callers hold fs.mu.
-func (fs *FS) suspectLocked(err error, r int) bool {
+// the caller's to return as it came.
+func (fs *FS) suspect(err error, r int) bool {
 	if fs.rep == nil || !repSuspect(err) {
 		return false
 	}
@@ -108,44 +106,43 @@ func (fs *FS) suspectLocked(err error, r int) bool {
 	return true
 }
 
-// staleLocked is suspectLocked for a failed mutation: the copy on r missed
-// it and is excluded from reads until repaired. Callers hold fs.mu.
-func (fs *FS) staleLocked(err error, f *file, c, r int) bool {
-	if !fs.suspectLocked(err, r) {
+// stale is suspect for a failed mutation: the copy on r missed it and is
+// excluded from reads until repaired.
+func (fs *FS) stale(err error, f *file, c, r int) bool {
+	if !fs.suspect(err, r) {
 		return false
 	}
 	fs.rep.MarkStale(f.ino, c, r)
 	return true
 }
 
-// failoverLocked is suspectLocked for a failed query: the caller retries
-// component c on another member. Callers hold fs.mu.
-func (fs *FS) failoverLocked(err error, f *file, c, r int) bool {
-	if !fs.suspectLocked(err, r) {
+// failover is suspect for a failed query: the caller retries component c
+// on another member.
+func (fs *FS) failover(err error, f *file, c, r int) bool {
+	if !fs.suspect(err, r) {
 		return false
 	}
 	fs.rep.NoteFailover(f.ino, c, r)
 	return true
 }
 
-// forgetLocked drops the replica state of a file whose objects are gone.
-// Callers hold fs.mu.
-func (fs *FS) forgetLocked(f *file) {
+// forget drops the replica state of a file whose objects are gone.
+func (fs *FS) forget(f *file) {
 	if fs.rep != nil {
 		fs.rep.Remove(f.ino)
 	}
 }
 
-// eachMemberLocked runs op on every live copy of component c — the loop
+// eachMember runs op on every live copy of component c — the loop
 // under truncate, fsync, close, delete and the create-time fallocate.
 // Members on down servers are skipped, and a transport failure marks the
 // server down instead of failing the operation; with missed set (the op
 // mutates data) either leaves the copy stale. One rule for application
 // errors: from a clean member it is returned, from a stale member it is
 // ignored — a stale member created while its server was down never got the
-// object, and stays stale for the repair engine. Callers hold fs.mu.
-func (fs *FS) eachMemberLocked(f *file, c int, missed bool, op func(r int, obj ost.ObjectID) error) error {
-	members, obj, ok := fs.membersLocked(f, c)
+// object, and stays stale for the repair engine.
+func (fs *FS) eachMember(f *file, c int, missed bool, op func(r int, obj ost.ObjectID) error) error {
+	members, obj, ok := fs.members(f, c)
 	if !ok {
 		return nil
 	}
@@ -155,7 +152,7 @@ func (fs *FS) eachMemberLocked(f *file, c int, missed bool, op func(r int, obj o
 			if err == nil {
 				continue
 			}
-			if !fs.suspectLocked(err, m.OST) {
+			if !fs.suspect(err, m.OST) {
 				if m.Stale {
 					continue
 				}
@@ -170,11 +167,10 @@ func (fs *FS) eachMemberLocked(f *file, c int, missed bool, op func(r int, obj o
 	return nil
 }
 
-// repPlaceInputsLocked gathers the per-OST capacity/load observations the
+// repPlaceInputs gathers the per-OST capacity/load observations the
 // spread policy scores: the allocator's free-space gauge, the device's
 // accumulated busy time, and the client's current suspicion of the server.
-// Callers hold fs.mu.
-func (fs *FS) repPlaceInputsLocked() []replica.PlaceInput {
+func (fs *FS) repPlaceInputs() []replica.PlaceInput {
 	in := make([]replica.PlaceInput, len(fs.osts))
 	for i, srv := range fs.osts {
 		in[i] = replica.PlaceInput{
@@ -187,7 +183,7 @@ func (fs *FS) repPlaceInputsLocked() []replica.PlaceInput {
 	return in
 }
 
-// createObjectsLocked gives a new file its objects: one id per stripe
+// createObjects gives a new file its objects: one id per stripe
 // component from the MDS-side counter, taken up front in index order, then
 // each component's object created on every server of its set — the sets the
 // MDS places from the client's observations on a replicated mount, the
@@ -198,11 +194,11 @@ func (fs *FS) repPlaceInputsLocked() []replica.PlaceInput {
 // effort: each id is deleted on the reachable members of its set (one that
 // never saw the id reports an unknown object, which is the state wanted)
 // and the manager forgets the file, so nothing keeps space or repair state
-// for an inode the caller is about to unlink. Callers hold fs.mu.
-func (fs *FS) createObjectsLocked(f *file) (err error) {
+// for an inode the caller is about to unlink.
+func (fs *FS) createObjects(f *file) (err error) {
 	sets := fs.selfSets
 	if fs.rep != nil {
-		sets, err = fs.mdsc.PlaceReplicas(f.ino, len(fs.osts), fs.rep.RF(), fs.repPlaceInputsLocked())
+		sets, err = fs.mdsc.PlaceReplicas(f.ino, len(fs.osts), fs.rep.RF(), fs.repPlaceInputs())
 		if err != nil {
 			return err
 		}
@@ -217,22 +213,22 @@ func (fs *FS) createObjectsLocked(f *file) (err error) {
 		}
 		for c, obj := range f.objects {
 			for _, r := range sets[c] {
-				if !fs.downLocked(r) {
+				if !fs.down(r) {
 					_ = fs.ostc[r].Delete(obj)
 				}
 			}
 		}
-		fs.forgetLocked(f)
+		fs.forget(f)
 	}()
 	perOST := fs.componentSizeHint(f.sizeHint)
 	for c, obj := range f.objects {
 		acks := 0
 		for _, r := range sets[c] {
-			if fs.downLocked(r) {
+			if fs.down(r) {
 				continue
 			}
 			if err := fs.ostc[r].CreateObject(obj, perOST); err != nil {
-				if fs.suspectLocked(err, r) {
+				if fs.suspect(err, r) {
 					continue
 				}
 				return err
@@ -252,7 +248,7 @@ func (fs *FS) createObjectsLocked(f *file) (err error) {
 			if n == 0 {
 				continue
 			}
-			if err := fs.eachMemberLocked(f, c, true, func(r int, obj ost.ObjectID) error {
+			if err := fs.eachMember(f, c, true, func(r int, obj ost.ObjectID) error {
 				return fs.ostc[r].Fallocate(obj, core.StreamID{}, n)
 			}); err != nil {
 				return err
@@ -267,8 +263,6 @@ func (fs *FS) createObjectsLocked(f *file) (err error) {
 // their own timeouts. Works on every mount, with or without Config.RPC.
 // Fault.
 func (fs *FS) CrashOST(i int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if i < 0 || i >= len(fs.osts) {
 		return fmt.Errorf("pfs: no OST %d", i)
 	}
@@ -281,8 +275,6 @@ func (fs *FS) CrashOST(i int) error {
 // kept), and the replica manager clears its suspicion — stale copies stay
 // stale until repaired.
 func (fs *FS) ReviveOST(i int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if i < 0 || i >= len(fs.osts) {
 		return fmt.Errorf("pfs: no OST %d", i)
 	}
@@ -294,11 +286,10 @@ func (fs *FS) ReviveOST(i int) error {
 	return nil
 }
 
-// repPrepareDstLocked readies the repair destination: the object is created
+// repPrepareDst readies the repair destination: the object is created
 // fresh, or truncated to empty when it already exists (a stale copy's
-// content is untrustworthy — the copy restarts from nothing). Callers hold
-// fs.mu.
-func (fs *FS) repPrepareDstLocked(jd replica.JobDesc) error {
+// content is untrustworthy — the copy restarts from nothing).
+func (fs *FS) repPrepareDst(jd replica.JobDesc) error {
 	if err := fs.ostc[jd.Dst].CreateObject(jd.Obj, 0); err != nil {
 		if repSuspect(err) {
 			return err
@@ -316,27 +307,25 @@ func (fs *FS) repPrepareDstLocked(jd replica.JobDesc) error {
 // whether any progress was made; interleave non-force calls with foreground
 // traffic, as defrag does.
 func (fs *FS) RepairStep(force bool) (bool, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.rep == nil {
 		return false, nil
 	}
-	sp := fs.startOpLocked("repair-step")
-	defer fs.endOpLocked(sp)
+	sp := fs.startOp("repair-step")
+	defer fs.endOp(sp)
 	if !fs.rep.JobActive() {
-		jd, ok := fs.rep.PlanRepair(fs.repPlaceInputsLocked())
+		jd, ok := fs.rep.PlanRepair(fs.repPlaceInputs())
 		if !ok {
 			return false, nil
 		}
 		runs, err := fs.ostc[jd.Src].WrittenRuns(jd.Obj)
 		if err != nil {
-			if fs.suspectLocked(err, jd.Src) {
+			if fs.suspect(err, jd.Src) {
 				return true, nil // progress: learned the source is dead
 			}
 			return false, err
 		}
-		if err := fs.repPrepareDstLocked(jd); err != nil {
-			if fs.suspectLocked(err, jd.Dst) {
+		if err := fs.repPrepareDst(jd); err != nil {
+			if fs.suspect(err, jd.Dst) {
 				return true, nil
 			}
 			return false, err
@@ -352,7 +341,7 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 	}
 	jd, _ := fs.rep.JobDescActive()
 	if fs.rep.JobRemaining() == 0 {
-		return true, fs.repFinishLocked()
+		return true, fs.repFinish()
 	}
 	pending := fs.osts[jd.Src].PendingRequests() + fs.osts[jd.Dst].PendingRequests()
 	slice, ok := fs.rep.NextSlice(force, pending)
@@ -361,14 +350,14 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 	}
 	if err := fs.ostc[jd.Src].Read(jd.Obj, slice.Start, slice.Count); err != nil {
 		fs.rep.AbortJob()
-		if fs.suspectLocked(err, jd.Src) {
+		if fs.suspect(err, jd.Src) {
 			return true, nil
 		}
 		return false, err
 	}
 	if err := fs.ostc[jd.Dst].Write(jd.Obj, repairStream, slice.Start, slice.Count); err != nil {
 		fs.rep.AbortJob()
-		if fs.suspectLocked(err, jd.Dst) {
+		if fs.suspect(err, jd.Dst) {
 			return true, nil
 		}
 		return false, err
@@ -384,14 +373,14 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 	_, _ = fs.ostc[jd.Dst].Flush()
 	fs.rep.AdvanceJob(slice.Count)
 	if fs.rep.JobRemaining() == 0 {
-		return true, fs.repFinishLocked()
+		return true, fs.repFinish()
 	}
 	return true, nil
 }
 
-// repFinishLocked commits the in-flight job and publishes a changed replica
-// set to the MDS layout table. Callers hold fs.mu.
-func (fs *FS) repFinishLocked() error {
+// repFinish commits the in-flight job and publishes a changed replica
+// set to the MDS layout table.
+func (fs *FS) repFinish() error {
 	// Crash point: the copy is byte-complete but the job was never
 	// committed — the replica table still calls the destination stale, and
 	// the layout publication never reached the MDS. Recovery re-runs the

@@ -6,8 +6,7 @@ import (
 )
 
 // metrics is the layer=rpc instrumentation sink. A nil *metrics (registry
-// never attached) is valid and inert. Like the Conn that owns it, it is
-// serialized by the mount, so it takes no lock.
+// never attached) is valid and inert.
 type metrics struct {
 	reg    *telemetry.Registry
 	labels telemetry.Labels

@@ -7,10 +7,7 @@
 // models. This keeps every experiment deterministic and hardware independent.
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Ns is a duration or instant in simulated nanoseconds.
 type Ns = int64
@@ -23,18 +20,13 @@ const (
 )
 
 // Clock is a monotonically advancing virtual clock. The zero value is a
-// clock at time 0, ready to use. Clock is safe for concurrent use.
+// clock at time 0, ready to use.
 type Clock struct {
-	mu  sync.Mutex
 	now Ns
 }
 
 // Now returns the current simulated time.
-func (c *Clock) Now() Ns {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Ns { return c.now }
 
 // Advance moves the clock forward by d nanoseconds and returns the new time.
 // Advance panics if d is negative: simulated time never flows backwards.
@@ -42,8 +34,6 @@ func (c *Clock) Advance(d Ns) Ns {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Advance by negative duration %d", d))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.now += d
 	return c.now
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sort"
-	"sync"
 
 	"redbud/internal/sim"
 )
@@ -26,11 +25,10 @@ type EventRecord struct {
 
 // EventLog is a bounded structured event recorder. The ring keeps the most
 // recent DefaultMaxEvents records (flight-recorder semantics); per
-// layer/kind totals are tracked exactly regardless of ring overflow. All
-// methods are safe for concurrent use and safe on a nil receiver, so
-// uninstrumented paths stay unconditional.
+// layer/kind totals are tracked exactly regardless of ring overflow. Every
+// method is safe on a nil receiver, so uninstrumented paths stay
+// unconditional.
 type EventLog struct {
-	mu      sync.Mutex
 	max     int
 	ring    []EventRecord
 	start   int // index of the oldest record when the ring is full
@@ -56,8 +54,6 @@ func (l *EventLog) Emit(at sim.Ns, layer, kind, detail string) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.counts[eventKey{layer, kind}]++
 	rec := EventRecord{At: at, Layer: layer, Kind: kind, Detail: detail}
 	if len(l.ring) < l.max {
@@ -75,8 +71,6 @@ func (l *EventLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.ring)
 }
 
@@ -85,8 +79,6 @@ func (l *EventLog) Dropped() int64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.dropped
 }
 
@@ -95,8 +87,6 @@ func (l *EventLog) Records() []EventRecord {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	out := make([]EventRecord, 0, len(l.ring))
 	if l.full {
 		out = append(out, l.ring[l.start:]...)
@@ -119,12 +109,10 @@ func (l *EventLog) Counts() []EventCount {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
 	out := make([]EventCount, 0, len(l.counts))
 	for k, n := range l.counts {
 		out = append(out, EventCount{Layer: k.layer, Kind: k.kind, Count: n})
 	}
-	l.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Layer != out[j].Layer {
 			return out[i].Layer < out[j].Layer

@@ -14,6 +14,10 @@
 // Components attach lazily: instrumentation is a nil-guarded side channel,
 // so an uninstrumented mount pays one pointer test per hot-path event and
 // the pre-existing Stats()/ResetStats() accessors keep working unchanged.
+//
+// Nothing here is safe for concurrent use, and the label-intern table is
+// shared by the whole process: a process records into its registries and
+// tracers from one goroutine, the one that drives its mounts.
 package telemetry
 
 import (
@@ -22,8 +26,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"redbud/internal/sim"
 	"redbud/internal/stats"
@@ -38,17 +40,12 @@ type Labels map[string]string
 // combinations), so canon builds its candidate into a stack buffer and
 // returns the one shared heap string per distinct set — repeated
 // registrations and lookups of a known label set allocate nothing.
-var (
-	internMu sync.Mutex
-	interned = make(map[string]string)
-)
+var interned = make(map[string]string)
 
 // internBytes returns the shared string equal to b, creating it on first
 // sight. The map lookup on []byte compiles without a conversion allocation,
 // so the hit path is allocation-free.
 func internBytes(b []byte) string {
-	internMu.Lock()
-	defer internMu.Unlock()
 	if s, ok := interned[string(b)]; ok {
 		return s
 	}
@@ -137,59 +134,47 @@ const (
 // Counter is a monotonically increasing value. The zero value is unusable;
 // obtain counters from a Registry.
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add increments the counter by n (n may be any sign, but counters are
 // conventionally monotone).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) { c.v += n }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.v++ }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 { return c.v }
 
 // Gauge is a point-in-time value.
 type Gauge struct {
-	v atomic.Int64
+	v int64
 }
 
 // Set stores the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) { g.v = n }
 
 // Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+func (g *Gauge) Add(n int64) { g.v += n }
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 { return g.v }
 
-// Histogram accumulates a latency (or size) distribution. It wraps
-// stats.Dist with a mutex so hot paths can observe concurrently.
+// Histogram accumulates a latency (or size) distribution.
 type Histogram struct {
-	mu sync.Mutex
-	d  stats.Dist
+	d stats.Dist
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v int64) {
-	h.mu.Lock()
-	h.d.Add(v)
-	h.mu.Unlock()
-}
+func (h *Histogram) Observe(v int64) { h.d.Add(v) }
 
 // Dist returns a deep copy of the accumulated distribution, for analysis
 // that needs exact merging across histograms (per-layer percentiles).
-func (h *Histogram) Dist() stats.Dist {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.d.Clone()
-}
+func (h *Histogram) Dist() stats.Dist { return h.d.Clone() }
 
 // Snapshot summarizes the distribution so far.
 func (h *Histogram) Snapshot() HistSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := HistSnapshot{Count: int64(h.d.Count()), Sum: h.d.Sum()}
 	if s.Count > 0 {
 		s.Mean = h.d.Mean()
@@ -229,10 +214,9 @@ type metric struct {
 	funcs []func() int64
 }
 
-// Registry is a set of named metrics. All methods are safe for concurrent
-// use. The zero value is not usable; use NewRegistry.
+// Registry is a set of named metrics. The zero value is not usable; use
+// NewRegistry.
 type Registry struct {
-	mu      sync.Mutex
 	metrics map[string]*metric
 	events  *EventLog
 }
@@ -251,8 +235,6 @@ func (r *Registry) Events() *EventLog {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.events == nil {
 		r.events = NewEventLog(DefaultMaxEvents)
 	}
@@ -282,8 +264,6 @@ func (r *Registry) lookup(name string, labels Labels, kind Kind) *metric {
 	buf = append(buf, '{')
 	buf = append(buf, canon...)
 	buf = append(buf, '}')
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	m, ok := r.metrics[string(buf)]
 	if !ok {
 		m = &metric{name: name, labels: canon, kind: kind}
@@ -298,8 +278,6 @@ func (r *Registry) lookup(name string, labels Labels, kind Kind) *metric {
 // Repeated calls with the same identity return the same counter.
 func (r *Registry) Counter(name string, labels Labels) *Counter {
 	m := r.lookup(name, labels, KindCounter)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if m.counter == nil {
 		m.counter = &Counter{}
 	}
@@ -309,8 +287,6 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 // Gauge returns the gauge for name+labels, creating it on first use.
 func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 	m := r.lookup(name, labels, KindGauge)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if m.gauge == nil {
 		m.gauge = &Gauge{}
 	}
@@ -321,8 +297,6 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 // use. Components sharing an identity observe into the same distribution.
 func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 	m := r.lookup(name, labels, KindHistogram)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if m.hist == nil {
 		m.hist = &Histogram{}
 	}
@@ -337,8 +311,6 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 // registration wins.
 func (r *Registry) Series(name string, labels Labels, window sim.Ns, buckets int) *Series {
 	m := r.lookup(name, labels, KindSeries)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if m.series == nil {
 		m.series = newSeries(window, buckets)
 	}
@@ -350,14 +322,12 @@ func (r *Registry) Series(name string, labels Labels, window sim.Ns, buckets int
 // the per-layer percentile aggregation is built on (HistSnapshot summaries
 // cannot be merged exactly).
 func (r *Registry) Histograms(fn func(name string, labels Labels, d stats.Dist)) {
-	r.mu.Lock()
 	list := make([]*metric, 0, len(r.metrics))
 	for _, m := range r.metrics {
 		if m.hist != nil {
 			list = append(list, m)
 		}
 	}
-	r.mu.Unlock()
 	sort.Slice(list, func(i, j int) bool {
 		if list[i].name != list[j].name {
 			return list[i].name < list[j].name
@@ -374,8 +344,6 @@ func (r *Registry) Histograms(fn func(name string, labels Labels, d stats.Dist))
 // when several mounts share a registry.
 func (r *Registry) CounterFunc(name string, labels Labels, fn func() int64) {
 	m := r.lookup(name, labels, KindCounter)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	m.funcs = append(m.funcs, fn)
 }
 
@@ -383,8 +351,6 @@ func (r *Registry) CounterFunc(name string, labels Labels, fn func() int64) {
 // multiple registrations sum.
 func (r *Registry) GaugeFunc(name string, labels Labels, fn func() int64) {
 	m := r.lookup(name, labels, KindGauge)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	m.funcs = append(m.funcs, fn)
 }
 
@@ -399,45 +365,27 @@ type MetricSnapshot struct {
 }
 
 // Snapshot returns every metric's current state, sorted by name then
-// labels. Collector functions run outside the registry lock so they may
-// take component locks freely.
+// labels.
 func (r *Registry) Snapshot() []MetricSnapshot {
-	r.mu.Lock()
-	list := make([]*metric, 0, len(r.metrics))
+	out := make([]MetricSnapshot, 0, len(r.metrics))
 	for _, m := range r.metrics {
-		list = append(list, m)
-	}
-	// Copy the pieces needed outside the lock; funcs slices are
-	// append-only so the copied headers stay valid.
-	type pending struct {
-		m     *metric
-		funcs []func() int64
-	}
-	work := make([]pending, len(list))
-	for i, m := range list {
-		work[i] = pending{m: m, funcs: m.funcs}
-	}
-	r.mu.Unlock()
-
-	out := make([]MetricSnapshot, 0, len(work))
-	for _, p := range work {
-		snap := MetricSnapshot{Name: p.m.name, Labels: p.m.labels, Kind: p.m.kind}
+		snap := MetricSnapshot{Name: m.name, Labels: m.labels, Kind: m.kind}
 		switch {
-		case p.m.hist != nil:
-			h := p.m.hist.Snapshot()
+		case m.hist != nil:
+			h := m.hist.Snapshot()
 			snap.Hist = &h
-		case p.m.series != nil:
-			s := p.m.series.Snapshot()
+		case m.series != nil:
+			s := m.series.Snapshot()
 			snap.Series = &s
 		default:
 			var v int64
-			if p.m.counter != nil {
-				v += p.m.counter.Value()
+			if m.counter != nil {
+				v += m.counter.Value()
 			}
-			if p.m.gauge != nil {
-				v += p.m.gauge.Value()
+			if m.gauge != nil {
+				v += m.gauge.Value()
 			}
-			for _, fn := range p.funcs {
+			for _, fn := range m.funcs {
 				v += fn()
 			}
 			snap.Value = v

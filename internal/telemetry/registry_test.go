@@ -36,6 +36,43 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
+// TestConcurrentRegistryHammer interleaves eight update streams round-robin
+// over one registry — counters, gauges, histograms, a collector — with late
+// registrations and snapshots in between, and checks that every update
+// lands in the totals.
+func TestConcurrentRegistryHammer(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("hits", nil)
+	g := r.Gauge("depth", nil)
+	h := r.Histogram("lat", nil)
+	r.CounterFunc("fn", nil, func() int64 { return c.Value() })
+
+	const streams, perStream = 8, 2000
+	for i := 0; i < perStream; i++ {
+		for w := 0; w < streams; w++ {
+			c.Inc()
+			g.Set(int64(i))
+			h.Observe(int64(i))
+			if i%256 == 0 {
+				r.Counter("hits", nil).Add(0)
+				r.Snapshot()
+			}
+		}
+	}
+
+	if c.Value() != streams*perStream {
+		t.Fatalf("counter = %d, want %d", c.Value(), streams*perStream)
+	}
+	if s := h.Snapshot(); s.Count != streams*perStream {
+		t.Fatalf("histogram count = %d, want %d", s.Count, streams*perStream)
+	}
+	for _, s := range r.Snapshot() {
+		if s.Name == "fn" && s.Value != streams*perStream {
+			t.Fatalf("collector = %d, want %d", s.Value, streams*perStream)
+		}
+	}
+}
+
 func TestLabelsCanonAndWith(t *testing.T) {
 	a := Labels{"b": "2", "a": "1"}
 	if got := a.canon(); got != "a=1,b=2" {

@@ -3,21 +3,17 @@ package telemetry
 import (
 	"strconv"
 	"strings"
-	"sync"
 
 	"redbud/internal/sim"
 )
 
 // Span storage. Start hands out ActiveSpan values — the tracer, a slot in
 // its table of open spans, and the span's ID — so opening a span allocates
-// nothing and there is no per-span lock. End copies the slot into three
-// columns of pointer-free records (spans, typed attributes, events), kept
-// in fixed-size chunks that never grow or move, so the garbage collector
-// never scans them. Layer, name, attribute-key, string-value and event
+// nothing. End copies the slot into three columns of pointer-free records
+// (spans, typed attributes, events), kept in fixed-size chunks that never
+// grow or move, so the garbage collector never scans them. Layer, name, attribute-key, string-value and event
 // names are interned; integers stay integers. Spans() formats the columns
-// back into []Span only at export. The tracer mutex still guards the ID
-// counter, the open-span table, the columns and the intern table: each
-// method takes it once.
+// back into []Span only at export.
 
 // SpanID identifies one span within a Tracer. Zero means "no span" and is
 // the parent of root spans.
@@ -110,13 +106,12 @@ type openSpan struct {
 	events      []eventRec
 }
 
-// Tracer records spans on a simulated clock. All methods are safe for
-// concurrent use, and every method is safe on a nil receiver (it becomes a
-// no-op) so instrumented code paths need no tracing-enabled conditionals.
+// Tracer records spans on a simulated clock. Every method is safe on a nil
+// receiver (it becomes a no-op) so instrumented code paths need no
+// tracing-enabled conditionals.
 type Tracer struct {
 	clock *sim.Clock
 
-	mu      sync.Mutex
 	nextID  SpanID
 	max     int
 	dropped int64
@@ -153,9 +148,7 @@ func (t *Tracer) SetMaxSpans(n int) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.max = n
-	t.mu.Unlock()
 }
 
 // Now returns the current simulated time (0 for a nil tracer).
@@ -177,7 +170,7 @@ func (t *Tracer) Advance(d sim.Ns) {
 	t.clock.Advance(d)
 }
 
-// intern returns s's id in the tracer's string table. Callers hold t.mu.
+// intern returns s's id in the tracer's string table.
 func (t *Tracer) intern(s string) uint32 {
 	id, ok := t.ids[s]
 	if !ok {
@@ -192,7 +185,7 @@ func (t *Tracer) intern(s string) uint32 {
 // no-op handle a nil tracer returns, so call sites stay unconditional
 // whether or not tracing is on; a handle whose span has ended is inert too.
 // Each method is a nil test the compiler inlines in front of the tracer's
-// locked half, so an untraced call site pays no call.
+// half, so an untraced call site pays no call.
 type ActiveSpan struct {
 	t    *Tracer
 	slot int
@@ -210,7 +203,6 @@ func (t *Tracer) Start(layer, name string, parent SpanID) ActiveSpan {
 
 func (t *Tracer) start(layer, name string, parent SpanID) ActiveSpan {
 	begin := t.clock.Now()
-	t.mu.Lock()
 	t.nextID++
 	id := t.nextID
 	var slot int
@@ -225,16 +217,14 @@ func (t *Tracer) start(layer, name string, parent SpanID) ActiveSpan {
 	o.id, o.parent, o.begin = id, parent, begin
 	o.layer, o.name = t.intern(layer), t.intern(name)
 	o.attrs, o.events = o.attrs[:0], o.events[:0]
-	t.mu.Unlock()
 	return ActiveSpan{t: t, slot: slot, id: id}
 }
 
 // ID returns the span's identifier (0 for the no-op handle).
 func (s ActiveSpan) ID() SpanID { return s.id }
 
-// openLocked returns s's slot, or nil once the span has ended. Callers
-// hold t.mu.
-func (t *Tracer) openLocked(s ActiveSpan) *openSpan {
+// live returns s's slot, or nil once the span has ended.
+func (t *Tracer) live(s ActiveSpan) *openSpan {
 	if o := &t.open[s.slot]; o.id == s.id {
 		return o
 	}
@@ -259,15 +249,13 @@ func (s ActiveSpan) AnnotateInt(key string, value int64) {
 // annotate appends one attribute to s: the string value when str is set,
 // the integer otherwise.
 func (t *Tracer) annotate(s ActiveSpan, key string, str bool, value string, num int64) {
-	t.mu.Lock()
-	if o := t.openLocked(s); o != nil {
+	if o := t.live(s); o != nil {
 		a := attrRec{key: t.intern(key), num: num}
 		if str {
 			a.str = t.intern(value) + 1
 		}
 		o.attrs = append(o.attrs, a)
 	}
-	t.mu.Unlock()
 }
 
 // Event records a point-in-time marker at the current simulated time.
@@ -278,12 +266,9 @@ func (s ActiveSpan) Event(name string) {
 }
 
 func (t *Tracer) event(s ActiveSpan, name string) {
-	at := t.clock.Now()
-	t.mu.Lock()
-	if o := t.openLocked(s); o != nil {
-		o.events = append(o.events, eventRec{name: t.intern(name), at: at})
+	if o := t.live(s); o != nil {
+		o.events = append(o.events, eventRec{name: t.intern(name), at: t.clock.Now()})
 	}
-	t.mu.Unlock()
 }
 
 // End closes the span at the current simulated time and commits it to the
@@ -296,10 +281,7 @@ func (s ActiveSpan) End() {
 }
 
 func (t *Tracer) end(s ActiveSpan) {
-	end := t.clock.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	o := t.openLocked(s)
+	o := t.live(s)
 	if o == nil {
 		return
 	}
@@ -313,7 +295,7 @@ func (t *Tracer) end(s ActiveSpan) {
 			t.events.push(e)
 		}
 		t.spans.push(spanRec{
-			id: o.id, parent: o.parent, begin: o.begin, end: end,
+			id: o.id, parent: o.parent, begin: o.begin, end: t.clock.Now(),
 			layer: o.layer, name: o.name,
 			attrEnd: t.attrs.n, eventEnd: t.events.n,
 		})
@@ -347,9 +329,6 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	// The span slice, by far the largest allocation here, comes first: a
 	// collection that the export sets off then always finds it live. Were
 	// it last, whether the collection saw it would hang on which of the
@@ -413,8 +392,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.spans.n
 }
 
@@ -423,8 +400,6 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.dropped
 }
 
@@ -435,8 +410,6 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.spans.n, t.attrs.n, t.events.n = 0, 0, 0
 	t.dropped = 0
 }

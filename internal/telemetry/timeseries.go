@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-
-	"redbud/internal/sim"
-)
+import "redbud/internal/sim"
 
 // Series defaults. A 100 ms window over 4096 buckets covers ~410 s of
 // simulated time per registry — longer than any single mifbench phase —
@@ -27,7 +23,6 @@ const (
 // simulated timestamp, so a series is exactly as deterministic as the
 // clock that feeds it.
 type Series struct {
-	mu     sync.Mutex
 	window sim.Ns
 	// buckets is the ring; bucket b (absolute index at/window) lives at
 	// buckets[b%len(buckets)] while lo <= b < lo+len(buckets).
@@ -58,15 +53,10 @@ func newSeries(window sim.Ns, buckets int) *Series {
 }
 
 // Window returns the bucket width.
-func (s *Series) Window() sim.Ns {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window
-}
+func (s *Series) Window() sim.Ns { return s.window }
 
 // bucketFor returns the ring slot for absolute bucket index b, advancing
-// the ring (and dropping old windows) as needed. Callers hold s.mu. It
-// returns nil for a late sample older than the retained range.
+// the ring (and dropping old windows) as needed. It returns nil for a late sample older than the retained range.
 func (s *Series) bucketFor(b int64) *seriesBucket {
 	n := int64(len(s.buckets))
 	if !s.started {
@@ -99,8 +89,6 @@ func (s *Series) Add(at sim.Ns, v int64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if b := s.bucketFor(at / s.window); b != nil {
 		b.sum += v
 		b.n++
@@ -134,8 +122,6 @@ type SeriesSnapshot struct {
 
 // Snapshot exports the retained windows.
 func (s *Series) Snapshot() SeriesSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	snap := SeriesSnapshot{WindowNs: s.window, Dropped: s.dropped}
 	if !s.started {
 		return snap

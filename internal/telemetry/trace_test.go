@@ -75,6 +75,33 @@ func TestSpanCapCountsDrops(t *testing.T) {
 	}
 }
 
+// TestConcurrentTracerHammer interleaves eight span streams round-robin over
+// one capped tracer, every stream's span open across the others' and
+// exports read in between: each span started is either retained or counted
+// as dropped.
+func TestConcurrentTracerHammer(t *testing.T) {
+	tr := NewTracer(nil)
+	tr.SetMaxSpans(1000)
+	const streams, perStream = 8, 500
+	open := make([]ActiveSpan, streams)
+	for i := 0; i < perStream; i++ {
+		for w := range open {
+			open[w] = tr.Start("disk", "op", 0)
+			tr.Advance(1)
+		}
+		for w, sp := range open {
+			sp.Annotate("w", string(rune('a'+w)))
+			sp.End()
+		}
+		if i%128 == 0 {
+			tr.Spans()
+		}
+	}
+	if tr.Len()+int(tr.Dropped()) != streams*perStream {
+		t.Fatalf("retained %d + dropped %d spans, want %d total", tr.Len(), tr.Dropped(), streams*perStream)
+	}
+}
+
 func TestSpanLogRoundTrip(t *testing.T) {
 	tr := NewTracer(nil)
 	sp := tr.Start("ost", "write", 0)

@@ -22,10 +22,9 @@ import (
 // TestInternalIsSingleThreaded is what makes "same seed, same bytes on any
 // host" a property of the code: no package under internal/ starts a
 // goroutine or looks at the host's width, so nothing there can order work
-// differently on different machines. Tests still call one mount from many
-// goroutines, which is what pfs.FS's one mutex is for; TestOneLock keeps it
-// the only one. cmd/ is deliberately out of scope: an experiment-level
-// worker pool over independent mounts (ROADMAP item 1b) would live there.
+// differently on different machines. Tests drive a mount from one
+// goroutine too — concurrent clients are streams interleaved on the
+// simulated timeline — which is what lets TestNoLocks forbid every lock.
 func TestInternalIsSingleThreaded(t *testing.T) {
 	banned := map[string]bool{"GOMAXPROCS": true, "NumCPU": true, "SetFinalizer": true}
 	fset := token.NewFileSet()
@@ -64,120 +63,92 @@ func TestInternalIsSingleThreaded(t *testing.T) {
 	}
 }
 
-// TestOneLock keeps pfs.FS's mutex the only lock on the simulation path:
-// under internal/ a struct field or package variable of a sync.Mutex,
-// sync.RWMutex or sync/atomic type is allowed only as pfs.FS.mu, inside the
-// export boundary (internal/telemetry and the sim.Clock a tracer owns), or
-// as one of the process-wide owner counters. Everything below the mount
-// belongs to it and is reached under fs.mu or by one goroutine, so a second
-// lock would guard nothing; and a helper named …Locked, which in
-// internal/pfs means "called with fs.mu held", means nothing anywhere else.
-func TestOneLock(t *testing.T) {
-	allowed := map[string]bool{"pfs.FS.mu": true, "core.ownerSeq": true, "defrag.ownerSeq": true}
-	under := func(pkg, dir string) bool { return pkg == dir || strings.HasPrefix(pkg, dir+"/") }
+// TestNoLocks keeps a mount a sequential program: nothing under internal/
+// is safe for concurrent use, and a process drives its mounts — with the
+// registries and tracers they report into — from one goroutine, so a lock
+// there would guard nothing. No non-test file imports sync or sync/atomic (each
+// mutex, atomic or other sync value it declares is named), and no
+// identifier ends in …Locked, the mark of a helper called with a lock held.
+func TestNoLocks(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
-		pkg := filepath.ToSlash(filepath.Dir(strings.TrimPrefix(path, "internal"+string(filepath.Separator))))
 		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		imported := map[string]string{} // local name -> "sync" or "sync/atomic"
+		base := filepath.Base(filepath.Dir(path))
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Locked") {
+				t.Errorf("%s: %s is named …Locked; there is no lock to hold", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		imported := map[string]bool{} // local names of sync and sync/atomic
 		for _, imp := range file.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			if p != "sync" && p != "sync/atomic" {
 				continue
 			}
+			t.Errorf("%s: imports %s", fset.Position(imp.Pos()), p)
 			name := p[strings.LastIndex(p, "/")+1:]
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
-			imported[name] = p
+			imported[name] = true
 		}
-		// lockType names e's type when it is a mutex or an atomic, else "".
-		lockType := func(e ast.Expr) string {
+		if len(imported) == 0 {
+			return nil
+		}
+		// syncType reports whether e names a type from sync or sync/atomic.
+		syncType := func(e ast.Expr) bool {
 			if star, ok := e.(*ast.StarExpr); ok {
 				e = star.X
 			}
 			if idx, ok := e.(*ast.IndexExpr); ok { // atomic.Pointer[T]
 				e = idx.X
 			}
-			sel, ok := e.(*ast.SelectorExpr)
-			if !ok {
-				return ""
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				x, ok := sel.X.(*ast.Ident)
+				return ok && imported[x.Name]
 			}
-			x, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return ""
-			}
-			switch imported[x.Name] {
-			case "sync":
-				if sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex" {
-					return "sync." + sel.Sel.Name
-				}
-			case "sync/atomic":
-				return "atomic." + sel.Sel.Name
-			}
-			return ""
+			return false
 		}
-		report := func(pos token.Pos, name, typ string) {
-			if !allowed[name] && !under(pkg, "telemetry") && !under(pkg, "sim") {
-				t.Errorf("%s: %s has type %s; pfs.FS.mu is the one lock of a mount", fset.Position(pos), name, typ)
-			}
+		report := func(pos token.Pos, name string, typ ast.Expr) {
+			t.Errorf("%s: %s.%s has type %s", fset.Position(pos), base, name, types.ExprString(typ))
 		}
-		base := pkg[strings.LastIndex(pkg, "/")+1:]
 		for _, decl := range file.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				if strings.HasSuffix(decl.Name.Name, "Locked") && pkg != "pfs" && !under(pkg, "telemetry") {
-					name := base + "." + decl.Name.Name
-					if decl.Recv != nil {
-						name = base + "." + recvName(decl.Recv.List[0].Type) + "." + decl.Name.Name
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					st, ok := spec.Type.(*ast.StructType)
+					if !ok {
+						continue
 					}
-					t.Errorf("%s: %s is named …Locked outside internal/pfs, where there is no lock to hold",
-						fset.Position(decl.Pos()), name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						st, ok := spec.Type.(*ast.StructType)
-						if !ok {
+					for _, field := range st.Fields.List {
+						if !syncType(field.Type) {
 							continue
 						}
-						for _, field := range st.Fields.List {
-							typ := lockType(field.Type)
-							if typ == "" {
-								continue
-							}
-							if len(field.Names) == 0 { // embedded
-								report(field.Pos(), base+"."+spec.Name.Name+"."+typ[strings.Index(typ, ".")+1:], typ)
-							}
-							for _, n := range field.Names {
-								report(n.Pos(), base+"."+spec.Name.Name+"."+n.Name, typ)
-							}
+						if len(field.Names) == 0 { // embedded
+							report(field.Pos(), spec.Name.Name, field.Type)
 						}
-					case *ast.ValueSpec:
-						if decl.Tok != token.VAR {
-							continue
+						for _, n := range field.Names {
+							report(n.Pos(), spec.Name.Name+"."+n.Name, field.Type)
 						}
-						typ := ""
-						if spec.Type != nil {
-							typ = lockType(spec.Type)
-						}
-						for _, v := range spec.Values {
-							if lit, ok := v.(*ast.CompositeLit); ok && typ == "" {
-								typ = lockType(lit.Type)
-							}
-						}
-						if typ == "" {
-							continue
-						}
+					}
+				case *ast.ValueSpec:
+					if spec.Type != nil && syncType(spec.Type) {
 						for _, n := range spec.Names {
-							report(n.Pos(), base+"."+n.Name, typ)
+							report(n.Pos(), n.Name, spec.Type)
 						}
 					}
 				}
@@ -198,10 +169,10 @@ func TestOneLock(t *testing.T) {
 func TestPfsHasOneDataPath(t *testing.T) {
 	mayAsk := map[string]bool{
 		// the set helpers (internal/pfs/replica.go)
-		"writeTargetsLocked": true, "membersLocked": true, "bookReplicaLocked": true,
-		"steerReadLocked": true, "downLocked": true, "suspectLocked": true, "forgetLocked": true,
+		"writeTargets": true, "members": true, "bookReplica": true,
+		"steerRead": true, "down": true, "suspect": true, "forget": true,
 		// object creation: placement and registration of the sets
-		"createObjectsLocked": true,
+		"createObjects": true,
 		// mount plumbing, failure injection, repair and recovery
 		"Instrument": true, "SetTracer": true, "Open": true,
 		"ReviveOST": true, "RepairStep": true, "CrashRecover": true,
