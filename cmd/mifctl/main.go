@@ -308,7 +308,7 @@ func (s *session) exec(out io.Writer, f []string) error {
 		m := s.fs.MDS().Stats()
 		fmt.Fprintf(out, "mds:  %d RPCs, %d extent ops, cpu %.2f ms\n",
 			m.RPCs, m.ExtentOps, sim.Seconds(m.CPUNs)*1e3)
-		if c := s.fs.Cache(); c != nil {
+		if c := s.fs.Cache(); c.Config().CapacityBlocks > 0 {
 			cs := c.Stats()
 			fmt.Fprintf(out, "cache: %d hits, %d misses, %d dirty, %d cached, %d write-backs (%d blocks), %d evicted\n",
 				cs.HitBlocks, cs.MissBlocks, cs.DirtyBlocks, cs.CachedBlocks, cs.Writebacks, cs.WritebackBlocks, cs.EvictedBlocks)

@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"redbud/internal/pfs"
@@ -44,35 +43,56 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run executes one miftrace command line, writing its report to stdout,
+// and returns the process exit code: 2 for an unknown subcommand, 1 for a
+// failed one.
+func run(args []string, stdout io.Writer) int {
+	subcommands := map[string]func([]string, io.Writer) error{
+		"gen": gen, "replay": replay, "spans": spans, "critpath": critpath,
+	}
+	if len(args) == 0 || subcommands[args[0]] == nil {
 		fmt.Fprintln(os.Stderr, "usage: miftrace {gen|replay|spans|critpath} [flags]")
-		os.Exit(2)
+		return 2
 	}
-	switch os.Args[1] {
-	case "gen":
-		gen(os.Args[2:])
-	case "replay":
-		replay(os.Args[2:])
-	case "spans":
-		spans(os.Args[2:])
-	case "critpath":
-		critpath(os.Args[2:])
-	default:
-		fmt.Fprintf(os.Stderr, "miftrace: unknown subcommand %q\n", os.Args[1])
-		os.Exit(2)
+	if err := subcommands[args[0]](args[1:], stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "miftrace %s: %v\n", args[0], err)
+		return 1
 	}
+	return 0
+}
+
+// parse parses a subcommand's flags, exiting on a bad one as the flag
+// set's ExitOnError says, and requires want positional arguments.
+func parse(fs *flag.FlagSet, args []string, want int, usage string) error {
+	fs.Parse(args)
+	if fs.NArg() != want {
+		return fmt.Errorf("usage: miftrace %s", usage)
+	}
+	return nil
+}
+
+// open opens a named input, "-" meaning stdin.
+func open(name string) (io.ReadCloser, error) {
+	if name == "-" {
+		return io.NopCloser(os.Stdin), nil
+	}
+	return os.Open(name)
 }
 
 // gen writes a synthetic trace to stdout.
-func gen(args []string) {
+func gen(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	pattern := fs.String("pattern", "shared", "shared|strided|random")
 	streams := fs.Int("streams", 16, "number of write streams")
 	region := fs.Int64("region", 512, "blocks per stream region")
 	req := fs.Int64("req", 8, "request size in blocks")
 	seed := fs.Uint64("seed", 1, "generator seed")
-	fs.Parse(args)
-
+	if err := parse(fs, args, 0, "gen [flags]"); err != nil {
+		return err
+	}
 	ops, err := trace.Generate(trace.GenConfig{
 		Pattern:       *pattern,
 		Streams:       *streams,
@@ -82,15 +102,13 @@ func gen(args []string) {
 		Seed:          *seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := trace.Write(os.Stdout, ops); err != nil {
-		log.Fatal(err)
-	}
+	return trace.Write(stdout, ops)
 }
 
 // replay executes a trace against a fresh mount and reports placement.
-func replay(args []string) {
+func replay(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	policy := fs.String("policy", "on-demand", "vanilla|reservation|on-demand|static")
 	osts := fs.Int("osts", 4, "IO server count")
@@ -98,28 +116,22 @@ func replay(args []string) {
 	telemetryOut := fs.String("telemetry", "", "write the metrics-registry snapshot (JSON) to this file")
 	dropRate := fs.Float64("drop-rate", 0, "inject message loss at this rate (0..1); requests drop at the rate, responses at half of it")
 	faultSeed := fs.Uint64("fault-seed", 1, "fault injector seed (with -drop-rate)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		log.Fatal("usage: miftrace replay [flags] <trace|->")
+	if err := parse(fs, args, 1, "replay [flags] <trace|->"); err != nil {
+		return err
 	}
-
-	var in io.Reader = os.Stdin
-	if fs.Arg(0) != "-" {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		in = f
+	in, err := open(fs.Arg(0))
+	if err != nil {
+		return err
 	}
+	defer in.Close()
 	ops, err := trace.Read(in)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	kind, err := pfs.ParsePolicy(*policy)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := pfs.MiF(*osts).WithPolicy(kind)
 	reg := telemetry.NewRegistry()
@@ -135,7 +147,7 @@ func replay(args []string) {
 	}
 	mount, err := pfs.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Static needs a size hint up front; size to the trace's extent.
 	var maxBlk int64
@@ -146,7 +158,7 @@ func replay(args []string) {
 	}
 	f, err := mount.Create(mount.Root(), "trace.dat", maxBlk)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var writes, reads int64
@@ -155,7 +167,7 @@ func replay(args []string) {
 		switch op.Kind {
 		case trace.OpWrite:
 			if err := f.Write(op.Stream, op.Blk, op.Count); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			writes++
 		case trace.OpRead:
@@ -165,7 +177,7 @@ func replay(args []string) {
 				mount.ResetDataStats()
 			}
 			if err := f.Read(op.Blk, op.Count); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			reads++
 		}
@@ -178,12 +190,12 @@ func replay(args []string) {
 	}
 	extents, err := mount.TotalExtents(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := mount.DataStats()
-	fmt.Printf("policy=%s writes=%d reads=%d extents=%d positionings=%d\n",
+	fmt.Fprintf(stdout, "policy=%s writes=%d reads=%d extents=%d positionings=%d\n",
 		*policy, writes, reads, extents, st.Positionings)
-	fmt.Printf("write phase %.2f ms, read phase %.2f ms\n",
+	fmt.Fprintf(stdout, "write phase %.2f ms, read phase %.2f ms\n",
 		sim.Seconds(writeNs)*1e3, sim.Seconds(readNs)*1e3)
 	if *dropRate > 0 {
 		sum := func(name string) int64 {
@@ -195,86 +207,73 @@ func replay(args []string) {
 			}
 			return total
 		}
-		fmt.Printf("rpc faults=%d timeouts=%d retries=%d recoveries=%d exhausted=%d\n",
+		fmt.Fprintf(stdout, "rpc faults=%d timeouts=%d retries=%d recoveries=%d exhausted=%d\n",
 			sum("rpc_faults"), sum("rpc_timeouts"), sum("rpc_retries"),
 			sum("rpc_recoveries"), sum("rpc_exhausted"))
 	}
 	if *spansOut != "" {
-		writeFile(*spansOut, tr.WriteSpanLog)
+		if err := writeFile(*spansOut, tr.WriteSpanLog); err != nil {
+			return err
+		}
 	}
 	if *telemetryOut != "" {
-		writeFile(*telemetryOut, reg.WriteJSON)
+		return writeFile(*telemetryOut, reg.WriteJSON)
 	}
+	return nil
 }
 
 // writeFile writes one exporter's output to path.
-func writeFile(path string, write func(io.Writer) error) {
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := write(f); err != nil {
-		log.Fatal(err)
+		f.Close()
+		return err
 	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+	return f.Close()
+}
+
+// readSpanLog reads a recorded span log from a named input.
+func readSpanLog(name string) ([]telemetry.Span, error) {
+	in, err := open(name)
+	if err != nil {
+		return nil, err
 	}
+	defer in.Close()
+	return telemetry.ReadSpanLog(in)
 }
 
 // spans converts a recorded span log into Chrome trace_event JSON.
-func spans(args []string) {
+func spans(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("spans", flag.ExitOnError)
 	out := fs.String("o", "", "output file (default stdout)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		log.Fatal("usage: miftrace spans [-o chrome.json] <spans.json|->")
+	if err := parse(fs, args, 1, "spans [-o chrome.json] <spans.json|->"); err != nil {
+		return err
 	}
-	var in io.Reader = os.Stdin
-	if fs.Arg(0) != "-" {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	recorded, err := telemetry.ReadSpanLog(in)
+	recorded, err := readSpanLog(fs.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	write := func(w io.Writer) error { return telemetry.WriteChromeTrace(w, recorded) }
 	if *out == "" {
-		if err := telemetry.WriteChromeTrace(os.Stdout, recorded); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return write(stdout)
 	}
-	writeFile(*out, func(w io.Writer) error { return telemetry.WriteChromeTrace(w, recorded) })
+	return writeFile(*out, write)
 }
 
 // critpath analyzes a recorded span log: per-layer self-time attribution
 // and the slowest requests.
-func critpath(args []string) {
+func critpath(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("critpath", flag.ExitOnError)
 	top := fs.Int("top", 5, "show the K slowest requests with per-layer breakdowns")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		log.Fatal("usage: miftrace critpath [-top K] <spans.json|->")
+	if err := parse(fs, args, 1, "critpath [-top K] <spans.json|->"); err != nil {
+		return err
 	}
-	var in io.Reader = os.Stdin
-	if fs.Arg(0) != "-" {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	recorded, err := telemetry.ReadSpanLog(in)
+	recorded, err := readSpanLog(fs.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	rep := telemetry.AnalyzeCritPath(recorded, *top)
-	if err := rep.WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
+	return telemetry.AnalyzeCritPath(recorded, *top).WriteText(stdout)
 }

@@ -22,6 +22,10 @@
 //     Truncate, and Delete so cache-on runs preserve the consistency the
 //     defrag and recovery tests assert.
 //
+// Every mount has a cache. One of capacity 0 is a pass-through: each Write
+// is one WriteBack and each Read one Fetch of the caller's range, and it
+// keeps, counts and publishes nothing.
+//
 // The cache holds no user data — the simulation tracks placement and
 // time, not bytes — only per-block residency and dirtiness, which is all
 // the RPC/disk cost model needs. Every cached block is one node of a
@@ -63,8 +67,9 @@ type BackingStore interface {
 type Config struct {
 	// CapacityBlocks bounds the total cached blocks (clean + dirty). The
 	// least-recently-used block is evicted beyond it; dirty victims are
-	// written back (as their whole coalesced run) first. Zero takes the
-	// default.
+	// written back (as their whole coalesced run) first. Zero or less makes
+	// the cache a write-through pass-through that holds no block, and the
+	// other fields are ignored.
 	CapacityBlocks int64
 	// DirtyHighWater is the dirty-block bound: when exceeded, the oldest
 	// dirty runs are written back until the gauge is back under it. Zero
@@ -92,12 +97,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// withDefaults fills zero fields.
+// withDefaults fills zero fields; a pass-through becomes the zero Config.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.CapacityBlocks <= 0 {
-		c.CapacityBlocks = d.CapacityBlocks
+		return Config{}
 	}
+	d := DefaultConfig()
 	if c.DirtyHighWater <= 0 {
 		c.DirtyHighWater = d.DirtyHighWater
 	}
@@ -212,8 +217,8 @@ type Cache struct {
 	clock  func() sim.Ns
 }
 
-// New builds a cache over the backing store. Zero config fields take
-// defaults.
+// New builds a cache over the backing store, a pass-through when
+// cfg.CapacityBlocks <= 0. Other zero config fields take defaults.
 func New(cfg Config, store BackingStore) *Cache {
 	return &Cache{
 		cfg:   cfg.withDefaults(),
@@ -236,8 +241,12 @@ func (c *Cache) Stats() Stats {
 
 // Instrument publishes the layer=cache metrics: hit/miss/eviction
 // counters, the dirty- and cached-block gauges, the coalesced-write size
-// histogram, and the readahead issued/used/wasted counters.
+// histogram, and the readahead issued/used/wasted counters; a
+// pass-through publishes nothing.
 func (c *Cache) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
+	if c.passThrough() {
+		return
+	}
 	c.wbHist = reg.Histogram("cache_writeback_blocks", labels)
 	c.events = reg.Events()
 	reg.CounterFunc("cache_hit_blocks", labels, func() int64 { return c.Stats().HitBlocks })
@@ -264,6 +273,9 @@ func (c *Cache) Reset() {
 	c.total = 0
 	c.dirty = 0
 }
+
+// passThrough reports whether the cache holds no block at all.
+func (c *Cache) passThrough() bool { return c.cfg.CapacityBlocks == 0 }
 
 // SetClock attaches the simulated-time source that stamps the cache's
 // structured events (the PFS layer passes its tracer's Now). A nil fn
@@ -378,6 +390,9 @@ func (c *Cache) Write(f FileID, stream core.StreamID, blk, count int64) error {
 	if blk < 0 || count <= 0 {
 		return fmt.Errorf("cache: invalid write [%d,+%d)", blk, count)
 	}
+	if c.passThrough() {
+		return c.store.WriteBack(f, stream, blk, count)
+	}
 	fs := c.file(f)
 	fs.grow(blk + count)
 	for l := blk; l < blk+count; l++ {
@@ -487,6 +502,9 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 	if blk < 0 || count <= 0 {
 		return fmt.Errorf("cache: invalid read [%d,+%d)", blk, count)
 	}
+	if c.passThrough() {
+		return c.store.Fetch(f, blk, count)
+	}
 	fs := c.file(f)
 
 	// Sequential-stream detection: a read continuing where the previous
@@ -581,6 +599,9 @@ func (c *Cache) Read(f FileID, blk, count int64) error {
 // back (coalesced into maximal runs, in ascending order). The PFS layer
 // calls it on Fsync, Close, Truncate, and Delete.
 func (c *Cache) FlushFile(f FileID) error {
+	if c.passThrough() {
+		return nil
+	}
 	c.st.FlushBarriers++
 	return c.flushFile(f)
 }
@@ -607,6 +628,9 @@ func (c *Cache) flushFile(f FileID) error {
 // written back, files in ascending FileID order. The PFS layer calls it
 // on Sync.
 func (c *Cache) Flush() error {
+	if c.passThrough() {
+		return nil
+	}
 	c.st.FlushBarriers++
 	ids := make([]FileID, 0, len(c.files))
 	for f := range c.files {

@@ -72,7 +72,7 @@ func mustNil(t *testing.T, err error) {
 
 func TestSingleBlockWritesFlushAsOneRun(t *testing.T) {
 	st := &fakeStore{}
-	c := New(Config{}, st)
+	c := New(DefaultConfig(), st)
 	for i := int64(0); i < 16; i++ {
 		mustNil(t, c.Write(1, core.StreamID{}, i, 1))
 	}
@@ -95,7 +95,7 @@ func TestSingleBlockWritesFlushAsOneRun(t *testing.T) {
 
 func TestSparseDirtyRunsFlushSeparately(t *testing.T) {
 	st := &fakeStore{}
-	c := New(Config{}, st)
+	c := New(DefaultConfig(), st)
 	mustNil(t, c.Write(7, core.StreamID{}, 0, 2))
 	mustNil(t, c.Write(7, core.StreamID{}, 8, 2))
 	mustNil(t, c.FlushFile(7))
@@ -111,7 +111,7 @@ func TestSparseDirtyRunsFlushSeparately(t *testing.T) {
 
 func TestOverlappingWritesStayOneRun(t *testing.T) {
 	st := &fakeStore{}
-	c := New(Config{}, st)
+	c := New(DefaultConfig(), st)
 	mustNil(t, c.Write(1, core.StreamID{}, 0, 4))
 	mustNil(t, c.Write(1, core.StreamID{}, 2, 4))
 	if got := c.Stats().DirtyBlocks; got != 6 {
@@ -125,7 +125,7 @@ func TestOverlappingWritesStayOneRun(t *testing.T) {
 
 func TestReadYourWritesCostsNoRPC(t *testing.T) {
 	st := &fakeStore{}
-	c := New(Config{}, st)
+	c := New(DefaultConfig(), st)
 	mustNil(t, c.Write(1, core.StreamID{}, 0, 8))
 	mustNil(t, c.Read(1, 0, 8))
 	mustNil(t, c.Read(1, 3, 2))
@@ -243,7 +243,7 @@ func TestReadaheadArmsAfterSequentialRun(t *testing.T) {
 
 func TestReadaheadNeverReadsAHole(t *testing.T) {
 	st := &fakeStore{}
-	c := New(Config{ReadAheadBlocks: 64, SequentialThreshold: 1}, st)
+	c := New(Config{CapacityBlocks: 16384, ReadAheadBlocks: 64, SequentialThreshold: 1}, st)
 	// A sparse file: [0,2) and [8,10) exist, [2,8) is a hole.
 	mustNil(t, c.Write(1, core.StreamID{}, 0, 2))
 	mustNil(t, c.Write(1, core.StreamID{}, 8, 2))
@@ -289,7 +289,7 @@ func TestFlushOrderIsDeterministic(t *testing.T) {
 	}
 	for round := 0; round < 5; round++ {
 		st := &fakeStore{}
-		c := New(Config{}, st)
+		c := New(DefaultConfig(), st)
 		// Dirty three files in an order unrelated to the flush order.
 		mustNil(t, c.Write(9, core.StreamID{}, 100, 4))
 		mustNil(t, c.Write(1, core.StreamID{}, 6, 1))
@@ -310,7 +310,7 @@ func TestFlushOrderIsDeterministic(t *testing.T) {
 
 func TestTruncateDropsTailWithoutWriteback(t *testing.T) {
 	st := &fakeStore{}
-	c := New(Config{ReadAheadBlocks: 64, SequentialThreshold: 1}, st)
+	c := New(Config{CapacityBlocks: 16384, ReadAheadBlocks: 64, SequentialThreshold: 1}, st)
 	mustNil(t, c.Write(1, core.StreamID{}, 0, 8))
 	c.Truncate(1, 4)
 	mustNil(t, c.FlushFile(1))
@@ -329,7 +329,7 @@ func TestTruncateDropsTailWithoutWriteback(t *testing.T) {
 
 func TestDropDiscardsEverything(t *testing.T) {
 	st := &fakeStore{}
-	c := New(Config{}, st)
+	c := New(DefaultConfig(), st)
 	mustNil(t, c.Write(1, core.StreamID{}, 0, 8))
 	mustNil(t, c.Write(2, core.StreamID{}, 0, 4))
 	c.Drop(1)
@@ -346,7 +346,7 @@ func TestDropDiscardsEverything(t *testing.T) {
 
 func TestStoreErrorsPropagate(t *testing.T) {
 	st := &fakeStore{fail: fmt.Errorf("boom")}
-	c := New(Config{}, st)
+	c := New(DefaultConfig(), st)
 	mustNil(t, c.Write(1, core.StreamID{}, 0, 4)) // absorbed, no RPC yet
 	if err := c.FlushFile(1); err == nil {
 		t.Fatal("write-back failure must surface from FlushFile")
@@ -435,6 +435,49 @@ func TestMatchesReferenceCache(t *testing.T) {
 		st := c.Stats()
 		if st.EvictedBlocks == 0 || st.Writebacks == 0 || st.ReadaheadUsed == 0 || st.ReadaheadWasted == 0 {
 			t.Fatalf("seed %d: the sequence left a mechanism idle: %+v", seed, st)
+		}
+	}
+}
+
+// TestZeroCapacityIsPassThrough: a cache with no capacity turns every
+// Write into one write-back and every Read into one fetch of the caller's
+// range, holds nothing between calls, and counts and publishes nothing.
+func TestZeroCapacityIsPassThrough(t *testing.T) {
+	for _, cfg := range []Config{{}, {CapacityBlocks: -1, DirtyHighWater: 4, ReadAheadBlocks: 8}} {
+		st := &fakeStore{}
+		c := New(cfg, st)
+		if c.Config() != (Config{}) {
+			t.Fatalf("pass-through config = %+v, want the zero Config", c.Config())
+		}
+		reg := telemetry.NewRegistry()
+		c.Instrument(reg, telemetry.Labels{"layer": "cache"})
+		s := core.StreamID{Client: 1, PID: 1}
+		mustNil(t, c.Write(1, s, 0, 8))
+		mustNil(t, c.Write(1, s, 8, 8))
+		mustNil(t, c.Read(1, 0, 16))
+		mustNil(t, c.Read(1, 16, 4))
+		mustNil(t, c.FlushFile(1))
+		mustNil(t, c.Flush())
+		c.Truncate(1, 4)
+		c.Drop(1)
+		c.Reset()
+		want := []call{
+			{write: true, f: 1, stream: s, blk: 0, count: 8},
+			{write: true, f: 1, stream: s, blk: 8, count: 8},
+			{f: 1, blk: 0, count: 16},
+			{f: 1, blk: 16, count: 4},
+		}
+		if !reflect.DeepEqual(st.calls, want) {
+			t.Fatalf("store calls = %v, want %v", st.calls, want)
+		}
+		if c.Stats() != (Stats{}) {
+			t.Fatalf("pass-through stats = %+v, want zero", c.Stats())
+		}
+		if n := len(reg.Snapshot()); n != 0 {
+			t.Fatalf("pass-through published %d metrics, want none", n)
+		}
+		if n := reg.Events().Len(); n != 0 {
+			t.Fatalf("pass-through emitted %d events, want none", n)
 		}
 	}
 }

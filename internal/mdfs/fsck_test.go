@@ -2,6 +2,7 @@ package mdfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -193,6 +194,42 @@ func TestLoadImageRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadImage(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input should not load")
+	}
+}
+
+// TestLoadImageRejectsAbsurdGeometry: a header whose geometry New would
+// reject, or whose device is past the cap, is an error before anything is
+// sized by it. A 60-byte header claiming 2^36 blocks used to end the
+// process out of memory in the allocator.
+func TestLoadImageRejectsAbsurdGeometry(t *testing.T) {
+	seed, err := New(fuzzConfig(LayoutNormal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		field int // index of the header's geometry field to overwrite
+		value int64
+	}{
+		{"2^36 blocks", 0, 1 << 36},
+		{"device past the cap", 0, maxImageBytes/1024 + 1},
+		{"block past the cap", 1, maxImageBlockSize * 2},
+		{"negative blocks", 0, -1},
+		{"negative inodes per group", 5, -8},
+		{"block below an inode record", 1, 16},
+		{"group too small for its inode table", 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var img bytes.Buffer
+			if err := seed.SaveImage(&img); err != nil {
+				t.Fatal(err)
+			}
+			b := img.Bytes()
+			binary.LittleEndian.PutUint64(b[12+8*tc.field:], uint64(tc.value))
+			if _, err := LoadImage(bytes.NewReader(b)); err == nil {
+				t.Fatal("image loaded")
+			}
+		})
 	}
 }
 

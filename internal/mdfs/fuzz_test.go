@@ -43,16 +43,11 @@ func fuzzSeed(f *testing.F, layout Layout, damage func(fs *FS)) []byte {
 // input from outside the program, and these are the tools that must end
 // with a finding on any damage. Seeds are a clean image per layout, one per
 // corruption kind, and the out-of-device damage of TestLoadImageSurvivesDamage.
-//
-// Inputs whose geometry header differs from the seeds' are skipped: the
-// header sizes the allocator and the device model before any block is
-// decoded, so an absurd geometry is an allocation, not a decoder, question.
+// The geometry header is fuzzed too: LoadImage bounds it before sizing
+// anything by it.
 func FuzzLoadImageFsck(f *testing.F) {
-	var geometry []byte // the seeds' header bytes after magic, version and layout
 	for _, layout := range []Layout{LayoutNormal, LayoutEmbedded} {
-		img := fuzzSeed(f, layout, func(*FS) {})
-		geometry = img[12:60]
-		f.Add(img)
+		f.Add(fuzzSeed(f, layout, func(*FS) {}))
 		for _, tc := range fsckCorruptionCases {
 			for _, l := range tc.layouts {
 				if l == layout {
@@ -69,9 +64,6 @@ func FuzzLoadImageFsck(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, img []byte) {
-		if len(img) < 60 || !bytes.Equal(img[12:60], geometry) {
-			return
-		}
 		fs, err := LoadImage(bytes.NewReader(img))
 		if err != nil {
 			return

@@ -110,6 +110,9 @@ func LoadImage(r io.Reader) (*FS, error) {
 		}
 	}
 	cfg.Disk.BlockSize = cfg.BlockSize
+	if err := checkImageGeometry(cfg); err != nil {
+		return nil, err
+	}
 	fs, err := newUnformatted(cfg)
 	if err != nil {
 		return nil, err
@@ -152,6 +155,28 @@ func LoadImage(r io.Reader) (*FS, error) {
 		return nil, err
 	}
 	return fs, nil
+}
+
+// maxImageBytes caps the device an image header may declare, Blocks ×
+// BlockSize, and maxImageBlockSize one block. LoadImage sizes the
+// allocator, the inode bitmaps and its block buffers by the header before
+// it decodes a block, so an absurd header is an allocation no reader
+// survives. The caps are four and sixteen times the largest in-tree
+// geometry's: DefaultConfig's 2 GiB device of 4 KiB blocks.
+const maxImageBytes, maxImageBlockSize = 4 << 31, 64 << 10
+
+// checkImageGeometry rejects a header geometry before anything is sized
+// by it: a negative field, a block or device past the caps, or one New
+// rejects. Zero fields take New's defaults, as they do on load.
+func checkImageGeometry(cfg Config) error {
+	applyDefaults(&cfg)
+	if min(cfg.Blocks, cfg.BlockSize, cfg.JournalBlocks, cfg.TableBlocks, cfg.GroupBlocks, cfg.InodesPerGroup) < 0 ||
+		cfg.BlockSize > maxImageBlockSize || cfg.Blocks > maxImageBytes/cfg.BlockSize {
+		return fmt.Errorf("mdfs: image geometry out of range (%d blocks of %d bytes; caps %d-byte device, %d-byte block)",
+			cfg.Blocks, cfg.BlockSize, int64(maxImageBytes), maxImageBlockSize)
+	}
+	_, err := computeGeometry(cfg)
+	return err
 }
 
 // RebuildAllocator reconstructs the space allocator from the reachable

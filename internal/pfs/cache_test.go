@@ -1,12 +1,14 @@
 package pfs
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"redbud/internal/alloc"
 	"redbud/internal/cache"
 	"redbud/internal/core"
+	"redbud/internal/replica"
 	"redbud/internal/sim"
 	"redbud/internal/telemetry"
 )
@@ -50,14 +52,84 @@ func rpcValue(reg *telemetry.Registry, name, part string) int64 {
 	return total
 }
 
+// TestCacheOffByDefault: a mount without Config.Cache carries a cache of
+// capacity 0 that holds nothing — every write reaches the servers before it
+// returns — and that counts and publishes nothing.
 func TestCacheOffByDefault(t *testing.T) {
 	for _, cfg := range []Config{MiF(3), RedbudOrig(3), LustreLike(3)} {
+		reg := telemetry.NewRegistry()
+		cfg.Metrics = reg
 		fs, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs.Cache() != nil {
-			t.Fatalf("%s: mounts must default to write-through", cfg.Name)
+		if got := fs.Cache().Config(); got != (cache.Config{}) {
+			t.Fatalf("%s: default cache config = %+v, want capacity 0", cfg.Name, got)
+		}
+		h, err := fs.Create(fs.Root(), "off.dat", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 16; i++ {
+			if err := h.Write(core.StreamID{Client: 1, PID: 1}, i, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := storedBlocks(t, fs, h); got < 16 {
+			t.Fatalf("%s: before any barrier the servers hold %d blocks, want all 16 written through", cfg.Name, got)
+		}
+		if err := h.Read(0, 16); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Fsync(); err != nil {
+			t.Fatal(err)
+		}
+		if st := fs.Cache().Stats(); st != (cache.Stats{}) {
+			t.Fatalf("%s: capacity-0 cache stats = %+v, want zero", cfg.Name, st)
+		}
+		for _, m := range reg.Snapshot() {
+			if strings.Contains(m.Labels, "layer=cache") {
+				t.Fatalf("%s: capacity-0 cache published %s{%s}", cfg.Name, m.Name, m.Labels)
+			}
+		}
+	}
+}
+
+// TestZeroCapacityCacheIsByteIdentical is the identity guard of the one
+// cache path: over every policy and replication factor, a mount given a
+// capacity-0 cache config runs the data-path script (and a Sync) with
+// exactly the registry document — metrics and events — and simulated clock
+// of a mount given none.
+func TestZeroCapacityCacheIsByteIdentical(t *testing.T) {
+	run := func(policy PolicyKind, rc *replica.Config, cc *cache.Config) ([]byte, sim.Ns) {
+		cfg := MiF(4).WithPolicy(policy)
+		cfg.Replication = rc
+		cfg.Cache = cc
+		reg := telemetry.NewRegistry()
+		tr := telemetry.NewTracer(nil)
+		cfg.Metrics = reg
+		cfg.Trace = tr
+		fs, _ := runDataPathScript(t, cfg)
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		var doc bytes.Buffer
+		if err := reg.WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Bytes(), tr.Now()
+	}
+	for _, policy := range []PolicyKind{PolicyVanilla, PolicyReservation, PolicyOnDemand, PolicyStatic} {
+		for _, rc := range []*replica.Config{nil, {RF: 2}, {RF: 3}} {
+			offDoc, offNow := run(policy, rc, nil)
+			zeroDoc, zeroNow := run(policy, rc, &cache.Config{})
+			if offNow != zeroNow {
+				t.Fatalf("%v/%+v: simulated clocks diverged: %d vs %d ns", policy, rc, offNow, zeroNow)
+			}
+			if !bytes.Equal(offDoc, zeroDoc) {
+				t.Fatalf("%v/%+v: capacity-0 telemetry diverged from the mount without a cache config:\n%s\nvs\n%s",
+					policy, rc, offDoc, zeroDoc)
+			}
 		}
 	}
 }
@@ -116,7 +188,7 @@ func TestCacheReadYourWritesProperty(t *testing.T) {
 // TestCacheFlushBarriers verifies writes are absorbed client-side until a
 // barrier — Fsync here, Close below — forces them to the servers.
 func TestCacheFlushBarriers(t *testing.T) {
-	fs := cachedConfig(t, cache.Config{})
+	fs := cachedConfig(t, cache.DefaultConfig())
 	h, err := fs.Create(fs.Root(), "bar.dat", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +228,7 @@ func TestCacheFlushBarriers(t *testing.T) {
 // TestCacheTruncateBarrier: the truncate barrier flushes first, then the
 // cache drops the now-stale tail so it can neither hit nor write back.
 func TestCacheTruncateBarrier(t *testing.T) {
-	fs := cachedConfig(t, cache.Config{})
+	fs := cachedConfig(t, cache.DefaultConfig())
 	h, err := fs.Create(fs.Root(), "trunc.dat", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +251,7 @@ func TestCacheTruncateBarrier(t *testing.T) {
 // TestCacheDeleteDropsState: delete flushes, removes the objects, and the
 // cache forgets the file.
 func TestCacheDeleteDropsState(t *testing.T) {
-	fs := cachedConfig(t, cache.Config{})
+	fs := cachedConfig(t, cache.DefaultConfig())
 	h, err := fs.Create(fs.Root(), "del.dat", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +313,8 @@ func TestCacheCoalescingReducesWriteRPCs(t *testing.T) {
 		cfg := MiF(3)
 		cfg.Metrics = reg
 		if withCache {
-			cfg.Cache = &cache.Config{}
+			ccfg := cache.DefaultConfig()
+			cfg.Cache = &ccfg
 		}
 		fs, err := New(cfg)
 		if err != nil {

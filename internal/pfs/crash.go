@@ -107,9 +107,7 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 	}
 
 	// 5. The client cache reboots empty.
-	if fs.cache != nil {
-		fs.cache.Reset()
-	}
+	fs.cache.Reset()
 
 	// 6. Re-derive replica staleness from durable coverage and repair.
 	rep.RepairedOK = true

@@ -104,11 +104,11 @@ type Config struct {
 	// value is the default fault-free connection; OST crashes
 	// (CrashOST) work either way.
 	RPC rpc.ClientConfig
-	// Cache, when set, mounts a client-side block cache between the file
-	// operations and the RPC clients: re-reads of cached blocks cost no
-	// RPCs, adjacent dirty blocks flush as one coalesced write, and
-	// sequential readers trigger adaptive readahead. Nil (the default)
-	// keeps the mount write-through, so existing runs stay byte-identical.
+	// Cache tunes the client block cache every mount carries between the
+	// file operations and the RPC clients: re-reads of cached blocks cost
+	// no RPCs, adjacent dirty blocks flush as one coalesced write, and
+	// sequential readers trigger adaptive readahead. Nil (the default) is
+	// capacity 0, a write-through pass-through that holds nothing.
 	Cache *cache.Config
 	// Replication, when set with RF > 1, gives every stripe component an
 	// N-way replica set: writes fan out to all live copies, reads steer to
@@ -211,7 +211,7 @@ type FS struct {
 	mdsc    *rpc.MDSClient
 	ostc    []*rpc.OSTClient
 	defrag  *defrag.Engine   // online defragmentation, one controller per OST
-	cache   *cache.Cache     // client block cache, nil on write-through mounts
+	cache   *cache.Cache     // client block cache, a pass-through at capacity 0
 	rep     *replica.Manager // replica table, nil at RF <= 1
 	files   map[inode.Ino]*file
 	nextObj uint64
@@ -281,9 +281,11 @@ func New(cfg Config) (*FS, error) {
 		dc = *cfg.Defrag
 	}
 	fs.defrag = defrag.NewEngine(dc, fs.osts...)
+	var cc cache.Config
 	if cfg.Cache != nil {
-		fs.cache = cache.New(*cfg.Cache, cacheStore{fs})
+		cc = *cfg.Cache
 	}
+	fs.cache = cache.New(cc, (*cacheStore)(fs))
 	if cfg.Replication != nil && cfg.Replication.RF > 1 {
 		if cfg.Replication.RF > cfg.OSTs {
 			return nil, fmt.Errorf("pfs: replication factor %d exceeds %d OSTs",
@@ -330,9 +332,7 @@ func (fs *FS) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 	}
 	fs.fabric.Instrument(reg, labels.With("layer", "net"))
 	fs.defrag.Instrument(reg, labels.With("layer", "defrag"))
-	if fs.cache != nil {
-		fs.cache.Instrument(reg, labels.With("layer", "cache"))
-	}
+	fs.cache.Instrument(reg, labels.With("layer", "cache"))
 	if fs.rep != nil {
 		fs.rep.Instrument(reg, labels.With("layer", "replica"))
 	}
@@ -348,11 +348,9 @@ func (fs *FS) SetTracer(t *telemetry.Tracer) {
 		srv.SetTracer(t)
 	}
 	fs.defrag.SetTracer(t)
-	if fs.cache != nil {
-		// Stamp cache events on the mount's timeline (t.Now is nil-safe,
-		// so a detached tracer just pins them at time zero).
-		fs.cache.SetClock(t.Now)
-	}
+	// Stamp cache events on the mount's timeline (t.Now is nil-safe, so a
+	// detached tracer just pins them at time zero).
+	fs.cache.SetClock(t.Now)
 	if fs.rep != nil {
 		fs.rep.SetClock(t.Now)
 	}
@@ -404,77 +402,46 @@ func (fs *FS) OSTs() int { return len(fs.osts) }
 // — batch tools call Run, a live system interleaves Step with traffic.
 func (fs *FS) Defrag() *defrag.Engine { return fs.defrag }
 
-// Cache returns the client block cache, or nil when the mount runs
-// write-through (the default).
+// Cache returns the client block cache. It is never nil: a mount without
+// Config.Cache has a pass-through of capacity 0.
 func (fs *FS) Cache() *cache.Cache { return fs.cache }
 
 // Replication returns the replica manager, or nil when every replica set
 // is a set of one (RF <= 1, the default) and there is nothing to manage.
 func (fs *FS) Replication() *replica.Manager { return fs.rep }
 
-// cacheStore adapts the mount into the cache's backing store. Its methods
-// only run inside cache calls a file operation makes, so they take the
-// uncached paths directly and never re-enter the cache.
-type cacheStore struct{ fs *FS }
+// cacheStore is the mount as the cache's backing store: the striped write
+// and read paths, WriteBack and Fetch below. They run only inside the cache
+// calls a file operation makes, so they never re-enter the cache.
+type cacheStore FS
 
-// WriteBack flushes one coalesced dirty run through the regular striped
-// write path, extent-churn accounting included.
-func (s cacheStore) WriteBack(f cache.FileID, stream core.StreamID, blk, count int64) error {
-	fl, ok := s.fs.files[inode.Ino(f)]
-	if !ok {
-		return fmt.Errorf("pfs: write-back for unknown inode %d", uint64(f))
+// inCache runs call, a cache operation of op, in a "cache" span under op
+// with the rpc connection pointed at it, so write-back and fetch RPCs nest
+// pfs → cache → rpc. A pass-through holds no block and gets no span: the
+// one place pfs asks whether blocks are cached.
+func (fs *FS) inCache(name string, op telemetry.ActiveSpan, call func() error) error {
+	if fs.cache.Config().CapacityBlocks <= 0 {
+		return call()
 	}
-	// Crash point: the cache chose to write this dirty run back but the
-	// RPCs never left the client — the blocks were only ever in volatile
-	// client memory, so losing them is allowed until a barrier returns.
-	if _, ok := s.fs.cfg.Crash.Hit(crashsim.PtCacheWriteback, count); ok {
-		s.fs.cfg.Crash.Kill()
-	}
-	return s.fs.writeThrough(fl, stream, blk, count)
-}
-
-// Fetch reads one missing (possibly readahead-extended) run through the
-// regular striped read path.
-func (s cacheStore) Fetch(f cache.FileID, blk, count int64) error {
-	fl, ok := s.fs.files[inode.Ino(f)]
-	if !ok {
-		return fmt.Errorf("pfs: fetch for unknown inode %d", uint64(f))
-	}
-	return s.fs.readThrough(fl, blk, count)
-}
-
-// cacheSpan opens the "cache" span of one cached operation under the
-// pfs op span and points the rpc connection at it, so any write-back or
-// fetch RPCs nest pfs → cache → rpc.
-func (fs *FS) cacheSpan(name string, op telemetry.ActiveSpan) telemetry.ActiveSpan {
 	sp := fs.tracer.Start("cache", name, op.ID())
 	fs.conn.SetTraceParent(sp.ID())
-	return sp
-}
-
-// endCacheSpan closes a cache span and restores the rpc connection's
-// trace parent to the enclosing op span.
-func (fs *FS) endCacheSpan(sp, op telemetry.ActiveSpan) {
+	err := call()
 	fs.conn.SetTraceParent(op.ID())
 	sp.End()
+	return err
 }
 
-// flushFile is the per-file barrier on cached mounts: every dirty
-// block of f is written back before the caller's own RPCs proceed. A
-// write-through mount has nothing to do.
+// flushFile is the per-file barrier: every dirty block of f is written
+// back before the caller's own RPCs proceed.
 func (fs *FS) flushFile(f *file, name string, op telemetry.ActiveSpan) error {
-	if fs.cache == nil {
-		return nil
-	}
 	// Crash point: power fails as the barrier starts — nothing written
 	// back, nothing acknowledged.
 	if _, ok := fs.cfg.Crash.Hit(crashsim.PtCacheBarrierFlush, 0); ok {
 		fs.cfg.Crash.Kill()
 	}
-	sp := fs.cacheSpan(name, op)
-	err := fs.cache.FlushFile(cache.FileID(f.ino))
-	fs.endCacheSpan(sp, op)
-	if err != nil {
+	if err := fs.inCache(name, op, func() error {
+		return fs.cache.FlushFile(cache.FileID(f.ino))
+	}); err != nil {
 		return err
 	}
 	// Crash point: the write-backs all left the client, but the barrier's
@@ -609,9 +576,7 @@ func (fs *FS) Delete(parent inode.Ino, name string) error {
 		}
 	}
 	fs.forget(f)
-	if fs.cache != nil {
-		fs.cache.Drop(cache.FileID(ino))
-	}
+	fs.cache.Drop(cache.FileID(ino))
 	delete(fs.files, ino)
 	return nil
 }
@@ -627,19 +592,20 @@ func (fs *FS) componentSizeHint(total int64) int64 {
 }
 
 // componentBlocks returns how many blocks of a total-block file land on
-// OST i.
+// OST i: a full stripe unit for each of the file's full stripes that is
+// i's, plus the partial last stripe when that one is i's.
 func (fs *FS) componentBlocks(total int64, i int) int64 {
-	var n int64
-	for b := int64(0); b < total; b += fs.cfg.StripeBlocks {
-		end := b + fs.cfg.StripeBlocks
-		if end > total {
-			end = total
-		}
-		if int((b/fs.cfg.StripeBlocks)%int64(len(fs.osts))) == i {
-			n += end - b
-		}
+	su, n := fs.cfg.StripeBlocks, int64(len(fs.osts))
+	full := total / su
+	units := full / n
+	if int64(i) < full%n {
+		units++
 	}
-	return n
+	blocks := units * su
+	if full%n == int64(i) {
+		blocks += total % su
+	}
+	return blocks
 }
 
 // stripe maps the file logical range [blk, blk+count) onto per-OST
@@ -693,19 +659,17 @@ func (fs *FS) Flush() {
 	}
 }
 
-// Sync flushes the IO servers and the metadata server. On cached mounts
-// it is the mount-wide flush barrier: every file's dirty blocks are
-// written back before the servers are forced.
+// Sync flushes the IO servers and the metadata server. It is the
+// mount-wide flush barrier: every file's dirty blocks are written back
+// before the servers are forced.
 func (fs *FS) Sync() error {
-	if fs.cache != nil {
-		// Crash point: power fails at the start of the mount-wide flush
-		// barrier, with every file's dirty blocks still client-side.
-		if _, ok := fs.cfg.Crash.Hit(crashsim.PtCacheSyncFlush, 0); ok {
-			fs.cfg.Crash.Kill()
-		}
-		if err := fs.cache.Flush(); err != nil {
-			return err
-		}
+	// Crash point: power fails at the start of the mount-wide flush
+	// barrier, with every file's dirty blocks still client-side.
+	if _, ok := fs.cfg.Crash.Hit(crashsim.PtCacheSyncFlush, 0); ok {
+		fs.cfg.Crash.Kill()
+	}
+	if err := fs.cache.Flush(); err != nil {
+		return err
 	}
 	fs.Flush()
 	return fs.mdsc.Sync()
@@ -818,27 +782,34 @@ func (h *File) Write(stream core.StreamID, blk, count int64) error {
 		fs.writeSeries.Add(fs.tracer.Now(), count)
 		fs.endOp(sp)
 	}()
-	if fs.cache != nil {
-		csp := fs.cacheSpan("write", sp)
-		err := fs.cache.Write(cache.FileID(h.f.ino), stream, blk, count)
-		fs.endCacheSpan(csp, sp)
-		return err
-	}
-	return fs.writeThrough(h.f, stream, blk, count)
+	return fs.inCache("write", sp, func() error {
+		return fs.cache.Write(cache.FileID(h.f.ino), stream, blk, count)
+	})
 }
 
-// writeThrough stores count blocks at file-logical block blk across
-// the stripe — the uncached write path, also the cache's write-back target.
-// Each stripe piece fans out to every live replica of its component. One
-// whose write fails at the transport layer is marked down and stale rather
-// than failing the client write; the write errors only when a piece gets no
-// acknowledgement at all. Application errors follow eachMember's
-// rule: a stale member's is ignored (created while its server was down, it
-// may never have got the object) and it stays stale for repair; a clean
-// member's fails the write, after every member that already took the piece
-// is marked stale — the client is told the piece failed, so no copy holding
-// it may be read as current.
-func (fs *FS) writeThrough(f *file, stream core.StreamID, blk, count int64) error {
+// WriteBack stores count blocks at file-logical block blk of inode id
+// across the stripe: one coalesced dirty run, or a pass-through cache's
+// whole write, extent-churn accounting included. Each stripe piece fans out
+// to every live replica of its component. One whose write fails at the
+// transport layer is marked down and stale rather than failing the client
+// write; the write errors only when a piece gets no acknowledgement at all.
+// Application errors follow eachMember's rule: a stale member's is ignored
+// (created while its server was down, it may never have got the object)
+// and it stays stale for repair; a clean member's fails the write, after
+// every member that already took the piece is marked stale — the client is
+// told the piece failed, so no copy holding it may be read as current.
+func (s *cacheStore) WriteBack(id cache.FileID, stream core.StreamID, blk, count int64) error {
+	fs := (*FS)(s)
+	f, ok := fs.files[inode.Ino(id)]
+	if !ok {
+		return fmt.Errorf("pfs: write-back for unknown inode %d", uint64(id))
+	}
+	// Crash point: the cache chose to write this dirty run back but the
+	// RPCs never left the client — the blocks were only ever in volatile
+	// client memory, so losing them is allowed until a barrier returns.
+	if _, ok := fs.cfg.Crash.Hit(crashsim.PtCacheWriteback, count); ok {
+		fs.cfg.Crash.Kill()
+	}
 	before, err := fs.totalExtents(f)
 	if err != nil {
 		return err
@@ -902,21 +873,22 @@ func (h *File) Read(blk, count int64) error {
 		fs.readSeries.Add(fs.tracer.Now(), count)
 		fs.endOp(sp)
 	}()
-	if fs.cache != nil {
-		csp := fs.cacheSpan("read", sp)
-		err := fs.cache.Read(cache.FileID(h.f.ino), blk, count)
-		fs.endCacheSpan(csp, sp)
-		return err
-	}
-	return fs.readThrough(h.f, blk, count)
+	return fs.inCache("read", sp, func() error {
+		return fs.cache.Read(cache.FileID(h.f.ino), blk, count)
+	})
 }
 
-// readThrough fetches count blocks at file-logical block blk across
-// the stripe — the uncached read path, also the cache's fetch target. Each
-// stripe piece is served by one steered replica: the least-loaded clean
-// live copy, retried on the next-best copy when the pick fails at the
-// transport layer.
-func (fs *FS) readThrough(f *file, blk, count int64) error {
+// Fetch reads count blocks at file-logical block blk of inode id across
+// the stripe: one missing (possibly readahead-extended) run, or a
+// pass-through cache's whole read. Each stripe piece is served by one
+// steered replica: the least-loaded clean live copy, retried on the
+// next-best copy when the pick fails at the transport layer.
+func (s *cacheStore) Fetch(id cache.FileID, blk, count int64) error {
+	fs := (*FS)(s)
+	f, ok := fs.files[inode.Ino(id)]
+	if !ok {
+		return fmt.Errorf("pfs: fetch for unknown inode %d", uint64(id))
+	}
 	pieces := fs.appendStripeRange(fs.stripeScratch[:0], blk, count)
 	fs.stripeScratch = pieces
 	for _, p := range pieces {
@@ -942,12 +914,14 @@ func (fs *FS) readThrough(f *file, blk, count int64) error {
 
 // Truncate cuts the file to sizeBlocks, freeing the mappings beyond the
 // boundary on every live copy of every component; members on down servers
-// miss the mutation and go stale.
+// miss the mutation and go stale. A size below zero or past the mount's
+// data capacity (OSTs × OST.Blocks) is rejected, as checkRange rejects
+// such a write.
 func (h *File) Truncate(sizeBlocks int64) error {
-	if sizeBlocks < 0 {
-		return fmt.Errorf("pfs: invalid truncate to %d", sizeBlocks)
-	}
 	fs := h.fs
+	if capacity := int64(len(fs.osts)) * fs.cfg.OST.Blocks; sizeBlocks < 0 || sizeBlocks > capacity {
+		return fmt.Errorf("pfs: invalid truncate to %d (the mount has %d data blocks)", sizeBlocks, capacity)
+	}
 	sp := fs.startOp("truncate")
 	defer fs.endOp(sp)
 	// Truncate is a flush barrier: dirty blocks drain first, then the
@@ -963,9 +937,7 @@ func (h *File) Truncate(sizeBlocks int64) error {
 			return err
 		}
 	}
-	if fs.cache != nil {
-		fs.cache.Truncate(cache.FileID(h.f.ino), sizeBlocks)
-	}
+	fs.cache.Truncate(cache.FileID(h.f.ino), sizeBlocks)
 	return nil
 }
 

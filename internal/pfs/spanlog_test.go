@@ -2,6 +2,8 @@ package pfs
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,17 +17,22 @@ import (
 	"redbud/internal/telemetry"
 )
 
-// spanLogScript drives one small fully observed mount — client cache on,
-// 2-way replication, seeded message loss, an OST crash, revive and repair —
-// through a short mix of file operations, and returns the tracer's span log
-// and its critical-path report.
-func spanLogScript(t *testing.T) (spanLog, critpath []byte) {
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// spanLogOutputs are the exported bytes of one observed run.
+type spanLogOutputs struct {
+	spanLog, critpath, registry, clock []byte
+}
+
+// spanLogScript drives one small fully observed mount — 2-way replication,
+// seeded message loss, an OST crash, revive and repair, and the client
+// cache when ccfg is set — through a short mix of file operations, and
+// returns the tracer's span log, its critical-path report, the registry
+// document and the final simulated clock.
+func spanLogScript(t *testing.T, ccfg *cache.Config) spanLogOutputs {
 	t.Helper()
 	cfg := MiF(3)
-	ccfg := cache.DefaultConfig()
-	ccfg.CapacityBlocks = 64
-	ccfg.DirtyHighWater = 32
-	cfg.Cache = &ccfg
+	cfg.Cache = ccfg
 	rc := replica.DefaultConfig()
 	rc.RF = 2
 	cfg.Replication = &rc
@@ -73,45 +80,72 @@ func spanLogScript(t *testing.T) (spanLog, critpath []byte) {
 	must("close b", b.Close())
 	must("delete b", fs.Delete(fs.Root(), "b.dat"))
 
-	var log bytes.Buffer
+	var out spanLogOutputs
+	var log, cp, reg bytes.Buffer
 	must("span log", tr.WriteSpanLog(&log))
-	var cp bytes.Buffer
 	must("critpath", telemetry.AnalyzeCritPath(tr.Spans(), 5).WriteText(&cp))
-	return log.Bytes(), cp.Bytes()
+	must("registry", cfg.Metrics.WriteJSON(&reg))
+	out.spanLog, out.critpath, out.registry = log.Bytes(), cp.Bytes(), reg.Bytes()
+	out.clock = []byte(fmt.Sprintf("%d\n", tr.Now()))
+	return out
 }
 
-// TestSpanLogGolden pins the tracer's exported bytes — every span, its
-// attributes and events in commit order, and the critical-path report
-// derived from them — to testdata recorded from the tracer that kept a
-// heap object per span, so a storage change cannot alter what is recorded.
+// TestSpanLogGolden pins a fully observed mount's exported bytes — every
+// span, its attributes and events in commit order, the critical-path report
+// derived from them, the registry document and the final simulated clock —
+// to testdata, so neither a storage change in the tracer nor a change to
+// the data path can alter what is recorded. The cached row's span log and
+// critpath were recorded from the tracer that kept a heap object per span;
+// the uncached row was recorded from the mount whose file operations still
+// branched on a nil cache. Run with -update to rewrite the files.
 func TestSpanLogGolden(t *testing.T) {
-	log, cp := spanLogScript(t)
-	for _, c := range []struct {
-		file string
-		got  []byte
+	ccfg := cache.DefaultConfig()
+	ccfg.CapacityBlocks = 64
+	ccfg.DirtyHighWater = 32
+	for _, row := range []struct {
+		suffix string
+		cache  *cache.Config
 	}{
-		{"spanlog.golden.json", log},
-		{"critpath.golden.txt", cp},
+		{"", &ccfg},
+		{".uncached", nil},
 	} {
-		want, err := os.ReadFile(filepath.Join("testdata", c.file))
-		if err != nil {
+		out := spanLogScript(t, row.cache)
+		checkGolden(t, "spanlog"+row.suffix+".golden.json", out.spanLog)
+		checkGolden(t, "critpath"+row.suffix+".golden.txt", out.critpath)
+		checkGolden(t, "registry"+row.suffix+".golden.json", out.registry)
+		checkGolden(t, "clock"+row.suffix+".golden.txt", out.clock)
+	}
+}
+
+// checkGolden compares got with testdata/file line by line, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Equal(c.got, want) {
-			continue
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
 		}
-		gl, wl := strings.Split(string(c.got), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("%s differs at line %d:\ngot:  %s\nwant: %s", c.file, i+1, g, w)
-			}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s differs at line %d:\ngot:  %s\nwant: %s", file, i+1, g, w)
 		}
 	}
 }

@@ -13,6 +13,60 @@ func stripeFixture(su int64, osts int) *FS {
 	return &FS{cfg: Config{StripeBlocks: su}, osts: make([]*ost.Server, osts)}
 }
 
+// refComponentBlocks is the reference componentBlocks is checked against:
+// walk the file one stripe unit at a time and count the units OST i gets.
+func refComponentBlocks(su int64, osts int, total int64, i int) int64 {
+	var n int64
+	for b := int64(0); b < total; b += su {
+		end := min(b+su, total)
+		if int((b/su)%int64(osts)) == i {
+			n += end - b
+		}
+	}
+	return n
+}
+
+// TestComponentBlocksMatchesWalk checks the closed-form per-OST share of a
+// file against the stripe-by-stripe walk, at every edge of a stripe and a
+// stripe row.
+func TestComponentBlocksMatchesWalk(t *testing.T) {
+	for _, su := range []int64{1, 3, 64} {
+		for osts := 1; osts <= 5; osts++ {
+			fs := stripeFixture(su, osts)
+			for total := int64(0); total <= 3*su*int64(osts)+1; total++ {
+				for i := 0; i < osts; i++ {
+					if got, want := fs.componentBlocks(total, i), refComponentBlocks(su, osts, total, i); got != want {
+						t.Fatalf("su=%d osts=%d total=%d: OST %d gets %d blocks, the walk says %d",
+							su, osts, total, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTruncateRejectsPastCapacity: a truncate past the mount's data
+// capacity is an error, and costs no walk over the size it names.
+func TestTruncateRejectsPastCapacity(t *testing.T) {
+	fs, err := New(MiF(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := fs.Create(fs.Root(), "t.dat", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := int64(fs.OSTs()) * fs.Config().OST.Blocks
+	for _, size := range []int64{-1, capacity + 1, 1 << 32, 1<<63 - 1} {
+		if err := h.Truncate(size); err == nil {
+			t.Fatalf("Truncate(%d) on a mount of %d data blocks succeeded", size, capacity)
+		}
+	}
+	if err := h.Truncate(capacity); err != nil {
+		t.Fatalf("Truncate to the capacity itself: %v", err)
+	}
+}
+
 // TestStripeRangePartitionsExactly is the striping property test: for
 // random geometries and ranges, the pieces of stripeRange must map every
 // file-logical block in [blk, blk+count) to exactly the (OST, component

@@ -81,27 +81,7 @@ func RunBTIO(fsCfg pfs.Config, cfg BTIOConfig) (MacroResult, error) {
 	dump := func(ts int, op func(core.StreamID, int64, int64) error) error {
 		base := int64(ts) * dumpBlocks
 		if cfg.Collective {
-			chunk := cfg.CollectiveChunkBlocks
-			if chunk <= 0 {
-				chunk = 2048
-			}
-			// Contiguous file domains per aggregator, as in ROMIO.
-			aggregators := cfg.Procs / 4
-			if aggregators < 1 {
-				aggregators = 1
-			}
-			domain := (dumpBlocks + int64(aggregators) - 1) / int64(aggregators)
-			for blk := int64(0); blk < dumpBlocks; blk += chunk {
-				n := chunk
-				if blk+n > dumpBlocks {
-					n = dumpBlocks - blk
-				}
-				agg := core.StreamID{Client: uint32(blk / domain), PID: 0}
-				if err := op(agg, base+blk, n); err != nil {
-					return err
-				}
-			}
-			return nil
+			return collectiveIO(cfg.Procs, cfg.CollectiveChunkBlocks, base, dumpBlocks, op)
 		}
 		// Non-collective: within slab s, rank p owns cell
 		// (p + s) mod procs — BT's diagonal shift — so each rank's

@@ -113,12 +113,11 @@ func runCacheArm(fsCfg pfs.Config, cfg CacheBenchConfig, withCache bool) (CacheA
 	} else {
 		fsCfg.Name += "/cache-off"
 	}
+	var cc cache.Config // the off arm's capacity-0 pass-through
 	if withCache {
-		cc := cfg.Cache
-		fsCfg.Cache = &cc
-	} else {
-		fsCfg.Cache = nil
+		cc = cfg.Cache
 	}
+	fsCfg.Cache = &cc
 	fs, err := pfs.New(fsCfg)
 	if err != nil {
 		return res, err
@@ -190,9 +189,7 @@ func runCacheArm(fsCfg pfs.Config, cfg CacheBenchConfig, withCache bool) (CacheA
 			res.Pass2ReadRPCs, res.Pass2Positionings, res.Pass2MBps = rpcs, pos, tput
 		}
 	}
-	if c := fs.Cache(); c != nil {
-		res.Cache = c.Stats()
-	}
+	res.Cache = fs.Cache().Stats()
 	return res, nil
 }
 

@@ -148,30 +148,7 @@ func RunIOR(fsCfg pfs.Config, cfg IORConfig) (MacroResult, error) {
 // the read phase never replays the write phase's global ordering.
 func iorPhase(cfg IORConfig, fileBlocks int64, phase uint64, op func(core.StreamID, int64, int64) error) error {
 	if cfg.Collective {
-		chunk := cfg.CollectiveChunkBlocks
-		if chunk <= 0 {
-			chunk = 2048
-		}
-		// Two-phase collective I/O: the file is partitioned into
-		// contiguous domains, one per aggregator (one aggregator per
-		// node), and each aggregator transfers its domain in large
-		// chunks — the ROMIO file-domain assignment.
-		aggregators := cfg.Procs / 4
-		if aggregators < 1 {
-			aggregators = 1
-		}
-		domain := (fileBlocks + int64(aggregators) - 1) / int64(aggregators)
-		for blk := int64(0); blk < fileBlocks; blk += chunk {
-			n := chunk
-			if blk+n > fileBlocks {
-				n = fileBlocks - blk
-			}
-			agg := core.StreamID{Client: uint32(blk / domain), PID: 0}
-			if err := op(agg, blk, n); err != nil {
-				return err
-			}
-		}
-		return nil
+		return collectiveIO(cfg.Procs, cfg.CollectiveChunkBlocks, 0, fileBlocks, op)
 	}
 	// Non-collective: each rank transfers its 1/m share with
 	// RequestBlocks transfers; the global arrival order carries the

@@ -210,6 +210,91 @@ func TestPfsHasOneDataPath(t *testing.T) {
 	}
 }
 
+// TestCacheIsAlwaysMounted keeps the cache's nil switch from growing back:
+// every mount carries a cache, a pass-through at capacity 0, so no file in
+// internal/pfs compares a cache field with nil and no code under cmd/ or
+// internal/ compares what Cache() returned with nil. Within internal/pfs
+// only inCache — which decides whether a cache call opens a span — reads
+// the cache's capacity; every file operation is one body.
+func TestCacheIsAlwaysMounted(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			inPfs := filepath.Dir(path) == filepath.Join("internal", "pfs")
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				checkCacheUse(t, fset, fn, inPfs)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkCacheUse reports fn's nil tests of a cache: of a .cache field when
+// fn is in internal/pfs, and of a Cache() result — directly or through a
+// variable assigned from it — anywhere. In internal/pfs it also reports a
+// read of CapacityBlocks outside inCache.
+func checkCacheUse(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl, inPfs bool) {
+	t.Helper()
+	isCacheCall := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok || len(call.Args) != 0 {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Cache"
+	}
+	fromCache := map[string]bool{}
+	ast.Inspect(fn, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, rhs := range as.Rhs {
+				if id, ok := as.Lhs[i].(*ast.Ident); ok && isCacheCall(rhs) {
+					fromCache[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
+	isCache := func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			return inPfs && e.Sel.Name == "cache"
+		case *ast.Ident:
+			return fromCache[e.Name]
+		}
+		return isCacheCall(e)
+	}
+	ast.Inspect(fn, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if (n.Op == token.EQL || n.Op == token.NEQ) &&
+				(isCache(n.X) && isNil(n.Y) || isNil(n.X) && isCache(n.Y)) {
+				t.Errorf("%s: %s tests whether a cache exists; every mount has one (capacity 0 is a pass-through)",
+					fset.Position(n.Pos()), fn.Name.Name)
+			}
+		case *ast.SelectorExpr:
+			if inPfs && n.Sel.Name == "CapacityBlocks" && fn.Name.Name != "inCache" {
+				t.Errorf("%s: %s reads the cache's capacity; only inCache may ask whether blocks are cached",
+					fset.Position(n.Pos()), fn.Name.Name)
+			}
+		}
+		return true
+	})
+}
+
 // TestRPCHasOneCallPath keeps the transport decorator stack and the message
 // catalogue from growing back: in internal/rpc the only method named Call is
 // Conn.Call — retry, blackholes, fault draws and the wire are one loop — no
