@@ -129,15 +129,40 @@ const (
 	offAux      = 252 // 4 bytes
 )
 
-// Marshal serializes the inode into a RecordSize-byte record.
-func (n *Inode) Marshal() ([]byte, error) {
+// Validate reports whether the inode fits a record: the errors Marshal
+// and MarshalTo return.
+func (n *Inode) Validate() error {
 	if len(n.Name) > MaxNameLen {
-		return nil, fmt.Errorf("%w: %q", ErrNameTooLong, n.Name)
+		return fmt.Errorf("%w: %q", ErrNameTooLong, n.Name)
 	}
 	if len(n.Inline) > InlineExtents {
-		return nil, fmt.Errorf("%w: %d", ErrTooManyInline, len(n.Inline))
+		return fmt.Errorf("%w: %d", ErrTooManyInline, len(n.Inline))
 	}
+	return nil
+}
+
+// Marshal serializes the inode into a new RecordSize-byte record.
+func (n *Inode) Marshal() ([]byte, error) {
 	buf := make([]byte, RecordSize)
+	if err := n.MarshalTo(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// MarshalTo serializes the inode into dst[:RecordSize], the caller's
+// buffer — typically the record's slot inside a block buffer. Every byte
+// of the record is written, so dst's previous contents never leak through.
+// It writes nothing when it returns an error.
+func (n *Inode) MarshalTo(dst []byte) error {
+	if err := n.Validate(); err != nil {
+		return err
+	}
+	if len(dst) < RecordSize {
+		return fmt.Errorf("%w: %d-byte destination", ErrBadRecord, len(dst))
+	}
+	buf := dst[:RecordSize]
+	clear(buf)
 	le := binary.LittleEndian
 	le.PutUint64(buf[offIno:], uint64(n.Ino))
 	buf[offMode] = byte(n.Mode)
@@ -162,39 +187,54 @@ func (n *Inode) Marshal() ([]byte, error) {
 		le.PutUint64(buf[base+16:], uint64(e.Count))
 		le.PutUint32(buf[base+24:], e.Flags)
 	}
-	return buf, nil
+	return nil
 }
 
-// Unmarshal parses a RecordSize-byte record.
+// Unmarshal parses a RecordSize-byte record into a new inode.
 func Unmarshal(buf []byte) (*Inode, error) {
+	n := new(Inode)
+	if err := n.UnmarshalFrom(buf); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// UnmarshalFrom parses a RecordSize-byte record into n, overwriting every
+// field. It reuses n's Inline backing array, and n's Name when the record
+// holds the same name, so decoding into a long-lived inode allocates
+// nothing on the hot paths; buf is not retained. On error n is unchanged.
+func (n *Inode) UnmarshalFrom(buf []byte) error {
 	if len(buf) < RecordSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadRecord, len(buf))
-	}
-	le := binary.LittleEndian
-	n := &Inode{
-		Ino:         Ino(le.Uint64(buf[offIno:])),
-		Mode:        Mode(buf[offMode]),
-		Nlink:       le.Uint16(buf[offNlink:]),
-		Size:        int64(le.Uint64(buf[offSize:])),
-		MTime:       int64(le.Uint64(buf[offMTime:])),
-		CTime:       int64(le.Uint64(buf[offCTime:])),
-		ExtentCount: le.Uint32(buf[offExtCount:]),
-		OldIno:      Ino(le.Uint64(buf[offOldIno:])),
-		DirID:       le.Uint32(buf[offDirID:]),
-		Aux:         le.Uint32(buf[offAux:]),
-	}
-	for i := range n.Spill {
-		n.Spill[i] = int64(le.Uint64(buf[offSpill+8*i:]))
+		return fmt.Errorf("%w: %d bytes", ErrBadRecord, len(buf))
 	}
 	nameLen := int(buf[offNameLen])
 	if nameLen > MaxNameLen {
-		return nil, fmt.Errorf("%w: name length %d", ErrBadRecord, nameLen)
+		return fmt.Errorf("%w: name length %d", ErrBadRecord, nameLen)
 	}
-	n.Name = string(buf[offName : offName+nameLen])
 	inlineN := int(buf[offInlineN])
 	if inlineN > InlineExtents {
-		return nil, fmt.Errorf("%w: inline count %d", ErrBadRecord, inlineN)
+		return fmt.Errorf("%w: inline count %d", ErrBadRecord, inlineN)
 	}
+	le := binary.LittleEndian
+	n.Ino = Ino(le.Uint64(buf[offIno:]))
+	n.Mode = Mode(buf[offMode])
+	n.Nlink = le.Uint16(buf[offNlink:])
+	n.Size = int64(le.Uint64(buf[offSize:]))
+	n.MTime = int64(le.Uint64(buf[offMTime:]))
+	n.CTime = int64(le.Uint64(buf[offCTime:]))
+	n.ExtentCount = le.Uint32(buf[offExtCount:])
+	n.OldIno = Ino(le.Uint64(buf[offOldIno:]))
+	n.DirID = le.Uint32(buf[offDirID:])
+	n.Aux = le.Uint32(buf[offAux:])
+	for i := range n.Spill {
+		n.Spill[i] = int64(le.Uint64(buf[offSpill+8*i:]))
+	}
+	// The comparison does not allocate; the conversion only runs when the
+	// name differs.
+	if name := buf[offName : offName+nameLen]; string(name) != n.Name {
+		n.Name = string(name)
+	}
+	n.Inline = n.Inline[:0]
 	for i := 0; i < inlineN; i++ {
 		base := offInline + 32*i
 		n.Inline = append(n.Inline, extent.Extent{
@@ -204,7 +244,7 @@ func Unmarshal(buf []byte) (*Inode, error) {
 			Flags:    le.Uint32(buf[base+24:]),
 		})
 	}
-	return n, nil
+	return nil
 }
 
 // IsDir reports whether the inode is a directory.

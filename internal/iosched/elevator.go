@@ -11,7 +11,8 @@
 package iosched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"redbud/internal/disk"
 	"redbud/internal/sim"
@@ -68,6 +69,9 @@ type Elevator struct {
 	// per-request disk spans.
 	batchHist *telemetry.Histogram
 	tracer    *telemetry.Tracer
+
+	// out and window are Schedule's scratch, kept between calls.
+	out, window []Request
 }
 
 // NewElevator returns an elevator with the given reorder window.
@@ -105,7 +109,8 @@ func (e *Elevator) SetTracer(t *telemetry.Tracer) {
 
 // Schedule returns the dispatch order for a batch of outstanding requests:
 // sorted by start block within each queue window, with physically adjacent
-// same-direction requests merged. The input slice is not modified.
+// same-direction requests merged. The input slice is not modified. The
+// result is the elevator's scratch, valid until the next Schedule or Run.
 func (e *Elevator) Schedule(reqs []Request) []Request {
 	e.stats.Submitted += int64(len(reqs))
 	if e.batchHist != nil {
@@ -118,24 +123,18 @@ func (e *Elevator) Schedule(reqs []Request) []Request {
 	if window <= 0 {
 		window = len(reqs)
 	}
-	out := make([]Request, 0, len(reqs))
-	buf := make([]Request, 0, window)
+	out := e.out[:0]
 	for lo := 0; lo < len(reqs); lo += window {
-		hi := lo + window
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		buf = buf[:0]
-		buf = append(buf, reqs[lo:hi]...)
-		sort.Slice(buf, func(i, j int) bool {
-			if buf[i].Start != buf[j].Start {
-				return buf[i].Start < buf[j].Start
-			}
-			return buf[i].Count < buf[j].Count
+		hi := min(lo+window, len(reqs))
+		buf := append(e.window[:0], reqs[lo:hi]...)
+		slices.SortFunc(buf, func(a, b Request) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Count, b.Count))
 		})
 		out = appendMerged(out, buf, &e.stats, len(out))
+		e.window = buf
 	}
 	e.stats.Dispatched += int64(len(out))
+	e.out = out
 	return out
 }
 

@@ -13,8 +13,9 @@
 package journal
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"redbud/internal/crashsim"
 	"redbud/internal/disk"
@@ -70,6 +71,11 @@ type Journal struct {
 	checkpoint CheckpointFunc
 	stats      Stats
 
+	// last and batch are dedupe's scratch, kept between checkpoints: the
+	// last effective record per block, and the sorted batch it returns.
+	last  map[int64]seqRecord
+	batch []Record
+
 	// commitHist, when attached, observes every Commit's device cost.
 	commitHist *telemetry.Histogram
 
@@ -95,7 +101,11 @@ func New(d *disk.Disk, start, size int64, checkpoint CheckpointFunc) *Journal {
 	if start < 0 || size < 2 || start+size > d.NBlocks() {
 		panic(fmt.Sprintf("journal: bad region [%d,+%d) on %d-block disk", start, size, d.NBlocks()))
 	}
-	return &Journal{d: d, start: start, size: size, checkpoint: checkpoint, revoked: make(map[int64]int64)}
+	return &Journal{
+		d: d, start: start, size: size, checkpoint: checkpoint,
+		revoked: make(map[int64]int64),
+		last:    make(map[int64]seqRecord),
+	}
 }
 
 // Revoke marks a block's journaled contents void: a freed metadata block
@@ -133,6 +143,15 @@ func (j *Journal) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 // PendingRecords returns the number of committed-but-unchekpointed records,
 // a test hook.
 func (j *Journal) PendingRecords() int { return len(j.committed) }
+
+// EachRecord calls f with every committed-but-unchekpointed record in
+// commit order, superseded and revoked ones included — every Data buffer
+// the journal still holds. A test hook for buffer-ownership checks.
+func (j *Journal) EachRecord(f func(Record)) {
+	for _, r := range j.committed {
+		f(r.Record)
+	}
+}
 
 // Commit durably appends a transaction (its records plus a commit block)
 // to the journal region and returns the simulated cost. If the region
@@ -198,12 +217,13 @@ func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 // Checkpoint writes every committed record to its home location through
 // the checkpoint function and resets the region, dropping the revocation
 // table (checkpointed state needs no replay). It returns the simulated
-// cost.
+// cost. Once it returns, the journal will neither checkpoint nor replay a
+// record it held, so their Data buffers are the caller's again; the batch
+// it passed to the checkpoint function is scratch that the next checkpoint
+// or Replay reuses.
 func (j *Journal) Checkpoint() sim.Ns {
 	if len(j.committed) == 0 {
-		j.live = 0
-		j.revoked = make(map[int64]int64)
-		j.revokesNew = 0
+		j.reset()
 		return 0
 	}
 	batch := j.dedupe()
@@ -220,35 +240,47 @@ func (j *Journal) Checkpoint() sim.Ns {
 	}
 	j.stats.Checkpoints++
 	j.stats.CheckpointBlocks += int64(len(batch))
-	j.committed = nil
-	j.revoked = make(map[int64]int64)
+	j.reset()
+	return cost
+}
+
+// reset empties the region and the revocation table, keeping their
+// storage for the next round. The committed records are cleared, not just
+// truncated, so the journal lets go of their Data buffers.
+func (j *Journal) reset() {
+	clear(j.committed)
+	j.committed = j.committed[:0]
+	clear(j.revoked)
 	j.revokesNew = 0
 	j.live = 0
-	return cost
 }
 
 // Replay returns the committed-but-unchekpointed records, deduplicated,
 // revocations applied, sorted — what crash recovery would re-apply from
-// the journal region.
+// the journal region. The slice is the journal's scratch: the caller
+// consumes it before the next Checkpoint or Replay, which reuse it.
 func (j *Journal) Replay() []Record {
 	return j.dedupe()
 }
 
 // dedupe keeps the last effective write per block — dropping writes
-// revoked after they were committed — and sorts by home block.
+// revoked after they were committed — and sorts by home block. It returns
+// j.batch, refilled.
 func (j *Journal) dedupe() []Record {
-	last := make(map[int64]seqRecord, len(j.committed))
 	for _, r := range j.committed {
-		last[r.Block] = r
+		j.last[r.Block] = r
 	}
-	out := make([]Record, 0, len(last))
-	for b, r := range last {
+	clear(j.batch)
+	out := j.batch[:0]
+	for b, r := range j.last {
 		if rev, ok := j.revoked[b]; ok && r.seq < rev {
 			continue
 		}
 		out = append(out, Record{Block: b, Data: r.Data})
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Block < out[k].Block })
+	clear(j.last)
+	slices.SortFunc(out, func(a, b Record) int { return cmp.Compare(a.Block, b.Block) })
+	j.batch = out
 	return out
 }
 

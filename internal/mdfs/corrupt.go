@@ -76,8 +76,8 @@ func (fs *FS) subdirs() []*dir {
 // contentRuns returns the directory's content runs regardless of layout
 // (dirent blocks expressed as single-block runs in the normal layout).
 func (fs *FS) contentRuns(d *dir) []extent.Extent {
-	rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
-	if err != nil {
+	rec := new(inode.Inode)
+	if err := fs.inodeAt(fs.store, d.recBlock, d.recOff, rec); err != nil {
 		return nil
 	}
 	return fs.readMapping(fs.store, rec)
@@ -87,8 +87,8 @@ func (fs *FS) contentRuns(d *dir) []extent.Extent {
 // to the given extents, dropping any spill chain from the record (the
 // chain blocks stay allocated — more damage, which fsck must tolerate).
 func (fs *FS) redirectMapping(d *dir, exts []extent.Extent) error {
-	rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
-	if err != nil {
+	rec := new(inode.Inode)
+	if err := fs.inodeAt(fs.store, d.recBlock, d.recOff, rec); err != nil {
 		return err
 	}
 	if len(exts) > inode.InlineExtents {
@@ -178,8 +178,8 @@ func (fs *FS) corruptSizeOver() error {
 		return fmt.Errorf("mdfs: size-over corruption needs at least one subdirectory")
 	}
 	victim := subs[0]
-	rec, err := fs.inodeAt(fs.store, victim.recBlock, victim.recOff)
-	if err != nil {
+	rec := new(inode.Inode)
+	if err := fs.inodeAt(fs.store, victim.recBlock, victim.recOff, rec); err != nil {
 		return err
 	}
 	rec.Size += 7

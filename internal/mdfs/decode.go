@@ -59,8 +59,8 @@ func (fs *FS) readSuper(rd blockReader) (superRoot, *inode.Inode, error) {
 		ino:     inode.Ino(le.Uint64(sb[offSRootIno:])),
 		nextDir: le.Uint32(sb[offSNextDir:]),
 	}
-	rec, err := fs.inodeAt(rd, sr.key.blk, sr.key.off)
-	if err != nil {
+	rec := new(inode.Inode)
+	if err := fs.inodeAt(rd, sr.key.blk, sr.key.off, rec); err != nil {
 		return sr, nil, fmt.Errorf("root record: %w", err)
 	}
 	if !rec.IsDir() {
@@ -69,23 +69,23 @@ func (fs *FS) readSuper(rd blockReader) (superRoot, *inode.Inode, error) {
 	return sr, rec, nil
 }
 
-// inodeAt decodes the inode record at (blk, off).
-func (fs *FS) inodeAt(rd blockReader, blk int64, off int) (*inode.Inode, error) {
+// inodeAt decodes the inode record at (blk, off) into rec, reusing rec's
+// storage: the hot paths decode into an inode the FS keeps for them.
+func (fs *FS) inodeAt(rd blockReader, blk int64, off int, rec *inode.Inode) error {
 	if !fs.inDevice(blk) {
-		return nil, fmt.Errorf("mdfs: record block %d outside device", blk)
+		return fmt.Errorf("mdfs: record block %d outside device", blk)
 	}
 	if off < 0 || off > int(fs.cfg.BlockSize)-recordSize {
-		return nil, fmt.Errorf("mdfs: record offset %d outside block", off)
+		return fmt.Errorf("mdfs: record offset %d outside block", off)
 	}
-	return inode.Unmarshal(rd.Read(blk)[off : off+recordSize])
+	return rec.UnmarshalFrom(rd.Read(blk)[off : off+recordSize])
 }
 
-// spillChain returns the record's spill blocks in chain order: each
-// slot's link, then each block's next pointer, cycle-safe via the seen
-// set. A link outside the device ends its chain: it is listed — fsck
+// spillChain appends to chain the record's spill blocks in chain order:
+// each slot's link, then each block's next pointer, cycle-safe via the
+// seen set. A link outside the device ends its chain: it is listed — fsck
 // claims it — but never read.
-func (fs *FS) spillChain(rd blockReader, rec *inode.Inode) []int64 {
-	var chain []int64
+func (fs *FS) spillChain(rd blockReader, rec *inode.Inode, chain []int64) []int64 {
 	seen := map[int64]bool{}
 	for _, blk := range rec.Spill {
 		for blk != 0 && !seen[blk] {
@@ -105,7 +105,7 @@ func (fs *FS) spillChain(rd blockReader, rec *inode.Inode) []int64 {
 func (fs *FS) readMapping(rd blockReader, rec *inode.Inode) []extent.Extent {
 	out := append([]extent.Extent(nil), rec.Inline...)
 	remaining := int(rec.ExtentCount) - len(rec.Inline)
-	for _, blk := range fs.spillChain(rd, rec) {
+	for _, blk := range fs.spillChain(rd, rec, nil) {
 		if remaining <= 0 {
 			break
 		}

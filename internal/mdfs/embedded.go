@@ -34,10 +34,9 @@ func (fs *FS) writeTableEntry(dirID uint32, parent, self inode.Ino) error {
 	if blk >= fs.geo.TableStart+fs.geo.TableBlocks {
 		return fmt.Errorf("mdfs: directory table full at id %d", dirID)
 	}
-	ent := make([]byte, tableEntrySize)
+	ent := fs.store.Modify(blk)[off : off+tableEntrySize]
 	binary.LittleEndian.PutUint64(ent[0:], uint64(parent))
 	binary.LittleEndian.PutUint64(ent[8:], uint64(self))
-	fs.store.WriteAt(blk, off, ent)
 	return nil
 }
 
@@ -115,8 +114,8 @@ func (fs *FS) embAllocSlot(d *dir) (uint32, error) {
 // (and its spill blocks) on every namespace operation would dirty extra
 // blocks per op for nothing.
 func (fs *FS) embTouchDir(d *dir) error {
-	rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
-	if err != nil {
+	rec := &fs.dirRec
+	if err := fs.inodeAt(fs.store, d.recBlock, d.recOff, rec); err != nil {
 		return err
 	}
 	rec.MTime = fs.opSeq
@@ -124,7 +123,7 @@ func (fs *FS) embTouchDir(d *dir) error {
 	rec.DirID = d.dirID
 	rec.Aux = uint32(d.extentUnits)
 	if d.runsDirty || rec.ExtentCount == 0 {
-		if _, err := fs.writeMapping(rec, runsToExtents(d.content), fs.contentEnd(d)); err != nil {
+		if err := fs.writeMapping(rec, runsToExtents(d.content), fs.contentEnd(d)); err != nil {
 			return err
 		}
 		d.runsDirty = false
@@ -139,11 +138,10 @@ func (fs *FS) embTouchDir(d *dir) error {
 func (fs *FS) embMakeRoot() error {
 	dirID := fs.nextDir // RootDirID
 	fs.nextDir++
-	rootBlkRuns, err := fs.allocData(fs.geo.dataStart(0), 1)
+	recBlock, err := fs.allocBlock(fs.geo.dataStart(0))
 	if err != nil {
 		return err
 	}
-	recBlock := rootBlkRuns[0].Start
 	// The root inode number lives outside every directory's slot space
 	// (directory id 0 means "no directory"), so it can never collide
 	// with a child's number.
@@ -198,11 +196,11 @@ func (fs *FS) embCreate(d *dir, name string, mode inode.Mode) (inode.Ino, error)
 	if mode == inode.ModeFile && d.fragDegree() > fs.cfg.SpillDegree {
 		// Preallocation only reserves the block (journaling the bitmap
 		// update); its content is written when mapping units spill.
-		runs, err := fs.allocData(fs.contentEnd(d), 1)
+		blk, err := fs.allocBlock(fs.contentEnd(d))
 		if err != nil {
 			return 0, err
 		}
-		rec.Spill[0] = runs[0].Start
+		rec.Spill[0] = blk
 	}
 	if mode == inode.ModeDir {
 		dirID := fs.nextDir
@@ -260,15 +258,19 @@ func (fs *FS) embLocate(ino inode.Ino) (*dir, int64, int, error) {
 // embStat reads an inode record by number: one content-block read — the
 // entry and the inode are the same record.
 func (fs *FS) embStat(ino inode.Ino) (*inode.Inode, error) {
+	rec := new(inode.Inode)
 	if ino == fs.root {
-		return fs.inodeAt(fs.store, fs.dirs[fs.root].recBlock, fs.dirs[fs.root].recOff)
+		root := fs.dirs[fs.root]
+		if err := fs.inodeAt(fs.store, root.recBlock, root.recOff, rec); err != nil {
+			return nil, err
+		}
+		return rec, nil
 	}
 	_, blk, off, err := fs.embLocate(ino)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := fs.inodeAt(fs.store, blk, off)
-	if err != nil {
+	if err := fs.inodeAt(fs.store, blk, off, rec); err != nil {
 		return nil, err
 	}
 	if rec.Mode == inode.ModeNone || rec.Nlink == 0 {
@@ -288,8 +290,8 @@ func (fs *FS) embUnlink(d *dir, name string, ino inode.Ino) error {
 	if err != nil {
 		return err
 	}
-	rec, err := fs.inodeAt(fs.store, blk, off)
-	if err != nil {
+	rec := &fs.rec
+	if err := fs.inodeAt(fs.store, blk, off, rec); err != nil {
 		return err
 	}
 	if err := fs.freeSpill(rec); err != nil {
@@ -402,8 +404,8 @@ func (fs *FS) embRename(src *dir, name string, dst *dir, newName string, ino ino
 	if err != nil {
 		return 0, err
 	}
-	rec, err := fs.inodeAt(fs.store, oldBlk, oldOff)
-	if err != nil {
+	rec := &fs.rec
+	if err := fs.inodeAt(fs.store, oldBlk, oldOff, rec); err != nil {
 		return 0, err
 	}
 	slot, err := fs.embAllocSlot(dst)

@@ -231,7 +231,7 @@ func (w *fsckWalker) claim(blk int64, what string) {
 
 // claimSpill claims the spill chain of the file record named name.
 func (w *fsckWalker) claimSpill(rec *inode.Inode, name string) {
-	chain := w.fs.spillChain(w.view, rec)
+	chain := w.fs.spillChain(w.view, rec, nil)
 	if len(chain) == 0 {
 		return
 	}
@@ -276,7 +276,7 @@ func (w *fsckWalker) walkDir(key recKey, rec *inode.Inode, ino inode.Ino) {
 		// other record is inside its parent's content).
 		w.claim(key.blk, "root record")
 	}
-	for _, spill := range fs.spillChain(w.view, rec) {
+	for _, spill := range fs.spillChain(w.view, rec, nil) {
 		w.claim(spill, desc+" mapping spill")
 	}
 	runs, outside := fs.dirRuns(w.view, rec)
@@ -401,8 +401,8 @@ func (w *fsckWalker) normalDir(desc string, dirIno inode.Ino, runs []alloc.Range
 					w.r.problemf("dirent %q: inode %d not set in inode bitmap", name, slot)
 				}
 				blk, off := fs.geo.slotLocation(slot)
-				rec, err := fs.inodeAt(w.view, blk, off)
-				if err != nil {
+				rec := new(inode.Inode)
+				if err := fs.inodeAt(w.view, blk, off, rec); err != nil {
 					w.r.problemf("inode %d: %v", slot, err)
 					continue
 				}

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"redbud/internal/alloc"
+	"redbud/internal/inode"
 )
 
 // Image persistence: the metadata file system's durable state (home blocks
@@ -52,12 +52,14 @@ func (fs *FS) SaveImage(w io.Writer) error {
 			return err
 		}
 	}
-	writeBlocks := func(m map[int64][]byte) error {
-		keys := make([]int64, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	// writeBlocks writes the blocks pick finds content for, in block order.
+	writeBlocks := func(pick func(*blockState) []byte) error {
+		var keys []int64
+		fs.store.eachBlock(func(blk int64, st *blockState) {
+			if pick(st) != nil {
+				keys = append(keys, blk)
+			}
+		})
 		if err := binary.Write(bw, le, int64(len(keys))); err != nil {
 			return err
 		}
@@ -65,18 +67,18 @@ func (fs *FS) SaveImage(w io.Writer) error {
 			if err := binary.Write(bw, le, k); err != nil {
 				return err
 			}
-			if _, err := bw.Write(m[k]); err != nil {
+			if _, err := bw.Write(pick(fs.store.lookup(k))); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := writeBlocks(fs.store.home); err != nil {
+	if err := writeBlocks(func(st *blockState) []byte { return st.home }); err != nil {
 		return err
 	}
 	// The journal's replayable records: serialize the dirty overlay,
 	// which mirrors them (last-write-wins).
-	if err := writeBlocks(fs.store.dirty); err != nil {
+	if err := writeBlocks(func(st *blockState) []byte { return st.dirty }); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -117,7 +119,8 @@ func LoadImage(r io.Reader) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	readBlocks := func(dst map[int64][]byte) error {
+	// readBlocks reads one block list, handing each block to set.
+	readBlocks := func(set func(st *blockState, buf []byte)) error {
 		var n int64
 		if err := binary.Read(br, le, &n); err != nil {
 			return err
@@ -137,14 +140,14 @@ func LoadImage(r io.Reader) (*FS, error) {
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return err
 			}
-			dst[blk] = buf
+			set(fs.store.state(blk), buf)
 		}
 		return nil
 	}
-	if err := readBlocks(fs.store.home); err != nil {
+	if err := readBlocks(func(st *blockState, buf []byte) { st.home = buf }); err != nil {
 		return nil, fmt.Errorf("mdfs: image home blocks: %w", err)
 	}
-	if err := readBlocks(fs.store.dirty); err != nil {
+	if err := readBlocks(func(st *blockState, buf []byte) { st.dirty = buf }); err != nil {
 		return nil, fmt.Errorf("mdfs: image journal overlay: %w", err)
 	}
 	// Rebuild the namespace, then the allocator from the reachable state.
@@ -258,20 +261,20 @@ func (fs *FS) markReachable() error {
 			if err != nil {
 				continue
 			}
-			rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
-			if err != nil {
+			rec := new(inode.Inode)
+			if err := fs.inodeAt(fs.store, loc.blk, loc.off, rec); err != nil {
 				continue
 			}
-			for _, spill := range fs.spillChain(fs.store, rec) {
+			for _, spill := range fs.spillChain(fs.store, rec, nil) {
 				if err := mark(spill); err != nil {
 					return err
 				}
 			}
 		}
 		// The directory record's own spill blocks.
-		rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
-		if err == nil {
-			for _, spill := range fs.spillChain(fs.store, rec) {
+		rec := new(inode.Inode)
+		if err := fs.inodeAt(fs.store, d.recBlock, d.recOff, rec); err == nil {
+			for _, spill := range fs.spillChain(fs.store, rec, nil) {
 				if err := mark(spill); err != nil {
 					return err
 				}

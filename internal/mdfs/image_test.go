@@ -115,8 +115,8 @@ func rewriteRecord(t testing.TB, fs *FS, ino inode.Ino, edit func(rec *inode.Ino
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
-	if err != nil {
+	rec := new(inode.Inode)
+	if err := fs.inodeAt(fs.store, loc.blk, loc.off, rec); err != nil {
 		t.Fatal(err)
 	}
 	edit(rec)

@@ -57,21 +57,19 @@ func decodeExtent(buf []byte) extent.Extent {
 // writeMapping stores a layout mapping into the record: the head inline,
 // the overflow in the spill chain. spillGoal hints where new spill blocks
 // should land — the directory content end (embedded) or the group's data
-// area (normal). Surplus chain links of a shrinking mapping are freed. It
-// returns the spill blocks it allocated.
-func (fs *FS) writeMapping(rec *inode.Inode, exts []extent.Extent, spillGoal int64) ([]alloc.Range, error) {
+// area (normal). Surplus chain links of a shrinking mapping are freed.
+func (fs *FS) writeMapping(rec *inode.Inode, exts []extent.Extent, spillGoal int64) error {
 	n := len(exts)
 	if n > inode.InlineExtents {
 		n = inode.InlineExtents
 	}
-	rec.Inline = append([]extent.Extent(nil), exts[:n]...)
+	rec.Inline = append(rec.Inline[:0], exts[:n]...)
 	rec.ExtentCount = uint32(len(exts))
 	rest := exts[n:]
 
 	perSpill := fs.extentsPerSpill()
 	needed := (len(rest) + perSpill - 1) / perSpill
-	chain := fs.spillChain(fs.store, rec)
-	var allocated []alloc.Range
+	chain := fs.spillChain(fs.store, rec, fs.chain[:0])
 	// Grow the chain as needed, each link near the goal (or the previous
 	// link, keeping the chain physically clustered).
 	goal := spillGoal
@@ -79,18 +77,18 @@ func (fs *FS) writeMapping(rec *inode.Inode, exts []extent.Extent, spillGoal int
 		goal = chain[len(chain)-1] + 1
 	}
 	for len(chain) < needed {
-		runs, err := fs.allocData(goal, 1)
+		blk, err := fs.allocBlock(goal)
 		if err != nil {
-			return allocated, err
+			return err
 		}
-		chain = append(chain, runs[0].Start)
-		allocated = append(allocated, runs[0])
-		goal = runs[0].Start + 1
+		chain = append(chain, blk)
+		goal = blk + 1
 	}
+	fs.chain = chain
 	// Free surplus links.
 	for _, blk := range chain[needed:] {
 		if err := fs.freeData(alloc.Range{Start: blk, Count: 1}); err != nil {
-			return allocated, err
+			return err
 		}
 	}
 	chain = chain[:needed]
@@ -104,14 +102,13 @@ func (fs *FS) writeMapping(rec *inode.Inode, exts []extent.Extent, spillGoal int
 		if i+1 < len(chain) {
 			next = chain[i+1]
 		}
-		buf := make([]byte, fs.cfg.BlockSize)
+		buf := fs.store.Overwrite(blk)
 		le := binary.LittleEndian
 		le.PutUint32(buf[0:], uint32(len(chunk)))
 		le.PutUint64(buf[4:], uint64(next))
 		for j, e := range chunk {
 			encodeExtent(buf[spillHeader+j*extentBytes:], e)
 		}
-		fs.store.Write(blk, buf)
 	}
 	// The inode slots reference the first links; spillChain's seen-set
 	// keeps the uniform chain[i]→chain[i+1] linking unambiguous even
@@ -121,12 +118,13 @@ func (fs *FS) writeMapping(rec *inode.Inode, exts []extent.Extent, spillGoal int
 	for i := 0; i < inode.SpillSlots && i < len(chain); i++ {
 		rec.Spill[i] = chain[i]
 	}
-	return allocated, nil
+	return nil
 }
 
 // freeSpill releases the record's whole spill chain.
 func (fs *FS) freeSpill(rec *inode.Inode) error {
-	for _, blk := range fs.spillChain(fs.store, rec) {
+	fs.chain = fs.spillChain(fs.store, rec, fs.chain[:0])
+	for _, blk := range fs.chain {
 		if err := fs.freeData(alloc.Range{Start: blk, Count: 1}); err != nil {
 			return err
 		}

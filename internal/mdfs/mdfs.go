@@ -198,6 +198,14 @@ type FS struct {
 	opSeq     int64 // pseudo-time for mtimes and commit batching
 	sinceSync int
 	stats     OpStats
+
+	// rec and dirRec are what the touch, utime, unlink, rename and layout
+	// paths decode an inode record into and encode it back from, reused so
+	// that updating a record allocates nothing: rec holds the inode an
+	// operation works on, dirRec its directory's own record.
+	rec, dirRec inode.Inode
+	// chain is writeMapping's and freeSpill's spill-chain scratch.
+	chain []int64
 }
 
 // New formats and mounts a metadata file system.
@@ -448,6 +456,17 @@ func (fs *FS) allocData(goal, count int64) ([]alloc.Range, error) {
 	return out, nil
 }
 
+// allocBlock allocates one data block near goal and journals its
+// block-bitmap word: allocData for a single block, without the run list.
+func (fs *FS) allocBlock(goal int64) (int64, error) {
+	blk, _, err := fs.alloc.AllocNear(0, goal, 1)
+	if err != nil {
+		return 0, err
+	}
+	fs.dirtyBlockBitmap(blk, 1)
+	return blk, nil
+}
+
 // freeData frees data blocks, journals the bitmap updates, and forgets the
 // blocks' contents.
 func (fs *FS) freeData(r alloc.Range) error {
@@ -484,12 +503,12 @@ func (fs *FS) dirtyBlockBitmap(start, count int64) {
 	}
 }
 
-// writeInodeAt encodes and journals the record at (block, off).
+// writeInodeAt encodes and journals the record at (block, off), straight
+// into the transaction's buffer for the block. A record that cannot be
+// encoded touches nothing.
 func (fs *FS) writeInodeAt(block int64, off int, n *inode.Inode) error {
-	buf, err := n.Marshal()
-	if err != nil {
+	if err := n.Validate(); err != nil {
 		return err
 	}
-	fs.store.WriteAt(block, off, buf)
-	return nil
+	return n.MarshalTo(fs.store.Modify(block)[off : off+recordSize])
 }

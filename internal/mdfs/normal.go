@@ -146,11 +146,11 @@ func (fs *FS) appendDirent(d *dir, name string, ino inode.Ino) error {
 		if n := len(d.direntBlocks); n > 0 {
 			goal = d.direntBlocks[n-1] + 1
 		}
-		runs, err := fs.allocData(goal, 1)
+		blk, err := fs.allocBlock(goal)
 		if err != nil {
 			return err
 		}
-		d.addDirentBlock(runs[0].Start)
+		d.addDirentBlock(blk)
 	}
 	fs.putDirent(d, idx, name, ino)
 	return nil
@@ -183,13 +183,13 @@ func (fs *FS) clearDirent(d *dir, name string) {
 // touchDirRecord updates the directory's own inode (size, mtime) after a
 // namespace mutation and persists the entry-area mapping.
 func (fs *FS) touchDirRecord(d *dir) error {
-	rec, err := fs.inodeAt(fs.store, d.recBlock, d.recOff)
-	if err != nil {
+	rec := &fs.dirRec
+	if err := fs.inodeAt(fs.store, d.recBlock, d.recOff, rec); err != nil {
 		return err
 	}
 	rec.MTime = fs.opSeq
 	rec.Size = int64(d.names.len()) * direntSize
-	if _, err := fs.writeMapping(rec, d.direntMap, fs.groupGoal(d)); err != nil {
+	if err := fs.writeMapping(rec, d.direntMap, fs.groupGoal(d)); err != nil {
 		return err
 	}
 	return fs.writeInodeAt(d.recBlock, d.recOff, rec)
@@ -249,8 +249,8 @@ func (fs *FS) normalCreate(d *dir, name string, mode inode.Mode) (inode.Ino, err
 // normalUnlink implements Unlink for the traditional layout.
 func (fs *FS) normalUnlink(d *dir, name string, ino inode.Ino) error {
 	blk, off := fs.geo.slotLocation(int64(ino))
-	rec, err := fs.inodeAt(fs.store, blk, off)
-	if err != nil {
+	rec := &fs.rec
+	if err := fs.inodeAt(fs.store, blk, off, rec); err != nil {
 		return err
 	}
 	if err := fs.freeSpill(rec); err != nil {
@@ -295,8 +295,8 @@ func (fs *FS) normalRename(src *dir, name string, dst *dir, newName string, e en
 // normalStat locates and reads an inode record by number.
 func (fs *FS) normalStat(ino inode.Ino) (*inode.Inode, error) {
 	blk, off := fs.geo.slotLocation(int64(ino))
-	rec, err := fs.inodeAt(fs.store, blk, off)
-	if err != nil {
+	rec := new(inode.Inode)
+	if err := fs.inodeAt(fs.store, blk, off, rec); err != nil {
 		return nil, err
 	}
 	if rec.Mode == inode.ModeNone {
@@ -324,8 +324,8 @@ func (fs *FS) normalReaddirPlus(d *dir) ([]inode.Inode, error) {
 			continue
 		}
 		blk, off := fs.geo.slotLocation(int64(d.names.byName[name].ino))
-		rec, err := fs.inodeAt(fs.store, blk, off)
-		if err != nil {
+		rec := new(inode.Inode)
+		if err := fs.inodeAt(fs.store, blk, off, rec); err != nil {
 			return nil, err
 		}
 		rec.Name = name // names live in the dirents in this layout

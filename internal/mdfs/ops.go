@@ -24,9 +24,9 @@ const (
 	offSNextDir = 32
 )
 
-// writeSuper journals the superblock.
+// writeSuper journals the superblock, encoding it in place.
 func (fs *FS) writeSuper() {
-	buf := make([]byte, fs.cfg.BlockSize)
+	buf := fs.store.Overwrite(0)
 	le := binary.LittleEndian
 	le.PutUint32(buf[offSMagic:], superMagic)
 	le.PutUint32(buf[offSLayout:], uint32(fs.cfg.Layout))
@@ -35,7 +35,6 @@ func (fs *FS) writeSuper() {
 	le.PutUint64(buf[offSRootOff:], uint64(root.recOff))
 	le.PutUint64(buf[offSRootIno:], uint64(fs.root))
 	le.PutUint32(buf[offSNextDir:], fs.nextDir)
-	fs.store.Write(0, buf)
 }
 
 // makeRoot dispatches root creation by layout.
@@ -155,8 +154,8 @@ func (fs *FS) Utime(ino inode.Ino) error {
 	if err != nil {
 		return err
 	}
-	rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
-	if err != nil {
+	rec := &fs.rec
+	if err := fs.inodeAt(fs.store, loc.blk, loc.off, rec); err != nil {
 		return err
 	}
 	rec.MTime = fs.now()
@@ -335,8 +334,8 @@ func (fs *FS) SetLayout(ino inode.Ino, exts []extent.Extent) error {
 	if err != nil {
 		return err
 	}
-	rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
-	if err != nil {
+	rec := &fs.rec
+	if err := fs.inodeAt(fs.store, loc.blk, loc.off, rec); err != nil {
 		return err
 	}
 	if rec.Mode != inode.ModeFile {
@@ -344,7 +343,7 @@ func (fs *FS) SetLayout(ino inode.Ino, exts []extent.Extent) error {
 	}
 	oldUnits := int64(rec.ExtentCount)
 	goal := fs.spillGoal(ino)
-	if _, err := fs.writeMapping(rec, exts, goal); err != nil {
+	if err := fs.writeMapping(rec, exts, goal); err != nil {
 		return err
 	}
 	rec.MTime = fs.now()
@@ -390,8 +389,8 @@ func (fs *FS) GetLayout(ino inode.Ino) ([]extent.Extent, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := fs.inodeAt(fs.store, loc.blk, loc.off)
-	if err != nil {
+	rec := &fs.rec
+	if err := fs.inodeAt(fs.store, loc.blk, loc.off, rec); err != nil {
 		return nil, err
 	}
 	if rec.Mode != inode.ModeFile {

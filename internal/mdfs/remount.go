@@ -166,8 +166,8 @@ func (fs *FS) loadNormalEntries(d *dir) error {
 			d.slots.set(bi*per + i)
 			fs.markSlotUsed(int64(ino))
 			recBlk, recOff := fs.geo.slotLocation(int64(ino))
-			rec, err := fs.inodeAt(fs.store, recBlk, recOff)
-			if err != nil {
+			rec := new(inode.Inode)
+			if err := fs.inodeAt(fs.store, recBlk, recOff, rec); err != nil {
 				return err
 			}
 			if rec.IsDir() {

@@ -39,28 +39,43 @@ type StoreStats struct {
 // Store is not safe for concurrent use; the owning FS serializes operations
 // the way a single MDS thread pool with a namespace lock would.
 //
-// Buffer ownership: the store owns every block buffer. A buffer in txn
-// belongs to the open transaction and is mutated in place by Write and
-// WriteAt — one copy of a block per transaction, however many sub-block
-// updates it takes. Commit hands the buffer to the journal and to dirty,
-// and from then on nobody writes to it again: dirty and home buffers (and
-// the shared zero block) are immutable, which is what lets the journal,
-// the overlays and every reader share them without copying. Slices
-// returned by Read, ReadRange and StoreView.Read alias these buffers and
-// are read-only; one that aliases a transaction buffer also sees the
-// transaction's later writes, so callers decode what they read before
-// they write the same block.
+// Buffer ownership: the store owns every block buffer, and recycles it
+// through four states. Open: the buffer is a block's txn buffer and
+// belongs to the running transaction; Modify, Overwrite, Write and WriteAt
+// mutate it in place — one buffer per block per transaction, however many
+// sub-block updates it takes. Sealed: Commit hands it to the journal and
+// makes it the block's dirty buffer, the checkpoint makes it the home
+// buffer, and nobody writes to it again. Retired: a later commit of the
+// block superseded it as dirty, a checkpoint replaced it as home, Forget
+// dropped it, or Abort discarded it; the journal may still hold it. Free:
+// the next checkpoint has released the journal's records, so the buffer
+// waits on the free list for the next block a transaction opens. The
+// shared zero block, what a never-written block reads as, is never
+// written at all.
+//
+// Slices returned by Read, ReadRange and StoreView.Read alias these
+// buffers, are read-only, and stay valid until the next Commit or
+// Checkpoint — after that the buffer may be recycled. One that aliases an
+// open buffer also sees the transaction's later writes, so callers decode
+// what they read before they write the same block.
 type Store struct {
 	d         *disk.Disk
 	sched     *iosched.Elevator
 	blockSize int
 
-	home  map[int64][]byte
-	dirty map[int64][]byte
-	txn   map[int64][]byte
-	order []int64          // txn insertion order
+	// pages is the block table: page p holds the state of blocks
+	// [p<<pageShift, (p+1)<<pageShift), allocated when one of them is
+	// first written.
+	pages []*[pageBlocks]blockState
+	order []int64          // the blocks the open transaction holds, in the order it took them
 	recs  []journal.Record // Commit's scratch; the journal does not keep it
-	zero  []byte           // what a never-written block reads as
+	reqs  []iosched.Request
+	zero  []byte // what a never-written block reads as
+
+	// retired buffers wait for the journal to let go of them; free ones
+	// are ready for reuse.
+	retired [][]byte
+	free    [][]byte
 
 	cache blockLRU
 
@@ -71,6 +86,28 @@ type Store struct {
 	// points (nil-safe: nil is a no-op).
 	crash *crashsim.Injector
 }
+
+// blockState is one block's buffers, nil where the block has none: its
+// home content, its committed-but-unchekpointed content (the dirty
+// overlay), and the open transaction's buffer.
+type blockState struct {
+	home, dirty, txn []byte
+}
+
+// committed returns the block's bytes as of the last commit, nil if it has
+// never been written.
+func (st *blockState) committed() []byte {
+	if st.dirty != nil {
+		return st.dirty
+	}
+	return st.home
+}
+
+// A page of the block table covers pageBlocks consecutive blocks.
+const (
+	pageShift  = 6
+	pageBlocks = 1 << pageShift
+)
 
 // NewStore builds a store over d with the journal occupying
 // [journalStart, journalStart+journalBlocks) and an LRU cache of cacheCap
@@ -83,9 +120,7 @@ func NewStore(d *disk.Disk, journalStart, journalBlocks int64, cacheCap int, que
 		d:         d,
 		sched:     iosched.NewElevator(queueDepth),
 		blockSize: int(d.Config().BlockSize),
-		home:      make(map[int64][]byte),
-		dirty:     make(map[int64][]byte),
-		txn:       make(map[int64][]byte),
+		pages:     make([]*[pageBlocks]blockState, (d.NBlocks()+pageBlocks-1)/pageBlocks),
 		zero:      make([]byte, d.Config().BlockSize),
 		cache:     newBlockLRU(cacheCap),
 	}
@@ -113,33 +148,67 @@ func (s *Store) SetCrashInjector(in *crashsim.Injector) {
 // after LoadImage, the number of blocks journal replay had to repair.
 // miffsck's exit-code contract distinguishes "clean" from "repaired" with
 // it.
-func (s *Store) DirtyBlocks() int { return len(s.dirty) }
+func (s *Store) DirtyBlocks() int {
+	n := 0
+	s.eachBlock(func(_ int64, st *blockState) {
+		if st.dirty != nil {
+			n++
+		}
+	})
+	return n
+}
 
 // BlockSize returns the block size in bytes.
 func (s *Store) BlockSize() int { return s.blockSize }
+
+// lookup returns blk's state, or nil when no block of its page has been
+// written — or blk is outside the device, which reads as never written.
+func (s *Store) lookup(blk int64) *blockState {
+	if p := uint64(blk) >> pageShift; p < uint64(len(s.pages)) && s.pages[p] != nil {
+		return &s.pages[p][blk&(pageBlocks-1)]
+	}
+	return nil
+}
+
+// state returns blk's state, allocating its page on first use.
+func (s *Store) state(blk int64) *blockState {
+	p := uint64(blk) >> pageShift
+	if p >= uint64(len(s.pages)) {
+		panic(fmt.Sprintf("mdfs: block %d outside the %d-block device", blk, s.d.NBlocks()))
+	}
+	if s.pages[p] == nil {
+		s.pages[p] = new([pageBlocks]blockState)
+	}
+	return &s.pages[p][blk&(pageBlocks-1)]
+}
+
+// eachBlock calls f with the state of every block on an allocated page, in
+// block order; many of them may be empty.
+func (s *Store) eachBlock(f func(blk int64, st *blockState)) {
+	for p, page := range s.pages {
+		if page == nil {
+			continue
+		}
+		for i := range page {
+			f(int64(p)<<pageShift|int64(i), &page[i])
+		}
+	}
+}
 
 // content returns the current bytes of a block: transaction overlay first,
 // then the committed overlay, then home, then the shared zero block for a
 // block never written anywhere. The result aliases internal state and is
 // read-only.
 func (s *Store) content(blk int64) []byte {
-	if b, ok := s.txn[blk]; ok {
-		return b
+	if st := s.lookup(blk); st != nil {
+		if st.txn != nil {
+			return st.txn
+		}
+		if b := st.committed(); b != nil {
+			return b
+		}
 	}
-	b, _ := s.committed(blk)
-	return b
-}
-
-// committed returns a block's bytes as of the last commit, and whether it
-// has been written at all.
-func (s *Store) committed(blk int64) ([]byte, bool) {
-	if b, ok := s.dirty[blk]; ok {
-		return b, true
-	}
-	if b, ok := s.home[blk]; ok {
-		return b, true
-	}
-	return s.zero, false
+	return s.zero
 }
 
 // charge accounts one logical block read: a cache hit, or a disk read that
@@ -196,66 +265,118 @@ func (s *Store) Write(blk int64, data []byte) {
 	if len(data) != s.blockSize {
 		panic(fmt.Sprintf("mdfs: write of %d bytes to block %d, want %d", len(data), blk, s.blockSize))
 	}
-	if buf, ok := s.txn[blk]; ok {
-		copy(buf, data)
+	copy(s.Overwrite(blk), data)
+}
+
+// Overwrite returns the transaction's buffer for blk, zeroed, for the
+// caller to fill with the block's new content — a full-block write that
+// encodes in place. It charges what Write charges: no read, the block
+// becomes resident. The slice is valid until the next Commit, Abort or
+// Forget.
+func (s *Store) Overwrite(blk int64) []byte {
+	st := s.state(blk)
+	if st.txn != nil {
+		clear(st.txn)
 	} else {
-		s.join(blk, data)
+		s.join(blk, st, nil)
 	}
 	s.stats.TxnWrites++
 	s.cache.touch(blk)
+	return st.txn
 }
 
-// WriteAt updates a byte range within one block, reading the current
-// content first (a read-modify-write, like touching one inode record in an
-// inode-table block). A block that has never been written anywhere is
-// newly allocated — the file system knows its on-disk content is void, so
-// no read is charged.
+// WriteAt updates a byte range within one block: a Modify that copies data
+// in at off.
 func (s *Store) WriteAt(blk int64, off int, data []byte) {
 	if off < 0 || off+len(data) > s.blockSize {
 		panic(fmt.Sprintf("mdfs: WriteAt [%d,+%d) outside block", off, len(data)))
 	}
-	buf, ok := s.txn[blk]
-	if ok {
+	copy(s.Modify(blk)[off:], data)
+}
+
+// Modify returns the transaction's buffer for blk holding the block's
+// current content, for the caller to update in place — a read-modify-write,
+// like touching one inode record in an inode-table block, so the read is
+// charged. A block that has never been written anywhere is newly
+// allocated — the file system knows its on-disk content is void, so no
+// read is charged. The slice is valid until the next Commit, Abort or
+// Forget.
+func (s *Store) Modify(blk int64) []byte {
+	st := s.state(blk)
+	if st.txn != nil {
 		s.charge(blk)
 	} else {
-		cur, known := s.committed(blk)
-		if known {
+		cur := st.committed()
+		if cur != nil {
 			s.charge(blk)
 		} else {
 			s.cache.touch(blk)
 		}
-		buf = s.join(blk, cur)
+		s.join(blk, st, cur)
 	}
-	copy(buf[off:], data)
 	s.stats.TxnWrites++
+	return st.txn
 }
 
-// join adds blk to the open transaction with a buffer of its own holding a
-// copy of content — the one block copy the transaction pays for blk.
-func (s *Store) join(blk int64, content []byte) []byte {
-	// append, unlike make, does not zero what it is about to overwrite.
-	buf := append([]byte(nil), content...)
-	s.txn[blk] = buf
+// join adds blk, whose state is st, to the open transaction with a buffer
+// of its own holding a copy of content — the one block copy the
+// transaction pays for blk.
+func (s *Store) join(blk int64, st *blockState, content []byte) {
+	st.txn = s.buffer(content)
 	s.order = append(s.order, blk)
+}
+
+// buffer returns a block buffer holding a copy of content (zeroes past
+// it), taken off the free list when one is waiting there.
+func (s *Store) buffer(content []byte) []byte {
+	n := len(s.free)
+	if n == 0 {
+		buf := make([]byte, s.blockSize)
+		copy(buf, content)
+		return buf
+	}
+	buf := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	clear(buf[copy(buf, content):])
 	return buf
 }
 
-// Forget discards a freed block's contents everywhere but the running
-// transaction: a freed block's on-disk bytes are void, so a later
+// retire records that buf has left the last overlay holding it. The
+// journal may still hold it, so it waits for release.
+func (s *Store) retire(buf []byte) { s.retired = append(s.retired, buf) }
+
+// release frees the retired buffers. It runs once a checkpoint has reset
+// the journal, which then holds no record's buffer.
+func (s *Store) release() {
+	s.free = append(s.free, s.retired...)
+	clear(s.retired)
+	s.retired = s.retired[:0]
+}
+
+// Forget discards a freed block's contents everywhere, the running
+// transaction included: a freed block's on-disk bytes are void, so a later
 // reallocation writes it fresh without a read. The block is also revoked
 // in the journal — without the revoke, a pending journaled write would
 // resurrect the stale contents at the next checkpoint or crash replay.
 func (s *Store) Forget(blk int64) {
-	delete(s.home, blk)
-	delete(s.dirty, blk)
-	delete(s.txn, blk) // a pending write to a freed block is void too
+	if st := s.lookup(blk); st != nil {
+		// A pending write to a freed block is void too.
+		for _, buf := range [...][]byte{st.home, st.dirty, st.txn} {
+			if buf != nil {
+				s.retire(buf)
+			}
+		}
+		*st = blockState{}
+	}
 	s.cache.remove(blk)
 	s.jnl.Revoke(blk)
 }
 
 // Commit journals the current transaction. The home blocks are written
 // later, at checkpoint time. The transaction's buffers pass to the journal
-// and the committed overlay, and are immutable from here on.
+// and the committed overlay, and are immutable from here on; the buffers
+// they supersede in the overlay retire.
 func (s *Store) Commit() error {
 	if len(s.order) == 0 {
 		return nil
@@ -265,7 +386,7 @@ func (s *Store) Commit() error {
 		// Blocks written then freed within this transaction carry no
 		// data; a nil overlay entry would shadow home and corrupt saved
 		// images.
-		if data, ok := s.txn[blk]; ok {
+		if data := s.lookup(blk).txn; data != nil {
 			records = append(records, journal.Record{Block: blk, Data: data})
 		}
 	}
@@ -280,29 +401,53 @@ func (s *Store) Commit() error {
 	if _, ok := s.crash.Hit(crashsim.PtMdfsCommitBegin, int64(len(records))); ok {
 		s.crash.Kill()
 	}
+	checkpoints := s.jnl.Stats().Checkpoints
 	if _, err := s.jnl.Commit(records); err != nil {
 		return err
 	}
+	if s.jnl.Stats().Checkpoints != checkpoints {
+		// The region was full: the journal checkpointed before it took
+		// this transaction's records.
+		s.release()
+	}
 	for _, r := range records {
-		s.dirty[r.Block] = r.Data
+		st := s.lookup(r.Block)
+		// A block freed and rewritten within the transaction appears
+		// twice in it, with one buffer.
+		if st.dirty != nil && &st.dirty[0] != &r.Data[0] {
+			s.retire(st.dirty)
+		}
+		st.dirty = r.Data
 	}
 	s.endTxn()
 	return nil
 }
 
-// Abort discards the current transaction.
-func (s *Store) Abort() { s.endTxn() }
+// Abort discards the current transaction; its buffers retire.
+func (s *Store) Abort() {
+	for _, blk := range s.order {
+		if st := s.lookup(blk); st.txn != nil {
+			s.retire(st.txn)
+			st.txn = nil
+		}
+	}
+	s.order = s.order[:0]
+}
 
 // endTxn empties the transaction overlay, keeping its storage for the next
 // transaction.
 func (s *Store) endTxn() {
-	clear(s.txn)
+	for _, blk := range s.order {
+		s.lookup(blk).txn = nil
+	}
 	s.order = s.order[:0]
 }
 
-// Checkpoint forces the journaled updates to their home locations.
+// Checkpoint forces the journaled updates to their home locations, then
+// frees the retired buffers: the journal holds none of them any more.
 func (s *Store) Checkpoint() {
 	s.jnl.Checkpoint()
+	s.release()
 }
 
 // applyCheckpoint is the journal's CheckpointFunc: it writes the batch to
@@ -317,21 +462,25 @@ func (s *Store) applyCheckpoint(records []journal.Record) sim.Ns {
 	// including the misdirection victim.
 	if dmg, ok := s.crash.Hit(crashsim.PtMdfsCheckpointHome, int64(len(records))); ok {
 		for i := int64(0); i < dmg.Persisted && i < int64(len(records)); i++ {
-			s.home[records[i].Block] = records[i].Data
+			s.lookup(records[i].Block).home = records[i].Data
 		}
 		if dmg.Victim >= 0 {
 			stray := make([]byte, len(records[dmg.Persisted].Data))
 			copy(stray, records[dmg.Persisted].Data)
-			s.home[records[dmg.Victim].Block] = stray
+			s.lookup(records[dmg.Victim].Block).home = stray
 		}
 		s.crash.Kill()
 	}
-	reqs := make([]iosched.Request, 0, len(records))
+	reqs := s.reqs[:0]
 	for _, r := range records {
-		s.home[r.Block] = r.Data
-		delete(s.dirty, r.Block)
+		st := s.lookup(r.Block)
+		if st.home != nil {
+			s.retire(st.home)
+		}
+		st.home, st.dirty = r.Data, nil
 		reqs = append(reqs, iosched.Request{Start: r.Block, Count: 1, Write: true})
 	}
+	s.reqs = reqs
 	return s.sched.Run(s.d, reqs)
 }
 
@@ -363,16 +512,25 @@ func (s *Store) DropCaches() { s.cache.reset() }
 // Crash simulates a power failure: the page cache and the uncommitted
 // transaction vanish; home and the journal survive. Recover replays the
 // journal into the committed overlay, which is how the next mount would see
-// the file system.
+// the file system. The dropped buffers are not recycled: a crash inside a
+// commit can leave the journal holding the transaction's buffers.
 func (s *Store) Crash() {
 	s.endTxn()
-	s.dirty = make(map[int64][]byte)
+	s.eachBlock(func(_ int64, st *blockState) { st.dirty = nil })
 	s.cache.reset()
 }
 
 // Recover replays committed journal records after a Crash.
 func (s *Store) Recover() {
 	for _, r := range s.jnl.Replay() {
-		s.dirty[r.Block] = r.Data
+		st := s.state(r.Block)
+		// A checkpoint that died after writing this block home left home
+		// sharing the journal's buffer. Home gets a copy of its own, so
+		// the next checkpoint, which replaces it, retires a buffer only
+		// home held.
+		if st.home != nil && &st.home[0] == &r.Data[0] {
+			st.home = s.buffer(st.home)
+		}
+		st.dirty = r.Data
 	}
 }

@@ -2,9 +2,13 @@ package mdfs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"redbud/internal/crashsim"
 	"redbud/internal/disk"
+	"redbud/internal/journal"
+	"redbud/internal/sim"
 )
 
 func newStore(t *testing.T, cacheCap int) *Store {
@@ -242,7 +246,7 @@ func TestStoreWriteThenForgetLeavesNoOverlay(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.dirty[8300]; ok {
+	if st := s.lookup(8300); st != nil && st.dirty != nil {
 		t.Fatal("a block written then freed within the transaction left an overlay entry")
 	}
 	if s.DirtyBlocks() != 1 {
@@ -257,5 +261,223 @@ func TestStoreWriteThenForgetLeavesNoOverlay(t *testing.T) {
 	}
 	if got := s.Read(8302); got[0] != 6 || got[1] != 0 {
 		t.Fatalf("rewritten block = [%d %d ...], want [6 0 ...]", got[0], got[1])
+	}
+}
+
+// TestStoreRecyclingInvariant drives a seeded random mix of every store
+// mutation — Write, WriteAt, in-place Modify and Overwrite, Forget, Commit,
+// Checkpoint, Abort, and crashes, some of them killed inside a commit or a
+// checkpoint — against a plain map model of what a read returns and what
+// survives a crash. After every step each touched block must read as the
+// model says, and no buffer on the free list may share its backing array
+// with a buffer the transaction, the overlays, home or the journal hold.
+// The journal region is small and the blocks few, so checkpoints and
+// buffer reuse happen constantly.
+func TestStoreRecyclingInvariant(t *testing.T) {
+	const (
+		base   = 5000
+		blocks = 24
+		steps  = 20_000
+	)
+	d := disk.New(disk.DefaultConfig(), 1<<16)
+	s := NewStore(d, 1, 64, 8, 64)
+	bs := s.BlockSize()
+	rng := sim.NewRand(11)
+	cur := map[int64][]byte{}       // what a read returns
+	committed := map[int64][]byte{} // what a crash leaves
+	contentOf := func(m map[int64][]byte, blk int64) []byte {
+		if b, ok := m[blk]; ok {
+			return b
+		}
+		return make([]byte, bs)
+	}
+	snapshot := func(m map[int64][]byte) map[int64][]byte {
+		out := make(map[int64][]byte, len(m))
+		for k, v := range m {
+			out[k] = bytes.Clone(v)
+		}
+		return out
+	}
+	fill := func(b []byte) {
+		for i := range b {
+			b[i] = byte(rng.Uint64())
+		}
+	}
+	span := func() (int, int) {
+		off := rng.Intn(bs)
+		return off, 1 + rng.Intn(min(bs-off, 300))
+	}
+	killPoints := []struct {
+		point      string
+		checkpoint bool
+	}{
+		{crashsim.PtMdfsCommitBegin, false},
+		{crashsim.PtJournalAppendRecs, false},
+		{crashsim.PtJournalAppendCommit, false},
+		{crashsim.PtMdfsCheckpointHome, true},
+		{crashsim.PtJournalCheckpointReset, true},
+	}
+	crashRecover := func() {
+		s.Crash()
+		s.Recover()
+		cur = snapshot(committed)
+	}
+	kills := map[string]int{}
+	for step := 0; step < steps; step++ {
+		blk := base + int64(rng.Intn(blocks))
+		op := rng.Intn(100)
+		if len(s.order) >= 40 {
+			op = 80 // keep transactions inside the journal region
+		}
+		switch {
+		case op < 18:
+			data := make([]byte, bs)
+			fill(data)
+			s.Write(blk, data)
+			cur[blk] = data
+		case op < 40:
+			off, n := span()
+			data := make([]byte, n)
+			fill(data)
+			s.WriteAt(blk, off, data)
+			want := bytes.Clone(contentOf(cur, blk))
+			copy(want[off:], data)
+			cur[blk] = want
+		case op < 55:
+			off, n := span()
+			buf := s.Modify(blk)
+			fill(buf[off : off+n])
+			want := bytes.Clone(contentOf(cur, blk))
+			copy(want[off:], buf[off:off+n])
+			cur[blk] = want
+		case op < 62:
+			_, n := span()
+			buf := s.Overwrite(blk)
+			fill(buf[:n])
+			cur[blk] = bytes.Clone(buf)
+		case op < 68:
+			s.Forget(blk)
+			delete(cur, blk)
+			delete(committed, blk) // freed blocks are revoked: replay keeps them void
+		case op < 85:
+			if err := s.Commit(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			committed = snapshot(cur)
+		case op < 91:
+			s.Checkpoint()
+		case op < 94:
+			s.Abort()
+			cur = snapshot(committed)
+		case op < 96:
+			crashRecover()
+		default:
+			kp := killPoints[rng.Intn(len(killPoints))]
+			modes := []disk.TearMode{disk.TearNone, disk.TearTorn, disk.TearLost, disk.TearMisdirected}
+			in := crashsim.Arm(kp.point, 1, modes[rng.Intn(len(modes))], rng.Uint64())
+			s.SetCrashInjector(in)
+			func() {
+				defer func() {
+					if r := recover(); r != nil && r != in.Fired() {
+						panic(r)
+					}
+				}()
+				if kp.checkpoint {
+					s.Checkpoint()
+				} else if err := s.Commit(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}()
+			s.SetCrashInjector(nil)
+			c := in.Fired()
+			switch {
+			case c == nil && !kp.checkpoint:
+				committed = snapshot(cur)
+			case c == nil:
+			default:
+				if c.Point == crashsim.PtJournalAppendCommit && c.Damage.AllPersisted() {
+					committed = snapshot(cur) // the commit block made it
+				}
+				kills[c.Point]++
+				crashRecover()
+			}
+		}
+		checkStore(t, s, step, base, blocks, func(blk int64) []byte { return contentOf(cur, blk) })
+	}
+	for _, kp := range killPoints {
+		if kills[kp.point] == 0 {
+			t.Errorf("no run was killed at %s", kp.point)
+		}
+	}
+	t.Logf("kills per point: %v", kills)
+}
+
+// checkStore asserts that blocks [base, base+n) read as want says and that
+// the free list shares no backing array with a live buffer, with a retired
+// one, or with itself.
+func checkStore(t *testing.T, s *Store, step int, base, n int64, want func(int64) []byte) {
+	t.Helper()
+	for blk := base; blk < base+n; blk++ {
+		if !bytes.Equal(s.View().Read(blk), want(blk)) {
+			t.Fatalf("step %d: block %d does not read as the model says", step, blk)
+		}
+	}
+	owner := map[*byte]string{}
+	own := func(buf []byte, who string) {
+		if buf != nil {
+			owner[&buf[0]] = who
+		}
+	}
+	s.eachBlock(func(_ int64, st *blockState) {
+		own(st.home, "home")
+		own(st.dirty, "dirty")
+		own(st.txn, "txn")
+	})
+	s.Journal().EachRecord(func(r journal.Record) { own(r.Data, "a journal record") })
+	for _, buf := range s.retired {
+		if who, ok := owner[&buf[0]]; ok && who != "a journal record" {
+			t.Fatalf("step %d: a retired buffer is still %s", step, who)
+		}
+	}
+	for _, buf := range s.retired {
+		owner[&buf[0]] = "retired"
+	}
+	owner[&s.zero[0]] = "the zero block"
+	for _, buf := range s.free {
+		if len(buf) != s.BlockSize() {
+			t.Fatalf("step %d: a free buffer has %d bytes", step, len(buf))
+		}
+		if who, ok := owner[&buf[0]]; ok {
+			t.Fatalf("step %d: a free buffer is also %s", step, who)
+		}
+		owner[&buf[0]] = "free"
+	}
+	if slices.ContainsFunc(s.zero, func(c byte) bool { return c != 0 }) {
+		t.Fatalf("step %d: the zero block was written", step)
+	}
+}
+
+// TestStoreSteadyStateAllocatesNothing pins the recycling win: once the
+// free list is warm, a cycle of read-modify-writes and commits with a
+// checkpoint at its end allocates nothing — not a block buffer, not a
+// journal record slot, not a checkpoint batch or elevator request.
+func TestStoreSteadyStateAllocatesNothing(t *testing.T) {
+	s := newStore(t, 64)
+	var stamp [8]byte
+	cycle := func() {
+		for i := int64(0); i < 32; i++ {
+			stamp[0] = byte(i)
+			s.WriteAt(9000+i%12, int(i)*8, stamp[:])
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Checkpoint()
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("a warm write/commit/checkpoint cycle allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -58,9 +58,9 @@ type crashTarget struct {
 }
 
 // crashSweepMount builds the run's mount: 3 IO servers, 2-way replication
-// (which also forces the serial data path the injector requires), a short
-// retry policy so the blackhole phase doesn't dominate, and a client cache
-// so the barrier points are live. OST crashes need no fault injector.
+// so the repair points are live, a short retry policy so the blackhole
+// phase doesn't dominate, and a client cache so the barrier points are
+// live. OST crashes need no fault injector.
 func (t *crashTarget) crashSweepMount(in *crashsim.Injector) error {
 	rep := replica.DefaultConfig()
 	rep.RF = 2
