@@ -42,6 +42,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -282,7 +283,7 @@ func check(args []string) int {
 		return 1
 	}
 	defer in.Close()
-	m, err := mdfs.LoadImage(in)
+	m, err := mdfs.LoadImage(bufio.NewReader(in))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "miffsck:", err)
 		return 1

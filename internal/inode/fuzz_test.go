@@ -178,6 +178,52 @@ func TestUnmarshalFromMatchesUnmarshalProperty(t *testing.T) {
 	}
 }
 
+// TestUnmarshalFieldsMatchesUnmarshalFromProperty: over arbitrary 256-byte
+// records the name-free decode accepts and rejects exactly what
+// UnmarshalFrom does, sets every field but Name the same way and Name to
+// "", RecordName is the name UnmarshalFrom decodes, and a rejected record
+// leaves the reused inode as it was.
+func TestUnmarshalFieldsMatchesUnmarshalFromProperty(t *testing.T) {
+	fields := new(Inode)
+	f := func(seed uint64) bool {
+		rng := sim.NewRand(seed)
+		buf := make([]byte, RecordSize)
+		for i := range buf {
+			buf[i] = byte(rng.Uint64())
+		}
+		// Keep half the records inside the length fields' bounds, so both
+		// outcomes are drawn often, and start half the draws from an inode
+		// holding a name, so that clearing it is checked.
+		if rng.Intn(2) == 0 {
+			buf[offNameLen] %= MaxNameLen + 1
+			buf[offInlineN] %= InlineExtents + 1
+		}
+		if rng.Intn(2) == 0 {
+			fields.Name = "stale"
+		}
+		before := *fields
+		before.Inline = slices.Clone(fields.Inline)
+		ref := new(Inode)
+		refErr := ref.UnmarshalFrom(buf)
+		err := fields.UnmarshalFields(buf)
+		if (err == nil) != (refErr == nil) {
+			return false
+		}
+		if err != nil {
+			return sameInode(fields, &before)
+		}
+		if fields.Name != "" || string(RecordName(buf)) != ref.Name {
+			return false
+		}
+		named := *fields
+		named.Name = ref.Name
+		return sameInode(&named, ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMarshalToRejectsWithoutWriting: an inode that does not fit a record,
 // or a destination shorter than one, is an error that leaves the
 // destination untouched.

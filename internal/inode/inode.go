@@ -204,6 +204,24 @@ func Unmarshal(buf []byte) (*Inode, error) {
 // holds the same name, so decoding into a long-lived inode allocates
 // nothing on the hot paths; buf is not retained. On error n is unchanged.
 func (n *Inode) UnmarshalFrom(buf []byte) error {
+	name := n.Name
+	if err := n.UnmarshalFields(buf); err != nil {
+		return err
+	}
+	// The comparison does not allocate; the conversion only runs when the
+	// name differs.
+	if rec := RecordName(buf); string(rec) != name {
+		name = string(rec)
+	}
+	n.Name = name
+	return nil
+}
+
+// UnmarshalFields is UnmarshalFrom without the name: it parses every field
+// but Name, which it sets to "", so a walk that never reports a record's
+// name decodes it without allocating. It accepts and rejects exactly what
+// UnmarshalFrom does; on error n is unchanged.
+func (n *Inode) UnmarshalFields(buf []byte) error {
 	if len(buf) < RecordSize {
 		return fmt.Errorf("%w: %d bytes", ErrBadRecord, len(buf))
 	}
@@ -229,11 +247,7 @@ func (n *Inode) UnmarshalFrom(buf []byte) error {
 	for i := range n.Spill {
 		n.Spill[i] = int64(le.Uint64(buf[offSpill+8*i:]))
 	}
-	// The comparison does not allocate; the conversion only runs when the
-	// name differs.
-	if name := buf[offName : offName+nameLen]; string(name) != n.Name {
-		n.Name = string(name)
-	}
+	n.Name = ""
 	n.Inline = n.Inline[:0]
 	for i := 0; i < inlineN; i++ {
 		base := offInline + 32*i
@@ -245,6 +259,12 @@ func (n *Inode) UnmarshalFrom(buf []byte) error {
 		})
 	}
 	return nil
+}
+
+// RecordName returns the name bytes of a record UnmarshalFields accepts,
+// aliasing buf: convert them with string() to keep the name past buf.
+func RecordName(buf []byte) []byte {
+	return buf[offName : offName+int(buf[offNameLen])]
 }
 
 // IsDir reports whether the inode is a directory.

@@ -140,11 +140,11 @@ func (j *Journal) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 	reg.CounterFunc("journal_checkpoint_blocks", labels, func() int64 { return j.stats.CheckpointBlocks })
 }
 
-// PendingRecords returns the number of committed-but-unchekpointed records,
+// PendingRecords returns the number of committed-but-uncheckpointed records,
 // a test hook.
 func (j *Journal) PendingRecords() int { return len(j.committed) }
 
-// EachRecord calls f with every committed-but-unchekpointed record in
+// EachRecord calls f with every committed-but-uncheckpointed record in
 // commit order, superseded and revoked ones included — every Data buffer
 // the journal still holds. A test hook for buffer-ownership checks.
 func (j *Journal) EachRecord(f func(Record)) {
@@ -255,7 +255,7 @@ func (j *Journal) reset() {
 	j.live = 0
 }
 
-// Replay returns the committed-but-unchekpointed records, deduplicated,
+// Replay returns the committed-but-uncheckpointed records, deduplicated,
 // revocations applied, sorted — what crash recovery would re-apply from
 // the journal region. The slice is the journal's scratch: the caller
 // consumes it before the next Checkpoint or Replay, which reuse it.

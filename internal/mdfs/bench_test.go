@@ -1,6 +1,7 @@
 package mdfs
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -37,6 +38,29 @@ func BenchmarkDirFill(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/create")
+		})
+	}
+}
+
+// BenchmarkLoadImageFsck loads and checks one aged image per layout — 64
+// directories of 1,000 files, built once — the fsck_aged iteration at an
+// eighth of its file count, so a profile of that path needs no
+// benchmark-module build: go test -run '^$' -bench LoadImageFsck
+// -cpuprofile cpu.out ./internal/mdfs.
+func BenchmarkLoadImageFsck(b *testing.B) {
+	for _, layout := range []Layout{LayoutEmbedded, LayoutNormal} {
+		img := agedImage(b, layout, 64, 1000)
+		b.Run(layout.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fs, err := LoadImage(bytes.NewReader(img))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep := fs.Fsck(); !rep.Clean() {
+					b.Fatalf("fsck: %v", rep.Problems)
+				}
+			}
 		})
 	}
 }

@@ -72,13 +72,23 @@ func (fs *FS) readSuper(rd blockReader) (superRoot, *inode.Inode, error) {
 // inodeAt decodes the inode record at (blk, off) into rec, reusing rec's
 // storage: the hot paths decode into an inode the FS keeps for them.
 func (fs *FS) inodeAt(rd blockReader, blk int64, off int, rec *inode.Inode) error {
+	buf, err := fs.recordAt(rd, blk, off)
+	if err != nil {
+		return err
+	}
+	return rec.UnmarshalFrom(buf)
+}
+
+// recordAt returns the bytes of the inode record at (blk, off), for a
+// reader that decodes them without the name (inode.UnmarshalFields).
+func (fs *FS) recordAt(rd blockReader, blk int64, off int) ([]byte, error) {
 	if !fs.inDevice(blk) {
-		return fmt.Errorf("mdfs: record block %d outside device", blk)
+		return nil, fmt.Errorf("mdfs: record block %d outside device", blk)
 	}
 	if off < 0 || off > int(fs.cfg.BlockSize)-recordSize {
-		return fmt.Errorf("mdfs: record offset %d outside block", off)
+		return nil, fmt.Errorf("mdfs: record offset %d outside block", off)
 	}
-	return rec.UnmarshalFrom(rd.Read(blk)[off : off+recordSize])
+	return rd.Read(blk)[off : off+recordSize], nil
 }
 
 // spillChain appends to chain the record's spill blocks in chain order:
@@ -86,6 +96,9 @@ func (fs *FS) inodeAt(rd blockReader, blk int64, off int, rec *inode.Inode) erro
 // seen set. A link outside the device ends its chain: it is listed — fsck
 // claims it — but never read.
 func (fs *FS) spillChain(rd blockReader, rec *inode.Inode, chain []int64) []int64 {
+	if rec.Spill == [inode.SpillSlots]int64{} {
+		return chain // most records have no spill blocks
+	}
 	seen := map[int64]bool{}
 	for _, blk := range rec.Spill {
 		for blk != 0 && !seen[blk] {
@@ -140,18 +153,18 @@ func (fs *FS) dirRuns(rd blockReader, rec *inode.Inode) (runs, outside []alloc.R
 }
 
 // dirent decodes entry i of a normal-layout entry block: the inode it
-// names, 0 for a free entry, and its name.
-func dirent(buf []byte, i int) (inode.Ino, string, error) {
+// names, 0 for a free entry, and its name, aliasing buf.
+func dirent(buf []byte, i int) (inode.Ino, []byte, error) {
 	ent := buf[i*direntSize : (i+1)*direntSize]
 	ino := inode.Ino(binary.LittleEndian.Uint64(ent[0:]))
 	if ino == 0 {
-		return 0, "", nil
+		return 0, nil, nil
 	}
 	n := int(ent[8])
 	if n > direntSize-9 {
-		return ino, "", fmt.Errorf("corrupt dirent name length %d", n)
+		return ino, nil, fmt.Errorf("corrupt dirent name length %d", n)
 	}
-	return ino, string(ent[9 : 9+n]), nil
+	return ino, ent[9 : 9+n], nil
 }
 
 // tableEntry decodes the directory-table entry of dirID: its parent and

@@ -221,6 +221,11 @@ type fsckWalker struct {
 
 	tasks, blocks, claims int64
 	dirBlocks             []int64 // content blocks decoded per directory
+
+	// rec and chain are the walkers' scratch: every content record
+	// decodes into rec, without its name, and its spill chain into chain.
+	rec   inode.Inode
+	chain []int64
 }
 
 // claim records that what owns block blk.
@@ -229,14 +234,15 @@ func (w *fsckWalker) claim(blk int64, what string) {
 	w.owned.add(blk, what)
 }
 
-// claimSpill claims the spill chain of the file record named name.
-func (w *fsckWalker) claimSpill(rec *inode.Inode, name string) {
-	chain := w.fs.spillChain(w.view, rec, nil)
-	if len(chain) == 0 {
+// claimSpill claims the spill chain of the file record named name; the
+// name is formatted only for a record that has one.
+func (w *fsckWalker) claimSpill(rec *inode.Inode, name []byte) {
+	w.chain = w.fs.spillChain(w.view, rec, w.chain[:0])
+	if len(w.chain) == 0 {
 		return
 	}
 	what := fmt.Sprintf("file %q spill", name)
-	for _, blk := range chain {
+	for _, blk := range w.chain {
 		w.claim(blk, what)
 	}
 }
@@ -248,15 +254,20 @@ func (w *fsckWalker) ref(slot int64) {
 }
 
 // link records that the directory from names the directory record at
-// child, and walks the child if no link reached it before. A link to the
+// child, whose fields are in w.rec and whose name is name, and walks the
+// child if no link reached it before. The record is copied out of w.rec
+// first: the child's walk decodes its own content there. A link to the
 // root is a cycle by itself; a second link to any other directory is
 // reported by checkClaims.
-func (w *fsckWalker) link(child recKey, rec *inode.Inode, ino inode.Ino, from string) {
-	l := dirLink{rec: child, desc: fmt.Sprintf("dir %q", rec.Name)}
+func (w *fsckWalker) link(child recKey, name string, ino inode.Ino, from string) {
+	l := dirLink{rec: child, desc: fmt.Sprintf("dir %q", name)}
 	if child == w.root {
 		w.r.problemf("%s references the root directory %s (directory cycle)", from, l.desc)
 	} else if w.links.add(l, from) {
-		w.walkDir(child, rec, ino)
+		rec := w.rec
+		rec.Name = name
+		rec.Inline = slices.Clone(w.rec.Inline)
+		w.walkDir(child, &rec, ino)
 	}
 }
 
@@ -327,8 +338,9 @@ func (w *fsckWalker) embeddedDir(desc string, dirRec *inode.Inode, dirIno inode.
 			for i := int64(0); i < per; i++ {
 				cur := slot
 				slot++
-				rec, err := inode.Unmarshal(buf[i*recordSize : (i+1)*recordSize])
-				if err != nil {
+				recBuf := buf[i*recordSize : (i+1)*recordSize]
+				rec := &w.rec
+				if err := rec.UnmarshalFields(recBuf); err != nil {
 					w.r.problemf("dir %d slot %d: %v", id, cur, err)
 					continue
 				}
@@ -340,12 +352,12 @@ func (w *fsckWalker) embeddedDir(desc string, dirRec *inode.Inode, dirIno inode.
 				}
 				if rec.IsDir() {
 					subdirs++
-					w.link(recKey{b, int(i * recordSize)}, rec, rec.Ino, desc)
+					w.link(recKey{b, int(i * recordSize)}, string(inode.RecordName(recBuf)), rec.Ino, desc)
 					continue
 				}
 				files++
 				degreeSum += int64(rec.ExtentCount)
-				w.claimSpill(rec, rec.Name)
+				w.claimSpill(rec, inode.RecordName(recBuf))
 			}
 		}
 	}
@@ -401,8 +413,12 @@ func (w *fsckWalker) normalDir(desc string, dirIno inode.Ino, runs []alloc.Range
 					w.r.problemf("dirent %q: inode %d not set in inode bitmap", name, slot)
 				}
 				blk, off := fs.geo.slotLocation(slot)
-				rec := new(inode.Inode)
-				if err := fs.inodeAt(w.view, blk, off, rec); err != nil {
+				recBuf, err := fs.recordAt(w.view, blk, off)
+				rec := &w.rec
+				if err == nil {
+					err = rec.UnmarshalFields(recBuf)
+				}
+				if err != nil {
 					w.r.problemf("inode %d: %v", slot, err)
 					continue
 				}
@@ -411,7 +427,7 @@ func (w *fsckWalker) normalDir(desc string, dirIno inode.Ino, runs []alloc.Range
 					continue
 				}
 				if rec.IsDir() {
-					w.link(recKey{blk, off}, rec, ino, desc)
+					w.link(recKey{blk, off}, string(inode.RecordName(recBuf)), ino, desc)
 					continue
 				}
 				files++

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -163,7 +164,7 @@ func TestImageSaveLoadRoundTrip(t *testing.T) {
 func TestImageIncludesJournalOverlay(t *testing.T) {
 	fs := newFS(t, LayoutEmbedded)
 	populate(t, fs)
-	// A committed-but-unchekpointed change must be part of the image.
+	// A committed-but-uncheckpointed change must be part of the image.
 	d, _ := fs.Lookup(fs.Root(), "proj")
 	if _, err := fs.Create(d, "committed-only"); err != nil {
 		t.Fatal(err)
@@ -228,6 +229,45 @@ func TestLoadImageRejectsAbsurdGeometry(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[12+8*tc.field:], uint64(tc.value))
 			if _, err := LoadImage(bytes.NewReader(b)); err == nil {
 				t.Fatal("image loaded")
+			}
+		})
+	}
+}
+
+// TestLoadImageBoundsItsBuffers: a header that declares as many home
+// blocks as the device has, then ends — after the count, or after one
+// block — is an error, and loading it allocates at most one slab of
+// blocks, never a buffer the declared count sizes: a 2 GiB device would
+// otherwise cost 2 GiB before the first missing byte is noticed.
+func TestLoadImageBoundsItsBuffers(t *testing.T) {
+	cfg := DefaultConfig(LayoutEmbedded)
+	seed, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := seed.SaveImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	const header = 12 + 6*8 // magic, version, layout, then the geometry
+	count := binary.LittleEndian.AppendUint64(img.Bytes()[:header:header], uint64(cfg.Blocks))
+	oneBlock := binary.LittleEndian.AppendUint64(bytes.Clone(count), uint64(cfg.Blocks-1))
+	oneBlock = append(oneBlock, make([]byte, cfg.BlockSize)...)
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{{"count then EOF", count}, {"one block then EOF", oneBlock}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := LoadImage(bytes.NewReader(tc.img))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("truncated image loaded")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+				t.Fatalf("LoadImage allocated %d bytes before failing, want < 2 MiB (one slab is %d)",
+					grew, slabBlocks*cfg.BlockSize)
 			}
 		})
 	}

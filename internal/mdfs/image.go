@@ -11,7 +11,7 @@ import (
 )
 
 // Image persistence: the metadata file system's durable state (home blocks
-// plus committed-but-unchekpointed journal records) serialized to a flat
+// plus committed-but-uncheckpointed journal records) serialized to a flat
 // file, so tools like cmd/miffsck can operate on saved instances and
 // sessions can resume across process restarts.
 //
@@ -86,12 +86,13 @@ func (fs *FS) SaveImage(w io.Writer) error {
 
 // LoadImage builds a mounted file system from a saved image. The disk and
 // cache state start cold, as after a reboot; the journal overlay is
-// replayed and the namespace rebuilt by Remount.
+// replayed and the namespace rebuilt by Remount. LoadImage reads r in
+// small pieces and adds no buffering of its own: pass a file through a
+// bufio.Reader.
 func LoadImage(r io.Reader) (*FS, error) {
-	br := bufio.NewReader(r)
 	le := binary.LittleEndian
 	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("mdfs: image header: %w", err)
 	}
 	if le.Uint32(hdr[0:]) != imageMagic {
@@ -107,7 +108,7 @@ func LoadImage(r io.Reader) (*FS, error) {
 	cfg := DefaultConfig(layout)
 	for _, p := range []*int64{&cfg.Blocks, &cfg.BlockSize, &cfg.JournalBlocks,
 		&cfg.TableBlocks, &cfg.GroupBlocks, &cfg.InodesPerGroup} {
-		if err := binary.Read(br, le, p); err != nil {
+		if err := binary.Read(r, le, p); err != nil {
 			return nil, fmt.Errorf("mdfs: image geometry: %w", err)
 		}
 	}
@@ -119,25 +120,36 @@ func LoadImage(r io.Reader) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	// readBlocks reads one block list, handing each block to set.
+	// readBlocks reads one block list, handing each block to set. The
+	// blocks land in slabs of up to slabBlocks, each allocated when its
+	// first block arrives, so a count the input does not back sizes
+	// nothing; a block is a cap-limited slice of its slab, which the
+	// store's free list may recycle like any other buffer.
+	bs := int(cfg.BlockSize)
+	var word [8]byte
+	var slab []byte
 	readBlocks := func(set func(st *blockState, buf []byte)) error {
-		var n int64
-		if err := binary.Read(br, le, &n); err != nil {
+		if _, err := io.ReadFull(r, word[:]); err != nil {
 			return err
 		}
+		n := int64(le.Uint64(word[:]))
 		if n < 0 || n > cfg.Blocks {
 			return fmt.Errorf("mdfs: image block count %d out of range", n)
 		}
 		for i := int64(0); i < n; i++ {
-			var blk int64
-			if err := binary.Read(br, le, &blk); err != nil {
+			if _, err := io.ReadFull(r, word[:]); err != nil {
 				return err
 			}
+			blk := int64(le.Uint64(word[:]))
 			if blk < 0 || blk >= cfg.Blocks {
 				return fmt.Errorf("mdfs: image block %d out of range", blk)
 			}
-			buf := make([]byte, cfg.BlockSize)
-			if _, err := io.ReadFull(br, buf); err != nil {
+			if len(slab) == 0 {
+				slab = make([]byte, int(min(n-i, slabBlocks))*bs)
+			}
+			buf := slab[:bs:bs]
+			slab = slab[bs:]
+			if _, err := io.ReadFull(r, buf); err != nil {
 				return err
 			}
 			set(fs.store.state(blk), buf)
@@ -159,6 +171,9 @@ func LoadImage(r io.Reader) (*FS, error) {
 	}
 	return fs, nil
 }
+
+// slabBlocks is how many blocks LoadImage reads into one allocation.
+const slabBlocks = 256
 
 // maxImageBytes caps the device an image header may declare, Blocks ×
 // BlockSize, and maxImageBlockSize one block. LoadImage sizes the
@@ -208,7 +223,9 @@ func (fs *FS) RebuildAllocator() (reclaimed int64, err error) {
 }
 
 // markReachable walks the mounted namespace and marks every reachable
-// dynamic block in the allocator.
+// dynamic block in the allocator. Only the records' spill pointers matter
+// here, so they decode into one scratch inode without their names, and
+// their chains into one scratch list.
 func (fs *FS) markReachable() error {
 	mark := func(blk int64) error {
 		if blk < 0 || blk >= fs.cfg.Blocks {
@@ -219,6 +236,23 @@ func (fs *FS) markReachable() error {
 			return nil
 		}
 		return fs.alloc.AllocExact(0, r)
+	}
+	var rec inode.Inode
+	var chain []int64
+	// markSpill marks the spill chain of the record at (blk, off); a
+	// record that does not decode owns none.
+	markSpill := func(blk int64, off int) error {
+		buf, err := fs.recordAt(fs.store, blk, off)
+		if err != nil || rec.UnmarshalFields(buf) != nil {
+			return nil
+		}
+		chain = fs.spillChain(fs.store, &rec, chain[:0])
+		for _, spill := range chain {
+			if err := mark(spill); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	seen := make(map[*dir]bool)
 	var walk func(d *dir) error
@@ -261,26 +295,12 @@ func (fs *FS) markReachable() error {
 			if err != nil {
 				continue
 			}
-			rec := new(inode.Inode)
-			if err := fs.inodeAt(fs.store, loc.blk, loc.off, rec); err != nil {
-				continue
-			}
-			for _, spill := range fs.spillChain(fs.store, rec, nil) {
-				if err := mark(spill); err != nil {
-					return err
-				}
+			if err := markSpill(loc.blk, loc.off); err != nil {
+				return err
 			}
 		}
 		// The directory record's own spill blocks.
-		rec := new(inode.Inode)
-		if err := fs.inodeAt(fs.store, d.recBlock, d.recOff, rec); err == nil {
-			for _, spill := range fs.spillChain(fs.store, rec, nil) {
-				if err := mark(spill); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return markSpill(d.recBlock, d.recOff)
 	}
 	return walk(fs.dirs[fs.root])
 }

@@ -204,3 +204,104 @@ func TestImageRoundTripCheckpointed(t *testing.T) {
 		t.Fatalf("fsck after reload: %v", rep.Problems)
 	}
 }
+
+// agedImage saves a file system of dirs directories holding files files
+// each, aged like the fsck_aged benchmark image — a sixth of each
+// directory replaced under new names — and beyond it: every third file
+// gets a fragmented mapping, every ninth one long enough to spill, and a
+// tenth of each directory is renamed into the next one.
+func agedImage(tb testing.TB, layout Layout, dirs, files int) []byte {
+	tb.Helper()
+	fs, err := New(DefaultConfig(layout))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	parents := make([]inode.Ino, dirs)
+	for d := range parents {
+		parents[d], err = fs.Mkdir(fs.Root(), fmt.Sprintf("d%03d", d))
+		must(err)
+		for i := 0; i < files; i++ {
+			ino, err := fs.Create(parents[d], fmt.Sprintf("f%05d", i))
+			must(err)
+			if i%3 != 0 {
+				continue
+			}
+			n := 3
+			if i%9 == 0 {
+				n = 2 * inode.InlineExtents
+			}
+			exts := make([]extent.Extent, n)
+			for j := range exts {
+				exts[j] = extent.Extent{Logical: int64(j) * 4, Physical: int64(d*1_000_000 + i*64 + j*8), Count: 4}
+			}
+			must(fs.SetLayout(ino, exts))
+		}
+	}
+	for d, p := range parents {
+		for i := 0; i < files; i += 6 {
+			must(fs.Unlink(p, fmt.Sprintf("f%05d", i)))
+			_, err := fs.Create(p, fmt.Sprintf("n%05d", i))
+			must(err)
+		}
+		for i := 1; i < files; i += 10 {
+			_, err := fs.Rename(p, fmt.Sprintf("f%05d", i), parents[(d+1)%dirs], fmt.Sprintf("r%03d-%05d", d, i))
+			must(err)
+		}
+	}
+	must(fs.Sync())
+	var img bytes.Buffer
+	must(fs.SaveImage(&img))
+	return img.Bytes()
+}
+
+// TestLoadImageFsckAllocations keeps loading and checking an image from
+// allocating per record. On a small aged image in each layout — 3,000
+// files in 8 directories — LoadImage allocates one string per live name
+// plus O(directories + blocks/256), and Fsck of the clean image
+// O(directories): its claims and descriptions, and the owner name of each
+// file with a spill chain, never an inode or a name per record. The
+// ceilings are measured + 5 %, the TestAllocCeilings rule.
+func TestLoadImageFsckAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const dirs, files = 8, 375 // 3,000 files
+	for _, tc := range []struct {
+		layout      Layout
+		load, check float64 // ceilings
+	}{
+		// 3,372 and 516 measured (10,325 and 9,352 while every record
+		// decoded into a new inode with its name).
+		{LayoutEmbedded, 3_543, 542},
+		// 3,349 and 545 measured (7,408 and 5,221).
+		{LayoutNormal, 3_517, 573},
+	} {
+		t.Run(tc.layout.String(), func(t *testing.T) {
+			img := agedImage(t, tc.layout, dirs, files)
+			var fs *FS
+			load := testing.AllocsPerRun(1, func() {
+				var err error
+				if fs, err = LoadImage(bytes.NewReader(img)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			var rep *FsckReport
+			check := testing.AllocsPerRun(1, func() { rep = fs.Fsck() })
+			if !rep.Clean() || rep.Files != dirs*files || rep.Dirs != dirs+1 {
+				t.Fatalf("aged image: %d dirs, %d files, problems %v", rep.Dirs, rep.Files, rep.Problems)
+			}
+			t.Logf("LoadImage %.0f allocations (ceiling %.0f), Fsck %.0f (ceiling %.0f)", load, tc.load, check, tc.check)
+			if load > tc.load {
+				t.Errorf("LoadImage: %.0f allocations, ceiling %.0f", load, tc.load)
+			}
+			if check > tc.check {
+				t.Errorf("Fsck: %.0f allocations, ceiling %.0f", check, tc.check)
+			}
+		})
+	}
+}

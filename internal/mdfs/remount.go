@@ -97,19 +97,22 @@ func (fs *FS) loadDir(rec *inode.Inode, ino inode.Ino, recBlk int64, recOff int)
 	return d, nil
 }
 
-// loadEmbeddedEntries scans a directory's content records.
+// loadEmbeddedEntries scans a directory's content records. They decode
+// into one scratch inode without their names, and a live record's name is
+// the one string it costs; the scratch is the directory's own, because a
+// subdirectory's scan runs while its record is still in use here.
 func (fs *FS) loadEmbeddedEntries(d *dir) error {
 	per := fs.geo.InodesPerBlock
 	var slot uint32
 	var maxUsed int64 = -1
 	var tombstones []uint32
+	rec := new(inode.Inode)
 	for _, r := range d.content {
 		blocks := fs.store.ReadRange(r.Start, r.Count)
 		for bi, buf := range blocks {
 			for i := int64(0); i < per; i++ {
 				recBuf := buf[i*recordSize : (i+1)*recordSize]
-				rec, err := inode.Unmarshal(recBuf)
-				if err != nil {
+				if err := rec.UnmarshalFields(recBuf); err != nil {
 					return err
 				}
 				cur := slot
@@ -119,7 +122,7 @@ func (fs *FS) loadEmbeddedEntries(d *dir) error {
 					continue
 				}
 				maxUsed = int64(cur)
-				d.names.add(rec.Name, rec.Ino, 0)
+				d.names.add(string(inode.RecordName(recBuf)), rec.Ino, 0)
 				d.files++
 				if rec.IsDir() {
 					blk := r.Start + int64(bi)
@@ -146,9 +149,11 @@ func (fs *FS) loadEmbeddedEntries(d *dir) error {
 }
 
 // loadNormalEntries scans a directory's entry blocks and marks the inode
-// slots used.
+// slots used. The records decode into one scratch inode per directory, as
+// in loadEmbeddedEntries.
 func (fs *FS) loadNormalEntries(d *dir) error {
 	per := fs.direntsPerBlock()
+	rec := new(inode.Inode)
 	for bi, blk := range d.direntBlocks {
 		buf := fs.store.Read(blk)
 		for i := 0; i < per; i++ {
@@ -162,11 +167,10 @@ func (fs *FS) loadNormalEntries(d *dir) error {
 			if !fs.geo.hasSlot(int64(ino)) {
 				return fmt.Errorf("mdfs: dirent %q: inode %d outside inode tables", name, int64(ino))
 			}
-			d.names.add(name, ino, bi*per+i)
+			d.names.add(string(name), ino, bi*per+i)
 			d.slots.set(bi*per + i)
 			fs.markSlotUsed(int64(ino))
 			recBlk, recOff := fs.geo.slotLocation(int64(ino))
-			rec := new(inode.Inode)
 			if err := fs.inodeAt(fs.store, recBlk, recOff, rec); err != nil {
 				return err
 			}

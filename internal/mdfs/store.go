@@ -88,7 +88,7 @@ type Store struct {
 }
 
 // blockState is one block's buffers, nil where the block has none: its
-// home content, its committed-but-unchekpointed content (the dirty
+// home content, its committed-but-uncheckpointed content (the dirty
 // overlay), and the open transaction's buffer.
 type blockState struct {
 	home, dirty, txn []byte
@@ -144,7 +144,7 @@ func (s *Store) SetCrashInjector(in *crashsim.Injector) {
 	s.jnl.SetCrashInjector(in)
 }
 
-// DirtyBlocks returns the size of the committed-but-unchekpointed overlay —
+// DirtyBlocks returns the size of the committed-but-uncheckpointed overlay —
 // after LoadImage, the number of blocks journal replay had to repair.
 // miffsck's exit-code contract distinguishes "clean" from "repaired" with
 // it.
