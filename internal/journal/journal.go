@@ -67,14 +67,18 @@ type Journal struct {
 	committed  []seqRecord
 	seq        int64
 	revoked    map[int64]int64 // block → revocation sequence
-	revokesNew int             // revokes since the last commit (revoke-block accounting)
+	staged     []int64         // revocations the next Commit applies
+	revokesNew int             // revokes applied since the last record-carrying commit (revoke-block accounting)
 	checkpoint CheckpointFunc
 	stats      Stats
 
 	// last and batch are dedupe's scratch, kept between checkpoints: the
 	// last effective record per block, and the sorted batch it returns.
-	last  map[int64]seqRecord
-	batch []Record
+	// pinned is a checkpoint's scratch: the live records it kept back
+	// for blocks whose revocation is staged.
+	last   map[int64]seqRecord
+	batch  []Record
+	pinned []seqRecord
 
 	// commitHist, when attached, observes every Commit's device cost.
 	commitHist *telemetry.Histogram
@@ -108,17 +112,39 @@ func New(d *disk.Disk, start, size int64, checkpoint CheckpointFunc) *Journal {
 	}
 }
 
-// Revoke marks a block's journaled contents void: a freed metadata block
-// must be neither checkpointed to its home location nor replayed after a
-// crash — otherwise its stale bytes resurrect when the block is
-// reallocated (ext3's revoke records exist for exactly this). Writes
-// committed after the revocation take effect normally. The revoke itself
-// occupies journal space, charged as one revoke block per commit that
-// carries revocations.
-func (j *Journal) Revoke(block int64) {
-	j.seq++
-	j.revoked[block] = j.seq
-	j.revokesNew++
+// Revoke stages the revocation of a block's journaled contents; the next
+// Commit applies it, as part of its transaction. From then on the freed
+// metadata block is neither checkpointed to its home location nor
+// replayed after a crash — otherwise its stale bytes resurrect when the
+// block is reallocated (ext3's revoke records exist for exactly this).
+// Until then the block's last committed write stays live: a free is
+// durable with its commit, not before. Writes in the same or a later
+// commit take effect normally. The revoke itself occupies journal space,
+// charged as one revoke block on the next commit that carries records.
+func (j *Journal) Revoke(block int64) { j.staged = append(j.staged, block) }
+
+// Revoked reports whether the block's last committed state is a
+// revocation, so that a crash now leaves it void.
+func (j *Journal) Revoked(block int64) bool {
+	rev, ok := j.revoked[block]
+	if !ok {
+		return false
+	}
+	for _, r := range j.committed {
+		if r.Block == block && r.seq > rev {
+			return false
+		}
+	}
+	return true
+}
+
+// applyRevokes makes staged revocations durable, sequenced after every
+// record committed so far.
+func (j *Journal) applyRevokes(blocks []int64) {
+	for _, b := range blocks {
+		j.seq++
+		j.revoked[b] = j.seq
+	}
 }
 
 // Stats returns a snapshot of the counters.
@@ -153,19 +179,26 @@ func (j *Journal) EachRecord(f func(Record)) {
 	}
 }
 
-// Commit durably appends a transaction (its records plus a commit block)
-// to the journal region and returns the simulated cost. If the region
-// cannot hold the transaction, a checkpoint is forced first — exactly the
-// jbd behaviour whose frequency the region size controls. The journal
-// keeps each record's Data buffer but not the records slice, which the
-// caller may reuse.
+// Commit durably appends a transaction (its records, the staged
+// revocations, and a commit block) to the journal region and returns the
+// simulated cost. If the region cannot hold the transaction, a checkpoint
+// is forced first — exactly the jbd behaviour whose frequency the region
+// size controls. The journal keeps each record's Data buffer but not the
+// records slice, which the caller may reuse. A transaction of revocations
+// alone applies them and writes nothing: its revoke block rides the next
+// commit that carries records. A failed Commit drops the staged
+// revocations with its transaction.
 func (j *Journal) Commit(records []Record) (sim.Ns, error) {
+	revokes := j.staged
+	j.staged = j.staged[:0]
 	if len(records) == 0 {
+		j.applyRevokes(revokes)
+		j.revokesNew += len(revokes)
 		return 0, nil
 	}
 	need := int64(len(records)) + 1
-	if j.revokesNew > 0 {
-		need++ // the revoke block carrying pending revocations
+	if j.revokesNew > 0 || len(revokes) > 0 {
+		need++ // the revoke block carrying the revocations
 		j.revokesNew = 0
 	}
 	if need > j.size {
@@ -173,7 +206,7 @@ func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 	}
 	var cost sim.Ns
 	if j.live+need > j.size {
-		cost += j.Checkpoint()
+		cost += j.checkpointPinning(revokes)
 	}
 	// Crash points: the journal's commit block doubles as the
 	// transaction's checksum (jbd2's commit record). Power failing
@@ -186,6 +219,7 @@ func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 	}
 	if dmg, ok := j.crash.Hit(crashsim.PtJournalAppendCommit, need); ok {
 		if dmg.AllPersisted() {
+			j.applyRevokes(revokes)
 			j.retain(records)
 		}
 		j.crash.Kill()
@@ -204,6 +238,7 @@ func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 	}
 	j.head = at
 	j.live += need
+	j.applyRevokes(revokes)
 	j.retain(records)
 	j.stats.Commits++
 	j.stats.Records += int64(len(records))
@@ -221,12 +256,20 @@ func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 // record it held, so their Data buffers are the caller's again; the batch
 // it passed to the checkpoint function is scratch that the next checkpoint
 // or Replay reuses.
-func (j *Journal) Checkpoint() sim.Ns {
+func (j *Journal) Checkpoint() sim.Ns { return j.checkpointPinning(nil) }
+
+// checkpointPinning is Checkpoint forced inside a Commit whose staged
+// revocations name pin. It honours them — a pinned block is not written
+// home — but keeps each one's last live record replayable until the
+// commit block is written, as jbd2 keeps an older transaction pinned
+// until the one revoking its blocks commits. The kept records hold no
+// region space.
+func (j *Journal) checkpointPinning(pin []int64) sim.Ns {
 	if len(j.committed) == 0 {
 		j.reset()
 		return 0
 	}
-	batch := j.dedupe()
+	batch := j.dedupe(pin)
 	var cost sim.Ns
 	if len(batch) > 0 {
 		cost = j.checkpoint(batch)
@@ -241,6 +284,7 @@ func (j *Journal) Checkpoint() sim.Ns {
 	j.stats.Checkpoints++
 	j.stats.CheckpointBlocks += int64(len(batch))
 	j.reset()
+	j.committed = append(j.committed, j.pinned...)
 	return cost
 }
 
@@ -260,15 +304,25 @@ func (j *Journal) reset() {
 // the journal region. The slice is the journal's scratch: the caller
 // consumes it before the next Checkpoint or Replay, which reuse it.
 func (j *Journal) Replay() []Record {
-	return j.dedupe()
+	return j.dedupe(nil)
 }
 
 // dedupe keeps the last effective write per block — dropping writes
-// revoked after they were committed — and sorts by home block. It returns
-// j.batch, refilled.
-func (j *Journal) dedupe() []Record {
+// revoked after they were committed, and moving those of the pin blocks
+// to j.pinned — and sorts by home block. It returns j.batch, refilled.
+func (j *Journal) dedupe(pin []int64) []Record {
 	for _, r := range j.committed {
 		j.last[r.Block] = r
+	}
+	clear(j.pinned)
+	j.pinned = j.pinned[:0]
+	for _, b := range pin {
+		if r, ok := j.last[b]; ok {
+			if rev, ok := j.revoked[b]; !ok || r.seq > rev {
+				j.pinned = append(j.pinned, r)
+			}
+			delete(j.last, b)
+		}
 	}
 	clear(j.batch)
 	out := j.batch[:0]

@@ -2,8 +2,10 @@ package journal
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"redbud/internal/crashsim"
 	"redbud/internal/disk"
 	"redbud/internal/sim"
 )
@@ -157,15 +159,94 @@ func TestRevokeSuppressesCheckpointAndReplay(t *testing.T) {
 		return 0
 	})
 	j.Commit([]Record{rec(7, 1), rec(8, 2)})
-	// Block 7 is freed: its journaled write must be neither replayed
-	// nor checkpointed — the ext3 revoke-record semantics.
+	// Block 7 is freed: once the free commits, its journaled write must be
+	// neither replayed nor checkpointed — the ext3 revoke-record semantics.
 	j.Revoke(7)
+	j.Commit(nil)
 	if rs := j.Replay(); len(rs) != 1 || rs[0].Block != 8 {
 		t.Fatalf("Replay after revoke = %v, want only block 8", rs)
 	}
 	j.Checkpoint()
 	if len(applied) != 1 || applied[0].Block != 8 {
 		t.Fatalf("checkpoint applied %v, want only block 8", applied)
+	}
+}
+
+// TestRevokeIsStagedUntilCommit pins when a free becomes durable: a staged
+// revocation changes nothing — not replay, not a checkpoint — until a
+// Commit applies it, and Revoked reports only an applied one.
+func TestRevokeIsStagedUntilCommit(t *testing.T) {
+	var applied []Record
+	j, _ := newJournal(t, 256, func(rs []Record) sim.Ns {
+		applied = append(applied, rs...)
+		return 0
+	})
+	j.Commit([]Record{rec(7, 1), rec(8, 2)})
+	j.Revoke(7)
+	if rs := j.Replay(); len(rs) != 2 {
+		t.Fatalf("Replay with a staged revoke = %v, want blocks 7 and 8", rs)
+	}
+	if j.Revoked(7) {
+		t.Fatal("a staged revoke reported as committed")
+	}
+	j.Commit([]Record{rec(9, 3)})
+	if !j.Revoked(7) || j.Revoked(8) || j.Revoked(9) {
+		t.Fatalf("Revoked(7, 8, 9) = %v %v %v after the commit, want true false false", j.Revoked(7), j.Revoked(8), j.Revoked(9))
+	}
+	j.Checkpoint()
+	for _, r := range applied {
+		if r.Block == 7 {
+			t.Fatal("checkpoint wrote a block whose free committed")
+		}
+	}
+}
+
+// TestForcedCheckpointPinsRevokedRecord fills the region so that the
+// commit carrying a free forces a checkpoint. The checkpoint must honour
+// the staged revoke — no home write of the freed block — yet keep the
+// block's last record replayable until the commit block is written: a
+// crash before that leaves the free undone. Once the commit completes the
+// record is dead.
+func TestForcedCheckpointPinsRevokedRecord(t *testing.T) {
+	for _, crash := range []bool{true, false} {
+		var applied []Record
+		j, _ := newJournal(t, 8, func(rs []Record) sim.Ns {
+			applied = append(applied, rs...)
+			return 0
+		})
+		j.Commit([]Record{rec(7, 1), rec(8, 2), rec(9, 3)}) // 4 of 8 blocks
+		j.Revoke(7)
+		next := []Record{rec(10, 4), rec(11, 5), rec(12, 6)} // 5 blocks: forces a checkpoint
+		if crash {
+			in := crashsim.Arm(crashsim.PtJournalAppendRecs, 1, disk.TearNone, 1)
+			j.SetCrashInjector(in)
+			func() {
+				defer func() {
+					if r := recover(); r != in.Fired() {
+						panic(r)
+					}
+				}()
+				j.Commit(next)
+			}()
+		} else if _, err := j.Commit(next); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range applied {
+			if r.Block == 7 {
+				t.Fatalf("crash=%v: the forced checkpoint wrote block 7, freed in its commit, home", crash)
+			}
+		}
+		var blocks []int64
+		for _, r := range j.Replay() {
+			blocks = append(blocks, r.Block)
+		}
+		want := []int64{10, 11, 12}
+		if crash {
+			want = []int64{7}
+		}
+		if !slices.Equal(blocks, want) {
+			t.Fatalf("crash=%v: Replay = blocks %v, want %v", crash, blocks, want)
+		}
 	}
 }
 

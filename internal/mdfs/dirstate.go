@@ -1,6 +1,7 @@
 package mdfs
 
 import (
+	"fmt"
 	"math/bits"
 
 	"redbud/internal/inode"
@@ -23,8 +24,11 @@ type entry struct {
 // nameIndex is a directory's namespace: the name → entry index (the
 // paper's in-memory Htree/Btree analogue) plus the insertion order readdir
 // reports. Removal leaves a tombstone in order — the empty string — and
-// the list is compacted once tombstones outnumber live names, so add and
-// remove are O(1) amortized and insertion order is preserved exactly.
+// the list is compacted before a removal whose tombstone would outnumber
+// the live names, so add and remove are O(1) amortized and insertion order
+// is preserved exactly. Because compaction runs before the tombstone goes
+// in, a removal is undone by restoring its entry in place (restore), and
+// an addition by dropping the last name (unadd).
 type nameIndex struct {
 	byName map[string]entry
 	order  []string
@@ -49,19 +53,43 @@ func (n *nameIndex) add(name string, ino inode.Ino, slot int) {
 	n.order = append(n.order, name)
 }
 
-// remove drops a name, reporting the entry it had.
+// remove drops a name, reporting the entry it had — its position as of
+// the compaction this removal may run first.
 func (n *nameIndex) remove(name string) (entry, bool) {
 	e, ok := n.byName[name]
 	if !ok {
 		return entry{}, false
 	}
+	if (n.dead+1)*2 > len(n.order) {
+		n.compact()
+		e = n.byName[name]
+	}
 	delete(n.byName, name)
 	n.order[e.pos] = ""
 	n.dead++
-	if n.dead*2 > len(n.order) {
-		n.compact()
-	}
 	return e, true
+}
+
+// restore undoes the removal of name, which had entry e: its tombstone
+// becomes the name again. Nothing may have compacted the index since —
+// an operation removes at most one name from a directory.
+func (n *nameIndex) restore(name string, e entry) {
+	if int(e.pos) >= len(n.order) || n.live(int(e.pos)) {
+		panic(fmt.Sprintf("mdfs: restoring %q: position %d is not its tombstone", name, e.pos))
+	}
+	n.order[e.pos] = name
+	n.byName[name] = e
+	n.dead--
+}
+
+// unadd undoes the latest add and returns the entry it made.
+func (n *nameIndex) unadd() entry {
+	name := n.order[len(n.order)-1]
+	e := n.byName[name]
+	delete(n.byName, name)
+	n.order[len(n.order)-1] = ""
+	n.order = n.order[:len(n.order)-1]
+	return e
 }
 
 // live reports whether order[i] is a current name rather than a tombstone.

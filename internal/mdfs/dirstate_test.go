@@ -271,8 +271,9 @@ func checkRebuiltSlots(t *testing.T, fs *FS, parents []inode.Ino, model []*oracl
 }
 
 // TestNameIndexCompaction pins the tombstone bookkeeping: removal keeps
-// insertion order, the list is squeezed exactly when tombstones exceed half
-// of it, and the empty string — the tombstone mark — still works as a name.
+// insertion order, the list is squeezed right before a removal whose
+// tombstone would exceed half of it, and the empty string — the tombstone
+// mark — still works as a name.
 func TestNameIndexCompaction(t *testing.T) {
 	n := newNameIndex(0)
 	names := []string{"a", "b", "", "c", "d", "e", "f", "g"}
@@ -294,20 +295,34 @@ func TestNameIndexCompaction(t *testing.T) {
 	if got, want := n.names(), []string{"b", "", "d", "f"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("names = %q, want %q", got, want)
 	}
-	// The fifth tips it over.
-	if e, ok := n.remove("b"); !ok || e.ino != 101 || e.slot != 1 {
+	// The fifth would tip it over: the list is compacted, then b leaves
+	// the one tombstone.
+	if e, ok := n.remove("b"); !ok || e.ino != 101 || e.slot != 1 || e.pos != 0 {
 		t.Fatalf("remove b = %+v, %v", e, ok)
 	}
-	if len(n.order) != 3 || n.dead != 0 {
-		t.Fatalf("past half: len(order) = %d, dead = %d; want 3, 0 (compacted)", len(n.order), n.dead)
+	if len(n.order) != 4 || n.dead != 1 {
+		t.Fatalf("past half: len(order) = %d, dead = %d; want 4, 1 (compacted, then b's tombstone)", len(n.order), n.dead)
 	}
 	if got, want := n.names(), []string{"", "d", "f"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("names after compaction = %q, want %q", got, want)
 	}
 	for i, name := range n.order {
-		if e := n.byName[name]; int(e.pos) != i {
+		if e := n.byName[name]; n.live(i) && int(e.pos) != i {
 			t.Fatalf("%q carries position %d, sits at %d", name, e.pos, i)
 		}
+	}
+	// Undoing the removal puts b back where it was; undoing an add drops
+	// the last name.
+	n.restore("b", entry{ino: 101, slot: 1, pos: 0})
+	n.add("h", 107, 7)
+	if e := n.unadd(); e.ino != 107 {
+		t.Fatalf("unadd h = %+v", e)
+	}
+	if got, want := n.names(), []string{"b", "", "d", "f"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("names after the undos = %q, want %q", got, want)
+	}
+	if _, ok := n.remove("b"); !ok {
+		t.Fatal("remove b again: not found")
 	}
 	// The empty name survives its own removal and re-insertion.
 	if e, ok := n.remove(""); !ok || e.ino != 102 {

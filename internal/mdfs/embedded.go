@@ -34,7 +34,7 @@ func (fs *FS) writeTableEntry(dirID uint32, parent, self inode.Ino) error {
 	if blk >= fs.geo.TableStart+fs.geo.TableBlocks {
 		return fmt.Errorf("mdfs: directory table full at id %d", dirID)
 	}
-	ent := fs.store.Modify(blk)[off : off+tableEntrySize]
+	ent := fs.store.Modify(blk, off, tableEntrySize)
 	binary.LittleEndian.PutUint64(ent[0:], uint64(parent))
 	binary.LittleEndian.PutUint64(ent[8:], uint64(self))
 	return nil
@@ -78,6 +78,11 @@ func (fs *FS) growContent(d *dir) error {
 	if err != nil {
 		return err
 	}
+	u := undo{kind: undoContent, d: d, a: int64(len(d.content))}
+	if u.a > 0 {
+		u.b = d.content[u.a-1].Count
+	}
+	fs.log(u)
 	// Coalesce with the previous run when the allocator obliged.
 	for _, r := range runs {
 		if n := len(d.content); n > 0 && d.content[n-1].End() == r.Start {
@@ -86,8 +91,7 @@ func (fs *FS) growContent(d *dir) error {
 			d.content = append(d.content, r)
 		}
 	}
-	d.runsDirty = true
-	return fs.embTouchDir(d)
+	return fs.embTouchDir(d, true)
 }
 
 // embAllocSlot takes a free record slot in the directory content, growing
@@ -96,6 +100,7 @@ func (fs *FS) embAllocSlot(d *dir) (uint32, error) {
 	if n := len(d.freeSlots); n > 0 {
 		slot := d.freeSlots[n-1]
 		d.freeSlots = d.freeSlots[:n-1]
+		fs.log(undo{kind: undoSlotReuse, d: d, a: int64(slot)})
 		return slot, nil
 	}
 	if d.nextSlot >= d.capSlots(fs.geo.InodesPerBlock) {
@@ -105,28 +110,34 @@ func (fs *FS) embAllocSlot(d *dir) (uint32, error) {
 	}
 	slot := d.nextSlot
 	d.nextSlot++
+	fs.log(undo{kind: undoSlotNext, d: d})
 	return slot, nil
+}
+
+// embFreeSlot returns a record slot of the directory content for reuse.
+func (fs *FS) embFreeSlot(d *dir, slot uint32) {
+	d.freeSlots = append(d.freeSlots, slot)
+	fs.log(undo{kind: undoSlotFree, d: d})
 }
 
 // embTouchDir persists the directory's own inode record: file count,
 // fragmentation-degree numerator (in Aux), mtime — and the content-run
-// mapping, but only when the runs actually changed: rewriting the mapping
-// (and its spill blocks) on every namespace operation would dirty extra
-// blocks per op for nothing.
-func (fs *FS) embTouchDir(d *dir) error {
+// mapping, but only when the runs actually changed (runsChanged) or were
+// never written: rewriting the mapping (and its spill blocks) on every
+// namespace operation would dirty extra blocks per op for nothing.
+func (fs *FS) embTouchDir(d *dir, runsChanged bool) error {
 	rec := &fs.dirRec
 	if err := fs.inodeAt(fs.store, d.recBlock, d.recOff, rec); err != nil {
 		return err
 	}
 	rec.MTime = fs.opSeq
-	rec.Size = d.files
+	rec.Size = int64(d.names.len())
 	rec.DirID = d.dirID
 	rec.Aux = uint32(d.extentUnits)
-	if d.runsDirty || rec.ExtentCount == 0 {
+	if runsChanged || rec.ExtentCount == 0 {
 		if err := fs.writeMapping(rec, runsToExtents(d.content), fs.contentEnd(d)); err != nil {
 			return err
 		}
-		d.runsDirty = false
 	}
 	return fs.writeInodeAt(d.recBlock, d.recOff, rec)
 }
@@ -136,8 +147,7 @@ func (fs *FS) embTouchDir(d *dir) error {
 // (it has no parent content to live in); every other directory's record is
 // embedded in its parent.
 func (fs *FS) embMakeRoot() error {
-	dirID := fs.nextDir // RootDirID
-	fs.nextDir++
+	dirID := fs.takeDirID() // RootDirID
 	recBlock, err := fs.allocBlock(fs.geo.dataStart(0))
 	if err != nil {
 		return err
@@ -164,14 +174,13 @@ func (fs *FS) embMakeRoot() error {
 	if err := fs.writeInodeAt(recBlock, 0, rec); err != nil {
 		return err
 	}
-	if err := fs.embTouchDir(d); err != nil {
+	if err := fs.embTouchDir(d, false); err != nil {
 		return err
 	}
 	if err := fs.writeTableEntry(dirID, ino, ino); err != nil {
 		return err
 	}
-	fs.dirs[ino] = d
-	fs.dirsByID[dirID] = d
+	fs.addDir(d)
 	fs.root = ino
 	fs.writeSuper()
 	return nil
@@ -203,8 +212,7 @@ func (fs *FS) embCreate(d *dir, name string, mode inode.Mode) (inode.Ino, error)
 		rec.Spill[0] = blk
 	}
 	if mode == inode.ModeDir {
-		dirID := fs.nextDir
-		fs.nextDir++
+		dirID := fs.takeDirID()
 		rec.Nlink = 2
 		rec.DirID = dirID
 		nd := &dir{
@@ -224,12 +232,11 @@ func (fs *FS) embCreate(d *dir, name string, mode inode.Mode) (inode.Ino, error)
 		if err := fs.writeTableEntry(dirID, d.ino, ino); err != nil {
 			return 0, err
 		}
-		fs.dirs[ino] = nd
-		fs.dirsByID[dirID] = nd
+		fs.addDir(nd)
 		if err := fs.writeInodeAt(blk, off, rec); err != nil {
 			return 0, err
 		}
-		if err := fs.embTouchDir(nd); err != nil {
+		if err := fs.embTouchDir(nd, false); err != nil {
 			return 0, err
 		}
 	} else {
@@ -237,9 +244,8 @@ func (fs *FS) embCreate(d *dir, name string, mode inode.Mode) (inode.Ino, error)
 			return 0, err
 		}
 	}
-	d.names.add(name, ino, 0)
-	d.files++
-	if err := fs.embTouchDir(d); err != nil {
+	fs.addName(d, name, ino, 0)
+	if err := fs.embTouchDir(d, false); err != nil {
 		return 0, err
 	}
 	return ino, nil
@@ -297,22 +303,18 @@ func (fs *FS) embUnlink(d *dir, name string, ino inode.Ino) error {
 	if err := fs.freeSpill(rec); err != nil {
 		return err
 	}
-	d.extentUnits -= int64(rec.ExtentCount)
-	if d.extentUnits < 0 {
-		d.extentUnits = 0
-	}
+	fs.addExtentUnits(d, -int64(rec.ExtentCount))
 	rec.Nlink = 0
 	rec.Mode = inode.ModeNone
 	if err := fs.writeInodeAt(blk, off, rec); err != nil {
 		return err
 	}
-	d.names.remove(name)
-	d.freeSlots = append(d.freeSlots, ino.Offset())
-	d.files--
+	fs.removeName(d, name)
+	fs.embFreeSlot(d, ino.Offset())
 	if len(d.freeSlots)%fs.cfg.LazyFreeBatch == 0 {
 		fs.stats.LazyFree++
 	}
-	return fs.embTouchDir(d)
+	return fs.embTouchDir(d, false)
 }
 
 // embReaddirCharge reads the whole directory content sequentially,
@@ -426,32 +428,27 @@ func (fs *FS) embRename(src *dir, name string, dst *dir, newName string, ino ino
 	}
 	// Tombstone the old record.
 	fs.store.WriteAt(oldBlk, oldOff, zeroRecord[:])
-	src.names.remove(name)
-	src.freeSlots = append(src.freeSlots, ino.Offset())
-	src.files--
-	dst.names.add(newName, newIno, 0)
-	dst.files++
-	dst.extentUnits += int64(rec.ExtentCount)
-	src.extentUnits -= int64(rec.ExtentCount)
-	if src.extentUnits < 0 {
-		src.extentUnits = 0
-	}
+	fs.removeName(src, name)
+	fs.embFreeSlot(src, ino.Offset())
+	fs.addName(dst, newName, newIno, 0)
+	fs.addExtentUnits(dst, int64(rec.ExtentCount))
+	fs.addExtentUnits(src, -int64(rec.ExtentCount))
+	fs.log(undo{kind: undoRenamed, a: int64(ino), b: int64(fs.renamed[ino])})
 	fs.renamed[ino] = newIno
 	if rec.Mode == inode.ModeDir {
 		d := fs.dirs[ino]
+		fs.log(undo{kind: undoDirMove, d: d, a: int64(d.ino), b: int64(d.parent)})
 		delete(fs.dirs, ino)
-		d.ino = newIno
-		d.parent = dst.ino
+		d.ino, d.parent, d.recBlock, d.recOff = newIno, dst.ino, blk, off
 		fs.dirs[newIno] = d
-		d.recBlock, d.recOff = blk, off
 		if err := fs.writeTableEntry(rec.DirID, dst.ino, newIno); err != nil {
 			return 0, err
 		}
 	}
-	if err := fs.embTouchDir(src); err != nil {
+	if err := fs.embTouchDir(src, false); err != nil {
 		return 0, err
 	}
-	if err := fs.embTouchDir(dst); err != nil {
+	if err := fs.embTouchDir(dst, false); err != nil {
 		return 0, err
 	}
 	return newIno, nil

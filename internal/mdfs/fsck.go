@@ -1,6 +1,7 @@
 package mdfs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -234,10 +235,14 @@ func (w *fsckWalker) claim(blk int64, what string) {
 	w.owned.add(blk, what)
 }
 
-// claimSpill claims the spill chain of the file record named name; the
-// name is formatted only for a record that has one.
+// claimSpill claims the spill chain of the file record named name and
+// checks that the mapping is whole; the name is formatted only for a
+// record that has a chain or a finding.
 func (w *fsckWalker) claimSpill(rec *inode.Inode, name []byte) {
 	w.chain = w.fs.spillChain(w.view, rec, w.chain[:0])
+	if have := w.mappingUnits(rec, w.chain); have < int(rec.ExtentCount) {
+		w.r.problemf("file %q mapping holds %d of its %d units (spill chain cut short)", name, have, rec.ExtentCount)
+	}
 	if len(w.chain) == 0 {
 		return
 	}
@@ -245,6 +250,18 @@ func (w *fsckWalker) claimSpill(rec *inode.Inode, name []byte) {
 	for _, blk := range w.chain {
 		w.claim(blk, what)
 	}
+}
+
+// mappingUnits counts the mapping units the record's inline head and its
+// in-device spill blocks hold.
+func (w *fsckWalker) mappingUnits(rec *inode.Inode, chain []int64) int {
+	n := len(rec.Inline)
+	for _, blk := range chain {
+		if w.fs.inDevice(blk) {
+			n += min(int(binary.LittleEndian.Uint32(w.view.Read(blk))), w.fs.extentsPerSpill())
+		}
+	}
+	return n
 }
 
 // ref marks a normal-layout inode slot as named by a dirent.
@@ -287,8 +304,12 @@ func (w *fsckWalker) walkDir(key recKey, rec *inode.Inode, ino inode.Ino) {
 		// other record is inside its parent's content).
 		w.claim(key.blk, "root record")
 	}
-	for _, spill := range fs.spillChain(w.view, rec, nil) {
+	chain := fs.spillChain(w.view, rec, nil)
+	for _, spill := range chain {
 		w.claim(spill, desc+" mapping spill")
+	}
+	if have := w.mappingUnits(rec, chain); have < int(rec.ExtentCount) {
+		w.r.problemf("%s mapping holds %d of its %d units (spill chain cut short)", desc, have, rec.ExtentCount)
 	}
 	runs, outside := fs.dirRuns(w.view, rec)
 	for _, run := range outside {

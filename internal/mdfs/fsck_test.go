@@ -91,6 +91,37 @@ func TestFsckDetectsCorruptRecord(t *testing.T) {
 	}
 }
 
+// TestFsckDetectsCutSpillChain cuts a 300-unit mapping's spill chain after
+// its second link. The record still says 300 units but its inline head
+// and chain hold 258: fsck must say so, where it used to call the mount
+// clean — the blind spot that let a crash truncate a mapping unseen.
+func TestFsckDetectsCutSpillChain(t *testing.T) {
+	bothLayouts(t, func(t *testing.T, fs *FS) {
+		ino, err := fs.Create(fs.Root(), "wide")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SetLayout(ino, units(300)); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := fs.Stat(ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := fs.Fsck(); !rep.Clean() {
+			t.Fatalf("fsck before the cut: %v", rep.Problems)
+		}
+		fs.store.WriteAt(rec.Spill[1], 4, make([]byte, 8)) // next pointer
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("file %q mapping holds %d of its 300 units", "wide", inode.InlineExtents+2*fs.extentsPerSpill())
+		if rep := fs.Fsck(); !hasFinding(rep.Problems, want) {
+			t.Fatalf("no %q finding in:\n%v", want, rep.Problems)
+		}
+	})
+}
+
 func TestFsckDetectsBadSuperblock(t *testing.T) {
 	fs := newFS(t, LayoutNormal)
 	populate(t, fs)

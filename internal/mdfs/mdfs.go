@@ -127,12 +127,9 @@ type dir struct {
 
 	// Embedded layout: content extents holding inode records.
 	content     []alloc.Range
-	runsDirty   bool // content runs changed since last persisted
 	nextSlot    uint32
 	freeSlots   []uint32 // cleared, reusable
-	pendingFree []uint32 // deleted, awaiting lazy-free
-	files       int64
-	extentUnits int64 // Σ layout-mapping units of subfiles
+	extentUnits int64    // Σ layout-mapping units of subfiles
 }
 
 // capSlots returns the number of inode records the embedded content can
@@ -149,10 +146,10 @@ func (d *dir) capSlots(inodesPerBlock int64) uint32 {
 // value is simply calculated by dividing the number of layout mapping
 // units ... to the number of files".
 func (d *dir) fragDegree() float64 {
-	if d.files == 0 {
+	if d.names.len() == 0 {
 		return 0
 	}
-	return float64(d.extentUnits) / float64(d.files)
+	return float64(d.extentUnits) / float64(d.names.len())
 }
 
 // OpStats counts namespace operations.
@@ -199,6 +196,11 @@ type FS struct {
 	sinceSync int
 	stats     OpStats
 
+	// undo is the running operation's undo log (undo.go). undoSeed holds
+	// an operation's usual share, so a mount allocates nothing for it.
+	undo     []undo
+	undoSeed [8]undo
+
 	// rec and dirRec are what the touch, utime, unlink, rename and layout
 	// paths decode an inode record into and encode it back from, reused so
 	// that updating a record allocates nothing: rec holds the inode an
@@ -240,6 +242,7 @@ func newUnformatted(cfg Config) (*FS, error) {
 		nextDir:  inode.RootDirID,
 		renamed:  make(map[inode.Ino]inode.Ino),
 	}
+	fs.undo = fs.undoSeed[:0]
 	if err := fs.reserveRegions(); err != nil {
 		return nil, err
 	}
@@ -367,21 +370,12 @@ func (fs *FS) now() int64 {
 	return fs.opSeq
 }
 
-// finishOp commits the running transaction according to the sync policy.
-func (fs *FS) finishOp() error {
-	fs.sinceSync++
-	if fs.cfg.SyncWrites || fs.sinceSync >= fs.cfg.CommitEvery {
-		fs.sinceSync = 0
-		return fs.store.Commit()
-	}
-	return nil
-}
-
 // Sync commits and checkpoints everything outstanding.
 func (fs *FS) Sync() error {
 	if err := fs.store.Commit(); err != nil {
 		return err
 	}
+	fs.dropUndo()
 	// Crash point: the sync's transaction is durably in the journal but
 	// the checkpoint has not started — the classic committed-then-died
 	// window that replay must close.
@@ -440,14 +434,16 @@ func (fs *FS) pickGroup() int64 {
 }
 
 // allocData allocates count data blocks near goal and journals the
-// block-bitmap updates of the touched groups.
+// block-bitmap updates of the touched groups. On failure the runs it took
+// are the operation's rewind to give back.
 func (fs *FS) allocData(goal, count int64) ([]alloc.Range, error) {
 	var out []alloc.Range
 	for count > 0 {
 		start, got, err := fs.alloc.AllocNear(0, goal, count)
 		if err != nil {
-			return out, err
+			return nil, err
 		}
+		fs.log(undo{kind: undoAlloc, a: start, b: got})
 		out = append(out, alloc.Range{Start: start, Count: got})
 		fs.dirtyBlockBitmap(start, got)
 		goal = start + got
@@ -463,6 +459,7 @@ func (fs *FS) allocBlock(goal int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	fs.log(undo{kind: undoAlloc, a: blk, b: 1})
 	fs.dirtyBlockBitmap(blk, 1)
 	return blk, nil
 }
@@ -473,6 +470,7 @@ func (fs *FS) freeData(r alloc.Range) error {
 	if err := fs.alloc.Free(r); err != nil {
 		return err
 	}
+	fs.log(undo{kind: undoFree, a: r.Start, b: r.Count})
 	fs.dirtyBlockBitmap(r.Start, r.Count)
 	for b := r.Start; b < r.End(); b++ {
 		fs.store.Forget(b)
@@ -510,5 +508,5 @@ func (fs *FS) writeInodeAt(block int64, off int, n *inode.Inode) error {
 	if err := n.Validate(); err != nil {
 		return err
 	}
-	return n.MarshalTo(fs.store.Modify(block)[off : off+recordSize])
+	return n.MarshalTo(fs.store.Modify(block, off, recordSize))
 }

@@ -2,11 +2,9 @@ package mdfs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 
-	"redbud/internal/alloc"
 	"redbud/internal/extent"
 	"redbud/internal/inode"
 )
@@ -36,10 +34,11 @@ func (fs *FS) allocInodeSlot(group int64) (int64, error) {
 			if idx >= fs.geo.InodesPerGroup {
 				break
 			}
-			fs.ibitmap[g][w] |= 1 << uint(bit)
-			fs.inodeFree[g]--
+			slot := g*fs.geo.InodesPerGroup + idx
+			fs.setInodeBit(slot, true)
+			fs.log(undo{kind: undoInodeAlloc, a: slot})
 			fs.dirtyInodeBitmap(g, int64(w))
-			return g*fs.geo.InodesPerGroup + idx, nil
+			return slot, nil
 		}
 	}
 	return 0, fmt.Errorf("mdfs: out of inodes")
@@ -47,11 +46,23 @@ func (fs *FS) allocInodeSlot(group int64) (int64, error) {
 
 // freeInodeSlot releases a slot and journals the bitmap update.
 func (fs *FS) freeInodeSlot(slot int64) {
-	g := slot / fs.geo.InodesPerGroup
+	fs.setInodeBit(slot, false)
+	fs.log(undo{kind: undoInodeFree, a: slot})
 	idx := slot % fs.geo.InodesPerGroup
-	fs.ibitmap[g][idx/64] &^= 1 << uint(idx%64)
-	fs.inodeFree[g]++
-	fs.dirtyInodeBitmap(g, idx/64)
+	fs.dirtyInodeBitmap(slot/fs.geo.InodesPerGroup, idx/64)
+}
+
+// setInodeBit marks an inode slot used or free in the in-memory bitmap;
+// the callers journal the word.
+func (fs *FS) setInodeBit(slot int64, used bool) {
+	g, idx := slot/fs.geo.InodesPerGroup, slot%fs.geo.InodesPerGroup
+	if used {
+		fs.ibitmap[g][idx/64] |= 1 << uint(idx%64)
+		fs.inodeFree[g]--
+	} else {
+		fs.ibitmap[g][idx/64] &^= 1 << uint(idx%64)
+		fs.inodeFree[g]++
+	}
 }
 
 // dirtyInodeBitmap journals one word of a group's inode bitmap.
@@ -110,8 +121,8 @@ func (fs *FS) chargeNormalLookup(d *dir, name string) {
 }
 
 // addDirentBlock records a block appended to the directory's entry area,
-// keeping the mapping current: it changes only here and in
-// dropDirentBlock.
+// keeping the mapping current: it changes only here and in the rewind of
+// an operation that appended one.
 func (d *dir) addDirentBlock(blk int64) {
 	logical := int64(len(d.direntBlocks))
 	d.direntBlocks = append(d.direntBlocks, blk)
@@ -120,18 +131,6 @@ func (d *dir) addDirentBlock(blk int64) {
 		return
 	}
 	d.direntMap = append(d.direntMap, extent.Extent{Logical: logical, Physical: blk, Count: 1})
-}
-
-// dropDirentBlock undoes the last addDirentBlock and frees the block.
-func (fs *FS) dropDirentBlock(d *dir) error {
-	n := len(d.direntBlocks) - 1
-	blk := d.direntBlocks[n]
-	d.direntBlocks = d.direntBlocks[:n]
-	last := len(d.direntMap) - 1
-	if d.direntMap[last].Count--; d.direntMap[last].Count == 0 {
-		d.direntMap = d.direntMap[:last]
-	}
-	return fs.freeData(alloc.Range{Start: blk, Count: 1})
 }
 
 // appendDirent adds a directory entry in the lowest free slot — reusing a
@@ -151,6 +150,7 @@ func (fs *FS) appendDirent(d *dir, name string, ino inode.Ino) error {
 			return err
 		}
 		d.addDirentBlock(blk)
+		fs.log(undo{kind: undoDirentBlock, d: d})
 	}
 	fs.putDirent(d, idx, name, ino)
 	return nil
@@ -165,12 +165,12 @@ func (fs *FS) putDirent(d *dir, idx int, name string, ino inode.Ino) {
 	copy(ent[9:], name)
 	fs.store.WriteAt(d.direntBlocks[idx/per], (idx%per)*direntSize, ent[:])
 	d.slots.set(idx)
-	d.names.add(name, ino, idx)
+	fs.addName(d, name, ino, idx)
 }
 
 // clearDirent removes an entry and zeroes its on-disk record.
 func (fs *FS) clearDirent(d *dir, name string) {
-	e, ok := d.names.remove(name)
+	e, ok := fs.removeName(d, name)
 	if !ok {
 		return
 	}
@@ -211,37 +211,22 @@ func (fs *FS) normalCreate(d *dir, name string, mode inode.Mode) (inode.Ino, err
 	if err := fs.writeInodeAt(blk, off, rec); err != nil {
 		return 0, err
 	}
-	blocks := len(d.direntBlocks)
-	err = fs.appendDirent(d, name, ino)
-	if err == nil {
-		if err = fs.touchDirRecord(d); err != nil {
-			// The record cannot map the grown entry area (no space for
-			// a spill block): take the entry back, and the entry block
-			// it opened.
-			fs.clearDirent(d, name)
-			if len(d.direntBlocks) > blocks {
-				err = errors.Join(err, fs.dropDirentBlock(d))
-			}
-		}
+	if err := fs.appendDirent(d, name, ino); err != nil {
+		return 0, err
 	}
-	if err != nil {
-		// Give the inode back too, or the next commit persists a slot and
-		// a record nothing references.
-		fs.freeInodeSlot(slot)
-		fs.store.WriteAt(blk, off, zeroRecord[:])
+	if err := fs.touchDirRecord(d); err != nil {
 		return 0, err
 	}
 	if mode == inode.ModeDir {
-		nd := &dir{
+		fs.addDir(&dir{
 			ino:      ino,
 			parent:   d.ino,
 			group:    fs.pickGroup(),
 			names:    newNameIndex(0),
 			recBlock: blk,
 			recOff:   off,
-		}
-		fs.nextDir++
-		fs.dirs[ino] = nd
+		})
+		fs.takeDirID() // the next directory goes to the next group
 	}
 	return ino, nil
 }
@@ -263,33 +248,17 @@ func (fs *FS) normalUnlink(d *dir, name string, ino inode.Ino) error {
 }
 
 // normalRename implements Rename for the traditional layout: the entry
-// moves, the inode number stays. A failure takes back the new entry and
-// any entry block it opened, and puts the old entry back in its slot.
-func (fs *FS) normalRename(src *dir, name string, dst *dir, newName string, e entry) error {
+// moves, the inode number stays.
+func (fs *FS) normalRename(src *dir, name string, dst *dir, newName string, ino inode.Ino) error {
 	fs.chargeNormalLookup(src, name)
 	fs.clearDirent(src, name)
-	blocks := len(dst.direntBlocks)
-	srcTouched := false
-	err := fs.appendDirent(dst, newName, e.ino)
-	if err == nil {
-		if err = fs.touchDirRecord(src); err == nil {
-			srcTouched = true
-			err = fs.touchDirRecord(dst)
-		}
+	if err := fs.appendDirent(dst, newName, ino); err != nil {
+		return err
 	}
-	if err == nil {
-		return nil
+	if err := fs.touchDirRecord(src); err != nil {
+		return err
 	}
-	fs.clearDirent(dst, newName) // a no-op when appendDirent failed
-	if len(dst.direntBlocks) > blocks {
-		err = errors.Join(err, fs.dropDirentBlock(dst))
-	}
-	fs.putDirent(src, int(e.slot), name, e.ino)
-	if srcTouched {
-		// The source record was written without the entry.
-		err = errors.Join(err, fs.touchDirRecord(src))
-	}
-	return err
+	return fs.touchDirRecord(dst)
 }
 
 // normalStat locates and reads an inode record by number.

@@ -11,7 +11,8 @@ import (
 
 // This file is the layout-independent public API of the metadata file
 // system. Each operation charges its disk accesses through the store,
-// mutates the namespace, and commits according to the sync policy.
+// mutates the namespace, and ends in finishOp: it commits according to the
+// sync policy, or, failed, leaves no trace (undo.go).
 
 // superblock layout (block 0).
 const (
@@ -47,30 +48,21 @@ func (fs *FS) makeRoot() error {
 
 // Mkdir creates a directory under parent and returns its inode number.
 func (fs *FS) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
-	d, err := fs.dirOf(parent)
-	if err != nil {
-		return 0, err
-	}
-	if _, ok := d.names.byName[name]; ok {
-		return 0, fmt.Errorf("%w: %q", ErrExist, name)
-	}
-	var ino inode.Ino
-	if fs.cfg.Layout == LayoutEmbedded {
-		ino, err = fs.embCreate(d, name, inode.ModeDir)
-	} else {
-		ino, err = fs.normalCreate(d, name, inode.ModeDir)
-	}
-	if err != nil {
-		return 0, err
-	}
-	fs.stats.Mkdirs++
-	return ino, fs.finishOp()
+	return fs.create(parent, name, inode.ModeDir)
 }
 
 // Create creates a regular file under parent and returns its inode number.
 func (fs *FS) Create(parent inode.Ino, name string) (inode.Ino, error) {
+	return fs.create(parent, name, inode.ModeFile)
+}
+
+// create implements Create and Mkdir.
+func (fs *FS) create(parent inode.Ino, name string, mode inode.Mode) (inode.Ino, error) {
 	d, err := fs.dirOf(parent)
 	if err != nil {
+		return 0, err
+	}
+	if err := fs.checkName(name); err != nil {
 		return 0, err
 	}
 	if _, ok := d.names.byName[name]; ok {
@@ -78,15 +70,34 @@ func (fs *FS) Create(parent inode.Ino, name string) (inode.Ino, error) {
 	}
 	var ino inode.Ino
 	if fs.cfg.Layout == LayoutEmbedded {
-		ino, err = fs.embCreate(d, name, inode.ModeFile)
+		ino, err = fs.embCreate(d, name, mode)
 	} else {
-		ino, err = fs.normalCreate(d, name, inode.ModeFile)
+		ino, err = fs.normalCreate(d, name, mode)
 	}
-	if err != nil {
+	if err == nil {
+		if mode == inode.ModeDir {
+			fs.stats.Mkdirs++
+		} else {
+			fs.stats.Creates++
+		}
+	}
+	if err := fs.finishOp(err); err != nil {
 		return 0, err
 	}
-	fs.stats.Creates++
-	return ino, fs.finishOp()
+	return ino, nil
+}
+
+// checkName refuses a name longer than the layout stores: a normal-layout
+// dirent's name field, or the embedded inode record's.
+func (fs *FS) checkName(name string) error {
+	limit := direntSize - 9
+	if fs.cfg.Layout == LayoutEmbedded {
+		limit = inode.MaxNameLen
+	}
+	if len(name) > limit {
+		return fmt.Errorf("%w: %d-byte name %q, the %v layout stores %d", inode.ErrNameTooLong, len(name), name, fs.cfg.Layout, limit)
+	}
+	return nil
 }
 
 // Lookup resolves name under parent, charging the layout's lookup reads.
@@ -159,10 +170,7 @@ func (fs *FS) Utime(ino inode.Ino) error {
 		return err
 	}
 	rec.MTime = fs.now()
-	if err := fs.writeInodeAt(loc.blk, loc.off, rec); err != nil {
-		return err
-	}
-	return fs.finishOp()
+	return fs.finishOp(fs.writeInodeAt(loc.blk, loc.off, rec))
 }
 
 // recLoc is an inode record location.
@@ -206,10 +214,7 @@ func (fs *FS) Unlink(parent inode.Ino, name string) error {
 		fs.chargeNormalLookup(d, name)
 		err = fs.normalUnlink(d, name, ino)
 	}
-	if err != nil {
-		return err
-	}
-	return fs.finishOp()
+	return fs.finishOp(err)
 }
 
 // Rmdir removes an empty directory.
@@ -231,6 +236,11 @@ func (fs *FS) Rmdir(parent inode.Ino, name string) error {
 		return fmt.Errorf("%w: %q", ErrNotEmpty, name)
 	}
 	fs.stats.Unlinks++
+	return fs.finishOp(fs.rmdir(d, name, child))
+}
+
+// rmdir implements Rmdir once the empty directory child is found.
+func (fs *FS) rmdir(d *dir, name string, child *dir) error {
 	if fs.cfg.Layout == LayoutEmbedded {
 		for _, r := range child.content {
 			if err := fs.freeData(r); err != nil {
@@ -240,8 +250,7 @@ func (fs *FS) Rmdir(parent inode.Ino, name string) error {
 		if err := fs.writeTableEntry(child.dirID, 0, 0); err != nil {
 			return err
 		}
-		delete(fs.dirsByID, child.dirID)
-		if err := fs.embUnlink(d, name, ino); err != nil {
+		if err := fs.embUnlink(d, name, child.ino); err != nil {
 			return err
 		}
 	} else {
@@ -251,12 +260,12 @@ func (fs *FS) Rmdir(parent inode.Ino, name string) error {
 			}
 		}
 		fs.chargeNormalLookup(d, name)
-		if err := fs.normalUnlink(d, name, ino); err != nil {
+		if err := fs.normalUnlink(d, name, child.ino); err != nil {
 			return err
 		}
 	}
-	delete(fs.dirs, ino)
-	return fs.finishOp()
+	fs.removeDir(child)
+	return nil
 }
 
 // Readdir lists the directory's entry names in creation order, charging
@@ -302,6 +311,9 @@ func (fs *FS) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newN
 	if err != nil {
 		return 0, err
 	}
+	if err := fs.checkName(newName); err != nil {
+		return 0, err
+	}
 	e, ok := src.names.byName[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotExist, name)
@@ -311,17 +323,16 @@ func (fs *FS) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newN
 		return 0, fmt.Errorf("%w: %q", ErrExist, newName)
 	}
 	fs.stats.Renames++
-	var newIno inode.Ino
+	newIno := ino
 	if fs.cfg.Layout == LayoutEmbedded {
 		newIno, err = fs.embRename(src, name, dst, newName, ino)
 	} else {
-		err = fs.normalRename(src, name, dst, newName, e)
-		newIno = ino
+		err = fs.normalRename(src, name, dst, newName, ino)
 	}
-	if err != nil {
+	if err := fs.finishOp(err); err != nil {
 		return 0, err
 	}
-	return newIno, fs.finishOp()
+	return newIno, nil
 }
 
 // SetLayout replaces a file's layout mapping — the MDS-side bookkeeping of
@@ -342,13 +353,12 @@ func (fs *FS) SetLayout(ino inode.Ino, exts []extent.Extent) error {
 		return fmt.Errorf("%w: SetLayout on %v", ErrIsDir, ino)
 	}
 	oldUnits := int64(rec.ExtentCount)
-	goal := fs.spillGoal(ino)
-	if err := fs.writeMapping(rec, exts, goal); err != nil {
-		return err
+	if err := fs.writeMapping(rec, exts, fs.spillGoal(ino)); err != nil {
+		return fs.finishOp(err)
 	}
 	rec.MTime = fs.now()
 	if err := fs.writeInodeAt(loc.blk, loc.off, rec); err != nil {
-		return err
+		return fs.finishOp(err)
 	}
 	if fs.cfg.Layout == LayoutEmbedded {
 		if d, ok := fs.dirsByID[ino.DirID()]; ok {
@@ -357,13 +367,10 @@ func (fs *FS) SetLayout(ino inode.Ino, exts []extent.Extent) error {
 			// the directory record — per-mapping-update rewrites of
 			// the parent record would cost a dirty block per data
 			// write for a heuristic counter.
-			d.extentUnits += int64(len(exts)) - oldUnits
-			if d.extentUnits < 0 {
-				d.extentUnits = 0
-			}
+			fs.addExtentUnits(d, int64(len(exts))-oldUnits)
 		}
 	}
-	return fs.finishOp()
+	return fs.finishOp(nil)
 }
 
 // spillGoal picks where a file's spill blocks should land.

@@ -21,6 +21,7 @@ func (fs *FS) Remount() error {
 	fs.dirs = make(map[inode.Ino]*dir)
 	fs.dirsByID = make(map[uint32]*dir)
 	fs.renamed = make(map[inode.Ino]inode.Ino)
+	fs.dropUndo() // a crash inside an operation's commit left its log behind
 	fs.remountSeen = make(map[recKey]bool)
 	defer func() { fs.remountSeen = nil }()
 	if fs.cfg.Layout == LayoutNormal {
@@ -123,7 +124,6 @@ func (fs *FS) loadEmbeddedEntries(d *dir) error {
 				}
 				maxUsed = int64(cur)
 				d.names.add(string(inode.RecordName(recBuf)), rec.Ino, 0)
-				d.files++
 				if rec.IsDir() {
 					blk := r.Start + int64(bi)
 					if _, err := fs.loadDir(rec, rec.Ino, blk, int(i*recordSize)); err != nil {

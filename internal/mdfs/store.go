@@ -39,6 +39,20 @@ type StoreStats struct {
 // Store is not safe for concurrent use; the owning FS serializes operations
 // the way a single MDS thread pool with a namespace lock would.
 //
+// Savepoints: the open transaction can hold several operations (the
+// owner commits every few), so Abort does not discard it whole. It rewinds
+// to the savepoint, the transaction's state when the last operation
+// finished or when the transaction began. A block first joined since is
+// dropped; a block that was already in the transaction gets back the
+// pre-image of each byte range changed since — the Modify or WriteAt
+// range, the whole block for Overwrite and Forget. A transaction that
+// starts empty, as under synchronous commits, saves nothing.
+//
+// Frees: Forget voids a block in the open transaction only. It reads as
+// zeroes from then on, but its committed content stays until the
+// transaction commits — the free's revocation is part of the commit — so
+// a crash or an Abort before that leaves the block as it was.
+//
 // Buffer ownership: the store owns every block buffer, and recycles it
 // through four states. Open: the buffer is a block's txn buffer and
 // belongs to the running transaction; Modify, Overwrite, Write and WriteAt
@@ -46,12 +60,12 @@ type StoreStats struct {
 // sub-block updates it takes. Sealed: Commit hands it to the journal and
 // makes it the block's dirty buffer, the checkpoint makes it the home
 // buffer, and nobody writes to it again. Retired: a later commit of the
-// block superseded it as dirty, a checkpoint replaced it as home, Forget
-// dropped it, or Abort discarded it; the journal may still hold it. Free:
-// the next checkpoint has released the journal's records, so the buffer
-// waits on the free list for the next block a transaction opens. The
-// shared zero block, what a never-written block reads as, is never
-// written at all.
+// block superseded it as dirty, a checkpoint replaced it as home, a
+// committed free dropped it, or Forget or Abort discarded it; the journal
+// may still hold it. Free: the next checkpoint has released the journal's
+// records, so the buffer waits on the free list for the next block a
+// transaction opens. The shared zero block, what a never-written block
+// reads as, is never written at all.
 //
 // Slices returned by Read, ReadRange and StoreView.Read alias these
 // buffers, are read-only, and stay valid until the next Commit or
@@ -68,6 +82,7 @@ type Store struct {
 	// first written.
 	pages []*[pageBlocks]blockState
 	order []int64          // the blocks the open transaction holds, in the order it took them
+	freed []int64          // the blocks the open transaction frees, in the order it freed them
 	recs  []journal.Record // Commit's scratch; the journal does not keep it
 	reqs  []iosched.Request
 	zero  []byte // what a never-written block reads as
@@ -76,6 +91,16 @@ type Store struct {
 	// are ready for reuse.
 	retired [][]byte
 	free    [][]byte
+
+	// The savepoint: order[:spOrder] and freed[:spFreed] predate it, and
+	// pre lists the pre-images of what changed since in those blocks,
+	// their bytes concatenated in preBytes. The seeds hold an operation's
+	// usual share, so a mount allocates nothing for them.
+	spOrder, spFreed int
+	pre              []preImage
+	preBytes         []byte
+	preSeed          [8]preImage
+	preBytesSeed     [1024]byte
 
 	cache blockLRU
 
@@ -92,11 +117,29 @@ type Store struct {
 // overlay), and the open transaction's buffer.
 type blockState struct {
 	home, dirty, txn []byte
+	// at is the block's index in the open transaction's order while it
+	// has a txn buffer; below spOrder, the buffer predates the savepoint.
+	at int32
+	// void marks a block the open transaction freed: it reads as zeroes
+	// unless rewritten, and its committed content goes when the
+	// transaction commits.
+	void bool
+}
+
+// preImage is the content a byte range of a block's txn buffer had at the
+// savepoint.
+type preImage struct {
+	blk    int64
+	off, n int
+	at     int32 // the block's order index, should Abort have to re-open it
 }
 
 // committed returns the block's bytes as of the last commit, nil if it has
-// never been written.
+// never been written or the open transaction freed it.
 func (st *blockState) committed() []byte {
+	if st.void {
+		return nil
+	}
 	if st.dirty != nil {
 		return st.dirty
 	}
@@ -125,6 +168,7 @@ func NewStore(d *disk.Disk, journalStart, journalBlocks int64, cacheCap int, que
 		cache:     newBlockLRU(cacheCap),
 	}
 	s.jnl = journal.New(d, journalStart, journalBlocks, s.applyCheckpoint)
+	s.pre, s.preBytes = s.preSeed[:0], s.preBytesSeed[:0]
 	return s
 }
 
@@ -196,17 +240,22 @@ func (s *Store) eachBlock(f func(blk int64, st *blockState)) {
 }
 
 // content returns the current bytes of a block: transaction overlay first,
-// then the committed overlay, then home, then the shared zero block for a
-// block never written anywhere. The result aliases internal state and is
-// read-only.
+// then the committed overlay, then home — unless the open transaction
+// freed the block — then the shared zero block for a block never written
+// anywhere. The result aliases internal state and is read-only. (A switch,
+// not committed(), keeps it within the inliner's budget: it is on every
+// read.)
 func (s *Store) content(blk int64) []byte {
-	if st := s.lookup(blk); st != nil {
-		if st.txn != nil {
-			return st.txn
-		}
-		if b := st.committed(); b != nil {
-			return b
-		}
+	st := s.lookup(blk)
+	switch {
+	case st == nil:
+	case st.txn != nil:
+		return st.txn
+	case st.void:
+	case st.dirty != nil:
+		return st.dirty
+	case st.home != nil:
+		return st.home
 	}
 	return s.zero
 }
@@ -276,6 +325,7 @@ func (s *Store) Write(blk int64, data []byte) {
 func (s *Store) Overwrite(blk int64) []byte {
 	st := s.state(blk)
 	if st.txn != nil {
+		s.keep(blk, st, 0, s.blockSize)
 		clear(st.txn)
 	} else {
 		s.join(blk, st, nil)
@@ -286,25 +336,26 @@ func (s *Store) Overwrite(blk int64) []byte {
 }
 
 // WriteAt updates a byte range within one block: a Modify that copies data
-// in at off.
+// in.
 func (s *Store) WriteAt(blk int64, off int, data []byte) {
-	if off < 0 || off+len(data) > s.blockSize {
-		panic(fmt.Sprintf("mdfs: WriteAt [%d,+%d) outside block", off, len(data)))
-	}
-	copy(s.Modify(blk)[off:], data)
+	copy(s.Modify(blk, off, len(data)), data)
 }
 
-// Modify returns the transaction's buffer for blk holding the block's
-// current content, for the caller to update in place — a read-modify-write,
-// like touching one inode record in an inode-table block, so the read is
-// charged. A block that has never been written anywhere is newly
-// allocated — the file system knows its on-disk content is void, so no
-// read is charged. The slice is valid until the next Commit, Abort or
-// Forget.
-func (s *Store) Modify(blk int64) []byte {
+// Modify returns bytes [off, off+n) of the transaction's buffer for blk,
+// holding the block's current content, for the caller to update in place —
+// a read-modify-write, like touching one inode record in an inode-table
+// block, so the read is charged. A block that has never been written
+// anywhere, or that the transaction freed, is newly allocated — the file
+// system knows its on-disk content is void, so no read is charged. The
+// slice is valid until the next Commit, Abort or Forget.
+func (s *Store) Modify(blk int64, off, n int) []byte {
+	if off < 0 || n < 0 || off+n > s.blockSize {
+		panic(fmt.Sprintf("mdfs: Modify [%d,+%d) outside block", off, n))
+	}
 	st := s.state(blk)
 	if st.txn != nil {
 		s.charge(blk)
+		s.keep(blk, st, off, n)
 	} else {
 		cur := st.committed()
 		if cur != nil {
@@ -315,7 +366,7 @@ func (s *Store) Modify(blk int64) []byte {
 		s.join(blk, st, cur)
 	}
 	s.stats.TxnWrites++
-	return st.txn
+	return st.txn[off : off+n]
 }
 
 // join adds blk, whose state is st, to the open transaction with a buffer
@@ -323,7 +374,19 @@ func (s *Store) Modify(blk int64) []byte {
 // transaction pays for blk.
 func (s *Store) join(blk int64, st *blockState, content []byte) {
 	st.txn = s.buffer(content)
+	st.at = int32(len(s.order))
 	s.order = append(s.order, blk)
+}
+
+// keep saves the pre-image of bytes [off, off+n) of blk's txn buffer when
+// the buffer predates the savepoint; a block joined since needs none, as
+// Abort drops it whole.
+func (s *Store) keep(blk int64, st *blockState, off, n int) {
+	if int(st.at) >= s.spOrder {
+		return
+	}
+	s.pre = append(s.pre, preImage{blk: blk, off: off, n: n, at: st.at})
+	s.preBytes = append(s.preBytes, st.txn[off:off+n]...)
 }
 
 // buffer returns a block buffer holding a copy of content (zeroes past
@@ -354,31 +417,33 @@ func (s *Store) release() {
 	s.retired = s.retired[:0]
 }
 
-// Forget discards a freed block's contents everywhere, the running
-// transaction included: a freed block's on-disk bytes are void, so a later
-// reallocation writes it fresh without a read. The block is also revoked
-// in the journal — without the revoke, a pending journaled write would
-// resurrect the stale contents at the next checkpoint or crash replay.
+// Forget frees a block in the open transaction (see Frees above): from
+// now on it reads as zeroes, and a later reallocation writes it fresh
+// without a read — a freed block's on-disk bytes are void. Commit revokes
+// the block in the journal — without the revoke, a pending journaled
+// write would resurrect the stale contents at the next checkpoint or
+// crash replay — and drops its committed content.
 func (s *Store) Forget(blk int64) {
 	if st := s.lookup(blk); st != nil {
 		// A pending write to a freed block is void too.
-		for _, buf := range [...][]byte{st.home, st.dirty, st.txn} {
-			if buf != nil {
-				s.retire(buf)
-			}
+		if st.txn != nil {
+			s.keep(blk, st, 0, s.blockSize)
+			s.retire(st.txn)
+			st.txn = nil
 		}
-		*st = blockState{}
+		st.void = true
 	}
 	s.cache.remove(blk)
-	s.jnl.Revoke(blk)
+	s.freed = append(s.freed, blk)
 }
 
-// Commit journals the current transaction. The home blocks are written
-// later, at checkpoint time. The transaction's buffers pass to the journal
-// and the committed overlay, and are immutable from here on; the buffers
-// they supersede in the overlay retire.
+// Commit journals the current transaction, its frees included. The home
+// blocks are written later, at checkpoint time. The transaction's buffers
+// pass to the journal and the committed overlay, and are immutable from
+// here on; the buffers they supersede in the overlay, and the committed
+// content of the blocks it frees, retire.
 func (s *Store) Commit() error {
-	if len(s.order) == 0 {
+	if len(s.order) == 0 && len(s.freed) == 0 {
 		return nil
 	}
 	records := s.recs[:0]
@@ -391,17 +456,19 @@ func (s *Store) Commit() error {
 		}
 	}
 	s.recs = records
-	if len(records) == 0 {
-		s.endTxn()
-		return nil
-	}
-	// Crash point: the transaction is assembled in memory and nothing has
-	// touched the journal — a power failure here loses it whole, which is
-	// exactly what an uncommitted transaction is allowed to do.
-	if _, ok := s.crash.Hit(crashsim.PtMdfsCommitBegin, int64(len(records))); ok {
-		s.crash.Kill()
+	if len(records) > 0 {
+		// Crash point: the transaction is assembled in memory and
+		// nothing has touched the journal — a power failure here loses
+		// it whole, which is exactly what an uncommitted transaction is
+		// allowed to do.
+		if _, ok := s.crash.Hit(crashsim.PtMdfsCommitBegin, int64(len(records))); ok {
+			s.crash.Kill()
+		}
 	}
 	checkpoints := s.jnl.Stats().Checkpoints
+	for _, blk := range s.freed {
+		s.jnl.Revoke(blk)
+	}
 	if _, err := s.jnl.Commit(records); err != nil {
 		return err
 	}
@@ -409,6 +476,18 @@ func (s *Store) Commit() error {
 		// The region was full: the journal checkpointed before it took
 		// this transaction's records.
 		s.release()
+	}
+	// The frees are durable. The journal may still hold a freed block's
+	// last record, so its buffers retire only now, after the release.
+	for _, blk := range s.freed {
+		if st := s.lookup(blk); st != nil && st.void {
+			for _, buf := range [...][]byte{st.home, st.dirty} {
+				if buf != nil {
+					s.retire(buf)
+				}
+			}
+			st.home, st.dirty, st.void = nil, nil, false
+		}
 	}
 	for _, r := range records {
 		st := s.lookup(r.Block)
@@ -423,15 +502,48 @@ func (s *Store) Commit() error {
 	return nil
 }
 
-// Abort discards the current transaction; its buffers retire.
+// savepoint marks the open transaction's current state as the one Abort
+// rewinds to.
+func (s *Store) savepoint() {
+	s.spOrder, s.spFreed = len(s.order), len(s.freed)
+	s.pre, s.preBytes = s.pre[:0], s.preBytes[:0]
+}
+
+// Abort rewinds the open transaction to its savepoint: the blocks it
+// joined since are dropped, their buffers retiring, the older blocks get
+// their pre-images back, and the frees made since are undone. Right after
+// a Commit, that discards the whole transaction.
 func (s *Store) Abort() {
-	for _, blk := range s.order {
+	for _, blk := range s.order[s.spOrder:] {
 		if st := s.lookup(blk); st.txn != nil {
 			s.retire(st.txn)
 			st.txn = nil
 		}
 	}
-	s.order = s.order[:0]
+	s.order = s.order[:s.spOrder]
+	end := len(s.preBytes)
+	for i := len(s.pre) - 1; i >= 0; i-- {
+		p := s.pre[i]
+		st := s.lookup(p.blk)
+		if st.txn == nil { // freed since, taking its buffer along
+			st.txn, st.at = s.buffer(nil), p.at
+		}
+		end -= p.n
+		copy(st.txn[p.off:], s.preBytes[end:end+p.n])
+	}
+	s.setVoid(s.freed[s.spFreed:], false)
+	s.freed = s.freed[:s.spFreed]
+	s.setVoid(s.freed, true) // a block freed twice was un-voided above
+	s.savepoint()
+}
+
+// setVoid marks the freed blocks void or not.
+func (s *Store) setVoid(blocks []int64, void bool) {
+	for _, blk := range blocks {
+		if st := s.lookup(blk); st != nil {
+			st.void = void
+		}
+	}
 }
 
 // endTxn empties the transaction overlay, keeping its storage for the next
@@ -440,7 +552,9 @@ func (s *Store) endTxn() {
 	for _, blk := range s.order {
 		s.lookup(blk).txn = nil
 	}
-	s.order = s.order[:0]
+	s.setVoid(s.freed, false)
+	s.order, s.freed = s.order[:0], s.freed[:0]
+	s.savepoint()
 }
 
 // Checkpoint forces the journaled updates to their home locations, then
@@ -510,11 +624,18 @@ func (v *StoreView) Read(blk int64) []byte { return v.s.content(blk) }
 func (s *Store) DropCaches() { s.cache.reset() }
 
 // Crash simulates a power failure: the page cache and the uncommitted
-// transaction vanish; home and the journal survive. Recover replays the
+// transaction, its frees included, vanish; home and the journal survive. A
+// free whose revocation the journal took before the power failed is
+// durable, so the block's home content is void. Recover replays the
 // journal into the committed overlay, which is how the next mount would see
 // the file system. The dropped buffers are not recycled: a crash inside a
 // commit can leave the journal holding the transaction's buffers.
 func (s *Store) Crash() {
+	for _, blk := range s.freed {
+		if st := s.lookup(blk); st != nil && s.jnl.Revoked(blk) {
+			st.home = nil
+		}
+	}
 	s.endTxn()
 	s.eachBlock(func(_ int64, st *blockState) { st.dirty = nil })
 	s.cache.reset()

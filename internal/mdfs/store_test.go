@@ -2,6 +2,7 @@ package mdfs
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -144,11 +145,91 @@ func TestStoreForgetVoidsContent(t *testing.T) {
 	if got := s.Read(7000); got[0] != 0 {
 		t.Fatal("forgotten block should read as zeroes")
 	}
-	// And the journal must not resurrect it (revoked).
+	// Once the free commits, the journal must not resurrect it (revoked).
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	s.Crash()
 	s.Recover()
 	if got := s.Read(7000); got[0] != 0 {
 		t.Fatal("forgotten block resurrected by replay")
+	}
+}
+
+// TestStoreFreeIsDurableWithItsCommit kills a transaction that frees a
+// committed block (and writes another) at each point of its commit, with
+// the freed block checkpointed home or still in the journal, and with a
+// journal region so full that the commit checkpoints first. Until the
+// commit block is written the free is not durable: after Recover the
+// block holds its committed content. Once it is written, the block is
+// void.
+func TestStoreFreeIsDurableWithItsCommit(t *testing.T) {
+	cases := []struct {
+		point string
+		mode  disk.TearMode
+		void  bool
+	}{
+		{crashsim.PtMdfsCommitBegin, disk.TearNone, false},
+		{crashsim.PtJournalAppendRecs, disk.TearNone, false},
+		{crashsim.PtJournalAppendCommit, disk.TearLost, false},
+		{crashsim.PtJournalAppendCommit, disk.TearNone, true},
+	}
+	for _, c := range cases {
+		for _, home := range []bool{false, true} {
+			for _, full := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%v/home=%v/full=%v", c.point, c.mode, home, full)
+				d := disk.New(disk.DefaultConfig(), 1<<16)
+				s := NewStore(d, 1, 8, 8, 64)
+				s.Write(7000, blockOf(s, 3))
+				if err := s.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if home {
+					s.Checkpoint()
+				}
+				if full { // 6 of the region's 8 blocks live: the next commit, of 3, checkpoints first
+					n := int64(3)
+					if home {
+						n = 5
+					}
+					for b := int64(0); b < n; b++ {
+						s.Write(7100+b, blockOf(s, 1))
+					}
+					if err := s.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.Forget(7000)
+				s.WriteAt(7001, 0, []byte{1})
+				in := crashsim.Arm(c.point, 1, c.mode, 1)
+				s.SetCrashInjector(in)
+				func() {
+					defer func() {
+						if r := recover(); r != in.Fired() {
+							panic(r)
+						}
+					}()
+					s.Commit()
+				}()
+				if in.Fired() == nil {
+					t.Fatalf("%s: the commit was not killed", name)
+				}
+				s.SetCrashInjector(nil)
+				forced := s.Journal().Stats().Checkpoints > 0 && (!home || s.Journal().Stats().Checkpoints > 1)
+				if c.point != crashsim.PtMdfsCommitBegin && forced != full {
+					t.Fatalf("%s: the commit forced a checkpoint: %v", name, forced)
+				}
+				s.Crash()
+				s.Recover()
+				want := byte(3)
+				if c.void {
+					want = 0
+				}
+				if got := s.Read(7000); got[0] != want || got[len(got)-1] != want {
+					t.Fatalf("%s: the freed block reads %d after recovery, want %d", name, got[0], want)
+				}
+			}
+		}
 	}
 }
 
@@ -266,9 +347,9 @@ func TestStoreWriteThenForgetLeavesNoOverlay(t *testing.T) {
 
 // TestStoreRecyclingInvariant drives a seeded random mix of every store
 // mutation — Write, WriteAt, in-place Modify and Overwrite, Forget, Commit,
-// Checkpoint, Abort, and crashes, some of them killed inside a commit or a
-// checkpoint — against a plain map model of what a read returns and what
-// survives a crash. After every step each touched block must read as the
+// Checkpoint, savepoints, Abort, and crashes, some of them killed inside a
+// commit or a checkpoint — against a plain map model of what a read
+// returns, what an Abort returns to, and what survives a crash. After every step each touched block must read as the
 // model says, and no buffer on the free list may share its backing array
 // with a buffer the transaction, the overlays, home or the journal hold.
 // The journal region is small and the blocks few, so checkpoints and
@@ -285,6 +366,7 @@ func TestStoreRecyclingInvariant(t *testing.T) {
 	rng := sim.NewRand(11)
 	cur := map[int64][]byte{}       // what a read returns
 	committed := map[int64][]byte{} // what a crash leaves
+	saved := committed              // what an Abort leaves: the savepoint
 	contentOf := func(m map[int64][]byte, blk int64) []byte {
 		if b, ok := m[blk]; ok {
 			return b
@@ -321,6 +403,7 @@ func TestStoreRecyclingInvariant(t *testing.T) {
 		s.Crash()
 		s.Recover()
 		cur = snapshot(committed)
+		saved = committed
 	}
 	kills := map[string]int{}
 	for step := 0; step < steps; step++ {
@@ -345,10 +428,10 @@ func TestStoreRecyclingInvariant(t *testing.T) {
 			cur[blk] = want
 		case op < 55:
 			off, n := span()
-			buf := s.Modify(blk)
-			fill(buf[off : off+n])
+			buf := s.Modify(blk, off, n)
+			fill(buf)
 			want := bytes.Clone(contentOf(cur, blk))
-			copy(want[off:], buf[off:off+n])
+			copy(want[off:], buf)
 			cur[blk] = want
 		case op < 62:
 			_, n := span()
@@ -356,20 +439,23 @@ func TestStoreRecyclingInvariant(t *testing.T) {
 			fill(buf[:n])
 			cur[blk] = bytes.Clone(buf)
 		case op < 68:
-			s.Forget(blk)
+			s.Forget(blk) // durable, like a write, when it commits
 			delete(cur, blk)
-			delete(committed, blk) // freed blocks are revoked: replay keeps them void
 		case op < 85:
 			if err := s.Commit(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			committed = snapshot(cur)
-		case op < 91:
+			saved = committed
+		case op < 90:
 			s.Checkpoint()
-		case op < 94:
+		case op < 92:
+			s.savepoint()
+			saved = snapshot(cur)
+		case op < 95:
 			s.Abort()
-			cur = snapshot(committed)
-		case op < 96:
+			cur = snapshot(saved)
+		case op < 97:
 			crashRecover()
 		default:
 			kp := killPoints[rng.Intn(len(killPoints))]
@@ -393,6 +479,7 @@ func TestStoreRecyclingInvariant(t *testing.T) {
 			switch {
 			case c == nil && !kp.checkpoint:
 				committed = snapshot(cur)
+				saved = committed
 			case c == nil:
 			default:
 				if c.Point == crashsim.PtJournalAppendCommit && c.Damage.AllPersisted() {

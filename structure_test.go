@@ -161,6 +161,54 @@ func TestNoLocks(t *testing.T) {
 	}
 }
 
+// TestOneAbortPoint keeps "an operation commits or leaves no trace" one
+// mechanism in internal/mdfs: the store's rewind, Store.Abort, is called
+// from finishOp alone, and no error path joins a second error — the mark
+// of a hand-written undo, which can fail in its own right.
+func TestOneAbortPoint(t *testing.T) {
+	files, err := filepath.Glob("internal/mdfs/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var callers []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if sel.Sel.Name == "Abort" {
+					callers = append(callers, fn.Name.Name)
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "errors" && sel.Sel.Name == "Join" {
+					t.Errorf("%s: %s joins a second error into an error path", fset.Position(call.Pos()), fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+	if len(callers) != 1 || callers[0] != "finishOp" {
+		t.Errorf("the store's rewind is called from %v, want from finishOp alone", callers)
+	}
+}
+
 // TestPfsHasOneDataPath keeps the replicated/unreplicated fork from growing
 // back: every file operation in internal/pfs is one body over replica sets,
 // and whether a replica manager exists is asked only by the set helpers it
