@@ -1,16 +1,17 @@
 # Developer entry points. `make ci` is the full gate: formatting, vet,
 # build, the test suite under the race detector (a mount is driven from
 # one goroutine, so any race it reports means a second goroutine crept
-# in), the benchmark module's own vet and tests, the end-to-end smoke run of the CLI tools, and the
-# exact comparison of every experiment's simulated metrics and result
-# cells against the committed BENCH.json. `make bench` rewrites that file
-# and the generated blocks of EXPERIMENTS.md.
+# in; the suite includes the exact comparison of every experiment's
+# simulated metrics and result cells against the committed BENCH.json),
+# the benchmark module's own vet and tests, and the end-to-end smoke run
+# of the CLI tools. `make bench` rewrites BENCH.json and the generated
+# blocks of EXPERIMENTS.md.
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race benchtest smoke bench benchcheck
+.PHONY: ci fmt vet build test race benchtest smoke bench
 
-ci: fmt vet build race benchtest smoke benchcheck
+ci: fmt vet build race benchtest smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -83,14 +84,3 @@ smoke:
 bench:
 	$(GO) run ./cmd/mifbench -bench-json BENCH.json all
 	$(GO) run ./cmd/mifbench report BENCH.json EXPERIMENTS.md
-
-# benchcheck reruns every experiment and fails on any simulated metric or
-# result cell that differs from BENCH.json in either direction, or on an
-# experiment present on one side only; the wall-clock table it prints is a report,
-# not a gate. `go test ./cmd/mifbench` runs the same comparison over the
-# six cheap experiments.
-benchcheck:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir" ./cmd/mifbench && \
-	"$$dir/mifbench" -bench-json "$$dir/b.json" all > /dev/null && \
-	"$$dir/mifbench" compare BENCH.json "$$dir/b.json"

@@ -21,42 +21,34 @@ func readBaseline(t *testing.T) *benchsnap.Snapshot {
 	return baseline
 }
 
-// TestSimulatedMetricsMatchBaseline is the drift gate: it reruns the cheap
-// experiments in-process and requires each record to equal the committed
-// BENCH.json's in every simulated metric and every result cell. Simulated
-// time is the model's output, so a change that moves it — up or down —
-// fails here until it commits the refreshed file (`make bench`), whose
-// diff is the drift report. `make benchcheck` is the same comparison over
-// all experiments.
+// TestSimulatedMetricsMatchBaseline is the drift gate: it reruns every
+// catalogued experiment in-process (`mifbench all`) and requires the
+// snapshot to equal the committed BENCH.json in every simulated metric and
+// every result cell, with no experiment on one side only. Simulated time is
+// the model's output, so a change that moves it — up or down — fails here
+// until it commits the refreshed file (`make bench`), whose diff is the
+// drift report.
 func TestSimulatedMetricsMatchBaseline(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six experiments at full scale")
+		t.Skip("runs every experiment at full scale")
 	}
 	baseline := readBaseline(t)
-	want := make(map[string]benchsnap.Experiment)
-	for _, e := range baseline.Experiments {
-		want[e.Name] = e
+	out := filepath.Join(t.TempDir(), "all.json")
+	if code := run([]string{"-bench-json", out, "all"}, io.Discard); code != 0 {
+		t.Fatalf("mifbench -bench-json %s all: exit %d", out, code)
 	}
-	dir := t.TempDir()
-	for _, name := range []string{"fig6a", "fig10", "defrag", "cache", "failover", "crashsweep"} {
-		out := filepath.Join(dir, name+".json")
-		if code := run([]string{"-bench-json", out, name}, io.Discard); code != 0 {
-			t.Fatalf("mifbench -bench-json %s: exit %d", name, code)
-		}
-		got, err := readSnapshot(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := &benchsnap.Snapshot{Scale: baseline.Scale, Experiments: []benchsnap.Experiment{want[name]}}
-		res, err := benchsnap.Compare(old, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed() {
-			var report strings.Builder
-			res.WriteText(&report, false)
-			t.Errorf("%s drifted from BENCH.json:\n%s", name, report.String())
-		}
+	got, err := readSnapshot(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := benchsnap.Compare(baseline, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() {
+		var report strings.Builder
+		res.WriteText(&report, false)
+		t.Errorf("drifted from BENCH.json:\n%s", report.String())
 	}
 }
 

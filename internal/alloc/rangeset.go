@@ -7,7 +7,8 @@ import "sort"
 // file owns — including preallocated-but-unwritten blocks — so deletion can
 // return exactly the right space. The zero value is an empty set.
 type RangeSet struct {
-	r []Range
+	r      []Range
+	blocks int64 // the ranges' total count, kept by Add and Remove
 }
 
 // Add unions r into the set.
@@ -18,7 +19,9 @@ func (s *RangeSet) Add(r Range) {
 	i := sort.Search(len(s.r), func(i int) bool { return s.r[i].End() >= r.Start })
 	j := i
 	start, end := r.Start, r.End()
+	var swallowed int64
 	for j < len(s.r) && s.r[j].Start <= end {
+		swallowed += s.r[j].Count
 		if s.r[j].Start < start {
 			start = s.r[j].Start
 		}
@@ -28,6 +31,7 @@ func (s *RangeSet) Add(r Range) {
 		j++
 	}
 	merged := Range{Start: start, Count: end - start}
+	s.blocks += merged.Count - swallowed
 	// Splice in place: extending an adjacent run (the common sequential-write
 	// case) and replacing swallowed runs reuse the backing array instead of
 	// building a temporary slice per call.
@@ -52,6 +56,7 @@ func (s *RangeSet) Remove(r Range) {
 			out = append(out, e)
 			continue
 		}
+		s.blocks -= min(e.End(), r.End()) - max(e.Start, r.Start)
 		if e.Start < r.Start {
 			out = append(out, Range{Start: e.Start, Count: r.Start - e.Start})
 		}
@@ -108,13 +113,7 @@ func (s *RangeSet) Ranges() []Range {
 }
 
 // Blocks returns the total number of blocks in the set.
-func (s *RangeSet) Blocks() int64 {
-	var n int64
-	for _, e := range s.r {
-		n += e.Count
-	}
-	return n
-}
+func (s *RangeSet) Blocks() int64 { return s.blocks }
 
 // Len returns the number of disjoint ranges.
 func (s *RangeSet) Len() int { return len(s.r) }

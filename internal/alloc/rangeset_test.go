@@ -63,8 +63,18 @@ func TestRangeSetZeroValues(t *testing.T) {
 	}
 }
 
+// recount sums the set's ranges, the oracle of the total Blocks keeps.
+func recount(s *RangeSet) int64 {
+	var n int64
+	for _, r := range s.Ranges() {
+		n += r.Count
+	}
+	return n
+}
+
 // Property: RangeSet agrees with a block-level model set under random
-// adds and removes, and its representation stays canonical.
+// adds and removes, its kept block total equals a recount after every op,
+// and its representation stays canonical.
 func TestRangeSetModelProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRand(seed)
@@ -82,6 +92,10 @@ func TestRangeSetModelProperty(t *testing.T) {
 				for b := r.Start; b < r.End(); b++ {
 					delete(model, b)
 				}
+			}
+			// The kept total must equal a recount after every op.
+			if s.Blocks() != recount(&s) {
+				return false
 			}
 		}
 		if s.Blocks() != int64(len(model)) {

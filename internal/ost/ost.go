@@ -182,9 +182,6 @@ func (s *Server) Disk() *disk.Disk { return s.disk }
 // Allocator exposes the server's allocator for measurement.
 func (s *Server) Allocator() *alloc.Allocator { return s.alloc }
 
-// Scheduler exposes the elevator for measurement.
-func (s *Server) Scheduler() *iosched.Elevator { return s.sched }
-
 // Instrument publishes the server's queue and prefetch state into the
 // registry and recursively instruments the disk and the elevator it owns.
 // Gauges read the live queue at snapshot time.

@@ -22,9 +22,12 @@ type server interface {
 	SetTraceParent(id telemetry.SpanID)
 }
 
-// route is one server on the connection: the server, the network link that
-// reaches it, its blackhole flag, and the replay cache in front of it.
+// route is one server on the connection: its address (named in errors,
+// spans and metrics), the server, the network link that reaches it, its
+// blackhole flag, and the replay cache in front of it. A client holds its
+// route and passes it to every Call, so no call looks up an address.
 type route struct {
+	addr  string
 	srv   server
 	link  *netsim.Link
 	down  bool
@@ -62,10 +65,14 @@ func NewConn(cfg ClientConfig) *Conn {
 	return c
 }
 
-// register routes addr to a server over the given link. A nil link means
-// the server is reached for free (tests); wire charging is skipped.
-func (c *Conn) register(addr string, srv server, link *netsim.Link) {
-	c.routes[addr] = &route{srv: srv, link: link, cache: newReplayCache()}
+// register routes addr to a server over the given link and returns the
+// route for the client to keep. A nil link means the server is reached for
+// free (tests); wire charging is skipped. The address stays in the table
+// only for Crash, Revive, Crashed and Instrument.
+func (c *Conn) register(addr string, srv server, link *netsim.Link) *route {
+	rt := &route{addr: addr, srv: srv, link: link, cache: newReplayCache()}
+	c.routes[addr] = rt
+	return rt
 }
 
 // SetTracer attaches (or with nil detaches) the span tracer the connection
@@ -112,24 +119,25 @@ func (c *Conn) Crashed(addr string) bool {
 	return rt != nil && rt.down
 }
 
-// Call sends one logical request: it allocates the XID and runs the retry
-// loop, every attempt reusing the XID. reqSize is the request leg's wire
-// size; exec runs the server call at most once — a retry of an executed
-// XID is answered from the route's replay cache — keeps its results in the
-// caller's variables, and returns the response leg's wire size (a failed
-// call's response is sized by its class instead). A lost message charges
+// Call sends one logical request over route rt: it allocates the XID and
+// runs the retry loop, every attempt reusing the XID. reqSize is the
+// request leg's wire size; exec runs the server call at most once — a
+// retry of an executed XID is answered from the route's replay cache —
+// keeps its results in the caller's variables, and returns the response
+// leg's wire size (a failed call's response is sized by its class
+// instead). A lost message charges
 // the full timeout before the re-send; a transient error re-sends after
 // the backoff alone. When the retry budget runs out the call fails with
 // KindTimeout (loss) or KindUnavailable (persistent transient failure).
 // Server application errors are never retried. exec is only called, never
 // kept, so the caller's closure stays on its stack.
-func (c *Conn) Call(addr string, op Op, reqSize int64, exec func() (respSize int64, err error)) error {
+func (c *Conn) Call(rt *route, op Op, reqSize int64, exec func() (respSize int64, err error)) error {
 	c.nextXID++
 	xid := c.nextXID
 	p := c.policy
 	backoff := p.BackoffNs
 	for attempt := 0; ; attempt++ {
-		lost, err := c.attempt(addr, xid, op, reqSize, exec)
+		lost, err := c.attempt(rt, xid, op, reqSize, exec)
 		if !lost && err == nil {
 			if attempt > 0 {
 				c.m.recovery(c.tracer.Now(), op)
@@ -153,7 +161,7 @@ func (c *Conn) Call(addr string, op Op, reqSize int64, exec func() (respSize int
 		}
 		if attempt >= p.MaxRetries {
 			c.m.exhaust(c.tracer.Now(), op)
-			return &ExhaustedError{Op: op, Addr: addr, Kind: kind, Attempts: attempt + 1, Cause: cause}
+			return &ExhaustedError{Op: op, Addr: rt.addr, Kind: kind, Attempts: attempt + 1, Cause: cause}
 		}
 		c.m.retry(c.tracer.Now(), op)
 		c.tracer.Advance(backoff)
@@ -170,9 +178,8 @@ func (c *Conn) Call(addr string, op Op, reqSize int64, exec func() (respSize int
 // optional delay on exchanges that reach the server. lost reports a
 // dropped request or response, which the client learns of only by timing
 // out.
-func (c *Conn) attempt(addr string, xid uint64, op Op, reqSize int64, exec func() (int64, error)) (lost bool, err error) {
-	rt := c.routes[addr]
-	if rt != nil && rt.down {
+func (c *Conn) attempt(rt *route, xid uint64, op Op, reqSize int64, exec func() (int64, error)) (lost bool, err error) {
+	if rt.down {
 		c.m.fault(c.tracer.Now(), "blackhole", op)
 		return true, nil
 	}
@@ -188,17 +195,14 @@ func (c *Conn) attempt(addr string, xid uint64, op Op, reqSize int64, exec func(
 		}
 		if errp < r.Error {
 			c.m.fault(c.tracer.Now(), "error", op)
-			return false, &Error{Op: op, Addr: addr, Kind: KindUnavailable}
+			return false, &Error{Op: op, Addr: rt.addr, Kind: KindUnavailable}
 		}
 		if delayp < r.Delay && r.MaxDelayNs > 0 {
 			c.m.fault(c.tracer.Now(), "delay", op)
 			c.tracer.Advance(sim.Ns(delayFrac*float64(r.MaxDelayNs)) + 1)
 		}
 	}
-	if rt == nil {
-		return false, &Error{Op: op, Addr: addr, Kind: KindUnavailable}
-	}
-	err = c.exchange(rt, addr, xid, op, reqSize, exec)
+	err = c.exchange(rt, xid, op, reqSize, exec)
 	if err == nil && respDrop < r.RespDrop {
 		c.m.fault(c.tracer.Now(), "resp-drop", op)
 		return true, nil
@@ -209,13 +213,13 @@ func (c *Conn) attempt(addr string, xid uint64, op Op, reqSize int64, exec func(
 // exchange puts one request/response pair on the wire: request leg, the
 // server call through the route's replay cache (server spans nested under
 // the "rpc" span), response leg.
-func (c *Conn) exchange(rt *route, addr string, xid uint64, op Op, reqSize int64, exec func() (int64, error)) error {
+func (c *Conn) exchange(rt *route, xid uint64, op Op, reqSize int64, exec func() (int64, error)) error {
 	var sp telemetry.ActiveSpan
 	var begin sim.Ns
 	parent := c.traceParent
 	if tr := c.tracer; tr != nil {
 		sp = tr.Start("rpc", string(op), parent)
-		sp.Annotate("addr", addr)
+		sp.Annotate("addr", rt.addr)
 		begin = tr.Now()
 		parent = sp.ID()
 		rt.srv.SetTraceParent(parent)

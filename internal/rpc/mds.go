@@ -14,15 +14,14 @@ import (
 // 512-byte cells, and the server call runs inside the closure.
 type MDSClient struct {
 	conn *Conn
-	addr string
+	rt   *route
 	srv  *mds.Server
 }
 
 // NewMDSClient routes addr to the metadata server over link on the
 // connection and binds a client to it.
 func NewMDSClient(conn *Conn, addr string, srv *mds.Server, link *netsim.Link) *MDSClient {
-	conn.register(addr, srv, link)
-	return &MDSClient{conn: conn, addr: addr, srv: srv}
+	return &MDSClient{conn: conn, rt: conn.register(addr, srv, link), srv: srv}
 }
 
 // nameCells sizes a request naming an entry: the parent inode and the name.
@@ -45,7 +44,7 @@ func setsCells(sets [][]int) int64 {
 // Mkdir creates a directory.
 func (c *MDSClient) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
 	var ino inode.Ino
-	err := c.conn.Call(c.addr, OpMkdir, nameCells(name), func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpMkdir, nameCells(name), func() (n int64, err error) {
 		ino, err = c.srv.Mkdir(parent, name)
 		return cells(inoBytes), err
 	})
@@ -55,7 +54,7 @@ func (c *MDSClient) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
 // Create creates a file.
 func (c *MDSClient) Create(parent inode.Ino, name string) (inode.Ino, error) {
 	var ino inode.Ino
-	err := c.conn.Call(c.addr, OpCreate, nameCells(name), func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpCreate, nameCells(name), func() (n int64, err error) {
 		ino, err = c.srv.Create(parent, name)
 		return cells(inoBytes), err
 	})
@@ -68,7 +67,7 @@ func (c *MDSClient) Create(parent inode.Ino, name string) (inode.Ino, error) {
 // trips.
 func (c *MDSClient) LookupResolved(parent inode.Ino, name string) (inode.Ino, error) {
 	var ino inode.Ino
-	err := c.conn.Call(c.addr, OpLookup, nameCells(name), func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpLookup, nameCells(name), func() (n int64, err error) {
 		ino, err = c.srv.Lookup(parent, name)
 		if err == nil {
 			ino = c.srv.FS().Resolve(ino)
@@ -80,7 +79,7 @@ func (c *MDSClient) LookupResolved(parent inode.Ino, name string) (inode.Ino, er
 
 // Unlink removes a file.
 func (c *MDSClient) Unlink(parent inode.Ino, name string) error {
-	return c.conn.Call(c.addr, OpUnlink, nameCells(name), func() (int64, error) {
+	return c.conn.Call(c.rt, OpUnlink, nameCells(name), func() (int64, error) {
 		return cells(0), c.srv.Unlink(parent, name)
 	})
 }
@@ -90,7 +89,7 @@ func (c *MDSClient) Unlink(parent inode.Ino, name string) error {
 func (c *MDSClient) OpenGetLayout(parent inode.Ino, name string) (inode.Ino, []extent.Extent, error) {
 	var ino inode.Ino
 	var layout []extent.Extent
-	err := c.conn.Call(c.addr, OpOpenGetLayout, nameCells(name), func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpOpenGetLayout, nameCells(name), func() (n int64, err error) {
 		ino, layout, err = c.srv.OpenGetLayout(parent, name)
 		return layoutCells(layout), err
 	})
@@ -99,7 +98,7 @@ func (c *MDSClient) OpenGetLayout(parent inode.Ino, name string) (inode.Ino, []e
 
 // SetLayout records a file's data placement as reported by the IO servers.
 func (c *MDSClient) SetLayout(ino inode.Ino, layout []extent.Extent) error {
-	return c.conn.Call(c.addr, OpSetLayout, layoutCells(layout), func() (int64, error) {
+	return c.conn.Call(c.rt, OpSetLayout, layoutCells(layout), func() (int64, error) {
 		return cells(0), c.srv.SetLayout(ino, layout)
 	})
 }
@@ -107,7 +106,7 @@ func (c *MDSClient) SetLayout(ino inode.Ino, layout []extent.Extent) error {
 // NoteExtentChurn reports mapping churn from a data phase; it piggybacks
 // on data-plane completions.
 func (c *MDSClient) NoteExtentChurn(units int) error {
-	return c.conn.Call(c.addr, OpExtentChurn, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpExtentChurn, 0, func() (int64, error) {
 		c.srv.NoteExtentChurn(units)
 		return 0, nil
 	})
@@ -115,7 +114,7 @@ func (c *MDSClient) NoteExtentChurn(units int) error {
 
 // Sync flushes the metadata file system (control plane).
 func (c *MDSClient) Sync() error {
-	return c.conn.Call(c.addr, OpMDSSync, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpMDSSync, 0, func() (int64, error) {
 		return 0, c.srv.Sync()
 	})
 }
@@ -127,7 +126,7 @@ func (c *MDSClient) Sync() error {
 func (c *MDSClient) PlaceReplicas(ino inode.Ino, comps, rf int, in []replica.PlaceInput) ([][]int, error) {
 	var sets [][]int
 	reqSize := cells(inoBytes + 2*i64Bytes + int64(len(in))*placeInputBytes)
-	err := c.conn.Call(c.addr, OpPlaceReplicas, reqSize, func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpPlaceReplicas, reqSize, func() (n int64, err error) {
 		sets, err = c.srv.PlaceReplicas(ino, comps, rf, in)
 		return setsCells(sets), err
 	})
@@ -137,7 +136,7 @@ func (c *MDSClient) PlaceReplicas(ino inode.Ino, comps, rf int, in []replica.Pla
 // GetReplicaLayout fetches a file's replica sets at open.
 func (c *MDSClient) GetReplicaLayout(ino inode.Ino) ([][]int, error) {
 	var sets [][]int
-	err := c.conn.Call(c.addr, OpGetReplicaLayout, cells(inoBytes), func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpGetReplicaLayout, cells(inoBytes), func() (n int64, err error) {
 		sets, err = c.srv.GetReplicaLayout(ino)
 		return setsCells(sets), err
 	})
@@ -148,7 +147,7 @@ func (c *MDSClient) GetReplicaLayout(ino inode.Ino) ([][]int, error) {
 // re-replication completes.
 func (c *MDSClient) SetReplicaLayout(ino inode.Ino, comp int, replicas []int) error {
 	reqSize := cells(inoBytes + i64Bytes + int64(len(replicas))*replicaIdxBytes)
-	return c.conn.Call(c.addr, OpSetReplicaLayout, reqSize, func() (int64, error) {
+	return c.conn.Call(c.rt, OpSetReplicaLayout, reqSize, func() (int64, error) {
 		return cells(0), c.srv.SetReplicaLayout(ino, comp, replicas)
 	})
 }

@@ -18,7 +18,7 @@ import (
 // how a real IO server runs the allocator its volume was formatted with.
 type OSTClient struct {
 	conn       *Conn
-	addr       string
+	rt         *route
 	srv        *ost.Server
 	factory    ost.PolicyFactory
 	blockBytes int64
@@ -28,20 +28,19 @@ type OSTClient struct {
 // and binds a client to it; factory is the placement policy new objects
 // use, blockBytes sizes the data payloads.
 func NewOSTClient(conn *Conn, addr string, srv *ost.Server, factory ost.PolicyFactory, link *netsim.Link, blockBytes int64) *OSTClient {
-	conn.register(addr, srv, link)
-	return &OSTClient{conn: conn, addr: addr, srv: srv, factory: factory, blockBytes: blockBytes}
+	return &OSTClient{conn: conn, rt: conn.register(addr, srv, link), srv: srv, factory: factory, blockBytes: blockBytes}
 }
 
 // CreateObject creates an object under the server's placement policy.
 func (c *OSTClient) CreateObject(id ost.ObjectID, sizeHint int64) error {
-	return c.conn.Call(c.addr, OpObjCreate, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpObjCreate, 0, func() (int64, error) {
 		return 0, c.srv.CreateObject(id, c.factory, sizeHint)
 	})
 }
 
 // Fallocate preallocates an object's blocks (static layout).
 func (c *OSTClient) Fallocate(id ost.ObjectID, stream core.StreamID, sizeBlocks int64) error {
-	return c.conn.Call(c.addr, OpObjFallocate, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpObjFallocate, 0, func() (int64, error) {
 		return 0, c.srv.Fallocate(id, stream, sizeBlocks)
 	})
 }
@@ -49,7 +48,7 @@ func (c *OSTClient) Fallocate(id ost.ObjectID, stream core.StreamID, sizeBlocks 
 // Write stores count component-logical blocks; the request carries the
 // payload, the ack is free.
 func (c *OSTClient) Write(id ost.ObjectID, stream core.StreamID, logical, count int64) error {
-	return c.conn.Call(c.addr, OpObjWrite, count*c.blockBytes, func() (int64, error) {
+	return c.conn.Call(c.rt, OpObjWrite, count*c.blockBytes, func() (int64, error) {
 		return 0, c.srv.Write(id, stream, logical, count)
 	})
 }
@@ -57,14 +56,14 @@ func (c *OSTClient) Write(id ost.ObjectID, stream core.StreamID, logical, count 
 // Read fetches count component-logical blocks; the descriptor is free, the
 // response carries the payload.
 func (c *OSTClient) Read(id ost.ObjectID, logical, count int64) error {
-	return c.conn.Call(c.addr, OpObjRead, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpObjRead, 0, func() (int64, error) {
 		return count * c.blockBytes, c.srv.Read(id, logical, count)
 	})
 }
 
 // Truncate cuts an object to newSize blocks.
 func (c *OSTClient) Truncate(id ost.ObjectID, newSize int64) error {
-	return c.conn.Call(c.addr, OpObjTruncate, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpObjTruncate, 0, func() (int64, error) {
 		return 0, c.srv.Truncate(id, newSize)
 	})
 }
@@ -72,7 +71,7 @@ func (c *OSTClient) Truncate(id ost.ObjectID, newSize int64) error {
 // Fsync forces an object's buffered writes and queued device I/O to
 // storage.
 func (c *OSTClient) Fsync(id ost.ObjectID) error {
-	return c.conn.Call(c.addr, OpObjFsync, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpObjFsync, 0, func() (int64, error) {
 		return 0, c.srv.Fsync(id)
 	})
 }
@@ -81,7 +80,7 @@ func (c *OSTClient) Fsync(id ost.ObjectID) error {
 // time.
 func (c *OSTClient) Flush() (sim.Ns, error) {
 	var dur sim.Ns
-	err := c.conn.Call(c.addr, OpObjFlush, 0, func() (int64, error) {
+	err := c.conn.Call(c.rt, OpObjFlush, 0, func() (int64, error) {
 		dur = c.srv.Flush()
 		return 0, nil
 	})
@@ -90,14 +89,14 @@ func (c *OSTClient) Flush() (sim.Ns, error) {
 
 // Delete removes an object and frees its blocks.
 func (c *OSTClient) Delete(id ost.ObjectID) error {
-	return c.conn.Call(c.addr, OpObjDelete, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpObjDelete, 0, func() (int64, error) {
 		return 0, c.srv.Delete(id)
 	})
 }
 
 // CloseObject releases an object's temporary reservations.
 func (c *OSTClient) CloseObject(id ost.ObjectID) error {
-	return c.conn.Call(c.addr, OpObjClose, 0, func() (int64, error) {
+	return c.conn.Call(c.rt, OpObjClose, 0, func() (int64, error) {
 		return 0, c.srv.CloseObject(id)
 	})
 }
@@ -105,7 +104,7 @@ func (c *OSTClient) CloseObject(id ost.ObjectID) error {
 // ExtentCount returns an object's extent count.
 func (c *OSTClient) ExtentCount(id ost.ObjectID) (int, error) {
 	var count int
-	err := c.conn.Call(c.addr, OpObjExtCount, 0, func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpObjExtCount, 0, func() (n int64, err error) {
 		count, err = c.srv.ExtentCount(id)
 		return 0, err
 	})
@@ -115,7 +114,7 @@ func (c *OSTClient) ExtentCount(id ost.ObjectID) (int, error) {
 // Extents returns an object's extent list.
 func (c *OSTClient) Extents(id ost.ObjectID) ([]extent.Extent, error) {
 	var exts []extent.Extent
-	err := c.conn.Call(c.addr, OpObjExtents, 0, func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpObjExtents, 0, func() (n int64, err error) {
 		exts, err = c.srv.Extents(id)
 		return 0, err
 	})
@@ -127,7 +126,7 @@ func (c *OSTClient) Extents(id ost.ObjectID) ([]extent.Extent, error) {
 // space are skipped; they carry no data).
 func (c *OSTClient) WrittenRuns(id ost.ObjectID) ([]alloc.Range, error) {
 	var runs []alloc.Range
-	err := c.conn.Call(c.addr, OpObjWrittenRuns, 0, func() (n int64, err error) {
+	err := c.conn.Call(c.rt, OpObjWrittenRuns, 0, func() (n int64, err error) {
 		runs, err = c.srv.WrittenRuns(id)
 		return 0, err
 	})
