@@ -27,9 +27,6 @@ import (
 )
 
 func TestAllocCeilings(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated under the race detector")
-	}
 	cases := []struct {
 		name    string
 		ceiling float64

@@ -15,13 +15,15 @@ import (
 // when any simulated metric or result cell differs or an experiment is on
 // one side only, 2 on usage errors and on inputs that cannot be compared.
 func runCompare(args []string, stdout io.Writer) int {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
+	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: mifbench compare [-v] <old.json> <new.json>\n")
 		fs.PrintDefaults()
 	}
 	verbose := fs.Bool("v", false, "list every drifted metric, not just the largest")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return flagExit(err)
+	}
 	if fs.NArg() != 2 {
 		fs.Usage()
 		return 2

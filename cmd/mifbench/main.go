@@ -42,6 +42,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -86,7 +87,7 @@ func run(args []string, stdout io.Writer) int {
 			return runReport(args[1:], stdout)
 		}
 	}
-	fs := flag.NewFlagSet("mifbench", flag.ExitOnError)
+	fs := flag.NewFlagSet("mifbench", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: mifbench [flags] {%s|all}\n", strings.Join(experimentNames(), "|"))
 		fmt.Fprintf(os.Stderr, "       mifbench compare [-v] <old.json> <new.json>\n")
@@ -101,7 +102,9 @@ func run(args []string, stdout io.Writer) int {
 	traceOut := fs.String("trace", "", "record request spans and write Chrome trace_event JSON to this file")
 	spansOut := fs.String("spans", "", "record request spans and write the raw span log (for miftrace critpath) to this file")
 	benchJSON := fs.String("bench-json", "", "write a benchsnap snapshot (BENCH.json) to this file")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return flagExit(err)
+	}
 	if fs.NArg() != 1 {
 		fs.Usage()
 		return 2
@@ -214,6 +217,15 @@ func run(args []string, stdout io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// flagExit is the exit status of a failed flag parse, as flag.ExitOnError
+// has it: 0 after -h printed the usage, 2 otherwise.
+func flagExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }
 
 // writeOutput writes one exporter's output to path.

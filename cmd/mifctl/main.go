@@ -60,10 +60,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strconv"
 	"strings"
@@ -71,6 +71,8 @@ import (
 	"redbud/internal/cache"
 	"redbud/internal/core"
 	"redbud/internal/inode"
+	"redbud/internal/mdfs"
+	"redbud/internal/mds"
 	"redbud/internal/pfs"
 	"redbud/internal/replica"
 	"redbud/internal/rpc"
@@ -79,53 +81,72 @@ import (
 )
 
 func main() {
-	policy := flag.String("policy", "on-demand", "placement policy: vanilla|reservation|on-demand|static")
-	layout := flag.String("layout", "embedded", "directory layout: normal|embedded")
-	osts := flag.Int("osts", 4, "number of IO servers")
-	cacheOn := flag.Bool("cache", false, "mount with the client-side block cache (default tuning)")
-	rf := flag.Int("rf", 1, "replication factor: N-way replica sets when > 1 (enables repair/replicas)")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the session to this file")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mifctl [flags] <script|->")
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
 
-	cfg, err := mountConfig(*policy, *layout, *osts, *cacheOn, *rf)
-	if err != nil {
-		log.Fatal(err)
+// run executes one mifctl command line, writing the script's output to
+// stdout, and returns the process exit code: 2 for a bad command line, 1
+// for a failed session.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("mifctl", flag.ContinueOnError)
+	policy := fs.String("policy", "on-demand", "placement policy: vanilla|reservation|on-demand|static")
+	layout := fs.String("layout", "embedded", "directory layout: normal|embedded")
+	osts := fs.Int("osts", 4, "number of IO servers")
+	cacheOn := fs.Bool("cache", false, "mount with the client-side block cache (default tuning)")
+	rf := fs.Int("rf", 1, "replication factor: N-way replica sets when > 1 (enables repair/replicas)")
+	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON of the session to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: mifctl [flags] <script|->")
+		return 2
+	}
+	cfg, err := mountConfig(*policy, *layout, *osts, *cacheOn, *rf)
+	if err == nil {
+		err = runSession(cfg, fs.Arg(0), *traceOut, stdout)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mifctl:", err)
+		return 1
+	}
+	return 0
+}
+
+// runSession mounts cfg, runs the script at path ("-" for stdin) against
+// it, and writes the -trace file.
+func runSession(cfg pfs.Config, path, traceOut string, stdout io.Writer) error {
 	fs, err := pfs.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	var in io.Reader
-	if flag.Arg(0) == "-" {
-		in = os.Stdin
-	} else {
-		f, err := os.Open(flag.Arg(0))
+	in := io.Reader(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
-	if err := run(fs, cfg.Metrics, cfg.Trace, in, os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := runScript(fs, cfg.Metrics, cfg.Trace, in, stdout); err != nil {
+		return err
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cfg.Trace.WriteChromeTrace(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+	if traceOut == "" {
+		return nil
 	}
+	f, err := os.Create(traceOut)
+	if err != nil {
+		return err
+	}
+	if err := cfg.Trace.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // mountConfig builds the session's mount from the flag values. The mount
@@ -138,10 +159,12 @@ func mountConfig(policy, layout string, osts int, cacheOn bool, rf int) (pfs.Con
 	if err != nil {
 		return pfs.Config{}, err
 	}
-	cfg := pfs.MiF(osts).WithPolicy(kind)
-	if layout == "normal" {
-		cfg.MDS = pfs.RedbudOrig(osts).MDS
+	lay, err := mdfs.ParseLayout(layout)
+	if err != nil {
+		return pfs.Config{}, err
 	}
+	cfg := pfs.MiF(osts).WithPolicy(kind)
+	cfg.MDS = mds.DefaultConfig(lay)
 	cfg.Name = fmt.Sprintf("%s/%s", policy, layout)
 	if cacheOn {
 		cc := cache.DefaultConfig()
@@ -182,8 +205,8 @@ func (s *session) resolveDir(path string) (inode.Ino, string, error) {
 	return dir, parts[len(parts)-1], nil
 }
 
-// run executes the op script.
-func run(fs *pfs.FS, reg *telemetry.Registry, tr *telemetry.Tracer, in io.Reader, out io.Writer) error {
+// runScript executes the op script.
+func runScript(fs *pfs.FS, reg *telemetry.Registry, tr *telemetry.Tracer, in io.Reader, out io.Writer) error {
 	s := &session{fs: fs, reg: reg, tr: tr, files: make(map[string]*pfs.File)}
 	sc := bufio.NewScanner(in)
 	line := 0

@@ -36,15 +36,19 @@
 //	0 — check: the image is clean and needed no repair;
 //	    sweep: every run recovered to a consistent state.
 //	1 — check: the image is corrupt (structural fsck problems) or could
-//	    not be read; sweep: a run failed to recover consistent.
+//	    not be read; sweep: a run failed to recover consistent; gen: the
+//	    image could not be built or written.
 //	2 — check: the image was dirty but repaired — journal replay had to
-//	    re-apply committed records, after which the walk came up clean.
+//	    re-apply committed records, after which the walk came up clean;
+//	    any subcommand: a bad command line (usage).
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"redbud/internal/cache"
@@ -57,28 +61,56 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "gen":
-		gen(os.Args[2:])
-	case "check":
-		os.Exit(check(os.Args[2:]))
-	case "sweep":
-		os.Exit(sweep(os.Args[2:]))
-	default:
-		usage()
-	}
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: miffsck {gen|check|sweep} [flags] [image]")
-	os.Exit(2)
+// errUsage marks a bad command line: run prints the usage line and
+// returns 2.
+var errUsage = errors.New("bad command line")
+
+// run executes one miffsck command line, writing its report to stdout,
+// and returns the exit code the package comment documents.
+func run(args []string, stdout io.Writer) int {
+	code, err := 0, errUsage
+	if len(args) > 0 {
+		switch args[0] {
+		case "gen":
+			err = gen(args[1:], stdout)
+		case "check":
+			code, err = check(args[1:], stdout)
+		case "sweep":
+			code, err = sweep(args[1:], stdout)
+		}
+	}
+	switch {
+	case err == nil:
+		return code
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, "usage: miffsck {gen|check|sweep} [flags] [image]")
+		return 2
+	}
+	fmt.Fprintln(os.Stderr, "miffsck:", err)
+	return 1
 }
 
-func gen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+// parse parses a subcommand's flags and requires want positional
+// arguments; a flag error or a wrong count is a usage error.
+func parse(fs *flag.FlagSet, args []string, want int) error {
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if fs.NArg() != want {
+		return errUsage
+	}
+	return nil
+}
+
+// gen formats, populates and saves an image; the package comment
+// describes its flags.
+func gen(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	layoutName := fs.String("layout", "embedded", "embedded|normal")
 	dirs := fs.Int("dirs", 4, "directories to create")
 	files := fs.Int("files", 200, "files per directory")
@@ -86,28 +118,65 @@ func gen(args []string) {
 	defrag := fs.Bool("defrag", false, "rewrite every live file's layout as one coalesced extent (a completed defrag pass)")
 	cached := fs.Bool("cache", false, "populate through a client-cached Redbud mount (flush barriers write the metadata)")
 	corrupt := fs.String("corrupt", "", "damage the finished file system on disk (cycle|dup-claim|size-over|table-orphan)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
+	if err := parse(fs, args, 1); err != nil {
+		return err
 	}
 	if *cached && *defrag {
-		fatal(fmt.Errorf("-cache and -defrag are mutually exclusive"))
+		return errors.New("-cache and -defrag are mutually exclusive")
 	}
 	if *cached && *corrupt != "" {
-		fatal(fmt.Errorf("-cache and -corrupt are mutually exclusive"))
+		return errors.New("-cache and -corrupt are mutually exclusive")
+	}
+	layout, err := mdfs.ParseLayout(*layoutName)
+	if err != nil {
+		return err
 	}
 
-	layout := mdfs.LayoutEmbedded
-	if *layoutName == "normal" {
-		layout = mdfs.LayoutNormal
-	}
+	var (
+		m    *mdfs.FS
+		sync func() error
+		how  = fmt.Sprintf("defrag=%v", *defrag)
+	)
 	if *cached {
-		genCached(layout, *dirs, *files, *journalOnly, fs.Arg(0))
-		return
+		pf, err := populateCached(layout, *dirs, *files)
+		if err != nil {
+			return err
+		}
+		m, sync, how = pf.MDS().FS(), pf.Sync, "via client-cached mount"
+	} else {
+		if m, err = populate(layout, *dirs, *files, *defrag, *corrupt); err != nil {
+			return err
+		}
+		sync = m.Sync
 	}
+	if *journalOnly {
+		sync = m.Store().Commit
+	}
+	if err := sync(); err != nil {
+		return err
+	}
+	out, err := os.Create(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	if err := m.SaveImage(out); err != nil {
+		out.Close()
+		return err
+	}
+	if err := out.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %s (%s layout, %d dirs x %d files, %s, journal-only=%v)\n",
+		fs.Arg(0), layout, *dirs, *files, how, *journalOnly)
+	return nil
+}
+
+// populate formats a metadata file system and fills it directly: creates,
+// layouts, deletions, then the -defrag rewrite and the -corrupt damage.
+func populate(layout mdfs.Layout, dirs, files int, defrag bool, corrupt string) (*mdfs.FS, error) {
 	m, err := mdfs.New(mdfs.DefaultConfig(layout))
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	// fragmented remembers each surviving laid-out file for -defrag.
 	type laidOut struct {
@@ -115,15 +184,15 @@ func gen(args []string) {
 		blocks int64
 	}
 	var fragmented []laidOut
-	for d := 0; d < *dirs; d++ {
+	for d := 0; d < dirs; d++ {
 		dir, err := m.Mkdir(m.Root(), fmt.Sprintf("dir%02d", d))
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		for i := 0; i < *files; i++ {
+		for i := 0; i < files; i++ {
 			ino, err := m.Create(dir, fmt.Sprintf("f%05d", i))
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			if i%4 == 0 {
 				var exts []extent.Extent
@@ -133,20 +202,20 @@ func gen(args []string) {
 					blocks += 2
 				}
 				if err := m.SetLayout(ino, exts); err != nil {
-					fatal(err)
+					return nil, err
 				}
 				if i%9 != 0 { // survives the deletion pass below
 					fragmented = append(fragmented, laidOut{ino: ino, blocks: blocks})
 				}
 			}
 		}
-		for i := 0; i < *files; i += 9 {
+		for i := 0; i < files; i += 9 {
 			if err := m.Unlink(dir, fmt.Sprintf("f%05d", i)); err != nil {
-				fatal(err)
+				return nil, err
 			}
 		}
 	}
-	if *defrag {
+	if defrag {
 		// Replay the MDS-visible half of a completed defrag pass: every
 		// surviving file's many-extent layout collapses into the single
 		// coalesced extent the migration produced, at a fresh (and
@@ -157,63 +226,45 @@ func gen(args []string) {
 		for _, f := range fragmented {
 			ext := []extent.Extent{{Logical: 0, Physical: base, Count: f.blocks}}
 			if err := m.SetLayout(f.ino, ext); err != nil {
-				fatal(err)
+				return nil, err
 			}
 			base += f.blocks
 		}
 	}
-	if *corrupt != "" {
+	if corrupt != "" {
 		// InjectCorruption commits and checkpoints the damage itself, so
 		// the image carries it in the home blocks.
-		if err := m.InjectCorruption(*corrupt); err != nil {
-			fatal(err)
+		if err := m.InjectCorruption(corrupt); err != nil {
+			return nil, err
 		}
 	}
-	if *journalOnly {
-		if err := m.Store().Commit(); err != nil {
-			fatal(err)
-		}
-	} else {
-		if err := m.Sync(); err != nil {
-			fatal(err)
-		}
-	}
-	out, err := os.Create(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	defer out.Close()
-	if err := m.SaveImage(out); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%s layout, %d dirs x %d files, defrag=%v, journal-only=%v)\n",
-		fs.Arg(0), layout, *dirs, *files, *defrag, *journalOnly)
+	return m, nil
 }
 
-// genCached populates a full client-cached Redbud mount — writes land in
+// populateCached fills a full client-cached Redbud mount — writes land in
 // the client block cache and reach the servers only through the close,
-// truncate, delete, and sync flush barriers — then saves the MDS metadata
-// image those barriers produced. A clean check of the image proves the
-// barriers leave the metadata file system structurally consistent.
-func genCached(layout mdfs.Layout, dirs, files int, journalOnly bool, out string) {
+// truncate, delete, and sync flush barriers — so the MDS metadata image
+// records what those barriers produced. A clean check of the image proves
+// the barriers leave the metadata file system structurally consistent.
+func populateCached(layout mdfs.Layout, dirs, files int) (*pfs.FS, error) {
 	cfg := pfs.MiF(2)
 	cfg.MDS = mds.DefaultConfig(layout)
 	cc := cache.DefaultConfig()
 	cfg.Cache = &cc
 	pf, err := pfs.New(cfg)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	for d := 0; d < dirs; d++ {
 		dir, err := pf.Mkdir(pf.Root(), fmt.Sprintf("dir%02d", d))
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		for i := 0; i < files; i++ {
 			name := fmt.Sprintf("f%05d", i)
 			h, err := pf.Create(dir, name, 0)
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			if i%4 == 0 {
 				// Small interleaved-style writes, absorbed by the cache;
@@ -227,89 +278,62 @@ func genCached(layout mdfs.Layout, dirs, files int, journalOnly bool, out string
 						n = blocks - off
 					}
 					if err := h.Write(stream, off, n); err != nil {
-						fatal(err)
+						return nil, err
 					}
 				}
 				if i%8 == 0 {
 					if err := h.Truncate(blocks / 2); err != nil {
-						fatal(err)
+						return nil, err
 					}
 				}
 			}
 			if err := h.Close(); err != nil {
-				fatal(err)
+				return nil, err
 			}
 		}
 		for i := 0; i < files; i += 9 {
 			if err := pf.Delete(dir, fmt.Sprintf("f%05d", i)); err != nil {
-				fatal(err)
+				return nil, err
 			}
 		}
 	}
-	m := pf.MDS().FS()
-	if journalOnly {
-		if err := m.Store().Commit(); err != nil {
-			fatal(err)
-		}
-	} else {
-		if err := pf.Sync(); err != nil {
-			fatal(err)
-		}
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := m.SaveImage(f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%s layout, %d dirs x %d files, via client-cached mount, journal-only=%v)\n",
-		out, layout, dirs, files, journalOnly)
+	return pf, nil
 }
 
 // check loads an image and walks it, returning the exit-code contract
 // documented in the package comment: 0 clean, 1 corrupt or unreadable,
 // 2 repaired (journal replay re-applied committed records, then clean).
-func check(args []string) int {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
+func check(args []string, stdout io.Writer) (int, error) {
+	fs := flag.NewFlagSet("check", flag.ContinueOnError)
+	if err := parse(fs, args, 1); err != nil {
+		return 0, err
 	}
 	in, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "miffsck:", err)
-		return 1
+		return 0, err
 	}
 	defer in.Close()
 	m, err := mdfs.LoadImage(bufio.NewReader(in))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "miffsck:", err)
-		return 1
+		return 0, err
 	}
 	repaired := m.Store().DirtyBlocks()
 	report := m.Fsck()
-	fmt.Printf("%s: %d directories, %d files, %d reachable metadata blocks\n",
+	fmt.Fprintf(stdout, "%s: %d directories, %d files, %d reachable metadata blocks\n",
 		fs.Arg(0), report.Dirs, report.Files, report.ReachableBlocks)
 	for _, a := range report.Advisories {
-		fmt.Printf("advisory: %s\n", a)
+		fmt.Fprintf(stdout, "advisory: %s\n", a)
 	}
 	if !report.Clean() {
 		for _, p := range report.Problems {
-			fmt.Printf("PROBLEM: %s\n", p)
+			fmt.Fprintf(stdout, "PROBLEM: %s\n", p)
 		}
-		return 1
+		return 1, nil
 	}
 	if repaired > 0 {
-		fmt.Printf("repaired: journal replay re-applied %d metadata blocks\n", repaired)
-		return 2
+		fmt.Fprintf(stdout, "repaired: journal replay re-applied %d metadata blocks\n", repaired)
+		return 2, nil
 	}
-	fmt.Println("clean")
-	return 0
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "miffsck:", err)
-	os.Exit(1)
+	fmt.Fprintln(stdout, "clean")
+	return 0, nil
 }

@@ -2,23 +2,21 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"redbud/internal/workload"
 )
 
-// sweep runs the systematic crash-point sweep and prints its report.
-// Returns 0 when the baseline and every (point, mode) run recovered to a
-// consistent state, 1 otherwise.
-func sweep(args []string) int {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+// sweep runs the systematic crash-point sweep and writes its report to
+// stdout. Returns 0 when the baseline and every (point, mode) run
+// recovered to a consistent state, 1 otherwise.
+func sweep(args []string, stdout io.Writer) (int, error) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "damage-plan seed (equal seeds render byte-identical reports)")
 	points := fs.String("points", "", "comma-separated crash-point subset (default: full registry)")
-	fs.Parse(args)
-	if fs.NArg() != 0 {
-		usage()
+	if err := parse(fs, args, 0); err != nil {
+		return 0, err
 	}
 	cfg := workload.DefaultCrashSweepConfig()
 	cfg.Seed = *seed
@@ -27,12 +25,11 @@ func sweep(args []string) int {
 	}
 	rep, err := workload.RunCrashSweep(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "miffsck:", err)
-		return 1
+		return 0, err
 	}
-	rep.Write(os.Stdout)
+	rep.Write(stdout)
 	if !rep.Passed() {
-		return 1
+		return 1, nil
 	}
-	return 0
+	return 0, nil
 }

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,9 +47,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
+// errUsage marks a flag error, which has printed the subcommand's usage.
+var errUsage = errors.New("bad flags")
+
 // run executes one miftrace command line, writing its report to stdout,
-// and returns the process exit code: 2 for an unknown subcommand, 1 for a
-// failed one.
+// and returns the process exit code: 2 for an unknown subcommand or flag,
+// 1 for a failed subcommand, a wrong argument count included.
 func run(args []string, stdout io.Writer) int {
 	subcommands := map[string]func([]string, io.Writer) error{
 		"gen": gen, "replay": replay, "spans": spans, "critpath": critpath,
@@ -57,17 +61,23 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintln(os.Stderr, "usage: miftrace {gen|replay|spans|critpath} [flags]")
 		return 2
 	}
-	if err := subcommands[args[0]](args[1:], stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "miftrace %s: %v\n", args[0], err)
-		return 1
+	err := subcommands[args[0]](args[1:], stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	}
-	return 0
+	fmt.Fprintf(os.Stderr, "miftrace %s: %v\n", args[0], err)
+	return 1
 }
 
-// parse parses a subcommand's flags, exiting on a bad one as the flag
-// set's ExitOnError says, and requires want positional arguments.
+// parse parses a subcommand's flags and requires want positional
+// arguments.
 func parse(fs *flag.FlagSet, args []string, want int, usage string) error {
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 	if fs.NArg() != want {
 		return fmt.Errorf("usage: miftrace %s", usage)
 	}
@@ -84,7 +94,7 @@ func open(name string) (io.ReadCloser, error) {
 
 // gen writes a synthetic trace to stdout.
 func gen(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	pattern := fs.String("pattern", "shared", "shared|strided|random")
 	streams := fs.Int("streams", 16, "number of write streams")
 	region := fs.Int64("region", 512, "blocks per stream region")
@@ -109,7 +119,7 @@ func gen(args []string, stdout io.Writer) error {
 
 // replay executes a trace against a fresh mount and reports placement.
 func replay(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	policy := fs.String("policy", "on-demand", "vanilla|reservation|on-demand|static")
 	osts := fs.Int("osts", 4, "IO server count")
 	spansOut := fs.String("spans", "", "record per-layer spans and write the span log (JSON) to this file")
@@ -247,7 +257,7 @@ func readSpanLog(name string) ([]telemetry.Span, error) {
 
 // spans converts a recorded span log into Chrome trace_event JSON.
 func spans(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("spans", flag.ExitOnError)
+	fs := flag.NewFlagSet("spans", flag.ContinueOnError)
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := parse(fs, args, 1, "spans [-o chrome.json] <spans.json|->"); err != nil {
 		return err
@@ -266,7 +276,7 @@ func spans(args []string, stdout io.Writer) error {
 // critpath analyzes a recorded span log: per-layer self-time attribution
 // and the slowest requests.
 func critpath(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("critpath", flag.ExitOnError)
+	fs := flag.NewFlagSet("critpath", flag.ContinueOnError)
 	top := fs.Int("top", 5, "show the K slowest requests with per-layer breakdowns")
 	if err := parse(fs, args, 1, "critpath [-top K] <spans.json|->"); err != nil {
 		return err

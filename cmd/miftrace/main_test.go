@@ -61,14 +61,17 @@ func TestPipelineIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestBadCommandLines: an unknown subcommand is a usage error (exit 2); a
-// subcommand's wrong arguments or unreadable input fail it (exit 1).
+// TestBadCommandLines: an unknown subcommand or flag is a usage error
+// (exit 2); a subcommand's wrong arguments or unreadable input fail it
+// (exit 1).
 func TestBadCommandLines(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		code int
 	}{
 		{nil, 2}, {[]string{"bogus"}, 2},
+		{[]string{"gen", "-bogus"}, 2}, {[]string{"replay", "-bogus", "t.trace"}, 2},
+		{[]string{"spans", "-bogus", "s.json"}, 2}, {[]string{"critpath", "-bogus", "s.json"}, 2},
 		{[]string{"replay"}, 1}, {[]string{"spans", "a", "b"}, 1},
 		{[]string{"critpath", "no-such-file.json"}, 1},
 	} {

@@ -18,8 +18,9 @@ import (
 )
 
 // microSnapshot runs the fig6a micro-benchmark with a registry attached
-// and returns the registry's JSON document — the same artifact the
-// `make smoke` -telemetry guard compares.
+// and returns the registry's JSON document. cmd/mifbench's
+// TestTelemetryFileIsDeterministic compares the same metrics one level up,
+// as the file `mifbench -telemetry` writes.
 func microSnapshot(t *testing.T, mutate func(*pfs.Config)) []byte {
 	t.Helper()
 	reg := telemetry.NewRegistry()

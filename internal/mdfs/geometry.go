@@ -1,6 +1,9 @@
 package mdfs
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Layout selects the directory placement algorithm.
 type Layout int
@@ -16,12 +19,29 @@ const (
 	LayoutEmbedded
 )
 
+// layoutNames is the one name table behind String and ParseLayout.
+var layoutNames = [...]string{
+	LayoutNormal:   "normal",
+	LayoutEmbedded: "embedded",
+}
+
 // String names the layout for reports.
 func (l Layout) String() string {
-	if l == LayoutEmbedded {
-		return "embedded"
+	if l >= 0 && int(l) < len(layoutNames) {
+		return layoutNames[l]
 	}
-	return "normal"
+	return fmt.Sprintf("layout(%d)", int(l))
+}
+
+// ParseLayout returns the layout String names, or an error listing the
+// known names.
+func ParseLayout(name string) (Layout, error) {
+	for l, n := range layoutNames {
+		if n == name {
+			return Layout(l), nil
+		}
+	}
+	return 0, fmt.Errorf("mdfs: unknown layout %q (want one of %s)", name, strings.Join(layoutNames[:], ", "))
 }
 
 // Geometry is the on-disk arrangement of the metadata file system,

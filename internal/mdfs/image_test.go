@@ -267,9 +267,6 @@ func agedImage(tb testing.TB, layout Layout, dirs, files int) []byte {
 // file with a spill chain, never an inode or a name per record. The
 // ceilings are measured + 5 %, the TestAllocCeilings rule.
 func TestLoadImageFsckAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated under the race detector")
-	}
 	const dirs, files = 8, 375 // 3,000 files
 	for _, tc := range []struct {
 		layout      Layout

@@ -1,7 +1,4 @@
-// Quickstart: build a MiF-enabled Redbud file system, write a shared file
-// from several concurrent streams, and inspect the resulting on-disk
-// layout under each preallocation policy.
-package main
+package pfs_test
 
 import (
 	"fmt"
@@ -12,16 +9,20 @@ import (
 	"redbud/internal/sim"
 )
 
-func main() {
+// Example builds a MiF-enabled Redbud mount under each preallocation
+// policy, writes one shared file from eight streams whose requests arrive
+// round-robin — the paper's Figure 1(a) — and reads the first stream's
+// region back. MiF's on-demand preallocation keeps each stream's region
+// contiguous; the vanilla and reservation baselines interleave the streams
+// in arrival order.
+func Example() {
 	for _, policy := range []pfs.PolicyKind{pfs.PolicyVanilla, pfs.PolicyReservation, pfs.PolicyOnDemand, pfs.PolicyStatic} {
-		cfg := pfs.MiF(4).WithPolicy(policy)
-		fs, err := pfs.New(cfg)
+		fs, err := pfs.New(pfs.MiF(4).WithPolicy(policy))
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		// Eight streams extend disjoint regions of one shared file,
-		// requests arriving round-robin — the paper's Figure 1(a).
+		// Eight streams extend disjoint regions of one shared file.
 		const streams = 8
 		const regionBlocks = 1024
 		f, err := fs.Create(fs.Root(), "shared.dat", streams*regionBlocks)
@@ -51,14 +52,15 @@ func main() {
 			}
 		}
 		fs.Flush()
-		elapsed := fs.DataBusyMax()
-		st := fs.DataStats()
 		fmt.Printf("%-12s extents=%5d  region read: %6.1f MB/s  (%d positionings)\n",
-			policy, extents, sim.MBps(regionBlocks*4096, elapsed), st.Positionings)
+			policy, extents, sim.MBps(regionBlocks*4096, fs.DataBusyMax()), fs.DataStats().Positionings)
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println("\nMiF's on-demand preallocation keeps each stream's region contiguous;")
-	fmt.Println("the reservation baseline interleaves streams in arrival order.")
+	// Output:
+	// vanilla      extents= 1024  region read:  118.6 MB/s  (4 positionings)
+	// reservation  extents= 1024  region read:  118.6 MB/s  (4 positionings)
+	// on-demand    extents=  128  region read:  218.6 MB/s  (12 positionings)
+	// static       extents=    4  region read:  397.0 MB/s  (4 positionings)
 }

@@ -36,11 +36,11 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegistryHammer interleaves eight update streams round-robin
-// over one registry — counters, gauges, histograms, a collector — with late
-// registrations and snapshots in between, and checks that every update
-// lands in the totals.
-func TestConcurrentRegistryHammer(t *testing.T) {
+// TestInterleavedUpdatesReachTotals interleaves eight update streams
+// round-robin, in one goroutine, over one registry — counters, gauges,
+// histograms, a collector — with late registrations and snapshots in
+// between, and checks that every update lands in the totals.
+func TestInterleavedUpdatesReachTotals(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits", nil)
 	g := r.Gauge("depth", nil)

@@ -75,11 +75,11 @@ func TestSpanCapCountsDrops(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracerHammer interleaves eight span streams round-robin over
-// one capped tracer, every stream's span open across the others' and
-// exports read in between: each span started is either retained or counted
-// as dropped.
-func TestConcurrentTracerHammer(t *testing.T) {
+// TestCappedTracerAccountsEverySpan interleaves eight span streams
+// round-robin, in one goroutine, over one capped tracer, every stream's
+// span open across the others' and exports read in between: each span
+// started is either retained or counted as dropped.
+func TestCappedTracerAccountsEverySpan(t *testing.T) {
 	tr := NewTracer(nil)
 	tr.SetMaxSpans(1000)
 	const streams, perStream = 8, 500

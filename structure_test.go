@@ -5,7 +5,9 @@ package redbud_test
 // notice breaking.
 
 import (
+	"bytes"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -22,40 +24,92 @@ import (
 // TestInternalIsSingleThreaded is what makes "same seed, same bytes on any
 // host" a property of the code: no package under internal/ starts a
 // goroutine or looks at the host's width, so nothing there can order work
-// differently on different machines. Tests drive a mount from one
-// goroutine too — concurrent clients are streams interleaved on the
-// simulated timeline — which is what lets TestNoLocks forbid every lock.
+// differently on different machines. The goroutine ban covers the whole
+// module — commands, tests and root included — and so does a ban on
+// unsafe: every test drives its mounts from one goroutine (concurrent
+// clients are streams interleaved on the simulated timeline), which lets
+// TestNoLocks forbid every lock and leaves the race detector nothing to
+// find. Code outside internal/ may read the host's width: mifbench
+// records it.
 func TestInternalIsSingleThreaded(t *testing.T) {
-	banned := map[string]bool{"GOMAXPROCS": true, "NumCPU": true, "SetFinalizer": true}
+	hostWidth := map[string]bool{"GOMAXPROCS": true, "NumCPU": true}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
+	err := walkGoFiles(false, func(path string) error {
 		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
+		internal := strings.HasPrefix(path, "internal"+string(filepath.Separator))
 		runtimeName := ""
 		for _, imp := range file.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "runtime" {
+			switch p, _ := strconv.Unquote(imp.Path.Value); p {
+			case "runtime":
 				runtimeName = "runtime"
 				if imp.Name != nil {
 					runtimeName = imp.Name.Name
 				}
+			case "unsafe":
+				t.Errorf("%s: imports unsafe", fset.Position(imp.Pos()))
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				t.Errorf("%s: go statement under internal/", fset.Position(n.Pos()))
+				t.Errorf("%s: go statement", fset.Position(n.Pos()))
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && x.Name == runtimeName && banned[n.Sel.Name] {
-					t.Errorf("%s: runtime.%s under internal/", fset.Position(n.Pos()), n.Sel.Name)
+				x, ok := n.X.(*ast.Ident)
+				if ok && x.Name == runtimeName && (n.Sel.Name == "SetFinalizer" || internal && hostWidth[n.Sel.Name]) {
+					t.Errorf("%s: runtime.%s", fset.Position(n.Pos()), n.Sel.Name)
 				}
 			}
 			return true
 		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// walkGoFiles calls visit with the path of every .go file of the
+// repository outside dot-directories and testdata; nested says whether the
+// files of nested modules (bench/) count.
+func walkGoFiles(nested bool, visit func(path string) error) error {
+	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == "." {
+			return err
+		}
+		if !d.IsDir() {
+			if strings.HasSuffix(path, ".go") {
+				return visit(path)
+			}
+			return nil
+		}
+		if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && !nested {
+			return filepath.SkipDir
+		}
+		return nil
+	})
+}
+
+// TestSourceIsGofmted formats every Go file of the repository, bench/
+// included, and names each one gofmt would change.
+func TestSourceIsGofmted(t *testing.T) {
+	err := walkGoFiles(true, func(path string) error {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		formatted, err := format.Source(src)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(src, formatted) {
+			t.Errorf("%s: not gofmt-formatted; run gofmt -w %s", path, path)
+		}
 		return nil
 	})
 	if err != nil {
@@ -701,10 +755,10 @@ func isNil(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-// TestBenchModuleVets builds bench/ — the benchmark BENCHMARK.json
+// TestBenchModuleVets vets and tests bench/ — the benchmark BENCHMARK.json
 // declares, a module of its own that `./...` from the root does not reach
-// — so a signature change under internal/ that stops it compiling fails
-// tier-1 instead of waiting for `make benchtest`.
+// — so a signature change under internal/ that stops it compiling, or
+// breaks what its tests check, fails tier-1.
 func TestBenchModuleVets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool on another module")
@@ -713,10 +767,12 @@ func TestBenchModuleVets(t *testing.T) {
 	if err != nil {
 		t.Skip("go is not on PATH")
 	}
-	cmd := exec.Command(goTool, "vet", ".")
-	cmd.Dir = "bench"
-	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOWORK=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet in bench/: %v\n%s", err, out)
+	for _, args := range [][]string{{"vet", "."}, {"test", "."}} {
+		cmd := exec.Command(goTool, args...)
+		cmd.Dir = "bench"
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOWORK=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s in bench/: %v\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }
