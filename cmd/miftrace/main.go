@@ -1,6 +1,6 @@
-// Command miftrace generates and replays block-level workload traces
-// against a Redbud configuration — the tool for exploring how arrival
-// patterns shape on-disk placement under each preallocation policy.
+// Command miftrace generates and replays workload traces against a Redbud
+// configuration — the tool for exploring how arrival patterns shape on-disk
+// placement under each preallocation policy.
 //
 // Usage:
 //
@@ -9,8 +9,13 @@
 //	miftrace spans [-o chrome.json] <s.json|->
 //	miftrace critpath [-top K] <s.json|->
 //
-// The trace format is defined by internal/trace: one op per line,
-// `W <client>.<pid> <blk> <count>` or `R <blk> <count>`.
+// The trace format is defined by internal/trace: one op per line, a block
+// trace's `W <client>.<pid> <blk> <count>` and `R <blk> <count>`, or any
+// op of the metadata experiments' lists, `mkdir 0 d` or `fcreate 1 f 8`.
+// Replay runs every op through workload.Apply on a fresh mount. A block
+// trace, one that opens with a W or an R, writes trace.dat, created first;
+// the write phase runs up to the first read, and the extents are those of
+// the file open at the end.
 //
 // With -spans, replay records every operation's per-layer spans on the
 // simulated timeline and writes them as a span-log JSON document; with
@@ -41,6 +46,7 @@ import (
 	"redbud/internal/sim"
 	"redbud/internal/telemetry"
 	"redbud/internal/trace"
+	"redbud/internal/workload"
 )
 
 func main() {
@@ -159,48 +165,47 @@ func replay(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Static needs a size hint up front; size to the trace's extent.
-	var maxBlk int64
-	for _, op := range ops {
-		if end := op.Blk + op.Count; end > maxBlk {
-			maxBlk = end
-		}
-	}
-	f, err := mount.Create(mount.Root(), "trace.dat", maxBlk)
-	if err != nil {
-		return err
-	}
-
-	var writes, reads int64
-	var writeNs, readNs sim.Ns
-	for _, op := range ops {
+	// A block trace, one that opens with a W or an R, writes a file it
+	// does not create: create it first, sized to the trace's extent, since
+	// static needs a size hint up front. The write phase runs up to the
+	// first read.
+	var maxBlk, writes, reads int64
+	first := len(ops)
+	for i, op := range ops {
 		switch op.Kind {
-		case trace.OpWrite:
-			if err := f.Write(op.Stream, op.Blk, op.Count); err != nil {
-				return err
-			}
-			writes++
 		case trace.OpRead:
-			if reads == 0 {
-				mount.Flush()
-				writeNs = mount.DataBusyMax()
-				mount.ResetDataStats()
-			}
-			if err := f.Read(op.Blk, op.Count); err != nil {
-				return err
-			}
+			first = min(first, i)
 			reads++
+		case trace.OpWrite:
+			writes++
 		}
+		if op.Kind == trace.OpWrite || op.Kind == trace.OpRead {
+			maxBlk = max(maxBlk, op.Blk+op.Count)
+		}
+	}
+	if len(ops) > 0 && (ops[0].Kind == trace.OpWrite || ops[0].Kind == trace.OpRead) {
+		ops = append([]trace.Op{{Kind: trace.OpCreateFile, Name: "trace.dat", Count: maxBlk}}, ops...)
+		first++
+	}
+	target := workload.MountTarget(mount)
+	if err := workload.Apply(target, ops[:first]); err != nil {
+		return err
 	}
 	mount.Flush()
-	if reads == 0 {
-		writeNs = mount.DataBusyMax()
-	} else {
+	writeNs, readNs := mount.DataBusyMax(), sim.Ns(0)
+	if reads > 0 {
+		mount.ResetDataStats()
+		if err := workload.Apply(target, ops[first:]); err != nil {
+			return err
+		}
+		mount.Flush()
 		readNs = mount.DataBusyMax()
 	}
-	extents, err := mount.TotalExtents(f)
-	if err != nil {
-		return err
+	var extents int
+	if f := target.File(); f != nil {
+		if extents, err = mount.TotalExtents(f); err != nil {
+			return err
+		}
 	}
 	st := mount.DataStats()
 	fmt.Fprintf(stdout, "policy=%s writes=%d reads=%d extents=%d positionings=%d\n",

@@ -61,6 +61,50 @@ func TestPipelineIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestReplayRunsOpLists: replay runs a metadata experiment's op list, in
+// the shape the workload drivers write — directories and MDS inodes by
+// slot, a file opened, written, read and closed — not only block traces.
+func TestReplayRunsOpLists(t *testing.T) {
+	list := `mkdir 0 client00
+create 1 f000000
+setlayout 0 140 512
+utime 1 f000000
+stat 1 f000000
+readdirplus 1 1
+unlink 1 f000000
+mkdir 0 pm00
+fcreate 2 pm0000000 4
+W 0.1 0 4
+close
+sync
+dropcaches
+open 2 pm0000000
+R 0 4
+close
+delete 2 pm0000000
+delete-if-present 2 pm0000000
+rmdir 0 client00
+`
+	path := filepath.Join(t.TempDir(), "ops.trace")
+	if err := os.WriteFile(path, []byte(list), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	if code := run([]string{"replay", path}, &stdout); code != 0 {
+		t.Fatalf("miftrace replay: exit %d", code)
+	}
+	if !strings.HasPrefix(stdout.String(), "policy=on-demand writes=1 reads=1 extents=0 ") {
+		t.Errorf("replay report:\n%s", stdout.String())
+	}
+	// A list that reads a file it never opened fails, naming the op.
+	if err := os.WriteFile(path, []byte("mkdir 0 d\nR 0 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"replay", path}, &bytes.Buffer{}); code != 1 {
+		t.Errorf("replaying a read with no open file: exit %d, want 1", code)
+	}
+}
+
 // TestBadCommandLines: an unknown subcommand or flag is a usage error
 // (exit 2); a subcommand's wrong arguments or unreadable input fail it
 // (exit 1).

@@ -1,13 +1,35 @@
-// Package trace defines the block-level workload trace format shared by
-// cmd/miftrace and the workload generators: a line-oriented, diff-friendly
-// encoding of write/read request streams with their stream identities, the
-// raw material the allocation policies react to.
+// Package trace defines the op language shared by cmd/miftrace and the
+// workload generators: a line-oriented, diff-friendly encoding of an op
+// list. Block traces are write/read request streams with their stream
+// identities, the raw material the allocation policies react to; the
+// metadata experiments' lists add the namespace, file and phase ops that
+// workload.Apply interprets.
 //
 // Format, one operation per line:
 //
-//	W <client>.<pid> <blk> <count>    extending or overwrite write
-//	R <blk> <count>                   read
-//	# ...                             comment
+//	W <client>.<pid> <blk> <count>   write blocks of the open file
+//	R <blk> <count>                  read blocks of the open file
+//	mkdir <dir> <name>               make a directory: the next directory slot
+//	rmdir <dir> <name>               remove an empty directory
+//	create <dir> <name>              create an MDS inode: the next inode slot
+//	utime <dir> <name>               look a name up and update its mtime
+//	stat <dir> <name>                resolve a name and read its inode
+//	readdirplus <dir> <n>            read a directory of n entries with its inodes
+//	unlink <dir> <name>              remove a name on the MDS
+//	setlayout <ino> <n> <base>       record n ≤ 65536 extents: logical 4j → physical base+8j, 2 blocks
+//	fcreate <dir> <name> <size>      create a striped file, size-hinted, and open it
+//	open <dir> <name>                open a file
+//	close                            close the open file
+//	delete <dir> <name>              delete a file: its name and its objects
+//	delete-if-present <dir> <name>   delete, a missing name being no error
+//	sync                             sync the MDS (on a mount, the mount)
+//	dropcaches                       drop the MDS page cache
+//	# ...                            comment
+//
+// Directories and inodes are named by slots, which the interpreter assigns
+// in order: directory slot 0 is the root, and each mkdir takes the next
+// one; each create takes the next inode slot. A name is one field. At
+// most one file is open at a time, and W and R act on it.
 package trace
 
 import (
@@ -15,8 +37,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"redbud/internal/core"
 	"redbud/internal/sim"
@@ -27,30 +51,94 @@ type OpKind byte
 
 // Operation kinds.
 const (
-	OpWrite OpKind = 'W'
-	OpRead  OpKind = 'R'
+	OpWrite OpKind = iota
+	OpRead
+	OpMkdir
+	OpRmdir
+	OpCreate
+	OpUtime
+	OpStat
+	OpReaddirPlus
+	OpUnlink
+	OpSetLayout
+	OpCreateFile
+	OpOpen
+	OpClose
+	OpDelete
+	OpDeleteIfPresent
+	OpSync
+	OpDropCaches
 )
+
+// maxLayoutExtents bounds a setlayout op's extent count.
+const maxLayoutExtents = 1 << 16
+
+// kindSpec is a kind's keyword and the fields that follow it: stream,
+// name, and the numbers block (Blk), count (Count) and slot (Slot).
+type kindSpec struct{ word, args string }
+
+// kinds holds each kind's spec.
+var kinds = [...]kindSpec{
+	OpWrite: {"W", "stream block count"}, OpRead: {"R", "block count"},
+	OpMkdir: {"mkdir", "slot name"}, OpRmdir: {"rmdir", "slot name"},
+	OpCreate: {"create", "slot name"}, OpUtime: {"utime", "slot name"},
+	OpStat: {"stat", "slot name"}, OpReaddirPlus: {"readdirplus", "slot count"},
+	OpUnlink: {"unlink", "slot name"}, OpSetLayout: {"setlayout", "slot count block"},
+	OpCreateFile: {"fcreate", "slot name count"}, OpOpen: {"open", "slot name"},
+	OpClose: {"close", ""}, OpSync: {"sync", ""}, OpDropCaches: {"dropcaches", ""},
+	OpDelete: {"delete", "slot name"}, OpDeleteIfPresent: {"delete-if-present", "slot name"},
+}
 
 // Op is one trace operation.
 type Op struct {
 	Kind   OpKind
-	Stream core.StreamID // writes only
-	Blk    int64
-	Count  int64
+	Stream core.StreamID // W only
+	// Blk is W's and R's first block, and setlayout's physical base.
+	Blk int64
+	// Count is W's and R's block count, readdirplus's entry count,
+	// setlayout's extent count and fcreate's size hint.
+	Count int64
+	// Slot is the op's directory slot, or setlayout's inode slot.
+	Slot int64
+	Name string
+}
+
+// field returns the numeric field an argument names.
+func (o *Op) field(arg string) *int64 {
+	switch arg {
+	case "block":
+		return &o.Blk
+	case "count":
+		return &o.Count
+	}
+	return &o.Slot
 }
 
 // String renders the op in trace format.
 func (o Op) String() string {
-	if o.Kind == OpWrite {
-		return fmt.Sprintf("W %d.%d %d %d", o.Stream.Client, o.Stream.PID, o.Blk, o.Count)
+	b := []byte(kinds[o.Kind].word)
+	for _, arg := range strings.Fields(kinds[o.Kind].args) {
+		switch arg {
+		case "stream":
+			b = fmt.Appendf(b, " %d.%d", o.Stream.Client, o.Stream.PID)
+		case "name":
+			b = append(append(b, ' '), o.Name...)
+		default:
+			b = fmt.Appendf(b, " %d", *o.field(arg))
+		}
 	}
-	return fmt.Sprintf("R %d %d", o.Blk, o.Count)
+	return string(b)
 }
 
-// Write serializes ops to w, one per line.
+// Write serializes ops to w, one per line. A name that would not read back
+// as one field is an error.
 func Write(w io.Writer, ops []Op) error {
 	bw := bufio.NewWriter(w)
-	for _, op := range ops {
+	for i, op := range ops {
+		if strings.Contains(kinds[op.Kind].args, "name") &&
+			(op.Name == "" || strings.ContainsFunc(op.Name, unicode.IsSpace)) {
+			return fmt.Errorf("trace: op %d: name %q is not one field", i, op.Name)
+		}
 		if _, err := fmt.Fprintln(bw, op); err != nil {
 			return err
 		}
@@ -82,67 +170,54 @@ func Read(r io.Reader) ([]Op, error) {
 	return ops, nil
 }
 
-// parseLine parses one trace line.
+// parseLine parses one trace line. Every number is non-negative; W and R
+// name a non-empty range whose end fits in an int64, and setlayout at most
+// maxLayoutExtents extents whose last physical block does.
 func parseLine(text string) (Op, error) {
 	fields := strings.Fields(text)
-	switch fields[0] {
-	case "W":
-		if len(fields) != 4 {
-			return Op{}, fmt.Errorf("write needs 4 fields, got %d", len(fields))
-		}
-		stream, err := ParseStream(fields[1])
-		if err != nil {
-			return Op{}, err
-		}
-		blk, count, err := parseRange(fields[2], fields[3])
-		if err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: OpWrite, Stream: stream, Blk: blk, Count: count}, nil
-	case "R":
-		if len(fields) != 3 {
-			return Op{}, fmt.Errorf("read needs 3 fields, got %d", len(fields))
-		}
-		blk, count, err := parseRange(fields[1], fields[2])
-		if err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: OpRead, Blk: blk, Count: count}, nil
-	default:
+	kind := slices.IndexFunc(kinds[:], func(k kindSpec) bool { return k.word == fields[0] })
+	if kind < 0 {
 		return Op{}, fmt.Errorf("unknown op %q", fields[0])
 	}
-}
-
-// parseRange parses and validates a (blk, count) pair: a non-empty range
-// from a non-negative block whose end fits in an int64.
-func parseRange(blkS, countS string) (int64, int64, error) {
-	blk, err := strconv.ParseInt(blkS, 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad block %q", blkS)
+	op := Op{Kind: OpKind(kind)}
+	args := strings.Fields(kinds[op.Kind].args)
+	if len(fields) != 1+len(args) {
+		return Op{}, fmt.Errorf("%s needs %d fields, got %d", fields[0], 1+len(args), len(fields))
 	}
-	count, err := strconv.ParseInt(countS, 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad count %q", countS)
+	for i, arg := range args {
+		f := fields[i+1]
+		switch arg {
+		case "stream":
+			var err error
+			if op.Stream, err = ParseStream(f); err != nil {
+				return Op{}, err
+			}
+		case "name":
+			op.Name = f
+		default:
+			n, err := strconv.ParseInt(f, 10, 64)
+			if err != nil || n < 0 {
+				return Op{}, fmt.Errorf("bad %s %q", arg, f)
+			}
+			*op.field(arg) = n
+		}
 	}
-	if blk < 0 || count <= 0 || count > math.MaxInt64-blk {
-		return 0, 0, fmt.Errorf("invalid range [%d,+%d)", blk, count)
+	switch {
+	case (op.Kind == OpWrite || op.Kind == OpRead) && (op.Count == 0 || op.Count > math.MaxInt64-op.Blk):
+		return Op{}, fmt.Errorf("invalid range [%d,+%d)", op.Blk, op.Count)
+	case op.Kind == OpSetLayout && (op.Count > maxLayoutExtents || op.Blk > math.MaxInt64-8*op.Count):
+		return Op{}, fmt.Errorf("invalid layout of %d extents from %d", op.Count, op.Blk)
 	}
-	return blk, count, nil
+	return op, nil
 }
 
 // ParseStream parses "client.pid".
 func ParseStream(v string) (core.StreamID, error) {
-	parts := strings.SplitN(v, ".", 2)
-	if len(parts) != 2 {
+	cs, ps, ok := strings.Cut(v, ".")
+	c, errC := strconv.ParseUint(cs, 10, 32)
+	p, errP := strconv.ParseUint(ps, 10, 32)
+	if !ok || errC != nil || errP != nil {
 		return core.StreamID{}, fmt.Errorf("stream %q: want client.pid", v)
-	}
-	c, err := strconv.ParseUint(parts[0], 10, 32)
-	if err != nil {
-		return core.StreamID{}, fmt.Errorf("stream %q: %v", v, err)
-	}
-	p, err := strconv.ParseUint(parts[1], 10, 32)
-	if err != nil {
-		return core.StreamID{}, fmt.Errorf("stream %q: %v", v, err)
 	}
 	return core.StreamID{Client: uint32(c), PID: uint32(p)}, nil
 }

@@ -5,10 +5,31 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"redbud/internal/core"
 	"redbud/internal/sim"
 )
+
+// everyKind has one line of each op kind.
+const everyKind = `W 1.2 10 4
+R 0 8
+mkdir 0 d1
+rmdir 0 d0
+create 1 f000001
+utime 1 f000001
+stat 1 src0001.c
+readdirplus 1 5000
+unlink 1 f000001
+setlayout 0 249 512
+fcreate 2 pm0000001 8
+open 2 pm0000001
+close
+delete 2 pm0000001
+delete-if-present 3 src0001.o
+sync
+dropcaches
+`
 
 func TestRoundTrip(t *testing.T) {
 	ops := []Op{
@@ -30,6 +51,40 @@ func TestRoundTrip(t *testing.T) {
 	for i := range ops {
 		if got[i] != ops[i] {
 			t.Fatalf("op %d: %+v, want %+v", i, got[i], ops[i])
+		}
+	}
+}
+
+// TestEveryKindReads: each op kind has a line that parses to that kind and
+// writes back as the same line.
+func TestEveryKindReads(t *testing.T) {
+	ops, err := Read(strings.NewReader(everyKind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ops) != len(kinds) {
+		t.Fatalf("read %d ops, want one per kind (%d)", len(ops), len(kinds))
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, ops); err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range ops {
+		if op.Kind != OpKind(i) {
+			t.Errorf("line %d parsed as kind %d, want %d", i+1, op.Kind, i)
+		}
+	}
+	if buf.String() != everyKind {
+		t.Errorf("written back as\n%s\nwant\n%s", buf.String(), everyKind)
+	}
+}
+
+// TestWriteRejectsBadNames: a name that would not read back as one field
+// is not written.
+func TestWriteRejectsBadNames(t *testing.T) {
+	for _, name := range []string{"", "two words", "tab\tname"} {
+		if err := Write(&bytes.Buffer{}, []Op{{Kind: OpMkdir, Name: name}}); err == nil {
+			t.Errorf("name %q should be rejected", name)
 		}
 	}
 }
@@ -57,9 +112,20 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"W a.b 1 1",
 		"W 1.1 9223372036854775807 1",
 		"R 1 9223372036854775807",
+		// one per metadata, file and phase kind
+		"mkdir 0", "rmdir x d", "create -1 f", "utime 1", "stat 0 a b",
+		"readdirplus 1 -1", "readdirplus 1", "unlink 1.5 f",
+		"setlayout 0 -3 0", "setlayout 0 3", "setlayout 0 65537 0",
+		"setlayout 0 2 9223372036854775800",
+		"fcreate 1 f -8", "fcreate 1 8", "open 1", "close 1",
+		"delete 1 \t", "delete-if-present -2 f", "sync now", "dropcaches 0",
 	} {
-		if _, err := Read(strings.NewReader(bad)); err == nil {
+		// The bad line follows a good one: its error names line 2.
+		_, err := Read(strings.NewReader("sync\n" + bad + "\n"))
+		if err == nil {
 			t.Errorf("line %q should be rejected", bad)
+		} else if !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("line %q: error %q does not name line 2", bad, err)
 		}
 	}
 }
@@ -151,9 +217,11 @@ func TestGenerateRoundTripProperty(t *testing.T) {
 }
 
 // FuzzRead feeds arbitrary bytes to the trace parser: it never panics,
-// every op it accepts is a non-empty range whose end fits in an int64 (the
-// replayer sizes its file from the largest end), and writing the accepted
-// ops back out reads back the same ops.
+// every W or R it accepts is a non-empty range whose end fits in an int64
+// (the replayer sizes its file from the largest end), every setlayout a
+// bounded extent count whose last block fits, every number is
+// non-negative, every name one field, and writing the accepted ops back
+// out reads back the same ops.
 func FuzzRead(f *testing.F) {
 	for _, pattern := range []string{"shared", "strided", "random"} {
 		ops, err := Generate(GenConfig{Pattern: pattern, Streams: 4, RegionBlocks: 32, RequestBlocks: 8, ReadBack: true, Seed: 5})
@@ -168,13 +236,26 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add([]byte("# header\n\nW 1.2 10 4\n  \nR 0 8\n"))
 	f.Add([]byte("W 1.1 9223372036854775807 1\n"))
+	for _, line := range strings.SplitAfter(everyKind, "\n") {
+		f.Add([]byte(line))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		for _, op := range ops {
-			if op.Blk < 0 || op.Count <= 0 || op.Blk+op.Count <= op.Blk {
+			bad := op.Blk < 0 || op.Count < 0 || op.Slot < 0
+			switch op.Kind {
+			case OpWrite, OpRead:
+				bad = bad || op.Count == 0 || op.Blk+op.Count <= op.Blk
+			case OpSetLayout:
+				bad = bad || op.Count > maxLayoutExtents || op.Blk+8*op.Count < op.Blk
+			}
+			if strings.Contains(kinds[op.Kind].args, "name") {
+				bad = bad || op.Name == "" || strings.ContainsFunc(op.Name, unicode.IsSpace)
+			}
+			if bad {
 				t.Fatalf("accepted %+v", op)
 			}
 		}

@@ -3,12 +3,11 @@ package workload
 import (
 	"fmt"
 
-	"redbud/internal/extent"
-	"redbud/internal/inode"
 	"redbud/internal/mdfs"
 	"redbud/internal/mds"
 	"redbud/internal/sim"
 	"redbud/internal/telemetry"
+	"redbud/internal/trace"
 )
 
 // AgingConfig parameterizes the Figure 9 experiment: "to achieve aging,
@@ -48,22 +47,13 @@ func DefaultAgingConfig(layout mdfs.Layout, target float64) AgingConfig {
 
 // AgingResult reports one aging run.
 type AgingResult struct {
-	Config       string
-	Utilization  float64
 	CreatePerSec float64
 	DeletePerSec float64
-	// CreateRequests/DeleteRequests count block-layer requests during
-	// the measured phases.
-	CreateRequests int64
-	DeleteRequests int64
-	// CreatePositionings/DeletePositionings count full head repositions.
-	CreatePositionings int64
-	DeletePositionings int64
 }
 
-// agingFSConfig builds a small MDS device so churn reaches high
-// utilization quickly.
-func agingFSConfig(cfg AgingConfig) mds.Config {
+// agingTarget builds a small MDS device so churn reaches high utilization
+// quickly.
+func agingTarget(cfg AgingConfig) (*Target, error) {
 	mcfg := mds.DefaultConfig(cfg.Layout)
 	mcfg.FS.Blocks = 1 << 15 // 128 MiB device
 	mcfg.FS.JournalBlocks = 512
@@ -72,7 +62,8 @@ func agingFSConfig(cfg AgingConfig) mds.Config {
 	mcfg.FS.CacheBlocks = 1024
 	mcfg.FS.SyncWrites = true
 	mcfg.FS.Htree = cfg.Htree
-	return mcfg
+	return serverTarget(mcfg, cfg.Metrics, cfg.Trace, telemetry.Labels{"workload": "aging",
+		"config": metaratesName(cfg.Layout, cfg.Htree), "util": fmt.Sprintf("%.2f", cfg.TargetUtilization)})
 }
 
 // RunAging churns the file system to the target utilization, then measures
@@ -81,152 +72,118 @@ func RunAging(cfg AgingConfig) (AgingResult, error) {
 	if cfg.TargetUtilization < 0 || cfg.TargetUtilization >= 0.95 {
 		return AgingResult{}, fmt.Errorf("workload: bad target utilization %g", cfg.TargetUtilization)
 	}
-	srv, err := mds.New(agingFSConfig(cfg))
+	t, err := agingTarget(cfg)
 	if err != nil {
 		return AgingResult{}, err
 	}
-	if cfg.Metrics != nil {
-		name := metaratesName(MetaratesConfig{Layout: cfg.Layout, Htree: cfg.Htree})
-		labels := telemetry.Labels{"workload": "aging", "config": name,
-			"util": fmt.Sprintf("%.2f", cfg.TargetUtilization)}
-		srv.Instrument(cfg.Metrics, labels.With("layer", "mds"))
-	}
-	if cfg.Trace != nil {
-		srv.SetTracer(cfg.Trace)
-	}
-	fs := srv.FS()
-	rng := sim.NewRand(cfg.Seed)
+	res, _, err := aging(cfg, t)
+	return res, err
+}
 
-	dirs := make([]inode.Ino, cfg.ChurnDirs)
-	for i := range dirs {
-		d, err := srv.Mkdir(srv.Root(), fmt.Sprintf("churn%d", i))
-		if err != nil {
-			return AgingResult{}, err
-		}
-		dirs[i] = d
+// aging applies an aging run to t and returns the ops it applied. The
+// churn is pure in the config; only where it stops depends on the device,
+// whose utilization the driver checks between churn steps.
+func aging(cfg AgingConfig, t *Target) (AgingResult, []trace.Op, error) {
+	g := churn{rng: sim.NewRand(cfg.Seed), dirs: make([]int64, cfg.ChurnDirs), names: make([]string, cfg.ChurnDirs)}
+	var ops []trace.Op
+	for i := range g.dirs {
+		g.dirs[i], g.names[i] = int64(i+1), fmt.Sprintf("churn%d", i)
+		ops = append(ops, trace.Op{Kind: trace.OpMkdir, Name: g.names[i]})
 	}
-
-	// Churn: create files carrying fragmented layout mappings (forcing
-	// spill-block allocations) and delete a random half, until the
-	// device reaches the target utilization.
-	type liveFile struct {
-		dir  int
-		name string
+	g.slots = int64(cfg.ChurnDirs)
+	fs := t.srv.FS()
+	if err := Apply(t, ops); err != nil {
+		return AgingResult{}, ops, err
 	}
-	var live []liveFile
-	seq := 0
-	dirNames := make([]string, cfg.ChurnDirs)
-	for i := range dirNames {
-		dirNames[i] = fmt.Sprintf("churn%d", i)
-	}
-	for fs.Utilization() < cfg.TargetUtilization {
-		// Churn leans toward creation so utilization converges; the
-		// deletions and directory retirements leave the holes.
-		switch {
-		case len(live) > 0 && rng.Intn(100) < 38:
-			i := rng.Intn(len(live))
-			f := live[i]
-			if err := srv.Unlink(dirs[f.dir], f.name); err != nil {
-				return AgingResult{}, err
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			continue
-		case seq > 0 && seq%8000 == 0:
-			// Retire one churn directory entirely and recreate it:
-			// its freed content runs become mid-sized holes.
-			di := rng.Intn(cfg.ChurnDirs)
-			kept := live[:0]
-			for _, f := range live {
-				if f.dir != di {
-					kept = append(kept, f)
-					continue
-				}
-				if err := srv.Unlink(dirs[di], f.name); err != nil {
-					return AgingResult{}, err
-				}
-			}
-			live = kept
-			if err := srv.Rmdir(srv.Root(), dirNames[di]); err != nil {
-				return AgingResult{}, err
-			}
-			dirNames[di] = fmt.Sprintf("churn%d.%d", di, seq)
-			d, err := srv.Mkdir(srv.Root(), dirNames[di])
-			if err != nil {
-				return AgingResult{}, err
-			}
-			dirs[di] = d
-		}
-		d := rng.Intn(cfg.ChurnDirs)
-		name := fmt.Sprintf("c%07d", seq)
-		seq++
-		ino, err := srv.Create(dirs[d], name)
-		if err != nil {
-			return AgingResult{}, err
-		}
-		// A fragmented mapping large enough to occupy both spill
-		// blocks, so churn moves real space.
-		exts := make([]extent.Extent, 140+rng.Intn(110))
-		for j := range exts {
-			exts[j] = extent.Extent{Logical: int64(j) * 4, Physical: int64(seq*512 + j*8), Count: 2}
-		}
-		if err := srv.SetLayout(ino, exts); err != nil {
-			return AgingResult{}, err
-		}
-		live = append(live, liveFile{dir: d, name: name})
-		if seq > 1<<20 {
-			return AgingResult{}, fmt.Errorf("workload: churn did not converge to %g (at %g)",
+	for n := len(ops); fs.Utilization() < cfg.TargetUtilization; n = len(ops) {
+		if ops = g.step(ops); g.seq > 1<<20 {
+			return AgingResult{}, ops, fmt.Errorf("workload: churn did not converge to %g (at %g)",
 				cfg.TargetUtilization, fs.Utilization())
 		}
-	}
-	if err := fs.Sync(); err != nil {
-		return AgingResult{}, err
-	}
-	fs.Store().DropCaches()
-
-	// Measurement: create MeasureFiles fresh files (same mapping
-	// distribution), then delete them.
-	mdir, err := srv.Mkdir(srv.Root(), "measure")
-	if err != nil {
-		return AgingResult{}, err
-	}
-	before := fs.Store().Disk().Stats()
-	for i := 0; i < cfg.MeasureFiles; i++ {
-		if _, err := srv.Create(mdir, fmt.Sprintf("m%05d", i)); err != nil {
-			return AgingResult{}, err
+		if err := Apply(t, ops[n:]); err != nil {
+			return AgingResult{}, ops, err
 		}
 	}
-	if err := fs.Sync(); err != nil {
-		return AgingResult{}, err
-	}
-	createDelta := fs.Store().Disk().Stats().Sub(before)
-	createNs := createDelta.BusyNs
 
-	before = fs.Store().Disk().Stats()
-	for i := 0; i < cfg.MeasureFiles; i++ {
-		if err := srv.Unlink(mdir, fmt.Sprintf("m%05d", i)); err != nil {
-			return AgingResult{}, err
+	// Measurement: create MeasureFiles fresh files in a fresh directory,
+	// then delete them, each phase starting cold.
+	meas := []trace.Op{{Kind: trace.OpSync}, {Kind: trace.OpDropCaches}, {Kind: trace.OpMkdir, Name: "measure"}}
+	cuts := []int{len(meas)}
+	names := make([]string, cfg.MeasureFiles)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%05d", i)
+	}
+	for _, kind := range []trace.OpKind{trace.OpCreate, trace.OpUnlink} {
+		for _, name := range names {
+			meas = append(meas, trace.Op{Kind: kind, Slot: g.slots + 1, Name: name})
 		}
+		meas = append(meas, trace.Op{Kind: trace.OpSync})
+		cuts = append(cuts, len(meas))
 	}
-	if err := fs.Sync(); err != nil {
-		return AgingResult{}, err
+	ops = append(ops, meas...)
+	var busy [3]sim.Ns
+	dev := fs.Store().Disk()
+	if err := applyPhases(t, meas, cuts, func(i int) { busy[i] = dev.Stats().BusyNs }); err != nil {
+		return AgingResult{}, ops, err
 	}
-	deleteDelta := fs.Store().Disk().Stats().Sub(before)
-	deleteNs := deleteDelta.BusyNs
+	n := int64(cfg.MeasureFiles)
+	return AgingResult{CreatePerSec: perSec(n, busy[1]-busy[0]), DeletePerSec: perSec(n, busy[2]-busy[1])}, ops, nil
+}
 
-	res := AgingResult{
-		Config:             metaratesName(MetaratesConfig{Layout: cfg.Layout, Htree: cfg.Htree}),
-		Utilization:        fs.Utilization(),
-		CreateRequests:     createDelta.Requests,
-		DeleteRequests:     deleteDelta.Requests,
-		CreatePositionings: createDelta.Positionings,
-		DeletePositionings: deleteDelta.Positionings,
+// churn generates aging's churn one step at a time: files carrying
+// fragmented layout mappings (forcing spill-block allocations), a random
+// share of them deleted, and now and then a churn directory retired.
+type churn struct {
+	rng   *sim.Rand
+	live  []liveFile
+	dirs  []int64  // each churn directory's slot
+	names []string // and name
+	slots int64    // directory slots taken
+	seq   int      // files created, each taking the next inode slot
+}
+
+// liveFile is a churn file not yet deleted.
+type liveFile struct {
+	dir  int
+	name string
+}
+
+// step appends one churn step to ops.
+func (g *churn) step(ops []trace.Op) []trace.Op {
+	// Churn leans toward creation so utilization converges; the
+	// deletions and directory retirements leave the holes.
+	switch {
+	case len(g.live) > 0 && g.rng.Intn(100) < 38:
+		i := g.rng.Intn(len(g.live))
+		f := g.live[i]
+		g.live[i] = g.live[len(g.live)-1]
+		g.live = g.live[:len(g.live)-1]
+		return append(ops, trace.Op{Kind: trace.OpUnlink, Slot: g.dirs[f.dir], Name: f.name})
+	case g.seq > 0 && g.seq%8000 == 0:
+		// Retire one churn directory entirely and recreate it: its
+		// freed content runs become mid-sized holes.
+		di := g.rng.Intn(len(g.dirs))
+		kept := g.live[:0]
+		for _, f := range g.live {
+			if f.dir != di {
+				kept = append(kept, f)
+				continue
+			}
+			ops = append(ops, trace.Op{Kind: trace.OpUnlink, Slot: g.dirs[di], Name: f.name})
+		}
+		g.live = kept
+		ops = append(ops, trace.Op{Kind: trace.OpRmdir, Name: g.names[di]})
+		g.names[di] = fmt.Sprintf("churn%d.%d", di, g.seq)
+		g.slots++
+		g.dirs[di] = g.slots
+		ops = append(ops, trace.Op{Kind: trace.OpMkdir, Name: g.names[di]})
 	}
-	if createNs > 0 {
-		res.CreatePerSec = float64(cfg.MeasureFiles) / sim.Seconds(createNs)
-	}
-	if deleteNs > 0 {
-		res.DeletePerSec = float64(cfg.MeasureFiles) / sim.Seconds(deleteNs)
-	}
-	return res, nil
+	d := g.rng.Intn(len(g.dirs))
+	name := fmt.Sprintf("c%07d", g.seq)
+	g.live = append(g.live, liveFile{dir: d, name: name})
+	g.seq++
+	// A fragmented mapping large enough to occupy both spill blocks, so
+	// churn moves real space.
+	return append(ops, trace.Op{Kind: trace.OpCreate, Slot: g.dirs[d], Name: name},
+		trace.Op{Kind: trace.OpSetLayout, Slot: int64(g.seq - 1), Count: int64(140 + g.rng.Intn(110)), Blk: int64(g.seq * 512)})
 }

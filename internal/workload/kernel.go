@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"redbud/internal/core"
-	"redbud/internal/inode"
 	"redbud/internal/pfs"
 	"redbud/internal/sim"
+	"redbud/internal/trace"
 )
 
 // KernelTreeConfig parameterizes the application mix of Figure 10: "the
@@ -45,7 +45,6 @@ func DefaultKernelTreeConfig() KernelTreeConfig {
 
 // KernelTreeResult reports the three application phases.
 type KernelTreeResult struct {
-	Config    string
 	Tar       AppResult
 	Make      AppResult
 	MakeClean AppResult
@@ -56,15 +55,34 @@ func RunKernelTree(fsCfg pfs.Config, cfg KernelTreeConfig) (KernelTreeResult, er
 	if cfg.Dirs <= 0 || cfg.FilesPerDir <= 0 || cfg.MeanFileBlocks <= 0 {
 		return KernelTreeResult{}, fmt.Errorf("workload: bad kernel-tree config %+v", cfg)
 	}
-	fsCfg.MDS.FS.SyncWrites = true
-	fs, err := pfs.New(fsCfg)
+	t, err := appTarget(fsCfg)
 	if err != nil {
 		return KernelTreeResult{}, err
 	}
-	rng := sim.NewRand(cfg.Seed)
-	out := KernelTreeResult{Config: fsCfg.Name}
-	stream := core.StreamID{Client: 1, PID: 1}
+	res, _, err := kernelTree(cfg, t)
+	return res, err
+}
 
+// kernelTree applies a kernel-tree run to t, timing each phase, and
+// returns the ops it applied.
+func kernelTree(cfg KernelTreeConfig, t *Target) (KernelTreeResult, []trace.Op, error) {
+	ops, cuts, compute := kernelTreeOps(cfg)
+	var busy [4]sim.Ns
+	if err := applyPhases(t, ops, cuts, func(i int) { busy[i] = elapsedOf(t.mount, 0) }); err != nil {
+		return KernelTreeResult{}, ops, err
+	}
+	return KernelTreeResult{
+		Tar:       AppResult{Elapsed: busy[1] - busy[0]},
+		Make:      AppResult{Elapsed: busy[2] - busy[1] + compute},
+		MakeClean: AppResult{Elapsed: busy[3] - busy[2]},
+	}, ops, nil
+}
+
+// kernelTreeOps generates a kernel-tree run, its phases ending at cuts 1
+// to 3, and the compile CPU that make burns.
+func kernelTreeOps(cfg KernelTreeConfig) (ops []trace.Op, cuts []int, compute sim.Ns) {
+	rng := sim.NewRand(cfg.Seed)
+	stream := core.StreamID{Client: 1, PID: 1}
 	size := func() int64 {
 		// Skewed small-file distribution around the mean.
 		n := 1 + rng.Int63n(cfg.MeanFileBlocks*2)
@@ -73,112 +91,58 @@ func RunKernelTree(fsCfg pfs.Config, cfg KernelTreeConfig) (KernelTreeResult, er
 		}
 		return n
 	}
-
+	file := func(dir int64, name string, n int64) {
+		ops = append(ops, trace.Op{Kind: trace.OpCreateFile, Slot: dir, Name: name, Count: n},
+			trace.Op{Kind: trace.OpWrite, Stream: stream, Count: n}, trace.Op{Kind: trace.OpClose})
+	}
 	type src struct {
-		dir  inode.Ino
-		name string
-		size int64
+		dir       int64
+		name, obj string
+		size      int64
 	}
 	var sources []src
+	objects := make([]int64, cfg.Dirs+1) // per directory slot
 
 	// tar: unpack the tree — directory creates plus sequential small
 	// file writes.
-	prevBusy := elapsedOf(fs, 0)
-	var ops int64
-	for d := 0; d < cfg.Dirs; d++ {
-		dir, err := fs.Mkdir(fs.Root(), fmt.Sprintf("drivers%03d", d))
-		if err != nil {
-			return out, err
-		}
+	cuts = append(cuts, 0)
+	for d := int64(1); d <= int64(cfg.Dirs); d++ {
+		ops = append(ops, trace.Op{Kind: trace.OpMkdir, Name: fmt.Sprintf("drivers%03d", d-1)})
 		for i := 0; i < cfg.FilesPerDir; i++ {
-			name := fmt.Sprintf("src%04d.c", i)
-			n := size()
-			f, err := fs.Create(dir, name, n)
-			if err != nil {
-				return out, err
-			}
-			if err := f.Write(stream, 0, n); err != nil {
-				return out, err
-			}
-			if err := f.Close(); err != nil {
-				return out, err
-			}
-			sources = append(sources, src{dir: dir, name: name, size: n})
-			ops++
+			s := src{dir: d, name: fmt.Sprintf("src%04d.c", i), obj: fmt.Sprintf("src%04d.o", i), size: size()}
+			file(d, s.name, s.size)
+			sources = append(sources, s)
 		}
 	}
-	if err := fs.Sync(); err != nil {
-		return out, err
-	}
-	out.Tar = AppResult{Config: fsCfg.Name, App: "tar", Ops: ops, Elapsed: elapsedOf(fs, 0) - prevBusy}
+	ops = append(ops, trace.Op{Kind: trace.OpSync})
+	cuts = append(cuts, len(ops))
 
 	// make: stat + read every source (the compiler's includes), emit an
 	// object file for a fraction, and burn compile CPU.
-	fs.MDS().FS().Store().DropCaches()
-	prevBusy = elapsedOf(fs, 0)
-	ops = 0
-	var compute sim.Ns
+	ops = append(ops, trace.Op{Kind: trace.OpDropCaches})
 	for _, s := range sources {
-		if _, err := fs.MDS().StatName(s.dir, s.name); err != nil {
-			return out, err
-		}
-		h, err := fs.Open(s.dir, s.name)
-		if err != nil {
-			return out, err
-		}
-		if err := h.Read(0, s.size); err != nil {
-			return out, err
-		}
-		if err := h.Close(); err != nil {
-			return out, err
-		}
-		ops++
+		ops = append(ops, trace.Op{Kind: trace.OpStat, Slot: s.dir, Name: s.name},
+			trace.Op{Kind: trace.OpOpen, Slot: s.dir, Name: s.name},
+			trace.Op{Kind: trace.OpRead, Count: s.size}, trace.Op{Kind: trace.OpClose})
 		if rng.Intn(100) < cfg.ObjectRatioPct {
 			compute += cfg.CompileNsPerFile
-			obj := s.name[:len(s.name)-2] + ".o"
-			n := s.size / 2
-			if n < 1 {
-				n = 1
-			}
-			f, err := fs.Create(s.dir, obj, n)
-			if err != nil {
-				return out, err
-			}
-			if err := f.Write(stream, 0, n); err != nil {
-				return out, err
-			}
-			if err := f.Close(); err != nil {
-				return out, err
-			}
-			ops++
+			file(s.dir, s.obj, max(s.size/2, 1))
+			objects[s.dir]++
 		}
 	}
-	if err := fs.Sync(); err != nil {
-		return out, err
-	}
-	out.Make = AppResult{Config: fsCfg.Name, App: "make", Ops: ops, Elapsed: elapsedOf(fs, compute) - prevBusy}
+	ops = append(ops, trace.Op{Kind: trace.OpSync})
+	cuts = append(cuts, len(ops))
 
-	// make clean: readdir every directory, delete the objects.
-	fs.MDS().FS().Store().DropCaches()
-	prevBusy = elapsedOf(fs, compute)
-	ops = 0
-	seen := map[inode.Ino]bool{}
-	for _, s := range sources {
-		if !seen[s.dir] {
-			seen[s.dir] = true
-			if _, err := fs.MDS().ReaddirPlus(s.dir); err != nil {
-				return out, err
-			}
-			ops++
+	// make clean: readdir every directory, delete the objects. Make
+	// clean deletes every source's object, built or not, and a missing
+	// one costs its lookup.
+	ops = append(ops, trace.Op{Kind: trace.OpDropCaches})
+	for i, s := range sources {
+		if i%cfg.FilesPerDir == 0 {
+			ops = append(ops, trace.Op{Kind: trace.OpReaddirPlus, Slot: s.dir, Count: int64(cfg.FilesPerDir) + objects[s.dir]})
 		}
-		obj := s.name[:len(s.name)-2] + ".o"
-		if err := fs.Delete(s.dir, obj); err == nil {
-			ops++
-		}
+		ops = append(ops, trace.Op{Kind: trace.OpDeleteIfPresent, Slot: s.dir, Name: s.obj})
 	}
-	if err := fs.Sync(); err != nil {
-		return out, err
-	}
-	out.MakeClean = AppResult{Config: fsCfg.Name, App: "make-clean", Ops: ops, Elapsed: elapsedOf(fs, compute) - prevBusy}
-	return out, nil
+	ops = append(ops, trace.Op{Kind: trace.OpSync})
+	return ops, append(cuts, len(ops)), compute
 }

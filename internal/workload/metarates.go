@@ -3,12 +3,12 @@ package workload
 import (
 	"fmt"
 
-	"redbud/internal/inode"
+	"redbud/internal/disk"
 	"redbud/internal/mdfs"
 	"redbud/internal/mds"
 	"redbud/internal/sim"
-	"redbud/internal/stats"
 	"redbud/internal/telemetry"
+	"redbud/internal/trace"
 )
 
 // MetaratesConfig parameterizes the Metarates runs of Figure 8: "an MPI
@@ -49,20 +49,12 @@ func DefaultMetaratesConfig(layout mdfs.Layout) MetaratesConfig {
 
 // PhaseResult reports one Metarates workload phase.
 type PhaseResult struct {
-	Ops          int64
 	DiskRequests int64 // block-layer requests, the Figure 8 bar metric
-	Elapsed      sim.Ns
 	OpsPerSec    float64
-	// P50Ns and P99Ns are per-operation latency percentiles (simulated
-	// MDS-disk time attributed to each op). Checkpoint bursts land on
-	// the op that triggered them, which is what a client would observe.
-	P50Ns sim.Ns
-	P99Ns sim.Ns
 }
 
 // MetaratesResult reports a full Metarates run.
 type MetaratesResult struct {
-	Config  string
 	Create  PhaseResult
 	Utime   PhaseResult
 	Readdir PhaseResult // the readdir-stat workload
@@ -70,14 +62,40 @@ type MetaratesResult struct {
 }
 
 // metaratesName labels the system under test.
-func metaratesName(cfg MetaratesConfig) string {
-	if cfg.Layout == mdfs.LayoutEmbedded {
+func metaratesName(layout mdfs.Layout, htree bool) string {
+	if layout == mdfs.LayoutEmbedded {
 		return "embedded"
 	}
-	if cfg.Htree {
+	if htree {
 		return "lustre-like"
 	}
 	return "normal"
+}
+
+// serverTarget builds a fresh MDS server as a target, publishing its
+// telemetry into reg under labels and recording its spans into tr when
+// those are set.
+func serverTarget(mcfg mds.Config, reg *telemetry.Registry, tr *telemetry.Tracer, labels telemetry.Labels) (*Target, error) {
+	srv, err := mds.New(mcfg)
+	if err != nil {
+		return nil, err
+	}
+	if reg != nil {
+		srv.Instrument(reg, labels.With("layer", "mds"))
+	}
+	if tr != nil {
+		srv.SetTracer(tr)
+	}
+	return ServerTarget(srv), nil
+}
+
+// metaratesTarget builds the MDS a Metarates run drives.
+func metaratesTarget(cfg MetaratesConfig) (*Target, error) {
+	mcfg := mds.DefaultConfig(cfg.Layout)
+	mcfg.FS.SyncWrites = true
+	mcfg.FS.Htree = cfg.Htree
+	return serverTarget(mcfg, cfg.Metrics, cfg.Trace,
+		telemetry.Labels{"workload": "metarates", "config": metaratesName(cfg.Layout, cfg.Htree)})
 }
 
 // RunMetarates executes the four Metarates workloads against a fresh MDS.
@@ -85,146 +103,67 @@ func RunMetarates(cfg MetaratesConfig) (MetaratesResult, error) {
 	if cfg.Clients <= 0 || cfg.FilesPerDir <= 0 {
 		return MetaratesResult{}, fmt.Errorf("workload: bad metarates config %+v", cfg)
 	}
-	mcfg := mds.DefaultConfig(cfg.Layout)
-	mcfg.FS.SyncWrites = true
-	mcfg.FS.Htree = cfg.Htree
-	srv, err := mds.New(mcfg)
+	t, err := metaratesTarget(cfg)
 	if err != nil {
 		return MetaratesResult{}, err
 	}
-	if cfg.Metrics != nil {
-		labels := telemetry.Labels{"workload": "metarates", "config": metaratesName(cfg)}
-		srv.Instrument(cfg.Metrics, labels.With("layer", "mds"))
-	}
-	if cfg.Trace != nil {
-		srv.SetTracer(cfg.Trace)
-	}
-	fs := srv.FS()
+	res, _, err := metarates(cfg, t)
+	return res, err
+}
 
-	dirs := make([]inode.Ino, cfg.Clients)
-	for c := range dirs {
-		d, err := srv.Mkdir(srv.Root(), fmt.Sprintf("client%02d", c))
-		if err != nil {
-			return MetaratesResult{}, err
-		}
-		dirs[c] = d
+// metarates applies a Metarates run to t, measuring each phase's MDS disk
+// work, and returns the ops it applied.
+func metarates(cfg MetaratesConfig, t *Target) (MetaratesResult, []trace.Op, error) {
+	ops, cuts := metaratesOps(cfg)
+	dev := t.srv.FS().Store().Disk()
+	snaps := make([]disk.Stats, len(cuts))
+	if err := applyPhases(t, ops, cuts, func(i int) { snaps[i] = dev.Stats() }); err != nil {
+		return MetaratesResult{}, ops, err
 	}
-	inos := make([][]inode.Ino, cfg.Clients)
-	for c := range inos {
-		inos[c] = make([]inode.Ino, cfg.FilesPerDir)
-	}
-	name := func(i int64) string { return fmt.Sprintf("f%06d", i) }
-
-	result := MetaratesResult{Config: metaratesName(cfg)}
-	perClient := func(int) int64 { return int64(cfg.FilesPerDir) }
-
-	// measure wraps one phase: cold caches, zeroed counters, per-op
-	// latency distribution. Phase bodies wrap each operation in timedOp
-	// to attribute its disk time.
-	var opLat *stats.Dist
-	timedOp := func(op func() error) error {
-		before := fs.Store().Disk().Stats().BusyNs
-		if err := op(); err != nil {
-			return err
-		}
-		opLat.Add(fs.Store().Disk().Stats().BusyNs - before)
-		return nil
-	}
-	measure := func(out *PhaseResult, run func() error) error {
-		if err := fs.Sync(); err != nil {
-			return err
-		}
-		fs.Store().DropCaches()
-		opLat = &stats.Dist{}
-		before := fs.Store().Disk().Stats()
-		if err := run(); err != nil {
-			return err
-		}
-		if err := fs.Sync(); err != nil {
-			return err
-		}
-		delta := fs.Store().Disk().Stats().Sub(before)
+	var res MetaratesResult
+	for p, out := range []*PhaseResult{&res.Create, &res.Utime, &res.Readdir, &res.Delete} {
+		delta := snaps[2*p+1].Sub(snaps[2*p])
 		out.DiskRequests = delta.Requests
-		out.Elapsed = delta.BusyNs
-		if out.Elapsed > 0 {
-			out.OpsPerSec = float64(out.Ops) / sim.Seconds(out.Elapsed)
-		}
-		if opLat.Count() > 0 {
-			out.P50Ns = opLat.Percentile(50)
-			out.P99Ns = opLat.Percentile(99)
-		}
-		return nil
+		out.OpsPerSec = perSec(int64(cfg.Clients)*int64(cfg.FilesPerDir), delta.BusyNs)
 	}
+	return res, ops, nil
+}
 
-	// Phase 1: create.
-	result.Create.Ops = int64(cfg.Clients) * int64(cfg.FilesPerDir)
+// metaratesOps generates a Metarates run: the client directories (slots 1
+// to Clients), then the create, utime, readdir-stat and delete phases.
+// Each phase opens with a sync and a cache drop and closes with a sync, so
+// it starts cold; its measured ops lie between cuts[2p] and cuts[2p+1].
+func metaratesOps(cfg MetaratesConfig) (ops []trace.Op, cuts []int) {
+	ops = make([]trace.Op, 0, 3*cfg.Clients*cfg.FilesPerDir+2*cfg.Clients+12) // the whole list
+	for c := 0; c < cfg.Clients; c++ {
+		ops = append(ops, trace.Op{Kind: trace.OpMkdir, Name: fmt.Sprintf("client%02d", c)})
+	}
+	names := make([]string, cfg.FilesPerDir)
+	for i := range names {
+		names[i] = fmt.Sprintf("f%06d", i)
+	}
 	rng := sim.NewRand(cfg.Seed)
-	err = measure(&result.Create, func() error {
-		return jitteredArrival(rng, cfg.Clients, perClient, func(c int, idx int64) error {
-			return timedOp(func() error {
-				ino, err := srv.Create(dirs[c], name(idx))
-				if err != nil {
-					return err
-				}
-				inos[c][idx] = ino
-				return nil
-			})
-		})
-	})
-	if err != nil {
-		return result, err
-	}
-
-	// Phase 2: utime over every file, by path as the utility would.
-	result.Utime.Ops = result.Create.Ops
-	err = measure(&result.Utime, func() error {
-		return jitteredArrival(rng, cfg.Clients, perClient, func(c int, idx int64) error {
-			return timedOp(func() error {
-				ino, err := srv.Lookup(dirs[c], name(idx))
-				if err != nil {
-					return err
-				}
-				return srv.Utime(ino)
-			})
-		})
-	})
-	if err != nil {
-		return result, err
-	}
-
-	// Phase 3: readdir-stat (ls -l) over every directory.
-	result.Readdir.Ops = result.Create.Ops
-	err = measure(&result.Readdir, func() error {
-		for c := 0; c < cfg.Clients; c++ {
-			err := timedOp(func() error {
-				recs, err := srv.ReaddirPlus(dirs[c])
-				if err != nil {
-					return err
-				}
-				if len(recs) != cfg.FilesPerDir {
-					return fmt.Errorf("workload: readdirplus returned %d records, want %d", len(recs), cfg.FilesPerDir)
-				}
-				return nil
-			})
-			if err != nil {
-				return err
+	for _, kind := range []trace.OpKind{trace.OpCreate, trace.OpUtime, trace.OpReaddirPlus, trace.OpUnlink} {
+		ops = append(ops, trace.Op{Kind: trace.OpSync}, trace.Op{Kind: trace.OpDropCaches})
+		cuts = append(cuts, len(ops))
+		if kind == trace.OpReaddirPlus {
+			// readdir-stat (ls -l) over every directory.
+			for c := int64(1); c <= int64(cfg.Clients); c++ {
+				ops = append(ops, trace.Op{Kind: kind, Slot: c, Count: int64(cfg.FilesPerDir)})
 			}
+		} else {
+			// Every client issues one op per file of its directory, the
+			// clients interleaved in a jittered arrival order. utime goes
+			// by path, as the utility would: a lookup, then the utime.
+			// Generating an op cannot fail, so neither can the arrival.
+			_ = jitteredArrival(rng, cfg.Clients, func(int) int64 { return int64(cfg.FilesPerDir) },
+				func(c int, i int64) error {
+					ops = append(ops, trace.Op{Kind: kind, Slot: int64(c + 1), Name: names[i]})
+					return nil
+				})
 		}
-		return nil
-	})
-	if err != nil {
-		return result, err
+		ops = append(ops, trace.Op{Kind: trace.OpSync})
+		cuts = append(cuts, len(ops))
 	}
-
-	// Phase 4: delete every file.
-	result.Delete.Ops = result.Create.Ops
-	err = measure(&result.Delete, func() error {
-		return jitteredArrival(rng, cfg.Clients, perClient, func(c int, idx int64) error {
-			return timedOp(func() error { return srv.Unlink(dirs[c], name(idx)) })
-		})
-	})
-	if err != nil {
-		return result, err
-	}
-	return result, nil
+	return ops, cuts
 }

@@ -8,6 +8,17 @@
 // explicitly interleaved arrival order (arrival order is what the
 // allocation policies react to), and reports results in simulated time
 // from the device models.
+//
+// The metadata drivers — Metarates, aging, PostMark and the kernel tree —
+// are split in two. A generator, a pure function of the config, draws from
+// the RNG and emits the run as a trace.Op list; Apply interprets a list
+// against a Target, a bare MDS server or a mount, making for each op the
+// server or mount call it stands for, and measures nothing. The driver
+// applies its list phase by phase and reads its counters between the
+// calls; aging applies its churn a step at a time, since where the churn
+// stops depends on the device's utilization. The lists write and read
+// back in the trace format, so miftrace replays them. The data-path
+// drivers still drive pfs themselves.
 package workload
 
 import (

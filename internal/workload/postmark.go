@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"redbud/internal/core"
-	"redbud/internal/inode"
 	"redbud/internal/pfs"
 	"redbud/internal/sim"
+	"redbud/internal/trace"
 )
 
 // PostMarkConfig parameterizes the PostMark benchmark (Figure 10):
@@ -44,9 +44,6 @@ func DefaultPostMarkConfig() PostMarkConfig {
 // AppResult reports one application-style run (PostMark, tar, make,
 // make-clean): its total simulated execution time.
 type AppResult struct {
-	Config  string
-	App     string
-	Ops     int64
 	Elapsed sim.Ns
 }
 
@@ -56,125 +53,101 @@ func elapsedOf(fs *pfs.FS, compute sim.Ns) sim.Ns {
 	return fs.MDS().FS().Store().Disk().Stats().BusyNs + fs.DataBusyMax() + compute
 }
 
-// RunPostMark executes PostMark against a fresh mount.
-func RunPostMark(fsCfg pfs.Config, cfg PostMarkConfig) (AppResult, error) {
-	if cfg.Clients <= 0 || cfg.FilesPerClient <= 0 {
-		return AppResult{}, fmt.Errorf("workload: bad postmark config %+v", cfg)
-	}
+// appTarget mounts fsCfg with synchronous metadata writes, as the
+// application runs use it.
+func appTarget(fsCfg pfs.Config) (*Target, error) {
 	fsCfg.MDS.FS.SyncWrites = true
 	fs, err := pfs.New(fsCfg)
 	if err != nil {
+		return nil, err
+	}
+	return MountTarget(fs), nil
+}
+
+// RunPostMark executes PostMark against a fresh mount.
+func RunPostMark(fsCfg pfs.Config, cfg PostMarkConfig) (AppResult, error) {
+	if cfg.Clients <= 0 || cfg.FilesPerClient <= 0 || cfg.MinFileBlocks <= 0 || cfg.MaxFileBlocks < cfg.MinFileBlocks {
+		return AppResult{}, fmt.Errorf("workload: bad postmark config %+v", cfg)
+	}
+	t, err := appTarget(fsCfg)
+	if err != nil {
 		return AppResult{}, err
 	}
-	rng := sim.NewRand(cfg.Seed)
+	res, _, err := postMark(cfg, t)
+	return res, err
+}
 
+// postMark applies a PostMark run to t and returns the ops it applied.
+func postMark(cfg PostMarkConfig, t *Target) (AppResult, []trace.Op, error) {
+	ops := postMarkOps(cfg)
+	if err := Apply(t, ops); err != nil {
+		return AppResult{}, ops, err
+	}
+	return AppResult{Elapsed: elapsedOf(t.mount, 0)}, ops, nil
+}
+
+// postMarkOps generates a PostMark run: each client's directory (slots 1
+// to Clients) and initial file set, then the transactions, interleaved
+// across clients, and a closing sync.
+func postMarkOps(cfg PostMarkConfig) []trace.Op {
+	rng := sim.NewRand(cfg.Seed)
 	type pmFile struct {
 		name string
 		size int64
 	}
-	dirs := make([]inode.Ino, cfg.Clients)
+	var ops []trace.Op
 	files := make([][]pmFile, cfg.Clients)
-	for c := range dirs {
-		d, err := fs.Mkdir(fs.Root(), fmt.Sprintf("pm%02d", c))
-		if err != nil {
-			return AppResult{}, err
-		}
-		dirs[c] = d
+	for c := range files {
+		ops = append(ops, trace.Op{Kind: trace.OpMkdir, Name: fmt.Sprintf("pm%02d", c)})
 	}
-	fileSize := func() int64 {
-		span := cfg.MaxFileBlocks - cfg.MinFileBlocks + 1
-		return cfg.MinFileBlocks + rng.Int63n(span)
-	}
+	fileSize := func() int64 { return cfg.MinFileBlocks + rng.Int63n(cfg.MaxFileBlocks-cfg.MinFileBlocks+1) }
+	stream := func(c int) core.StreamID { return core.StreamID{Client: uint32(c), PID: 1} }
 	seq := 0
-	createFile := func(c int) error {
+	createFile := func(c int) {
 		name := fmt.Sprintf("pm%07d", seq)
 		seq++
 		size := fileSize()
-		f, err := fs.Create(dirs[c], name, size)
-		if err != nil {
-			return err
-		}
-		stream := core.StreamID{Client: uint32(c), PID: 1}
-		if err := f.Write(stream, 0, size); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		ops = append(ops, trace.Op{Kind: trace.OpCreateFile, Slot: int64(c + 1), Name: name, Count: size},
+			trace.Op{Kind: trace.OpWrite, Stream: stream(c), Count: size}, trace.Op{Kind: trace.OpClose})
 		files[c] = append(files[c], pmFile{name: name, size: size})
-		return nil
 	}
 
-	var ops int64
 	// Initial file set.
 	for c := 0; c < cfg.Clients; c++ {
 		for i := 0; i < cfg.FilesPerClient; i++ {
-			if err := createFile(c); err != nil {
-				return AppResult{}, err
-			}
-			ops++
+			createFile(c)
 		}
 	}
 	// Transactions: half read-or-append, half create-or-delete, the
-	// PostMark mix, interleaved across clients.
-	err = jitteredArrival(rng.Fork(), cfg.Clients,
+	// PostMark mix, interleaved across clients. Generating an op cannot
+	// fail, so neither can the arrival.
+	_ = jitteredArrival(rng.Fork(), cfg.Clients,
 		func(int) int64 { return int64(cfg.TransactionsPerClient) },
 		func(c int, _ int64) error {
-			ops++
-			switch rng.Intn(4) {
-			case 0: // create
-				return createFile(c)
-			case 1: // delete
-				if len(files[c]) == 0 {
-					return createFile(c)
-				}
-				i := rng.Intn(len(files[c]))
-				name := files[c][i].name
-				files[c][i] = files[c][len(files[c])-1]
-				files[c] = files[c][:len(files[c])-1]
-				return fs.Delete(dirs[c], name)
-			case 2: // read whole file (transaction size = file size)
-				if len(files[c]) == 0 {
-					return createFile(c)
-				}
-				pf := files[c][rng.Intn(len(files[c]))]
-				h, err := fs.Open(dirs[c], pf.name)
-				if err != nil {
-					return err
-				}
-				if err := h.Read(0, pf.size); err != nil {
-					return err
-				}
-				return h.Close()
-			default: // append one file-size worth of data
-				if len(files[c]) == 0 {
-					return createFile(c)
-				}
-				i := rng.Intn(len(files[c]))
-				pf := &files[c][i]
-				h, err := fs.Open(dirs[c], pf.name)
-				if err != nil {
-					return err
-				}
-				stream := core.StreamID{Client: uint32(c), PID: 1}
-				appendBlocks := fileSize()
-				if err := h.Write(stream, pf.size, appendBlocks); err != nil {
-					return err
-				}
-				pf.size += appendBlocks
-				return h.Close()
+			kind := rng.Intn(4)
+			if kind == 0 || len(files[c]) == 0 {
+				createFile(c)
+				return nil
 			}
+			i := rng.Intn(len(files[c]))
+			pf := &files[c][i]
+			switch kind {
+			case 1: // delete
+				ops = append(ops, trace.Op{Kind: trace.OpDelete, Slot: int64(c + 1), Name: pf.name})
+				*pf = files[c][len(files[c])-1]
+				files[c] = files[c][:len(files[c])-1]
+				return nil
+			case 2: // read whole file (transaction size = file size)
+				ops = append(ops, trace.Op{Kind: trace.OpOpen, Slot: int64(c + 1), Name: pf.name},
+					trace.Op{Kind: trace.OpRead, Count: pf.size})
+			default: // append one file-size worth of data
+				n := fileSize()
+				ops = append(ops, trace.Op{Kind: trace.OpOpen, Slot: int64(c + 1), Name: pf.name},
+					trace.Op{Kind: trace.OpWrite, Stream: stream(c), Blk: pf.size, Count: n})
+				pf.size += n
+			}
+			ops = append(ops, trace.Op{Kind: trace.OpClose})
+			return nil
 		})
-	if err != nil {
-		return AppResult{}, err
-	}
-	if err := fs.Sync(); err != nil {
-		return AppResult{}, err
-	}
-	return AppResult{
-		Config:  fsCfg.Name,
-		App:     "PostMark",
-		Ops:     ops,
-		Elapsed: elapsedOf(fs, 0),
-	}, nil
+	return append(ops, trace.Op{Kind: trace.OpSync})
 }

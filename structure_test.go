@@ -263,6 +263,46 @@ func TestOneAbortPoint(t *testing.T) {
 	}
 }
 
+// TestMetadataDriversGoThroughApply keeps the metadata experiments on one
+// interpreter: Metarates, aging, PostMark and the kernel tree generate op
+// lists and never name a namespace or file method of mds.Server, pfs.FS or
+// pfs.File themselves — every such call is workload.Apply's, in apply.go.
+func TestMetadataDriversGoThroughApply(t *testing.T) {
+	methods := map[string]bool{
+		"Mkdir": true, "Create": true, "Lookup": true, "Utime": true, "Unlink": true,
+		"Rmdir": true, "ReaddirPlus": true, "StatName": true, "SetLayout": true,
+		"Open": true, "Write": true, "Read": true, "Close": true, "Delete": true,
+	}
+	fset := token.NewFileSet()
+	named := map[string]bool{}
+	for _, name := range []string{"metarates", "aging", "postmark", "kernel", "apply"} {
+		path := filepath.Join("internal", "workload", name+".go")
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if name == "apply" && methods[n.Sel.Name] {
+					named[n.Sel.Name] = true
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && name != "apply" && methods[sel.Sel.Name] {
+					t.Errorf("%s: the %s driver calls %s; its op list should, through workload.Apply",
+						fset.Position(n.Pos()), name, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	for m := range methods {
+		if !named[m] {
+			t.Errorf("apply.go never names %s: the guard's method list has drifted from the interpreter", m)
+		}
+	}
+}
+
 // TestPfsHasOneDataPath keeps the replicated/unreplicated fork from growing
 // back: every file operation in internal/pfs is one body over replica sets,
 // and whether a replica manager exists is asked only by the set helpers it
