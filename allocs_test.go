@@ -40,10 +40,11 @@ func TestAllocCeilings(t *testing.T) {
 			return err
 		}},
 		// The fig6a arm observed: a fresh registry and tracer, then the span
-		// export. 2,089 measured (4,599 with an allocating elevator, 638,700
-		// while every span was a heap object formatting its attributes as it
-		// went).
-		{"fig6a-traced", 2_195, func() error {
+		// export. 2,025 measured (2,083 while every write-back asked the
+		// servers for its extent counts and each reply drew an rpc span,
+		// 4,599 with an allocating elevator, 638,700 while every span was a
+		// heap object formatting its attributes as it went).
+		{"fig6a-traced", 2_130, func() error {
 			cfg := experiment.Fig6FS(pfs.PolicyOnDemand)
 			cfg.Metrics, cfg.Trace = telemetry.NewRegistry(), telemetry.NewTracer(nil)
 			_, err := workload.RunMicro(cfg, workload.DefaultMicroConfig(8))
@@ -71,11 +72,13 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := workload.RunMetarates(workload.DefaultMetaratesConfig(mdfs.LayoutNormal))
 			return err
 		}},
-		// 103,556 measured: every churn file's setlayout builds its extents
-		// in one reused scratch slice (143,115 while each file allocated
-		// its own; 1.76 M before the recycling store, and spill chains
-		// that built their block lists afresh on every write).
-		{"fig9", 108_735, func() error {
+		// 65,891 measured: every churn file's setlayout builds its extents
+		// in one reused scratch slice, and its name costs one string
+		// (103,542 while fmt.Sprintf boxed the number too; 143,115 while
+		// each file allocated its own extents; 1.76 M before the recycling
+		// store, and spill chains that built their block lists afresh on
+		// every write).
+		{"fig9", 69_190, func() error {
 			_, err := workload.RunAging(workload.DefaultAgingConfig(mdfs.LayoutNormal, 0.8))
 			return err
 		}},

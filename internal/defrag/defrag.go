@@ -188,6 +188,10 @@ type Controller struct {
 	stats   Stats
 	tracer  *telemetry.Tracer
 
+	// onRemap, when set, is told the server's index after every
+	// migration slice (Engine.OnRemap).
+	onRemap func(ost int)
+
 	sliceHist *telemetry.Histogram
 	// events, when attached, records each foreground preemption as a
 	// structured event; evDetail names the controller's server.
@@ -439,6 +443,9 @@ func (c *Controller) moveSlice(p *plan) (int64, sim.Ns, bool, error) {
 	sp.AnnotateInt("object", int64(p.object))
 	sp.AnnotateInt("blocks", int64(n))
 	cost, old, err := c.srv.CopyRange(p.object, c.owner, run.Logical, n, dst)
+	if c.onRemap != nil {
+		c.onRemap(c.srv.ID())
+	}
 	if err == nil {
 		err = c.srv.FreeMigrated(p.object, old)
 	}
@@ -519,6 +526,15 @@ func NewEngine(cfg Config, srvs ...*ost.Server) *Engine {
 
 // Controllers returns the per-OST controllers, indexed like the servers.
 func (e *Engine) Controllers() []*Controller { return e.ctrls }
+
+// OnRemap registers fn to be told, after every migration slice, the
+// index of the server whose extent map the slice may have rewritten: the
+// layout callback that keeps a mount's cached extent counts honest.
+func (e *Engine) OnRemap(fn func(ost int)) {
+	for _, c := range e.ctrls {
+		c.onRemap = fn
+	}
+}
 
 // SetTracer attaches the span tracer to every controller.
 func (e *Engine) SetTracer(t *telemetry.Tracer) {

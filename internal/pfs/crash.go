@@ -95,6 +95,12 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 		rep.Scrubs = append(rep.Scrubs, sr)
 	}
 
+	// The op the crash cut short may have changed an extent map without
+	// its reply reaching the client: no cached count is trusted.
+	for i := range fs.osts {
+		fs.distrust(i)
+	}
+
 	// 4. Every server rebooted; the connection delivers again and the
 	// client's suspicion resets (stale copies stay stale until repaired).
 	for i := range fs.osts {

@@ -179,12 +179,13 @@ func (c Config) WithPolicy(p PolicyKind) Config {
 	return c
 }
 
-// file is one open or known file: its MDS inode and its per-OST objects.
+// file is one open or known file: its MDS inode, its per-OST objects and
+// their cached extent counts (extents.go).
 type file struct {
 	ino      inode.Ino
 	objects  []ost.ObjectID // index = OST
+	counts   []extentCount  // index = component
 	sizeHint int64          // declared size in blocks (static policy)
-	extents  int            // last extent count reported to the MDS
 }
 
 // FS is one mounted Redbud instance. All client↔server traffic flows
@@ -215,6 +216,9 @@ type FS struct {
 	rep     *replica.Manager // replica table, nil at RF <= 1
 	files   map[inode.Ino]*file
 	nextObj uint64
+	// countGen[i] stamps the extent counts server i reports; bumping it
+	// stops the mount trusting any it cached (extents.go).
+	countGen []uint64
 
 	// Reusable fan-out scratch.
 	stripeScratch []stripePiece
@@ -252,12 +256,13 @@ func New(cfg Config) (*FS, error) {
 		return nil, err
 	}
 	fs := &FS{
-		cfg:     cfg,
-		mds:     srv,
-		mdsLink: netsim.NewLink(netsim.GbE()),
-		fabric:  netsim.NewFabric(netsim.FC400(), cfg.OSTs),
-		conn:    rpc.NewConn(cfg.RPC),
-		files:   make(map[inode.Ino]*file),
+		cfg:      cfg,
+		mds:      srv,
+		mdsLink:  netsim.NewLink(netsim.GbE()),
+		fabric:   netsim.NewFabric(netsim.FC400(), cfg.OSTs),
+		conn:     rpc.NewConn(cfg.RPC),
+		files:    make(map[inode.Ino]*file),
+		countGen: make([]uint64, cfg.OSTs),
 	}
 	for i := 0; i < cfg.OSTs; i++ {
 		fs.osts = append(fs.osts, ost.NewServer(i, cfg.OST))
@@ -281,6 +286,7 @@ func New(cfg Config) (*FS, error) {
 		dc = *cfg.Defrag
 	}
 	fs.defrag = defrag.NewEngine(dc, fs.osts...)
+	fs.defrag.OnRemap(fs.distrust)
 	var cc cache.Config
 	if cfg.Cache != nil {
 		cc = *cfg.Cache
@@ -656,6 +662,7 @@ func (fs *FS) Flush() {
 			continue // no point paying retry timeouts on a suspected server
 		}
 		_, _ = fs.ostc[i].Flush()
+		fs.buffersFlushed(i)
 	}
 }
 
@@ -711,33 +718,10 @@ func (fs *FS) ResetDataStats() {
 }
 
 // TotalExtents returns a file's segment count summed over its stripe
-// components — the paper's Table I metric.
+// components — the paper's Table I metric — asking the servers for every
+// component, whose answers refresh the count cache.
 func (fs *FS) TotalExtents(f *File) (int, error) {
-	return fs.totalExtents(f.f)
-}
-
-// totalExtents sums the segment counts over one clean replica per
-// component, failing over like a read when a pick turns out to be
-// unreachable.
-func (fs *FS) totalExtents(f *file) (int, error) {
-	total := 0
-	for c := range f.objects {
-		for {
-			r, obj, ok := fs.bookReplica(f, c)
-			if !ok {
-				return 0, fmt.Errorf("pfs: no readable replica for component %d", c)
-			}
-			n, err := fs.ostc[r].ExtentCount(obj)
-			if err == nil {
-				total += n
-				break
-			}
-			if !fs.failover(err, f, c, r) {
-				return 0, err
-			}
-		}
-	}
-	return total, nil
+	return fs.totalExtents(f.f, false)
 }
 
 // File is an open handle on a striped file.
@@ -789,15 +773,18 @@ func (h *File) Write(stream core.StreamID, blk, count int64) error {
 
 // WriteBack stores count blocks at file-logical block blk of inode id
 // across the stripe: one coalesced dirty run, or a pass-through cache's
-// whole write, extent-churn accounting included. Each stripe piece fans out
-// to every live replica of its component. One whose write fails at the
-// transport layer is marked down and stale rather than failing the client
-// write; the write errors only when a piece gets no acknowledgement at all.
-// Application errors follow eachMember's rule: a stale member's is ignored
-// (created while its server was down, it may never have got the object)
-// and it stays stale for repair; a clean member's fails the write, after
-// every member that already took the piece is marked stale — the client is
-// told the piece failed, so no copy holding it may be read as current.
+// whole write, extent-churn accounting included: the change in the file's
+// extent count, which the count cache answers (extents.go), each piece's
+// reply from its booked replica refreshing its component's entry. Each
+// stripe piece fans out to every live replica of its component. One whose
+// write fails at the transport layer is marked down and stale rather than
+// failing the client write; the write errors only when a piece gets no
+// acknowledgement at all. Application errors follow eachMember's rule: a
+// stale member's is ignored (created while its server was down, it may
+// never have got the object) and it stays stale for repair; a clean
+// member's fails the write, after every member that already took the piece
+// is marked stale — the client is told the piece failed, so no copy holding
+// it may be read as current.
 func (s *cacheStore) WriteBack(id cache.FileID, stream core.StreamID, blk, count int64) error {
 	fs := (*FS)(s)
 	f, ok := fs.files[inode.Ino(id)]
@@ -810,7 +797,7 @@ func (s *cacheStore) WriteBack(id cache.FileID, stream core.StreamID, blk, count
 	if _, ok := fs.cfg.Crash.Hit(crashsim.PtCacheWriteback, count); ok {
 		fs.cfg.Crash.Kill()
 	}
-	before, err := fs.totalExtents(f)
+	before, err := fs.totalExtents(f, true)
 	if err != nil {
 		return err
 	}
@@ -821,9 +808,19 @@ func (s *cacheStore) WriteBack(id cache.FileID, stream core.StreamID, blk, count
 		if err != nil {
 			return err
 		}
+		book, _, booked := fs.bookReplica(f, p.ostIdx)
 		acks := 0
 		for i, r := range targets {
-			if err := fs.ostc[r].Write(obj, stream, p.logical, p.count); err != nil {
+			n, err := fs.ostc[r].Write(obj, stream, p.logical, p.count)
+			fs.buffersFlushed(r)
+			if booked && r == book {
+				if err != nil {
+					f.dropCount(p.ostIdx)
+				} else {
+					fs.noteCount(f, p.ostIdx, r, n)
+				}
+			}
+			if err != nil {
 				if fs.stale(err, f, p.ostIdx, r) || fs.memberStale(f, p.ostIdx, r) {
 					continue
 				}
@@ -839,7 +836,7 @@ func (s *cacheStore) WriteBack(id cache.FileID, stream core.StreamID, blk, count
 				blk, count, p.ostIdx)
 		}
 	}
-	after, err := fs.totalExtents(f)
+	after, err := fs.totalExtents(f, true)
 	if err != nil {
 		return err
 	}
@@ -854,7 +851,6 @@ func (s *cacheStore) WriteBack(id cache.FileID, stream core.StreamID, blk, count
 	if err := fs.mdsc.NoteExtentChurn(churn + 1 + after/1024); err != nil {
 		return err
 	}
-	f.extents = after
 	fs.extentSeries.Set(fs.tracer.Now(), int64(after))
 	return nil
 }
@@ -900,6 +896,7 @@ func (s *cacheStore) Fetch(id cache.FileID, blk, count int64) error {
 					blk, count, p.ostIdx)
 			}
 			err := fs.ostc[r].Read(obj, p.logical, p.count)
+			fs.objectFlushed(f, p.ostIdx, r)
 			if err == nil {
 				break
 			}
@@ -931,6 +928,7 @@ func (h *File) Truncate(sizeBlocks int64) error {
 	}
 	for c := range h.f.objects {
 		n := fs.componentBlocks(sizeBlocks, c)
+		h.f.dropCount(c)
 		if err := fs.eachMember(h.f, c, true, func(r int, obj ost.ObjectID) error {
 			return fs.ostc[r].Truncate(obj, n)
 		}); err != nil {
@@ -957,7 +955,9 @@ func (h *File) Fsync() error {
 	}
 	for c := range h.f.objects {
 		if err := fs.eachMember(h.f, c, false, func(r int, obj ost.ObjectID) error {
-			return fs.ostc[r].Fsync(obj)
+			err := fs.ostc[r].Fsync(obj)
+			fs.objectFlushed(h.f, c, r)
+			return err
 		}); err != nil {
 			return err
 		}
@@ -1007,7 +1007,6 @@ func (h *File) Close() error {
 					Count:    exts[0].Count,
 				})
 			}
-			h.f.extents += len(exts)
 			break
 		}
 	}

@@ -203,9 +203,11 @@ func (fs *FS) createObjects(f *file) (err error) {
 			return err
 		}
 	}
-	for range fs.ostc {
+	f.objects = make([]ost.ObjectID, len(fs.ostc))
+	f.counts = make([]extentCount, len(fs.ostc))
+	for c := range f.objects {
 		fs.nextObj++
-		f.objects = append(f.objects, ost.ObjectID(fs.nextObj))
+		f.objects[c] = ost.ObjectID(fs.nextObj)
 	}
 	defer func() {
 		if err == nil {
@@ -241,6 +243,10 @@ func (fs *FS) createObjects(f *file) (err error) {
 		if fs.rep != nil {
 			fs.rep.Add(f.ino, c, obj, sets[c])
 		}
+		// A new object maps nothing: its count is known without asking.
+		if r, _, ok := fs.bookReplica(f, c); ok {
+			fs.noteCount(f, c, r, 0)
+		}
 	}
 	if fs.cfg.Policy == PolicyStatic && f.sizeHint > 0 {
 		for c := range f.objects {
@@ -248,6 +254,7 @@ func (fs *FS) createObjects(f *file) (err error) {
 			if n == 0 {
 				continue
 			}
+			f.dropCount(c)
 			if err := fs.eachMember(f, c, true, func(r int, obj ost.ObjectID) error {
 				return fs.ostc[r].Fallocate(obj, core.StreamID{}, n)
 			}); err != nil {
@@ -267,6 +274,7 @@ func (fs *FS) CrashOST(i int) error {
 		return fmt.Errorf("pfs: no OST %d", i)
 	}
 	fs.conn.Crash(ostAddr(i))
+	fs.distrust(i) // the counts it reported lapse with it (extents.go)
 	return nil
 }
 
@@ -324,6 +332,11 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 			}
 			return false, err
 		}
+		// The destination's copy is reset and rebuilt: a count cached
+		// from it before it went stale no longer holds.
+		if f := fs.files[jd.Key.Ino]; f != nil {
+			f.dropCount(jd.Key.Comp)
+		}
 		if err := fs.repPrepareDst(jd); err != nil {
 			if fs.suspect(err, jd.Dst) {
 				return true, nil
@@ -348,14 +361,20 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 	if !ok {
 		return false, nil // preempted or throttled: yield to foreground
 	}
-	if err := fs.ostc[jd.Src].Read(jd.Obj, slice.Start, slice.Count); err != nil {
+	// The read and the write, and the flushes after them, may force both
+	// servers' delayed-allocation buffers.
+	err := fs.ostc[jd.Src].Read(jd.Obj, slice.Start, slice.Count)
+	fs.buffersFlushed(jd.Src)
+	if err != nil {
 		fs.rep.AbortJob()
 		if fs.suspect(err, jd.Src) {
 			return true, nil
 		}
 		return false, err
 	}
-	if err := fs.ostc[jd.Dst].Write(jd.Obj, repairStream, slice.Start, slice.Count); err != nil {
+	_, err = fs.ostc[jd.Dst].Write(jd.Obj, repairStream, slice.Start, slice.Count)
+	fs.buffersFlushed(jd.Dst)
+	if err != nil {
 		fs.rep.AbortJob()
 		if fs.suspect(err, jd.Dst) {
 			return true, nil

@@ -68,7 +68,7 @@ func NewConn(cfg ClientConfig) *Conn {
 // register routes addr to a server over the given link and returns the
 // route for the client to keep. A nil link means the server is reached for
 // free (tests); wire charging is skipped. The address stays in the table
-// only for Crash, Revive, Crashed and Instrument.
+// only for Crash, Revive and Instrument.
 func (c *Conn) register(addr string, srv server, link *netsim.Link) *route {
 	rt := &route{addr: addr, srv: srv, link: link, cache: newReplayCache()}
 	c.routes[addr] = rt
@@ -111,12 +111,6 @@ func (c *Conn) Revive(addr string) {
 	if rt := c.routes[addr]; rt != nil {
 		rt.down = false
 	}
-}
-
-// Crashed reports whether addr is currently blackholed.
-func (c *Conn) Crashed(addr string) bool {
-	rt := c.routes[addr]
-	return rt != nil && rt.down
 }
 
 // Call sends one logical request over route rt: it allocates the XID and

@@ -45,12 +45,19 @@ func (c *OSTClient) Fallocate(id ost.ObjectID, stream core.StreamID, sizeBlocks 
 	})
 }
 
-// Write stores count component-logical blocks; the request carries the
-// payload, the ack is free.
-func (c *OSTClient) Write(id ost.ObjectID, stream core.StreamID, logical, count int64) error {
-	return c.conn.Call(c.rt, OpObjWrite, count*c.blockBytes, func() (int64, error) {
-		return 0, c.srv.Write(id, stream, logical, count)
+// Write stores count component-logical blocks and returns the object's
+// extent count after the write; the request carries the payload, the ack
+// (count included) is free. The count is read in the one execution, so a
+// retry the replay cache answers returns it too.
+func (c *OSTClient) Write(id ost.ObjectID, stream core.StreamID, logical, count int64) (int, error) {
+	var extents int
+	err := c.conn.Call(c.rt, OpObjWrite, count*c.blockBytes, func() (n int64, err error) {
+		if err = c.srv.Write(id, stream, logical, count); err == nil {
+			extents, err = c.srv.ExtentCount(id)
+		}
+		return 0, err
 	})
+	return extents, err
 }
 
 // Read fetches count component-logical blocks; the descriptor is free, the

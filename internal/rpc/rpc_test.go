@@ -156,7 +156,7 @@ func TestDataMessagesChargePayloadOneWay(t *testing.T) {
 
 	// A write to a missing object fails at the server, after its request
 	// leg crossed: the payload rides the request, the refusal is free.
-	if err := cl.Write(9, stream, 0, 64); err == nil {
+	if _, err := cl.Write(9, stream, 0, 64); err == nil {
 		t.Fatal("write to a missing object must fail")
 	}
 	st := link.Stats()
@@ -174,7 +174,7 @@ func TestDataMessagesChargePayloadOneWay(t *testing.T) {
 	if err := cl.CreateObject(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Write(1, stream, 0, 1); err != nil {
+	if _, err := cl.Write(1, stream, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	st = link.Stats()
@@ -230,7 +230,7 @@ func TestOSTDataPathChargesPayload(t *testing.T) {
 		t.Fatalf("object create is control plane, charged %+v", st)
 	}
 	stream := core.StreamID{Client: 1, PID: 1}
-	if err := cl.Write(1, stream, 0, 64); err != nil {
+	if _, err := cl.Write(1, stream, 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	st := link.Stats()
@@ -416,5 +416,45 @@ func TestFaultInjectionIsDeterministic(t *testing.T) {
 	if f1 != f2 || l1 != l2 || r1 != r2 {
 		t.Fatalf("two identical faulty runs diverged: faults %d/%d, link %+v/%+v, rpcs %d/%d",
 			f1, f2, l1, l2, r1, r2)
+	}
+}
+
+// TestWriteReplyCountSurvivesReplay: a write whose response is lost is
+// retried, and the retry is answered from the replay cache without running
+// the server again. The extent count the write returns is the one its only
+// execution read, so it equals the count an undisturbed twin returns.
+func TestWriteReplyCountSurvivesReplay(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	fault := FaultConfig{Seed: 7, Data: FaultRates{RespDrop: 0.5}}
+	lossy := NewConn(ClientConfig{Fault: &fault})
+	cl := NewOSTClient(lossy, "ost0", ost.NewServer(0, ost.DefaultConfig()), vanillaFactory, nil, 4096)
+	lossy.Instrument(reg, telemetry.Labels{"layer": "rpc"})
+	twin := NewOSTClient(NewConn(ClientConfig{}), "ost0", ost.NewServer(0, ost.DefaultConfig()), vanillaFactory, nil, 4096)
+	for _, c := range []*OSTClient{cl, twin} {
+		for id := ost.ObjectID(1); id <= 2; id++ {
+			if err := c.CreateObject(id, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two interleaved objects: each write past the first adds an extent.
+	for blk := int64(0); blk < 64; blk += 8 {
+		for id := ost.ObjectID(1); id <= 2; id++ {
+			stream := core.StreamID{Client: uint32(id), PID: 1}
+			want, err := twin.Write(id, stream, blk, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cl.Write(id, stream, blk, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || got != int(blk/8)+1 {
+				t.Fatalf("write %d@%d returned %d extents, undisturbed twin %d, want %d", id, blk, got, want, blk/8+1)
+			}
+		}
+	}
+	if hits := counterValue(reg, "rpc_replay_hits", ""); hits == 0 {
+		t.Fatal("no response was lost and replayed: the replay path is untested")
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"redbud/internal/mdfs"
 	"redbud/internal/mds"
@@ -140,6 +141,17 @@ type churn struct {
 	names []string // and name
 	slots int64    // directory slots taken
 	seq   int      // files created, each taking the next inode slot
+	buf   []byte   // name scratch: a name costs only its string
+}
+
+// appendPadded appends n in decimal, zero-padded to width digits.
+func appendPadded(b []byte, n, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // liveFile is a churn file not yet deleted.
@@ -173,13 +185,16 @@ func (g *churn) step(ops []trace.Op) []trace.Op {
 		}
 		g.live = kept
 		ops = append(ops, trace.Op{Kind: trace.OpRmdir, Name: g.names[di]})
-		g.names[di] = fmt.Sprintf("churn%d.%d", di, g.seq)
+		g.buf = strconv.AppendInt(append(g.buf[:0], "churn"...), int64(di), 10)
+		g.buf = strconv.AppendInt(append(g.buf, '.'), int64(g.seq), 10)
+		g.names[di] = string(g.buf)
 		g.slots++
 		g.dirs[di] = g.slots
 		ops = append(ops, trace.Op{Kind: trace.OpMkdir, Name: g.names[di]})
 	}
 	d := g.rng.Intn(len(g.dirs))
-	name := fmt.Sprintf("c%07d", g.seq)
+	g.buf = appendPadded(append(g.buf[:0], 'c'), g.seq, 7)
+	name := string(g.buf)
 	g.live = append(g.live, liveFile{dir: d, name: name})
 	g.seq++
 	// A fragmented mapping large enough to occupy both spill blocks, so
