@@ -11,11 +11,12 @@
 //
 // The trace format is defined by internal/trace: one op per line, a block
 // trace's `W <client>.<pid> <blk> <count>` and `R <blk> <count>`, or any
-// op of the metadata experiments' lists, `mkdir 0 d` or `fcreate 1 f 8`.
-// Replay runs every op through workload.Apply on a fresh mount. A block
-// trace, one that opens with a W or an R, writes trace.dat, created first;
-// the write phase runs up to the first read, and the extents are those of
-// the file open at the end.
+// op of the experiments' lists, `mkdir 0 d`, `fcreate 1 f 8`, `fsync` or
+// `use 1`. Replay runs every op through workload.Apply on a fresh mount,
+// measured by workload.RunPhases as the data drivers measure theirs. A
+// block trace, one that opens with a W or an R, writes trace.dat, created
+// first; the write phase runs up to the first read, and the extents are
+// those of the file current at the end.
 //
 // With -spans, replay records every operation's per-layer spans on the
 // simulated timeline and writes them as a span-log JSON document; with
@@ -187,31 +188,14 @@ func replay(args []string, stdout io.Writer) error {
 		ops = append([]trace.Op{{Kind: trace.OpCreateFile, Name: "trace.dat", Count: maxBlk}}, ops...)
 		first++
 	}
-	target := workload.MountTarget(mount)
-	if err := workload.Apply(target, ops[:first]); err != nil {
+	p, err := workload.RunPhases(workload.MountTarget(mount), ops, first, len(ops), true)
+	if err != nil {
 		return err
 	}
-	mount.Flush()
-	writeNs, readNs := mount.DataBusyMax(), sim.Ns(0)
-	if reads > 0 {
-		mount.ResetDataStats()
-		if err := workload.Apply(target, ops[first:]); err != nil {
-			return err
-		}
-		mount.Flush()
-		readNs = mount.DataBusyMax()
-	}
-	var extents int
-	if f := target.File(); f != nil {
-		if extents, err = mount.TotalExtents(f); err != nil {
-			return err
-		}
-	}
-	st := mount.DataStats()
 	fmt.Fprintf(stdout, "policy=%s writes=%d reads=%d extents=%d positionings=%d\n",
-		*policy, writes, reads, extents, st.Positionings)
+		*policy, writes, reads, p.Extents, p.Stats.Positionings)
 	fmt.Fprintf(stdout, "write phase %.2f ms, read phase %.2f ms\n",
-		sim.Seconds(writeNs)*1e3, sim.Seconds(readNs)*1e3)
+		sim.Seconds(p.WriteNs)*1e3, sim.Seconds(p.ReadNs)*1e3)
 	if *dropRate > 0 {
 		sum := func(name string) int64 {
 			var total int64

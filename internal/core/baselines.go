@@ -102,11 +102,12 @@ func (p *Vanilla) Place(_ StreamID, logical, count, goal int64) ([]Placement, er
 // Close implements Policy.
 func (p *Vanilla) Close() {}
 
-// Static is fallocate(2)-style persistent preallocation: the first Place
-// call allocates the entire declared file size contiguously, and every
-// write maps inside it. It requires the application "to have sufficient
+// Static is fallocate(2)-style persistent preallocation: Fallocate
+// allocates the entire declared file size contiguously, and every write
+// maps inside it. It requires the application "to have sufficient
 // foreknowledge of how much space the file will need" — the size is fixed
-// at construction.
+// at construction. A range no fallocated run covers — never fallocated,
+// or cut off by a truncate — is allocated when it is written.
 type Static struct {
 	src        BlockSource
 	sizeBlocks int64
@@ -126,8 +127,7 @@ func NewStatic(src BlockSource, sizeBlocks int64) *Static {
 // Name implements Policy.
 func (p *Static) Name() string { return "static" }
 
-// Fallocate performs the up-front allocation near goal. It is idempotent;
-// Place calls it implicitly on first use.
+// Fallocate performs the up-front allocation near goal. It is idempotent.
 func (p *Static) Fallocate(goal int64) error {
 	if p.placed != nil {
 		return nil
@@ -148,7 +148,7 @@ func (p *Static) Fallocate(goal int64) error {
 	return nil
 }
 
-// Place implements Policy. Writes beyond the fallocated size fail: the
+// Place implements Policy. Writes beyond the declared size fail: the
 // static policy models an application that declared the file size exactly.
 func (p *Static) Place(_ StreamID, logical, count, goal int64) ([]Placement, error) {
 	if count <= 0 || logical < 0 {
@@ -157,22 +157,16 @@ func (p *Static) Place(_ StreamID, logical, count, goal int64) ([]Placement, err
 	if logical+count > p.sizeBlocks {
 		return nil, &InvalidRangeError{Logical: logical, Count: count}
 	}
-	if err := p.Fallocate(goal); err != nil {
-		return nil, err
-	}
 	out := p.scratch[:0]
-	end := logical + count
+	pos, end := logical, logical+count
+	var err error
 	for _, run := range p.placed {
-		runEnd := run.Logical + run.Count
-		if runEnd <= logical || run.Logical >= end {
+		lo, hi := max(run.Logical, pos), min(run.Logical+run.Count, end)
+		if lo >= hi {
 			continue
 		}
-		lo, hi := run.Logical, runEnd
-		if lo < logical {
-			lo = logical
-		}
-		if hi > end {
-			hi = end
+		if out, err = allocRun(p.src, 0, pos, lo-pos, goal, out); err != nil {
+			break
 		}
 		out = append(out, Placement{
 			Logical:      lo,
@@ -180,9 +174,26 @@ func (p *Static) Place(_ StreamID, logical, count, goal int64) ([]Placement, err
 			Count:        hi - lo,
 			Preallocated: true,
 		})
+		pos = hi
+	}
+	if err == nil {
+		out, err = allocRun(p.src, 0, pos, end-pos, goal, out)
 	}
 	p.scratch = out
-	return out, nil
+	return out, err
+}
+
+// Truncate forgets the fallocated runs at and past logical block size:
+// the object's truncate freed them, so they are never handed out again.
+func (p *Static) Truncate(size int64) {
+	kept := p.placed[:0]
+	for _, run := range p.placed {
+		if run.Logical < size {
+			run.Count = min(run.Count, size-run.Logical)
+			kept = append(kept, run)
+		}
+	}
+	p.placed = kept
 }
 
 // Placed returns the fallocated runs; it is a test and reporting hook.

@@ -1,7 +1,7 @@
 package ost
 
 import (
-	"sort"
+	"slices"
 
 	"redbud/internal/alloc"
 	"redbud/internal/crashsim"
@@ -100,7 +100,7 @@ func (s *Server) sortedObjectIDs() []ObjectID {
 	for id := range s.objects {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -137,11 +137,7 @@ func (s *Server) PowerFail() {
 	s.buffered = nil
 	s.bufferedBlocks = 0
 	s.prefetched = alloc.RangeSet{}
-	for _, id := range s.sortedObjectIDs() {
-		o := s.objects[id]
-		o.policy.Close() // releases soft reservations
-		o.policy = o.factory(s.alloc, 0)
-	}
+	s.rebuildPolicies()
 }
 
 // ScrubReport summarizes one post-crash scrub.

@@ -91,10 +91,12 @@ type tag struct {
 
 // object is the per-file-component state on one server.
 type object struct {
-	id      ObjectID
-	policy  core.Policy
-	factory PolicyFactory // rebuilds the policy after a restart
-	extents extent.Map
+	id     ObjectID
+	policy core.Policy
+	// factory and sizeHint rebuild the policy after a restart or a crash.
+	factory  PolicyFactory
+	sizeHint int64
+	extents  extent.Map
 	// owned is every physical range the policy handed out, including
 	// preallocated-but-unwritten blocks, so deletion frees exactly the
 	// space the object consumed.
@@ -241,11 +243,24 @@ func (s *Server) CreateObject(id ObjectID, factory PolicyFactory, sizeHint int64
 		s.crash.Kill()
 	}
 	s.objects[id] = &object{
-		id:      id,
-		policy:  factory(s.alloc, sizeHint),
-		factory: factory,
+		id:       id,
+		policy:   factory(s.alloc, sizeHint),
+		factory:  factory,
+		sizeHint: sizeHint,
 	}
 	return nil
+}
+
+// rebuildPolicies gives every object a fresh policy built as its create
+// built it, after its old one releases its soft reservations: the streams
+// start from layout misses, and a static object keeps its declared size.
+// Restart and PowerFail run it.
+func (s *Server) rebuildPolicies() {
+	for _, id := range s.sortedObjectIDs() {
+		o := s.objects[id]
+		o.policy.Close()
+		o.policy = o.factory(s.alloc, o.sizeHint)
+	}
 }
 
 // Restart simulates an IO-server reboot. Durable state survives: the block
@@ -256,15 +271,7 @@ func (s *Server) CreateObject(id ObjectID, factory PolicyFactory, sizeHint int64
 // a fresh policy whose streams start from layout misses.
 func (s *Server) Restart() {
 	s.flush() // a clean shutdown; crash loss is modeled by callers dropping buffers first
-	ids := make([]ObjectID, 0, len(s.objects))
-	for id := range s.objects {
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		o := s.objects[id]
-		o.policy.Close() // releases soft reservations
-		o.policy = o.factory(s.alloc, 0)
-	}
+	s.rebuildPolicies()
 	s.buffered = nil
 	s.bufferedBlocks = 0
 	s.prefetched = alloc.RangeSet{}
@@ -548,8 +555,12 @@ func (s *Server) Truncate(id ObjectID, newSize int64) error {
 	o.written.clearFrom(newSize)
 	// Preallocated-but-unmapped blocks past the boundary (clipped
 	// promotions) stay in owned and are reclaimed at Delete; the policy's
-	// windows are reset so future extends reallocate.
+	// windows are reset so future extends reallocate, and a static policy
+	// forgets the fallocated runs just freed.
 	o.policy.Close()
+	if st, ok := o.policy.(*core.Static); ok {
+		st.Truncate(newSize)
+	}
 	return nil
 }
 

@@ -19,7 +19,7 @@ package pfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"redbud/internal/alloc"
 	"redbud/internal/inode"
@@ -71,6 +71,15 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 	st.Recover()
 	if err := fs.mds.FS().Remount(); err != nil {
 		return rep, fmt.Errorf("pfs: recovery remount: %w", err)
+	}
+	// A file whose create the journal lost is no longer in the namespace:
+	// the mount drops it, so its inode number's next owner is not reached
+	// through its stale handles.
+	for _, ino := range fs.fileInos() {
+		f := fs.files[ino]
+		if got, ok := fs.mds.FS().Child(f.parent, f.name); !ok || got != ino {
+			fs.drop(f)
+		}
 	}
 	// The in-memory allocator still charges blocks whose linking ops the
 	// crash lost; rebuild it from the remounted namespace so the fsck
@@ -131,6 +140,16 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 	return rep, nil
 }
 
+// fileInos returns the file table's inode numbers in order.
+func (fs *FS) fileInos() []inode.Ino {
+	inos := make([]inode.Ino, 0, len(fs.files))
+	for ino := range fs.files {
+		inos = append(inos, ino)
+	}
+	slices.Sort(inos)
+	return inos
+}
+
 // remarkStale re-derives which replica members are behind. The
 // manager's stale bits are client state and died in the crash; what
 // survives is each member's written bitmap on its server. A member whose
@@ -138,13 +157,8 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 // it missed writes (it was down, or the crash tore its copy and the scrub
 // demoted blocks) — and is marked stale for the repair engine.
 func (fs *FS) remarkStale() (int, error) {
-	inos := make([]inode.Ino, 0, len(fs.files))
-	for ino := range fs.files {
-		inos = append(inos, ino)
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
 	marked := 0
-	for _, ino := range inos {
+	for _, ino := range fs.fileInos() {
 		f := fs.files[ino]
 		for c := range f.objects {
 			members, obj, ok := fs.rep.Members(ino, c)

@@ -39,26 +39,20 @@ func TestExtentCacheMatchesServers(t *testing.T) {
 	delalloc.OST.DelayedAllocation = true
 	delalloc.OST.DelayedFlushBlocks = 40
 
-	// The static mount arms no crash: a restarted server rebuilds each
-	// object's policy without its size hint, and a static object can then
-	// place nothing, so the script's later writes would fail.
 	var moved int64
 	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		hint  int64
-		crash bool
+		name string
+		cfg  Config
+		hint int64
 	}{
-		{"rf1", mount(PolicyVanilla, 1), 0, true},
-		{"rf2", mount(PolicyOnDemand, 2), 0, true},
-		{"cache", cached, 0, true},
-		{"delalloc", delalloc, 0, true},
-		{"static", mount(PolicyStatic, 1), 512, false},
+		{"rf1", mount(PolicyVanilla, 1), 0},
+		{"rf2", mount(PolicyOnDemand, 2), 0},
+		{"cache", cached, 0},
+		{"delalloc", delalloc, 0},
+		{"static", mount(PolicyStatic, 1), 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.crash {
-				tc.cfg.Crash = crashsim.Arm(crashsim.PtOstWriteQueue, 12, disk.TearNone, 1)
-			}
+			tc.cfg.Crash = crashsim.Arm(crashsim.PtOstWriteQueue, 12, disk.TearNone, 1)
 			moved += runExtentCacheScript(t, tc.cfg, tc.hint)
 		})
 	}
@@ -165,11 +159,7 @@ func runExtentCacheScript(t *testing.T, cfg Config, hint int64) int64 {
 		writeAll(192)
 	}
 	step("truncate", func() error { return files[2].Truncate(40) })
-	if cfg.Policy != PolicyStatic {
-		// A static object maps the blocks its fallocate placed again,
-		// even those the truncate freed, so it is not rewritten.
-		step(write(2, 40))
-	}
+	step(write(2, 40))
 	step("delete", func() error { files[2] = nil; return fs.Delete(fs.Root(), "f2") })
 	step("recover", func() error { _, err := fs.CrashRecover(); return err })
 	writeAll(200)

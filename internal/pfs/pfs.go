@@ -10,6 +10,7 @@
 package pfs
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -179,13 +180,16 @@ func (c Config) WithPolicy(p PolicyKind) Config {
 	return c
 }
 
-// file is one open or known file: its MDS inode, its per-OST objects and
-// their cached extent counts (extents.go).
+// file is one open or known file: its MDS inode and name, its per-OST
+// objects and their cached extent counts (extents.go).
 type file struct {
 	ino      inode.Ino
+	parent   inode.Ino
+	name     string
 	objects  []ost.ObjectID // index = OST
 	counts   []extentCount  // index = component
 	sizeHint int64          // declared size in blocks (static policy)
+	gone     bool           // dropped from the mount: its handles are stale
 }
 
 // FS is one mounted Redbud instance. All client↔server traffic flows
@@ -519,7 +523,7 @@ func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File
 	if err != nil {
 		return nil, err
 	}
-	f := &file{ino: ino, sizeHint: sizeHintBlocks}
+	f := &file{ino: ino, parent: parent, name: name, sizeHint: sizeHintBlocks}
 	if err := fs.createObjects(f); err != nil {
 		// It removed its objects and replica state; the name goes too, or it
 		// stays linked to an inode the mount cannot open, re-create or delete.
@@ -581,9 +585,29 @@ func (fs *FS) Delete(parent inode.Ino, name string) error {
 			return err
 		}
 	}
+	fs.drop(f)
+	return nil
+}
+
+// drop removes a file from the mount: its replica state, its cached
+// blocks and its file-table entry. Its handles go stale.
+func (fs *FS) drop(f *file) {
 	fs.forget(f)
-	fs.cache.Drop(cache.FileID(ino))
-	delete(fs.files, ino)
+	fs.cache.Drop(cache.FileID(f.ino))
+	delete(fs.files, f.ino)
+	f.gone = true
+}
+
+// ErrStale is the error of an op on a handle whose file the mount no
+// longer has.
+var ErrStale = errors.New("no such file on the mount (deleted, or its create lost in a crash)")
+
+// stale returns the error of an op on a handle whose file the mount
+// dropped, nil for a live handle.
+func (h *File) stale() error {
+	if h.f.gone {
+		return fmt.Errorf("pfs: %s: %w", h.name, ErrStale)
+	}
 	return nil
 }
 
@@ -755,6 +779,9 @@ func (fs *FS) checkRange(op string, blk, count int64) error {
 // Write stores count blocks at file-logical block blk on behalf of stream.
 func (h *File) Write(stream core.StreamID, blk, count int64) error {
 	fs := h.fs
+	if err := h.stale(); err != nil {
+		return err
+	}
 	if err := fs.checkRange("write", blk, count); err != nil {
 		return err
 	}
@@ -858,6 +885,9 @@ func (s *cacheStore) WriteBack(id cache.FileID, stream core.StreamID, blk, count
 // Read fetches count blocks at file-logical block blk.
 func (h *File) Read(blk, count int64) error {
 	fs := h.fs
+	if err := h.stale(); err != nil {
+		return err
+	}
 	if err := fs.checkRange("read", blk, count); err != nil {
 		return err
 	}
@@ -916,6 +946,9 @@ func (s *cacheStore) Fetch(id cache.FileID, blk, count int64) error {
 // such a write.
 func (h *File) Truncate(sizeBlocks int64) error {
 	fs := h.fs
+	if err := h.stale(); err != nil {
+		return err
+	}
 	if capacity := int64(len(fs.osts)) * fs.cfg.OST.Blocks; sizeBlocks < 0 || sizeBlocks > capacity {
 		return fmt.Errorf("pfs: invalid truncate to %d (the mount has %d data blocks)", sizeBlocks, capacity)
 	}
@@ -946,6 +979,9 @@ func (h *File) Truncate(sizeBlocks int64) error {
 // forced.
 func (h *File) Fsync() error {
 	fs := h.fs
+	if err := h.stale(); err != nil {
+		return err
+	}
 	sp := fs.startOp("fsync")
 	defer fs.endOp(sp)
 	// Fsync is a flush barrier: every cached dirty block reaches the
@@ -970,6 +1006,9 @@ func (h *File) Fsync() error {
 // component.
 func (h *File) Close() error {
 	fs := h.fs
+	if err := h.stale(); err != nil {
+		return err
+	}
 	sp := fs.startOp("close")
 	defer fs.endOp(sp)
 	// Close is a flush barrier: the layout summary recorded at the MDS

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"redbud/internal/core"
@@ -127,5 +128,50 @@ func TestTruncateThroughStripe(t *testing.T) {
 	}
 	if err := f.Truncate(-1); err == nil {
 		t.Fatal("negative truncate should fail")
+	}
+}
+
+// TestCrashRecoverDropsLostCreates: a file whose create the MDS journal
+// lost is gone from the mount after recovery. Its inode number goes to the
+// next create, here a directory, and the old handle's every op fails
+// naming the file instead of reaching the number's new owner.
+func TestCrashRecoverDropsLostCreates(t *testing.T) {
+	fs := newMiF(t, 4)
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create(fs.Root(), "lost", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(core.StreamID{Client: 1, PID: 1}, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.CrashRecover(); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := fs.Mkdir(fs.Root(), "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir != f.Ino() {
+		t.Fatalf("the directory got inode %v, not the lost file's %v: the probe needs the reuse", dir, f.Ino())
+	}
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"write", func() error { return f.Write(core.StreamID{Client: 1, PID: 1}, 8, 8) }},
+		{"read", func() error { return f.Read(0, 8) }},
+		{"truncate", func() error { return f.Truncate(4) }},
+		{"fsync", f.Fsync},
+		{"close", f.Close},
+	} {
+		if err := op.run(); err == nil || !strings.Contains(err.Error(), "lost: no such file") {
+			t.Errorf("%s on the lost file's handle: %v, want an error naming it", op.name, err)
+		}
+	}
+	if _, err := fs.Open(fs.Root(), "lost"); err == nil {
+		t.Error("the lost file opens after the recovery")
 	}
 }

@@ -2,13 +2,13 @@
 // workload generators: a line-oriented, diff-friendly encoding of an op
 // list. Block traces are write/read request streams with their stream
 // identities, the raw material the allocation policies react to; the
-// metadata experiments' lists add the namespace, file and phase ops that
+// experiments' lists add the namespace, file and phase ops that
 // workload.Apply interprets.
 //
 // Format, one operation per line:
 //
-//	W <client>.<pid> <blk> <count>   write blocks of the open file
-//	R <blk> <count>                  read blocks of the open file
+//	W <client>.<pid> <blk> <count>   write blocks of the current file
+//	R <blk> <count>                  read blocks of the current file
 //	mkdir <dir> <name>               make a directory: the next directory slot
 //	rmdir <dir> <name>               remove an empty directory
 //	create <dir> <name>              create an MDS inode: the next inode slot
@@ -17,19 +17,23 @@
 //	readdirplus <dir> <n>            read a directory of n entries with its inodes
 //	unlink <dir> <name>              remove a name on the MDS
 //	setlayout <ino> <n> <base>       record n ≤ 65536 extents: logical 4j → physical base+8j, 2 blocks
-//	fcreate <dir> <name> <size>      create a striped file, size-hinted, and open it
-//	open <dir> <name>                open a file
-//	close                            close the open file
+//	fcreate <dir> <name> <size>      create a striped file, size-hinted: the next file slot, made current
+//	open <dir> <name>                open a file: the next file slot, made current
+//	close                            close the current file
 //	delete <dir> <name>              delete a file: its name and its objects
 //	delete-if-present <dir> <name>   delete, a missing name being no error
 //	sync                             sync the MDS (on a mount, the mount)
 //	dropcaches                       drop the MDS page cache
+//	fsync                            sync the current file
+//	use <file>                       make the open file in a file slot current
 //	# ...                            comment
 //
-// Directories and inodes are named by slots, which the interpreter assigns
-// in order: directory slot 0 is the root, and each mkdir takes the next
-// one; each create takes the next inode slot. A name is one field. At
-// most one file is open at a time, and W and R act on it.
+// Directories, inodes and open files are named by slots, which the
+// interpreter assigns in order: directory slot 0 is the root, and each
+// mkdir takes the next one; each create takes the next inode slot; each
+// fcreate and open the next file slot. A name is one field. W, R, fsync
+// and close act on the current file; closing it leaves none current until
+// a use or the next fcreate or open.
 package trace
 
 import (
@@ -68,6 +72,8 @@ const (
 	OpDeleteIfPresent
 	OpSync
 	OpDropCaches
+	OpFsync
+	OpUse
 )
 
 // maxLayoutExtents bounds a setlayout op's extent count.
@@ -87,6 +93,7 @@ var kinds = [...]kindSpec{
 	OpCreateFile: {"fcreate", "slot name count"}, OpOpen: {"open", "slot name"},
 	OpClose: {"close", ""}, OpSync: {"sync", ""}, OpDropCaches: {"dropcaches", ""},
 	OpDelete: {"delete", "slot name"}, OpDeleteIfPresent: {"delete-if-present", "slot name"},
+	OpFsync: {"fsync", ""}, OpUse: {"use", "slot"},
 }
 
 // Op is one trace operation.
@@ -98,7 +105,8 @@ type Op struct {
 	// Count is W's and R's block count, readdirplus's entry count,
 	// setlayout's extent count and fcreate's size hint.
 	Count int64
-	// Slot is the op's directory slot, or setlayout's inode slot.
+	// Slot is the op's directory slot, setlayout's inode slot or use's
+	// file slot.
 	Slot int64
 	Name string
 }
@@ -249,7 +257,12 @@ func Generate(cfg GenConfig) ([]Op, error) {
 		return core.StreamID{Client: uint32(s / 4), PID: uint32(s % 4)}
 	}
 	total := int64(cfg.Streams) * cfg.RegionBlocks
-	var ops []Op
+	// The shared pattern's write count bounds the other two patterns'.
+	size := int64(cfg.Streams) * ((cfg.RegionBlocks + cfg.RequestBlocks - 1) / cfg.RequestBlocks)
+	if cfg.ReadBack {
+		size += (total + 63) / 64
+	}
+	ops := make([]Op, 0, size)
 	switch cfg.Pattern {
 	case "shared":
 		for off := int64(0); off < cfg.RegionBlocks; off += cfg.RequestBlocks {

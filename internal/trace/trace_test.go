@@ -29,6 +29,8 @@ delete 2 pm0000001
 delete-if-present 3 src0001.o
 sync
 dropcaches
+fsync
+use 3
 `
 
 func TestRoundTrip(t *testing.T) {
@@ -36,6 +38,11 @@ func TestRoundTrip(t *testing.T) {
 		{Kind: OpWrite, Stream: core.StreamID{Client: 2, PID: 3}, Blk: 100, Count: 8},
 		{Kind: OpRead, Blk: 0, Count: 64},
 		{Kind: OpWrite, Stream: core.StreamID{Client: 0, PID: 0}, Blk: 0, Count: 1},
+		{Kind: OpCreateFile, Slot: 1, Name: "side.log"},
+		{Kind: OpUse, Slot: 0},
+		{Kind: OpFsync},
+		{Kind: OpUse, Slot: 1},
+		{Kind: OpClose},
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, ops); err != nil {
@@ -119,6 +126,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"setlayout 0 2 9223372036854775800",
 		"fcreate 1 f -8", "fcreate 1 8", "open 1", "close 1",
 		"delete 1 \t", "delete-if-present -2 f", "sync now", "dropcaches 0",
+		"fsync 0", "use", "use -1", "use a", "use 1 2",
 	} {
 		// The bad line follows a good one: its error names line 2.
 		_, err := Read(strings.NewReader("sync\n" + bad + "\n"))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"redbud/internal/disk"
 	"redbud/internal/extent"
 	"redbud/internal/inode"
 	"redbud/internal/mdfs"
@@ -14,22 +15,23 @@ import (
 )
 
 // Target is what Apply runs ops against: a bare MDS server, as Metarates
-// and aging drive it, or a mount, as PostMark and the kernel tree do. It
-// keeps the interpreter's state from one Apply call to the next: the
-// directory and inode slots and the open file.
+// and aging drive it, or a mount, as the other drivers do. It keeps the
+// interpreter's state from one Apply call to the next: the directory,
+// inode and file slots and the current file.
 type Target struct {
 	srv   *mds.Server
 	mount *pfs.FS         // nil on a bare server
 	dirs  []inode.Ino     // directory slots; slot 0 is the root
 	inos  []inode.Ino     // inode slots, in create order
-	file  *pfs.File       // the open file, nil when none is
+	files []*pfs.File     // file slots, in open order; a closed file's is nil
+	cur   int             // the current file's slot, -1 when none is current
 	exts  []extent.Extent // setlayout's scratch, reused by every op
 }
 
 // ServerTarget returns a target that runs ops on a bare MDS server, with
 // no RPC.
 func ServerTarget(srv *mds.Server) *Target {
-	return &Target{srv: srv, dirs: []inode.Ino{srv.Root()}}
+	return &Target{srv: srv, dirs: []inode.Ino{srv.Root()}, cur: -1}
 }
 
 // MountTarget returns a target that runs ops on a mount. Mkdir, sync and
@@ -37,11 +39,16 @@ func ServerTarget(srv *mds.Server) *Target {
 // go to the mount's MDS server directly, as the kernel tree's stat and
 // readdirplus always have.
 func MountTarget(fs *pfs.FS) *Target {
-	return &Target{srv: fs.MDS(), mount: fs, dirs: []inode.Ino{fs.Root()}}
+	return &Target{srv: fs.MDS(), mount: fs, dirs: []inode.Ino{fs.Root()}, cur: -1}
 }
 
-// File returns the open file, nil when none is open.
-func (t *Target) File() *pfs.File { return t.file }
+// File returns the current file, nil when none is current.
+func (t *Target) File() *pfs.File {
+	if t.cur < 0 {
+		return nil
+	}
+	return t.files[t.cur]
+}
 
 // Apply runs ops against t in order, stopping at the first that fails. It
 // measures nothing: a driver reads its counters between calls.
@@ -58,7 +65,11 @@ func Apply(t *Target, ops []trace.Op) error {
 func (t *Target) apply(op *trace.Op) error {
 	var dir inode.Ino // the directory of the ops that name one
 	switch op.Kind {
-	case trace.OpWrite, trace.OpRead, trace.OpClose, trace.OpSync, trace.OpDropCaches:
+	case trace.OpWrite, trace.OpRead, trace.OpClose, trace.OpSync, trace.OpDropCaches, trace.OpFsync:
+	case trace.OpUse:
+		if op.Slot >= int64(len(t.files)) || t.files[op.Slot] == nil {
+			return fmt.Errorf("no open file in slot %d", op.Slot)
+		}
 	case trace.OpSetLayout:
 		if op.Slot >= int64(len(t.inos)) {
 			return fmt.Errorf("no inode slot %d", op.Slot)
@@ -69,17 +80,13 @@ func (t *Target) apply(op *trace.Op) error {
 		}
 		dir = t.dirs[op.Slot]
 	}
+	file := t.File()
 	switch op.Kind {
-	case trace.OpWrite, trace.OpRead, trace.OpClose:
-		if t.file == nil {
+	case trace.OpWrite, trace.OpRead, trace.OpFsync, trace.OpClose:
+		if file == nil {
 			return errors.New("no file is open")
 		}
-	case trace.OpCreateFile, trace.OpOpen:
-		if t.file != nil {
-			return errors.New("a file is already open")
-		}
-		fallthrough
-	case trace.OpDelete, trace.OpDeleteIfPresent:
+	case trace.OpCreateFile, trace.OpOpen, trace.OpDelete, trace.OpDeleteIfPresent:
 		if t.mount == nil {
 			return errors.New("a file op needs a mount")
 		}
@@ -132,16 +139,25 @@ func (t *Target) apply(op *trace.Op) error {
 		err = srv.Sync()
 	case trace.OpDropCaches:
 		srv.FS().Store().DropCaches()
-	case trace.OpCreateFile:
-		t.file, err = t.mount.Create(dir, op.Name, op.Count)
-	case trace.OpOpen:
-		t.file, err = t.mount.Open(dir, op.Name)
+	case trace.OpCreateFile, trace.OpOpen:
+		if op.Kind == trace.OpCreateFile {
+			file, err = t.mount.Create(dir, op.Name, op.Count)
+		} else {
+			file, err = t.mount.Open(dir, op.Name)
+		}
+		if err == nil {
+			t.cur, t.files = len(t.files), append(t.files, file)
+		}
+	case trace.OpUse:
+		t.cur = int(op.Slot)
 	case trace.OpWrite:
-		err = t.file.Write(op.Stream, op.Blk, op.Count)
+		err = file.Write(op.Stream, op.Blk, op.Count)
 	case trace.OpRead:
-		err = t.file.Read(op.Blk, op.Count)
+		err = file.Read(op.Blk, op.Count)
+	case trace.OpFsync:
+		err = file.Fsync()
 	case trace.OpClose:
-		err, t.file = t.file.Close(), nil
+		err, t.files[t.cur], t.cur = file.Close(), nil, -1
 	case trace.OpDelete:
 		err = t.mount.Delete(dir, op.Name)
 	case trace.OpDeleteIfPresent:
@@ -173,4 +189,54 @@ func applyPhases(t *Target, ops []trace.Op, cuts []int, read func(phase int)) er
 		prev = cut
 	}
 	return nil
+}
+
+// Phases is what RunPhases measured of a two-phase data run.
+type Phases struct {
+	WriteNs, ReadNs sim.Ns     // each phase's data-device busy time
+	Extents         int        // the current file's extent count, 0 with none current
+	Stats           disk.Stats // the data disks' counters from the read phase on
+}
+
+// RunPhases applies a two-phase data run to a mount target and measures
+// it. The write phase, ops[:cut], is flushed and timed; the data counters
+// are zeroed, and the read phase, ops[cut:end], is flushed and timed; the
+// ops past end, the closes, run once the counters are read. The current
+// file's extents are counted after the write phase, or with extentsLast
+// after the read phase. An empty read phase is skipped, the counters left
+// as the write phase left them.
+func RunPhases(t *Target, ops []trace.Op, cut, end int, extentsLast bool) (Phases, error) {
+	var p Phases
+	fs := t.mount
+	count := func() (err error) {
+		if f := t.File(); f != nil {
+			p.Extents, err = fs.TotalExtents(f)
+		}
+		return err
+	}
+	if err := Apply(t, ops[:cut]); err != nil {
+		return p, err
+	}
+	fs.Flush()
+	p.WriteNs = fs.DataBusyMax()
+	if !extentsLast {
+		if err := count(); err != nil {
+			return p, err
+		}
+	}
+	if cut < end {
+		fs.ResetDataStats()
+		if err := Apply(t, ops[cut:end]); err != nil {
+			return p, err
+		}
+		fs.Flush()
+		p.ReadNs = fs.DataBusyMax()
+	}
+	p.Stats = fs.DataStats()
+	if extentsLast {
+		if err := count(); err != nil {
+			return p, err
+		}
+	}
+	return p, Apply(t, ops[end:])
 }

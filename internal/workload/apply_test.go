@@ -38,8 +38,10 @@ func throughTrace(t *testing.T, ops []trace.Op) []trace.Op {
 // a trace, read back and applied to a fresh identical target, ends with the
 // same MDS disk counters and, on a mount, the same data-disk counters as
 // the driver's own run — no part of the workload lives outside the list.
-// The list also runs on the default MiF mount that miftrace replay builds,
-// and the four lists together use every op kind.
+// The list also runs on the default MiF mount that miftrace replay builds.
+// Each data driver's list, through the trace format and measured on a
+// fresh mount of the driver's config, gives the driver's own result, field
+// for field. The lists together use every op kind.
 func TestDriverListsReplay(t *testing.T) {
 	meta := DefaultMetaratesConfig(mdfs.LayoutNormal)
 	meta.Clients, meta.FilesPerDir = 3, 150
@@ -106,10 +108,84 @@ func TestDriverListsReplay(t *testing.T) {
 			}
 		})
 	}
-	if len(seen) != int(trace.OpDropCaches)+1 {
-		t.Errorf("the four lists use %d op kinds, want every one of %d", len(seen), trace.OpDropCaches+1)
+	testDataListsReplay(t, seen)
+	if kinds := int(trace.OpUse) + 1; len(seen) != kinds { // OpUse is the last kind
+		t.Errorf("the lists use %d op kinds, want every one of %d", len(seen), kinds)
 	}
 }
+
+// testDataListsReplay is TestDriverListsReplay's data half: it adds the
+// kinds the lists use to seen.
+func testDataListsReplay(t *testing.T, seen map[trace.OpKind]bool) {
+	fsCfg := pfs.MiF(4)
+	mc := DefaultMicroConfig(2)
+	mc.RegionBlocks, mc.Segments = 256, 32
+	ic := DefaultIORConfig(8)
+	ic.BlocksPerProc, ic.Interference = 128, true
+	bc := DefaultBTIOConfig(16)
+	bc.Timesteps, bc.Collective = 2, true
+	cc := DefaultCacheBenchConfig()
+	cc.Files, cc.FileBlocks = 5, 64
+	delalloc := pfs.MiF(4).WithPolicy(pfs.PolicyVanilla)
+	delalloc.OST.DelayedAllocation = true
+	type pressure struct {
+		extents  int
+		readMBps float64
+	}
+	for _, tc := range []struct {
+		name   string
+		gen    func() ([]trace.Op, []int)
+		driver func() (any, error)
+		replay func([]trace.Op, []int) (any, error)
+	}{
+		{"micro", func() ([]trace.Op, []int) { return one(microOps(mc)) },
+			func() (any, error) { return RunMicro(fsCfg, mc) },
+			func(ops []trace.Op, cuts []int) (any, error) { return micro(fsCfg, mc, ops, cuts[0]) }},
+		{"ior", func() ([]trace.Op, []int) { return one(iorOps(ic)) },
+			func() (any, error) { return RunIOR(fsCfg, ic) },
+			func(ops []trace.Op, cuts []int) (any, error) {
+				return macro(fsCfg, "IOR", false, int64(ic.Procs)*ic.BlocksPerProc, ops, cuts[0])
+			}},
+		{"btio", func() ([]trace.Op, []int) { return one(btioOps(bc, 4)) },
+			func() (any, error) { return RunBTIO(fsCfg, bc) },
+			func(ops []trace.Op, cuts []int) (any, error) {
+				return macro(fsCfg, "BTIO", true, ops[0].Count, ops, cuts[0])
+			}},
+		{"mixedstream", func() ([]trace.Op, []int) { return one(mixedStreamOps()) },
+			func() (any, error) { return RunMixedStream(fsCfg) },
+			func(ops []trace.Op, cuts []int) (any, error) { return mixedStream(fsCfg, ops, cuts[0]) }},
+		{"syncpressure", func() ([]trace.Op, []int) { return one(syncPressureOps(4)) },
+			func() (any, error) { e, m, err := RunSyncPressure(delalloc, 4); return pressure{e, m}, err },
+			func(ops []trace.Op, cuts []int) (any, error) {
+				e, m, err := syncPressure(delalloc, ops, cuts[0])
+				return pressure{e, m}, err
+			}},
+		{"cachebench", func() ([]trace.Op, []int) { return cacheBenchOps(cc) },
+			func() (any, error) { return RunCacheBench(fsCfg, cc) },
+			func(ops []trace.Op, cuts []int) (any, error) { return cacheBench(fsCfg, cc, ops, cuts) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ops, cuts := tc.gen()
+			want, err := tc.driver()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.replay(throughTrace(t, ops), cuts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("the list replayed gives\n%+v\nthe driver\n%+v", got, want)
+			}
+			for _, op := range ops {
+				seen[op.Kind] = true
+			}
+		})
+	}
+}
+
+// one makes a generator's single cut a cut list.
+func one(ops []trace.Op, cut int) ([]trace.Op, []int) { return ops, []int{cut} }
 
 // applyLines applies a trace's lines to tg.
 func applyLines(tg *Target, lines string) error {
@@ -148,7 +224,9 @@ func TestApplyRejects(t *testing.T) {
 	for _, tc := range []struct{ lines, want string }{
 		{"W 1.1 0 8\n", "W 1.1 0 8: no file is open"},
 		{"close\n", "close: no file is open"},
-		{"fcreate 0 a 1\nopen 0 a\n", "open 0 a: a file is already open"},
+		{"fcreate 0 a 1\nuse 1\n", "use 1: no open file in slot 1"},
+		{"fcreate 0 a 1\nclose\nuse 0\n", "use 0: no open file in slot 0"},
+		{"fcreate 0 a 1\nclose\nfsync\n", "fsync: no file is open"},
 		{"stat 3 a\n", "stat 3 a: no directory slot 3"},
 		{"setlayout 0 4 0\n", "setlayout 0 4 0: no inode slot 0"},
 		{"mkdir 0 d\nreaddirplus 1 2\n", "readdirplus 1 2: 0 entries, want 2"},

@@ -3,9 +3,9 @@ package workload
 import (
 	"fmt"
 
-	"redbud/internal/core"
 	"redbud/internal/pfs"
 	"redbud/internal/sim"
+	"redbud/internal/trace"
 )
 
 // BTIOConfig parameterizes the NPB BTIO workload: "an MPI program designed
@@ -55,10 +55,6 @@ func isqrt(n int) (int, bool) {
 
 // RunBTIO executes BTIO against a fresh mount of cfg.
 func RunBTIO(fsCfg pfs.Config, cfg BTIOConfig) (MacroResult, error) {
-	fs, err := pfs.New(fsCfg)
-	if err != nil {
-		return MacroResult{}, err
-	}
 	sq, ok := isqrt(cfg.Procs)
 	if !ok || cfg.Procs <= 0 {
 		return MacroResult{}, fmt.Errorf("workload: BTIO needs a square process count, got %d", cfg.Procs)
@@ -66,102 +62,59 @@ func RunBTIO(fsCfg pfs.Config, cfg BTIOConfig) (MacroResult, error) {
 	if cfg.CellBlocks <= 0 || cfg.Timesteps <= 0 {
 		return MacroResult{}, fmt.Errorf("workload: bad BTIO config %+v", cfg)
 	}
-	// BT's diagonal cell decomposition: the grid of sq×sq cells per
-	// slab; rank p owns cell (row, (row+p) mod sq) in each cell-row.
-	// In file order (slab-major, then cell index), consecutive cells
-	// belong to different ranks — the interleaving that matters.
+	ops, cut := btioOps(cfg, sq)
+	return macro(fsCfg, "BTIO", cfg.Collective, ops[0].Count, ops, cut)
+}
+
+// btioOps generates a BTIO run on a grid of sq×sq cells per slab: the
+// solution file's create, the dumps, which end at cut, the verification
+// read and the close.
+func btioOps(cfg BTIOConfig, sq int) (ops []trace.Op, cut int) {
+	// BT's diagonal cell decomposition: rank p owns cell (row, (row+p)
+	// mod sq) in each cell-row. In file order (slab-major, then cell
+	// index), consecutive cells belong to different ranks — the
+	// interleaving that matters.
 	slabBlocks := int64(cfg.Procs) * cfg.CellBlocks
 	dumpBlocks := slabBlocks * int64(sq) // sq slabs per dump
 	fileBlocks := dumpBlocks * int64(cfg.Timesteps)
-	f, err := fs.Create(fs.Root(), "btio.nc", fileBlocks)
-	if err != nil {
-		return MacroResult{}, err
+	req := cfg.RequestBlocks
+	if req <= 0 || req > cfg.CellBlocks {
+		req = cfg.CellBlocks
 	}
-
-	dump := func(ts int, op func(core.StreamID, int64, int64) error) error {
-		base := int64(ts) * dumpBlocks
-		if cfg.Collective {
-			return collectiveIO(cfg.Procs, cfg.CollectiveChunkBlocks, base, dumpBlocks, op)
-		}
-		// Non-collective: within slab s, rank p owns cell
-		// (p + s) mod procs — BT's diagonal shift — so each rank's
-		// contributions to consecutive slabs land at rotating file
-		// offsets, and within a slab consecutive cells belong to
-		// different ranks. Requests arrive round-robin by rank.
-		req := cfg.RequestBlocks
-		if req <= 0 || req > cfg.CellBlocks {
-			req = cfg.CellBlocks
-		}
-		reqsPerCell := (cfg.CellBlocks + req - 1) / req
-		perRank := int64(sq) * reqsPerCell
-		rng := sim.NewRand(uint64(ts)*104729 + uint64(cfg.Procs))
-		return jitteredArrival(rng, cfg.Procs,
-			func(int) int64 { return perRank },
-			func(p int, idx int64) error {
-				slab := int(idx / reqsPerCell)
-				off := (idx % reqsPerCell) * req
-				n := req
-				if off+n > cfg.CellBlocks {
-					n = cfg.CellBlocks - off
-				}
-				cell := (p + slab) % cfg.Procs
-				blk := base + int64(slab)*slabBlocks + int64(cell)*cfg.CellBlocks + off
-				stream := core.StreamID{Client: uint32(p / 4), PID: uint32(p % 4)}
-				return op(stream, blk, n)
-			})
-	}
-
-	write := func(s core.StreamID, blk, n int64) error { return f.Write(s, blk, n) }
-	for ts := 0; ts < cfg.Timesteps; ts++ {
-		if err := dump(ts, write); err != nil {
-			return MacroResult{}, err
-		}
-	}
-	fs.Flush()
-	writeElapsed := fs.DataBusyMax()
-	extents, err := fs.TotalExtents(f)
-	if err != nil {
-		return MacroResult{}, err
-	}
-
-	// Verification read of the whole solution file: each rank reads a
-	// contiguous share sequentially, ranks skewed as on a real cluster.
-	fs.ResetDataStats()
+	reqsPerCell := (cfg.CellBlocks + req - 1) / req
 	share := fileBlocks / int64(cfg.Procs)
 	const readReq = 16
 	readsPerRank := (share + readReq - 1) / readReq
-	rng := sim.NewRand(uint64(cfg.Procs) * 15485863)
-	err = jitteredArrival(rng, cfg.Procs,
-		func(int) int64 { return readsPerRank },
-		func(p int, idx int64) error {
-			off := idx * readReq
-			n := int64(readReq)
-			if off+n > share {
-				n = share - off
-			}
-			return f.Read(int64(p)*share+off, n)
+	ops = make([]trace.Op, 0, int64(cfg.Procs)*(int64(sq)*reqsPerCell*int64(cfg.Timesteps)+readsPerRank)+2)
+	ops = append(ops, trace.Op{Kind: trace.OpCreateFile, Name: "btio.nc", Count: fileBlocks})
+	for ts := 0; ts < cfg.Timesteps; ts++ {
+		base := int64(ts) * dumpBlocks
+		if cfg.Collective {
+			ops = collectiveIO(ops, trace.OpWrite, cfg.Procs, cfg.CollectiveChunkBlocks, base, dumpBlocks)
+			continue
+		}
+		// Non-collective: within slab s, rank p owns cell (p + s) mod
+		// procs — BT's diagonal shift — so each rank's contributions to
+		// consecutive slabs land at rotating file offsets, and within a
+		// slab consecutive cells belong to different ranks. Each cell is
+		// a burst of small sequential requests, the ranks skewed.
+		rng := sim.NewRand(uint64(ts)*104729 + uint64(cfg.Procs))
+		jitteredArrival(rng, cfg.Procs, int64(sq)*reqsPerCell, func(p int, idx int64) {
+			slab := idx / reqsPerCell
+			off := (idx % reqsPerCell) * req
+			cell := (p + int(slab)) % cfg.Procs
+			blk := base + slab*slabBlocks + int64(cell)*cfg.CellBlocks + off
+			ops = append(ops, trace.Op{Kind: trace.OpWrite, Stream: rankStream(p), Blk: blk, Count: min(req, cfg.CellBlocks-off)})
 		})
-	if err != nil {
-		return MacroResult{}, err
 	}
-	fs.Flush()
-	readElapsed := fs.DataBusyMax()
-	stats := fs.DataStats()
-	if err := f.Close(); err != nil {
-		return MacroResult{}, err
-	}
+	cut = len(ops)
 
-	blockBytes := fsCfg.OST.Disk.BlockSize
-	bytes := fileBlocks * blockBytes
-	return MacroResult{
-		Config:       fsCfg.Name,
-		App:          "BTIO",
-		Collective:   cfg.Collective,
-		WriteMBps:    sim.MBps(bytes, writeElapsed),
-		ReadMBps:     sim.MBps(bytes, readElapsed),
-		Throughput:   sim.MBps(2*bytes, writeElapsed+readElapsed),
-		Extents:      extents,
-		MDSCPU:       fs.MDS().CPUUtilization(writeElapsed+readElapsed) * 100,
-		Positionings: stats.Positionings,
-	}, nil
+	// Verification read of the whole solution file: each rank reads a
+	// contiguous share sequentially, ranks skewed as on a real cluster.
+	rng := sim.NewRand(uint64(cfg.Procs) * 15485863)
+	jitteredArrival(rng, cfg.Procs, readsPerRank, func(p int, idx int64) {
+		off := idx * readReq
+		ops = append(ops, trace.Op{Kind: trace.OpRead, Blk: int64(p)*share + off, Count: min(readReq, share-off)})
+	})
+	return append(ops, trace.Op{Kind: trace.OpClose}), cut
 }

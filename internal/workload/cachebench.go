@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"redbud/internal/cache"
-	"redbud/internal/core"
 	"redbud/internal/pfs"
 	"redbud/internal/sim"
 	"redbud/internal/telemetry"
+	"redbud/internal/trace"
 )
 
 // CacheBenchConfig parameterizes the client-cache experiment: the Figure 1
@@ -97,12 +97,12 @@ func rpcCount(reg *telemetry.Registry, op string) int64 {
 	return total
 }
 
-// runCacheArm executes the deterministic write+re-read sequence on one
-// fresh mount. An uninstrumented caller gets a private registry (so arms
-// never share counters); a caller-supplied registry is used directly —
-// the arms' mounts are renamed so their metrics stay distinguishable, and
-// all RPC counts are measured as before/after deltas.
-func runCacheArm(fsCfg pfs.Config, cfg CacheBenchConfig, withCache bool) (CacheArmResult, error) {
+// runCacheArm applies the cache bench's list to one fresh mount and
+// measures it. An uninstrumented caller gets a private registry (so arms
+// never share counters); a caller-supplied registry is used directly — the
+// arms' mounts are renamed so their metrics stay distinguishable, and all
+// RPC counts are measured as before/after deltas.
+func runCacheArm(fsCfg pfs.Config, cfg CacheBenchConfig, withCache bool, ops []trace.Op, cuts []int) (CacheArmResult, error) {
 	res := CacheArmResult{CacheOn: withCache}
 	reg := fsCfg.Metrics
 	if reg == nil {
@@ -122,75 +122,83 @@ func runCacheArm(fsCfg pfs.Config, cfg CacheBenchConfig, withCache bool) (CacheA
 	if err != nil {
 		return res, err
 	}
-
-	// Write phase: round-robin interleaved small sequential writes, the
-	// arrival order that provokes intra-file fragmentation, closed by the
-	// Sync barrier (the cached arm's write-backs land inside the phase).
-	fs.ResetDataStats()
-	writeBefore := rpcCount(reg, "obj-write")
-	files := make([]*pfs.File, cfg.Files)
-	for i := range files {
-		f, err := fs.Create(fs.Root(), fmt.Sprintf("cache%02d.dat", i), 0)
-		if err != nil {
-			return res, err
-		}
-		files[i] = f
-	}
-	for off := int64(0); off < cfg.FileBlocks; off += cfg.RequestBlocks {
-		n := cfg.RequestBlocks
-		if off+n > cfg.FileBlocks {
-			n = cfg.FileBlocks - off
-		}
-		for i, f := range files {
-			st := core.StreamID{Client: uint32(i / 4), PID: uint32(i % 4)}
-			if err := f.Write(st, off, n); err != nil {
-				return res, err
-			}
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		return res, err
-	}
-	res.WriteRPCs = rpcCount(reg, "obj-write") - writeBefore
-	res.WritePositionings = fs.DataStats().Positionings
+	t := MountTarget(fs)
 	bytes := int64(cfg.Files) * cfg.FileBlocks * fs.Config().OST.Disk.BlockSize
-	res.WriteMBps = sim.MBps(bytes, fs.DataBusyMax())
-	if res.Extents, err = totalExtents(fs, files); err != nil {
-		return res, err
-	}
-
-	// Re-read phase: two identical sequential passes. Server restarts
-	// drop the OST-side prefetch state between passes so only the client
-	// cache distinguishes them.
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < fs.OSTs(); i++ {
-			fs.OST(i).Restart()
-		}
-		fs.ResetDataStats()
-		before := rpcCount(reg, "obj-read")
-		for _, f := range files {
-			for off := int64(0); off < cfg.FileBlocks; off += cfg.ReadRequestBlocks {
-				n := cfg.ReadRequestBlocks
-				if off+n > cfg.FileBlocks {
-					n = cfg.FileBlocks - off
-				}
-				if err := f.Read(off, n); err != nil {
-					return res, err
-				}
+	// The write phase's counters start before its creates; the passes'
+	// after server restarts that drop the OST-side prefetch state, so
+	// only the client cache distinguishes them.
+	var before int64
+	var countErr error
+	err = applyPhases(t, ops, cuts, func(phase int) {
+		switch phase {
+		case 0:
+			fs.ResetDataStats()
+			before = rpcCount(reg, "obj-write")
+			return
+		case 1:
+			res.WriteRPCs = rpcCount(reg, "obj-write") - before
+			res.WritePositionings = fs.DataStats().Positionings
+			res.WriteMBps = sim.MBps(bytes, fs.DataBusyMax())
+			res.Extents, countErr = totalExtents(fs, t.files)
+		default:
+			fs.Flush()
+			rpcs := rpcCount(reg, "obj-read") - before
+			tput := sim.MBps(bytes, fs.DataBusyMax())
+			pos := fs.DataStats().Positionings
+			if phase == 2 {
+				res.Pass1ReadRPCs, res.Pass1Positionings, res.Pass1MBps = rpcs, pos, tput
+			} else {
+				res.Pass2ReadRPCs, res.Pass2Positionings, res.Pass2MBps = rpcs, pos, tput
 			}
 		}
-		fs.Flush()
-		rpcs := rpcCount(reg, "obj-read") - before
-		tput := sim.MBps(bytes, fs.DataBusyMax())
-		pos := fs.DataStats().Positionings
-		if pass == 0 {
-			res.Pass1ReadRPCs, res.Pass1Positionings, res.Pass1MBps = rpcs, pos, tput
-		} else {
-			res.Pass2ReadRPCs, res.Pass2Positionings, res.Pass2MBps = rpcs, pos, tput
+		if phase < 3 {
+			for i := 0; i < fs.OSTs(); i++ {
+				fs.OST(i).Restart()
+			}
+			fs.ResetDataStats()
+			before = rpcCount(reg, "obj-read")
 		}
+	})
+	if err != nil {
+		return res, err
 	}
 	res.Cache = fs.Cache().Stats()
-	return res, nil
+	return res, countErr
+}
+
+// cacheBenchOps generates the cache bench's run, its phases ending at
+// cuts 1 to 3. Write phase: the files' creates, file slots 0 on, and
+// round-robin interleaved small sequential writes, the arrival order that
+// provokes intra-file fragmentation, closed by the sync barrier (the
+// cached arm's write-backs land inside the phase). Re-read phase: two
+// identical sequential passes over the files in turn. With the cache on,
+// blocks still resident from the write phase serve both passes from client
+// memory — zero RPCs, zero head movement.
+func cacheBenchOps(cfg CacheBenchConfig) (ops []trace.Op, cuts []int) {
+	chunks := func(n int64) int64 { return (cfg.FileBlocks + n - 1) / n }
+	files := int64(cfg.Files)
+	ops = make([]trace.Op, 0, files*(1+2*chunks(cfg.RequestBlocks)+2*(1+chunks(cfg.ReadRequestBlocks)))+1)
+	for i := 0; i < cfg.Files; i++ {
+		ops = append(ops, trace.Op{Kind: trace.OpCreateFile, Name: fmt.Sprintf("cache%02d.dat", i)})
+	}
+	for off := int64(0); off < cfg.FileBlocks; off += cfg.RequestBlocks {
+		for i := 0; i < cfg.Files; i++ {
+			ops = append(ops, trace.Op{Kind: trace.OpUse, Slot: int64(i)},
+				trace.Op{Kind: trace.OpWrite, Stream: rankStream(i), Blk: off, Count: min(cfg.RequestBlocks, cfg.FileBlocks-off)})
+		}
+	}
+	ops = append(ops, trace.Op{Kind: trace.OpSync})
+	cuts = []int{0, len(ops)}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < cfg.Files; i++ {
+			ops = append(ops, trace.Op{Kind: trace.OpUse, Slot: int64(i)})
+			for off := int64(0); off < cfg.FileBlocks; off += cfg.ReadRequestBlocks {
+				ops = append(ops, trace.Op{Kind: trace.OpRead, Blk: off, Count: min(cfg.ReadRequestBlocks, cfg.FileBlocks-off)})
+			}
+		}
+		cuts = append(cuts, len(ops))
+	}
+	return ops, cuts
 }
 
 // RunCacheBench executes both arms of the client-cache experiment against
@@ -202,13 +210,17 @@ func RunCacheBench(fsCfg pfs.Config, cfg CacheBenchConfig) (CacheBenchResult, er
 	if cfg.Files <= 0 || cfg.FileBlocks <= 0 || cfg.RequestBlocks <= 0 || cfg.ReadRequestBlocks <= 0 {
 		return CacheBenchResult{}, fmt.Errorf("workload: bad cache bench config %+v", cfg)
 	}
+	ops, cuts := cacheBenchOps(cfg)
+	return cacheBench(fsCfg, cfg, ops, cuts)
+}
+
+// cacheBench runs both arms of a cache bench list.
+func cacheBench(fsCfg pfs.Config, cfg CacheBenchConfig, ops []trace.Op, cuts []int) (CacheBenchResult, error) {
 	res := CacheBenchResult{Config: fsCfg.Name, Files: cfg.Files}
 	var err error
-	if res.Off, err = runCacheArm(fsCfg, cfg, false); err != nil {
+	if res.Off, err = runCacheArm(fsCfg, cfg, false, ops, cuts); err != nil {
 		return res, err
 	}
-	if res.On, err = runCacheArm(fsCfg, cfg, true); err != nil {
-		return res, err
-	}
-	return res, nil
+	res.On, err = runCacheArm(fsCfg, cfg, true, ops, cuts)
+	return res, err
 }

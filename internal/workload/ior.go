@@ -6,6 +6,7 @@ import (
 	"redbud/internal/core"
 	"redbud/internal/pfs"
 	"redbud/internal/sim"
+	"redbud/internal/trace"
 )
 
 // IORConfig parameterizes the IOR2 macro-benchmark in shared mode:
@@ -61,109 +62,83 @@ type MacroResult struct {
 
 // RunIOR executes IOR against a fresh mount of cfg.
 func RunIOR(fsCfg pfs.Config, cfg IORConfig) (MacroResult, error) {
+	if cfg.Procs <= 0 || cfg.BlocksPerProc <= 0 || cfg.RequestBlocks <= 0 {
+		return MacroResult{}, fmt.Errorf("workload: bad IOR config %+v", cfg)
+	}
+	ops, cut := iorOps(cfg)
+	return macro(fsCfg, "IOR", cfg.Collective, int64(cfg.Procs)*cfg.BlocksPerProc, ops, cut)
+}
+
+// macro applies an IOR or BTIO list, whose file is fileBlocks large, to a
+// fresh mount of fsCfg and measures it.
+func macro(fsCfg pfs.Config, app string, collective bool, fileBlocks int64, ops []trace.Op, cut int) (MacroResult, error) {
 	fs, err := pfs.New(fsCfg)
 	if err != nil {
 		return MacroResult{}, err
 	}
-	if cfg.Procs <= 0 || cfg.BlocksPerProc <= 0 || cfg.RequestBlocks <= 0 {
-		return MacroResult{}, fmt.Errorf("workload: bad IOR config %+v", cfg)
-	}
-	fileBlocks := int64(cfg.Procs) * cfg.BlocksPerProc
-	f, err := fs.Create(fs.Root(), "ior.dat", fileBlocks)
+	p, err := RunPhases(MountTarget(fs), ops, cut, len(ops)-1, false)
 	if err != nil {
 		return MacroResult{}, err
 	}
-
-	var side *pfs.File
-	var sideBlk int64
-	if cfg.Interference {
-		side, err = fs.Create(fs.Root(), "job.log", 0)
-		if err != nil {
-			return MacroResult{}, err
-		}
-	}
-	var writes int64
-	write := func(stream core.StreamID, blk, count int64) error {
-		if err := f.Write(stream, blk, count); err != nil {
-			return err
-		}
-		writes++
-		if side != nil && writes%8 == 0 {
-			logStream := core.StreamID{Client: 999, PID: 999}
-			if err := side.Write(logStream, sideBlk, 1); err != nil {
-				return err
-			}
-			sideBlk++
-		}
-		return nil
-	}
-	if err := iorPhase(cfg, fileBlocks, 1, write); err != nil {
-		return MacroResult{}, err
-	}
-	if side != nil {
-		if err := side.Close(); err != nil {
-			return MacroResult{}, err
-		}
-	}
-	fs.Flush()
-	writeElapsed := fs.DataBusyMax()
-	extents, err := fs.TotalExtents(f)
-	if err != nil {
-		return MacroResult{}, err
-	}
-
-	// Read-back/verify phase with the same decomposition. The OST layer
-	// verifies every block's content end to end.
-	fs.ResetDataStats()
-	read := func(_ core.StreamID, blk, count int64) error {
-		return f.Read(blk, count)
-	}
-	if err := iorPhase(cfg, fileBlocks, 2, read); err != nil {
-		return MacroResult{}, err
-	}
-	fs.Flush()
-	readElapsed := fs.DataBusyMax()
-	stats := fs.DataStats()
-	if err := f.Close(); err != nil {
-		return MacroResult{}, err
-	}
-
-	blockBytes := fsCfg.OST.Disk.BlockSize
-	bytes := fileBlocks * blockBytes
+	bytes := fileBlocks * fsCfg.OST.Disk.BlockSize
 	return MacroResult{
 		Config:       fsCfg.Name,
-		App:          "IOR",
-		Collective:   cfg.Collective,
-		WriteMBps:    sim.MBps(bytes, writeElapsed),
-		ReadMBps:     sim.MBps(bytes, readElapsed),
-		Throughput:   sim.MBps(2*bytes, writeElapsed+readElapsed),
-		Extents:      extents,
-		MDSCPU:       fs.MDS().CPUUtilization(writeElapsed+readElapsed) * 100,
-		Positionings: stats.Positionings,
+		App:          app,
+		Collective:   collective,
+		WriteMBps:    sim.MBps(bytes, p.WriteNs),
+		ReadMBps:     sim.MBps(bytes, p.ReadNs),
+		Throughput:   sim.MBps(2*bytes, p.WriteNs+p.ReadNs),
+		Extents:      p.Extents,
+		MDSCPU:       fs.MDS().CPUUtilization(p.WriteNs+p.ReadNs) * 100,
+		Positionings: p.Stats.Positionings,
 	}, nil
 }
 
-// iorPhase drives one IOR phase (write or read) with rank-skewed arrival
-// order, optionally with collective aggregation. phase seeds the skew so
-// the read phase never replays the write phase's global ordering.
-func iorPhase(cfg IORConfig, fileBlocks int64, phase uint64, op func(core.StreamID, int64, int64) error) error {
+// iorOps generates an IOR run: the shared file's create, the write phase,
+// which ends at cut, the read-back/verify phase with the same
+// decomposition (the OST layer verifies every block's content end to end)
+// and the close. With interference the side file, file slot 1, takes one
+// appended block after every 8th write and is closed at the phase's end.
+func iorOps(cfg IORConfig) (ops []trace.Op, cut int) {
+	fileBlocks := int64(cfg.Procs) * cfg.BlocksPerProc
+	writes := iorPhase(cfg, fileBlocks, 1, trace.OpWrite)
+	ops = make([]trace.Op, 0, 2*len(writes)+len(writes)/8*3+6)
+	ops = append(ops, trace.Op{Kind: trace.OpCreateFile, Name: "ior.dat", Count: fileBlocks})
+	var every int64
+	if cfg.Interference {
+		every = 8
+		ops = append(ops, trace.Op{Kind: trace.OpCreateFile, Name: "job.log"}, trace.Op{Kind: trace.OpUse})
+	}
+	logStream := core.StreamID{Client: 999, PID: 999}
+	ops = appendEvery(ops, writes, every, func(ops []trace.Op, i int64) []trace.Op {
+		return append(ops, trace.Op{Kind: trace.OpUse, Slot: 1},
+			trace.Op{Kind: trace.OpWrite, Stream: logStream, Blk: i, Count: 1}, trace.Op{Kind: trace.OpUse})
+	})
+	if cfg.Interference {
+		ops = append(ops, trace.Op{Kind: trace.OpUse, Slot: 1}, trace.Op{Kind: trace.OpClose}, trace.Op{Kind: trace.OpUse})
+	}
+	cut = len(ops)
+	ops = append(ops, iorPhase(cfg, fileBlocks, 2, trace.OpRead)...)
+	return append(ops, trace.Op{Kind: trace.OpClose}), cut
+}
+
+// iorPhase generates one IOR phase, its writes or its reads as kind says,
+// with rank-skewed arrival order, optionally with collective aggregation.
+// phase seeds the skew so the read phase never replays the write phase's
+// global ordering.
+func iorPhase(cfg IORConfig, fileBlocks int64, phase uint64, kind trace.OpKind) []trace.Op {
 	if cfg.Collective {
-		return collectiveIO(cfg.Procs, cfg.CollectiveChunkBlocks, 0, fileBlocks, op)
+		return collectiveIO(nil, kind, cfg.Procs, cfg.CollectiveChunkBlocks, 0, fileBlocks)
 	}
 	// Non-collective: each rank transfers its 1/m share with
 	// RequestBlocks transfers; the global arrival order carries the
 	// rank skew of a real cluster.
 	perRank := (cfg.BlocksPerProc + cfg.RequestBlocks - 1) / cfg.RequestBlocks
+	ops := make([]trace.Op, 0, int64(cfg.Procs)*perRank)
 	rng := sim.NewRand(uint64(cfg.Procs)*7919 + uint64(fileBlocks) + phase*2654435761)
-	return jitteredArrival(rng, cfg.Procs,
-		func(int) int64 { return perRank },
-		func(p int, idx int64) error {
-			off := idx * cfg.RequestBlocks
-			n := cfg.RequestBlocks
-			if off+n > cfg.BlocksPerProc {
-				n = cfg.BlocksPerProc - off
-			}
-			stream := core.StreamID{Client: uint32(p / 4), PID: uint32(p % 4)}
-			return op(stream, int64(p)*cfg.BlocksPerProc+off, n)
-		})
+	jitteredArrival(rng, cfg.Procs, perRank, func(p int, idx int64) {
+		off := idx * cfg.RequestBlocks
+		ops = append(ops, rankOp(kind, rankStream(p), int64(p)*cfg.BlocksPerProc+off, min(cfg.RequestBlocks, cfg.BlocksPerProc-off)))
+	})
+	return ops
 }

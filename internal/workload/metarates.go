@@ -155,12 +155,9 @@ func metaratesOps(cfg MetaratesConfig) (ops []trace.Op, cuts []int) {
 			// Every client issues one op per file of its directory, the
 			// clients interleaved in a jittered arrival order. utime goes
 			// by path, as the utility would: a lookup, then the utime.
-			// Generating an op cannot fail, so neither can the arrival.
-			_ = jitteredArrival(rng, cfg.Clients, func(int) int64 { return int64(cfg.FilesPerDir) },
-				func(c int, i int64) error {
-					ops = append(ops, trace.Op{Kind: kind, Slot: int64(c + 1), Name: names[i]})
-					return nil
-				})
+			jitteredArrival(rng, cfg.Clients, int64(cfg.FilesPerDir), func(c int, i int64) {
+				ops = append(ops, trace.Op{Kind: kind, Slot: int64(c + 1), Name: names[i]})
+			})
 		}
 		ops = append(ops, trace.Op{Kind: trace.OpSync})
 		cuts = append(cuts, len(ops))

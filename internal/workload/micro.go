@@ -9,35 +9,38 @@
 // allocation policies react to), and reports results in simulated time
 // from the device models.
 //
-// The metadata drivers — Metarates, aging, PostMark and the kernel tree —
-// are split in two. A generator, a pure function of the config, draws from
-// the RNG and emits the run as a trace.Op list; Apply interprets a list
-// against a Target, a bare MDS server or a mount, making for each op the
-// server or mount call it stands for, and measures nothing. The driver
-// applies its list phase by phase and reads its counters between the
-// calls; aging applies its churn a step at a time, since where the churn
-// stops depends on the device's utilization. The lists write and read
-// back in the trace format, so miftrace replays them. The data-path
-// drivers still drive pfs themselves.
+// Every driver but the failover, defrag and crash-sweep benches is split
+// in two. A generator, a pure function of the config, draws from the RNG
+// and emits the run as a trace.Op list; Apply interprets a list against a
+// Target, a bare MDS server or a mount, making for each op the server or
+// mount call it stands for, and measures nothing. The driver applies its
+// list phase by phase and reads its counters between the calls: the data
+// drivers through RunPhases, which times a write phase and a read phase
+// the way miftrace replay does; aging applies its churn a step at a time,
+// since where the churn stops depends on the device's utilization. The
+// lists write and read back in the trace format, so miftrace replays them.
 package workload
 
 import (
 	"fmt"
 
-	"redbud/internal/core"
 	"redbud/internal/pfs"
 	"redbud/internal/sim"
+	"redbud/internal/trace"
 )
+
+// threadsPerClient is the writer threads per client node: "the program
+// started 4 threads on each client".
+const threadsPerClient = 4
 
 // MicroConfig parameterizes the two-phase shared-file micro-benchmark,
 // "based on the trace analysis of scientific computing environment [16]":
 // phase 1 places a shared file on disk with concurrent writers, phase 2
 // splits it into segments that are read back sequentially.
 type MicroConfig struct {
-	// Clients is the number of client nodes; each runs ThreadsPerClient
-	// writer threads ("the program started 4 threads on each client").
-	Clients          int
-	ThreadsPerClient int
+	// Clients is the number of client nodes, each running four writer
+	// threads.
+	Clients int
 	// RegionBlocks is the extent of each stream's private region of the
 	// shared file, in blocks.
 	RegionBlocks int64
@@ -54,7 +57,7 @@ type MicroConfig struct {
 // size. The shared file's total size is fixed; more streams mean finer
 // interleaving of the same file, exactly the paper's sweep.
 func DefaultMicroConfig(clients int) MicroConfig {
-	streams := clients * 4
+	streams := clients * threadsPerClient
 	const totalBlocks = 65536 // 256 MiB shared file
 	region := int64(totalBlocks / streams)
 	if region < 1 {
@@ -62,7 +65,6 @@ func DefaultMicroConfig(clients int) MicroConfig {
 	}
 	return MicroConfig{
 		Clients:           clients,
-		ThreadsPerClient:  4,
 		RegionBlocks:      region,
 		RequestBlocks:     4, // 16 KiB requests
 		Segments:          1024,
@@ -86,94 +88,71 @@ type MicroResult struct {
 
 // RunMicro executes the micro-benchmark against a fresh mount of cfg.
 func RunMicro(fsCfg pfs.Config, cfg MicroConfig) (MicroResult, error) {
+	if cfg.Clients <= 0 || cfg.RegionBlocks <= 0 || cfg.RequestBlocks <= 0 || cfg.Segments <= 0 {
+		return MicroResult{}, fmt.Errorf("workload: bad micro config %+v", cfg)
+	}
+	ops, cut := microOps(cfg)
+	return micro(fsCfg, cfg, ops, cut)
+}
+
+// micro applies a micro-benchmark list to a fresh mount of fsCfg and
+// measures it.
+func micro(fsCfg pfs.Config, cfg MicroConfig, ops []trace.Op, cut int) (MicroResult, error) {
 	fs, err := pfs.New(fsCfg)
 	if err != nil {
 		return MicroResult{}, err
 	}
-	streams := cfg.Clients * cfg.ThreadsPerClient
-	if streams == 0 || cfg.RegionBlocks <= 0 || cfg.RequestBlocks <= 0 {
-		return MicroResult{}, fmt.Errorf("workload: bad micro config %+v", cfg)
+	p, err := RunPhases(MountTarget(fs), ops, cut, len(ops)-1, false)
+	if err != nil {
+		return MicroResult{}, err
 	}
+	streams := cfg.Clients * threadsPerClient
+	fileBytes := int64(streams) * cfg.RegionBlocks * fsCfg.OST.Disk.BlockSize
+	return MicroResult{
+		Config:        fsCfg.Name,
+		Streams:       streams,
+		FileBlocks:    int64(streams) * cfg.RegionBlocks,
+		WriteMBps:     sim.MBps(fileBytes, p.WriteNs),
+		ReadMBps:      sim.MBps(fileBytes, p.ReadNs),
+		Extents:       p.Extents,
+		Positionings:  p.Stats.Positionings,
+		WriteElapsed:  p.WriteNs,
+		ReadElapsed:   p.ReadNs,
+		MDSCPUPercent: fs.MDS().CPUUtilization(p.WriteNs+p.ReadNs) * 100,
+	}, nil
+}
+
+// microOps generates a micro-benchmark run: the shared file's create, the
+// write phase, which ends at cut, the read phase and the close.
+//
+// Phase 1: every stream extends its region; requests from different
+// streams arrive round-robin, the worst-case interleaving the paper's
+// Figure 1(a) illustrates — trace.Generate's shared pattern.
+//
+// Phase 2: "the shared file was split into 1024 segments and each one was
+// sequentially read/written by a thread in cluster" — the segment readers
+// run concurrently, so their requests arrive with cluster skew, not in
+// global file order.
+func microOps(cfg MicroConfig) (ops []trace.Op, cut int) {
+	streams := cfg.Clients * threadsPerClient
 	fileBlocks := int64(streams) * cfg.RegionBlocks
-	f, err := fs.Create(fs.Root(), "shared.odb", fileBlocks)
-	if err != nil {
-		return MicroResult{}, err
-	}
-
-	// Phase 1: every stream extends its region; requests from different
-	// streams arrive round-robin, the worst-case interleaving the paper's
-	// Figure 1(a) illustrates.
-	ids := make([]core.StreamID, streams)
-	for i := range ids {
-		ids[i] = core.StreamID{Client: uint32(i / cfg.ThreadsPerClient), PID: uint32(i % cfg.ThreadsPerClient)}
-	}
-	for off := int64(0); off < cfg.RegionBlocks; off += cfg.RequestBlocks {
-		n := cfg.RequestBlocks
-		if off+n > cfg.RegionBlocks {
-			n = cfg.RegionBlocks - off
-		}
-		for s := 0; s < streams; s++ {
-			blk := int64(s)*cfg.RegionBlocks + off
-			if err := f.Write(ids[s], blk, n); err != nil {
-				return MicroResult{}, err
-			}
-		}
-	}
-	fs.Flush()
-	writeElapsed := fs.DataBusyMax()
-	extents, err := fs.TotalExtents(f)
-	if err != nil {
-		return MicroResult{}, err
-	}
-
-	// Phase 2: "the shared file was split into 1024 segments and each
-	// one was sequentially read/written by a thread in cluster" — the
-	// segment readers run concurrently, so their requests arrive with
-	// cluster skew, not in global file order.
-	fs.ResetDataStats()
-	segBlocks := fileBlocks / int64(cfg.Segments)
-	if segBlocks < 1 {
-		segBlocks = 1
-	}
+	writes, _ := trace.Generate(trace.GenConfig{Pattern: "shared", Streams: streams,
+		RegionBlocks: cfg.RegionBlocks, RequestBlocks: cfg.RequestBlocks})
+	segBlocks := max(fileBlocks/int64(cfg.Segments), 1)
 	reqBlocks := cfg.ReadRequestBlocks
 	if reqBlocks < 1 || reqBlocks > segBlocks {
 		reqBlocks = segBlocks
 	}
 	segments := int(fileBlocks / segBlocks)
 	reqsPerSeg := (segBlocks + reqBlocks - 1) / reqBlocks
+	ops = make([]trace.Op, 0, len(writes)+segments*int(reqsPerSeg)+2)
+	ops = append(ops, trace.Op{Kind: trace.OpCreateFile, Name: "shared.odb", Count: fileBlocks})
+	ops = append(ops, writes...)
+	cut = len(ops)
 	rng := sim.NewRand(uint64(streams)*31 + uint64(fileBlocks))
-	err = jitteredArrival(rng, segments,
-		func(int) int64 { return reqsPerSeg },
-		func(seg int, idx int64) error {
-			base := int64(seg) * segBlocks
-			off := idx * reqBlocks
-			n := reqBlocks
-			if off+n > segBlocks {
-				n = segBlocks - off
-			}
-			return f.Read(base+off, n)
-		})
-	if err != nil {
-		return MicroResult{}, err
-	}
-	fs.Flush()
-	readElapsed := fs.DataBusyMax()
-	dataStats := fs.DataStats()
-	if err := f.Close(); err != nil {
-		return MicroResult{}, err
-	}
-
-	blockBytes := fsCfg.OST.Disk.BlockSize
-	return MicroResult{
-		Config:        fsCfg.Name,
-		Streams:       streams,
-		FileBlocks:    fileBlocks,
-		WriteMBps:     sim.MBps(fileBlocks*blockBytes, writeElapsed),
-		ReadMBps:      sim.MBps(fileBlocks*blockBytes, readElapsed),
-		Extents:       extents,
-		Positionings:  dataStats.Positionings,
-		WriteElapsed:  writeElapsed,
-		ReadElapsed:   readElapsed,
-		MDSCPUPercent: fs.MDS().CPUUtilization(writeElapsed+readElapsed) * 100,
-	}, nil
+	jitteredArrival(rng, segments, reqsPerSeg, func(seg int, idx int64) {
+		off := idx * reqBlocks
+		ops = append(ops, trace.Op{Kind: trace.OpRead, Blk: int64(seg)*segBlocks + off, Count: min(reqBlocks, segBlocks-off)})
+	})
+	return append(ops, trace.Op{Kind: trace.OpClose}), cut
 }

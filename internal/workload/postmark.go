@@ -119,15 +119,13 @@ func postMarkOps(cfg PostMarkConfig) []trace.Op {
 		}
 	}
 	// Transactions: half read-or-append, half create-or-delete, the
-	// PostMark mix, interleaved across clients. Generating an op cannot
-	// fail, so neither can the arrival.
-	_ = jitteredArrival(rng.Fork(), cfg.Clients,
-		func(int) int64 { return int64(cfg.TransactionsPerClient) },
-		func(c int, _ int64) error {
+	// PostMark mix, interleaved across clients.
+	jitteredArrival(rng.Fork(), cfg.Clients, int64(cfg.TransactionsPerClient),
+		func(c int, _ int64) {
 			kind := rng.Intn(4)
 			if kind == 0 || len(files[c]) == 0 {
 				createFile(c)
-				return nil
+				return
 			}
 			i := rng.Intn(len(files[c]))
 			pf := &files[c][i]
@@ -136,7 +134,7 @@ func postMarkOps(cfg PostMarkConfig) []trace.Op {
 				ops = append(ops, trace.Op{Kind: trace.OpDelete, Slot: int64(c + 1), Name: pf.name})
 				*pf = files[c][len(files[c])-1]
 				files[c] = files[c][:len(files[c])-1]
-				return nil
+				return
 			case 2: // read whole file (transaction size = file size)
 				ops = append(ops, trace.Op{Kind: trace.OpOpen, Slot: int64(c + 1), Name: pf.name},
 					trace.Op{Kind: trace.OpRead, Count: pf.size})
@@ -147,7 +145,6 @@ func postMarkOps(cfg PostMarkConfig) []trace.Op {
 				pf.size += n
 			}
 			ops = append(ops, trace.Op{Kind: trace.OpClose})
-			return nil
 		})
 	return append(ops, trace.Op{Kind: trace.OpSync})
 }
