@@ -12,11 +12,14 @@ package redbud_test
 // cache, failover, fig8 and fig9 experiments, on the catalogue's mounts, and
 // the fig6a arm again with a registry and tracer attached — and fails if
 // the allocation count exceeds its ceiling: measured + 5 %, every count
-// being stable to a few allocations between runs.
+// being stable to a few allocations between runs. The fig6a arm also has a
+// ceiling on the bytes it allocates, measured + 5 %, so a structure that
+// grows by doubling and copying cannot come back unnoticed.
 // `go test -bench Experiment -benchmem` reports allocs/op per whole
 // experiment for trend inspection.
 
 import (
+	"runtime"
 	"testing"
 
 	"redbud/internal/experiment"
@@ -30,37 +33,42 @@ func TestAllocCeilings(t *testing.T) {
 	cases := []struct {
 		name    string
 		ceiling float64
+		bytes   float64 // ceiling on the bytes one run allocates; 0 = none
 		run     func() error
 	}{
-		// 857 measured (3,368 while every elevator batch allocated its
-		// dispatch list, 7,523 while every call built pooled request
-		// structs).
-		{"fig6a", 900, func() error {
+		// 822 measured, 7.44 MB (843 and 15.4 MB while the OST tag store
+		// was one slice that doubled and copied; 3,368 while every
+		// elevator batch allocated its dispatch list, 7,523 while every
+		// call built pooled request structs).
+		{"fig6a", 864, 7_820_000, func() error {
 			_, err := workload.RunMicro(experiment.Fig6FS(pfs.PolicyOnDemand), workload.DefaultMicroConfig(8))
 			return err
 		}},
 		// The fig6a arm observed: a fresh registry and tracer, then the span
-		// export. 2,025 measured (2,083 while every write-back asked the
-		// servers for its extent counts and each reply drew an rpc span,
-		// 4,599 with an allocating elevator, 638,700 while every span was a
-		// heap object formatting its attributes as it went).
-		{"fig6a-traced", 2_130, func() error {
+		// export. 1,974 measured (2,016 with the doubling tag store, 2,083
+		// while every write-back asked the servers for its extent counts
+		// and each reply drew an rpc span, 4,599 with an allocating
+		// elevator, 638,700 while every span was a heap object formatting
+		// its attributes as it went).
+		{"fig6a-traced", 2_073, 0, func() error {
 			cfg := experiment.Fig6FS(pfs.PolicyOnDemand)
 			cfg.Metrics, cfg.Trace = telemetry.NewRegistry(), telemetry.NewTracer(nil)
 			_, err := workload.RunMicro(cfg, workload.DefaultMicroConfig(8))
 			cfg.Trace.Spans()
 			return err
 		}},
-		// 4,995 measured (5,755 with an allocating elevator, 14,124 while
-		// every cached block was a heap object and every eviction formatted
-		// an event detail nothing read).
-		{"cache", 5_245, func() error {
+		// 4,722 measured (4,971 with the doubling tag store, 5,755 with an
+		// allocating elevator, 14,124 while every cached block was a heap
+		// object and every eviction formatted an event detail nothing
+		// read).
+		{"cache", 4_959, 0, func() error {
 			_, err := workload.RunCacheBench(pfs.MiF(5), workload.DefaultCacheBenchConfig())
 			return err
 		}},
-		// 2,926 measured (3,399 with an allocating elevator). The mount is
-		// traced: 23,950 while every span was a heap object.
-		{"failover", 3_075, func() error {
+		// 2,842 measured (2,916 with the doubling tag store, 3,399 with an
+		// allocating elevator). The mount is traced: 23,950 while every
+		// span was a heap object.
+		{"failover", 2_985, 0, func() error {
 			_, err := workload.RunFailoverBench(pfs.MiF(6), workload.DefaultFailoverBenchConfig())
 			return err
 		}},
@@ -68,7 +76,7 @@ func TestAllocCeilings(t *testing.T) {
 		// per op and client (298,406 while it did; 1.41 M while every block
 		// a transaction touched got a new buffer and every inode touch a
 		// new record and inode).
-		{"fig8-normal", 16_550, func() error {
+		{"fig8-normal", 16_550, 0, func() error {
 			_, err := workload.RunMetarates(workload.DefaultMetaratesConfig(mdfs.LayoutNormal))
 			return err
 		}},
@@ -78,7 +86,7 @@ func TestAllocCeilings(t *testing.T) {
 		// each file allocated its own extents; 1.76 M before the recycling
 		// store, and spill chains that built their block lists afresh on
 		// every write).
-		{"fig9", 69_190, func() error {
+		{"fig9", 69_190, 0, func() error {
 			_, err := workload.RunAging(workload.DefaultAgingConfig(mdfs.LayoutNormal, 0.8))
 			return err
 		}},
@@ -99,6 +107,31 @@ func TestAllocCeilings(t *testing.T) {
 				t.Errorf("%s allocates %.0f objects/run, ceiling %.0f — an allocation win regressed",
 					c.name, allocs, c.ceiling)
 			}
+			if c.bytes == 0 {
+				return
+			}
+			b := bytesPerRun(func() { err = c.run() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %.0f bytes/run (ceiling %.0f)", c.name, b, c.bytes)
+			if b > c.bytes {
+				t.Errorf("%s allocates %.0f bytes/run, ceiling %.0f — an allocation win regressed",
+					c.name, b, c.bytes)
+			}
 		})
 	}
+}
+
+// bytesPerRun returns the bytes one call of f allocates, measured like
+// testing.AllocsPerRun counts objects: on one processor, after a warm-up
+// call.
+func bytesPerRun(f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
 }

@@ -93,71 +93,85 @@ func (a *Allocator) FreeBlocks() int64 {
 	return a.free
 }
 
-// GroupFree returns the free-block count of group g.
-func (a *Allocator) GroupFree(g int) int64 {
-	return a.groupFree[g]
-}
-
 // Utilization returns the allocated fraction of the device in [0, 1].
 func (a *Allocator) Utilization() float64 {
 	return float64(a.total-a.free) / float64(a.total)
 }
 
-// isSet reports whether block b is allocated.
-func (a *Allocator) isSet(b int64) bool {
-	return a.words[b>>6]&(1<<(uint(b)&63)) != 0
+// wordMask returns the mask of n bits starting at bit lo of a word
+// (0 < n, lo+n <= 64).
+func wordMask(lo, n int64) uint64 {
+	return (^uint64(0) >> uint(64-n)) << uint(lo)
 }
 
 // setRange marks [start, start+count) allocated. Callers must have
 // verified the range is free.
 func (a *Allocator) setRange(start, count int64) {
-	for b := start; b < start+count; b++ {
-		a.words[b>>6] |= 1 << (uint(b) & 63)
-		a.groupFree[b/a.groupSize]--
+	for b, end := start, start+count; b < end; {
+		lo := b & 63
+		n := min(64-lo, end-b)
+		a.words[b>>6] |= wordMask(lo, n)
+		b += n
 	}
+	a.addGroupFree(start, count, -1)
 	a.free -= count
 }
 
 // clearRange marks [start, start+count) free. Callers must have verified
 // the range is allocated.
 func (a *Allocator) clearRange(start, count int64) {
-	for b := start; b < start+count; b++ {
-		a.words[b>>6] &^= 1 << (uint(b) & 63)
-		a.groupFree[b/a.groupSize]++
+	for b, end := start, start+count; b < end; {
+		lo := b & 63
+		n := min(64-lo, end-b)
+		a.words[b>>6] &^= wordMask(lo, n)
+		b += n
 	}
+	a.addGroupFree(start, count, 1)
 	a.free += count
 }
 
-// nextFree returns the first free block >= from, or total if none. The
-// scan skips fully-allocated words.
-func (a *Allocator) nextFree(from int64) int64 {
-	if from < 0 {
-		from = 0
+// addGroupFree adds sign times the blocks of [start, start+count) each
+// allocation group covers to that group's free count, one group span at a
+// time.
+func (a *Allocator) addGroupFree(start, count, sign int64) {
+	end := start + count
+	for g := start / a.groupSize; start < end; g++ {
+		gEnd := min((g+1)*a.groupSize, end)
+		a.groupFree[g] += sign * (gEnd - start)
+		start = gEnd
 	}
-	for from < a.total {
-		w := a.words[from>>6]
-		// Mask off bits below the in-word offset.
-		w |= (1 << (uint(from) & 63)) - 1
-		if w != ^uint64(0) {
-			b := int64(from>>6)<<6 + int64(bits.TrailingZeros64(^w))
-			if b >= a.total {
-				return a.total
-			}
-			return b
+}
+
+// nextFree returns the first free block in [from, end), or end if none.
+// The scan skips fully-allocated words.
+func (a *Allocator) nextFree(from, end int64) int64 {
+	for from < end {
+		off := from & 63
+		if w := ^a.words[from>>6] >> uint(off); w != 0 {
+			return min(from+int64(bits.TrailingZeros64(w)), end)
 		}
-		from = (from>>6 + 1) << 6
+		from += 64 - off
 	}
-	return a.total
+	return end
+}
+
+// nextSet returns the first allocated block in [from, end), or end if
+// none. The scan skips fully-free words.
+func (a *Allocator) nextSet(from, end int64) int64 {
+	for from < end {
+		off := from & 63
+		if w := a.words[from>>6] >> uint(off); w != 0 {
+			return min(from+int64(bits.TrailingZeros64(w)), end)
+		}
+		from += 64 - off
+	}
+	return end
 }
 
 // runLen returns the length of the free run starting at block b, capped at
-// max.
-func (a *Allocator) runLen(b, max int64) int64 {
-	var n int64
-	for n < max && b+n < a.total && !a.isSet(b+n) {
-		n++
-	}
-	return n
+// limit blocks.
+func (a *Allocator) runLen(b, limit int64) int64 {
+	return a.nextSet(b, min(b+limit, a.total)) - b
 }
 
 // reservedSpan returns, for block b, the end of a reservation by an owner
@@ -224,7 +238,7 @@ func (a *Allocator) AllocNear(owner Owner, goal, want int64) (start, got int64, 
 func (a *Allocator) search(owner Owner, from, limit, want int64) (int64, int64) {
 	b := from
 	for b < limit {
-		b = a.nextFree(b)
+		b = a.nextFree(b, limit)
 		if b >= limit {
 			return 0, 0
 		}
@@ -256,10 +270,8 @@ func (a *Allocator) AllocExact(owner Owner, r Range) error {
 	if r.Start < 0 || r.Count <= 0 || r.End() > a.total {
 		return fmt.Errorf("alloc: AllocExact range [%d,+%d) out of device [0,%d)", r.Start, r.Count, a.total)
 	}
-	for b := r.Start; b < r.End(); b++ {
-		if a.isSet(b) {
-			return fmt.Errorf("alloc: block %d already allocated", b)
-		}
+	if b := a.nextSet(r.Start, r.End()); b < r.End() {
+		return fmt.Errorf("alloc: block %d already allocated", b)
 	}
 	if clip := a.foreignResvBefore(owner, r.Start, r.End()); clip < r.End() {
 		return fmt.Errorf("alloc: range [%d,+%d) intersects foreign reservation at %d", r.Start, r.Count, clip)
@@ -274,10 +286,8 @@ func (a *Allocator) Free(r Range) error {
 	if r.Start < 0 || r.Count <= 0 || r.End() > a.total {
 		return fmt.Errorf("alloc: Free range [%d,+%d) out of device [0,%d)", r.Start, r.Count, a.total)
 	}
-	for b := r.Start; b < r.End(); b++ {
-		if !a.isSet(b) {
-			return fmt.Errorf("alloc: double free of block %d", b)
-		}
+	if b := a.nextFree(r.Start, r.End()); b < r.End() {
+		return fmt.Errorf("alloc: double free of block %d", b)
 	}
 	a.clearRange(r.Start, r.Count)
 	return nil
@@ -288,62 +298,28 @@ func (a *Allocator) Free(r Range) error {
 // enumeration a post-crash scrub diffs against the per-object owned sets
 // to find orphaned allocations (claimed in the bitmap, owned by nobody).
 func (a *Allocator) AppendAllocatedRuns(dst []Range) []Range {
-	start := int64(-1)
-	for w, word := range a.words {
-		if word == 0 {
-			if start >= 0 {
-				dst = append(dst, Range{Start: start, Count: int64(w)*64 - start})
-				start = -1
-			}
-			continue
-		}
-		base := int64(w) * 64
-		for i := int64(0); i < 64 && base+i < a.total; i++ {
-			if word&(1<<uint(i)) != 0 {
-				if start < 0 {
-					start = base + i
-				}
-			} else if start >= 0 {
-				dst = append(dst, Range{Start: start, Count: base + i - start})
-				start = -1
-			}
-		}
-	}
-	if start >= 0 {
-		dst = append(dst, Range{Start: start, Count: a.total - start})
-	}
-	return dst
+	return a.appendAllocatedRuns(dst, 0, a.total)
 }
 
 // AllocatedRunsIn returns every maximal run of allocated blocks
 // intersected with [lo, hi), sorted by start — the per-block-group
 // enumeration mdfs fsck's leak check diffs against the reachable blocks.
 func (a *Allocator) AllocatedRunsIn(lo, hi int64) []Range {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > a.total {
-		hi = a.total
-	}
-	if lo >= hi {
-		return nil
-	}
-	var out []Range
-	start := int64(-1)
-	for b := lo; b < hi; b++ {
-		if a.isSet(b) {
-			if start < 0 {
-				start = b
-			}
-		} else if start >= 0 {
-			out = append(out, Range{Start: start, Count: b - start})
-			start = -1
+	return a.appendAllocatedRuns(nil, max(lo, 0), min(hi, a.total))
+}
+
+// appendAllocatedRuns appends the maximal allocated runs intersected with
+// [lo, hi) to dst, a word at a time.
+func (a *Allocator) appendAllocatedRuns(dst []Range, lo, hi int64) []Range {
+	for b := lo; b < hi; {
+		start := a.nextSet(b, hi)
+		if start >= hi {
+			break
 		}
+		b = a.nextFree(start, hi)
+		dst = append(dst, Range{Start: start, Count: b - start})
 	}
-	if start >= 0 {
-		out = append(out, Range{Start: start, Count: hi - start})
-	}
-	return out
+	return dst
 }
 
 // Allocated reports whether every block of r is allocated.
@@ -351,10 +327,5 @@ func (a *Allocator) Allocated(r Range) bool {
 	if r.Start < 0 || r.Count <= 0 || r.End() > a.total {
 		return false
 	}
-	for b := r.Start; b < r.End(); b++ {
-		if !a.isSet(b) {
-			return false
-		}
-	}
-	return true
+	return a.nextFree(r.Start, r.End()) >= r.End()
 }

@@ -40,7 +40,7 @@ func (a *Allocator) FreeContig() ContigStats {
 	st.FreeBlocks = a.free
 	b := int64(0)
 	for b < a.total {
-		b = a.nextFree(b)
+		b = a.nextFree(b, a.total)
 		if b >= a.total {
 			break
 		}

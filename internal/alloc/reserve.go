@@ -25,10 +25,8 @@ func (a *Allocator) Reserve(owner Owner, r Range) error {
 	if r.Start < 0 || r.Count <= 0 || r.End() > a.total {
 		return fmt.Errorf("alloc: Reserve range [%d,+%d) out of device [0,%d)", r.Start, r.Count, a.total)
 	}
-	for b := r.Start; b < r.End(); b++ {
-		if a.isSet(b) {
-			return fmt.Errorf("alloc: Reserve over allocated block %d", b)
-		}
+	if b := a.nextSet(r.Start, r.End()); b < r.End() {
+		return fmt.Errorf("alloc: Reserve over allocated block %d", b)
 	}
 	i := sort.Search(len(a.resv), func(i int) bool { return a.resv[i].End() > r.Start })
 	if i < len(a.resv) && a.resv[i].Start < r.End() {

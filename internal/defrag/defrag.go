@@ -253,11 +253,21 @@ func (c *Controller) Instrument(reg *telemetry.Registry, labels telemetry.Labels
 	reg.GaugeFunc("defrag_plans_pending", labels, func() int64 { return int64(c.Pending()) })
 }
 
+// Span layers, span names and attribute keys, interned once per process.
+var (
+	layerDefrag    = telemetry.Intern("defrag")
+	spanScan       = telemetry.Intern("scan")
+	spanSlice      = telemetry.Intern("slice")
+	attrCandidates = telemetry.Intern("candidates")
+	attrObject     = telemetry.Intern("object")
+	attrBlocks     = telemetry.Intern("blocks")
+)
+
 // Scan walks the server's objects and returns the prioritized candidate
 // list: everything scoring above the threshold, best first (ties broken by
 // object ID for determinism).
 func (c *Controller) Scan() []Candidate {
-	sp := c.tracer.Start("defrag", "scan", 0)
+	sp := c.tracer.Begin(layerDefrag, spanScan, 0)
 	var out []Candidate
 	for _, r := range c.srv.FragReportAll() {
 		if r.Extents < c.cfg.MinExtents {
@@ -280,7 +290,7 @@ func (c *Controller) Scan() []Candidate {
 	}
 	c.stats.Scans++
 	c.stats.Candidates += int64(len(out))
-	sp.AnnotateInt("candidates", int64(len(out)))
+	sp.AnnotateInt(attrCandidates, int64(len(out)))
 	sp.End()
 	return out
 }
@@ -439,9 +449,9 @@ func (c *Controller) moveSlice(p *plan) (int64, sim.Ns, bool, error) {
 	}
 	dst := alloc.Range{Start: p.dst[p.dstIdx].Start + p.dstOff, Count: n}
 
-	sp := c.tracer.Start("defrag", "slice", 0)
-	sp.AnnotateInt("object", int64(p.object))
-	sp.AnnotateInt("blocks", int64(n))
+	sp := c.tracer.Begin(layerDefrag, spanSlice, 0)
+	sp.AnnotateInt(attrObject, int64(p.object))
+	sp.AnnotateInt(attrBlocks, int64(n))
 	cost, old, err := c.srv.CopyRange(p.object, c.owner, run.Logical, n, dst)
 	if c.onRemap != nil {
 		c.onRemap(c.srv.ID())

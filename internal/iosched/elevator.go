@@ -101,6 +101,22 @@ func (e *Elevator) Instrument(reg *telemetry.Registry, labels telemetry.Labels) 
 	reg.CounterFunc("iosched_merged", labels, func() int64 { return e.Stats().Merged })
 }
 
+// Span layers, span names, attribute keys and event names, interned once
+// per process.
+var (
+	layerIosched     = telemetry.Intern("iosched")
+	layerDisk        = telemetry.Intern("disk")
+	spanDispatch     = telemetry.Intern("dispatch")
+	spanRead         = telemetry.Intern("read")
+	spanWrite        = telemetry.Intern("write")
+	attrSubmitted    = telemetry.Intern("submitted")
+	attrDispatched   = telemetry.Intern("dispatched")
+	attrMerged       = telemetry.Intern("merged")
+	attrStart        = telemetry.Intern("start")
+	attrBlocks       = telemetry.Intern("blocks")
+	eventPositioning = telemetry.Intern("positioning")
+)
+
 // SetTracer attaches (or with nil detaches) the span tracer used by
 // RunTraced.
 func (e *Elevator) SetTracer(t *telemetry.Tracer) {
@@ -188,28 +204,28 @@ func (e *Elevator) RunTraced(d *disk.Disk, reqs []Request, parent telemetry.Span
 		return total
 	}
 
-	sp := t.Start("iosched", "dispatch", parent)
+	sp := t.Begin(layerIosched, spanDispatch, parent)
 	before := e.Stats()
 	sched := e.Schedule(reqs)
 	delta := e.Stats().Sub(before)
-	sp.AnnotateInt("submitted", int64(len(reqs)))
-	sp.AnnotateInt("dispatched", int64(len(sched)))
-	sp.AnnotateInt("merged", int64(delta.Merged))
+	sp.AnnotateInt(attrSubmitted, int64(len(reqs)))
+	sp.AnnotateInt(attrDispatched, int64(len(sched)))
+	sp.AnnotateInt(attrMerged, int64(delta.Merged))
 	var total sim.Ns
 	for _, r := range sched {
-		name := "read"
+		name := spanRead
 		if r.Write {
-			name = "write"
+			name = spanWrite
 		}
-		ds := t.Start("disk", name, sp.ID())
+		ds := t.Begin(layerDisk, name, sp.ID())
 		pos := d.Stats().Positionings
 		cost := d.Access(r.Start, r.Count, r.Write)
 		t.Advance(cost)
 		if d.Stats().Positionings > pos {
-			ds.Event("positioning")
+			ds.Event(eventPositioning)
 		}
-		ds.AnnotateInt("start", int64(r.Start))
-		ds.AnnotateInt("blocks", int64(r.Count))
+		ds.AnnotateInt(attrStart, int64(r.Start))
+		ds.AnnotateInt(attrBlocks, int64(r.Count))
 		ds.End()
 		total += cost
 	}

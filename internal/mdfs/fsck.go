@@ -93,6 +93,19 @@ func (r *FsckReport) problemf(format string, args ...interface{}) {
 //     and every set bit is referenced by some dirent (else orphaned).
 func (fs *FS) Fsck() *FsckReport { return fs.FsckWith(FsckOptions{}) }
 
+// Span layer, span names and attribute keys of a traced check, interned once
+// per process.
+var (
+	layerFsck    = telemetry.Intern("fsck")
+	spanFsck     = telemetry.Intern("fsck")
+	spanScan     = telemetry.Intern("scan")
+	spanResolve  = telemetry.Intern("resolve")
+	attrTasks    = telemetry.Intern("tasks")
+	attrBlocks   = telemetry.Intern("blocks")
+	attrDirs     = telemetry.Intern("dirs")
+	attrProblems = telemetry.Intern("problems")
+)
+
 // FsckWith runs the check with explicit telemetry options.
 func (fs *FS) FsckWith(opt FsckOptions) *FsckReport {
 	r := &FsckReport{}
@@ -117,8 +130,8 @@ func (fs *FS) FsckWith(opt FsckOptions) *FsckReport {
 		}
 	}
 
-	span := opt.Trace.Start("fsck", "fsck", 0)
-	scan := opt.Trace.Start("fsck", "scan", span.ID())
+	span := opt.Trace.Begin(layerFsck, spanFsck, 0)
+	scan := opt.Trace.Begin(layerFsck, spanScan, span.ID())
 	w.walkDir(sr.key, root, sr.ino)
 	for g := int64(0); g < fs.geo.Groups; g++ {
 		w.checkGroup(g)
@@ -126,17 +139,17 @@ func (fs *FS) FsckWith(opt FsckOptions) *FsckReport {
 	if fs.cfg.Layout == LayoutEmbedded {
 		w.checkTable()
 	}
-	scan.AnnotateInt("tasks", w.tasks)
-	scan.AnnotateInt("blocks", w.blocks)
+	scan.AnnotateInt(attrTasks, w.tasks)
+	scan.AnnotateInt(attrBlocks, w.blocks)
 	scan.End()
 
-	resolve := opt.Trace.Start("fsck", "resolve", span.ID())
+	resolve := opt.Trace.Begin(layerFsck, spanResolve, span.ID())
 	w.checkClaims()
 	sort.Strings(r.Problems)
 	sort.Strings(r.Advisories)
 	resolve.End()
-	span.AnnotateInt("dirs", int64(r.Dirs))
-	span.AnnotateInt("problems", int64(len(r.Problems)))
+	span.AnnotateInt(attrDirs, int64(r.Dirs))
+	span.AnnotateInt(attrProblems, int64(len(r.Problems)))
 	span.End()
 
 	if m := opt.Metrics; m != nil {

@@ -96,11 +96,33 @@ func (s *Server) ResetStats() { s.stats = Stats{} }
 // Root returns the root directory inode.
 func (s *Server) Root() inode.Ino { return s.fs.Root() }
 
+// Span layer, span names (one per metadata RPC) and attribute key, interned
+// once per process.
+var (
+	layerMDS             = telemetry.Intern("mds")
+	spanMkdir            = telemetry.Intern("mkdir")
+	spanCreate           = telemetry.Intern("create")
+	spanLookup           = telemetry.Intern("lookup")
+	spanStatName         = telemetry.Intern("stat-name")
+	spanUtime            = telemetry.Intern("utime")
+	spanUnlink           = telemetry.Intern("unlink")
+	spanRmdir            = telemetry.Intern("rmdir")
+	spanRename           = telemetry.Intern("rename")
+	spanReaddirplus      = telemetry.Intern("readdirplus")
+	spanOpenGetlayout    = telemetry.Intern("open-getlayout")
+	spanSetlayout        = telemetry.Intern("setlayout")
+	spanPlaceReplicas    = telemetry.Intern("place-replicas")
+	spanGetReplicaLayout = telemetry.Intern("get-replica-layout")
+	spanSetReplicaLayout = telemetry.Intern("set-replica-layout")
+	spanExtentChurn      = telemetry.Intern("extent-churn")
+	attrUnits            = telemetry.Intern("units")
+)
+
 // rpc charges the fixed per-request CPU cost, observing it into the RPC
 // histogram and recording a named span when telemetry is attached. The
 // network round trip that used to be folded in here is now charged by the
 // rpc transport, outside the server.
-func (s *Server) rpc(name string) {
+func (s *Server) rpc(name telemetry.Sym) {
 	s.stats.RPCs++
 	s.stats.CPUNs += s.cfg.RequestNs
 	cost := s.cfg.RequestNs
@@ -108,7 +130,7 @@ func (s *Server) rpc(name string) {
 		s.rpcHist.Observe(cost)
 	}
 	if s.tracer != nil {
-		sp := s.tracer.Start("mds", name, s.traceParent)
+		sp := s.tracer.Begin(layerMDS, name, s.traceParent)
 		s.tracer.Advance(cost)
 		sp.End()
 	}
@@ -142,37 +164,37 @@ func (s *Server) extentWork(n int) {
 
 // Mkdir creates a directory.
 func (s *Server) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
-	s.rpc("mkdir")
+	s.rpc(spanMkdir)
 	return s.fs.Mkdir(parent, name)
 }
 
 // Create creates a file.
 func (s *Server) Create(parent inode.Ino, name string) (inode.Ino, error) {
-	s.rpc("create")
+	s.rpc(spanCreate)
 	return s.fs.Create(parent, name)
 }
 
 // Lookup resolves a name.
 func (s *Server) Lookup(parent inode.Ino, name string) (inode.Ino, error) {
-	s.rpc("lookup")
+	s.rpc(spanLookup)
 	return s.fs.Lookup(parent, name)
 }
 
 // StatName resolves and reads an inode — the readdir-stat pair's unit.
 func (s *Server) StatName(parent inode.Ino, name string) (inode.Inode, error) {
-	s.rpc("stat-name")
+	s.rpc(spanStatName)
 	return s.fs.StatName(parent, name)
 }
 
 // Utime updates an mtime.
 func (s *Server) Utime(ino inode.Ino) error {
-	s.rpc("utime")
+	s.rpc(spanUtime)
 	return s.fs.Utime(ino)
 }
 
 // Unlink removes a file, and on a replicated mount its replica layout.
 func (s *Server) Unlink(parent inode.Ino, name string) error {
-	s.rpc("unlink")
+	s.rpc(spanUnlink)
 	var ino inode.Ino
 	if s.replicaSets != nil {
 		ino, _ = s.fs.Child(parent, name)
@@ -186,13 +208,13 @@ func (s *Server) Unlink(parent inode.Ino, name string) error {
 
 // Rmdir removes an empty directory.
 func (s *Server) Rmdir(parent inode.Ino, name string) error {
-	s.rpc("rmdir")
+	s.rpc(spanRmdir)
 	return s.fs.Rmdir(parent, name)
 }
 
 // Rename moves an entry, returning its (possibly new) inode number.
 func (s *Server) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newName string) (inode.Ino, error) {
-	s.rpc("rename")
+	s.rpc(spanRename)
 	return s.fs.Rename(srcParent, name, dstParent, newName)
 }
 
@@ -200,7 +222,7 @@ func (s *Server) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, n
 // proposed and supported by most parallel file systems to fetch the entire
 // directory, including inode contents, in a single MDS request".
 func (s *Server) ReaddirPlus(parent inode.Ino) ([]inode.Inode, error) {
-	s.rpc("readdirplus")
+	s.rpc(spanReaddirplus)
 	recs, err := s.fs.ReaddirPlus(parent)
 	if err != nil {
 		return nil, err
@@ -213,7 +235,7 @@ func (s *Server) ReaddirPlus(parent inode.Ino) ([]inode.Inode, error) {
 // file layout in the same request that opens the file, as pNFS block mode
 // and Lustre do.
 func (s *Server) OpenGetLayout(parent inode.Ino, name string) (inode.Ino, []extent.Extent, error) {
-	s.rpc("open-getlayout")
+	s.rpc(spanOpenGetlayout)
 	ino, err := s.fs.Lookup(parent, name)
 	if err != nil {
 		return 0, nil, err
@@ -229,7 +251,7 @@ func (s *Server) OpenGetLayout(parent inode.Ino, name string) (inode.Ino, []exte
 // SetLayout records a file's data placement as reported by the IO servers,
 // charging the mapping-maintenance CPU.
 func (s *Server) SetLayout(ino inode.Ino, exts []extent.Extent) error {
-	s.rpc("setlayout")
+	s.rpc(spanSetlayout)
 	s.extentWork(len(exts))
 	return s.fs.SetLayout(ino, exts)
 }
@@ -238,9 +260,9 @@ func (s *Server) SetLayout(ino inode.Ino, exts []extent.Extent) error {
 // during writes (merging, indexing) without an explicit SetLayout RPC.
 func (s *Server) NoteExtentChurn(n int) {
 	if s.tracer != nil && n > 0 {
-		sp := s.tracer.Start("mds", "extent-churn", s.traceParent)
+		sp := s.tracer.Begin(layerMDS, spanExtentChurn, s.traceParent)
 		s.tracer.Advance(sim.Ns(n) * s.cfg.ExtentOpNs)
-		sp.AnnotateInt("units", int64(n))
+		sp.AnnotateInt(attrUnits, int64(n))
 		sp.End()
 	}
 	s.extentWork(n)
@@ -267,7 +289,7 @@ func (s *Server) Sync() error { return s.fs.Sync() }
 // the layout table. The mapping work scales with the entries placed, like
 // every other layout operation.
 func (s *Server) PlaceReplicas(ino inode.Ino, comps, rf int, in []replica.PlaceInput) ([][]int, error) {
-	s.rpc("place-replicas")
+	s.rpc(spanPlaceReplicas)
 	sets, err := replica.Spread(rf, comps, in)
 	if err != nil {
 		return nil, err
@@ -282,7 +304,7 @@ func (s *Server) PlaceReplicas(ino inode.Ino, comps, rf int, in []replica.PlaceI
 
 // GetReplicaLayout returns a file's recorded replica sets.
 func (s *Server) GetReplicaLayout(ino inode.Ino) ([][]int, error) {
-	s.rpc("get-replica-layout")
+	s.rpc(spanGetReplicaLayout)
 	sets, ok := s.replicaSets[ino]
 	if !ok {
 		return nil, fmt.Errorf("mds: inode %d has no replica layout", uint64(ino))
@@ -298,7 +320,7 @@ func (s *Server) GetReplicaLayout(ino inode.Ino) ([][]int, error) {
 // SetReplicaLayout replaces one component's replica set — the commit a
 // completed re-replication publishes.
 func (s *Server) SetReplicaLayout(ino inode.Ino, comp int, replicas []int) error {
-	s.rpc("set-replica-layout")
+	s.rpc(spanSetReplicaLayout)
 	sets, ok := s.replicaSets[ino]
 	if !ok || comp < 0 || comp >= len(sets) {
 		return fmt.Errorf("mds: inode %d has no replica component %d", uint64(ino), comp)

@@ -6,15 +6,29 @@ import (
 	"redbud/internal/alloc"
 )
 
+// tagPageBits sets the tag store's page size: 1<<tagPageBits slots, 64 KiB.
+const tagPageBits = 12
+
+// tagPage is one fixed-size page of the tag store.
+type tagPage [1 << tagPageBits]tagSlot
+
 // tagStore maps physical block → data tag. Physical addresses are dense
 // (the allocator hands out volume offsets bounded by cfg.Blocks), so the
-// store is a lazily grown slice indexed by block: the per-block map
-// assign/delete that dominated write-path CPU profiles becomes one bounds
-// check and one slot write. A slot is empty when logical1 == 0; occupied
-// slots store logical+1 so the zero value of a freshly grown region means
-// "no tag" without initialization.
+// store is a table of fixed-size pages indexed by block: the per-block map
+// assign/delete that dominated write-path CPU profiles becomes one table
+// index and one slot write. A page is allocated on the first write into it
+// and never moves; a missing page reads as empty, so blocks the allocator
+// never hands out cost nothing. A slot is empty when logical1 == 0;
+// occupied slots store logical+1 so a fresh page means "no tag" without
+// initialization.
 type tagStore struct {
-	slots []tagSlot
+	pages []*tagPage
+}
+
+// newTagStore returns a store whose page table covers blocks: the
+// allocator never hands out a block beyond them.
+func newTagStore(blocks int64) tagStore {
+	return tagStore{pages: make([]*tagPage, (blocks+1<<tagPageBits-1)>>tagPageBits)}
 }
 
 // tagSlot is the stored form of one block's tag.
@@ -25,68 +39,54 @@ type tagSlot struct {
 
 // set records that phys carries obj's data for the given logical block.
 func (ts *tagStore) set(phys int64, obj ObjectID, logical int64) {
-	ts.grow(phys + 1)
-	ts.slots[phys] = tagSlot{obj: obj, logical1: logical + 1}
+	ts.setSlot(phys, tagSlot{obj: obj, logical1: logical + 1})
 }
 
 // get returns the tag stored at phys, if any.
 func (ts *tagStore) get(phys int64) (tag, bool) {
-	if phys < 0 || phys >= int64(len(ts.slots)) {
-		return tag{}, false
-	}
-	s := ts.slots[phys]
+	s := ts.slotAt(phys)
 	if s.logical1 == 0 {
 		return tag{}, false
 	}
 	return tag{obj: s.obj, logical: s.logical1 - 1}, true
 }
 
-// slotAt returns the raw slot stored at phys (zero value when out of
-// range) — the pre-image a crash-armed write path records before set.
+// slotAt returns the raw slot stored at phys (zero value when no page
+// holds it) — the pre-image a crash-armed write path records before set.
 func (ts *tagStore) slotAt(phys int64) tagSlot {
-	if phys < 0 || phys >= int64(len(ts.slots)) {
+	if phys < 0 || phys>>tagPageBits >= int64(len(ts.pages)) {
 		return tagSlot{}
 	}
-	return ts.slots[phys]
+	if p := ts.pages[phys>>tagPageBits]; p != nil {
+		return p[phys&(1<<tagPageBits-1)]
+	}
+	return tagSlot{}
 }
 
 // setSlot stores a raw slot at phys — the pre-image restore of a
-// power-fail undo.
+// power-fail undo — allocating its page on first use.
 func (ts *tagStore) setSlot(phys int64, s tagSlot) {
-	ts.grow(phys + 1)
-	ts.slots[phys] = s
+	p := ts.pages[phys>>tagPageBits]
+	if p == nil {
+		p = new(tagPage)
+		ts.pages[phys>>tagPageBits] = p
+	}
+	p[phys&(1<<tagPageBits-1)] = s
 }
 
-// clearRange drops the tags of every block in [start, end).
+// clearRange drops the tags of every block in [start, end), skipping
+// pages that were never allocated.
 func (ts *tagStore) clearRange(start, end int64) {
-	if start < 0 {
-		start = 0
+	start = max(start, 0)
+	end = min(end, int64(len(ts.pages))<<tagPageBits)
+	for start < end {
+		pg := start >> tagPageBits
+		next := min((pg+1)<<tagPageBits, end)
+		if p := ts.pages[pg]; p != nil {
+			clear(p[start&(1<<tagPageBits-1) : (next-1)&(1<<tagPageBits-1)+1])
+		}
+		start = next
 	}
-	if end > int64(len(ts.slots)) {
-		end = int64(len(ts.slots))
-	}
-	for b := start; b < end; b++ {
-		ts.slots[b] = tagSlot{}
-	}
-}
-
-// grow extends the store to cover n slots. Slice extension within capacity
-// and fresh append memory are both zeroed, so grown regions read as empty.
-func (ts *tagStore) grow(n int64) {
-	if n <= int64(len(ts.slots)) {
-		return
-	}
-	if n <= int64(cap(ts.slots)) {
-		ts.slots = ts.slots[:n]
-		return
-	}
-	c := 2 * int64(cap(ts.slots))
-	if c < n {
-		c = n
-	}
-	ns := make([]tagSlot, n, c)
-	copy(ns, ts.slots)
-	ts.slots = ns
 }
 
 // blockSet is a grow-on-demand bitmap over logical block addresses — the

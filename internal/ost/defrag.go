@@ -138,9 +138,9 @@ func (s *Server) CopyRange(id ObjectID, owner alloc.Owner, logical, count int64,
 		return 0, nil, fmt.Errorf("ost%d: migrate destination [%d,+%d) does not match range length %d",
 			s.id, dst.Start, dst.Count, count)
 	}
-	sp, prev := s.startOp("migrate")
-	sp.AnnotateInt("object", int64(id))
-	sp.AnnotateInt("blocks", int64(count))
+	sp, prev := s.startOp(spanMigrate)
+	sp.AnnotateInt(attrObject, int64(id))
+	sp.AnnotateInt(attrBlocks, int64(count))
 	defer s.endOp(sp, prev)
 	o, err := s.object(id)
 	if err != nil {

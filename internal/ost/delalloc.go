@@ -99,7 +99,7 @@ func (s *Server) flushAllBuffers() error {
 // queued to the device, then flushes the device queue — the explicit sync
 // that defeats delayed allocation's coalescing.
 func (s *Server) Fsync(id ObjectID) error {
-	sp, prev := s.startOp("fsync")
+	sp, prev := s.startOp(spanFsync)
 	defer s.endOp(sp, prev)
 	o, err := s.object(id)
 	if err != nil {

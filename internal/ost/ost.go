@@ -9,6 +9,7 @@
 package ost
 
 import (
+	"errors"
 	"fmt"
 
 	"redbud/internal/alloc"
@@ -171,6 +172,7 @@ func NewServer(id int, cfg Config) *Server {
 		disk:    disk.New(cfg.Disk, cfg.Blocks),
 		sched:   iosched.NewElevator(cfg.QueueDepth),
 		alloc:   alloc.New(cfg.Blocks, cfg.GroupBlocks),
+		tags:    newTagStore(cfg.Blocks),
 		objects: make(map[ObjectID]*object),
 	}
 }
@@ -212,13 +214,26 @@ func (s *Server) SetTracer(t *telemetry.Tracer) {
 // each operation.
 func (s *Server) SetTraceParent(id telemetry.SpanID) { s.traceParent = id }
 
+// Span layers, span names and attribute keys, interned once per process.
+var (
+	layerOST    = telemetry.Intern("ost")
+	spanWrite   = telemetry.Intern("write")
+	spanRead    = telemetry.Intern("read")
+	spanFlush   = telemetry.Intern("flush")
+	spanFsync   = telemetry.Intern("fsync")
+	spanMigrate = telemetry.Intern("migrate")
+	attrOST     = telemetry.Intern("ost")
+	attrObject  = telemetry.Intern("object")
+	attrBlocks  = telemetry.Intern("blocks")
+)
+
 // startOp opens an "ost" span for one client operation and makes it
 // the parent of any device flush the operation triggers, returning the span
 // and the previous flush parent to restore. Safe (and a no-op) without a
 // tracer.
-func (s *Server) startOp(name string) (telemetry.ActiveSpan, telemetry.SpanID) {
-	sp := s.tracer.Start("ost", name, s.traceParent)
-	sp.AnnotateInt("ost", int64(s.id))
+func (s *Server) startOp(name telemetry.Sym) (telemetry.ActiveSpan, telemetry.SpanID) {
+	sp := s.tracer.Begin(layerOST, name, s.traceParent)
+	sp.AnnotateInt(attrOST, int64(s.id))
 	prev := s.curSpan
 	s.curSpan = sp.ID()
 	return sp, prev
@@ -278,11 +293,14 @@ func (s *Server) Restart() {
 	s.prefetchHits = 0
 }
 
+// ErrNoObject is the error of an op on an object the server does not hold.
+var ErrNoObject = errors.New("no such object")
+
 // object looks up an object.
 func (s *Server) object(id ObjectID) (*object, error) {
 	o, ok := s.objects[id]
 	if !ok {
-		return nil, fmt.Errorf("ost%d: no such object %d", s.id, id)
+		return nil, fmt.Errorf("ost%d: %w %d", s.id, ErrNoObject, id)
 	}
 	return o, nil
 }
@@ -294,9 +312,9 @@ func (s *Server) Write(id ObjectID, stream core.StreamID, logical, count int64) 
 	if logical < 0 || count <= 0 {
 		return fmt.Errorf("ost%d: invalid write [%d,+%d)", s.id, logical, count)
 	}
-	sp, prev := s.startOp("write")
-	sp.AnnotateInt("object", int64(id))
-	sp.AnnotateInt("blocks", int64(count))
+	sp, prev := s.startOp(spanWrite)
+	sp.AnnotateInt(attrObject, int64(id))
+	sp.AnnotateInt(attrBlocks, int64(count))
 	defer s.endOp(sp, prev)
 	o, err := s.object(id)
 	if err != nil {
@@ -429,9 +447,9 @@ func (s *Server) Read(id ObjectID, logical, count int64) error {
 	if logical < 0 || count <= 0 {
 		return fmt.Errorf("ost%d: invalid read [%d,+%d)", s.id, logical, count)
 	}
-	sp, prev := s.startOp("read")
-	sp.AnnotateInt("object", int64(id))
-	sp.AnnotateInt("blocks", int64(count))
+	sp, prev := s.startOp(spanRead)
+	sp.AnnotateInt(attrObject, int64(id))
+	sp.AnnotateInt(attrBlocks, int64(count))
 	defer s.endOp(sp, prev)
 	o, err := s.object(id)
 	if err != nil {
@@ -718,7 +736,7 @@ func (s *Server) flush() sim.Ns {
 // device requests to storage, returning the device service time. Benchmark
 // phases call it at phase boundaries.
 func (s *Server) Flush() sim.Ns {
-	sp, prev := s.startOp("flush")
+	sp, prev := s.startOp(spanFlush)
 	defer s.endOp(sp, prev)
 	if err := s.flushAllBuffers(); err != nil {
 		// Allocation failure at writeback time is a data-loss class

@@ -18,6 +18,7 @@ package pfs
 //     drained until redundancy is restored.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -52,6 +53,13 @@ func (r *RecoveryReport) Clean() bool {
 	return r.Mdfs != nil && r.Mdfs.Clean() && r.RepairedOK
 }
 
+// lostObject is one copy of a dropped file's object: the server that holds
+// it and its ID.
+type lostObject struct {
+	ost int
+	obj ost.ObjectID
+}
+
 // CrashRecover brings the mount back after an injector kill (or any other
 // point where the caller wants to model a whole-cluster power failure).
 // It must only be called between operations — never with an FS call on the
@@ -74,10 +82,17 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 	}
 	// A file whose create the journal lost is no longer in the namespace:
 	// the mount drops it, so its inode number's next owner is not reached
-	// through its stale handles.
+	// through its stale handles. Its objects go after the scrub.
+	var lost []lostObject
 	for _, ino := range fs.fileInos() {
 		f := fs.files[ino]
 		if got, ok := fs.mds.FS().Child(f.parent, f.name); !ok || got != ino {
+			for c, obj := range f.objects {
+				members, _, _ := fs.members(f, c)
+				for _, m := range members {
+					lost = append(lost, lostObject{ost: m.OST, obj: obj})
+				}
+			}
 			fs.drop(f)
 		}
 	}
@@ -102,6 +117,14 @@ func (fs *FS) CrashRecover() (*RecoveryReport, error) {
 			return rep, fmt.Errorf("pfs: recovery scrub ost%d: %w", sr.OST, err)
 		}
 		rep.Scrubs = append(rep.Scrubs, sr)
+	}
+	// Every copy of a dropped file's objects is garbage: no file names it,
+	// so nothing else would ever free its blocks. A copy its server never
+	// got (created while the server was down) is skipped.
+	for _, l := range lost {
+		if err := fs.osts[l.ost].Delete(l.obj); err != nil && !errors.Is(err, ost.ErrNoObject) {
+			return rep, fmt.Errorf("pfs: recovery: dropped file: %w", err)
+		}
 	}
 
 	// The op the crash cut short may have changed an extent map without

@@ -371,11 +371,32 @@ func (fs *FS) Tracer() *telemetry.Tracer {
 	return fs.tracer
 }
 
+// Span layers, span names and attribute keys, interned once per process.
+var (
+	layerPfs            = telemetry.Intern("pfs")
+	layerCache          = telemetry.Intern("cache")
+	spanMkdir           = telemetry.Intern("mkdir")
+	spanCreate          = telemetry.Intern("create")
+	spanOpen            = telemetry.Intern("open")
+	spanDelete          = telemetry.Intern("delete")
+	spanWrite           = telemetry.Intern("write")
+	spanRead            = telemetry.Intern("read")
+	spanTruncate        = telemetry.Intern("truncate")
+	spanFsync           = telemetry.Intern("fsync")
+	spanClose           = telemetry.Intern("close")
+	spanDeleteBarrier   = telemetry.Intern("delete-barrier")
+	spanTruncateBarrier = telemetry.Intern("truncate-barrier")
+	spanFsyncBarrier    = telemetry.Intern("fsync-barrier")
+	spanCloseBarrier    = telemetry.Intern("close-barrier")
+	spanRepairStep      = telemetry.Intern("repair-step")
+	attrBlocks          = telemetry.Intern("blocks")
+)
+
 // startOp opens the root "pfs" span of one client operation and points the
 // rpc connection at it, so every rpc span (and the server and network spans
 // beneath) nests underneath. A nil tracer makes the whole chain a no-op.
-func (fs *FS) startOp(name string) telemetry.ActiveSpan {
-	sp := fs.tracer.Start("pfs", name, 0)
+func (fs *FS) startOp(name telemetry.Sym) telemetry.ActiveSpan {
+	sp := fs.tracer.Begin(layerPfs, name, 0)
 	fs.conn.SetTraceParent(sp.ID())
 	return sp
 }
@@ -429,11 +450,11 @@ type cacheStore FS
 // with the rpc connection pointed at it, so write-back and fetch RPCs nest
 // pfs → cache → rpc. A pass-through holds no block and gets no span: the
 // one place pfs asks whether blocks are cached.
-func (fs *FS) inCache(name string, op telemetry.ActiveSpan, call func() error) error {
+func (fs *FS) inCache(name telemetry.Sym, op telemetry.ActiveSpan, call func() error) error {
 	if fs.cache.Config().CapacityBlocks <= 0 {
 		return call()
 	}
-	sp := fs.tracer.Start("cache", name, op.ID())
+	sp := fs.tracer.Begin(layerCache, name, op.ID())
 	fs.conn.SetTraceParent(sp.ID())
 	err := call()
 	fs.conn.SetTraceParent(op.ID())
@@ -443,7 +464,7 @@ func (fs *FS) inCache(name string, op telemetry.ActiveSpan, call func() error) e
 
 // flushFile is the per-file barrier: every dirty block of f is written
 // back before the caller's own RPCs proceed.
-func (fs *FS) flushFile(f *file, name string, op telemetry.ActiveSpan) error {
+func (fs *FS) flushFile(f *file, name telemetry.Sym, op telemetry.ActiveSpan) error {
 	// Crash point: power fails as the barrier starts — nothing written
 	// back, nothing acknowledged.
 	if _, ok := fs.cfg.Crash.Hit(crashsim.PtCacheBarrierFlush, 0); ok {
@@ -508,7 +529,7 @@ func (fs *FS) ostBusy(i int) sim.Ns {
 
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
-	sp := fs.startOp("mkdir")
+	sp := fs.startOp(spanMkdir)
 	defer fs.endOp(sp)
 	return fs.mdsc.Mkdir(parent, name)
 }
@@ -517,7 +538,7 @@ func (fs *FS) Mkdir(parent inode.Ino, name string) (inode.Ino, error) {
 // declares the expected file size (in file-system blocks); the static
 // policy fallocates it, other policies ignore it.
 func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File, error) {
-	sp := fs.startOp("create")
+	sp := fs.startOp(spanCreate)
 	defer fs.endOp(sp)
 	ino, err := fs.mdsc.Create(parent, name)
 	if err != nil {
@@ -536,7 +557,7 @@ func (fs *FS) Create(parent inode.Ino, name string, sizeHintBlocks int64) (*File
 
 // Open opens an existing file with the aggregated open+getlayout request.
 func (fs *FS) Open(parent inode.Ino, name string) (*File, error) {
-	sp := fs.startOp("open")
+	sp := fs.startOp(spanOpen)
 	defer fs.endOp(sp)
 	ino, _, err := fs.mdsc.OpenGetLayout(parent, name)
 	if err != nil {
@@ -558,7 +579,7 @@ func (fs *FS) Open(parent inode.Ino, name string) (*File, error) {
 
 // Delete removes a file: its MDS entry and its OST objects.
 func (fs *FS) Delete(parent inode.Ino, name string) error {
-	sp := fs.startOp("delete")
+	sp := fs.startOp(spanDelete)
 	defer fs.endOp(sp)
 	ino, err := fs.mdsc.LookupResolved(parent, name)
 	if err != nil {
@@ -573,7 +594,7 @@ func (fs *FS) Delete(parent inode.Ino, name string) error {
 	}
 	// Delete is a flush barrier: dirty blocks drain before the objects go
 	// away, then the cache forgets the file entirely.
-	if err := fs.flushFile(f, "delete-barrier", sp); err != nil {
+	if err := fs.flushFile(f, spanDeleteBarrier, sp); err != nil {
 		return err
 	}
 	// Copies on down servers are orphaned (the revived server's object is
@@ -785,15 +806,15 @@ func (h *File) Write(stream core.StreamID, blk, count int64) error {
 	if err := fs.checkRange("write", blk, count); err != nil {
 		return err
 	}
-	sp := fs.startOp("write")
-	sp.AnnotateInt("blocks", int64(count))
+	sp := fs.startOp(spanWrite)
+	sp.AnnotateInt(attrBlocks, int64(count))
 	begin := fs.tracer.Now()
 	defer func() {
 		fs.observeOp(fs.writeHist, begin)
 		fs.writeSeries.Add(fs.tracer.Now(), count)
 		fs.endOp(sp)
 	}()
-	return fs.inCache("write", sp, func() error {
+	return fs.inCache(spanWrite, sp, func() error {
 		return fs.cache.Write(cache.FileID(h.f.ino), stream, blk, count)
 	})
 }
@@ -891,15 +912,15 @@ func (h *File) Read(blk, count int64) error {
 	if err := fs.checkRange("read", blk, count); err != nil {
 		return err
 	}
-	sp := fs.startOp("read")
-	sp.AnnotateInt("blocks", int64(count))
+	sp := fs.startOp(spanRead)
+	sp.AnnotateInt(attrBlocks, int64(count))
 	begin := fs.tracer.Now()
 	defer func() {
 		fs.observeOp(fs.readHist, begin)
 		fs.readSeries.Add(fs.tracer.Now(), count)
 		fs.endOp(sp)
 	}()
-	return fs.inCache("read", sp, func() error {
+	return fs.inCache(spanRead, sp, func() error {
 		return fs.cache.Read(cache.FileID(h.f.ino), blk, count)
 	})
 }
@@ -952,11 +973,11 @@ func (h *File) Truncate(sizeBlocks int64) error {
 	if capacity := int64(len(fs.osts)) * fs.cfg.OST.Blocks; sizeBlocks < 0 || sizeBlocks > capacity {
 		return fmt.Errorf("pfs: invalid truncate to %d (the mount has %d data blocks)", sizeBlocks, capacity)
 	}
-	sp := fs.startOp("truncate")
+	sp := fs.startOp(spanTruncate)
 	defer fs.endOp(sp)
 	// Truncate is a flush barrier: dirty blocks drain first, then the
 	// servers shrink, then the cache drops the now-stale tail.
-	if err := fs.flushFile(h.f, "truncate-barrier", sp); err != nil {
+	if err := fs.flushFile(h.f, spanTruncateBarrier, sp); err != nil {
 		return err
 	}
 	for c := range h.f.objects {
@@ -982,11 +1003,11 @@ func (h *File) Fsync() error {
 	if err := h.stale(); err != nil {
 		return err
 	}
-	sp := fs.startOp("fsync")
+	sp := fs.startOp(spanFsync)
 	defer fs.endOp(sp)
 	// Fsync is a flush barrier: every cached dirty block reaches the
 	// servers before their own buffers are forced.
-	if err := fs.flushFile(h.f, "fsync-barrier", sp); err != nil {
+	if err := fs.flushFile(h.f, spanFsyncBarrier, sp); err != nil {
 		return err
 	}
 	for c := range h.f.objects {
@@ -1009,11 +1030,11 @@ func (h *File) Close() error {
 	if err := h.stale(); err != nil {
 		return err
 	}
-	sp := fs.startOp("close")
+	sp := fs.startOp(spanClose)
 	defer fs.endOp(sp)
 	// Close is a flush barrier: the layout summary recorded at the MDS
 	// must describe the data as the servers hold it.
-	if err := fs.flushFile(h.f, "close-barrier", sp); err != nil {
+	if err := fs.flushFile(h.f, spanCloseBarrier, sp); err != nil {
 		return err
 	}
 	var layout []extent.Extent

@@ -131,6 +131,46 @@ func TestTruncateThroughStripe(t *testing.T) {
 	}
 }
 
+// TestCrashRecoverDeletesLostFilesObjects: the objects of a file whose
+// create the journal lost belong to nobody after recovery, so recovery
+// deletes every copy — on a plain and on a replicated mount, no object and
+// no used block remains on any server, and none counts as leaked.
+func TestCrashRecoverDeletesLostFilesObjects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fs   func(t *testing.T) *FS
+	}{
+		{"rf1", func(t *testing.T) *FS { return newMiF(t, 4) }},
+		{"rf2", func(t *testing.T) *FS { return newReplicated(t, 4, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := tc.fs(t)
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := fs.Create(fs.Root(), "lost", 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Write(core.StreamID{Client: 1, PID: 1}, 0, 64); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.CrashRecover(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < fs.OSTs(); i++ {
+				srv := fs.OST(i)
+				if n, used := srv.ObjectCount(), srv.UsedBlocks(); n != 0 || used != 0 {
+					t.Errorf("ost%d after recovery: %d objects, %d used blocks; want 0 and 0", i, n, used)
+				}
+				if rep := srv.CheckConsistency(); rep.LeakedBlocks != 0 || !rep.Clean() {
+					t.Errorf("ost%d after recovery: %d leaked blocks, problems %v", i, rep.LeakedBlocks, rep.Problems)
+				}
+			}
+		})
+	}
+}
+
 // TestCrashRecoverDropsLostCreates: a file whose create the MDS journal
 // lost is gone from the mount after recovery. Its inode number goes to the
 // next create, here a directory, and the old handle's every op fails

@@ -318,7 +318,7 @@ func (fs *FS) RepairStep(force bool) (bool, error) {
 	if fs.rep == nil {
 		return false, nil
 	}
-	sp := fs.startOp("repair-step")
+	sp := fs.startOp(spanRepairStep)
 	defer fs.endOp(sp)
 	if !fs.rep.JobActive() {
 		jd, ok := fs.rep.PlanRepair(fs.repPlaceInputs())

@@ -28,6 +28,7 @@ type server interface {
 // route and passes it to every Call, so no call looks up an address.
 type route struct {
 	addr  string
+	sym   telemetry.Sym // addr as a span attribute value
 	srv   server
 	link  *netsim.Link
 	down  bool
@@ -70,7 +71,7 @@ func NewConn(cfg ClientConfig) *Conn {
 // free (tests); wire charging is skipped. The address stays in the table
 // only for Crash, Revive and Instrument.
 func (c *Conn) register(addr string, srv server, link *netsim.Link) *route {
-	rt := &route{addr: addr, srv: srv, link: link, cache: newReplayCache()}
+	rt := &route{addr: addr, sym: telemetry.Intern(addr), srv: srv, link: link, cache: newReplayCache()}
 	c.routes[addr] = rt
 	return rt
 }
@@ -204,6 +205,16 @@ func (c *Conn) attempt(rt *route, xid uint64, op Op, reqSize int64, exec func() 
 	return false, err
 }
 
+// Span layers, span name and attribute keys, interned once per process; the
+// rpc span names are the ops' symbols (opSyms).
+var (
+	layerRPC     = telemetry.Intern("rpc")
+	layerNet     = telemetry.Intern("net")
+	spanTransfer = telemetry.Intern("transfer")
+	attrAddr     = telemetry.Intern("addr")
+	attrBytes    = telemetry.Intern("bytes")
+)
+
 // exchange puts one request/response pair on the wire: request leg, the
 // server call through the route's replay cache (server spans nested under
 // the "rpc" span), response leg.
@@ -212,8 +223,8 @@ func (c *Conn) exchange(rt *route, xid uint64, op Op, reqSize int64, exec func()
 	var begin sim.Ns
 	parent := c.traceParent
 	if tr := c.tracer; tr != nil {
-		sp = tr.Start("rpc", string(op), parent)
-		sp.Annotate("addr", rt.addr)
+		sp = tr.Begin(layerRPC, opSyms[op], parent)
+		sp.Annotate(attrAddr, rt.sym)
 		begin = tr.Now()
 		parent = sp.ID()
 		rt.srv.SetTraceParent(parent)
@@ -245,9 +256,9 @@ func (c *Conn) transfer(link *netsim.Link, bytes int64, parent telemetry.SpanID)
 		link.Transfer(bytes)
 		return
 	}
-	sp := c.tracer.Start("net", "transfer", parent)
+	sp := c.tracer.Begin(layerNet, spanTransfer, parent)
 	cost := link.Transfer(bytes)
 	c.tracer.Advance(cost)
-	sp.AnnotateInt("bytes", int64(bytes))
+	sp.AnnotateInt(attrBytes, int64(bytes))
 	sp.End()
 }

@@ -11,7 +11,7 @@ type metrics struct {
 	reg    *telemetry.Registry
 	labels telemetry.Labels
 
-	ops    map[Op]*opMetrics
+	ops    [numOps]*opMetrics
 	faults map[string]*telemetry.Counter
 
 	retries    *telemetry.Counter
@@ -33,7 +33,6 @@ func newMetrics(reg *telemetry.Registry, labels telemetry.Labels) *metrics {
 	return &metrics{
 		reg:        reg,
 		labels:     labels,
-		ops:        make(map[Op]*opMetrics),
 		faults:     make(map[string]*telemetry.Counter),
 		retries:    reg.Counter("rpc_retries", labels),
 		timeouts:   reg.Counter("rpc_timeouts", labels),
@@ -50,19 +49,19 @@ func (m *metrics) call(op Op, dur sim.Ns, failed bool) {
 	}
 	om := m.ops[op]
 	if om == nil {
-		om = &opMetrics{calls: m.reg.Counter("rpc_calls", m.labels.With("op", string(op)))}
+		om = &opMetrics{calls: m.reg.Counter("rpc_calls", m.labels.With("op", op.String()))}
 		m.ops[op] = om
 	}
 	om.calls.Inc()
 	if failed {
 		if om.errors == nil {
-			om.errors = m.reg.Counter("rpc_errors", m.labels.With("op", string(op)))
+			om.errors = m.reg.Counter("rpc_errors", m.labels.With("op", op.String()))
 		}
 		om.errors.Inc()
 	}
 	if dur >= 0 {
 		if om.latency == nil {
-			om.latency = m.reg.Histogram("rpc_call_ns", m.labels.With("op", string(op)))
+			om.latency = m.reg.Histogram("rpc_call_ns", m.labels.With("op", op.String()))
 		}
 		om.latency.Observe(dur)
 	}
@@ -89,14 +88,14 @@ func (m *metrics) fault(at sim.Ns, kind string, op Op) {
 		m.faults[kind] = c
 	}
 	c.Inc()
-	m.event(at, kind, string(op))
+	m.event(at, kind, op.String())
 }
 
 // retry counts one re-sent request.
 func (m *metrics) retry(at sim.Ns, op Op) {
 	if m != nil {
 		m.retries.Inc()
-		m.event(at, "retry", string(op))
+		m.event(at, "retry", op.String())
 	}
 }
 
@@ -104,7 +103,7 @@ func (m *metrics) retry(at sim.Ns, op Op) {
 func (m *metrics) timeout(at sim.Ns, op Op) {
 	if m != nil {
 		m.timeouts.Inc()
-		m.event(at, "timeout", string(op))
+		m.event(at, "timeout", op.String())
 	}
 }
 
@@ -112,7 +111,7 @@ func (m *metrics) timeout(at sim.Ns, op Op) {
 func (m *metrics) recovery(at sim.Ns, op Op) {
 	if m != nil {
 		m.recoveries.Inc()
-		m.event(at, "recovery", string(op))
+		m.event(at, "recovery", op.String())
 	}
 }
 
@@ -120,6 +119,6 @@ func (m *metrics) recovery(at sim.Ns, op Op) {
 func (m *metrics) exhaust(at sim.Ns, op Op) {
 	if m != nil {
 		m.exhausted.Inc()
-		m.event(at, "exhaust", string(op))
+		m.event(at, "exhaust", op.String())
 	}
 }

@@ -50,7 +50,11 @@
 // pre-seam direct-call model in the fault-free configuration.
 package rpc
 
-import "fmt"
+import (
+	"fmt"
+
+	"redbud/internal/telemetry"
+)
 
 // Encoded-field sizes of the modeled wire format.
 const (
@@ -121,51 +125,93 @@ func (c Class) String() string {
 	}
 }
 
-// Op identifies one operation of the RPC catalog.
-type Op string
+// Op identifies one operation of the RPC catalog. Its name (String) is
+// what telemetry and errors show; each op also has a span-name symbol,
+// interned once per process.
+type Op uint8
 
 // Client↔MDS ops.
 const (
-	OpMkdir         Op = "mkdir"
-	OpCreate        Op = "create"
-	OpLookup        Op = "lookup"
-	OpUnlink        Op = "unlink"
-	OpOpenGetLayout Op = "open-getlayout"
-	OpSetLayout     Op = "setlayout"
+	OpMkdir Op = iota
+	OpCreate
+	OpLookup
+	OpUnlink
+	OpOpenGetLayout
+	OpSetLayout
 	// OpMDSSync flushes the metadata journal; it rides the storage control
 	// plane (ClassControl), not a client-visible metadata RPC.
-	OpMDSSync Op = "mds-sync"
+	OpMDSSync
 	// OpExtentChurn reports layout-mapping churn observed during writes; it
 	// piggybacks on data-plane completions (ClassControl).
-	OpExtentChurn Op = "extent-churn"
+	OpExtentChurn
 	// OpPlaceReplicas asks the MDS to place a file's replica sets: the
 	// client ships its capacity/load observations, the server runs the
 	// spread policy and records the result.
-	OpPlaceReplicas Op = "place-replicas"
+	OpPlaceReplicas
 	// OpGetReplicaLayout fetches a file's replica sets at open.
-	OpGetReplicaLayout Op = "get-replica-layout"
+	OpGetReplicaLayout
 	// OpSetReplicaLayout updates one component's replica set after a
 	// re-replication completes.
-	OpSetReplicaLayout Op = "set-replica-layout"
+	OpSetReplicaLayout
 )
 
 // Client↔OST ops.
 const (
-	OpObjCreate    Op = "obj-create"
-	OpObjFallocate Op = "obj-fallocate"
-	OpObjWrite     Op = "obj-write"
-	OpObjRead      Op = "obj-read"
-	OpObjTruncate  Op = "obj-truncate"
-	OpObjFsync     Op = "obj-fsync"
-	OpObjFlush     Op = "obj-flush"
-	OpObjDelete    Op = "obj-delete"
-	OpObjClose     Op = "obj-close"
-	OpObjExtCount  Op = "obj-extent-count"
-	OpObjExtents   Op = "obj-extents"
+	OpObjCreate Op = iota + OpSetReplicaLayout + 1
+	OpObjFallocate
+	OpObjWrite
+	OpObjRead
+	OpObjTruncate
+	OpObjFsync
+	OpObjFlush
+	OpObjDelete
+	OpObjClose
+	OpObjExtCount
+	OpObjExtents
 	// OpObjWrittenRuns fetches the maximal runs of written logical blocks
 	// — the copy manifest the re-replication engine repairs from.
-	OpObjWrittenRuns Op = "obj-written-runs"
+	OpObjWrittenRuns
+
+	numOps
 )
+
+// opNames names every op, indexed by Op.
+var opNames = [numOps]string{
+	OpMkdir:            "mkdir",
+	OpCreate:           "create",
+	OpLookup:           "lookup",
+	OpUnlink:           "unlink",
+	OpOpenGetLayout:    "open-getlayout",
+	OpSetLayout:        "setlayout",
+	OpMDSSync:          "mds-sync",
+	OpExtentChurn:      "extent-churn",
+	OpPlaceReplicas:    "place-replicas",
+	OpGetReplicaLayout: "get-replica-layout",
+	OpSetReplicaLayout: "set-replica-layout",
+	OpObjCreate:        "obj-create",
+	OpObjFallocate:     "obj-fallocate",
+	OpObjWrite:         "obj-write",
+	OpObjRead:          "obj-read",
+	OpObjTruncate:      "obj-truncate",
+	OpObjFsync:         "obj-fsync",
+	OpObjFlush:         "obj-flush",
+	OpObjDelete:        "obj-delete",
+	OpObjClose:         "obj-close",
+	OpObjExtCount:      "obj-extent-count",
+	OpObjExtents:       "obj-extents",
+	OpObjWrittenRuns:   "obj-written-runs",
+}
+
+// opSyms holds each op's span-name symbol, indexed by Op.
+var opSyms = func() (syms [numOps]telemetry.Sym) {
+	for op, name := range opNames {
+		syms[op] = telemetry.Intern(name)
+	}
+	return syms
+}()
+
+// String returns the op's name.
+func (o Op) String() string { return opNames[o] }
 
 // Class returns the op's network plane.
 func (o Op) Class() Class {

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -101,25 +101,10 @@ func (d *Dist) Percentile(p float64) int64 {
 	return d.values[rank-1]
 }
 
-// Stddev returns the population standard deviation.
-func (d *Dist) Stddev() float64 {
-	n := len(d.values)
-	if n == 0 {
-		return 0
-	}
-	mean := d.Mean()
-	var acc float64
-	for _, v := range d.values {
-		diff := float64(v) - mean
-		acc += diff * diff
-	}
-	return math.Sqrt(acc / float64(n))
-}
-
 // ensureSorted sorts the retained samples once per mutation burst.
 func (d *Dist) ensureSorted() {
 	if !d.sorted {
-		sort.Slice(d.values, func(i, j int) bool { return d.values[i] < d.values[j] })
+		slices.Sort(d.values)
 		d.sorted = true
 	}
 }

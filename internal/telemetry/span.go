@@ -11,9 +11,35 @@ import (
 // its table of open spans, and the span's ID — so opening a span allocates
 // nothing. End copies the slot into three columns of pointer-free records
 // (spans, typed attributes, events), kept in fixed-size chunks that never
-// grow or move, so the garbage collector never scans them. Layer, name, attribute-key, string-value and event
-// names are interned; integers stay integers. Spans() formats the columns
-// back into []Span only at export.
+// grow or move, so the garbage collector never scans them. Layer, span,
+// attribute-key, string-value and event names are symbols, interned once
+// per process; integers stay integers. Spans() formats the columns back
+// into []Span only at export.
+
+// Sym is a name in the process-wide symbol table: a span's layer or name,
+// an attribute key or string value, an event name. An instrumented package
+// interns its names once, at package level, so recording a span looks
+// nothing up; Spans resolves the symbols back to strings at export.
+type Sym uint32
+
+// symNames is the process-wide symbol table, indexed by Sym, and symIDs its
+// inverse. Like the label-intern table it is shared by the whole process
+// and not safe for concurrent use.
+var (
+	symNames []string
+	symIDs   = make(map[string]Sym)
+)
+
+// Intern returns the symbol of s, adding s to the table on first sight.
+func Intern(s string) Sym {
+	if id, ok := symIDs[s]; ok {
+		return id
+	}
+	id := Sym(len(symNames))
+	symNames = append(symNames, s)
+	symIDs[s] = id
+	return id
+}
 
 // SpanID identifies one span within a Tracer. Zero means "no span" and is
 // the parent of root spans.
@@ -79,20 +105,20 @@ func (c *column[T]) at(i int) *T { return &c.chunks[i/chunkLen][i%chunkLen] }
 type spanRec struct {
 	id, parent        SpanID
 	begin, end        sim.Ns
-	layer, name       uint32
+	layer, name       Sym
 	attrEnd, eventEnd int
 }
 
-// attrRec is one attribute: an interned key and either an integer (str 0)
-// or an interned string value (its id + 1 in str).
+// attrRec is one attribute: a key symbol and either an integer (str 0)
+// or a string value (its symbol + 1 in str).
 type attrRec struct {
-	key, str uint32
+	key, str Sym
 	num      int64
 }
 
-// eventRec is one event: an interned name and its time.
+// eventRec is one event: a name symbol and its time.
 type eventRec struct {
-	name uint32
+	name Sym
 	at   sim.Ns
 }
 
@@ -100,7 +126,7 @@ type eventRec struct {
 // attribute and event buffers are reused by the slot's next span.
 type openSpan struct {
 	id, parent  SpanID
-	layer, name uint32
+	layer, name Sym
 	begin       sim.Ns
 	attrs       []attrRec
 	events      []eventRec
@@ -115,8 +141,6 @@ type Tracer struct {
 	nextID  SpanID
 	max     int
 	dropped int64
-	ids     map[string]uint32
-	strs    []string
 	open    []openSpan
 	free    []int
 	spans   column[spanRec]
@@ -132,7 +156,7 @@ func NewTracer(clock *sim.Clock) *Tracer {
 	if clock == nil {
 		clock = &sim.Clock{}
 	}
-	return &Tracer{clock: clock, max: DefaultMaxSpans, ids: make(map[string]uint32)}
+	return &Tracer{clock: clock, max: DefaultMaxSpans}
 }
 
 // Clock returns the tracer's timeline clock (nil for a nil tracer).
@@ -170,17 +194,6 @@ func (t *Tracer) Advance(d sim.Ns) {
 	t.clock.Advance(d)
 }
 
-// intern returns s's id in the tracer's string table.
-func (t *Tracer) intern(s string) uint32 {
-	id, ok := t.ids[s]
-	if !ok {
-		id = uint32(len(t.strs))
-		t.strs = append(t.strs, s)
-		t.ids[s] = id
-	}
-	return id
-}
-
 // ActiveSpan is a handle on an in-progress span. The zero value is the
 // no-op handle a nil tracer returns, so call sites stay unconditional
 // whether or not tracing is on; a handle whose span has ended is inert too.
@@ -192,16 +205,25 @@ type ActiveSpan struct {
 	id   SpanID
 }
 
-// Start opens a span at the current simulated time. On a nil tracer it
+// Begin opens a span at the current simulated time. On a nil tracer it
 // returns the zero ActiveSpan, whose methods do nothing.
+func (t *Tracer) Begin(layer, name Sym, parent SpanID) ActiveSpan {
+	if t == nil {
+		return ActiveSpan{}
+	}
+	return t.begin(layer, name, parent)
+}
+
+// Start is Begin for names given as strings: it interns both per call, so
+// instrumented code paths declare symbols and call Begin instead.
 func (t *Tracer) Start(layer, name string, parent SpanID) ActiveSpan {
 	if t == nil {
 		return ActiveSpan{}
 	}
-	return t.start(layer, name, parent)
+	return t.begin(Intern(layer), Intern(name), parent)
 }
 
-func (t *Tracer) start(layer, name string, parent SpanID) ActiveSpan {
+func (t *Tracer) begin(layer, name Sym, parent SpanID) ActiveSpan {
 	begin := t.clock.Now()
 	t.nextID++
 	id := t.nextID
@@ -215,7 +237,7 @@ func (t *Tracer) start(layer, name string, parent SpanID) ActiveSpan {
 	}
 	o := &t.open[slot]
 	o.id, o.parent, o.begin = id, parent, begin
-	o.layer, o.name = t.intern(layer), t.intern(name)
+	o.layer, o.name = layer, name
 	o.attrs, o.events = o.attrs[:0], o.events[:0]
 	return ActiveSpan{t: t, slot: slot, id: id}
 }
@@ -231,43 +253,38 @@ func (t *Tracer) live(s ActiveSpan) *openSpan {
 	return nil
 }
 
-// Annotate attaches a key/value attribute.
-func (s ActiveSpan) Annotate(key, value string) {
+// Annotate attaches a key/value attribute whose value is a symbol.
+func (s ActiveSpan) Annotate(key, value Sym) {
 	if s.t != nil {
-		s.t.annotate(s, key, true, value, 0)
+		s.t.annotate(s, attrRec{key: key, str: value + 1})
 	}
 }
 
 // AnnotateInt attaches an integer attribute; it is formatted only at
 // export.
-func (s ActiveSpan) AnnotateInt(key string, value int64) {
+func (s ActiveSpan) AnnotateInt(key Sym, value int64) {
 	if s.t != nil {
-		s.t.annotate(s, key, false, "", value)
+		s.t.annotate(s, attrRec{key: key, num: value})
 	}
 }
 
-// annotate appends one attribute to s: the string value when str is set,
-// the integer otherwise.
-func (t *Tracer) annotate(s ActiveSpan, key string, str bool, value string, num int64) {
+// annotate appends one attribute to s.
+func (t *Tracer) annotate(s ActiveSpan, a attrRec) {
 	if o := t.live(s); o != nil {
-		a := attrRec{key: t.intern(key), num: num}
-		if str {
-			a.str = t.intern(value) + 1
-		}
 		o.attrs = append(o.attrs, a)
 	}
 }
 
 // Event records a point-in-time marker at the current simulated time.
-func (s ActiveSpan) Event(name string) {
+func (s ActiveSpan) Event(name Sym) {
 	if s.t != nil {
 		s.t.event(s, name)
 	}
 }
 
-func (t *Tracer) event(s ActiveSpan, name string) {
+func (t *Tracer) event(s ActiveSpan, name Sym) {
 	if o := t.live(s); o != nil {
-		o.events = append(o.events, eventRec{name: t.intern(name), at: t.clock.Now()})
+		o.events = append(o.events, eventRec{name: name, at: t.clock.Now()})
 	}
 }
 
@@ -353,9 +370,9 @@ func (t *Tracer) Spans() []Span {
 	attrs := make([]Attr, t.attrs.n)
 	for i := range attrs {
 		a := t.attrs.at(i)
-		attrs[i].Key = t.strs[a.key]
+		attrs[i].Key = symNames[a.key]
 		if a.str != 0 {
-			attrs[i].Value = t.strs[a.str-1]
+			attrs[i].Value = symNames[a.str-1]
 			continue
 		}
 		n := decLen(a.num)
@@ -365,7 +382,7 @@ func (t *Tracer) Spans() []Span {
 	events := make([]Event, t.events.n)
 	for i := range events {
 		e := t.events.at(i)
-		events[i] = Event{Name: t.strs[e.name], At: e.at}
+		events[i] = Event{Name: symNames[e.name], At: e.at}
 	}
 
 	attr0, event0 := 0, 0
@@ -373,7 +390,7 @@ func (t *Tracer) Spans() []Span {
 		r := t.spans.at(i)
 		out[i] = Span{
 			ID: r.id, Parent: r.parent,
-			Layer: t.strs[r.layer], Name: t.strs[r.name],
+			Layer: symNames[r.layer], Name: symNames[r.name],
 			Begin: r.begin, End: r.end,
 		}
 		if r.attrEnd > attr0 {

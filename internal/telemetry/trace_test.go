@@ -14,8 +14,8 @@ func TestTracerNilSafety(t *testing.T) {
 	tr.Advance(100)
 	tr.Mark("phase", "x")
 	sp := tr.Start("disk", "read", 0)
-	sp.Annotate("k", "v")
-	sp.Event("e")
+	sp.Annotate(Intern("k"), Intern("v"))
+	sp.Event(Intern("e"))
 	sp.End()
 	if sp.ID() != 0 || tr.Now() != 0 || tr.Len() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer must be a transparent no-op")
@@ -90,7 +90,7 @@ func TestCappedTracerAccountsEverySpan(t *testing.T) {
 			tr.Advance(1)
 		}
 		for w, sp := range open {
-			sp.Annotate("w", string(rune('a'+w)))
+			sp.Annotate(Intern("w"), Intern(string(rune('a'+w))))
 			sp.End()
 		}
 		if i%128 == 0 {
@@ -105,9 +105,9 @@ func TestCappedTracerAccountsEverySpan(t *testing.T) {
 func TestSpanLogRoundTrip(t *testing.T) {
 	tr := NewTracer(nil)
 	sp := tr.Start("ost", "write", 0)
-	sp.Annotate("blocks", "64")
+	sp.Annotate(Intern("blocks"), Intern("64"))
 	tr.Advance(123)
-	sp.Event("positioning")
+	sp.Event(Intern("positioning"))
 	sp.End()
 
 	var buf bytes.Buffer
@@ -140,7 +140,7 @@ func TestChromeTraceShape(t *testing.T) {
 	tr.Advance(1000)
 	d := tr.Start("disk", "write", root.ID())
 	tr.Advance(2000)
-	d.Event("positioning")
+	d.Event(Intern("positioning"))
 	d.End()
 	root.End()
 
@@ -222,10 +222,10 @@ func TestChromeTraceDeterministic(t *testing.T) {
 func TestDoubleEndIsNoop(t *testing.T) {
 	tr := NewTracer(nil)
 	sp := tr.Start("ost", "write", 0)
-	sp.AnnotateInt("blocks", 8)
+	sp.AnnotateInt(Intern("blocks"), 8)
 	sp.End()
-	sp.AnnotateInt("blocks", 9)
-	sp.Event("late")
+	sp.AnnotateInt(Intern("blocks"), 9)
+	sp.Event(Intern("late"))
 	tr.Advance(5)
 	sp.End()
 	// The freed slot is reused; the stale handle must not reach its new span.
@@ -248,9 +248,9 @@ func TestExportedAttrsAreIsolated(t *testing.T) {
 	tr := NewTracer(nil)
 	for i := int64(0); i < 2; i++ {
 		sp := tr.Start("disk", "read", 0)
-		sp.AnnotateInt("start", 100+i)
-		sp.Annotate("dev", "sda")
-		sp.Event("positioning")
+		sp.AnnotateInt(Intern("start"), 100+i)
+		sp.Annotate(Intern("dev"), Intern("sda"))
+		sp.Event(Intern("positioning"))
 		sp.End()
 	}
 	spans := tr.Spans()
@@ -273,9 +273,9 @@ func TestCapDropsAttributes(t *testing.T) {
 	tr.SetMaxSpans(1)
 	kept := tr.Start("pfs", "write", 0)
 	over := tr.Start("ost", "write", kept.ID())
-	over.AnnotateInt("blocks", 64)
-	over.Event("positioning")
-	kept.AnnotateInt("blocks", 8)
+	over.AnnotateInt(Intern("blocks"), 64)
+	over.Event(Intern("positioning"))
+	kept.AnnotateInt(Intern("blocks"), 8)
 	kept.End()
 	over.End()
 	spans := tr.Spans()
@@ -287,26 +287,32 @@ func TestCapDropsAttributes(t *testing.T) {
 	}
 	tr.Reset()
 	sp := tr.Start("disk", "read", 0)
-	sp.AnnotateInt("start", -42)
+	sp.AnnotateInt(Intern("start"), -42)
 	sp.End()
 	if spans := tr.Spans(); len(spans) != 1 || !reflect.DeepEqual(spans[0].Attrs, []Attr{{Key: "start", Value: "-42"}}) {
 		t.Fatalf("after Reset: %+v", spans)
 	}
 }
 
-// TestSpanHotPathAllocs: once the open-span table, the intern table and
-// the first column chunks exist, recording a span allocates nothing.
+// TestSpanHotPathAllocs: once the open-span table and the first column
+// chunks exist, recording a span by symbols allocates nothing — and, the
+// names being interned once, looks nothing up.
 func TestSpanHotPathAllocs(t *testing.T) {
 	tr := NewTracer(nil)
 	tr.SetMaxSpans(0)
+	disk, write := Intern("disk"), Intern("write")
+	start, positioning := Intern("start"), Intern("positioning")
 	record := func() {
-		sp := tr.Start("disk", "write", 7)
-		sp.AnnotateInt("start", 4096)
-		sp.Event("positioning")
+		sp := tr.Begin(disk, write, 7)
+		sp.AnnotateInt(start, 4096)
+		sp.Event(positioning)
 		sp.End()
 	}
 	record()
 	if allocs := testing.AllocsPerRun(1000, record); allocs != 0 {
-		t.Fatalf("Start+AnnotateInt+Event+End allocates %.1f objects/span, want 0", allocs)
+		t.Fatalf("Begin+AnnotateInt+Event+End allocates %.1f objects/span, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Start("disk", "write", 7).End() }); allocs != 0 {
+		t.Fatalf("Start+End by strings allocates %.1f objects/span, want 0", allocs)
 	}
 }
