@@ -10,6 +10,12 @@
 // reduction of disk access counts mainly comes from the checkpoint
 // operations"), which is why the journal and checkpoint paths are modeled
 // distinctly.
+//
+// The journal keeps one record per block: a later commit of a block
+// replaces its pending record in place, so a checkpoint or a replay reads
+// each block's last write without deduplicating, and a superseded Data
+// buffer is the caller's again as soon as the commit that supersedes it
+// returns.
 package journal
 
 import (
@@ -28,15 +34,16 @@ type Record struct {
 	// Block is the home location the data belongs to.
 	Block int64
 	// Data is the new block content. Commit keeps this buffer — it is
-	// what checkpoint and replay hand back — so the caller must not
-	// modify it afterwards.
+	// what checkpoint and replay hand back — until a later commit of the
+	// block or a checkpoint lets go of it, so the caller must not modify
+	// it meanwhile.
 	Data []byte
 }
 
 // CheckpointFunc writes a batch of records to their home locations and
 // returns the simulated cost. The journal calls it when the region fills or
-// when the owner forces a checkpoint. Records arrive deduplicated (last
-// write per block wins) and sorted by home block.
+// when the owner forces a checkpoint. Records arrive one per block (the
+// last write) and sorted by home block.
 type CheckpointFunc func(records []Record) sim.Ns
 
 // Stats counts journal activity.
@@ -64,21 +71,19 @@ type Journal struct {
 	size       int64
 	head       int64 // next write offset within the region
 	live       int64 // journal blocks holding un-checkpointed txns
-	committed  []seqRecord
+	committed  []entry
+	at         map[int64]int32 // block → its entry in committed
 	seq        int64
-	revoked    map[int64]int64 // block → revocation sequence
-	staged     []int64         // revocations the next Commit applies
-	revokesNew int             // revokes applied since the last record-carrying commit (revoke-block accounting)
+	staged     []int64 // revocations the next Commit applies
+	revokesNew int     // revokes applied since the last record-carrying commit (revoke-block accounting)
 	checkpoint CheckpointFunc
 	stats      Stats
 
-	// last and batch are dedupe's scratch, kept between checkpoints: the
-	// last effective record per block, and the sorted batch it returns.
-	// pinned is a checkpoint's scratch: the live records it kept back
-	// for blocks whose revocation is staged.
-	last   map[int64]seqRecord
+	// batch is collect's scratch, the sorted batch it returns. pinned is
+	// a checkpoint's scratch: the live records it kept back for blocks
+	// whose revocation is staged.
 	batch  []Record
-	pinned []seqRecord
+	pinned []entry
 
 	// commitHist, when attached, observes every Commit's device cost.
 	commitHist *telemetry.Histogram
@@ -88,11 +93,18 @@ type Journal struct {
 	crash *crashsim.Injector
 }
 
-// seqRecord orders committed records against revocations.
-type seqRecord struct {
+// entry is one block's committed-but-uncheckpointed state: its last
+// record (Data nil if it has none) and its last revocation, each stamped
+// with the sequence number that orders them.
+type entry struct {
 	Record
-	seq int64
+	seq int64 // the record's
+	rev int64 // the revocation's, 0 if none
 }
+
+// live reports whether the entry's record outlives its revocation, so a
+// checkpoint writes it home and a replay re-applies it.
+func (e *entry) live() bool { return e.Data != nil && e.seq > e.rev }
 
 // New creates a journal over the disk region [start, start+size). The
 // checkpoint function must be non-nil. A transaction larger than the region
@@ -107,8 +119,7 @@ func New(d *disk.Disk, start, size int64, checkpoint CheckpointFunc) *Journal {
 	}
 	return &Journal{
 		d: d, start: start, size: size, checkpoint: checkpoint,
-		revoked: make(map[int64]int64),
-		last:    make(map[int64]seqRecord),
+		at: make(map[int64]int32),
 	}
 }
 
@@ -126,16 +137,8 @@ func (j *Journal) Revoke(block int64) { j.staged = append(j.staged, block) }
 // Revoked reports whether the block's last committed state is a
 // revocation, so that a crash now leaves it void.
 func (j *Journal) Revoked(block int64) bool {
-	rev, ok := j.revoked[block]
-	if !ok {
-		return false
-	}
-	for _, r := range j.committed {
-		if r.Block == block && r.seq > rev {
-			return false
-		}
-	}
-	return true
+	i, ok := j.at[block]
+	return ok && !j.committed[i].live()
 }
 
 // applyRevokes makes staged revocations durable, sequenced after every
@@ -143,8 +146,19 @@ func (j *Journal) Revoked(block int64) bool {
 func (j *Journal) applyRevokes(blocks []int64) {
 	for _, b := range blocks {
 		j.seq++
-		j.revoked[b] = j.seq
+		j.entry(b).rev = j.seq
 	}
+}
+
+// entry returns the block's entry, adding an empty one if it has none.
+func (j *Journal) entry(block int64) *entry {
+	i, ok := j.at[block]
+	if !ok {
+		i = int32(len(j.committed))
+		j.at[block] = i
+		j.committed = append(j.committed, entry{Record: Record{Block: block}})
+	}
+	return &j.committed[i]
 }
 
 // Stats returns a snapshot of the counters.
@@ -166,16 +180,14 @@ func (j *Journal) Instrument(reg *telemetry.Registry, labels telemetry.Labels) {
 	reg.CounterFunc("journal_checkpoint_blocks", labels, func() int64 { return j.stats.CheckpointBlocks })
 }
 
-// PendingRecords returns the number of committed-but-uncheckpointed records,
-// a test hook.
-func (j *Journal) PendingRecords() int { return len(j.committed) }
-
-// EachRecord calls f with every committed-but-uncheckpointed record in
-// commit order, superseded and revoked ones included — every Data buffer
-// the journal still holds. A test hook for buffer-ownership checks.
+// EachRecord calls f with every committed-but-uncheckpointed record, one
+// per block, revoked ones included — every Data buffer the journal still
+// holds. A test hook for buffer-ownership checks.
 func (j *Journal) EachRecord(f func(Record)) {
-	for _, r := range j.committed {
-		f(r.Record)
+	for _, e := range j.committed {
+		if e.Data != nil {
+			f(e.Record)
+		}
 	}
 }
 
@@ -183,8 +195,9 @@ func (j *Journal) EachRecord(f func(Record)) {
 // revocations, and a commit block) to the journal region and returns the
 // simulated cost. If the region cannot hold the transaction, a checkpoint
 // is forced first — exactly the jbd behaviour whose frequency the region
-// size controls. The journal keeps each record's Data buffer but not the
-// records slice, which the caller may reuse. A transaction of revocations
+// size controls. The journal keeps each record's Data buffer, in place of
+// the one it held for the block, but not the records slice, which the
+// caller may reuse. A transaction of revocations
 // alone applies them and writes nothing: its revoke block rides the next
 // commit that carries records. A failed Commit drops the staged
 // revocations with its transaction.
@@ -250,8 +263,8 @@ func (j *Journal) Commit(records []Record) (sim.Ns, error) {
 }
 
 // Checkpoint writes every committed record to its home location through
-// the checkpoint function and resets the region, dropping the revocation
-// table (checkpointed state needs no replay). It returns the simulated
+// the checkpoint function and resets the region, dropping the revocations
+// (checkpointed state needs no replay). It returns the simulated
 // cost. Once it returns, the journal will neither checkpoint nor replay a
 // record it held, so their Data buffers are the caller's again; the batch
 // it passed to the checkpoint function is scratch that the next checkpoint
@@ -265,11 +278,11 @@ func (j *Journal) Checkpoint() sim.Ns { return j.checkpointPinning(nil) }
 // until the one revoking its blocks commits. The kept records hold no
 // region space.
 func (j *Journal) checkpointPinning(pin []int64) sim.Ns {
-	if len(j.committed) == 0 {
-		j.reset()
+	if !slices.ContainsFunc(j.committed, func(e entry) bool { return e.Data != nil }) {
+		j.reset() // revocations alone: no record to write home
 		return 0
 	}
-	batch := j.dedupe(pin)
+	batch := j.collect(pin)
 	var cost sim.Ns
 	if len(batch) > 0 {
 		cost = j.checkpoint(batch)
@@ -284,65 +297,59 @@ func (j *Journal) checkpointPinning(pin []int64) sim.Ns {
 	j.stats.Checkpoints++
 	j.stats.CheckpointBlocks += int64(len(batch))
 	j.reset()
-	j.committed = append(j.committed, j.pinned...)
+	for _, e := range j.pinned {
+		*j.entry(e.Block) = entry{Record: e.Record, seq: e.seq}
+	}
 	return cost
 }
 
-// reset empties the region and the revocation table, keeping their
-// storage for the next round. The committed records are cleared, not just
-// truncated, so the journal lets go of their Data buffers.
+// reset empties the region and the revocations, keeping their storage for
+// the next round. The entries are cleared, not just truncated, so the
+// journal lets go of their Data buffers.
 func (j *Journal) reset() {
 	clear(j.committed)
 	j.committed = j.committed[:0]
-	clear(j.revoked)
+	clear(j.at)
 	j.revokesNew = 0
 	j.live = 0
 }
 
-// Replay returns the committed-but-uncheckpointed records, deduplicated,
+// Replay returns the committed-but-uncheckpointed records, one per block,
 // revocations applied, sorted — what crash recovery would re-apply from
 // the journal region. The slice is the journal's scratch: the caller
 // consumes it before the next Checkpoint or Replay, which reuse it.
 func (j *Journal) Replay() []Record {
-	return j.dedupe(nil)
+	return j.collect(nil)
 }
 
-// dedupe keeps the last effective write per block — dropping writes
-// revoked after they were committed, and moving those of the pin blocks
-// to j.pinned — and sorts by home block. It returns j.batch, refilled.
-func (j *Journal) dedupe(pin []int64) []Record {
-	for _, r := range j.committed {
-		j.last[r.Block] = r
-	}
+// collect gathers the live records — dropping those revoked after they
+// were committed, and moving those of the pin blocks to j.pinned — and
+// sorts them by home block. It returns j.batch, refilled.
+func (j *Journal) collect(pin []int64) []Record {
 	clear(j.pinned)
 	j.pinned = j.pinned[:0]
-	for _, b := range pin {
-		if r, ok := j.last[b]; ok {
-			if rev, ok := j.revoked[b]; !ok || r.seq > rev {
-				j.pinned = append(j.pinned, r)
-			}
-			delete(j.last, b)
-		}
-	}
 	clear(j.batch)
 	out := j.batch[:0]
-	for b, r := range j.last {
-		if rev, ok := j.revoked[b]; ok && r.seq < rev {
-			continue
+	for _, e := range j.committed {
+		switch {
+		case !e.live():
+		case slices.Contains(pin, e.Block):
+			j.pinned = append(j.pinned, e)
+		default:
+			out = append(out, e.Record)
 		}
-		out = append(out, Record{Block: b, Data: r.Data})
 	}
-	clear(j.last)
 	slices.SortFunc(out, func(a, b Record) int { return cmp.Compare(a.Block, b.Block) })
 	j.batch = out
 	return out
 }
 
-// retain appends a transaction's records to the committed list, stamping
-// each with its sequence number.
+// retain makes a transaction's records their blocks' pending ones,
+// stamping each with its sequence number.
 func (j *Journal) retain(records []Record) {
 	for _, r := range records {
 		j.seq++
-		j.committed = append(j.committed, seqRecord{Record: r, seq: j.seq})
+		e := j.entry(r.Block)
+		e.Data, e.seq = r.Data, j.seq
 	}
 }

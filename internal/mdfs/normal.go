@@ -99,14 +99,14 @@ func (fs *FS) normalMakeRoot() error {
 	return nil
 }
 
-// chargeNormalLookup accounts the directory-entry reads of resolving name:
-// an indexed (Htree) directory reads the entry's block; a linear (ext3)
-// directory scans from the first block.
-func (fs *FS) chargeNormalLookup(d *dir, name string) {
+// chargeNormalLookup accounts the directory-entry reads of resolving a
+// name whose index entry the caller has looked up, e if ok: an indexed
+// (Htree) directory reads the entry's block; a linear (ext3) directory
+// scans from the first block.
+func (fs *FS) chargeNormalLookup(d *dir, e entry, ok bool) {
 	if len(d.direntBlocks) == 0 {
 		return
 	}
-	e, ok := d.names.byName[name]
 	blkIdx := int(e.slot) / fs.direntsPerBlock()
 	if !ok {
 		blkIdx = len(d.direntBlocks) - 1 // negative lookup scans to the end
@@ -197,7 +197,7 @@ func (fs *FS) touchDirRecord(d *dir) error {
 
 // normalCreate implements Create for the traditional layout.
 func (fs *FS) normalCreate(d *dir, name string, mode inode.Mode) (inode.Ino, error) {
-	fs.chargeNormalLookup(d, name) // existence check
+	fs.chargeNormalLookup(d, entry{}, false) // existence check: the name is absent
 	slot, err := fs.allocInodeSlot(d.group)
 	if err != nil {
 		return 0, err
@@ -247,12 +247,12 @@ func (fs *FS) normalUnlink(d *dir, name string, ino inode.Ino) error {
 	return fs.touchDirRecord(d)
 }
 
-// normalRename implements Rename for the traditional layout: the entry
-// moves, the inode number stays.
-func (fs *FS) normalRename(src *dir, name string, dst *dir, newName string, ino inode.Ino) error {
-	fs.chargeNormalLookup(src, name)
+// normalRename implements Rename for the traditional layout: the entry e
+// of name moves, the inode number stays.
+func (fs *FS) normalRename(src *dir, name string, e entry, dst *dir, newName string) error {
+	fs.chargeNormalLookup(src, e, true)
 	fs.clearDirent(src, name)
-	if err := fs.appendDirent(dst, newName, ino); err != nil {
+	if err := fs.appendDirent(dst, newName, e.ino); err != nil {
 		return err
 	}
 	if err := fs.touchDirRecord(src); err != nil {

@@ -122,7 +122,7 @@ func (fs *FS) Lookup(parent inode.Ino, name string) (inode.Ino, error) {
 			}
 		}
 	} else {
-		fs.chargeNormalLookup(d, name)
+		fs.chargeNormalLookup(d, e, ok)
 	}
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotExist, name)
@@ -211,7 +211,7 @@ func (fs *FS) Unlink(parent inode.Ino, name string) error {
 	if fs.cfg.Layout == LayoutEmbedded {
 		err = fs.embUnlink(d, name, ino)
 	} else {
-		fs.chargeNormalLookup(d, name)
+		fs.chargeNormalLookup(d, e, true)
 		err = fs.normalUnlink(d, name, ino)
 	}
 	return fs.finishOp(err)
@@ -236,11 +236,12 @@ func (fs *FS) Rmdir(parent inode.Ino, name string) error {
 		return fmt.Errorf("%w: %q", ErrNotEmpty, name)
 	}
 	fs.stats.Unlinks++
-	return fs.finishOp(fs.rmdir(d, name, child))
+	return fs.finishOp(fs.rmdir(d, name, e, child))
 }
 
-// rmdir implements Rmdir once the empty directory child is found.
-func (fs *FS) rmdir(d *dir, name string, child *dir) error {
+// rmdir implements Rmdir once the empty directory child, name's entry e,
+// is found.
+func (fs *FS) rmdir(d *dir, name string, e entry, child *dir) error {
 	if fs.cfg.Layout == LayoutEmbedded {
 		for _, r := range child.content {
 			if err := fs.freeData(r); err != nil {
@@ -259,7 +260,7 @@ func (fs *FS) rmdir(d *dir, name string, child *dir) error {
 				return err
 			}
 		}
-		fs.chargeNormalLookup(d, name)
+		fs.chargeNormalLookup(d, e, true)
 		if err := fs.normalUnlink(d, name, child.ino); err != nil {
 			return err
 		}
@@ -327,7 +328,7 @@ func (fs *FS) Rename(srcParent inode.Ino, name string, dstParent inode.Ino, newN
 	if fs.cfg.Layout == LayoutEmbedded {
 		newIno, err = fs.embRename(src, name, dst, newName, ino)
 	} else {
-		err = fs.normalRename(src, name, dst, newName, ino)
+		err = fs.normalRename(src, name, e, dst, newName)
 	}
 	if err := fs.finishOp(err); err != nil {
 		return 0, err

@@ -59,13 +59,15 @@ type StoreStats struct {
 // mutate it in place — one buffer per block per transaction, however many
 // sub-block updates it takes. Sealed: Commit hands it to the journal and
 // makes it the block's dirty buffer, the checkpoint makes it the home
-// buffer, and nobody writes to it again. Retired: a later commit of the
-// block superseded it as dirty, a checkpoint replaced it as home, a
-// committed free dropped it, or Forget or Abort discarded it; the journal
-// may still hold it. Free: the next checkpoint has released the journal's
-// records, so the buffer waits on the free list for the next block a
-// transaction opens. The shared zero block, what a never-written block
-// reads as, is never written at all.
+// buffer, and nobody writes to it again. Retired: a checkpoint replaced it
+// as home, a committed free dropped it, or Forget or Abort discarded it;
+// it waits for the next checkpoint, which releases the journal's records
+// — a revoked block's last record among them. Free: the buffer waits on
+// the free list for the next block a transaction opens. A dirty buffer
+// goes there straight from the commit that supersedes it, since the
+// journal keeps one record per block and that commit replaced the block's
+// record too. The shared zero block, what a never-written block reads as,
+// is never written at all.
 //
 // Slices returned by Read, ReadRange and StoreView.Read alias these
 // buffers, are read-only, and stay valid until the next Commit or
@@ -79,7 +81,7 @@ type Store struct {
 
 	// pages is the block table: page p holds the state of blocks
 	// [p<<pageShift, (p+1)<<pageShift), allocated when one of them is
-	// first written.
+	// first written or cached.
 	pages []*[pageBlocks]blockState
 	order []int64          // the blocks the open transaction holds, in the order it took them
 	freed []int64          // the blocks the open transaction frees, in the order it freed them
@@ -120,6 +122,9 @@ type blockState struct {
 	// at is the block's index in the open transaction's order while it
 	// has a txn buffer; below spOrder, the buffer predates the savepoint.
 	at int32
+	// lru is the block's node in the block cache, 0 when it is not
+	// resident.
+	lru int32
 	// void marks a block the open transaction freed: it reads as zeroes
 	// unless rewritten, and its committed content goes when the
 	// transaction commits.
@@ -264,7 +269,7 @@ func (s *Store) content(blk int64) []byte {
 // makes the block resident.
 func (s *Store) charge(blk int64) {
 	s.stats.Reads++
-	if s.cache.touch(blk) {
+	if s.cache.touch(s.state(blk)) {
 		s.stats.CacheHits++
 		return
 	}
@@ -296,7 +301,7 @@ func (s *Store) ReadRange(blk, count int64) [][]byte {
 	}
 	for b := blk; b < blk+count; b++ {
 		s.stats.Reads++
-		if s.cache.touch(b) {
+		if s.cache.touch(s.state(b)) {
 			s.stats.CacheHits++
 			flush(b)
 		} else if runStart < 0 {
@@ -331,7 +336,7 @@ func (s *Store) Overwrite(blk int64) []byte {
 		s.join(blk, st, nil)
 	}
 	s.stats.TxnWrites++
-	s.cache.touch(blk)
+	s.cache.touch(st)
 	return st.txn
 }
 
@@ -361,7 +366,7 @@ func (s *Store) Modify(blk int64, off, n int) []byte {
 		if cur != nil {
 			s.charge(blk)
 		} else {
-			s.cache.touch(blk)
+			s.cache.touch(st)
 		}
 		s.join(blk, st, cur)
 	}
@@ -406,7 +411,8 @@ func (s *Store) buffer(content []byte) []byte {
 }
 
 // retire records that buf has left the last overlay holding it. The
-// journal may still hold it, so it waits for release.
+// journal may still hold it, or a slice read before the next commit alias
+// it, so it waits for release.
 func (s *Store) retire(buf []byte) { s.retired = append(s.retired, buf) }
 
 // release frees the retired buffers. It runs once a checkpoint has reset
@@ -432,16 +438,17 @@ func (s *Store) Forget(blk int64) {
 			st.txn = nil
 		}
 		st.void = true
+		s.cache.remove(st)
 	}
-	s.cache.remove(blk)
 	s.freed = append(s.freed, blk)
 }
 
 // Commit journals the current transaction, its frees included. The home
 // blocks are written later, at checkpoint time. The transaction's buffers
 // pass to the journal and the committed overlay, and are immutable from
-// here on; the buffers they supersede in the overlay, and the committed
-// content of the blocks it frees, retire.
+// here on; the buffers they supersede in the overlay are free at once, as
+// the journal let go of them too, and the committed content of the blocks
+// it frees retires.
 func (s *Store) Commit() error {
 	if len(s.order) == 0 && len(s.freed) == 0 {
 		return nil
@@ -494,7 +501,7 @@ func (s *Store) Commit() error {
 		// A block freed and rewritten within the transaction appears
 		// twice in it, with one buffer.
 		if st.dirty != nil && &st.dirty[0] != &r.Data[0] {
-			s.retire(st.dirty)
+			s.free = append(s.free, st.dirty)
 		}
 		st.dirty = r.Data
 	}

@@ -314,8 +314,10 @@ func TestStoreAbortRestoresContent(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Journal().PendingRecords() != 1 {
-		t.Fatalf("aborted writes reached the journal: %d pending records, want 1", s.Journal().PendingRecords())
+	pending := 0
+	s.Journal().EachRecord(func(journal.Record) { pending++ })
+	if pending != 1 {
+		t.Fatalf("aborted writes reached the journal: %d pending records, want 1", pending)
 	}
 }
 
@@ -566,5 +568,39 @@ func TestStoreSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("a warm write/commit/checkpoint cycle allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestStoreRecyclesAtTheSupersedingCommit pins why a synchronous mount's
+// free list does not run dry between checkpoints: a commit that supersedes
+// a block's dirty buffer frees it at once, so a commit-per-operation loop
+// makes new buffers by the distinct blocks it touches, not by its commits.
+// Each run starts from an empty free list; the journal region holds every
+// commit, so no checkpoint runs before the one that ends the run.
+func TestStoreRecyclesAtTheSupersedingCommit(t *testing.T) {
+	const blocks, commits = 12, 96
+	s := newStore(t, 64)
+	var stamp [8]byte
+	run := func() {
+		clear(s.free)
+		s.free = s.free[:0]
+		checkpoints := s.Journal().Stats().Checkpoints
+		for i := int64(0); i < commits; i++ {
+			stamp[0] = byte(i)
+			s.WriteAt(9000+i%blocks, int(i)*8, stamp[:])
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Journal().Stats().Checkpoints != checkpoints {
+			t.Fatal("the journal checkpointed inside the run")
+		}
+		s.Checkpoint()
+	}
+	run() // the first checkpoint grows the retired and free lists
+	// One buffer per block on its first commit, and one more for the
+	// first rewrite, which finds the free list still empty.
+	if allocs := testing.AllocsPerRun(5, run); allocs > blocks+1 {
+		t.Fatalf("%d commits over %d blocks made %.0f buffers, want at most %d", commits, blocks, allocs, blocks+1)
 	}
 }
